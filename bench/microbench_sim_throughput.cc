@@ -32,11 +32,11 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "bench_args.hh"
 #include "campaign/engine.hh"
 #include "core/experiment.hh"
 #include "core/setup.hh"
 #include "isa/builder.hh"
+#include "pipeline/options.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
 #include "sim/registry.hh"
@@ -374,7 +374,7 @@ printTiers(const char *name, const TierResult &r, bool comma)
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv);
+    const unsigned jobs = pipeline::parsePipelineArgs(argc, argv).options.jobs;
 
     std::fprintf(stderr, "sim throughput microbench (jobs=%u)\n", jobs);
 

@@ -30,10 +30,10 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "bench_args.hh"
 #include "campaign/engine.hh"
 #include "campaign/store.hh"
 #include "core/setup.hh"
+#include "pipeline/options.hh"
 #include "stats/engine.hh"
 
 using namespace mbias;
@@ -118,9 +118,10 @@ bootstrapArm(const std::vector<double> &data, bool reference,
 int
 main(int argc, char **argv)
 {
-    const auto args = benchutil::BenchArgs::parse(argc, argv);
-    const unsigned jobs = args.jobs;
-    const int resamples = args.resamples > 0 ? args.resamples : 10000;
+    const auto options = pipeline::parsePipelineArgs(argc, argv).options;
+    const unsigned jobs = options.jobs;
+    const int asked = options.resamplesOr(0);
+    const int resamples = asked > 0 ? asked : 10000;
 
     std::fprintf(stderr, "stats throughput microbench (jobs=%u, "
                  "resamples=%d)\n", jobs, resamples);

@@ -6,15 +6,17 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/seeding.hh"
 #include "campaign/store.hh"
-#include "campaign/threadpool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "parallel/pool.hh"
 #include "sim/plan.hh"
 #include "sim/replay.hh"
 #include "sim/trace.hh"
@@ -126,16 +128,16 @@ class ProgressMeter
   public:
     ProgressMeter(bool enabled, std::uint64_t total,
                   const std::atomic<std::uint64_t> &done,
-                  const std::atomic<std::uint64_t> &cache_hits)
-        : total_(total)
+                  std::uint64_t cache_hits)
+        : total_(total), cacheHits_(cache_hits)
     {
         if (!enabled || total == 0)
             return;
         start_ = std::chrono::steady_clock::now();
-        thread_ = std::thread([this, &done, &cache_hits] {
+        thread_ = std::thread([this, &done] {
             std::unique_lock<std::mutex> lock(mutex_);
             while (!stop_) {
-                draw(done.load(), cache_hits.load());
+                draw(done.load());
                 cv_.wait_for(lock, std::chrono::milliseconds(200));
             }
             // Blank the line out so the report overwrites it.
@@ -157,7 +159,7 @@ class ProgressMeter
 
   private:
     void
-    draw(std::uint64_t done, std::uint64_t hits) const
+    draw(std::uint64_t done) const
     {
         const double elapsed =
             std::chrono::duration<double>(
@@ -174,11 +176,13 @@ class ProgressMeter
                      (unsigned long long)done,
                      (unsigned long long)total_,
                      100.0 * double(done) / double(total_),
-                     done ? 100.0 * double(hits) / double(done) : 0.0,
+                     done ? 100.0 * double(cacheHits_) / double(done)
+                          : 0.0,
                      eta);
     }
 
     std::uint64_t total_;
+    std::uint64_t cacheHits_;
     std::chrono::steady_clock::time_point start_;
     std::thread thread_;
     std::mutex mutex_;
@@ -280,8 +284,7 @@ CampaignEngine::run()
         }
     } detachMetrics{opts_.artifactCache ? &artifacts : nullptr};
 
-    ThreadPool pool(opts_.jobs, &metrics);
-    ResultCache cache(&metrics);
+    parallel::ThreadPool pool(opts_.jobs, &metrics);
     std::vector<core::RunOutcome> results(tasks.size());
     // One runner per worker: with the shared artifact cache runners
     // are cheap handles; without it each keeps a private compile memo
@@ -290,8 +293,6 @@ CampaignEngine::run()
         pool.jobs());
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> resumed{0};
-    std::atomic<std::uint64_t> cacheHits{0};
-    std::atomic<std::uint64_t> done{0};
 
     // Hot-path metric handles, resolved once (registry lookups take a
     // lock; Counter::add / Histogram::record do not).
@@ -300,9 +301,37 @@ CampaignEngine::run()
     obs::Histogram &hExecute = metrics.histogram("task.execute_us");
     obs::Histogram &hTask = metrics.histogram("task.total_us");
 
+    // Tasks with the same content address (repeated setups) compute
+    // the same outcome, so only the lowest index of each distinct key
+    // is scheduled; the others copy its outcome once the pool drains.
+    // Deciding this before scheduling makes which tasks execute — and
+    // which store lines they append — independent of worker timing.
+    // A duplicate is accounted where its owner's outcome comes from:
+    // the store (resumed) or this run (a cache hit).
+    std::vector<std::size_t> ownerOf(tasks.size());
+    std::vector<std::size_t> scheduled;
+    std::uint64_t cacheHits = 0;
+    {
+        std::unordered_map<std::string_view, std::size_t> firstByKey;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const auto [it, fresh] = firstByKey.try_emplace(keys[i], i);
+            ownerOf[i] = it->second;
+            if (fresh) {
+                scheduled.push_back(i);
+            } else if (store && store->find(keys[i])) {
+                resumed.fetch_add(1, std::memory_order_relaxed);
+                cResumed.add();
+            } else {
+                ++cacheHits;
+            }
+        }
+    }
+    std::atomic<std::uint64_t> done{tasks.size() - scheduled.size()};
+
     ProgressMeter meter(opts_.progress, tasks.size(), done, cacheHits);
 
-    pool.parallelFor(tasks.size(), [&](std::size_t i, unsigned w) {
+    pool.parallelFor(scheduled.size(), [&](std::size_t s, unsigned w) {
+        const std::size_t i = scheduled[s];
         const auto taskStart = std::chrono::steady_clock::now();
         obs::ScopedSpan taskSpan("task", "campaign",
                                  "{\"task\":" + std::to_string(i) +
@@ -319,12 +348,6 @@ CampaignEngine::run()
                 return;
             }
         }
-        if (cache.lookup(key, results[i])) {
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-            done.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-
         if (!runners[w]) {
             obs::ScopedSpan span("runner-init", "campaign");
             runners[w] = std::make_unique<core::ExperimentRunner>(
@@ -341,7 +364,6 @@ CampaignEngine::run()
         executed.fetch_add(1, std::memory_order_relaxed);
         cExecuted.add();
         results[i] = r.outcome;
-        cache.insert(key, r.outcome);
         if (store) {
             obs::ScopedSpan span("store-append", "campaign");
             store->append(TaskRecord::make(key, task, r.outcome,
@@ -351,6 +373,11 @@ CampaignEngine::run()
         hTask.record(microsSince(taskStart));
         done.fetch_add(1, std::memory_order_relaxed);
     });
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+        if (ownerOf[i] != i)
+            results[i] = results[ownerOf[i]];
+    metrics.counter("cache.hits").add(cacheHits);
+    metrics.counter("cache.misses").add(executed.load());
 
     CampaignReport report;
     {
@@ -374,7 +401,7 @@ CampaignEngine::run()
     }
     report.stats.totalTasks = tasks.size();
     report.stats.executed = executed.load();
-    report.stats.cacheHits = cache.hits();
+    report.stats.cacheHits = cacheHits;
     report.stats.resumedFromStore = resumed.load();
     report.stats.jobs = pool.jobs();
     report.stats.wallSeconds =

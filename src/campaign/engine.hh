@@ -69,13 +69,14 @@ struct CampaignOptions
  * Executes a CampaignSpec: expands it into the deterministic task
  * list, schedules the tasks on a work-stealing ThreadPool (one
  * ExperimentRunner per worker — see the runner's thread-safety
- * contract), serves repeated tasks from the content-addressed
- * ResultCache and previously persisted tasks from the ResultStore,
- * and aggregates everything into a CampaignReport.
+ * contract), runs each distinct content address once (repeated
+ * setups copy the outcome of their first occurrence), serves
+ * previously persisted tasks from the ResultStore, and aggregates
+ * everything into a CampaignReport.
  *
  * Determinism guarantee: for a fixed spec, the report's outcomes are
- * bitwise-identical regardless of jobs, scheduling order, resume
- * splits, or cache hit patterns.
+ * bitwise-identical regardless of jobs, scheduling order, or resume
+ * splits.
  */
 class CampaignEngine
 {

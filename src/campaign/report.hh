@@ -20,7 +20,8 @@ struct CampaignStats
     /** Tasks that actually ran the simulator this time. */
     std::uint64_t executed = 0;
 
-    /** Tasks served by the in-memory content-addressed cache. */
+    /** Repeated tasks that copied the outcome of the first task with
+     *  the same content address instead of executing. */
     std::uint64_t cacheHits = 0;
 
     /** Tasks served by the persistent store (resumed runs). */

@@ -274,45 +274,6 @@ TaskRecord::fromJson(const std::string &line, TaskRecord &out)
     return parseRecord(line, out);
 }
 
-ResultCache::ResultCache(obs::Registry *metrics)
-{
-    if (metrics) {
-        hitCounter_ = &metrics->counter("cache.hits");
-        missCounter_ = &metrics->counter("cache.misses");
-    }
-}
-
-bool
-ResultCache::lookup(const std::string &key, core::RunOutcome &out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        if (missCounter_)
-            missCounter_->add();
-        return false;
-    }
-    out = it->second;
-    ++hits_;
-    if (hitCounter_)
-        hitCounter_->add();
-    return true;
-}
-
-void
-ResultCache::insert(const std::string &key, const core::RunOutcome &o)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_[key] = o;
-}
-
-std::uint64_t
-ResultCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
 namespace
 {
 

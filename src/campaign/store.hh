@@ -76,34 +76,6 @@ struct TaskRecord
 };
 
 /**
- * In-memory content-addressed result cache, shared by all workers of
- * one engine run.  Two tasks with the same address (duplicate setups
- * in Single mode) compute the same outcome, so the second becomes a
- * lookup.  Thread-safe; a concurrent miss of the same key simply
- * means both tasks execute — identical results, so last-insert-wins
- * is harmless.
- */
-class ResultCache
-{
-  public:
-    /** With @p metrics, counts `cache.hits` / `cache.misses`. */
-    explicit ResultCache(obs::Registry *metrics = nullptr);
-
-    bool lookup(const std::string &key, core::RunOutcome &out) const;
-    void insert(const std::string &key, const core::RunOutcome &o);
-
-    /** Number of successful lookups so far. */
-    std::uint64_t hits() const;
-
-  private:
-    mutable std::mutex mutex_;
-    mutable std::uint64_t hits_ = 0;
-    obs::Counter *hitCounter_ = nullptr;
-    obs::Counter *missCounter_ = nullptr;
-    std::unordered_map<std::string, core::RunOutcome> map_;
-};
-
-/**
  * The persistent result store: an append-only JSONL file that makes
  * campaigns resumable and self-describing.  Three line shapes share
  * the file:
@@ -120,8 +92,8 @@ class ResultCache
  * (and `store.torn_lines`) and warned about with its byte offset, so
  * corruption is visible instead of silent — and the engine serves
  * loaded tasks from the store instead of re-executing them.  Records
- * are keyed by content address, so duplicate appends (e.g. two
- * identical tasks racing a cache miss) collapse on load.
+ * are keyed by content address, so duplicate appends collapse on
+ * load (the last one wins).
  */
 class ResultStore
 {

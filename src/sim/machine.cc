@@ -51,8 +51,9 @@ referenceForced()
     return referenceForcedByEnv();
 }
 
-/** MBIAS_SIM_TRACE=0 drops fast-path-eligible runs back to runFast
- *  (re-read per run, so one process can compare all three tiers). */
+/** MBIAS_SIM_TRACE=0 drops fast-path-eligible runs back to the
+ *  untraced plan loop (re-read per run, so one process can compare all
+ *  three tiers). */
 bool
 traceDisabledByEnv()
 {
@@ -231,43 +232,24 @@ struct ShadowTlb
 bool
 traceTierUsable(const Machine &machine)
 {
-#if !MBIAS_SIM_TRACE_ENABLED
-    (void)machine;
-    return false;
-#else
     return machine.useFastPath() && machine.useTracePath() &&
            machine.tierSupport().trace && !traceDisabledByEnv() &&
            !referenceForced();
-#endif
 }
 
 std::string
 activeSimTierDescription()
 {
-    // Replay provenance rides along as a suffix: it serves repetition
-    // families on top of whichever tier single runs take.
-    std::string replay;
-#if !MBIAS_SIM_REPLAY_ENABLED
-    replay = " (replay: -DMBIAS_SIM_REPLAY=OFF)";
-#else
-    if (replayDisabledByEnv())
-        replay = " (replay: MBIAS_SIM_REPLAY=0)";
-    else
-        replay = " + replay";
-#endif
-#if !MBIAS_SIM_FASTPATH_ENABLED
-    return "reference (-DMBIAS_SIM_FASTPATH=OFF)";
-#else
     if (referenceForced())
         return "reference (MBIAS_SIM_REFERENCE set)";
-#if !MBIAS_SIM_TRACE_ENABLED
-    return "fast (-DMBIAS_SIM_TRACE=OFF)" + replay;
-#else
+    // Replay provenance rides along as a suffix: it serves repetition
+    // families on top of whichever tier single runs take.
+    const std::string replay = replayDisabledByEnv()
+                                   ? " (replay: MBIAS_SIM_REPLAY=0)"
+                                   : " + replay";
     if (traceDisabledByEnv())
         return "fast (MBIAS_SIM_TRACE=0)" + replay;
     return "trace" + replay;
-#endif
-#endif
 }
 
 /** Per-run pipeline/timing state. */
@@ -457,21 +439,15 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
              const NoiseModel &noise, Profile *profile,
              Attribution *attribution)
 {
-#if MBIAS_SIM_FASTPATH_ENABLED
     // The fast tiers handle the common campaign case: deterministic,
     // unprofiled runs.  Noise injection, per-function profiling, and
     // per-set attribution read per-instruction state the fast lanes
     // skip, so those runs stay on the reference interpreter.
     if (useFastPath_ && tiers_.fast && !noise.active() && !profile &&
-        !attribution && !referenceForced()) {
-        const auto plan = PlanCache::global().get(image.program);
-#if MBIAS_SIM_TRACE_ENABLED
-        if (traceTierUsable(*this))
-            return runTrace(image, max_insts, plan);
-#endif
-        return runFast(image, max_insts, *plan);
-    }
-#endif
+        !attribution && !referenceForced())
+        return runPlan<RunMode::Normal>(image, max_insts,
+                                        NoiseModel::none(), nullptr,
+                                        nullptr);
 
     // Noise invalidations bypass the attribution occupancy mirror;
     // the combination has no use case, so reject it outright.
@@ -941,33 +917,28 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
 }
 
 
+template <Machine::RunMode Mode>
 RunResult
-Machine::runFast(const toolchain::ProcessImage &image,
-                 std::uint64_t max_insts, const ExecutionPlan &plan)
+Machine::runPlan(const toolchain::ProcessImage &image,
+                 std::uint64_t max_insts, const NoiseModel &noise,
+                 FunctionalTrace *rec, const FunctionalTrace *rep)
 {
+    const auto plan = PlanCache::global().get(image.program);
+    if (traceTierUsable(*this)) {
+        // The trace tier's batch guards assume the OoO window model;
+        // traceTierUsable() keeps in-order backends off this path.
+        mbias_assert(config_.core == CoreKind::OutOfOrder,
+                     "trace tier requires an out-of-order core model");
+        const auto tplan =
+            TraceCache::global().get(plan, TraceGeometry::of(config_));
+        return runPlanImpl<true, Mode, OooCore>(
+            image, max_insts, *plan, tplan.get(), noise, rec, rep);
+    }
     if (config_.core == CoreKind::InOrder)
-        return runPlanImpl<false, RunMode::Normal, InOrderCore>(
-            image, max_insts, plan, nullptr, NoiseModel::none(), nullptr,
-            nullptr);
-    return runPlanImpl<false, RunMode::Normal, OooCore>(
-        image, max_insts, plan, nullptr, NoiseModel::none(), nullptr,
-        nullptr);
-}
-
-RunResult
-Machine::runTrace(const toolchain::ProcessImage &image,
-                  std::uint64_t max_insts,
-                  const std::shared_ptr<const ExecutionPlan> &plan)
-{
-    // The trace tier's batch guards assume the OoO window model;
-    // traceTierUsable() keeps in-order backends off this path.
-    mbias_assert(config_.core == CoreKind::OutOfOrder,
-                 "trace tier requires an out-of-order core model");
-    const auto tplan =
-        TraceCache::global().get(plan, TraceGeometry::of(config_));
-    return runPlanImpl<true, RunMode::Normal, OooCore>(
-        image, max_insts, *plan, tplan.get(), NoiseModel::none(), nullptr,
-        nullptr);
+        return runPlanImpl<false, Mode, InOrderCore>(
+            image, max_insts, *plan, nullptr, noise, rec, rep);
+    return runPlanImpl<false, Mode, OooCore>(image, max_insts, *plan,
+                                             nullptr, noise, rec, rep);
 }
 
 RunResult
@@ -977,43 +948,23 @@ Machine::runRecord(const toolchain::ProcessImage &image,
 {
     mbias_assert(out, "runRecord needs a trace sink");
     *out = nullptr;
-#if MBIAS_SIM_REPLAY_ENABLED
-    if (replayTierUsable(*this)) {
-        obs::ScopedSpan span("replay-record", "sim");
-        const auto plan = PlanCache::global().get(image.program);
-        auto trace = std::make_shared<FunctionalTrace>();
-        trace->program = image.program;
-        trace->gp = image.gp;
-        trace->heapBase = image.heapBase;
-        trace->entryIdx = image.entryIdx;
-        trace->budget = max_insts;
-        trace->recordedSp = image.initialSp;
-        trace->stackBoundary = image.stackTop >> 1;
-        RunResult rr;
-#if MBIAS_SIM_TRACE_ENABLED
-        if (traceTierUsable(*this)) {
-            const auto tplan =
-                TraceCache::global().get(plan, TraceGeometry::of(config_));
-            rr = runPlanImpl<true, RunMode::Record, OooCore>(
-                image, max_insts, *plan, tplan.get(), noise, trace.get(),
-                nullptr);
-        } else
-#endif
-        if (config_.core == CoreKind::InOrder)
-            rr = runPlanImpl<false, RunMode::Record, InOrderCore>(
-                image, max_insts, *plan, nullptr, noise, trace.get(),
-                nullptr);
-        else
-            rr = runPlanImpl<false, RunMode::Record, OooCore>(
-                image, max_insts, *plan, nullptr, noise, trace.get(),
-                nullptr);
-        ReplayCache::global().noteRecord();
-        if (!trace->aborted)
-            *out = std::move(trace);
-        return rr;
-    }
-#endif
-    return run(image, max_insts, noise);
+    if (!replayTierUsable(*this))
+        return run(image, max_insts, noise);
+    obs::ScopedSpan span("replay-record", "sim");
+    auto trace = std::make_shared<FunctionalTrace>();
+    trace->program = image.program;
+    trace->gp = image.gp;
+    trace->heapBase = image.heapBase;
+    trace->entryIdx = image.entryIdx;
+    trace->budget = max_insts;
+    trace->recordedSp = image.initialSp;
+    trace->stackBoundary = image.stackTop >> 1;
+    const RunResult rr = runPlan<RunMode::Record>(image, max_insts, noise,
+                                                  trace.get(), nullptr);
+    ReplayCache::global().noteRecord();
+    if (!trace->aborted)
+        *out = std::move(trace);
+    return rr;
 }
 
 RunResult
@@ -1021,33 +972,14 @@ Machine::runReplay(const toolchain::ProcessImage &image,
                    std::uint64_t max_insts, const NoiseModel &noise,
                    const FunctionalTrace &trace)
 {
-#if MBIAS_SIM_REPLAY_ENABLED
-    if (replayTierUsable(*this)) {
-        mbias_assert(trace.matches(image, max_insts),
-                     "replaying a trace against a mismatched image");
-        const auto plan = PlanCache::global().get(image.program);
-        RunResult rr;
-#if MBIAS_SIM_TRACE_ENABLED
-        if (traceTierUsable(*this)) {
-            const auto tplan =
-                TraceCache::global().get(plan, TraceGeometry::of(config_));
-            rr = runPlanImpl<true, RunMode::Replay, OooCore>(
-                image, max_insts, *plan, tplan.get(), noise, nullptr,
-                &trace);
-        } else
-#endif
-        if (config_.core == CoreKind::InOrder)
-            rr = runPlanImpl<false, RunMode::Replay, InOrderCore>(
-                image, max_insts, *plan, nullptr, noise, nullptr, &trace);
-        else
-            rr = runPlanImpl<false, RunMode::Replay, OooCore>(
-                image, max_insts, *plan, nullptr, noise, nullptr, &trace);
-        ReplayCache::global().noteReplay();
-        return rr;
-    }
-#endif
-    (void)trace;
-    return run(image, max_insts, noise);
+    if (!replayTierUsable(*this))
+        return run(image, max_insts, noise);
+    mbias_assert(trace.matches(image, max_insts),
+                 "replaying a trace against a mismatched image");
+    const RunResult rr = runPlan<RunMode::Replay>(image, max_insts, noise,
+                                                  nullptr, &trace);
+    ReplayCache::global().noteReplay();
+    return rr;
 }
 
 template <bool Traced, Machine::RunMode Mode, class Core>

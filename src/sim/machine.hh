@@ -27,11 +27,11 @@ struct FunctionalTrace; // sim/replay.hh
 
 /**
  * Human-readable description of the sim tier run() would pick for a
- * plain deterministic run right now — build flags and environment
- * escape hatches folded in (e.g. "trace", or "fast (MBIAS_SIM_TRACE=0)",
- * or "reference (-DMBIAS_SIM_FASTPATH=OFF)").  Recorded by `mbias
- * list`/`mbias workloads` so provenance explains perf deltas between
- * hosts.
+ * plain deterministic run right now — environment escape hatches
+ * folded in (e.g. "trace + replay", "fast (MBIAS_SIM_TRACE=0) +
+ * replay", or "reference (MBIAS_SIM_REFERENCE set)").  Recorded by
+ * `mbias list`/`mbias workloads` so provenance explains perf deltas
+ * between hosts.
  */
 std::string activeSimTierDescription();
 
@@ -43,9 +43,8 @@ class Machine;
 
 /**
  * True when every switch between here and the hardware allows the
- * superblock trace tier for @p machine: built in (-DMBIAS_SIM_TRACE=ON
- * over an enabled fast path), not vetoed by MBIAS_SIM_TRACE=0 or
- * MBIAS_SIM_REFERENCE, the machine's own fast/trace toggles on, *and*
+ * superblock trace tier for @p machine: not vetoed by MBIAS_SIM_TRACE=0
+ * or MBIAS_SIM_REFERENCE, the machine's own fast/trace toggles on, *and*
  * the machine's backend declares trace support (MachineRegistry) — the
  * tier's batch guards assume the OoO window model, so in-order cores
  * fall back to the plain fast path.  The replay tier's
@@ -102,9 +101,8 @@ struct RunResult
  * superblocks apply pre-batched effects in one step, guarded so the
  * result stays bitwise equal.  Fast tiers are taken only for
  * noise-free, unprofiled runs; they can be disabled per machine
- * (setUseFastPath(false) / setUseTracePath(false)), per process
- * (MBIAS_SIM_REFERENCE=1 / MBIAS_SIM_TRACE=0 in the environment), or
- * at build time (-DMBIAS_SIM_FASTPATH=OFF / -DMBIAS_SIM_TRACE=OFF).
+ * (setUseFastPath(false) / setUseTracePath(false)) or per process
+ * (MBIAS_SIM_REFERENCE=1 / MBIAS_SIM_TRACE=0 in the environment).
  *
  * A fourth tier, *record/replay* (sim/replay.hh), serves repetition
  * families: runRecord() executes one instrumented fast/trace-tier run
@@ -114,7 +112,7 @@ struct RunResult
  * runReplay() then re-runs *only the timing models* over that stream
  * under a fresh noise seed, machine geometry, or ASLR stack base,
  * skipping functional execution.  Its hatches mirror the others:
- * setUseReplayPath(false), MBIAS_SIM_REPLAY=0, -DMBIAS_SIM_REPLAY=OFF.
+ * setUseReplayPath(false) and MBIAS_SIM_REPLAY=0.
  */
 class Machine
 {
@@ -192,21 +190,22 @@ class Machine
      *  captured one instead of executing (Replay). */
     enum class RunMode { Normal, Record, Replay };
 
-    /** The plan-based interpreter behind run(); see class comment. */
-    RunResult runFast(const toolchain::ProcessImage &image,
-                      std::uint64_t max_insts, const ExecutionPlan &plan);
+    /** The one place the plan-based tiers are chosen: looks up the
+     *  image's ExecutionPlan and runs runPlanImpl over it — traced
+     *  when traceTierUsable(), else with the backend's core model.
+     *  run() (Normal), runRecord() and runReplay() all come here. */
+    template <RunMode Mode>
+    RunResult runPlan(const toolchain::ProcessImage &image,
+                      std::uint64_t max_insts, const NoiseModel &noise,
+                      FunctionalTrace *rec, const FunctionalTrace *rep);
 
-    /** The trace-tier interpreter: runFast's loop over a TracePlan's
-     *  rewritten ops, with superblocks batched (sim/trace.hh). */
-    RunResult
-    runTrace(const toolchain::ProcessImage &image, std::uint64_t max_insts,
-             const std::shared_ptr<const ExecutionPlan> &plan);
-
-    /** Shared direct-threaded interpreter body behind runFast
-     *  (Traced = false), runTrace (Traced = true), and the record/
-     *  replay tier (Mode != Normal; @p rec receives the stream under
-     *  Record, @p rep supplies it under Replay, and @p noise drives
-     *  the reference-equivalent OS-interrupt model).  Core is the
+    /** Shared direct-threaded interpreter body behind runPlan: the
+     *  fast path (Traced = false), the trace tier (Traced = true,
+     *  walking a TracePlan's rewritten ops with superblocks batched —
+     *  sim/trace.hh), and the record/replay tier (Mode != Normal;
+     *  @p rec receives the stream under Record, @p rep supplies it
+     *  under Replay, and @p noise drives the reference-equivalent
+     *  OS-interrupt model).  Core is the
      *  CoreModel policy (machine.cc: OooCore / InOrderCore) selected
      *  per backend at compile time: it decides stall exposure,
      *  multi-cycle issue blocking, and taken-redirect realignment at

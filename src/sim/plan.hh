@@ -14,10 +14,6 @@
 #include "obs/metrics.hh"
 #include "toolchain/linker.hh"
 
-#ifndef MBIAS_SIM_FASTPATH_ENABLED
-#define MBIAS_SIM_FASTPATH_ENABLED 1
-#endif
-
 namespace mbias::sim
 {
 

@@ -20,14 +20,9 @@ replayDisabledByEnv()
 bool
 replayTierUsable(const Machine &machine)
 {
-#if !MBIAS_SIM_REPLAY_ENABLED
-    (void)machine;
-    return false;
-#else
     return machine.useFastPath() && machine.useReplayPath() &&
            machine.tierSupport().replay && !replayDisabledByEnv() &&
            !referenceForcedByEnv();
-#endif
 }
 
 std::uint64_t

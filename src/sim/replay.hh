@@ -13,10 +13,6 @@
 #include "obs/metrics.hh"
 #include "toolchain/loader.hh"
 
-#ifndef MBIAS_SIM_REPLAY_ENABLED
-#define MBIAS_SIM_REPLAY_ENABLED 1
-#endif
-
 namespace mbias::sim
 {
 
@@ -28,8 +24,7 @@ bool replayDisabledByEnv();
 
 /**
  * True when every switch between here and the hardware allows the
- * replay tier for @p machine: built in (-DMBIAS_SIM_REPLAY=ON over an
- * enabled fast path), not vetoed by MBIAS_SIM_REPLAY=0 or
+ * replay tier for @p machine: not vetoed by MBIAS_SIM_REPLAY=0 or
  * MBIAS_SIM_REFERENCE, and the machine's own fast/replay toggles on.
  * Callers (ExperimentRunner) consult this before paying for a
  * recording pass.

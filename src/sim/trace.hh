@@ -14,10 +14,6 @@
 #include "sim/config.hh"
 #include "sim/plan.hh"
 
-#ifndef MBIAS_SIM_TRACE_ENABLED
-#define MBIAS_SIM_TRACE_ENABLED 1
-#endif
-
 namespace mbias::sim
 {
 
@@ -150,8 +146,8 @@ struct TraceBlock
  * A trace-translated program: the base plan's op array with every
  * superblock head rewritten to kBatchOpcode (targetIdx = block id),
  * plus the per-block batch summaries.  Built once per (plan,
- * geometry); Machine::runTrace interprets it with the same
- * direct-threaded loop as runFast plus one extra handler.
+ * geometry); Machine::runPlan interprets it with the same
+ * direct-threaded loop as the fast path plus one extra handler.
  *
  * Like the base plan, a trace plan never influences simulated
  * semantics or timing: a batch commits only when its guards prove the
@@ -190,7 +186,7 @@ struct TracePlan
  *
  * Thread-safe; on racing misses the first insert wins.  Also the
  * collection point for the tier's runtime statistics (ops batched vs
- * interpreted, guard fallbacks), which Machine::runTrace reports once
+ * interpreted, guard fallbacks), which every traced run reports once
  * per run; attachMetrics() mirrors everything into `sim.trace.*`
  * counters of a registry (the campaign engine attaches its per-run
  * registry, so `mbias obs-summary` shows the tier at work).
@@ -200,7 +196,7 @@ class TraceCache
   public:
     explicit TraceCache(std::size_t capacity = 64);
 
-    /** The process-wide cache Machine::runTrace uses. */
+    /** The process-wide cache the trace tier uses. */
     static TraceCache &global();
 
     /** The trace plan for (@p base, @p g), building it on a miss. */

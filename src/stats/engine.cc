@@ -122,8 +122,7 @@ scalarBootstrapMeans(const double *data, std::size_t n,
 
 Engine::Engine(EngineOptions opts) : opts_(opts)
 {
-    serial_ = opts_.forceSerial || !MBIAS_STATS_PARALLEL_ENABLED ||
-              serialForced();
+    serial_ = opts_.forceSerial || serialForced();
     if (opts_.metrics) {
         bootstrapCalls_ = &opts_.metrics->counter("stats.bootstrap_calls");
         bootstrapResamples_ =

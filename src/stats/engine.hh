@@ -75,8 +75,8 @@ struct EngineOptions
  * independent.
  *
  * Escape hatches: `MBIAS_STATS_SERIAL=1` in the environment pins every
- * engine to the serial reference at runtime; building with
- * `-DMBIAS_STATS_PARALLEL=OFF` compiles the fast path out entirely.
+ * engine in the process to the serial reference;
+ * EngineOptions::forceSerial pins one engine.
  */
 class Engine
 {
@@ -113,7 +113,7 @@ class Engine
     twoWayAnova(const std::vector<std::vector<Sample>> &cells) const;
 
     /** True when this engine runs the serial reference path (escape
-     *  hatch, build switch, or forceSerial). */
+     *  hatch or forceSerial). */
     bool usingSerial() const { return serial_; }
 
     /** True when the vectorized block kernel is compiled in and the

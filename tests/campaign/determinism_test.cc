@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "campaign/engine.hh"
-#include "campaign/threadpool.hh"
+#include "parallel/pool.hh"
 
 namespace
 {
@@ -21,7 +21,7 @@ using namespace mbias;
 using campaign::CampaignEngine;
 using campaign::CampaignOptions;
 using campaign::CampaignSpec;
-using campaign::ThreadPool;
+using parallel::ThreadPool;
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnce)
 {

@@ -2,8 +2,8 @@
  * @file
  * Content addressing and persistence: task keys hash exactly the
  * inputs that determine an outcome, records survive a JSON round
- * trip bitwise, and the in-memory cache deduplicates identical tasks
- * with exact accounting.
+ * trip bitwise, and the engine runs identical tasks once with exact
+ * accounting.
  */
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@ using namespace mbias;
 using campaign::CampaignSpec;
 using campaign::CampaignTask;
 using campaign::RepetitionPlan;
-using campaign::ResultCache;
 using campaign::TaskRecord;
 using campaign::taskKey;
 
@@ -219,24 +218,9 @@ TEST(StoreColumns, DedupsOrdersAndCountsTorn)
     std::filesystem::remove(path);
 }
 
-TEST(ResultCache, AccountsHits)
-{
-    ResultCache cache;
-    core::RunOutcome o;
-    o.speedup = 2.0;
-    core::RunOutcome got;
-    EXPECT_FALSE(cache.lookup("k1", got));
-    EXPECT_EQ(cache.hits(), 0u);
-    cache.insert("k1", o);
-    EXPECT_TRUE(cache.lookup("k1", got));
-    EXPECT_TRUE(cache.lookup("k1", got));
-    EXPECT_EQ(got.speedup, 2.0);
-    EXPECT_FALSE(cache.lookup("k2", got));
-    EXPECT_EQ(cache.hits(), 2u);
-}
-
-// Duplicate setups in a campaign are content-address hits: only the
-// unique setups hit the simulator.
+// Duplicate setups in a campaign share one content address: only the
+// first occurrence of each runs the simulator and appends a store
+// line, whatever the worker count and however the workers interleave.
 TEST(CampaignCache, DuplicateSetupsExecuteOnce)
 {
     std::vector<core::ExperimentSetup> setups;
@@ -249,19 +233,43 @@ TEST(CampaignCache, DuplicateSetupsExecuteOnce)
     CampaignSpec spec;
     spec.withExperiment(core::ExperimentSpec().withWorkload("milc"))
         .withSetups(setups);
-    campaign::CampaignOptions opts;
-    opts.jobs = 1; // serial: hit accounting is exact
-    auto report = campaign::CampaignEngine(spec, opts).run();
-    EXPECT_EQ(report.stats.totalTasks, 12u);
-    EXPECT_EQ(report.stats.executed, 4u);
-    EXPECT_EQ(report.stats.cacheHits, 8u);
-    EXPECT_EQ(report.stats.resumedFromStore, 0u);
-    // The duplicates' outcomes are the cached ones, bit for bit.
-    const auto &o = report.bias.outcomes;
-    ASSERT_EQ(o.size(), 12u);
-    for (std::size_t i = 4; i < o.size(); ++i)
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(o[i].speedup),
-                  std::bit_cast<std::uint64_t>(o[i % 4].speedup));
+    const std::string path =
+        testing::TempDir() + "/mbias_duplicate_setups.jsonl";
+    for (unsigned jobs : {1u, 4u, 8u}) {
+        for (int rep = 0; rep < 5; ++rep) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) + ", rep " +
+                         std::to_string(rep));
+            campaign::CampaignOptions opts;
+            opts.jobs = jobs;
+            opts.outPath = path;
+            auto report = campaign::CampaignEngine(spec, opts).run();
+            EXPECT_EQ(report.stats.totalTasks, 12u);
+            EXPECT_EQ(report.stats.executed, 4u);
+            EXPECT_EQ(report.stats.cacheHits, 8u);
+            EXPECT_EQ(report.stats.resumedFromStore, 0u);
+#if MBIAS_OBS_ENABLED
+            EXPECT_EQ(report.metrics.counters.at("cache.hits"), 8u);
+            EXPECT_EQ(report.metrics.counters.at("cache.misses"), 4u);
+#endif
+
+            // One record line per distinct key, between the header
+            // and the metrics trailer.
+            std::ifstream in(path);
+            std::size_t records = 0;
+            for (std::string line; std::getline(in, line);)
+                records += line.rfind("{\"mbias_", 0) != 0;
+            EXPECT_EQ(records, 4u);
+
+            // The duplicates' outcomes are the first occurrences',
+            // bit for bit.
+            const auto &o = report.bias.outcomes;
+            ASSERT_EQ(o.size(), 12u);
+            for (std::size_t i = 4; i < o.size(); ++i)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(o[i].speedup),
+                          std::bit_cast<std::uint64_t>(o[i % 4].speedup));
+        }
+    }
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -52,13 +52,9 @@ imageFor(const std::string &workload, const toolchain::LinkOrder &order,
 bool
 replayTierActive()
 {
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_REPLAY_ENABLED
     if (sim::replayDisabledByEnv())
         return false;
     return !sim::referenceForcedByEnv();
-#else
-    return false;
-#endif
 }
 
 /**

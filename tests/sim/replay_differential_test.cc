@@ -52,21 +52,17 @@ imageFor(const std::string &workload, const toolchain::LinkOrder &order,
 }
 
 /** Whether runRecord/runReplay actually reach the replay tier right
- *  now — false under -DMBIAS_SIM_REPLAY=OFF builds and under the
- *  MBIAS_SIM_REPLAY=0 ctest leg, where both fall back to run() and the
+ *  now — false under the MBIAS_SIM_REPLAY=0 ctest leg and the
+ *  MBIAS_SIM_REFERENCE=1 run, where both fall back to run() and the
  *  recorded trace stays null.  The differential below holds either
  *  way; only the trace-presence assertions are gated on this. */
 bool
 replayTierActive()
 {
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_REPLAY_ENABLED
     if (sim::replayDisabledByEnv())
         return false;
     const char *r = std::getenv("MBIAS_SIM_REFERENCE");
     return !(r && *r && !(r[0] == '0' && r[1] == '\0'));
-#else
-    return false;
-#endif
 }
 
 /** The ground truth for one (image, budget, noise): the default-tier
@@ -367,9 +363,15 @@ TEST(ReplayDifferential, CacheAccounting)
 
 TEST(ReplayDifferential, EnvHatchAndTierReporting)
 {
-    // replayTierUsable composes the build switch, the env hatch, and
-    // the per-machine toggles; the active-tier description advertises
-    // the same verdict (the CLI prints it as provenance).
+    // replayTierUsable composes the env hatch and the per-machine
+    // toggles; the active-tier description advertises the same verdict
+    // (the CLI prints it as provenance).  MBIAS_SIM_REFERENCE takes
+    // precedence over the replay hatch, so it is unset for the
+    // duration of the test.
+    const char *oldRef = std::getenv("MBIAS_SIM_REFERENCE");
+    const std::string savedRef = oldRef ? oldRef : "";
+    ::unsetenv("MBIAS_SIM_REFERENCE");
+
     sim::Machine machine(sim::MachineConfig::core2Like());
     EXPECT_EQ(sim::replayTierUsable(machine), replayTierActive());
     machine.setUseReplayPath(false);
@@ -378,17 +380,15 @@ TEST(ReplayDifferential, EnvHatchAndTierReporting)
     EXPECT_EQ(sim::replayTierUsable(machine), replayTierActive());
 
     const std::string desc = sim::activeSimTierDescription();
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_REPLAY_ENABLED
-    if (sim::replayDisabledByEnv())
+    if (sim::replayDisabledByEnv()) {
         EXPECT_NE(desc.find("MBIAS_SIM_REPLAY=0"), std::string::npos)
             << desc;
-    else if (replayTierActive())
+    } else if (replayTierActive()) {
         EXPECT_NE(desc.find("+ replay"), std::string::npos) << desc;
-#elif MBIAS_SIM_FASTPATH_ENABLED
-    if (desc.rfind("reference", 0) != 0)
-        EXPECT_NE(desc.find("-DMBIAS_SIM_REPLAY=OFF"), std::string::npos)
-            << desc;
-#endif
+    }
+
+    if (oldRef)
+        ::setenv("MBIAS_SIM_REFERENCE", savedRef.c_str(), 1);
 }
 
 } // namespace

@@ -53,29 +53,21 @@ enum class Tier { Reference, Fast, Trace };
 
 /** The replay-tier provenance suffix activeSimTierDescription appends
  *  to the fast/trace descriptions (sim/replay.hh hatches). */
-const char *const kReplaySuffix =
-#if !MBIAS_SIM_REPLAY_ENABLED
-    " (replay: -DMBIAS_SIM_REPLAY=OFF)";
-#else
-    sim::replayDisabledByEnv() ? " (replay: MBIAS_SIM_REPLAY=0)"
-                               : " + replay";
-#endif
+const char *const kReplaySuffix = sim::replayDisabledByEnv()
+                                      ? " (replay: MBIAS_SIM_REPLAY=0)"
+                                      : " + replay";
 
 /** Whether a Tier::Trace run actually reaches the trace tier right
- *  now — false under -DMBIAS_SIM_TRACE=OFF builds and under the
- *  MBIAS_SIM_TRACE=0 ctest leg, where stats cannot grow. */
+ *  now — false under the MBIAS_SIM_TRACE=0 and MBIAS_SIM_REFERENCE=1
+ *  ctest runs, where stats cannot grow. */
 bool
 traceTierActive()
 {
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_TRACE_ENABLED
     const char *e = std::getenv("MBIAS_SIM_TRACE");
     if (e && e[0] == '0' && e[1] == '\0')
         return false;
     const char *r = std::getenv("MBIAS_SIM_REFERENCE");
     return !(r && *r && !(r[0] == '0' && r[1] == '\0'));
-#else
-    return false;
-#endif
 }
 
 sim::RunResult
@@ -368,14 +360,17 @@ TEST(TraceDifferential, EnvHatchDisablesTraceTier)
 {
     // MBIAS_SIM_TRACE=0 is re-read per run: one process can flip the
     // tier off and back on, and the description string tracks it.
+    // MBIAS_SIM_REFERENCE takes precedence over both, so it is unset
+    // for the duration of the test.
     const char *old = std::getenv("MBIAS_SIM_TRACE");
     const std::string saved = old ? old : "";
+    const char *oldRef = std::getenv("MBIAS_SIM_REFERENCE");
+    const std::string savedRef = oldRef ? oldRef : "";
+    ::unsetenv("MBIAS_SIM_REFERENCE");
 
     ::setenv("MBIAS_SIM_TRACE", "0", 1);
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_TRACE_ENABLED
     EXPECT_EQ(sim::activeSimTierDescription(),
               std::string("fast (MBIAS_SIM_TRACE=0)") + kReplaySuffix);
-#endif
     const auto image = straightLineImage();
     const auto mc = sim::MachineConfig::core2Like();
     const auto before = sim::TraceCache::global().stats();
@@ -385,10 +380,8 @@ TEST(TraceDifferential, EnvHatchDisablesTraceTier)
         << "the hatch must keep runs off the trace tier";
 
     ::setenv("MBIAS_SIM_TRACE", "1", 1);
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_TRACE_ENABLED
     EXPECT_EQ(sim::activeSimTierDescription(),
               std::string("trace") + kReplaySuffix);
-#endif
     const auto traced = runTier(mc, image, Tier::Trace);
     EXPECT_EQ(traced, hatched);
 
@@ -396,6 +389,8 @@ TEST(TraceDifferential, EnvHatchDisablesTraceTier)
         ::setenv("MBIAS_SIM_TRACE", saved.c_str(), 1);
     else
         ::unsetenv("MBIAS_SIM_TRACE");
+    if (oldRef)
+        ::setenv("MBIAS_SIM_REFERENCE", savedRef.c_str(), 1);
 }
 
 TEST(TraceDifferential, AttributionUnaffected)
