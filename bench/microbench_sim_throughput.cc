@@ -177,9 +177,11 @@ straightLineImage()
 struct NoisyRepResult
 {
     unsigned reps = 0;
-    double perRepWall = 0.0;  ///< reps noisy runs, per-rep execution
+    double perRepWall = 0.0;  ///< reps noisy runs on the reference oracle
+    double planWall = 0.0;    ///< reps noisy runs on the plan loop
     double replayWall = 0.0;  ///< one recording + reps-1 replays
     double perRepInstsPerSec = 0.0;
+    double planInstsPerSec = 0.0;
     double replayInstsPerSec = 0.0;
     double speedup = 0.0;
     bool replayed = false; ///< false when the tier is hatched off
@@ -188,11 +190,14 @@ struct NoisyRepResult
 /**
  * The noisy-repetition driver shape (NoiseRepeated/NoisePaired
  * campaigns, ExperimentRunner::repeatedMetric): the same image run
- * `reps` times under distinct noise seeds.  Per-rep execution pays the
- * reference interpreter every time (noise needs the timing models
- * live); the replay tier records the functional stream once — that IS
- * rep 0 — and re-runs only the timing models for the rest.  Both arms
- * are verified bitwise identical per seed before any timing.
+ * `reps` times under distinct noise seeds.  The per-rep arm pays the
+ * reference oracle (setUseFastPath(false)) every time, so `speedup`
+ * keeps meaning replay over the reference across the trajectory; the
+ * plan arm runs the same reps through run() on the plan loop, which is
+ * where noisy runs go by default; the replay tier records the
+ * functional stream once — that IS rep 0 — and re-runs only the timing
+ * models for the rest.  All arms are verified bitwise identical per
+ * seed before any timing.
  */
 NoisyRepResult
 measureNoisyRepetition(const char *name,
@@ -202,10 +207,12 @@ measureNoisyRepetition(const char *name,
     constexpr std::uint64_t kSeedBase = 0xbe9c;
     const std::uint64_t budget = sim::Machine::kDefaultRunBudget;
     sim::Machine machine(sim::MachineConfig::core2Like());
+    sim::Machine oracle(sim::MachineConfig::core2Like());
+    oracle.setUseFastPath(false);
 
-    // Correctness gate: every replayed repetition must match the
-    // per-rep execution of its seed bitwise, or the numbers below
-    // would compare different experiments.
+    // Correctness gate: every replayed and plan-loop repetition must
+    // match the oracle's execution of its seed bitwise, or the numbers
+    // below would compare different experiments.
     std::shared_ptr<const sim::FunctionalTrace> trace;
     const auto rec = machine.runRecord(
         image, budget, sim::NoiseModel::withSeed(kSeedBase), &trace);
@@ -213,13 +220,15 @@ measureNoisyRepetition(const char *name,
     const double insts = double(rec.instructions());
     for (unsigned r = 0; r < kReps; ++r) {
         const auto noise = sim::NoiseModel::withSeed(kSeedBase + r);
-        const auto ref = machine.run(image, budget, noise);
+        const auto ref = oracle.run(image, budget, noise);
         const auto opt =
             r == 0 ? rec
             : trace ? machine.runReplay(image, budget, noise, *trace)
                     : machine.run(image, budget, noise);
         mbias_assert(opt == ref,
                      "replayed repetition diverged from per-rep run");
+        mbias_assert(machine.run(image, budget, noise) == ref,
+                     "plan-loop repetition diverged from per-rep run");
     }
 
     NoisyRepResult out;
@@ -230,11 +239,20 @@ measureNoisyRepetition(const char *name,
         {
             const auto t0 = std::chrono::steady_clock::now();
             for (unsigned r = 0; r < kReps; ++r)
-                machine.run(image, budget,
-                            sim::NoiseModel::withSeed(kSeedBase + r));
+                oracle.run(image, budget,
+                           sim::NoiseModel::withSeed(kSeedBase + r));
             const double wall = secondsSince(t0);
             if (out.perRepWall == 0.0 || wall < out.perRepWall)
                 out.perRepWall = wall;
+        }
+        {
+            const auto t0 = std::chrono::steady_clock::now();
+            for (unsigned r = 0; r < kReps; ++r)
+                machine.run(image, budget,
+                            sim::NoiseModel::withSeed(kSeedBase + r));
+            const double wall = secondsSince(t0);
+            if (out.planWall == 0.0 || wall < out.planWall)
+                out.planWall = wall;
         }
         {
             // The recording pass is part of the replay arm's cost: the
@@ -257,13 +275,15 @@ measureNoisyRepetition(const char *name,
         }
     }
     out.perRepInstsPerSec = insts * kReps / out.perRepWall;
+    out.planInstsPerSec = insts * kReps / out.planWall;
     out.replayInstsPerSec = insts * kReps / out.replayWall;
     out.speedup = out.perRepWall / out.replayWall;
     std::fprintf(stderr,
-                 "  %s noisy reps (%u): per-rep %.1f, replay %.1f Mi/s "
-                 "-> %.2fx%s\n",
+                 "  %s noisy reps (%u): per-rep %.1f, plan %.1f, "
+                 "replay %.1f Mi/s -> %.2fx%s\n",
                  name, kReps, out.perRepInstsPerSec / 1e6,
-                 out.replayInstsPerSec / 1e6, out.speedup,
+                 out.planInstsPerSec / 1e6, out.replayInstsPerSec / 1e6,
+                 out.speedup,
                  out.replayed ? "" : " (replay tier off)");
     return out;
 }
@@ -488,6 +508,8 @@ main(int argc, char **argv)
                     n.replayWall);
         std::printf("      \"per_rep_insts_per_sec\": %.0f,\n",
                     n.perRepInstsPerSec);
+        std::printf("      \"plan_insts_per_sec\": %.0f,\n",
+                    n.planInstsPerSec);
         std::printf("      \"replay_insts_per_sec\": %.0f,\n",
                     n.replayInstsPerSec);
         std::printf("      \"speedup\": %.4f\n", n.speedup);

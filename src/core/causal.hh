@@ -104,7 +104,7 @@ class CausalAnalyzer
      * Also runs the setup-diff engine on the sweep's extreme setups
      * (min vs max metric) and fills CausalReport::mechanismEvidence,
      * so the localized factor ships with the per-set/per-entry
-     * mechanism behind it.  Costs two extra profiled reference runs.
+     * mechanism behind it.  Costs two extra profiled runs.
      */
     CausalAnalyzer &withMechanismEvidence(bool on = true);
 

@@ -230,9 +230,9 @@ explainSetupPair(const ExperimentSpec &spec, const ExperimentSetup &a,
 
     ExperimentRunner runner(spec);
     r.resultA =
-        runner.runProfiled(spec.baseline, a, &r.profileA, &r.attrA);
+        runner.runSide(spec.baseline, a, false, &r.profileA, &r.attrA);
     r.resultB =
-        runner.runProfiled(spec.baseline, b, &r.profileB, &r.attrB);
+        runner.runSide(spec.baseline, b, false, &r.profileB, &r.attrB);
 
     // ProfileDiff: match functions by name (link order permutes the
     // profile's function order between the two runs).

@@ -16,12 +16,12 @@ namespace mbias::core
 
 /**
  * The setup-diff engine behind `mbias explain`: run the same workload
- * (baseline toolchain) under two setups on the reference interpreter
- * with profiling + attribution on, and rank what explains the cycle
- * delta — which functions moved, and which microarchitectural
- * mechanism (cache-set conflicts, predictor/BTB aliasing,
- * stack-alignment line splits, store-load aliasing, TLB pressure)
- * carries it.  Everything here is a pure function of two deterministic
+ * (baseline toolchain) under two setups with profiling + attribution
+ * on (the untraced plan loop's observer policy), and rank what
+ * explains the cycle delta — which functions moved, and which
+ * microarchitectural mechanism (cache-set conflicts, predictor/BTB
+ * aliasing, stack-alignment line splits, store-load aliasing, TLB
+ * pressure) carries it.  Everything here is a pure function of two deterministic
  * runs, so every rendering (text, heatmaps, JSON, trace counter
  * tracks) is byte-stable.
  */
@@ -119,7 +119,7 @@ bool parseSetupSpec(const std::string &text, ExperimentSetup &out,
                     std::string &error);
 
 /**
- * Runs the diff: two profiled + attributed reference runs of
+ * Runs the diff: two profiled + attributed runs of
  * @p spec's baseline toolchain (via ExperimentRunner, so artifacts
  * come from the shared cache) and the full ranking.
  */

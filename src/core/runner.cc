@@ -108,36 +108,17 @@ ExperimentRunner::materialize(const toolchain::ToolchainSpec &tc,
 
 sim::RunResult
 ExperimentRunner::runSide(const toolchain::ToolchainSpec &tc,
-                          const ExperimentSetup &setup,
-                          bool treatment_side)
+                          const ExperimentSetup &setup, bool treatment_side,
+                          sim::Profile *profile,
+                          sim::Attribution *attribution)
 {
     auto image = materialize(tc, setup);
     const sim::MachineConfig &mc =
         treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
                                                  : spec_.machine;
     sim::Machine machine(mc);
-    obs::ScopedSpan runSpan("run", "runner");
-    const auto t0 = std::chrono::steady_clock::now();
-    auto rr = machine.run(image);
-    if (runHistogram_)
-        runHistogram_->record(microsSince(t0));
-    mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-    return rr;
-}
-
-sim::RunResult
-ExperimentRunner::runProfiled(const toolchain::ToolchainSpec &tc,
-                              const ExperimentSetup &setup,
-                              sim::Profile *profile,
-                              sim::Attribution *attribution,
-                              bool treatment_side)
-{
-    auto image = materialize(tc, setup);
-    const sim::MachineConfig &mc =
-        treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
-                                                 : spec_.machine;
-    sim::Machine machine(mc);
-    obs::ScopedSpan runSpan("run-profiled", "runner");
+    obs::ScopedSpan runSpan(profile || attribution ? "run-profiled" : "run",
+                            "runner");
     const auto t0 = std::chrono::steady_clock::now();
     auto rr = machine.run(image, sim::Machine::kDefaultRunBudget,
                           sim::NoiseModel::none(), profile, attribution);

@@ -76,22 +76,14 @@ class ExperimentRunner
 
     /** Runs only one side (used by causal analysis).
      *  @p treatment_side selects the treatment machine for hardware
-     *  studies. */
+     *  studies.  Optional sinks add per-function profiling and per-set
+     *  attribution (used by explain); the returned RunResult is bitwise
+     *  identical either way — the sinks observe, never perturb. */
     sim::RunResult runSide(const toolchain::ToolchainSpec &tc,
                            const ExperimentSetup &setup,
-                           bool treatment_side = false);
-
-    /**
-     * runSide() with per-function profiling and optional per-set
-     * attribution (both force the reference interpreter).  The
-     * returned RunResult is bitwise identical to runSide()'s — the
-     * sinks observe, never perturb.
-     */
-    sim::RunResult runProfiled(const toolchain::ToolchainSpec &tc,
-                               const ExperimentSetup &setup,
-                               sim::Profile *profile,
-                               sim::Attribution *attribution = nullptr,
-                               bool treatment_side = false);
+                           bool treatment_side = false,
+                           sim::Profile *profile = nullptr,
+                           sim::Attribution *attribution = nullptr);
 
     /**
      * Repeats one side @p reps times in one setup under seeded

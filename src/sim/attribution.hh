@@ -109,17 +109,19 @@ struct TableCounters
 };
 
 /**
- * Microarchitectural attribution for one reference-interpreter run:
- * which cache sets, TLB buckets, and predictor entries the run's
+ * Microarchitectural attribution for one run: which cache sets, TLB
+ * buckets, and predictor entries the run's
  * events landed in.  This is the paper's missing microscope — two
  * runs of the same binary under different setups can be diffed
  * set-by-set to show *where* a layout change bites.
  *
- * Contract: attribution observes, never perturbs.  Machine::run()
- * only appends to these side structures; RunResult stays bitwise
- * identical with or without an Attribution attached (enforced by
- * tests/sim/attribution_test.cc).  Under -DMBIAS_OBS=OFF the
- * recording hooks compile out and every structure stays zeroed;
+ * Contract: attribution observes, never perturbs.  An attributed
+ * Machine::run() takes the untraced plan loop with its observer policy
+ * compiled in, whose hooks only append to these side structures;
+ * RunResult stays bitwise identical with or without an Attribution
+ * attached, and the tables themselves are pinned by digest (both
+ * enforced by tests/sim/attribution_test.cc).  Under -DMBIAS_OBS=OFF
+ * the recording hooks compile out and every structure stays zeroed;
  * enabled() reports whether the build records.
  *
  * TLBs are fully associative in this model (no sets), so "per-TLB-set

@@ -12,20 +12,6 @@
 #include <cstdlib>
 #include "base/logging.hh"
 
-// Attribution recording: side-effect-free observation of where an
-// event landed (which set/entry).  Compiles to nothing under
-// -DMBIAS_OBS=OFF; at runtime it is dead unless run() was handed an
-// Attribution sink.  Never touch PerfCounters or component state here.
-#if MBIAS_OBS_ENABLED
-#define MBIAS_ATTR(expr)                                                    \
-    do {                                                                    \
-        if (attr_)                                                          \
-            attr_->expr;                                                    \
-    } while (0)
-#else
-#define MBIAS_ATTR(expr) ((void)0)
-#endif
-
 namespace mbias::sim
 {
 
@@ -42,14 +28,6 @@ referenceForcedByEnv()
 
 namespace
 {
-
-/** MBIAS_SIM_REFERENCE=1 pins every run to the reference interpreter
- *  (re-read per run, so one process can compare both paths). */
-bool
-referenceForced()
-{
-    return referenceForcedByEnv();
-}
 
 /** MBIAS_SIM_TRACE=0 drops fast-path-eligible runs back to the
  *  untraced plan loop (re-read per run, so one process can compare all
@@ -78,6 +56,25 @@ struct OooCore
 struct InOrderCore
 {
     static constexpr bool kInOrder = true;
+};
+
+/**
+ * Observation policies: runPlanImpl's fourth template parameter.  The
+ * null policy's hooks are empty inlines (the pass-through ones return
+ * their outcome argument), so unobserved instantiations compile them
+ * out.
+ */
+struct NullObserver
+{
+    static constexpr bool kObserving = false;
+    void open(std::uint32_t, Cycles, const PerfCounters &) {}
+    void close(Cycles, const PerfCounters &) {}
+    bool icache(Addr, bool hit) { return hit; }
+    bool dcache(Addr, bool hit) { return hit; }
+    void itlb(Addr, unsigned) {}
+    void dtlb(Addr, unsigned) {}
+    void pht(Addr) {}
+    bool btb(Addr, bool hit) { return hit; }
 };
 
 std::unique_ptr<uarch::BranchPredictor>
@@ -234,13 +231,13 @@ traceTierUsable(const Machine &machine)
 {
     return machine.useFastPath() && machine.useTracePath() &&
            machine.tierSupport().trace && !traceDisabledByEnv() &&
-           !referenceForced();
+           !referenceForcedByEnv();
 }
 
 std::string
 activeSimTierDescription()
 {
-    if (referenceForced())
+    if (referenceForcedByEnv())
         return "reference (MBIAS_SIM_REFERENCE set)";
     // Replay provenance rides along as a suffix: it serves repetition
     // families on top of whichever tier single runs take.
@@ -268,6 +265,144 @@ struct Machine::Pipeline
     // Code line/page last touched (sequential-fetch reuse).
     Addr lastCodeLine = ~Addr(0);
     Addr lastCodePage = ~Addr(0);
+};
+
+/**
+ * The observing policy behind run()'s Profile and Attribution sinks.
+ * Profile: open() finds the function of the op about to dispatch
+ * (functions are placed contiguously, so index intervals identify
+ * them) and snapshots clock and counters; close() books the deltas.
+ * The loop closes an op at the next dispatch, before any noise event,
+ * and the last one at run_done, so interrupt and DVFS charges land in
+ * no function.  Attribution: where each event landed (set/entry), from
+ * component geometry only — never touching counters or model state;
+ * compiled out under -DMBIAS_OBS=OFF.
+ */
+class Machine::RunObserver
+{
+  public:
+    static constexpr bool kObserving = true;
+
+    RunObserver(const Machine &m, const toolchain::LinkedProgram &prog,
+                Profile *profile, Attribution *attribution)
+        : m_(m), profile_(profile), attribution_(attribution)
+    {
+        if (!profile_)
+            return;
+        profile_->functions.clear();
+        for (const auto &lf : prog.functions) {
+            FunctionProfile fp;
+            fp.name = lf.name;
+            fp.base = lf.base;
+            fp.bytes = lf.bytes;
+            profile_->functions.push_back(std::move(fp));
+            fnBegin_.push_back(lf.entryIdx);
+        }
+        fnBegin_.push_back(std::uint32_t(prog.code.size())); // sentinel
+    }
+
+    void open(std::uint32_t idx, Cycles now, const PerfCounters &ctrs)
+    {
+        if (!profile_)
+            return;
+        if (idx < fnBegin_[cur_] || idx >= fnBegin_[cur_ + 1]) {
+            const auto it =
+                std::upper_bound(fnBegin_.begin(), fnBegin_.end(), idx);
+            cur_ = std::size_t(it - fnBegin_.begin()) - 1;
+        }
+        snapNow_ = now;
+        snap_ = ctrs;
+        pending_ = true;
+    }
+
+    void close(Cycles now, const PerfCounters &ctrs)
+    {
+        if (!pending_)
+            return;
+        pending_ = false;
+        FunctionProfile &fp = profile_->functions[cur_];
+        fp.instructions += 1;
+        fp.cycles += now - snapNow_;
+        for (const auto &[c, field] : kBooked)
+            fp.*field += ctrs.get(c) - snap_.get(c);
+    }
+
+    bool icache(Addr line, bool hit)
+    {
+        book(&Attribution::icache, m_.icache_.setIndex(line), !hit);
+        return hit;
+    }
+    bool dcache(Addr line, bool hit)
+    {
+        book(&Attribution::dcache, m_.dcache_.setIndex(line), !hit);
+        return hit;
+    }
+    void itlb(Addr vpn, unsigned misses)
+    {
+        book(&Attribution::itlb, vpn, misses);
+    }
+    void dtlb(Addr vpn, unsigned misses)
+    {
+        book(&Attribution::dtlb, vpn, misses);
+    }
+    /** Called before the predictor's update, so a history-folding
+     *  predictor reports the entry this prediction used. */
+    void pht(Addr pc)
+    {
+        if (recording())
+            attribution_->pht.record(m_.predictor_->tableIndex(pc), pc);
+    }
+    bool btb(Addr pc, bool hit)
+    {
+        if (recording())
+            attribution_->btb.record(m_.btb_.setIndex(pc), pc);
+        return hit;
+    }
+
+  private:
+    /** FunctionProfile event fields and the counter each books. */
+    static constexpr std::pair<Counter, std::uint64_t FunctionProfile::*>
+        kBooked[] = {
+            {Counter::IcacheMisses, &FunctionProfile::icacheMisses},
+            {Counter::DcacheMisses, &FunctionProfile::dcacheMisses},
+            {Counter::BranchMispredicts,
+             &FunctionProfile::branchMispredicts},
+            {Counter::LineSplits, &FunctionProfile::lineSplits},
+            {Counter::AliasStalls, &FunctionProfile::aliasStalls},
+            {Counter::Calls, &FunctionProfile::calls},
+            {Counter::L2Misses, &FunctionProfile::l2Misses},
+            {Counter::ItlbMisses, &FunctionProfile::itlbMisses},
+            {Counter::DtlbMisses, &FunctionProfile::dtlbMisses},
+            {Counter::BtbMisses, &FunctionProfile::btbMisses},
+            {Counter::StallCycles, &FunctionProfile::stallCycles},
+            {Counter::FetchGroups, &FunctionProfile::fetchGroups},
+        };
+
+    bool recording() const { return Attribution::enabled() && attribution_; }
+
+    /** One touch and @p misses fills of set (or VPN bucket) @p set;
+     *  every structure's set count is a power of two. */
+    void book(SetCounters Attribution::*which, std::size_t set,
+              unsigned misses)
+    {
+        if (!recording())
+            return;
+        SetCounters &sc = attribution_->*which;
+        set &= sc.sets - 1;
+        sc.touch(set);
+        for (unsigned m = 0; m < misses; ++m)
+            sc.miss(set);
+    }
+
+    const Machine &m_; ///< component geometry, read only
+    Profile *profile_;
+    Attribution *attribution_;
+
+    std::vector<std::uint32_t> fnBegin_; ///< entry indices + code size
+    std::size_t cur_ = 0;
+    bool pending_ = false; ///< an op is open
+    Cycles snapNow_ = 0;
+    PerfCounters snap_;
 };
 
 Machine::Machine(const MachineConfig &config)
@@ -320,10 +455,8 @@ Machine::fetchAccounting(Pipeline &pipe, Addr pc, unsigned size,
             if (line == pipe.lastCodeLine)
                 continue;
             pipe.lastCodeLine = line;
-            MBIAS_ATTR(icache.touch(icache_.setIndex(line)));
             if (!icache_.accessLine(line)) {
                 ctrs.inc(Counter::IcacheMisses);
-                MBIAS_ATTR(icache.miss(icache_.setIndex(line)));
                 pipe.now += config_.icache.missPenalty;
                 if (!l2_.accessLine(line)) {
                     ctrs.inc(Counter::L2Misses);
@@ -337,15 +470,6 @@ Machine::fetchAccounting(Pipeline &pipe, Addr pc, unsigned size,
         if (page != pipe.lastCodePage) {
             pipe.lastCodePage = page;
             const unsigned misses = itlb_.access(pc, size);
-#if MBIAS_OBS_ENABLED
-            if (attr_) {
-                const std::size_t b =
-                    std::size_t(page) & (attr_->itlb.sets - 1);
-                attr_->itlb.touch(b);
-                for (unsigned m = 0; m < misses; ++m)
-                    attr_->itlb.miss(b);
-            }
-#endif
             if (misses) {
                 ctrs.inc(Counter::ItlbMisses, misses);
                 pipe.now += misses * config_.itlb.missPenalty;
@@ -362,16 +486,6 @@ Machine::memoryAccess(Pipeline &pipe, Addr addr, unsigned size,
 
     if (config_.enableTlbs) {
         const unsigned misses = dtlb_.access(addr, size);
-#if MBIAS_OBS_ENABLED
-        if (attr_) {
-            const std::size_t b =
-                std::size_t(addr / config_.dtlb.pageBytes) &
-                (attr_->dtlb.sets - 1);
-            attr_->dtlb.touch(b);
-            for (unsigned m = 0; m < misses; ++m)
-                attr_->dtlb.miss(b);
-        }
-#endif
         if (misses) {
             ctrs.inc(Counter::DtlbMisses, misses);
             lat += misses * config_.dtlb.missPenalty;
@@ -383,10 +497,8 @@ Machine::memoryAccess(Pipeline &pipe, Addr addr, unsigned size,
     if (config_.enableCaches) {
         for (Addr line = first; line <= last;
              line += config_.dcache.lineBytes) {
-            MBIAS_ATTR(dcache.touch(dcache_.setIndex(line)));
             if (!dcache_.accessLine(line)) {
                 ctrs.inc(Counter::DcacheMisses);
-                MBIAS_ATTR(dcache.miss(dcache_.setIndex(line)));
                 lat += config_.dcache.missPenalty;
                 if (!l2_.accessLine(line)) {
                     ctrs.inc(Counter::L2Misses);
@@ -399,13 +511,7 @@ Machine::memoryAccess(Pipeline &pipe, Addr addr, unsigned size,
                     ctrs.inc(Counter::PrefetchesIssued);
                     const Addr next_line =
                         line + config_.dcache.lineBytes;
-                    MBIAS_ATTR(
-                        dcache.touch(dcache_.setIndex(next_line)));
-                    const bool prefetch_hit =
-                        dcache_.accessLine(next_line);
-                    if (!prefetch_hit)
-                        MBIAS_ATTR(
-                            dcache.miss(dcache_.setIndex(next_line)));
+                    dcache_.accessLine(next_line);
                     l2_.accessLine(next_line);
                 }
             }
@@ -439,24 +545,21 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
              const NoiseModel &noise, Profile *profile,
              Attribution *attribution)
 {
-    // The fast tiers handle the common campaign case: deterministic,
-    // unprofiled runs.  Noise injection, per-function profiling, and
-    // per-set attribution read per-instruction state the fast lanes
-    // skip, so those runs stay on the reference interpreter.
-    if (useFastPath_ && tiers_.fast && !noise.active() && !profile &&
-        !attribution && !referenceForced())
-        return runPlan<RunMode::Normal>(image, max_insts,
-                                        NoiseModel::none(), nullptr,
-                                        nullptr);
+    // Every production run takes the plan loop, noisy and observed ones
+    // included.  Only the escape hatches (MBIAS_SIM_REFERENCE=1,
+    // setUseFastPath(false)) select the reference oracle, and never for
+    // an observed run: the oracle carries no observation hooks.
+    if (profile || attribution ||
+        (useFastPath_ && tiers_.fast && !referenceForcedByEnv()))
+        return runPlan<RunMode::Normal>(image, max_insts, noise, nullptr,
+                                        nullptr, profile, attribution);
+    return runReference(image, max_insts, noise);
+}
 
-    // Noise invalidations bypass the attribution occupancy mirror;
-    // the combination has no use case, so reject it outright.
-    mbias_assert(!(attribution && noise.enabled),
-                 "attribution requires a noise-free run");
-    if (attribution)
-        attribution->configure(config_);
-    attr_ = MBIAS_OBS_ENABLED ? attribution : nullptr;
-
+RunResult
+Machine::runReference(const toolchain::ProcessImage &image,
+                      std::uint64_t max_insts, const NoiseModel &noise)
+{
     // Cold start: deterministic from the image alone.
     icache_.reset();
     dcache_.reset();
@@ -518,28 +621,6 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
             pipe.now += config_.fetchRealignPenalty;
     };
 
-    // Optional per-function attribution (index-range lookup; functions
-    // are placed contiguously, so instruction index intervals identify
-    // them).
-    std::vector<std::uint32_t> fn_begin;
-    std::size_t cur_fn = 0;
-    std::uint32_t cur_begin = 1, cur_end = 0; // empty: force first lookup
-    if (profile) {
-        profile->functions.clear();
-        for (const auto &lf : prog.functions) {
-            FunctionProfile fp;
-            fp.name = lf.name;
-            fp.base = lf.base;
-            fp.bytes = lf.bytes;
-            profile->functions.push_back(std::move(fp));
-            fn_begin.push_back(lf.entryIdx);
-        }
-    }
-    Cycles prof_now = 0;
-    std::uint64_t prof_ic = 0, prof_dc = 0, prof_mp = 0, prof_ls = 0,
-                  prof_as = 0, prof_calls = 0, prof_l2 = 0, prof_it = 0,
-                  prof_dt = 0, prof_bt = 0, prof_st = 0, prof_fg = 0;
-
     // OS-interrupt noise (seeded; disabled by default).
     Rng noise_rng(noise.seed ^ 0x05e1f00dULL);
     Cycles next_interrupt = ~Cycles(0);
@@ -591,31 +672,6 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
         }
         if (noise.dvfsEnabled && pipe.now >= next_dvfs)
             do_dvfs_step();
-
-        if (profile) {
-            if (idx < cur_begin || idx >= cur_end) {
-                const auto it = std::upper_bound(fn_begin.begin(),
-                                                 fn_begin.end(), idx);
-                cur_fn = std::size_t(it - fn_begin.begin()) - 1;
-                cur_begin = fn_begin[cur_fn];
-                cur_end = cur_fn + 1 < fn_begin.size()
-                              ? fn_begin[cur_fn + 1]
-                              : std::uint32_t(prog.code.size());
-            }
-            prof_now = pipe.now;
-            prof_ic = ctrs.get(Counter::IcacheMisses);
-            prof_dc = ctrs.get(Counter::DcacheMisses);
-            prof_mp = ctrs.get(Counter::BranchMispredicts);
-            prof_ls = ctrs.get(Counter::LineSplits);
-            prof_as = ctrs.get(Counter::AliasStalls);
-            prof_calls = ctrs.get(Counter::Calls);
-            prof_l2 = ctrs.get(Counter::L2Misses);
-            prof_it = ctrs.get(Counter::ItlbMisses);
-            prof_dt = ctrs.get(Counter::DtlbMisses);
-            prof_bt = ctrs.get(Counter::BtbMisses);
-            prof_st = ctrs.get(Counter::StallCycles);
-            prof_fg = ctrs.get(Counter::FetchGroups);
-        }
 
         const PlacedInst &pi = prog.code[idx];
         const isa::Instruction &in = pi.inst;
@@ -784,11 +840,6 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
               }
               ctrs.inc(Counter::BranchesExecuted);
               if (config_.enableBranchPrediction) {
-                  // Attribution reads the index before update() so a
-                  // history-folding predictor reports the entry this
-                  // prediction actually used.
-                  MBIAS_ATTR(pht.record(predictor_->tableIndex(pi.pc),
-                                        pi.pc));
                   const bool pred = predictor_->predict(pi.pc);
                   predictor_->update(pi.pc, taken);
                   if (pred != taken) {
@@ -801,7 +852,6 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
                   ctrs.inc(Counter::TakenBranches);
                   const Addr target = prog.code[pi.targetIdx].pc;
                   if (config_.enableBtb) {
-                      MBIAS_ATTR(btb.record(btb_.setIndex(pi.pc), pi.pc));
                       if (!btb_.lookupAndUpdate(pi.pc, target)) {
                           ctrs.inc(Counter::BtbMisses);
                           pipe.now += config_.btbMissPenalty;
@@ -817,7 +867,6 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
           case Opcode::Jmp: {
               const Addr target = prog.code[pi.targetIdx].pc;
               if (config_.enableBtb) {
-                  MBIAS_ATTR(btb.record(btb_.setIndex(pi.pc), pi.pc));
                   if (!btb_.lookupAndUpdate(pi.pc, target)) {
                       ctrs.inc(Counter::BtbMisses);
                       pipe.now += config_.btbMissPenalty;
@@ -840,7 +889,6 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
               set_reg(isa::reg::sp, new_sp, pipe.now + 1);
               const Addr target = prog.code[pi.targetIdx].pc;
               if (config_.enableBtb) {
-                  MBIAS_ATTR(btb.record(btb_.setIndex(pi.pc), pi.pc));
                   if (!btb_.lookupAndUpdate(pi.pc, target)) {
                       ctrs.inc(Counter::BtbMisses);
                       pipe.now += config_.btbMissPenalty;
@@ -884,31 +932,9 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
             mbias_panic("bad opcode");
         }
 
-        if (profile) {
-            FunctionProfile &fp = profile->functions[cur_fn];
-            fp.instructions += 1;
-            fp.cycles += pipe.now - prof_now;
-            fp.icacheMisses +=
-                ctrs.get(Counter::IcacheMisses) - prof_ic;
-            fp.dcacheMisses +=
-                ctrs.get(Counter::DcacheMisses) - prof_dc;
-            fp.branchMispredicts +=
-                ctrs.get(Counter::BranchMispredicts) - prof_mp;
-            fp.lineSplits += ctrs.get(Counter::LineSplits) - prof_ls;
-            fp.aliasStalls += ctrs.get(Counter::AliasStalls) - prof_as;
-            fp.calls += ctrs.get(Counter::Calls) - prof_calls;
-            fp.l2Misses += ctrs.get(Counter::L2Misses) - prof_l2;
-            fp.itlbMisses += ctrs.get(Counter::ItlbMisses) - prof_it;
-            fp.dtlbMisses += ctrs.get(Counter::DtlbMisses) - prof_dt;
-            fp.btbMisses += ctrs.get(Counter::BtbMisses) - prof_bt;
-            fp.stallCycles += ctrs.get(Counter::StallCycles) - prof_st;
-            fp.fetchGroups += ctrs.get(Counter::FetchGroups) - prof_fg;
-        }
-
         idx = next;
     }
 
-    attr_ = nullptr;
     ctrs.set(Counter::Cycles, pipe.now);
     ctrs.set(Counter::Instructions, icount);
     rr.halted = halted;
@@ -921,9 +947,32 @@ template <Machine::RunMode Mode>
 RunResult
 Machine::runPlan(const toolchain::ProcessImage &image,
                  std::uint64_t max_insts, const NoiseModel &noise,
-                 FunctionalTrace *rec, const FunctionalTrace *rep)
+                 FunctionalTrace *rec, const FunctionalTrace *rep,
+                 Profile *profile, Attribution *attribution)
 {
     const auto plan = PlanCache::global().get(image.program);
+    auto untraced = [&](auto &obs) {
+        if (config_.core == CoreKind::InOrder)
+            return runPlanImpl<false, Mode, InOrderCore>(
+                image, max_insts, *plan, nullptr, noise, rec, rep, obs);
+        return runPlanImpl<false, Mode, OooCore>(
+            image, max_insts, *plan, nullptr, noise, rec, rep, obs);
+    };
+    if constexpr (Mode == RunMode::Normal) {
+        if (profile || attribution) {
+            // Observed runs never batch: the untraced loop books every
+            // op where it executes.  Noise invalidations bypass the
+            // attribution occupancy mirror; the combination has no use
+            // case, so reject it outright.
+            mbias_assert(!(attribution && noise.enabled),
+                         "attribution requires a noise-free run");
+            if (attribution)
+                attribution->configure(config_);
+            RunObserver obs(*this, image.prog(), profile, attribution);
+            return untraced(obs);
+        }
+    }
+    NullObserver none;
     if (traceTierUsable(*this)) {
         // The trace tier's batch guards assume the OoO window model;
         // traceTierUsable() keeps in-order backends off this path.
@@ -932,13 +981,9 @@ Machine::runPlan(const toolchain::ProcessImage &image,
         const auto tplan =
             TraceCache::global().get(plan, TraceGeometry::of(config_));
         return runPlanImpl<true, Mode, OooCore>(
-            image, max_insts, *plan, tplan.get(), noise, rec, rep);
+            image, max_insts, *plan, tplan.get(), noise, rec, rep, none);
     }
-    if (config_.core == CoreKind::InOrder)
-        return runPlanImpl<false, Mode, InOrderCore>(
-            image, max_insts, *plan, nullptr, noise, rec, rep);
-    return runPlanImpl<false, Mode, OooCore>(image, max_insts, *plan,
-                                             nullptr, noise, rec, rep);
+    return untraced(none);
 }
 
 RunResult
@@ -982,32 +1027,35 @@ Machine::runReplay(const toolchain::ProcessImage &image,
     return rr;
 }
 
-template <bool Traced, Machine::RunMode Mode, class Core>
+template <bool Traced, Machine::RunMode Mode, class Core, class Obs>
 RunResult
 Machine::runPlanImpl(const toolchain::ProcessImage &image,
                      std::uint64_t max_insts, const ExecutionPlan &plan,
                      const TracePlan *tplan, const NoiseModel &noise,
-                     FunctionalTrace *rec, const FunctionalTrace *rep)
+                     FunctionalTrace *rec, const FunctionalTrace *rep,
+                     Obs &obs)
 {
     // The trace tier's op_batch guards prove "zero stall cycles" under
     // the OoO hiding model; an in-order instantiation would make that
     // proof unsound, so it is never generated (traceTierUsable()).
     static_assert(!(Traced && Core::kInOrder),
                   "the trace tier assumes the OoO core model");
+    static_assert(!Obs::kObserving || (!Traced && Mode == RunMode::Normal),
+                  "only the untraced Normal loop observes");
     // The contract of this function is bitwise equality with the
-    // reference interpreter above (noise disabled, no profile): it
-    // performs the same component accesses in the same order with the
-    // same arguments, so every counter and the cycle count match
-    // exactly.  What changes is the bookkeeping around them:
+    // reference oracle, runReference(), noise included: it performs the
+    // same component accesses in the same order with the same
+    // arguments, so every counter and the cycle count match exactly.
+    // What changes is the bookkeeping around them:
     //
     //  - dense pre-decoded operands (DecodedOp) instead of PlacedInst
     //    records, and an O(1) return-address table;
     //  - direct-threaded dispatch: every handler ends with its own
     //    computed goto, so the host branch predictor learns per-opcode
     //    successor patterns instead of sharing one switch jump;
-    //  - the uarch components' header-inline hot twins (accessLineHot,
-    //    accessVpnsHot, recordStoreHot, ...), devirtualized predictor
-    //    calls, and hot config fields hoisted into locals;
+    //  - packed shadow twins of the caches, TLBs and store buffer,
+    //    the predictor/BTB's header-inline hot twins (devirtualized),
+    //    and hot config fields hoisted into locals;
     //  - functional memory through a small direct-mapped table of page
     //    pointers instead of a hash lookup per access.
     //
@@ -1018,8 +1066,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // per-op execution of the very same ops (sim/trace.hh).
     //
     // Mode extends the same loop to the record/replay tier
-    // (sim/replay.hh).  Record runs normally (noise allowed — the
-    // reference's OS-interrupt model is transcribed below) while
+    // (sim/replay.hh).  Record runs normally while
     // appending branch outcomes, Ret targets and resolved memory
     // addresses to *rec.  Replay consumes those streams from *rep
     // instead of executing functionally: control flow comes from the
@@ -1029,16 +1076,18 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // Mode conditionals are plain ifs on a constant, so the Normal
     // instantiations fold them away.
     //
-    // Keep every simulated effect in lockstep with run() when touching
-    // any tier.
+    // This loop is the one production interpreter; runReference() is
+    // kept only as the differential oracle.  A timing-model change
+    // lands in both, and the differential tests hold them together.
     constexpr bool kRecord = Mode == RunMode::Record;
     constexpr bool kReplay = Mode == RunMode::Replay;
 
     // Only the components the fast loop actually drives need a reset:
-    // the predictor and BTB are shared with the reference path (their
+    // the predictor and BTB are shared with the reference oracle (their
     // hot twins mutate the real tables).  The caches, TLBs and store
     // buffer are replaced wholesale by the shadows below — nothing
-    // observes their state here, and run() resets them on entry.
+    // observes their state here (the observer reads only their
+    // geometry), and runReference() resets them on entry.
     predictor_->reset();
     btb_.reset();
 
@@ -1215,7 +1264,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // the new-line / new-page work is kept out of line so only the
     // cheap comparisons are replicated per dispatch site.
     auto icache_touch = [&](Addr line) __attribute__((noinline)) {
-        if (!s_icache.access(line)) {
+        if (!obs.icache(line, s_icache.access(line))) {
             ctrs.inc(Counter::IcacheMisses);
             pipe.now += i_miss_pen;
             if (!s_l2.access(line)) {
@@ -1227,6 +1276,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     auto itlb_touch = [&](Addr pc, unsigned size) __attribute__((noinline)) {
         const unsigned misses = s_itlb.accessVpns(
             pc >> ipage_shift, (pc + size - 1) >> ipage_shift);
+        obs.itlb(pc >> ipage_shift, misses);
         if (misses) {
             ctrs.inc(Counter::ItlbMisses, misses);
             pipe.now += misses * itlb_miss_pen;
@@ -1283,14 +1333,14 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             // Background fill of the next line; no demand latency, but
             // it can pollute (and be perturbed by) set placement.
             ctrs.inc(Counter::PrefetchesIssued);
-            s_dcache.access(line + dline);
+            obs.dcache(line + dline, s_dcache.access(line + dline));
             s_l2.access(line + dline);
         }
         return lat;
     };
 
     // Transcription of memoryAccess(): same component accesses in the
-    // same order, through the inline hot twins.  is_store is constant
+    // same order, through the shadow twins.  is_store is constant
     // at every call site, so the branches fold away.
     auto mem_access = [&](Addr addr, unsigned size, bool is_store)
         __attribute__((always_inline)) -> Cycles {
@@ -1299,6 +1349,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         if (tlbs_on) {
             const unsigned misses = s_dtlb.accessVpns(
                 addr >> dpage_shift, (addr + size - 1) >> dpage_shift);
+            obs.dtlb(addr >> dpage_shift, misses);
             if (misses) {
                 ctrs.inc(Counter::DtlbMisses, misses);
                 lat += misses * dtlb_miss_pen;
@@ -1309,7 +1360,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         const Addr last = alignDown(addr + size - 1, dline);
         if (caches_on) {
             for (Addr line = first; line <= last; line += dline) {
-                if (!s_dcache.access(line)) {
+                if (!obs.dcache(line, s_dcache.access(line))) {
                     ctrs.inc(Counter::DcacheMisses);
                     lat += dcache_miss(line);
                 }
@@ -1464,58 +1515,57 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         mem.write(addr, size, value);
     };
 
-    // OS-interrupt noise, transcribed from the reference loop: same
-    // RNG stream (one nextDouble per schedule, two next() per evicted
-    // line pair), same schedule arithmetic, same eviction order
-    // (dcache set then icache set), same lastCodeLine reset — so noisy
-    // record/replay runs are bitwise identical to the reference.
-    // Normal-mode runs are gated noise-free by run(), so noise_on
-    // folds to false there and the checks vanish.
+    // OS-interrupt noise and DVFS steps, transcribed from the
+    // reference loop: same independent RNG streams (one nextDouble per
+    // schedule, two next() per evicted line pair, one nextDouble per
+    // DVFS step), same schedule arithmetic, same eviction order (dcache
+    // set then icache set), same lastCodeLine reset, same lump charge —
+    // so noisy runs are bitwise identical to the oracle in every mode.
+    // A disabled factor never schedules (its next time stays ~0), so
+    // next_event, the earlier of the two, is ~0 on noise-free runs and
+    // the per-dispatch check is one compare that never fires.
     Rng noise_rng(noise.seed ^ 0x05e1f00dULL);
+    Rng dvfs_rng(noise.seed ^ 0xd7f5c10cULL);
     Cycles next_interrupt = ~Cycles(0);
-    const bool noise_on = Mode != RunMode::Normal && noise.enabled;
-    const Cycles noise_cost = noise.costCycles;
-    const unsigned noise_evict = noise.linesEvictedPerInterrupt;
+    Cycles next_dvfs = ~Cycles(0);
     auto schedule_interrupt = [&](Cycles from) {
         const double jitter = 0.5 + noise_rng.nextDouble();
         next_interrupt =
             from + Cycles(double(noise.meanIntervalCycles) * jitter);
     };
-    auto do_interrupt = [&]() __attribute__((noinline)) {
-        ctrs.inc(Counter::OsInterrupts);
-        pipe.now += noise_cost;
-        for (unsigned e = 0; e < noise_evict; ++e) {
-            s_dcache.invalidateSet(noise_rng.next());
-            s_icache.invalidateSet(noise_rng.next());
-        }
-        pipe.lastCodeLine = ~Addr(0); // force an icache re-access
-        schedule_interrupt(pipe.now);
-    };
-    if (noise_on)
-        schedule_interrupt(0);
-
-    // DVFS frequency steps, transcribed from the reference loop: same
-    // independent RNG stream (one nextDouble per schedule, one per
-    // step), same lump charge, no state eviction.  Like noise_on,
-    // dvfs_on folds to false in Normal mode.
-    Rng dvfs_rng(noise.seed ^ 0xd7f5c10cULL);
-    Cycles next_dvfs = ~Cycles(0);
-    const bool dvfs_on = Mode != RunMode::Normal && noise.dvfsEnabled;
     auto schedule_dvfs = [&](Cycles from) {
         const double jitter = 0.5 + dvfs_rng.nextDouble();
         next_dvfs =
             from + Cycles(double(noise.dvfsMeanIntervalCycles) * jitter);
     };
-    auto do_dvfs_step = [&]() __attribute__((noinline)) {
-        const double rj = 0.5 + dvfs_rng.nextDouble();
-        const Cycles residency =
-            Cycles(double(noise.dvfsMeanResidencyCycles) * rj);
-        pipe.now += noise.dvfsTransitionCycles +
-                    residency * noise.dvfsSlowdownPercent / 100;
-        schedule_dvfs(pipe.now + residency);
-    };
-    if (dvfs_on)
+    if (noise.enabled)
+        schedule_interrupt(0);
+    if (noise.dvfsEnabled)
         schedule_dvfs(0);
+    Cycles next_event = std::min(next_interrupt, next_dvfs);
+    // The interrupt first, then DVFS against the advanced clock, as the
+    // reference loop orders them.
+    auto noise_event = [&]() __attribute__((noinline)) {
+        if (pipe.now >= next_interrupt) {
+            ctrs.inc(Counter::OsInterrupts);
+            pipe.now += noise.costCycles;
+            for (unsigned e = 0; e < noise.linesEvictedPerInterrupt; ++e) {
+                s_dcache.invalidateSet(noise_rng.next());
+                s_icache.invalidateSet(noise_rng.next());
+            }
+            pipe.lastCodeLine = ~Addr(0); // force an icache re-access
+            schedule_interrupt(pipe.now);
+        }
+        if (pipe.now >= next_dvfs) {
+            const double rj = 0.5 + dvfs_rng.nextDouble();
+            const Cycles residency =
+                Cycles(double(noise.dvfsMeanResidencyCycles) * rj);
+            pipe.now += noise.dvfsTransitionCycles +
+                        residency * noise.dvfsSlowdownPercent / 100;
+            schedule_dvfs(pipe.now + residency);
+        }
+        next_event = std::min(next_interrupt, next_dvfs);
+    };
 
     // Record-mode stream sinks.  One running byte estimate caps the
     // footprint: past FunctionalTrace::kMaxBytes the streams stop
@@ -1636,6 +1686,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             rec_branch(taken);
         ctrs.inc(Counter::BranchesExecuted);
         if (bp_on) {
+            obs.pht(b.pc);
             bool pred;
             if (gshare) {
                 pred = gshare->predictHot(b.pc);
@@ -1653,7 +1704,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         if (taken) {
             ctrs.inc(Counter::TakenBranches);
             const Addr target = ops[b.targetIdx].pc;
-            if (btb_on && !btb_.lookupAndUpdateHot(b.pc, target)) {
+            if (btb_on &&
+                !obs.btb(b.pc, btb_.lookupAndUpdateHot(b.pc, target))) {
                 ctrs.inc(Counter::BtbMisses);
                 pipe.now += btb_miss_pen;
             }
@@ -1683,19 +1735,19 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                       std::size_t(Opcode::NumOpcodes) + 1,
                   "dispatch table out of sync with the opcode enum");
 
-// One budget check + fetch + threaded jump between every pair of
-// instructions; each expansion gives its handler a private dispatch
-// branch.  The noise check sits where the reference loop has it —
-// after the budget check, before fetch — and folds away in Normal
-// mode (noise_on is constant false there).
+// One budget check + noise check + fetch + threaded jump between every
+// pair of instructions; each expansion gives its handler a private
+// dispatch branch.  The noise check sits where the reference loop has
+// it — after the budget check, before fetch.  The observer closes the
+// previous op before a noise event and opens the next one after it.
 #define MBIAS_DISPATCH()                                                    \
     do {                                                                    \
         if (__builtin_expect(icount >= max_insts, 0))                       \
             goto run_done;                                                  \
-        if (noise_on && __builtin_expect(pipe.now >= next_interrupt, 0))    \
-            do_interrupt();                                                 \
-        if (dvfs_on && __builtin_expect(pipe.now >= next_dvfs, 0))          \
-            do_dvfs_step();                                                 \
+        obs.close(pipe.now, ctrs);                                          \
+        if (__builtin_expect(pipe.now >= next_event, 0))                    \
+            noise_event();                                                  \
+        obs.open(idx, pipe.now, ctrs);                                      \
         d = ops + idx;                                                      \
         ++icount;                                                           \
         fetch(d->pc, d->size);                                              \
@@ -1937,7 +1989,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
 
   op_jmp: {
       const Addr target = ops[d->targetIdx].pc;
-      if (btb_on && !btb_.lookupAndUpdateHot(d->pc, target)) {
+      if (btb_on &&
+          !obs.btb(d->pc, btb_.lookupAndUpdateHot(d->pc, target))) {
           ctrs.inc(Counter::BtbMisses);
           pipe.now += btb_miss_pen;
       }
@@ -1962,7 +2015,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
           mem_write(new_sp, 8, ret_addr);
       set_reg(isa::reg::sp, new_sp, pipe.now + 1);
       const Addr target = ops[d->targetIdx].pc;
-      if (btb_on && !btb_.lookupAndUpdateHot(d->pc, target)) {
+      if (btb_on &&
+          !obs.btb(d->pc, btb_.lookupAndUpdateHot(d->pc, target))) {
           ctrs.inc(Counter::BtbMisses);
           pipe.now += btb_miss_pen;
       }
@@ -2056,7 +2110,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 }
             }
         }
-        if ((noise_on || dvfs_on) && batch_ok) {
+        if (batch_ok && next_event != ~Cycles(0)) {
             // (4) no OS interrupt or DVFS step can fire inside the
             // block: bound the batch's cycle advance from above (entry
             // fetch row plus every line/page touch missing) — now only
@@ -2065,9 +2119,6 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             // next event, no mid-block dispatch could have fired it,
             // and the post-block dispatch re-checks with identical
             // state.
-            const Cycles next_event =
-                std::min(noise_on ? next_interrupt : ~Cycles(0),
-                         dvfs_on ? next_dvfs : ~Cycles(0));
             const Cycles exit_base =
                 pipe.now + tb->rows[pipe.groupSlots].groups;
             Cycles pen_ub =
@@ -2272,6 +2323,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
 #undef MBIAS_DISPATCH
 
   run_done:
+    obs.close(pipe.now, ctrs);
     if constexpr (Traced)
         TraceCache::global().recordRun(tr_batched, icount - tr_batched,
                                        tr_fallbacks);

@@ -35,8 +35,8 @@ struct FunctionalTrace; // sim/replay.hh
  */
 std::string activeSimTierDescription();
 
-/** True when MBIAS_SIM_REFERENCE forces the reference interpreter for
- *  this process (re-read per run). */
+/** True when MBIAS_SIM_REFERENCE forces unobserved runs of this process
+ *  onto the reference oracle (re-read per run). */
 bool referenceForcedByEnv();
 
 class Machine;
@@ -91,18 +91,18 @@ struct RunResult
  * Determinism: given the same ProcessImage and config, run() returns
  * bit-identical results.  All components start cold on each run().
  *
- * Three tiers implement run().  The *reference* interpreter walks the
- * linker's PlacedInst records directly; the *fast path* walks a
- * cached ExecutionPlan (sim/plan.hh) — dense pre-decoded operands, a
- * straight-line lane for simple runs, an O(1) return-address table —
- * performing the identical component accesses in the identical order,
- * so its RunResult is bitwise equal by construction.  The *trace
- * tier* (sim/trace.hh) runs the fast loop over a TracePlan whose hot
- * superblocks apply pre-batched effects in one step, guarded so the
- * result stays bitwise equal.  Fast tiers are taken only for
- * noise-free, unprofiled runs; they can be disabled per machine
- * (setUseFastPath(false) / setUseTracePath(false)) or per process
- * (MBIAS_SIM_REFERENCE=1 / MBIAS_SIM_TRACE=0 in the environment).
+ * One interpreter loop, runPlanImpl, serves every run: the *fast path*
+ * walks a cached ExecutionPlan (sim/plan.hh), the *trace tier*
+ * (sim/trace.hh) a TracePlan whose hot superblocks apply pre-batched
+ * effects in one guarded step.  Noisy runs take these tiers too, and
+ * observed runs (Profile/Attribution sinks) the untraced loop with an
+ * observer policy compiled in.  The *reference* interpreter walks the
+ * linker's PlacedInst records and is kept only as the differential
+ * oracle — the plan loop performs the identical component accesses in
+ * the identical order, so its RunResult is bitwise equal.  The escape
+ * hatches select the oracle per machine (setUseFastPath(false)) or per
+ * process (MBIAS_SIM_REFERENCE=1); setUseTracePath(false) /
+ * MBIAS_SIM_TRACE=0 drop only the trace tier.
  *
  * A fourth tier, *record/replay* (sim/replay.hh), serves repetition
  * families: runRecord() executes one instrumented fast/trace-tier run
@@ -125,11 +125,11 @@ class Machine
     static constexpr std::uint64_t kDefaultRunBudget = 500'000'000;
 
     /** Runs the image to Halt (or @p max_insts).  A NoiseModel adds
-     *  seeded run-to-run variation (OS-interrupt jitter); the default
-     *  disabled model keeps runs bit-deterministic.  An Attribution
-     *  sink records per-set/per-entry event placement on the
-     *  reference path (noise-free runs only; counters observe, never
-     *  perturb — the RunResult is bitwise unchanged). */
+     *  seeded run-to-run variation (OS-interrupt jitter, DVFS steps);
+     *  the default disabled model keeps runs bit-deterministic.  A
+     *  Profile sink books per-function events, an Attribution sink
+     *  per-set/per-entry placement (noise-free runs only); sinks
+     *  observe, never perturb — the RunResult is bitwise unchanged. */
     RunResult run(const toolchain::ProcessImage &image,
                   std::uint64_t max_insts = kDefaultRunBudget,
                   const NoiseModel &noise = NoiseModel::none(),
@@ -183,7 +183,8 @@ class Machine
     bool useReplayPath() const { return useReplayPath_; }
 
   private:
-    struct Pipeline; // per-run timing state
+    struct Pipeline;   // per-run timing state
+    class RunObserver; // runPlanImpl's observing policy
 
     /** How runPlanImpl treats the functional stream: execute it
      *  (Normal), execute and capture it (Record), or consume a
@@ -191,34 +192,45 @@ class Machine
     enum class RunMode { Normal, Record, Replay };
 
     /** The one place the plan-based tiers are chosen: looks up the
-     *  image's ExecutionPlan and runs runPlanImpl over it — traced
-     *  when traceTierUsable(), else with the backend's core model.
-     *  run() (Normal), runRecord() and runReplay() all come here. */
+     *  image's ExecutionPlan and runs runPlanImpl over it — observed
+     *  (untraced) when a Normal run has a sink, else traced when
+     *  traceTierUsable(), else with the backend's core model.  run(),
+     *  runRecord() and runReplay() all come here. */
     template <RunMode Mode>
     RunResult runPlan(const toolchain::ProcessImage &image,
                       std::uint64_t max_insts, const NoiseModel &noise,
-                      FunctionalTrace *rec, const FunctionalTrace *rep);
+                      FunctionalTrace *rec, const FunctionalTrace *rep,
+                      Profile *profile = nullptr,
+                      Attribution *attribution = nullptr);
 
     /** Shared direct-threaded interpreter body behind runPlan: the
      *  fast path (Traced = false), the trace tier (Traced = true,
      *  walking a TracePlan's rewritten ops with superblocks batched —
      *  sim/trace.hh), and the record/replay tier (Mode != Normal;
      *  @p rec receives the stream under Record, @p rep supplies it
-     *  under Replay, and @p noise drives the reference-equivalent
-     *  OS-interrupt model).  Core is the
+     *  under Replay; @p noise drives the oracle-equivalent interrupt
+     *  and DVFS models in every mode).  Core is the
      *  CoreModel policy (machine.cc: OooCore / InOrderCore) selected
      *  per backend at compile time: it decides stall exposure,
      *  multi-cycle issue blocking, and taken-redirect realignment at
      *  `if constexpr` points, so the execution spine (decode,
      *  dataflow, memory, shadow structures) is shared and each
-     *  instantiation keeps its direct-threaded throughput. */
-    template <bool Traced, RunMode Mode, class Core>
+     *  instantiation keeps its direct-threaded throughput.  Obs is the
+     *  observation policy (NullObserver / RunObserver), compiled out
+     *  when null. */
+    template <bool Traced, RunMode Mode, class Core, class Obs>
     RunResult runPlanImpl(const toolchain::ProcessImage &image,
                           std::uint64_t max_insts,
                           const ExecutionPlan &plan,
                           const TracePlan *tplan,
                           const NoiseModel &noise, FunctionalTrace *rec,
-                          const FunctionalTrace *rep);
+                          const FunctionalTrace *rep, Obs &obs);
+
+    /** The reference interpreter, kept only as the differential
+     *  oracle; run() reaches it only under the escape hatches. */
+    RunResult runReference(const toolchain::ProcessImage &image,
+                           std::uint64_t max_insts,
+                           const NoiseModel &noise);
 
     /** Charges fetch/decode costs for the instruction at @p pc. */
     void fetchAccounting(Pipeline &pipe, Addr pc, unsigned size,
@@ -241,10 +253,6 @@ class Machine
     std::unique_ptr<uarch::BranchPredictor> predictor_;
     uarch::Btb btb_;
     uarch::StoreBuffer storeBuffer_;
-
-    /** Live only inside run() when the caller passed an Attribution
-     *  sink; lets fetchAccounting()/memoryAccess() record placement. */
-    Attribution *attr_ = nullptr;
 
     bool useFastPath_ = true;
     bool useTracePath_ = true;

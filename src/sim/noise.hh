@@ -47,8 +47,9 @@ struct NoiseModel
     Cycles dvfsMeanResidencyCycles = 30000; ///< time at the low P-state
     unsigned dvfsSlowdownPercent = 25;      ///< work lost while slowed
 
-    /** True when the model perturbs runs at all — any factor on.  The
-     *  fast-tier gate keys off this, not just @c enabled. */
+    /** True when the model perturbs runs at all — any factor on.  No
+     *  sim tier keys off it (noisy runs take the plan loop like any
+     *  other); perfbench's layer classifier still reads it. */
     bool active() const { return enabled || dvfsEnabled; }
 
     /** Bitwise equality (RepetitionPlan compares template defaults). */

@@ -34,9 +34,34 @@ Cache::invalidateSet(std::uint64_t set)
 }
 
 bool
-Cache::touchLine(Addr line_addr)
+Cache::touchLine(Addr addr)
 {
-    return accessLineHot(line_addr);
+    const std::uint64_t set = (addr >> setShift_) & setMask_;
+    const std::uint64_t tag = addr >> setShift_;
+    const std::size_t base = std::size_t(set) * config_.ways;
+
+    for (unsigned w = 0; w < config_.ways; ++w) {
+        if (valid_[base + w] && tags_[base + w] == tag) {
+            // Move to MRU position.
+            for (unsigned k = w; k > 0; --k) {
+                tags_[base + k] = tags_[base + k - 1];
+                valid_[base + k] = valid_[base + k - 1];
+            }
+            tags_[base] = tag;
+            valid_[base] = true;
+            ++hits_;
+            return true;
+        }
+    }
+    // Miss: install at MRU, evicting LRU.
+    for (unsigned k = config_.ways - 1; k > 0; --k) {
+        tags_[base + k] = tags_[base + k - 1];
+        valid_[base + k] = valid_[base + k - 1];
+    }
+    tags_[base] = tag;
+    valid_[base] = true;
+    ++misses_;
+    return false;
 }
 
 Cache::Result

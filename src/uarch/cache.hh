@@ -54,44 +54,6 @@ class Cache
     /** Touches a single line (instruction-fetch style). */
     bool accessLine(Addr addr); ///< returns true on hit
 
-    /**
-     * Header-inline twin of accessLine() for the simulator fast path.
-     * Same algorithm on the same state (the out-of-line methods
-     * delegate here), so the two are bitwise interchangeable; inlining
-     * it into the interpreter loop removes the per-access call.  The
-     * low line-offset bits of @p addr are discarded by the tag shift,
-     * so pre-aligning the address is unnecessary.
-     */
-    bool accessLineHot(Addr addr)
-    {
-        const std::uint64_t set = (addr >> setShift_) & setMask_;
-        const std::uint64_t tag = addr >> setShift_;
-        const std::size_t base = std::size_t(set) * config_.ways;
-
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            if (valid_[base + w] && tags_[base + w] == tag) {
-                // Move to MRU position.
-                for (unsigned k = w; k > 0; --k) {
-                    tags_[base + k] = tags_[base + k - 1];
-                    valid_[base + k] = valid_[base + k - 1];
-                }
-                tags_[base] = tag;
-                valid_[base] = true;
-                ++hits_;
-                return true;
-            }
-        }
-        // Miss: install at MRU, evicting LRU.
-        for (unsigned k = config_.ways - 1; k > 0; --k) {
-            tags_[base + k] = tags_[base + k - 1];
-            valid_[base + k] = valid_[base + k - 1];
-        }
-        tags_[base] = tag;
-        valid_[base] = true;
-        ++misses_;
-        return false;
-    }
-
     /** Invalidates all lines and clears statistics. */
     void reset();
 

@@ -25,13 +25,23 @@ StoreBuffer::reset()
 void
 StoreBuffer::recordStore(Addr addr, unsigned size, std::uint64_t icount)
 {
-    recordStoreHot(addr, size, icount);
+    ring_[head_] = Entry{addr, size, icount, true};
+    head_ = (head_ + 1) % entries_;
 }
 
 bool
 StoreBuffer::loadAliases(Addr addr, unsigned size, std::uint64_t icount) const
 {
-    return loadAliasesHot(addr, size, icount);
+    for (const Entry &e : ring_) {
+        if (!e.valid || e.icount + maxAge_ < icount)
+            continue;
+        if ((e.addr & aliasMask_) != (addr & aliasMask_))
+            continue;
+        if (e.addr == addr && e.size >= size)
+            return false; // clean store-to-load forwarding
+        return true;      // false (or partial) alias: stall
+    }
+    return false;
 }
 
 } // namespace mbias::uarch

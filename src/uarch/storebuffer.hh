@@ -52,33 +52,6 @@ class StoreBuffer
     std::uint64_t aliasMask() const { return aliasMask_; }
     std::uint64_t maxAge() const { return maxAge_; }
 
-    /**
-     * Header-inline twins of recordStore()/loadAliases() for the
-     * simulator fast path.  The out-of-line methods delegate here, so
-     * ring state and aliasing outcomes are identical on both paths;
-     * inlining removes the per-store/per-load call from the
-     * interpreter loop.
-     */
-    void recordStoreHot(Addr addr, unsigned size, std::uint64_t icount)
-    {
-        ring_[head_] = Entry{addr, size, icount, true};
-        head_ = (head_ + 1) % entries_;
-    }
-
-    bool loadAliasesHot(Addr addr, unsigned size, std::uint64_t icount) const
-    {
-        for (const Entry &e : ring_) {
-            if (!e.valid || e.icount + maxAge_ < icount)
-                continue;
-            if ((e.addr & aliasMask_) != (addr & aliasMask_))
-                continue;
-            if (e.addr == addr && e.size >= size)
-                return false; // clean store-to-load forwarding
-            return true;      // false (or partial) alias: stall
-        }
-        return false;
-    }
-
   private:
     struct Entry
     {

@@ -26,14 +26,40 @@ Tlb::reset()
 bool
 Tlb::touchPage(std::uint64_t vpn)
 {
-    return touchPageHot(vpn);
+    for (unsigned e = 0; e < config_.entries; ++e) {
+        if (valid_[e] && vpns_[e] == vpn) {
+            for (unsigned k = e; k > 0; --k) {
+                vpns_[k] = vpns_[k - 1];
+                valid_[k] = valid_[k - 1];
+            }
+            vpns_[0] = vpn;
+            valid_[0] = true;
+            ++hits_;
+            return true;
+        }
+    }
+    for (unsigned k = config_.entries - 1; k > 0; --k) {
+        vpns_[k] = vpns_[k - 1];
+        valid_[k] = valid_[k - 1];
+    }
+    vpns_[0] = vpn;
+    valid_[0] = true;
+    ++misses_;
+    return false;
 }
 
 unsigned
 Tlb::access(Addr addr, unsigned size)
 {
     mbias_assert(size > 0, "zero-size TLB access");
-    return accessVpnsHot(addr >> pageShift_, (addr + size - 1) >> pageShift_);
+    const std::uint64_t first = addr >> pageShift_;
+    const std::uint64_t last = (addr + size - 1) >> pageShift_;
+    unsigned miss_count = 0;
+    if (!touchPage(first))
+        ++miss_count;
+    if (last != first && !touchPage(last))
+        ++miss_count;
+    return miss_count;
 }
 
 } // namespace mbias::uarch

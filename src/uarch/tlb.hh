@@ -31,24 +31,7 @@ class Tlb
     /** Touches the page(s) covering [addr, addr+size); returns misses. */
     unsigned access(Addr addr, unsigned size);
 
-    /**
-     * Header-inline twin of access() for the simulator fast path,
-     * taking pre-computed first/last virtual page numbers.  access()
-     * delegates here, so both produce identical TLB state and
-     * statistics; the fast path computes the VPNs with a shift where
-     * the reference divides by the configured page size.
-     */
-    unsigned accessVpnsHot(std::uint64_t first_vpn, std::uint64_t last_vpn)
-    {
-        unsigned miss_count = 0;
-        if (!touchPageHot(first_vpn))
-            ++miss_count;
-        if (last_vpn != first_vpn && !touchPageHot(last_vpn))
-            ++miss_count;
-        return miss_count;
-    }
-
-    /** log2(pageBytes); lets callers of accessVpnsHot() shift. */
+    /** log2(pageBytes); lets the plan loop's shadow TLB shift. */
     unsigned pageShift() const { return pageShift_; }
 
     /** Invalidates all entries and clears statistics. */
@@ -60,31 +43,6 @@ class Tlb
 
   private:
     bool touchPage(std::uint64_t vpn);
-
-    /** Inline body shared by touchPage() and accessVpnsHot(). */
-    bool touchPageHot(std::uint64_t vpn)
-    {
-        for (unsigned e = 0; e < config_.entries; ++e) {
-            if (valid_[e] && vpns_[e] == vpn) {
-                for (unsigned k = e; k > 0; --k) {
-                    vpns_[k] = vpns_[k - 1];
-                    valid_[k] = valid_[k - 1];
-                }
-                vpns_[0] = vpn;
-                valid_[0] = true;
-                ++hits_;
-                return true;
-            }
-        }
-        for (unsigned k = config_.entries - 1; k > 0; --k) {
-            vpns_[k] = vpns_[k - 1];
-            valid_[k] = valid_[k - 1];
-        }
-        vpns_[0] = vpn;
-        valid_[0] = true;
-        ++misses_;
-        return false;
-    }
 
     TlbConfig config_;
     unsigned pageShift_;

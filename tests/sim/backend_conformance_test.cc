@@ -91,13 +91,15 @@ expectFourTierIdentical(const sim::MachineBackend &backend,
                         : ": trace-tier fallback diverged from reference");
 
     // Record under one noise seed, replay under another; each must
-    // match the plain (reference-interpreted, since noise is on) run
-    // of the same seed.  Unsupported replay must leave the trace null.
+    // match the reference oracle's run of the same seed (selected
+    // explicitly: a plain noisy run() takes the plan loop).
+    // Unsupported replay must leave the trace null.
     sim::Machine rr(backend.config);
     std::shared_ptr<const sim::FunctionalTrace> trace;
     const auto noise0 = sim::NoiseModel::withSeed(0xc04f + ref.result % 7);
     const auto rec = rr.runRecord(image, budget, noise0, &trace);
     sim::Machine plain0(backend.config);
+    plain0.setUseFastPath(false);
     EXPECT_EQ(rec, plain0.run(image, budget, noise0))
         << what << ": recording run diverged";
     if (!replayTierActive() || !backend.tiers.replay) {
@@ -108,6 +110,7 @@ expectFourTierIdentical(const sim::MachineBackend &backend,
     ASSERT_NE(trace, nullptr) << what << ": recording aborted";
     const auto noise1 = sim::NoiseModel::withSeed(noise0.seed + 1);
     sim::Machine plain1(backend.config);
+    plain1.setUseFastPath(false);
     EXPECT_EQ(rr.runReplay(image, budget, noise1, *trace),
               plain1.run(image, budget, noise1))
         << what << ": replay diverged";
@@ -195,7 +198,8 @@ TEST(BackendConformance, DvfsNoiseAcrossTiers)
     // The DVFS factor's reference-loop and plan-loop transcriptions
     // must agree bitwise on both core models: record under combined
     // interrupt+DVFS noise, replay under fresh seeds, each against the
-    // plain (reference-interpreted) run of the same model.
+    // reference oracle's run of the same model (setUseFastPath(false):
+    // a plain noisy run() takes the plan loop).
     const auto image =
         imageFor("hmmer", toolchain::LinkOrder::shuffled(5), 300);
     const std::uint64_t budget = 500'000'000;
@@ -213,6 +217,7 @@ TEST(BackendConformance, DvfsNoiseAcrossTiers)
         noise0.dvfsMeanResidencyCycles = 5000;
         const auto rec = machine.runRecord(image, budget, noise0, &trace);
         sim::Machine plain(backend->config);
+        plain.setUseFastPath(false);
         EXPECT_EQ(rec, plain.run(image, budget, noise0))
             << name << ": DVFS recording diverged";
         // The factor must actually perturb timing relative to
@@ -230,6 +235,7 @@ TEST(BackendConformance, DvfsNoiseAcrossTiers)
             noise.seed += s;
             noise.dvfsSlowdownPercent = 40;
             sim::Machine fresh(backend->config);
+            fresh.setUseFastPath(false);
             EXPECT_EQ(machine.runReplay(image, budget, noise, *trace),
                       fresh.run(image, budget, noise))
                 << name << ": DVFS replay diverged at seed +" << s;

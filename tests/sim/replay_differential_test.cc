@@ -5,7 +5,7 @@
  * noise seeds, ASLR draws, and truncating budgets, a replayed run must
  * produce a RunResult — cycles AND every performance counter —
  * bitwise identical to executing the same (image, budget, noise)
- * afresh through the reference-selected path.  On top of the
+ * afresh through the reference oracle.  On top of the
  * differential this file pins the single-recording-many-consumers
  * property (one stream serves every seed, preset, and ASLR draw), the
  * ReplayCache's hit/miss/negative accounting, the precondition
@@ -65,13 +65,15 @@ replayTierActive()
     return !(r && *r && !(r[0] == '0' && r[1] == '\0'));
 }
 
-/** The ground truth for one (image, budget, noise): the default-tier
- *  run an un-instrumented repetition would have executed. */
+/** The ground truth for one (image, budget, noise): the reference
+ *  oracle, selected explicitly — a plain noisy run() takes the plan
+ *  loop, which would compare the replay tier's loop with itself. */
 sim::RunResult
 plainRun(const sim::MachineConfig &mc, const toolchain::ProcessImage &image,
          std::uint64_t budget, const sim::NoiseModel &noise)
 {
     sim::Machine machine(mc);
+    machine.setUseFastPath(false);
     return machine.run(image, budget, noise);
 }
 

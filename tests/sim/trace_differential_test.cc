@@ -9,19 +9,22 @@
  * this file pins the TracePlan's structural invariants, the
  * geometry-keyed TraceCache, the MBIAS_SIM_TRACE=0 escape hatch, the
  * guard-fallback path (a machine whose OoO window rejects every
- * batch), and that attribution output is unaffected by the tier's
- * existence.
+ * batch), noisy runs (interrupts, DVFS, both) on every backend, and
+ * that attribution output is unaffected by the tier's existence.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/builder.hh"
 #include "sim/attribution.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
+#include "sim/registry.hh"
 #include "sim/replay.hh"
 #include "sim/trace.hh"
 #include "toolchain/compiler.hh"
@@ -72,29 +75,49 @@ traceTierActive()
 
 sim::RunResult
 runTier(const sim::MachineConfig &mc, const toolchain::ProcessImage &image,
-        Tier tier, std::uint64_t max_insts = 500'000'000)
+        Tier tier, std::uint64_t max_insts = 500'000'000,
+        const sim::NoiseModel &noise = sim::NoiseModel::none())
 {
     sim::Machine machine(mc);
     machine.setUseFastPath(tier != Tier::Reference);
     machine.setUseTracePath(tier == Tier::Trace);
-    return machine.run(image, max_insts);
+    return machine.run(image, max_insts, noise);
 }
 
 void
 expectAllTiersIdentical(const sim::MachineConfig &mc,
                         const toolchain::ProcessImage &image,
                         const std::string &what,
-                        std::uint64_t max_insts = 500'000'000)
+                        std::uint64_t max_insts = 500'000'000,
+                        const sim::NoiseModel &noise = sim::NoiseModel::none())
 {
-    const auto ref = runTier(mc, image, Tier::Reference, max_insts);
-    const auto fast = runTier(mc, image, Tier::Fast, max_insts);
-    const auto trace = runTier(mc, image, Tier::Trace, max_insts);
+    const auto ref = runTier(mc, image, Tier::Reference, max_insts, noise);
+    const auto fast = runTier(mc, image, Tier::Fast, max_insts, noise);
+    const auto trace = runTier(mc, image, Tier::Trace, max_insts, noise);
     EXPECT_EQ(fast, ref) << what << ": fast path diverged (cycles "
                          << fast.cycles() << " vs " << ref.cycles()
                          << ")";
     EXPECT_EQ(trace, ref) << what << ": trace tier diverged (cycles "
                           << trace.cycles() << " vs " << ref.cycles()
                           << ")";
+}
+
+/** The three noise shapes a run can take — OS interrupts only, DVFS
+ *  steps only, and both — from one seed.  Both factors are tightened so
+ *  dozens of interrupts and several steps land inside the suite's
+ *  ~10^5-cycle runs. */
+std::vector<std::pair<std::string, sim::NoiseModel>>
+noiseShapes(std::uint64_t seed)
+{
+    auto both = sim::NoiseModel::withDvfs(seed);
+    both.meanIntervalCycles = 3000;
+    both.dvfsMeanIntervalCycles = 20000;
+    both.dvfsMeanResidencyCycles = 5000;
+    auto interrupts = both;
+    interrupts.dvfsEnabled = false;
+    auto dvfs = both;
+    dvfs.enabled = false;
+    return {{"interrupts", interrupts}, {"dvfs", dvfs}, {"both", both}};
 }
 
 /** A hot straight-line kernel: long simple runs, so the trace tier
@@ -217,6 +240,57 @@ TEST(TraceDifferential, InstructionBudgetTruncation)
         EXPECT_EQ(trace, ref) << "truncated at " << budget << " insts";
     }
     EXPECT_FALSE(runTier(mc, image, Tier::Trace, 100).halted);
+}
+
+TEST(TraceDifferential, NoisyRunsEveryBackend)
+{
+    // Noisy runs take the plan tiers: under interrupts only, DVFS
+    // only, and both, the fast and trace tiers must match the oracle
+    // bit for bit on every registered backend.
+    const auto image =
+        imageFor("hmmer", toolchain::LinkOrder::shuffled(11), 200);
+    for (const auto &backend : sim::MachineRegistry::global().backends()) {
+        const auto quiet = runTier(backend.config, image, Tier::Reference);
+        for (const auto &[label, noise] : noiseShapes(0x7a1)) {
+            const std::string what =
+                "hmmer on " + backend.config.name + " under " + label;
+            expectAllTiersIdentical(backend.config, image, what,
+                                    500'000'000, noise);
+            // The shape must actually fire inside the run.
+            EXPECT_GT(runTier(backend.config, image, Tier::Reference,
+                              500'000'000, noise)
+                          .cycles(),
+                      quiet.cycles())
+                << what << ": no noise event landed";
+        }
+    }
+}
+
+TEST(TraceDifferential, NoisyRunsStillBatch)
+{
+    // Noise no longer drops a run off the trace tier: guard (4) only
+    // refuses the blocks an event could land in, so noisy core2like
+    // runs of the straight-line kernel still commit batches.  Events
+    // land inside a candidate block only now and then, so many seeds
+    // are needed before a wrong guard shows up against the oracle.
+    const auto image = straightLineImage();
+    const auto mc = sim::MachineConfig::core2Like();
+    const auto before = sim::TraceCache::global().stats();
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        for (const auto &[label, noise] : noiseShapes(seed)) {
+            const auto rr =
+                runTier(mc, image, Tier::Trace, 500'000'000, noise);
+            ASSERT_TRUE(rr.halted) << label;
+            EXPECT_EQ(rr, runTier(mc, image, Tier::Reference, 500'000'000,
+                                  noise))
+                << label << " seed " << seed;
+        }
+    }
+    const auto after = sim::TraceCache::global().stats();
+    if (traceTierActive())
+        EXPECT_GT(after.opsBatched, before.opsBatched);
+    else
+        EXPECT_EQ(after.opsBatched, before.opsBatched);
 }
 
 TEST(TraceDifferential, GuardFallbackStaysIdentical)
@@ -395,25 +469,26 @@ TEST(TraceDifferential, EnvHatchDisablesTraceTier)
 
 TEST(TraceDifferential, AttributionUnaffected)
 {
-    // Attribution rides the reference path; interleaving trace-tier
-    // runs (which share the global caches) must not move a single
-    // attributed placement or counter.
+    // Attribution rides the untraced plan loop's observer policy;
+    // interleaving trace-tier runs (which share the global plan and
+    // trace caches) must not move a single attributed placement or
+    // counter.
     const auto image =
         imageFor("perl", toolchain::LinkOrder::shuffled(29), 512);
     const auto mc = sim::MachineConfig::core2Like();
 
-    sim::Machine ref(mc);
+    sim::Machine observed(mc);
     sim::Attribution a1;
-    const auto r1 = ref.run(image, 500'000'000, sim::NoiseModel::none(),
-                            nullptr, &a1);
+    const auto r1 = observed.run(image, 500'000'000,
+                                 sim::NoiseModel::none(), nullptr, &a1);
     ASSERT_TRUE(r1.halted);
 
     const auto traced = runTier(mc, image, Tier::Trace);
     EXPECT_EQ(traced, r1);
 
     sim::Attribution a2;
-    const auto r2 = ref.run(image, 500'000'000, sim::NoiseModel::none(),
-                            nullptr, &a2);
+    const auto r2 = observed.run(image, 500'000'000,
+                                 sim::NoiseModel::none(), nullptr, &a2);
     EXPECT_EQ(r2, r1);
     EXPECT_EQ(a2.str(), a1.str())
         << "trace runs perturbed attribution placement";
