@@ -180,9 +180,11 @@ struct NoisyRepResult
     double perRepWall = 0.0;  ///< reps noisy runs on the reference oracle
     double planWall = 0.0;    ///< reps noisy runs on the plan loop
     double replayWall = 0.0;  ///< one recording + reps-1 replays
+    double lanesWall = 0.0;   ///< one recording + one reps-1 lane pass
     double perRepInstsPerSec = 0.0;
     double planInstsPerSec = 0.0;
     double replayInstsPerSec = 0.0;
+    double lanesInstsPerSec = 0.0;
     double speedup = 0.0;
     bool replayed = false; ///< false when the tier is hatched off
 };
@@ -196,8 +198,9 @@ struct NoisyRepResult
  * plan arm runs the same reps through run() on the plan loop, which is
  * where noisy runs go by default; the replay tier records the
  * functional stream once — that IS rep 0 — and re-runs only the timing
- * models for the rest.  All arms are verified bitwise identical per
- * seed before any timing.
+ * models for the rest, one rep per runReplay (replay arm) or all of
+ * them in one runReplayLanes pass (lanes arm, what the runner does).
+ * All arms are verified bitwise identical per seed before any timing.
  */
 NoisyRepResult
 measureNoisyRepetition(const char *name,
@@ -229,6 +232,17 @@ measureNoisyRepetition(const char *name,
                      "replayed repetition diverged from per-rep run");
         mbias_assert(machine.run(image, budget, noise) == ref,
                      "plan-loop repetition diverged from per-rep run");
+    }
+    // The lanes arm's gate: one pass over reps 1..reps-1, each lane
+    // against the oracle's run of its seed.
+    std::vector<sim::ReplayLane> lanes;
+    for (unsigned r = 1; r < kReps; ++r)
+        lanes.push_back({&image, sim::NoiseModel::withSeed(kSeedBase + r)});
+    if (trace) {
+        const auto got = machine.runReplayLanes(*trace, budget, lanes);
+        for (std::size_t k = 0; k < lanes.size(); ++k)
+            mbias_assert(got[k] == oracle.run(image, budget, lanes[k].noise),
+                         "lane of a lane pass diverged from per-rep run");
     }
 
     NoisyRepResult out;
@@ -273,17 +287,35 @@ measureNoisyRepetition(const char *name,
             if (out.replayWall == 0.0 || wall < out.replayWall)
                 out.replayWall = wall;
         }
+        {
+            const auto t0 = std::chrono::steady_clock::now();
+            std::shared_ptr<const sim::FunctionalTrace> t;
+            machine.runRecord(image, budget,
+                              sim::NoiseModel::withSeed(kSeedBase), &t);
+            if (t) {
+                machine.runReplayLanes(*t, budget, lanes);
+            } else {
+                for (const auto &lane : lanes)
+                    machine.run(image, budget, lane.noise);
+            }
+            const double wall = secondsSince(t0);
+            if (out.lanesWall == 0.0 || wall < out.lanesWall)
+                out.lanesWall = wall;
+        }
     }
     out.perRepInstsPerSec = insts * kReps / out.perRepWall;
     out.planInstsPerSec = insts * kReps / out.planWall;
     out.replayInstsPerSec = insts * kReps / out.replayWall;
+    out.lanesInstsPerSec = insts * kReps / out.lanesWall;
     out.speedup = out.perRepWall / out.replayWall;
     std::fprintf(stderr,
                  "  %s noisy reps (%u): per-rep %.1f, plan %.1f, "
-                 "replay %.1f Mi/s -> %.2fx%s\n",
+                 "replay %.1f, lanes %.1f Mi/s -> %.2fx, lanes/plan "
+                 "%.2fx%s\n",
                  name, kReps, out.perRepInstsPerSec / 1e6,
                  out.planInstsPerSec / 1e6, out.replayInstsPerSec / 1e6,
-                 out.speedup,
+                 out.lanesInstsPerSec / 1e6, out.speedup,
+                 out.lanesInstsPerSec / out.planInstsPerSec,
                  out.replayed ? "" : " (replay tier off)");
     return out;
 }
@@ -512,6 +544,10 @@ main(int argc, char **argv)
                     n.planInstsPerSec);
         std::printf("      \"replay_insts_per_sec\": %.0f,\n",
                     n.replayInstsPerSec);
+        std::printf("      \"lanes_insts_per_sec\": %.0f,\n",
+                    n.lanesInstsPerSec);
+        std::printf("      \"lanes_vs_plan\": %.4f,\n",
+                    n.lanesInstsPerSec / n.planInstsPerSec);
         std::printf("      \"speedup\": %.4f\n", n.speedup);
         std::printf("    }%s\n", comma ? "," : "");
     };

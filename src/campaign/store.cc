@@ -289,6 +289,23 @@ isMetaLine(const std::string &line)
     return line.rfind(kMetaPrefix, 0) == 0;
 }
 
+/** The value of counter @p name in a metrics snapshot line, or 0 when
+ *  absent (counter names are unique and never occur inside values). */
+std::uint64_t
+snapshotCounter(const std::string &json, const std::string &name)
+{
+    const std::string needle = '"' + name + "\":";
+    const auto at = json.find(needle);
+    if (at == std::string::npos)
+        return 0;
+    const auto from = at + needle.size();
+    const auto to = json.find_first_not_of("0123456789", from);
+    std::uint64_t v = 0;
+    return parseU64(std::string_view(json).substr(from, to - from), v, 10)
+               ? v
+               : 0;
+}
+
 /** Extracts the raw `{...}` after `"provenance":` in a header line;
  *  empty when absent. */
 std::string
@@ -512,9 +529,21 @@ StoreSummary::str() const
     else
         os << "provenance      : (none recorded — store predates the "
            << "obs layer?)\n";
-    if (!metricsJson.empty())
+    if (!metricsJson.empty()) {
+        // Replayed repetitions per walk of a recorded stream: how wide
+        // the replay tier's lane passes ran.
+        const std::uint64_t passes =
+            snapshotCounter(metricsJson, "sim.replay.lane_passes");
+        if (passes) {
+            const std::uint64_t replays =
+                snapshotCounter(metricsJson, "sim.replay.replays");
+            os << "replay lanes    : " << replays << " replays in " << passes
+               << " passes, mean lane width "
+               << double(replays) / double(passes) << "\n";
+        }
         os << "metrics (final snapshot of the writing run):\n"
            << obs::prettyJson(metricsJson) << "\n";
+    }
     else
         os << "metrics         : (no snapshot trailer — campaign "
            << "still running, or killed)\n";

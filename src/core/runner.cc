@@ -27,6 +27,37 @@ microsSince(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
+void
+ExperimentRunner::addRep(stats::Sample &out, std::uint64_t run_us,
+                         const sim::RunResult &rr)
+{
+    if (runHistogram_)
+        runHistogram_->record(run_us);
+    mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
+    out.add(metricOf(rr));
+}
+
+void
+ExperimentRunner::replayFamily(sim::Machine &machine,
+                               const sim::FunctionalTrace &trace,
+                               std::span<const sim::ReplayLane> lanes,
+                               stats::Sample &out)
+{
+    constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
+    const auto t0 = std::chrono::steady_clock::now();
+    machine.runReplayLanes(trace, budget, lanes);
+    // The pass's wall time, shared out evenly: run_us keeps one sample
+    // per repetition, and its sum stays the time spent.
+    const std::uint64_t share = microsSince(t0) / lanes.size();
+    // Every repetition still returns through runReplay(), which hands
+    // out the lane the pass already timed, so per-rep instrumentation
+    // (perfbench's link-time shims) keeps seeing one call per
+    // repetition.
+    for (const sim::ReplayLane &lane : lanes)
+        addRep(out, share,
+               machine.runReplay(*lane.image, budget, lane.noise, trace));
+}
+
 ExperimentRunner::ExperimentRunner(ExperimentSpec spec)
     : spec_(std::move(spec)), artifacts_(&toolchain::ArtifactCache::global())
 {
@@ -152,10 +183,11 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
     // across noise seeds (noise perturbs timing and cache state, never
     // a value), so one recorded pass serves every repetition.  The
     // recording itself runs under rep 0's noise model — it IS rep 0 —
-    // and later repetitions replay only the timing models per seed,
-    // bitwise identical to per-rep execution (replay differential
-    // test).  Preconditions failing (tier disabled, oversized stream)
-    // drop back to the per-rep loop below.
+    // and the later repetitions replay only the timing models, all in
+    // one lane pass (one lane per seed), bitwise identical to per-rep
+    // execution (replay differential test).  Preconditions failing
+    // (tier disabled, oversized stream) drop back to the per-rep loop
+    // below.
     std::shared_ptr<const sim::FunctionalTrace> trace;
     unsigned r = 0;
     if (reps > 1 && sim::replayTierUsable(machine)) {
@@ -163,23 +195,27 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
         bool unrecordable = false;
         trace = cache.find(image, budget, &unrecordable);
         if (!trace && !unrecordable) {
-            auto rr = machine.runRecord(image, budget, noise_for(0), &trace);
-            mbias_assert(rr.halted,
-                         "workload did not halt: ", spec_.workload);
-            out.add(metricOf(rr));
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto rr =
+                machine.runRecord(image, budget, noise_for(0), &trace);
+            addRep(out, microsSince(t0), rr);
             r = 1;
             cache.insert(image, budget, trace); // null = negative entry
         }
         if (!trace)
             cache.noteFallback();
     }
+    if (trace) {
+        std::vector<sim::ReplayLane> lanes;
+        for (; r < reps; ++r)
+            lanes.push_back({&image, noise_for(r)});
+        replayFamily(machine, *trace, lanes, out);
+        return out;
+    }
     for (; r < reps; ++r) {
-        const auto noise = noise_for(r);
-        auto rr = trace
-                      ? machine.runReplay(image, budget, noise, *trace)
-                      : machine.run(image, budget, noise);
-        mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-        out.add(metricOf(rr));
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto rr = machine.run(image, budget, noise_for(r));
+        addRep(out, microsSince(t0), rr);
     }
     return out;
 }
@@ -204,46 +240,47 @@ ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
     // ASLR only moves the stack region, so the recorded functional
     // stream is layout-invariant modulo the initial-sp delta: replay
     // rebases stack addresses per draw and re-runs just the timing
-    // models.  The ReplayCache key excludes the stack base, so one
-    // recording (possibly from repeatedMetric) serves every draw.
-    std::shared_ptr<const sim::FunctionalTrace> trace;
-    const bool tier_on = reps > 1 && sim::replayTierUsable(machine);
+    // models, every draw a lane of one pass.  The ReplayCache key
+    // excludes the stack base, so one recording (possibly from
+    // repeatedMetric) serves every draw.  Each rep loads under a fresh
+    // ASLR seed; these one-shot layouts bypass the artifact cache on
+    // purpose (they would only displace reusable entries).
+    std::vector<toolchain::ProcessImage> images;
+    images.reserve(reps);
     for (unsigned r = 0; r < reps; ++r) {
-        // Each rep loads under a fresh ASLR seed; these one-shot
-        // layouts bypass the artifact cache on purpose (they would
-        // only displace reusable entries).
         toolchain::LoaderConfig lc = loaderConfigFor(setup);
         lc.aslrSeed = aslr_seed_base + r;
-        auto image = toolchain::Loader::load(prog, lc);
-        const auto t0 = std::chrono::steady_clock::now();
-        sim::RunResult rr;
-        if (trace) {
-            rr = machine.runReplay(image, budget,
-                                   sim::NoiseModel::none(), *trace);
-        } else if (r == 0 && tier_on) {
-            auto &cache = sim::ReplayCache::global();
-            bool unrecordable = false;
-            trace = cache.find(image, budget, &unrecordable);
-            if (trace) {
-                rr = machine.runReplay(image, budget,
-                                       sim::NoiseModel::none(), *trace);
-            } else if (!unrecordable) {
-                rr = machine.runRecord(image, budget,
-                                       sim::NoiseModel::none(), &trace);
-                cache.insert(image, budget, trace);
-                if (!trace)
-                    cache.noteFallback();
-            } else {
-                cache.noteFallback();
-                rr = machine.run(image, budget);
-            }
-        } else {
-            rr = machine.run(image, budget);
+        images.push_back(toolchain::Loader::load(prog, lc));
+    }
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    unsigned r = 0;
+    if (reps > 1 && sim::replayTierUsable(machine)) {
+        auto &cache = sim::ReplayCache::global();
+        bool unrecordable = false;
+        trace = cache.find(images[0], budget, &unrecordable);
+        if (!trace && !unrecordable) {
+            // Draw 0, recorded noise-free, is the family's rep 0.
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto rr = machine.runRecord(
+                images[0], budget, sim::NoiseModel::none(), &trace);
+            addRep(out, microsSince(t0), rr);
+            r = 1;
+            cache.insert(images[0], budget, trace); // null = negative
         }
-        if (runHistogram_)
-            runHistogram_->record(microsSince(t0));
-        mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-        out.add(metricOf(rr));
+        if (!trace)
+            cache.noteFallback();
+    }
+    if (trace) {
+        std::vector<sim::ReplayLane> lanes;
+        for (; r < reps; ++r)
+            lanes.push_back({&images[r], sim::NoiseModel::none()});
+        replayFamily(machine, *trace, lanes, out);
+        return out;
+    }
+    for (; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto rr = machine.run(images[r], budget);
+        addRep(out, microsSince(t0), rr);
     }
     return out;
 }

@@ -2,6 +2,7 @@
 #define MBIAS_CORE_RUNNER_HH
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -163,6 +164,21 @@ class ExperimentRunner
     toolchain::ProcessImage
     materialize(const toolchain::ToolchainSpec &tc,
                 const ExperimentSetup &setup);
+
+    /** Books one repetition that took @p run_us: its run_us sample
+     *  and its metric (the workload must have halted). */
+    void addRep(stats::Sample &out, std::uint64_t run_us,
+                const sim::RunResult &rr);
+
+    /**
+     * Times the repetitions @p lanes in one lane pass over @p trace
+     * and books each one.  run_us gets one sample per lane, each the
+     * pass's wall time divided by the lane count.
+     */
+    void replayFamily(sim::Machine &machine,
+                      const sim::FunctionalTrace &trace,
+                      std::span<const sim::ReplayLane> lanes,
+                      stats::Sample &out);
 
     ExperimentSpec spec_;
     std::uint64_t spAlign_ = 0;

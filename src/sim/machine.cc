@@ -9,6 +9,7 @@
 #include "sim/trace.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include "base/logging.hh"
 
@@ -101,26 +102,53 @@ makePredictor(const MachineConfig &c)
  * counters derived from it are bitwise identical; only the reference
  * interpreter's own Cache instances accumulate internal hit/miss
  * statistics, which nothing outside the machine observes.
+ *
+ * Sets are allocated on first touch: a directory maps each set to its
+ * ways in a per-run arena, and an untouched set (no directory entry)
+ * is an empty one.  A run touches a few dozen of an L2's thousands of
+ * sets, so a fresh cache costs the directory, not sets x ways slots —
+ * which is what lets a lane pass keep one cache per lane.
  */
 struct ShadowCache
 {
     unsigned shift;
     unsigned ways;
     std::uint64_t setMask;
-    /** slots[set * ways + way] = (tag << 1) | 1, MRU-first; 0 empty. */
-    std::vector<std::uint64_t> slots;
+    /** dir[set] = 1 + the set's index into the arena; 0 untouched. */
+    std::vector<std::uint32_t> dir;
+    /** arena[i * ways + way] = (tag << 1) | 1, MRU-first; 0 empty. */
+    std::vector<std::uint64_t> arena;
 
     explicit ShadowCache(const uarch::CacheConfig &c)
         : shift(floorLog2(c.lineBytes)), ways(c.ways), setMask(c.sets - 1),
-          slots(std::size_t(c.sets) * c.ways, 0)
+          dir(c.sets, 0)
     {
+        arena.reserve(std::size_t(std::min(c.sets, 64u)) * ways);
+    }
+
+    /** The ways of @p set, allocating (empty) ways on first touch. */
+    std::uint64_t *touchSet(std::uint64_t set)
+    {
+        std::uint32_t &e = dir[set];
+        if (__builtin_expect(e == 0, 0)) {
+            arena.resize(arena.size() + ways, 0);
+            e = std::uint32_t(arena.size() / ways);
+        }
+        return arena.data() + std::size_t(e - 1) * ways;
+    }
+
+    /** The ways of @p set, or null while it was never touched. */
+    const std::uint64_t *findSet(std::uint64_t set) const
+    {
+        const std::uint32_t e = dir[set];
+        return e ? arena.data() + std::size_t(e - 1) * ways : nullptr;
     }
 
     bool access(Addr addr)
     {
         const std::uint64_t tag = addr >> shift;
         const std::uint64_t key = (tag << 1) | 1;
-        std::uint64_t *base = slots.data() + std::size_t(tag & setMask) * ways;
+        std::uint64_t *base = touchSet(tag & setMask);
         for (unsigned w = 0; w < ways; ++w) {
             if (base[w] == key) {
                 for (unsigned k = w; k > 0; --k)
@@ -136,15 +164,16 @@ struct ShadowCache
     }
 
     /** Read-only residency probe: would access(@p addr) hit right
-     *  now?  No LRU update, so probing leaves the model state
-     *  untouched (the trace tier's noise guard uses this to bound a
-     *  block's penalty without committing to running it). */
+     *  now?  No LRU update (and no allocation), so probing leaves the
+     *  model state untouched (the trace tier's noise guard uses this
+     *  to bound a block's penalty without committing to running it). */
     bool contains(Addr addr) const
     {
         const std::uint64_t tag = addr >> shift;
         const std::uint64_t key = (tag << 1) | 1;
-        const std::uint64_t *base =
-            slots.data() + std::size_t(tag & setMask) * ways;
+        const std::uint64_t *base = findSet(tag & setMask);
+        if (!base)
+            return false;
         for (unsigned w = 0; w < ways; ++w) {
             if (base[w] == key)
                 return true;
@@ -155,10 +184,14 @@ struct ShadowCache
     /** Twin of uarch::Cache::invalidateSet: clearing valid bits there
      *  is observationally identical to zeroing the packed slots here —
      *  a stale tag can never hit again, and invalid ways shift through
-     *  the MRU order exactly like empty ones. */
+     *  the MRU order exactly like empty ones.  An untouched set is
+     *  already empty. */
     void invalidateSet(std::uint64_t set)
     {
-        std::uint64_t *base = slots.data() + std::size_t(set & setMask) * ways;
+        const std::uint32_t e = dir[set & setMask];
+        if (!e)
+            return;
+        std::uint64_t *base = arena.data() + std::size_t(e - 1) * ways;
         for (unsigned w = 0; w < ways; ++w)
             base[w] = 0;
     }
@@ -221,6 +254,311 @@ struct ShadowTlb
     {
         return contains(first_vpn) &&
                (last_vpn == first_vpn || contains(last_vpn));
+    }
+};
+
+/**
+ * Store-buffer twin in SoA layout: same ring order, same head
+ * rotation, same expiry and forwarding rules as uarch::StoreBuffer,
+ * but the masked addresses sit in their own dense array, so the common
+ * no-possible-alias case is one branchless scan of it; only a masked
+ * match runs the exact per-entry check.  ~0 marks an empty slot
+ * (masked addresses are <= aliasMask, so it never matches).
+ */
+struct ShadowStoreBuffer
+{
+    unsigned entries;
+    std::uint64_t aliasMask;
+    std::uint64_t maxAge;
+    std::vector<std::uint64_t> masked;
+    std::vector<Addr> addr;
+    std::vector<std::uint32_t> size;
+    std::vector<std::uint64_t> icount;
+    unsigned head = 0;
+    bool bitmapOk; ///< the ring's match bitmap fits a word
+    /** Inverted index over the masked addresses: index[m] is the
+     *  bitmap of ring slots currently holding masked address m, kept
+     *  incrementally by record().  It turns the per-load scan of all
+     *  slots into one table read; the bit order is ring-slot order,
+     *  so the first-match walk is unchanged.  Only worth the table for
+     *  the realistic alias-window sizes (<= 16 bits). */
+    bool indexOk;
+    std::vector<std::uint32_t> index;
+
+    explicit ShadowStoreBuffer(const uarch::StoreBuffer &proto)
+        : entries(proto.entries()), aliasMask(proto.aliasMask()),
+          maxAge(proto.maxAge()), masked(entries, ~std::uint64_t(0)),
+          addr(entries, 0), size(entries, 0), icount(entries, 0),
+          bitmapOk(entries <= 32),
+          indexOk(bitmapOk && aliasMask < (std::uint64_t(1) << 16)),
+          index(indexOk ? std::size_t(aliasMask) + 1 : 0, 0)
+    {
+    }
+
+    void record(Addr a, unsigned sz, std::uint64_t ic)
+    {
+        if (indexOk) {
+            const std::uint64_t old = masked[head];
+            if (old != ~std::uint64_t(0))
+                index[old] &= ~(std::uint32_t(1) << head);
+            index[a & aliasMask] |= std::uint32_t(1) << head;
+        }
+        masked[head] = a & aliasMask;
+        addr[head] = a;
+        size[head] = sz;
+        icount[head] = ic;
+        if (++head == entries)
+            head = 0;
+    }
+
+    /** StoreBuffer::loadAliases: the first live, unexpired,
+     *  masked-matching entry in ring order decides (clean covering
+     *  forwarding is free, anything else stalls), exactly as the
+     *  reference scan does. */
+    bool aliases(Addr a, unsigned sz, std::uint64_t ic) const
+    {
+        const std::uint64_t want = a & aliasMask;
+        if (!bitmapOk)
+            return scan(a, sz, ic);
+        // The masked-match bitmap comes straight from the inverted
+        // index (or one scan pass when the window is too wide for a
+        // table); expired matches are skipped, the walk continues.
+        std::uint32_t match;
+        if (indexOk) {
+            match = index[want];
+        } else {
+            match = 0;
+            for (unsigned i = 0; i < entries; ++i)
+                match |= std::uint32_t(masked[i] == want) << i;
+        }
+        while (match) {
+            const unsigned i = unsigned(std::countr_zero(match));
+            match &= match - 1;
+            if (icount[i] + maxAge >= ic)
+                return !(addr[i] == a && size[i] >= sz);
+        }
+        return false;
+    }
+
+    __attribute__((noinline)) bool scan(Addr a, unsigned sz,
+                                        std::uint64_t ic) const
+    {
+        const std::uint64_t want = a & aliasMask;
+        for (unsigned i = 0; i < entries; ++i) {
+            if (masked[i] != want || icount[i] + maxAge < ic)
+                continue;
+            return !(addr[i] == a && size[i] >= sz);
+        }
+        return false;
+    }
+};
+
+/**
+ * The shadow memory hierarchy of one timing run — icache, dcache, the
+ * L2 they share, DTLB and store buffer — with its knobs hoisted from
+ * MachineConfig.  Each access makes the component accesses of
+ * fetchAccounting()/memoryAccess() in the same order, through packed
+ * twins freshly constructed = freshly reset, so its outcomes (the only
+ * thing the counters observe) match the reference's access for access.
+ * All of it can differ between two runs of one functional stream —
+ * noise evicts sets, ASLR moves stack addresses — so the plan loop
+ * keeps one and a lane pass one per lane.  Obs hooks report where
+ * each event landed (NullObserver compiles them out).
+ */
+struct ShadowMemory
+{
+    bool cachesOn, tlbsOn, prefetchOn, splitPenOn, sbAliasOn;
+    Cycles iMissPen, l2MissPen, dHitLat, dMissPen, dtlbMissPen;
+    Cycles splitPen, aliasPen;
+    Addr dline;
+    unsigned dpageShift;
+
+    ShadowCache icache;
+    ShadowCache dcache;
+    ShadowCache l2;
+    ShadowTlb dtlb;
+    ShadowStoreBuffer sb;
+
+    ShadowMemory(const MachineConfig &c, unsigned dpage_shift,
+                 const uarch::StoreBuffer &sb_proto)
+        : cachesOn(c.enableCaches), tlbsOn(c.enableTlbs),
+          prefetchOn(c.enableNextLinePrefetch),
+          splitPenOn(c.enableLineSplitPenalty),
+          sbAliasOn(c.enableStoreBufferAliasing),
+          iMissPen(c.icache.missPenalty), l2MissPen(c.l2.missPenalty),
+          dHitLat(c.dcache.hitLatency), dMissPen(c.dcache.missPenalty),
+          dtlbMissPen(c.dtlb.missPenalty), splitPen(c.lineSplitPenalty),
+          aliasPen(c.aliasPenalty), dline(c.dcache.lineBytes),
+          dpageShift(dpage_shift), icache(c.icache), dcache(c.dcache),
+          l2(c.l2), dtlb(c.dtlb), sb(sb_proto)
+    {
+    }
+
+    /** Demand fetch of a new icache line: returns the miss penalty.
+     *  Sequential fetch mostly stays within the current line, so this
+     *  is kept out of line and only the cheap comparison is
+     *  replicated per dispatch site. */
+    template <class Obs>
+    __attribute__((noinline)) Cycles fetchLine(Obs &obs, Addr line,
+                                               PerfCounters &ctrs)
+    {
+        if (obs.icache(line, icache.access(line)))
+            return 0;
+        ctrs.inc(Counter::IcacheMisses);
+        Cycles pen = iMissPen;
+        if (!l2.access(line)) {
+            ctrs.inc(Counter::L2Misses);
+            pen += l2MissPen;
+        }
+        return pen;
+    }
+
+    /** L1D miss path (L2, optional next-line prefetch), out of line. */
+    template <class Obs>
+    __attribute__((noinline)) Cycles dcacheMiss(Obs &obs, Addr line,
+                                                PerfCounters &ctrs)
+    {
+        Cycles lat = dMissPen;
+        if (!l2.access(line)) {
+            ctrs.inc(Counter::L2Misses);
+            lat += l2MissPen;
+        }
+        if (prefetchOn) {
+            // Background fill of the next line; no demand latency, but
+            // it can pollute (and be perturbed by) set placement.
+            ctrs.inc(Counter::PrefetchesIssued);
+            obs.dcache(line + dline, dcache.access(line + dline));
+            l2.access(line + dline);
+        }
+        return lat;
+    }
+
+    /** Transcription of memoryAccess(): returns the added load latency
+     *  (0 for stores); a line-crossing store also takes the store
+     *  port's extra cycle on @p now.  @p icount is the retiring
+     *  instruction's (store-buffer ageing).  is_store is constant at
+     *  every call site, so its branches fold away. */
+    template <class Obs>
+    __attribute__((always_inline)) Cycles
+    access(Obs &obs, Addr addr, unsigned size, bool is_store,
+           std::uint64_t icount, Cycles &now, PerfCounters &ctrs)
+    {
+        Cycles lat = is_store ? 0 : dHitLat;
+
+        if (tlbsOn) {
+            const unsigned misses = dtlb.accessVpns(
+                addr >> dpageShift, (addr + size - 1) >> dpageShift);
+            obs.dtlb(addr >> dpageShift, misses);
+            if (misses) {
+                ctrs.inc(Counter::DtlbMisses, misses);
+                lat += misses * dtlbMissPen;
+            }
+        }
+
+        const Addr first = alignDown(addr, dline);
+        const Addr last = alignDown(addr + size - 1, dline);
+        if (cachesOn) {
+            for (Addr line = first; line <= last; line += dline) {
+                if (!obs.dcache(line, dcache.access(line))) {
+                    ctrs.inc(Counter::DcacheMisses);
+                    lat += dcacheMiss(obs, line, ctrs);
+                }
+            }
+        }
+        if (last != first) {
+            ctrs.inc(Counter::LineSplits);
+            if (splitPenOn)
+                lat += splitPen;
+        }
+
+        if (is_store) {
+            // A line-crossing store occupies the store port for an
+            // extra cycle (a structural resource the OoO window cannot
+            // hide).
+            if (last != first && splitPenOn)
+                now += 1;
+            sb.record(addr, size, icount);
+            return 0; // the store buffer otherwise hides store latency
+        }
+        if (sbAliasOn && sb.aliases(addr, size, icount)) {
+            ctrs.inc(Counter::AliasStalls);
+            lat += aliasPen;
+        }
+        return lat;
+    }
+};
+
+/**
+ * OS-interrupt noise and DVFS steps of one run, transcribed from the
+ * reference loop: same independent RNG streams (one nextDouble per
+ * schedule, two next() per evicted line pair, one nextDouble per DVFS
+ * step), same schedule arithmetic, same eviction order (dcache set
+ * then icache set), same lastCodeLine reset, same lump charge — so
+ * noisy runs are bitwise identical to the oracle.  A disabled factor
+ * never schedules (its next time stays ~0), so nextEvent, the earlier
+ * of the two, is ~0 on noise-free runs and the per-dispatch check is
+ * one compare that never fires.
+ */
+struct NoiseClock
+{
+    const NoiseModel *model;
+    Rng irqRng;
+    Rng dvfsRng;
+    Cycles nextInterrupt = ~Cycles(0);
+    Cycles nextDvfs = ~Cycles(0);
+    Cycles nextEvent = ~Cycles(0);
+
+    explicit NoiseClock(const NoiseModel &noise)
+        : model(&noise), irqRng(noise.seed ^ 0x05e1f00dULL),
+          dvfsRng(noise.seed ^ 0xd7f5c10cULL)
+    {
+        if (noise.enabled)
+            scheduleInterrupt(0);
+        if (noise.dvfsEnabled)
+            scheduleDvfs(0);
+        nextEvent = std::min(nextInterrupt, nextDvfs);
+    }
+
+    void scheduleInterrupt(Cycles from)
+    {
+        const double jitter = 0.5 + irqRng.nextDouble();
+        nextInterrupt =
+            from + Cycles(double(model->meanIntervalCycles) * jitter);
+    }
+
+    void scheduleDvfs(Cycles from)
+    {
+        const double jitter = 0.5 + dvfsRng.nextDouble();
+        nextDvfs =
+            from + Cycles(double(model->dvfsMeanIntervalCycles) * jitter);
+    }
+
+    /** Fires what is due at @p now: the interrupt first, then DVFS
+     *  against the advanced clock, as the reference loop orders
+     *  them. */
+    __attribute__((noinline)) void fire(Cycles &now, PerfCounters &ctrs,
+                                        ShadowMemory &mem,
+                                        Addr &last_code_line)
+    {
+        if (now >= nextInterrupt) {
+            ctrs.inc(Counter::OsInterrupts);
+            now += model->costCycles;
+            for (unsigned e = 0; e < model->linesEvictedPerInterrupt; ++e) {
+                mem.dcache.invalidateSet(irqRng.next());
+                mem.icache.invalidateSet(irqRng.next());
+            }
+            last_code_line = ~Addr(0); // force an icache re-access
+            scheduleInterrupt(now);
+        }
+        if (now >= nextDvfs) {
+            const double rj = 0.5 + dvfsRng.nextDouble();
+            const Cycles residency =
+                Cycles(double(model->dvfsMeanResidencyCycles) * rj);
+            now += model->dvfsTransitionCycles +
+                   residency * model->dvfsSlowdownPercent / 100;
+            scheduleDvfs(now + residency);
+        }
+        nextEvent = std::min(nextInterrupt, nextDvfs);
     }
 };
 
@@ -552,7 +890,7 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
     if (profile || attribution ||
         (useFastPath_ && tiers_.fast && !referenceForcedByEnv()))
         return runPlan<RunMode::Normal>(image, max_insts, noise, nullptr,
-                                        nullptr, profile, attribution);
+                                        profile, attribution);
     return runReference(image, max_insts, noise);
 }
 
@@ -947,16 +1285,16 @@ template <Machine::RunMode Mode>
 RunResult
 Machine::runPlan(const toolchain::ProcessImage &image,
                  std::uint64_t max_insts, const NoiseModel &noise,
-                 FunctionalTrace *rec, const FunctionalTrace *rep,
-                 Profile *profile, Attribution *attribution)
+                 FunctionalTrace *rec, Profile *profile,
+                 Attribution *attribution)
 {
     const auto plan = PlanCache::global().get(image.program);
     auto untraced = [&](auto &obs) {
         if (config_.core == CoreKind::InOrder)
             return runPlanImpl<false, Mode, InOrderCore>(
-                image, max_insts, *plan, nullptr, noise, rec, rep, obs);
+                image, max_insts, *plan, nullptr, noise, rec, obs);
         return runPlanImpl<false, Mode, OooCore>(
-            image, max_insts, *plan, nullptr, noise, rec, rep, obs);
+            image, max_insts, *plan, nullptr, noise, rec, obs);
     };
     if constexpr (Mode == RunMode::Normal) {
         if (profile || attribution) {
@@ -981,7 +1319,7 @@ Machine::runPlan(const toolchain::ProcessImage &image,
         const auto tplan =
             TraceCache::global().get(plan, TraceGeometry::of(config_));
         return runPlanImpl<true, Mode, OooCore>(
-            image, max_insts, *plan, tplan.get(), noise, rec, rep, none);
+            image, max_insts, *plan, tplan.get(), noise, rec, none);
     }
     return untraced(none);
 }
@@ -996,7 +1334,9 @@ Machine::runRecord(const toolchain::ProcessImage &image,
     if (!replayTierUsable(*this))
         return run(image, max_insts, noise);
     obs::ScopedSpan span("replay-record", "sim");
+    static std::atomic<std::uint64_t> next_serial{1};
     auto trace = std::make_shared<FunctionalTrace>();
+    trace->serial = next_serial.fetch_add(1, std::memory_order_relaxed);
     trace->program = image.program;
     trace->gp = image.gp;
     trace->heapBase = image.heapBase;
@@ -1004,8 +1344,8 @@ Machine::runRecord(const toolchain::ProcessImage &image,
     trace->budget = max_insts;
     trace->recordedSp = image.initialSp;
     trace->stackBoundary = image.stackTop >> 1;
-    const RunResult rr = runPlan<RunMode::Record>(image, max_insts, noise,
-                                                  trace.get(), nullptr);
+    const RunResult rr =
+        runPlan<RunMode::Record>(image, max_insts, noise, trace.get());
     ReplayCache::global().noteRecord();
     if (!trace->aborted)
         *out = std::move(trace);
@@ -1021,10 +1361,58 @@ Machine::runReplay(const toolchain::ProcessImage &image,
         return run(image, max_insts, noise);
     mbias_assert(trace.matches(image, max_insts),
                  "replaying a trace against a mismatched image");
-    const RunResult rr = runPlan<RunMode::Replay>(image, max_insts, noise,
-                                                  nullptr, &trace);
-    ReplayCache::global().noteReplay();
-    return rr;
+    for (auto it = laneResults_.begin(); it != laneResults_.end(); ++it) {
+        if (it->serial == trace.serial && it->maxInsts == max_insts &&
+            it->initialSp == image.initialSp && it->noise == noise) {
+            const RunResult rr = it->result;
+            laneResults_.erase(it);
+            return rr;
+        }
+    }
+    laneResults_.clear(); // the caller has moved past the latest pass
+    const ReplayLane lane{&image, noise};
+    return runLanes(trace, max_insts, {&lane, 1}).front();
+}
+
+std::vector<RunResult>
+Machine::runReplayLanes(const FunctionalTrace &trace,
+                        std::uint64_t max_insts,
+                        std::span<const ReplayLane> lanes)
+{
+    laneResults_.clear();
+    std::vector<RunResult> out;
+    if (!replayTierUsable(*this)) {
+        out.reserve(lanes.size());
+        for (const ReplayLane &lane : lanes)
+            out.push_back(run(*lane.image, max_insts, lane.noise));
+        return out;
+    }
+    out = runLanes(trace, max_insts, lanes);
+    if (trace.serial == 0)
+        return out; // no identity to serve it under
+    laneResults_.reserve(lanes.size());
+    for (std::size_t k = 0; k < lanes.size(); ++k)
+        laneResults_.push_back({trace.serial, max_insts,
+                                lanes[k].image->initialSp, lanes[k].noise,
+                                out[k]});
+    return out;
+}
+
+std::vector<RunResult>
+Machine::runLanes(const FunctionalTrace &trace, std::uint64_t max_insts,
+                  std::span<const ReplayLane> lanes)
+{
+    if (lanes.empty())
+        return {};
+    for (const ReplayLane &lane : lanes)
+        mbias_assert(lane.image && trace.matches(*lane.image, max_insts),
+                     "replaying a trace against a mismatched image");
+    const auto plan = PlanCache::global().get(trace.program);
+    auto out = config_.core == CoreKind::InOrder
+                   ? runLanesImpl<InOrderCore>(trace, max_insts, *plan, lanes)
+                   : runLanesImpl<OooCore>(trace, max_insts, *plan, lanes);
+    ReplayCache::global().noteLanePass(lanes.size());
+    return out;
 }
 
 template <bool Traced, Machine::RunMode Mode, class Core, class Obs>
@@ -1032,8 +1420,7 @@ RunResult
 Machine::runPlanImpl(const toolchain::ProcessImage &image,
                      std::uint64_t max_insts, const ExecutionPlan &plan,
                      const TracePlan *tplan, const NoiseModel &noise,
-                     FunctionalTrace *rec, const FunctionalTrace *rep,
-                     Obs &obs)
+                     FunctionalTrace *rec, Obs &obs)
 {
     // The trace tier's op_batch guards prove "zero stall cycles" under
     // the OoO hiding model; an in-order instantiation would make that
@@ -1065,22 +1452,18 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // when its zero-stall guards cannot be proven — falls through to
     // per-op execution of the very same ops (sim/trace.hh).
     //
-    // Mode extends the same loop to the record/replay tier
-    // (sim/replay.hh).  Record runs normally while
+    // Mode = Record extends the same loop to the recording half of
+    // the replay tier (sim/replay.hh): it runs normally while
     // appending branch outcomes, Ret targets and resolved memory
-    // addresses to *rec.  Replay consumes those streams from *rep
-    // instead of executing functionally: control flow comes from the
-    // branch bits and Ret targets, memory addresses from the stream
-    // (stack ones rebased by the image-vs-recording sp delta), and
-    // every value computation is dead — only the timing models run.
-    // Mode conditionals are plain ifs on a constant, so the Normal
-    // instantiations fold them away.
+    // addresses to *rec.  Mode conditionals are plain ifs on a
+    // constant, so the Normal instantiations fold them away.
     //
     // This loop is the one production interpreter; runReference() is
-    // kept only as the differential oracle.  A timing-model change
-    // lands in both, and the differential tests hold them together.
+    // kept only as the differential oracle, and runLanesImpl() replays
+    // recorded streams.  A timing-model change lands in the oracle and
+    // in the spine both loops share (ShadowMemory, NoiseClock, the
+    // predictor and BTB); the differential tests hold them together.
     constexpr bool kRecord = Mode == RunMode::Record;
-    constexpr bool kReplay = Mode == RunMode::Replay;
 
     // Only the components the fast loop actually drives need a reset:
     // the predictor and BTB are shared with the reference oracle (their
@@ -1103,8 +1486,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     PerfCounters &ctrs = rr.counters;
 
     SparseMemory mem;
-    if (!kReplay) // replay never reads or writes functional memory
-        mem.writeBlock(prog.dataBase, prog.dataInit);
+    mem.writeBlock(prog.dataBase, prog.dataInit);
 
     std::array<std::uint64_t, isa::reg::numRegs> regs{};
     regs[isa::reg::sp] = image.initialSp;
@@ -1125,16 +1507,6 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     const Cycles l2_miss_pen = config_.l2.missPenalty;
     const unsigned ipage_shift = itlb_.pageShift(); // Tlb asserts pow2
     const Cycles itlb_miss_pen = config_.itlb.missPenalty;
-    const Addr dline = config_.dcache.lineBytes;
-    const Cycles d_hit_lat = config_.dcache.hitLatency;
-    const Cycles d_miss_pen = config_.dcache.missPenalty;
-    const unsigned dpage_shift = dtlb_.pageShift();
-    const Cycles dtlb_miss_pen = config_.dtlb.missPenalty;
-    const bool prefetch_on = config_.enableNextLinePrefetch;
-    const bool split_pen_on = config_.enableLineSplitPenalty;
-    const Cycles split_pen = config_.lineSplitPenalty;
-    const bool sb_alias_on = config_.enableStoreBufferAliasing;
-    const Cycles alias_pen = config_.aliasPenalty;
     const Cycles ooo_window = config_.oooWindowCycles;
     const Cycles mul_lat = config_.intMulLatency;
     const Cycles div_lat = config_.intDivLatency;
@@ -1153,64 +1525,16 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     else
         bimodal = static_cast<uarch::BimodalPredictor *>(predictor_.get());
 
-    // Packed-layout twins of the caches and TLBs (see ShadowCache):
-    // freshly constructed = freshly reset, so their access outcomes —
-    // the only thing the counters observe — match the reference's
-    // components access for access.
-    ShadowCache s_icache(config_.icache);
-    ShadowCache s_dcache(config_.dcache);
-    ShadowCache s_l2(config_.l2);
+    // Packed-layout twins of the caches, TLBs and store buffer (see
+    // ShadowMemory); the ITLB stays outside it because a lane pass
+    // shares it between lanes.
+    ShadowMemory smem(config_, dtlb_.pageShift(), storeBuffer_);
     ShadowTlb s_itlb(config_.itlb);
-    ShadowTlb s_dtlb(config_.dtlb);
-
-    // Store-buffer twin in SoA layout: same ring order, same head
-    // rotation, same expiry and forwarding rules as StoreBuffer, but
-    // the masked addresses sit in their own dense array, so the common
-    // no-possible-alias case is one branchless scan of it; only a
-    // masked match runs the exact per-entry check.  ~0 marks an empty
-    // slot (masked addresses are <= alias_mask, so it never matches).
-    const unsigned sb_entries = storeBuffer_.entries();
-    const std::uint64_t alias_mask = storeBuffer_.aliasMask();
-    const std::uint64_t sb_max_age = storeBuffer_.maxAge();
-    std::vector<std::uint64_t> sb_masked(sb_entries, ~std::uint64_t(0));
-    std::vector<Addr> sb_addr(sb_entries, 0);
-    std::vector<std::uint32_t> sb_size(sb_entries, 0);
-    std::vector<std::uint64_t> sb_icount(sb_entries, 0);
-    unsigned sb_head = 0;
-    const bool sb_bitmap_ok = sb_entries <= 32; ///< bitmap fits a word
-
-    // Inverted index over the masked addresses: sb_index[m] is the
-    // bitmap of ring slots currently holding masked address m, kept
-    // incrementally by the store path.  It turns the per-load scan of
-    // all slots into one table read; the bit order is ring-slot order,
-    // so the first-match walk below is unchanged.  Only worth the
-    // table for the realistic alias-window sizes (<= 16 bits).
-    const bool sb_index_ok =
-        sb_bitmap_ok && alias_mask < (std::uint64_t(1) << 16);
-    std::vector<std::uint32_t> sb_index(
-        sb_index_ok ? std::size_t(alias_mask) + 1 : 0, 0);
-
-    // Exact transcription of StoreBuffer::loadAliases over the shadow
-    // arrays: the first live, unexpired, masked-matching entry in ring
-    // order decides (clean covering forwarding is free, anything else
-    // stalls), exactly as the reference scan does.
-    auto sb_aliases = [&](Addr addr, unsigned size)
-        __attribute__((noinline)) -> bool {
-        const std::uint64_t want = addr & alias_mask;
-        for (unsigned i = 0; i < sb_entries; ++i) {
-            if (sb_masked[i] != want ||
-                sb_icount[i] + sb_max_age < pipe.icount)
-                continue;
-            return !(sb_addr[i] == addr && sb_size[i] >= size);
-        }
-        return false;
-    };
 
     auto set_reg = [&](isa::Reg rd, std::uint64_t v, Cycles ready)
         __attribute__((always_inline)) {
         if (rd != isa::reg::zero) {
-            if (!kReplay) // replay tracks readiness, never values
-                regs[rd] = v;
+            regs[rd] = v;
             pipe.regReady[rd] = ready;
         }
     };
@@ -1260,19 +1584,10 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         }
     };
 
-    // Sequential fetch mostly stays within the current line and page;
-    // the new-line / new-page work is kept out of line so only the
-    // cheap comparisons are replicated per dispatch site.
-    auto icache_touch = [&](Addr line) __attribute__((noinline)) {
-        if (!obs.icache(line, s_icache.access(line))) {
-            ctrs.inc(Counter::IcacheMisses);
-            pipe.now += i_miss_pen;
-            if (!s_l2.access(line)) {
-                ctrs.inc(Counter::L2Misses);
-                pipe.now += l2_miss_pen;
-            }
-        }
-    };
+    // Sequential fetch mostly stays within the current page; the
+    // new-page work is kept out of line (as ShadowMemory::fetchLine
+    // keeps the new-line work) so only the cheap comparisons are
+    // replicated per dispatch site.
     auto itlb_touch = [&](Addr pc, unsigned size) __attribute__((noinline)) {
         const unsigned misses = s_itlb.accessVpns(
             pc >> ipage_shift, (pc + size - 1) >> ipage_shift);
@@ -1310,7 +1625,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 if (line == pipe.lastCodeLine)
                     continue;
                 pipe.lastCodeLine = line;
-                icache_touch(line);
+                pipe.now += smem.fetchLine(obs, line, ctrs);
             }
         }
         if (tlbs_on) {
@@ -1322,112 +1637,10 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         }
     };
 
-    // L1D miss path (L2, optional next-line prefetch), out of line.
-    auto dcache_miss = [&](Addr line) __attribute__((noinline)) -> Cycles {
-        Cycles lat = d_miss_pen;
-        if (!s_l2.access(line)) {
-            ctrs.inc(Counter::L2Misses);
-            lat += l2_miss_pen;
-        }
-        if (prefetch_on) {
-            // Background fill of the next line; no demand latency, but
-            // it can pollute (and be perturbed by) set placement.
-            ctrs.inc(Counter::PrefetchesIssued);
-            obs.dcache(line + dline, s_dcache.access(line + dline));
-            s_l2.access(line + dline);
-        }
-        return lat;
-    };
-
-    // Transcription of memoryAccess(): same component accesses in the
-    // same order, through the shadow twins.  is_store is constant
-    // at every call site, so the branches fold away.
     auto mem_access = [&](Addr addr, unsigned size, bool is_store)
         __attribute__((always_inline)) -> Cycles {
-        Cycles lat = is_store ? 0 : d_hit_lat;
-
-        if (tlbs_on) {
-            const unsigned misses = s_dtlb.accessVpns(
-                addr >> dpage_shift, (addr + size - 1) >> dpage_shift);
-            obs.dtlb(addr >> dpage_shift, misses);
-            if (misses) {
-                ctrs.inc(Counter::DtlbMisses, misses);
-                lat += misses * dtlb_miss_pen;
-            }
-        }
-
-        const Addr first = alignDown(addr, dline);
-        const Addr last = alignDown(addr + size - 1, dline);
-        if (caches_on) {
-            for (Addr line = first; line <= last; line += dline) {
-                if (!obs.dcache(line, s_dcache.access(line))) {
-                    ctrs.inc(Counter::DcacheMisses);
-                    lat += dcache_miss(line);
-                }
-            }
-        }
-        if (last != first) {
-            ctrs.inc(Counter::LineSplits);
-            if (split_pen_on)
-                lat += split_pen;
-        }
-
-        if (is_store) {
-            // A line-crossing store occupies the store port for an
-            // extra cycle (a structural resource the OoO window cannot
-            // hide).
-            if (last != first && split_pen_on)
-                pipe.now += 1;
-            if (sb_index_ok) {
-                const std::uint64_t old = sb_masked[sb_head];
-                if (old != ~std::uint64_t(0))
-                    sb_index[old] &= ~(std::uint32_t(1) << sb_head);
-                sb_index[addr & alias_mask] |=
-                    std::uint32_t(1) << sb_head;
-            }
-            sb_masked[sb_head] = addr & alias_mask;
-            sb_addr[sb_head] = addr;
-            sb_size[sb_head] = size;
-            sb_icount[sb_head] = pipe.icount;
-            if (++sb_head == sb_entries)
-                sb_head = 0;
-            return 0; // the store buffer otherwise hides store latency
-        }
-        if (sb_alias_on) {
-            const std::uint64_t want = addr & alias_mask;
-            if (sb_bitmap_ok) {
-                // The masked-match bitmap comes straight from the
-                // inverted index (or one scan pass when the window is
-                // too wide for a table); the first unexpired match in
-                // ring order then decides, exactly like the reference
-                // scan (expired matches are skipped, the scan
-                // continues).
-                std::uint32_t match;
-                if (sb_index_ok) {
-                    match = sb_index[want];
-                } else {
-                    const std::uint64_t *sbm = sb_masked.data();
-                    match = 0;
-                    for (unsigned i = 0; i < sb_entries; ++i)
-                        match |= std::uint32_t(sbm[i] == want) << i;
-                }
-                while (match) {
-                    const unsigned i = unsigned(std::countr_zero(match));
-                    match &= match - 1;
-                    if (sb_icount[i] + sb_max_age >= pipe.icount) {
-                        if (!(sb_addr[i] == addr && sb_size[i] >= size)) {
-                            ctrs.inc(Counter::AliasStalls);
-                            lat += alias_pen;
-                        }
-                        break;
-                    }
-                }
-            } else if (sb_aliases(addr, size)) {
-                ctrs.inc(Counter::AliasStalls);
-                lat += alias_pen;
-            }
-        }
-        return lat;
+        return smem.access(obs, addr, size, is_store, pipe.icount, pipe.now,
+                           ctrs);
     };
 
     // Functional memory through a small direct-mapped memo of page
@@ -1515,57 +1728,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         mem.write(addr, size, value);
     };
 
-    // OS-interrupt noise and DVFS steps, transcribed from the
-    // reference loop: same independent RNG streams (one nextDouble per
-    // schedule, two next() per evicted line pair, one nextDouble per
-    // DVFS step), same schedule arithmetic, same eviction order (dcache
-    // set then icache set), same lastCodeLine reset, same lump charge —
-    // so noisy runs are bitwise identical to the oracle in every mode.
-    // A disabled factor never schedules (its next time stays ~0), so
-    // next_event, the earlier of the two, is ~0 on noise-free runs and
-    // the per-dispatch check is one compare that never fires.
-    Rng noise_rng(noise.seed ^ 0x05e1f00dULL);
-    Rng dvfs_rng(noise.seed ^ 0xd7f5c10cULL);
-    Cycles next_interrupt = ~Cycles(0);
-    Cycles next_dvfs = ~Cycles(0);
-    auto schedule_interrupt = [&](Cycles from) {
-        const double jitter = 0.5 + noise_rng.nextDouble();
-        next_interrupt =
-            from + Cycles(double(noise.meanIntervalCycles) * jitter);
-    };
-    auto schedule_dvfs = [&](Cycles from) {
-        const double jitter = 0.5 + dvfs_rng.nextDouble();
-        next_dvfs =
-            from + Cycles(double(noise.dvfsMeanIntervalCycles) * jitter);
-    };
-    if (noise.enabled)
-        schedule_interrupt(0);
-    if (noise.dvfsEnabled)
-        schedule_dvfs(0);
-    Cycles next_event = std::min(next_interrupt, next_dvfs);
-    // The interrupt first, then DVFS against the advanced clock, as the
-    // reference loop orders them.
-    auto noise_event = [&]() __attribute__((noinline)) {
-        if (pipe.now >= next_interrupt) {
-            ctrs.inc(Counter::OsInterrupts);
-            pipe.now += noise.costCycles;
-            for (unsigned e = 0; e < noise.linesEvictedPerInterrupt; ++e) {
-                s_dcache.invalidateSet(noise_rng.next());
-                s_icache.invalidateSet(noise_rng.next());
-            }
-            pipe.lastCodeLine = ~Addr(0); // force an icache re-access
-            schedule_interrupt(pipe.now);
-        }
-        if (pipe.now >= next_dvfs) {
-            const double rj = 0.5 + dvfs_rng.nextDouble();
-            const Cycles residency =
-                Cycles(double(noise.dvfsMeanResidencyCycles) * rj);
-            pipe.now += noise.dvfsTransitionCycles +
-                        residency * noise.dvfsSlowdownPercent / 100;
-            schedule_dvfs(pipe.now + residency);
-        }
-        next_event = std::min(next_interrupt, next_dvfs);
-    };
+    // OS-interrupt noise and DVFS steps (see NoiseClock).
+    NoiseClock clock(noise);
 
     // Record-mode stream sinks.  One running byte estimate caps the
     // footprint: past FunctionalTrace::kMaxBytes the streams stop
@@ -1602,53 +1766,6 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         }
     };
 
-    // Replay-mode stream cursors.  The streams are exact by
-    // construction (same program, same entry, same budget ⇒ same
-    // functional execution), so exhaustion mid-run means the replay
-    // preconditions were violated — assert, don't wander.
-    const std::uint64_t *rp_bits_data = nullptr;
-    std::size_t rp_bits_n = 0;
-    const std::uint32_t *rp_ret_data = nullptr;
-    std::size_t rp_ret_n = 0;
-    const Addr *rp_mem_data = nullptr;
-    std::size_t rp_mem_n = 0;
-    std::uint64_t rp_delta = 0; ///< stack rebase: initialSp - recordedSp
-    Addr rp_boundary = ~Addr(0);
-    if (kReplay) {
-        rp_bits_data = rep->branchBits.data();
-        rp_bits_n = rep->branchBits.size();
-        rp_ret_data = rep->retTargets.data();
-        rp_ret_n = rep->retTargets.size();
-        rp_mem_data = rep->memAddrs.data();
-        rp_mem_n = rep->memAddrs.size();
-        rp_delta = image.initialSp - rep->recordedSp; // mod-2^64 delta
-        rp_boundary = rep->stackBoundary;
-    }
-    std::uint64_t rp_bit = 0;
-    std::size_t rp_bitword = 0;
-    std::size_t rp_ret = 0;
-    std::size_t rp_mem = 0;
-    auto rp_taken = [&]() __attribute__((always_inline)) -> bool {
-        mbias_assert(rp_bitword < rp_bits_n,
-                     "replay branch stream exhausted");
-        const bool t = (rp_bits_data[rp_bitword] >> rp_bit) & 1;
-        if (++rp_bit == 64) {
-            rp_bit = 0;
-            ++rp_bitword;
-        }
-        return t;
-    };
-    auto rp_addr = [&]() __attribute__((always_inline)) -> Addr {
-        mbias_assert(rp_mem < rp_mem_n, "replay memory stream exhausted");
-        const Addr a = rp_mem_data[rp_mem++];
-        return a >= rp_boundary ? a + rp_delta : a;
-    };
-    auto rp_ret_target = [&]() __attribute__((always_inline))
-        -> std::uint32_t {
-        mbias_assert(rp_ret < rp_ret_n, "replay return stream exhausted");
-        return rp_ret_data[rp_ret++];
-    };
-
     // The traced tier walks the TracePlan's rewritten op array; both
     // arrays decode the same program, only the dispatch tags of
     // superblock heads differ.
@@ -1675,14 +1792,11 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     const DecodedOp *d = nullptr;
 
     // Shared tail of every conditional branch (reference order:
-    // BranchesExecuted, predict+train, then the taken path).  Replay
-    // overrides the caller's (dead-value) outcome with the recorded
-    // bit; Record appends the live outcome to the stream.
+    // BranchesExecuted, predict+train, then the taken path).  Record
+    // appends the outcome to the stream.
     auto do_branch = [&](const DecodedOp &b, bool taken)
         __attribute__((always_inline)) {
-        if (kReplay)
-            taken = rp_taken();
-        else if (kRecord)
+        if (kRecord)
             rec_branch(taken);
         ctrs.inc(Counter::BranchesExecuted);
         if (bp_on) {
@@ -1745,8 +1859,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         if (__builtin_expect(icount >= max_insts, 0))                       \
             goto run_done;                                                  \
         obs.close(pipe.now, ctrs);                                          \
-        if (__builtin_expect(pipe.now >= next_event, 0))                    \
-            noise_event();                                                  \
+        if (__builtin_expect(pipe.now >= clock.nextEvent, 0))               \
+            clock.fire(pipe.now, ctrs, smem, pipe.lastCodeLine);            \
         obs.open(idx, pipe.now, ctrs);                                      \
         d = ops + idx;                                                      \
         ++icount;                                                           \
@@ -1920,15 +2034,13 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
   op_ld: {
       wait_for(d->rs1);
       const unsigned size = d->accessSize;
-      const Addr addr = kReplay
-                            ? rp_addr()
-                            : regs[d->rs1] + std::uint64_t(d->imm);
+      const Addr addr = regs[d->rs1] + std::uint64_t(d->imm);
       if (kRecord)
           rec_mem(addr);
       ctrs.inc(Counter::Loads);
       pipe.icount = icount; // only memory ops observe it
       const Cycles lat = mem_access(addr, size, false);
-      set_reg(d->rd, kReplay ? 0 : mem_read(addr, size), pipe.now + lat);
+      set_reg(d->rd, mem_read(addr, size), pipe.now + lat);
       ++idx;
       MBIAS_DISPATCH();
   }
@@ -1937,16 +2049,13 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
       wait_for(d->rs1);
       wait_for(d->rd); // data register
       const unsigned size = d->accessSize;
-      const Addr addr = kReplay
-                            ? rp_addr()
-                            : regs[d->rs1] + std::uint64_t(d->imm);
+      const Addr addr = regs[d->rs1] + std::uint64_t(d->imm);
       if (kRecord)
           rec_mem(addr);
       ctrs.inc(Counter::Stores);
       pipe.icount = icount;
       mem_access(addr, size, true);
-      if (!kReplay)
-          mem_write(addr, size, regs[d->rd]);
+      mem_write(addr, size, regs[d->rd]);
       ++idx;
       MBIAS_DISPATCH();
   }
@@ -2003,16 +2112,14 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
   op_call: {
       wait_for(isa::reg::sp);
       ctrs.inc(Counter::Calls);
-      const Addr new_sp =
-          kReplay ? rp_addr() : regs[isa::reg::sp] - 8;
+      const Addr new_sp = regs[isa::reg::sp] - 8;
       if (kRecord)
           rec_mem(new_sp);
       const Addr ret_addr = d->pc + d->size;
       ctrs.inc(Counter::Stores);
       pipe.icount = icount;
       mem_access(new_sp, 8, true);
-      if (!kReplay)
-          mem_write(new_sp, 8, ret_addr);
+      mem_write(new_sp, 8, ret_addr);
       set_reg(isa::reg::sp, new_sp, pipe.now + 1);
       const Addr target = ops[d->targetIdx].pc;
       if (btb_on &&
@@ -2028,7 +2135,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
 
   op_ret: {
       wait_for(isa::reg::sp);
-      const Addr sp = kReplay ? rp_addr() : regs[isa::reg::sp];
+      const Addr sp = regs[isa::reg::sp];
       if (kRecord)
           rec_mem(sp);
       ctrs.inc(Counter::Loads);
@@ -2037,24 +2144,17 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
       // the load latency is off the critical path, but the access
       // still exercises the cache/TLB.
       mem_access(sp, 8, false);
-      std::uint32_t t;
-      if (kReplay) {
-          // The resolved code index was recorded; the functional load
-          // it came from never happens here.
-          t = rp_ret_target();
-      } else {
-          const Addr ret_addr = mem_read(sp, 8);
-          // O(1) return-address table, same domain as the reference's
-          // addrToIdx hash map.
-          const Addr off = ret_addr - plan.codeBase;
-          t = ExecutionPlan::kNoIndex;
-          if (off < plan.idxByOffset.size())
-              t = plan.idxByOffset[std::size_t(off)];
-          mbias_assert(t != ExecutionPlan::kNoIndex,
-                       "corrupted return address 0x", std::hex, ret_addr);
-          if (kRecord)
-              rec_ret(t);
-      }
+      const Addr ret_addr = mem_read(sp, 8);
+      // O(1) return-address table, same domain as the reference's
+      // addrToIdx hash map.
+      const Addr off = ret_addr - plan.codeBase;
+      std::uint32_t t = ExecutionPlan::kNoIndex;
+      if (off < plan.idxByOffset.size())
+          t = plan.idxByOffset[std::size_t(off)];
+      mbias_assert(t != ExecutionPlan::kNoIndex,
+                   "corrupted return address 0x", std::hex, ret_addr);
+      if (kRecord)
+          rec_ret(t);
       set_reg(isa::reg::sp, sp + 8, pipe.now + 1);
       redirect_realign(ops[t].pc);
       pipe.forceNewGroup = true;
@@ -2110,7 +2210,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 }
             }
         }
-        if (batch_ok && next_event != ~Cycles(0)) {
+        if (batch_ok && clock.nextEvent != ~Cycles(0)) {
             // (4) no OS interrupt or DVFS step can fire inside the
             // block: bound the batch's cycle advance from above (entry
             // fetch row plus every line/page touch missing) — now only
@@ -2124,7 +2224,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             Cycles pen_ub =
                 Cycles(tb->lines.size()) * (i_miss_pen + l2_miss_pen) +
                 Cycles(2 * tb->pages.size()) * itlb_miss_pen;
-            if (exit_base + pen_ub >= next_event) {
+            if (exit_base + pen_ub >= clock.nextEvent) {
                 // Near the interrupt the all-miss bound refuses almost
                 // every block; tighten it with a read-only residency
                 // probe.  If every block line (page) is resident right
@@ -2136,7 +2236,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 // evictions within the block).
                 pen_ub = 0;
                 for (const auto &lt : tb->lines) {
-                    if (!s_icache.contains(lt.line)) {
+                    if (!smem.icache.contains(lt.line)) {
                         pen_ub += Cycles(tb->lines.size()) *
                                   (i_miss_pen + l2_miss_pen);
                         break;
@@ -2149,7 +2249,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                         break;
                     }
                 }
-                if (exit_base + pen_ub >= next_event)
+                if (exit_base + pen_ub >= clock.nextEvent)
                     batch_ok = false;
             }
         }
@@ -2173,10 +2273,10 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         tr_pens.clear();
         Cycles pen = 0;
         for (const auto &lt : tb->lines) {
-            if (!s_icache.access(lt.line)) {
+            if (!smem.icache.access(lt.line)) {
                 ctrs.inc(Counter::IcacheMisses);
                 Cycles p = i_miss_pen;
-                if (!s_l2.access(lt.line)) {
+                if (!smem.l2.access(lt.line)) {
                     ctrs.inc(Counter::L2Misses);
                     p += l2_miss_pen;
                 }
@@ -2218,13 +2318,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         // switch dispatch plus a back edge.  FnOp opcodes are the
         // first 22 enumerators, validated by TracePlan::build; there
         // is no range backstop, matching the outer dispatch table.
-        // Replay skips the dataflow step wholesale: batched ops are
-        // value-producing ALU only, and replay never reads a value.
-        // The rows/lines/pages/writes bookkeeping above is address-
-        // derived and already applied.  (Plain if, not constexpr —
-        // the computed-goto labels inside must exist in every
-        // instantiation.)
-        if (!kReplay) {
+        {
             static_assert(std::size_t(Opcode::Li) == 21,
                           "fn dispatch assumes Add..Li are dense");
             static const void *const kFn[] = {
@@ -2338,20 +2432,487 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     ctrs.set(Counter::Cycles, pipe.now);
     ctrs.set(Counter::Instructions, icount);
     rr.halted = halted;
-    if (kReplay) {
-        // The architectural outcome comes from the recording; the
-        // loop above only re-derived control flow from the streams.
-        // a0 gets the stack rebase when it is itself a stack address
-        // (e.g. a workload returning a stack pointer).
-        mbias_assert(icount == rep->icount && halted == rep->halted,
-                     "replay diverged from its recording");
-        rr.result = rep->resultA0 >= rp_boundary
-                        ? rep->resultA0 + rp_delta
-                        : rep->resultA0;
-    } else {
-        rr.result = regs[isa::reg::a0];
-    }
+    rr.result = regs[isa::reg::a0];
     return rr;
+}
+
+template <class Core>
+std::vector<RunResult>
+Machine::runLanesImpl(const FunctionalTrace &trace, std::uint64_t max_insts,
+                      const ExecutionPlan &plan,
+                      std::span<const ReplayLane> lanes)
+{
+    // One walk of the recorded stream drives every lane.  Control flow
+    // and addresses come from the stream (stack ones rebased by each
+    // lane's image-vs-recording sp delta) and every value computation
+    // is dead: only the timing models run, as in a per-rep replay.
+    //
+    // What the plan loop does per op splits in two.  Lane-invariant
+    // work runs once per op: dispatch, stream decode, the budget
+    // check, predictor and BTB (they see only pc, outcome and target),
+    // fetch-group accounting (pc, size and mispredict redirects), the
+    // ITLB (code pages only; noise never touches TLBs, ASLR moves only
+    // the stack) and the counters those own.  Per-lane work runs once
+    // per lane: the noise check, clock, register readiness, the icache
+    // line memo, ShadowMemory (icache/dcache/L2, DTLB, store buffer)
+    // and the noise clock.  Each lane applies the shared outcomes in
+    // the plan loop's order: cycle charges are sums, and every charge
+    // lands before the next read of that lane's clock (a stall check,
+    // a ready time, or the next dispatch's noise check).
+    const std::size_t n_lanes = lanes.size();
+    predictor_->reset();
+    btb_.reset();
+
+    mbias_assert(plan.ops.size() == trace.program->code.size(),
+                 "execution plan does not match the program");
+    const DecodedOp *const ops = plan.ops.data();
+
+    const bool model_blocks = config_.enableFetchBlockModel;
+    const bool caches_on = config_.enableCaches;
+    const bool tlbs_on = config_.enableTlbs;
+    const unsigned fetch_width = config_.fetchWidth;
+    const Addr fetch_block_bytes = config_.fetchBlockBytes;
+    const Addr iline = config_.icache.lineBytes;
+    const unsigned ipage_shift = itlb_.pageShift();
+    const Cycles itlb_miss_pen = config_.itlb.missPenalty;
+    const Cycles ooo_window = config_.oooWindowCycles;
+    const Cycles mul_lat = config_.intMulLatency;
+    const Cycles div_lat = config_.intDivLatency;
+    const bool bp_on = config_.enableBranchPrediction;
+    const bool btb_on = config_.enableBtb;
+    const Cycles mispredict_pen = config_.branchMispredictPenalty;
+    const Cycles btb_miss_pen = config_.btbMissPenalty;
+    const Cycles fetch_realign_pen = config_.fetchRealignPenalty;
+
+    uarch::GsharePredictor *gshare = nullptr;
+    uarch::BimodalPredictor *bimodal = nullptr;
+    if (config_.predictor == PredictorKind::Gshare)
+        gshare = static_cast<uarch::GsharePredictor *>(predictor_.get());
+    else
+        bimodal = static_cast<uarch::BimodalPredictor *>(predictor_.get());
+
+    // Per-lane state.  What every op touches (clock, readiness, the
+    // icache line memo, the noise deadline) is packed into one small
+    // record per lane; the hierarchy, noise clock and counters sit
+    // apart, reached only by memory ops, icache line changes and noise
+    // events.
+    struct LaneClock
+    {
+        Cycles now = 0;
+        Cycles nextEvent = ~Cycles(0); ///< copy of clock.nextEvent
+        Addr lastCodeLine = ~Addr(0);
+        std::uint64_t delta = 0; ///< stack rebase: initialSp - recordedSp
+        Cycles stalls = 0;       ///< StallCycles, folded in at the end
+        std::array<Cycles, isa::reg::numRegs> regReady{};
+    };
+    struct LaneModels
+    {
+        ShadowMemory mem;
+        NoiseClock clock;
+        PerfCounters ctrs;
+    };
+    std::vector<LaneClock> hot(n_lanes);
+    std::vector<LaneModels> cold;
+    cold.reserve(n_lanes);
+    for (std::size_t k = 0; k < n_lanes; ++k) {
+        cold.push_back({ShadowMemory(config_, dtlb_.pageShift(),
+                                     storeBuffer_),
+                        NoiseClock(lanes[k].noise), PerfCounters()});
+        hot[k].nextEvent = cold[k].clock.nextEvent;
+        hot[k].delta = lanes[k].image->initialSp - trace.recordedSp;
+    }
+    NullObserver none;
+
+    // Lane-invariant state: front end, ITLB, stream cursors, and the
+    // counters only shared work increments.
+    PerfCounters shared;
+    ShadowTlb s_itlb(config_.itlb);
+    unsigned group_slots = 0;
+    Addr group_block_end = 0;
+    bool force_new_group = true;
+    Addr last_code_page = ~Addr(0);
+
+    // The streams are exact by construction (same program, same
+    // entry, same budget => same functional execution), so exhaustion
+    // mid-run means the replay preconditions were violated — assert,
+    // don't wander.
+    const std::uint64_t *const bits = trace.branchBits.data();
+    const std::size_t n_bitwords = trace.branchBits.size();
+    const Addr *const addrs = trace.memAddrs.data();
+    const std::size_t n_addrs = trace.memAddrs.size();
+    const std::uint32_t *const rets = trace.retTargets.data();
+    const std::size_t n_rets = trace.retTargets.size();
+    const Addr boundary = trace.stackBoundary;
+    std::size_t bitword = 0, addr_at = 0, ret_at = 0;
+    unsigned bit = 0;
+    auto next_taken = [&]() -> bool {
+        mbias_assert(bitword < n_bitwords, "replay branch stream exhausted");
+        const bool t = (bits[bitword] >> bit) & 1;
+        if (++bit == 64) {
+            bit = 0;
+            ++bitword;
+        }
+        return t;
+    };
+    auto next_addr = [&]() -> Addr {
+        mbias_assert(addr_at < n_addrs, "replay memory stream exhausted");
+        return addrs[addr_at++];
+    };
+    auto next_ret = [&]() -> std::uint32_t {
+        mbias_assert(ret_at < n_rets, "replay return stream exhausted");
+        return rets[ret_at++];
+    };
+
+    // Per-lane spine.  enter() is the lane's half of a dispatch: the
+    // noise check (before fetch, as in the plan loop), the shared
+    // fetch charge, then its own icache line memo.
+    Cycles fetch_charge = 0;
+    Addr line_first = 0, line_last = 0;
+    auto enter = [&](std::size_t k) __attribute__((always_inline)) -> Cycles {
+        LaneClock &l = hot[k];
+        if (__builtin_expect(l.now >= l.nextEvent, 0)) {
+            LaneModels &m = cold[k];
+            m.clock.fire(l.now, m.ctrs, m.mem, l.lastCodeLine);
+            l.nextEvent = m.clock.nextEvent;
+        }
+        Cycles now = l.now + fetch_charge;
+        if (caches_on) {
+            for (Addr line = line_first; line <= line_last; line += iline) {
+                if (line == l.lastCodeLine)
+                    continue;
+                l.lastCodeLine = line;
+                now += cold[k].mem.fetchLine(none, line, cold[k].ctrs);
+            }
+        }
+        return now;
+    };
+    auto wait_for = [&](LaneClock &l, isa::Reg r, Cycles now)
+        __attribute__((always_inline)) -> Cycles {
+        const Cycles ready = l.regReady[r];
+        if (ready > now) {
+            const Cycles stall = ready - now;
+            Cycles exposed;
+            if constexpr (Core::kInOrder)
+                exposed = stall;
+            else
+                exposed = stall - std::min<Cycles>(stall, ooo_window);
+            now += exposed;
+            l.stalls += exposed;
+        }
+        return now;
+    };
+    auto set_ready = [&](LaneClock &l, isa::Reg rd, Cycles ready)
+        __attribute__((always_inline)) {
+        if (rd != isa::reg::zero)
+            l.regReady[rd] = ready;
+    };
+    // Lane-invariant redirect charge of a taken transfer to @p target
+    // (in-order front ends refetch into the middle of a fetch block).
+    auto realign = [&](Addr target) -> Cycles {
+        if constexpr (Core::kInOrder) {
+            if (model_blocks && (target & (fetch_block_bytes - 1)) != 0)
+                return fetch_realign_pen;
+        }
+        (void)target;
+        return 0;
+    };
+    auto btb_charge = [&](const DecodedOp &b, Addr target) -> Cycles {
+        if (btb_on && !btb_.lookupAndUpdateHot(b.pc, target)) {
+            shared.inc(Counter::BtbMisses);
+            return btb_miss_pen;
+        }
+        return 0;
+    };
+
+    std::uint64_t icount = 0;
+    std::uint32_t idx = trace.entryIdx;
+    bool halted = false;
+
+    while (icount < max_insts) {
+        const DecodedOp &d = ops[idx];
+        ++icount;
+
+        // Lane-invariant half of fetchAccounting(): fetch groups and
+        // the ITLB, folded into one charge every lane adds.
+        fetch_charge = 0;
+        if (force_new_group || group_slots == 0 ||
+            (model_blocks && d.pc >= group_block_end)) {
+            fetch_charge = 1;
+            shared.inc(Counter::FetchGroups);
+            group_slots = fetch_width;
+            group_block_end =
+                model_blocks ? alignDown(d.pc, fetch_block_bytes) +
+                                   fetch_block_bytes
+                             : ~Addr(0);
+            force_new_group = false;
+        }
+        group_slots -= 1;
+        if (model_blocks && d.pc + d.size > group_block_end)
+            group_slots = 0;
+        line_first = alignDown(d.pc, iline);
+        line_last = alignDown(d.pc + d.size - 1, iline);
+        if (tlbs_on) {
+            const Addr page = d.pc >> ipage_shift;
+            if (page != last_code_page) {
+                last_code_page = page;
+                const unsigned misses = s_itlb.accessVpns(
+                    page, (d.pc + d.size - 1) >> ipage_shift);
+                if (misses) {
+                    shared.inc(Counter::ItlbMisses, misses);
+                    fetch_charge += misses * itlb_miss_pen;
+                }
+            }
+        }
+
+        switch (d.op) {
+          case Opcode::Add:
+          case Opcode::Sub:
+          case Opcode::Mul:
+          case Opcode::Divu:
+          case Opcode::Remu:
+          case Opcode::And:
+          case Opcode::Or:
+          case Opcode::Xor:
+          case Opcode::Sll:
+          case Opcode::Srl:
+          case Opcode::Sra:
+          case Opcode::Slt:
+          case Opcode::Sltu: {
+              const Cycles lat = d.op == Opcode::Mul ? mul_lat
+                                 : d.op == Opcode::Divu ||
+                                         d.op == Opcode::Remu
+                                     ? div_lat
+                                     : 1;
+              for (std::size_t k = 0; k < n_lanes; ++k) {
+                  LaneClock &l = hot[k];
+                  Cycles now = enter(k);
+                  now = wait_for(l, d.rs1, now);
+                  now = wait_for(l, d.rs2, now);
+                  Cycles ready = now + lat;
+                  if constexpr (Core::kInOrder) {
+                      // In-order pipes block issue behind a multi-cycle
+                      // ALU op; the result is ready right after.
+                      if (lat > 1) {
+                          now += lat - 1;
+                          l.stalls += lat - 1;
+                          ready = now + 1;
+                      }
+                  }
+                  set_ready(l, d.rd, ready);
+                  l.now = now;
+              }
+              ++idx;
+              break;
+          }
+
+          case Opcode::Addi:
+          case Opcode::Andi:
+          case Opcode::Ori:
+          case Opcode::Xori:
+          case Opcode::Slli:
+          case Opcode::Srli:
+          case Opcode::Srai:
+          case Opcode::Slti:
+            for (std::size_t k = 0; k < n_lanes; ++k) {
+                LaneClock &l = hot[k];
+                const Cycles now = wait_for(l, d.rs1, enter(k));
+                set_ready(l, d.rd, now + 1);
+                l.now = now;
+            }
+            ++idx;
+            break;
+
+          case Opcode::Li:
+            for (std::size_t k = 0; k < n_lanes; ++k) {
+                LaneClock &l = hot[k];
+                const Cycles now = enter(k);
+                set_ready(l, d.rd, now + 1);
+                l.now = now;
+            }
+            ++idx;
+            break;
+
+          case Opcode::Ld1:
+          case Opcode::Ld2:
+          case Opcode::Ld4:
+          case Opcode::Ld8: {
+              const Addr a = next_addr();
+              const bool stack = a >= boundary;
+              shared.inc(Counter::Loads);
+              for (std::size_t k = 0; k < n_lanes; ++k) {
+                  LaneClock &l = hot[k];
+                  LaneModels &m = cold[k];
+                  Cycles now = wait_for(l, d.rs1, enter(k));
+                  const Cycles lat =
+                      m.mem.access(none, stack ? a + l.delta : a,
+                                   d.accessSize, false, icount, now, m.ctrs);
+                  set_ready(l, d.rd, now + lat);
+                  l.now = now;
+              }
+              ++idx;
+              break;
+          }
+
+          case Opcode::St1:
+          case Opcode::St2:
+          case Opcode::St4:
+          case Opcode::St8: {
+              const Addr a = next_addr();
+              const bool stack = a >= boundary;
+              shared.inc(Counter::Stores);
+              for (std::size_t k = 0; k < n_lanes; ++k) {
+                  LaneClock &l = hot[k];
+                  LaneModels &m = cold[k];
+                  Cycles now = wait_for(l, d.rs1, enter(k));
+                  now = wait_for(l, d.rd, now); // data register
+                  m.mem.access(none, stack ? a + l.delta : a, d.accessSize,
+                               true, icount, now, m.ctrs);
+                  l.now = now;
+              }
+              ++idx;
+              break;
+          }
+
+          case Opcode::Beq:
+          case Opcode::Bne:
+          case Opcode::Blt:
+          case Opcode::Bge:
+          case Opcode::Bltu:
+          case Opcode::Bgeu: {
+              // Reference order: BranchesExecuted, predict+train, then
+              // the taken path; the lanes add the summed charge after
+              // their operand waits.
+              const bool taken = next_taken();
+              shared.inc(Counter::BranchesExecuted);
+              Cycles charge = 0;
+              if (bp_on) {
+                  bool pred;
+                  if (gshare) {
+                      pred = gshare->predictHot(d.pc);
+                      gshare->updateHot(d.pc, taken);
+                  } else {
+                      pred = bimodal->predictHot(d.pc);
+                      bimodal->updateHot(d.pc, taken);
+                  }
+                  if (pred != taken) {
+                      shared.inc(Counter::BranchMispredicts);
+                      charge += mispredict_pen;
+                      force_new_group = true;
+                  }
+              }
+              if (taken) {
+                  shared.inc(Counter::TakenBranches);
+                  const Addr target = ops[d.targetIdx].pc;
+                  charge += btb_charge(d, target) + realign(target);
+                  force_new_group = true;
+                  idx = d.targetIdx;
+              } else {
+                  ++idx;
+              }
+              for (std::size_t k = 0; k < n_lanes; ++k) {
+                  LaneClock &l = hot[k];
+                  Cycles now = wait_for(l, d.rs1, enter(k));
+                  now = wait_for(l, d.rs2, now);
+                  l.now = now + charge;
+              }
+              break;
+          }
+
+          case Opcode::Jmp: {
+              const Addr target = ops[d.targetIdx].pc;
+              const Cycles charge = btb_charge(d, target) + realign(target);
+              for (std::size_t k = 0; k < n_lanes; ++k)
+                  hot[k].now = enter(k) + charge;
+              force_new_group = true;
+              idx = d.targetIdx;
+              break;
+          }
+
+          case Opcode::Call: {
+              shared.inc(Counter::Calls);
+              shared.inc(Counter::Stores);
+              const Addr a = next_addr();
+              const bool stack = a >= boundary;
+              const Addr target = ops[d.targetIdx].pc;
+              const Cycles charge = btb_charge(d, target) + realign(target);
+              for (std::size_t k = 0; k < n_lanes; ++k) {
+                  LaneClock &l = hot[k];
+                  LaneModels &m = cold[k];
+                  Cycles now = wait_for(l, isa::reg::sp, enter(k));
+                  m.mem.access(none, stack ? a + l.delta : a, 8, true,
+                               icount, now, m.ctrs);
+                  l.regReady[isa::reg::sp] = now + 1;
+                  l.now = now + charge;
+              }
+              force_new_group = true;
+              idx = d.targetIdx;
+              break;
+          }
+
+          case Opcode::Ret: {
+              shared.inc(Counter::Loads);
+              const Addr a = next_addr();
+              const bool stack = a >= boundary;
+              // The resolved code index was recorded; the functional
+              // load it came from never happens here, but the access
+              // still exercises each lane's cache/TLB.
+              const std::uint32_t t = next_ret();
+              const Cycles charge = realign(ops[t].pc);
+              for (std::size_t k = 0; k < n_lanes; ++k) {
+                  LaneClock &l = hot[k];
+                  LaneModels &m = cold[k];
+                  Cycles now = wait_for(l, isa::reg::sp, enter(k));
+                  m.mem.access(none, stack ? a + l.delta : a, 8, false,
+                               icount, now, m.ctrs);
+                  l.regReady[isa::reg::sp] = now + 1;
+                  l.now = now + charge;
+              }
+              force_new_group = true;
+              idx = t;
+              break;
+          }
+
+          case Opcode::Nop:
+            shared.inc(Counter::NopsExecuted);
+            for (std::size_t k = 0; k < n_lanes; ++k)
+                hot[k].now = enter(k);
+            ++idx;
+            break;
+
+          case Opcode::Halt:
+            for (std::size_t k = 0; k < n_lanes; ++k)
+                hot[k].now = enter(k);
+            halted = true;
+            break;
+
+          default:
+            mbias_panic("unresolved La reached the simulator");
+        }
+        if (halted)
+            break;
+    }
+
+    // The architectural outcome comes from the recording; the loop
+    // only re-derived control flow from the streams.  a0 gets each
+    // lane's stack rebase when it is itself a stack address (e.g. a
+    // workload returning a stack pointer).
+    mbias_assert(icount == trace.icount && halted == trace.halted,
+                 "replay diverged from its recording");
+    std::vector<RunResult> out(n_lanes);
+    for (std::size_t k = 0; k < n_lanes; ++k) {
+        PerfCounters &c = out[k].counters;
+        c = cold[k].ctrs;
+        for (const Counter id : allCounters())
+            c.inc(id, shared.get(id));
+        c.inc(Counter::StallCycles, hot[k].stalls);
+        c.set(Counter::Cycles, hot[k].now);
+        c.set(Counter::Instructions, icount);
+        out[k].halted = halted;
+        out[k].result = trace.resultA0 >= boundary
+                            ? trace.resultA0 + hot[k].delta
+                            : trace.resultA0;
+    }
+    return out;
 }
 
 } // namespace mbias::sim

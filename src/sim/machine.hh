@@ -4,6 +4,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "sim/config.hh"
 #include "sim/counters.hh"
@@ -40,6 +42,15 @@ std::string activeSimTierDescription();
 bool referenceForcedByEnv();
 
 class Machine;
+
+/** One repetition of a lane pass (Machine::runReplayLanes): the image
+ *  it runs — its own ASLR draw, so its own stack base — and its own
+ *  noise model. */
+struct ReplayLane
+{
+    const toolchain::ProcessImage *image = nullptr;
+    NoiseModel noise;
+};
 
 /**
  * True when every switch between here and the hardware allows the
@@ -111,8 +122,13 @@ struct RunResult
  * and the final architectural state into a FunctionalTrace;
  * runReplay() then re-runs *only the timing models* over that stream
  * under a fresh noise seed, machine geometry, or ASLR stack base,
- * skipping functional execution.  Its hatches mirror the others:
- * setUseReplayPath(false) and MBIAS_SIM_REPLAY=0.
+ * skipping functional execution.  runReplayLanes() times a whole
+ * repetition family in one walk of the stream: work every repetition
+ * shares (dispatch, stream decode, predictor/BTB, fetch groups, ITLB)
+ * runs once per op, and one timing lane per repetition keeps what can
+ * differ (clock, register readiness, icache/dcache/L2, DTLB, store
+ * buffer, noise).  runReplay() is a pass of one lane.  Its hatches
+ * mirror the others: setUseReplayPath(false) and MBIAS_SIM_REPLAY=0.
  */
 class Machine
 {
@@ -155,10 +171,30 @@ class Machine
      * recording serves every ASLR draw.  The RunResult is bitwise
      * identical to run() with the same arguments.  Falls back to plain
      * run() when the tier is unusable.
+     *
+     * A pass of one lane, unless the latest runReplayLanes() on this
+     * machine already timed exactly this repetition (same recording,
+     * budget, stack base and noise model): then that lane's result is
+     * handed out, once, without walking the stream again.  So a caller
+     * can time a family in one pass and still return every repetition
+     * through this per-rep entry point.  A call that matches no lane
+     * drops the rest of that pass.
      */
     RunResult runReplay(const toolchain::ProcessImage &image,
                         std::uint64_t max_insts, const NoiseModel &noise,
                         const FunctionalTrace &trace);
+
+    /**
+     * Times every lane over one walk of @p trace (each lane's image
+     * must match(image, max_insts)).  Result k is bitwise identical to
+     * runReplay(*lanes[k].image, max_insts, lanes[k].noise, trace) and
+     * so to run() with the same arguments; the results also stay
+     * available to runReplay() until the next lane pass.  Falls back
+     * to one plain run() per lane when the tier is unusable.
+     */
+    std::vector<RunResult> runReplayLanes(const FunctionalTrace &trace,
+                                          std::uint64_t max_insts,
+                                          std::span<const ReplayLane> lanes);
 
     const MachineConfig &config() const { return config_; }
 
@@ -187,44 +223,57 @@ class Machine
     class RunObserver; // runPlanImpl's observing policy
 
     /** How runPlanImpl treats the functional stream: execute it
-     *  (Normal), execute and capture it (Record), or consume a
-     *  captured one instead of executing (Replay). */
-    enum class RunMode { Normal, Record, Replay };
+     *  (Normal), or execute and capture it (Record). */
+    enum class RunMode { Normal, Record };
 
     /** The one place the plan-based tiers are chosen: looks up the
      *  image's ExecutionPlan and runs runPlanImpl over it — observed
      *  (untraced) when a Normal run has a sink, else traced when
-     *  traceTierUsable(), else with the backend's core model.  run(),
-     *  runRecord() and runReplay() all come here. */
+     *  traceTierUsable(), else with the backend's core model.  run()
+     *  and runRecord() come here. */
     template <RunMode Mode>
     RunResult runPlan(const toolchain::ProcessImage &image,
                       std::uint64_t max_insts, const NoiseModel &noise,
-                      FunctionalTrace *rec, const FunctionalTrace *rep,
-                      Profile *profile = nullptr,
+                      FunctionalTrace *rec, Profile *profile = nullptr,
                       Attribution *attribution = nullptr);
 
     /** Shared direct-threaded interpreter body behind runPlan: the
      *  fast path (Traced = false), the trace tier (Traced = true,
      *  walking a TracePlan's rewritten ops with superblocks batched —
-     *  sim/trace.hh), and the record/replay tier (Mode != Normal;
-     *  @p rec receives the stream under Record, @p rep supplies it
-     *  under Replay; @p noise drives the oracle-equivalent interrupt
-     *  and DVFS models in every mode).  Core is the
-     *  CoreModel policy (machine.cc: OooCore / InOrderCore) selected
-     *  per backend at compile time: it decides stall exposure,
-     *  multi-cycle issue blocking, and taken-redirect realignment at
-     *  `if constexpr` points, so the execution spine (decode,
-     *  dataflow, memory, shadow structures) is shared and each
-     *  instantiation keeps its direct-threaded throughput.  Obs is the
-     *  observation policy (NullObserver / RunObserver), compiled out
-     *  when null. */
+     *  sim/trace.hh), and the recording half of the replay tier (Mode
+     *  = Record; @p rec receives the stream; @p noise drives the
+     *  oracle-equivalent interrupt and DVFS models in every mode).
+     *  Core is the CoreModel policy (machine.cc: OooCore /
+     *  InOrderCore) selected per backend at compile time: it decides
+     *  stall exposure, multi-cycle issue blocking, and taken-redirect
+     *  realignment at `if constexpr` points, so the execution spine
+     *  (decode, dataflow, memory, shadow structures) is shared and
+     *  each instantiation keeps its direct-threaded throughput.  Obs
+     *  is the observation policy (NullObserver / RunObserver),
+     *  compiled out when null. */
     template <bool Traced, RunMode Mode, class Core, class Obs>
     RunResult runPlanImpl(const toolchain::ProcessImage &image,
                           std::uint64_t max_insts,
                           const ExecutionPlan &plan,
                           const TracePlan *tplan,
                           const NoiseModel &noise, FunctionalTrace *rec,
-                          const FunctionalTrace *rep, Obs &obs);
+                          Obs &obs);
+
+    /** The lane pass behind runReplay() and runReplayLanes(): checks
+     *  every lane against @p trace, picks the backend's core model and
+     *  tallies the pass (the tier must be usable). */
+    std::vector<RunResult> runLanes(const FunctionalTrace &trace,
+                                    std::uint64_t max_insts,
+                                    std::span<const ReplayLane> lanes);
+
+    /** The replay interpreter: walks the untraced ExecutionPlan along
+     *  @p trace once, applying each op's lane-invariant work once and
+     *  its per-lane timing to every lane in lane order. */
+    template <class Core>
+    std::vector<RunResult> runLanesImpl(const FunctionalTrace &trace,
+                                        std::uint64_t max_insts,
+                                        const ExecutionPlan &plan,
+                                        std::span<const ReplayLane> lanes);
 
     /** The reference interpreter, kept only as the differential
      *  oracle; run() reaches it only under the escape hatches. */
@@ -257,6 +306,19 @@ class Machine
     bool useFastPath_ = true;
     bool useTracePath_ = true;
     bool useReplayPath_ = true;
+
+    /** A lane of the latest runReplayLanes() that runReplay() has not
+     *  handed out yet, with the inputs its result depends on (the
+     *  trace by FunctionalTrace::serial, which is never reused). */
+    struct LaneResult
+    {
+        std::uint64_t serial = 0;
+        std::uint64_t maxInsts = 0;
+        Addr initialSp = 0;
+        NoiseModel noise;
+        RunResult result;
+    };
+    std::vector<LaneResult> laneResults_;
 };
 
 } // namespace mbias::sim

@@ -143,10 +143,12 @@ ReplayCache::noteRecord()
 }
 
 void
-ReplayCache::noteReplay()
+ReplayCache::noteLanePass(std::uint64_t lanes)
 {
-    replays_.fetch_add(1, std::memory_order_relaxed);
-    bump(cReplays_);
+    replays_.fetch_add(lanes, std::memory_order_relaxed);
+    lanePasses_.fetch_add(1, std::memory_order_relaxed);
+    bump(cReplays_, lanes);
+    bump(cLanePasses_);
 }
 
 void
@@ -166,6 +168,7 @@ ReplayCache::attachMetrics(obs::Registry *metrics)
         cEvictions_ = nullptr;
         cRecords_ = nullptr;
         cReplays_ = nullptr;
+        cLanePasses_ = nullptr;
         cFallbacks_ = nullptr;
         return;
     }
@@ -174,6 +177,7 @@ ReplayCache::attachMetrics(obs::Registry *metrics)
     cEvictions_ = &metrics->counter("sim.replay.evictions");
     cRecords_ = &metrics->counter("sim.replay.records");
     cReplays_ = &metrics->counter("sim.replay.replays");
+    cLanePasses_ = &metrics->counter("sim.replay.lane_passes");
     cFallbacks_ = &metrics->counter("sim.replay.fallbacks");
 }
 
@@ -187,6 +191,7 @@ ReplayCache::stats() const
     s.evictions = evictions_;
     s.records = records_.load(std::memory_order_relaxed);
     s.replays = replays_.load(std::memory_order_relaxed);
+    s.lanePasses = lanePasses_.load(std::memory_order_relaxed);
     s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
     s.bytes = bytes_;
     return s;

@@ -46,11 +46,11 @@ bool replayTierUsable(const Machine &machine);
  *
  * Everything else about a run — fetch groups, cache/TLB/predictor/BTB
  * outcomes, stalls, noise jitter — is *timing*, recomputed live by
- * Machine::runReplay against this stream.  The stream itself is a pure
- * function of (program, layout, budget): OS-interrupt noise perturbs
- * cycles and cache state but never a value, and machine geometry is
- * timing-only, so one recording serves every noise seed and every
- * machine configuration.
+ * Machine::runReplay/runReplayLanes against this stream.  The stream
+ * itself is a pure function of (program, layout, budget): OS-interrupt
+ * noise perturbs cycles and cache state but never a value, and machine
+ * geometry is timing-only, so one recording serves every noise seed
+ * and every machine configuration.
  *
  * Stack ASLR is the one layout knob replay absorbs rather than keys
  * on: the loader's ASLR/env shifts move only the initial stack
@@ -74,6 +74,11 @@ struct FunctionalTrace
     Addr heapBase = 0;
     std::uint32_t entryIdx = 0;
     std::uint64_t budget = 0; ///< max_insts the stream was cut at
+
+    /** Unique per recording (runRecord numbers them from 1, never
+     *  reusing one), so a trace's identity survives its address being
+     *  recycled; 0 for a trace runRecord did not make. */
+    std::uint64_t serial = 0;
 
     /** initialSp of the recorded image (rebase origin). */
     Addr recordedSp = 0;
@@ -159,8 +164,11 @@ class ReplayCache
 
     /** Tallies one recorded run (Machine::runRecord). */
     void noteRecord();
-    /** Tallies one replayed run (Machine::runReplay). */
-    void noteReplay();
+    /** Tallies one lane pass (Machine::runReplayLanes, or runReplay as
+     *  a pass of one lane) that timed @p lanes repetitions: each lane
+     *  counts as one replay, so replays / lanePasses is the mean lane
+     *  width. */
+    void noteLanePass(std::uint64_t lanes);
     /** Tallies one repetition family that fell back to per-rep
      *  execution (preconditions or footprint). */
     void noteFallback();
@@ -176,6 +184,7 @@ class ReplayCache
         std::uint64_t evictions = 0;
         std::uint64_t records = 0;  ///< instrumented recording runs
         std::uint64_t replays = 0;  ///< runs served from a stream
+        std::uint64_t lanePasses = 0; ///< walks of a stream (>= 1 lane)
         std::uint64_t fallbacks = 0;
         std::uint64_t bytes = 0; ///< approx footprint of live entries
     };
@@ -219,6 +228,7 @@ class ReplayCache
 
     std::atomic<std::uint64_t> records_{0};
     std::atomic<std::uint64_t> replays_{0};
+    std::atomic<std::uint64_t> lanePasses_{0};
     std::atomic<std::uint64_t> fallbacks_{0};
 
     std::mutex metricsMutex_; ///< serializes attachMetrics() calls
@@ -227,6 +237,7 @@ class ReplayCache
     std::atomic<obs::Counter *> cEvictions_{nullptr};
     std::atomic<obs::Counter *> cRecords_{nullptr};
     std::atomic<obs::Counter *> cReplays_{nullptr};
+    std::atomic<obs::Counter *> cLanePasses_{nullptr};
     std::atomic<obs::Counter *> cFallbacks_{nullptr};
 };
 

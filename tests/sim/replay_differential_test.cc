@@ -12,7 +12,9 @@
  * fallback (a machine with the tier toggled off), and the
  * MBIAS_SIM_REPLAY=0 escape hatch; a dedicated ctest leg reruns the
  * whole file under that hatch so the fallback path keeps the same
- * bits.
+ * bits.  Lane passes (Machine::runReplayLanes) are held to the same
+ * contract lane by lane: every lane equals a one-lane runReplay and
+ * the oracle, on every backend, under every noise shape and ASLR.
  */
 #include <gtest/gtest.h>
 
@@ -20,9 +22,11 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "isa/builder.hh"
 #include "sim/machine.hh"
+#include "sim/registry.hh"
 #include "sim/replay.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
@@ -106,6 +110,8 @@ expectRecordReplayIdentical(const sim::MachineConfig &mc,
     }
     ASSERT_NE(trace, nullptr) << what << ": recording unexpectedly aborted";
     EXPECT_EQ(trace->icount, rec.instructions());
+    std::vector<sim::ReplayLane> lanes;
+    std::vector<sim::RunResult> per_rep;
     for (unsigned s = 1; s <= extra_seeds; ++s) {
         const auto noise = sim::NoiseModel::withSeed(seed_base + s);
         const auto rep = machine.runReplay(image, budget, noise, *trace);
@@ -113,6 +119,8 @@ expectRecordReplayIdentical(const sim::MachineConfig &mc,
         EXPECT_EQ(rep, ref)
             << what << ": replay diverged under seed " << seed_base + s
             << " (cycles " << rep.cycles() << " vs " << ref.cycles() << ")";
+        lanes.push_back({&image, noise});
+        per_rep.push_back(rep);
     }
     // Noise-free replay too: replay must degrade to the deterministic
     // run when the noise model is off.
@@ -120,6 +128,11 @@ expectRecordReplayIdentical(const sim::MachineConfig &mc,
         machine.runReplay(image, budget, sim::NoiseModel::none(), *trace);
     EXPECT_EQ(quiet, plainRun(mc, image, budget, sim::NoiseModel::none()))
         << what << ": noise-free replay diverged";
+    // The same repetitions as one lane pass, the noise-free one last.
+    lanes.push_back({&image, sim::NoiseModel::none()});
+    per_rep.push_back(quiet);
+    EXPECT_EQ(machine.runReplayLanes(*trace, budget, lanes), per_rep)
+        << what << ": lane pass diverged from per-rep replays";
 }
 
 /** A hot kernel with loads/stores/calls so every stream (branch bits,
@@ -128,12 +141,12 @@ expectRecordReplayIdentical(const sim::MachineConfig &mc,
  *  ASLR test must re-load the SAME program, exactly as
  *  ExperimentRunner::aslrRandomizedMetric does. */
 std::shared_ptr<const toolchain::LinkedProgram>
-kernelProgram()
+kernelProgram(std::int64_t trips = 300)
 {
     using namespace isa;
     ProgramBuilder b("replay_kernel");
     b.func("main");
-    b.li(reg::t0, 300);
+    b.li(reg::t0, trips);
     b.li(reg::s0, 0);
     b.label("loop");
     b.call("body");
@@ -391,6 +404,204 @@ TEST(ReplayDifferential, EnvHatchAndTierReporting)
 
     if (oldRef)
         ::setenv("MBIAS_SIM_REFERENCE", savedRef.c_str(), 1);
+}
+
+/** Interrupt-only, DVFS-only and combined noise, tightened so every
+ *  shape fires several times inside the lane kernel; lane k draws
+ *  seed + k. */
+std::vector<std::pair<std::string, sim::NoiseModel>>
+laneNoiseShapes()
+{
+    auto both = sim::NoiseModel::withDvfs(0);
+    both.meanIntervalCycles = 3000;
+    both.dvfsMeanIntervalCycles = 9000;
+    both.dvfsMeanResidencyCycles = 2000;
+    auto interrupts = both;
+    interrupts.dvfsEnabled = false;
+    auto dvfs = both;
+    dvfs.enabled = false;
+    return {{"interrupts", interrupts}, {"dvfs", dvfs}, {"both", both}};
+}
+
+/** One repetition family: lane k runs images[k] under noises[k]. */
+struct Family
+{
+    std::vector<toolchain::ProcessImage> images;
+    std::vector<sim::NoiseModel> noises;
+
+    std::vector<sim::ReplayLane> lanes() const
+    {
+        std::vector<sim::ReplayLane> out;
+        for (std::size_t k = 0; k < images.size(); ++k)
+            out.push_back({&images[k], noises[k]});
+        return out;
+    }
+};
+
+/** @p n lanes of @p prog: ASLR draw k when @p aslr (else one fixed
+ *  layout), noise @p noise with seed 0x1a4e + k when @p noisy. */
+Family
+makeFamily(const std::shared_ptr<const toolchain::LinkedProgram> &prog,
+           unsigned n, bool aslr, bool noisy, const sim::NoiseModel &noise)
+{
+    Family f;
+    for (unsigned k = 0; k < n; ++k) {
+        f.images.push_back(kernelImage(prog, aslr ? 0x5e + k : 0));
+        sim::NoiseModel m = noisy ? noise : sim::NoiseModel::none();
+        m.seed = 0x1a4e + k;
+        f.noises.push_back(m);
+    }
+    return f;
+}
+
+/**
+ * Records @p family's first image on @p mc, then times every lane in
+ * one pass and holds each lane bitwise equal to a one-lane runReplay
+ * on a fresh machine and to the oracle.  With the tier hatched off
+ * there is no recording: the pass must then fall back to plain runs,
+ * with the same bits.
+ */
+void
+expectLanesIdentical(const sim::MachineConfig &mc, const Family &family,
+                     const std::string &what)
+{
+    const std::uint64_t budget = 500'000'000;
+    sim::Machine machine(mc);
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    machine.runRecord(family.images[0], budget, sim::NoiseModel::none(),
+                      &trace);
+    if (replayTierActive())
+        ASSERT_NE(trace, nullptr) << what;
+    else
+        ASSERT_EQ(trace, nullptr) << what;
+    const sim::FunctionalTrace unused; // the fallback never reads it
+    const sim::FunctionalTrace &stream = trace ? *trace : unused;
+    const auto lanes = family.lanes();
+    const auto got = machine.runReplayLanes(stream, budget, lanes);
+    ASSERT_EQ(got.size(), lanes.size()) << what;
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        const auto &lane = lanes[k];
+        sim::Machine single(mc);
+        const auto one =
+            single.runReplay(*lane.image, budget, lane.noise, stream);
+        const auto ref = plainRun(mc, *lane.image, budget, lane.noise);
+        EXPECT_EQ(got[k], one)
+            << what << ": lane " << k << " of " << lanes.size()
+            << " diverged from a one-lane replay (cycles "
+            << got[k].cycles() << " vs " << one.cycles() << ")";
+        EXPECT_EQ(got[k], ref)
+            << what << ": lane " << k << " of " << lanes.size()
+            << " diverged from the oracle (cycles " << got[k].cycles()
+            << " vs " << ref.cycles() << ")";
+    }
+}
+
+TEST(ReplayDifferential, LanesMatchOneLaneAndOracleEveryBackend)
+{
+    // Every registered backend x {interrupts, DVFS, both, ASLR draws
+    // without noise, ASLR plus both} x lane counts 1, 2 and 23 (the
+    // runner's AslrRandomized and NoisePaired families are 20-24
+    // wide).  The pass has no internal chunk width; 40 lanes, past any
+    // family the runner builds, run on the combined shape.
+    const auto prog = kernelProgram(2000);
+    auto shapes = laneNoiseShapes();
+    const sim::NoiseModel both = shapes.back().second;
+    for (const auto &backend : sim::MachineRegistry::global().backends()) {
+        const auto &mc = backend.config;
+        const auto quiet = plainRun(mc, kernelImage(prog), 500'000'000,
+                                    sim::NoiseModel::none());
+        for (const auto &[label, noise] : shapes) {
+            // The shape must actually fire inside the run.
+            EXPECT_GT(plainRun(mc, kernelImage(prog), 500'000'000, noise)
+                          .cycles(),
+                      quiet.cycles())
+                << label << " on " << mc.name << ": no noise event landed";
+            for (unsigned n : {1u, 2u, 23u})
+                expectLanesIdentical(
+                    mc, makeFamily(prog, n, false, true, noise),
+                    label + " x" + std::to_string(n) + " on " + mc.name);
+        }
+        for (unsigned n : {1u, 2u, 23u})
+            expectLanesIdentical(mc, makeFamily(prog, n, true, false, both),
+                                 "aslr x" + std::to_string(n) + " on " +
+                                     mc.name);
+        for (unsigned n : {1u, 2u, 23u, 40u})
+            expectLanesIdentical(mc, makeFamily(prog, n, true, true, both),
+                                 "aslr+noise x" + std::to_string(n) +
+                                     " on " + mc.name);
+    }
+}
+
+TEST(ReplayDifferential, MixedNoiseLanes)
+{
+    // One lane with noise off among noisy lanes: the quiet lane's
+    // deadline never fires while its neighbours' do, so any noise
+    // state shared across lanes shows in one of them.  Run on the
+    // lane kernel and on a suite workload, on every backend.
+    const auto both = laneNoiseShapes().back().second;
+    const auto prog = kernelProgram(2000);
+    const auto perl = imageFor("perl", toolchain::LinkOrder::asGiven(), 96);
+    for (const auto &backend : sim::MachineRegistry::global().backends()) {
+        const auto &mc = backend.config;
+        for (unsigned quiet_lane : {0u, 3u}) {
+            Family f = makeFamily(prog, 6, quiet_lane == 3, true, both);
+            f.noises[quiet_lane] = sim::NoiseModel::none();
+            expectLanesIdentical(mc, f,
+                                 "kernel, quiet lane " +
+                                     std::to_string(quiet_lane) + " on " +
+                                     mc.name);
+        }
+        Family f;
+        for (unsigned k = 0; k < 4; ++k) {
+            f.images.push_back(perl);
+            sim::NoiseModel m = both;
+            m.seed = 0x9e71 + k;
+            f.noises.push_back(k == 1 ? sim::NoiseModel::none() : m);
+        }
+        expectLanesIdentical(mc, f, "perl, quiet lane 1 on " + mc.name);
+    }
+}
+
+TEST(ReplayDifferential, LanePassServesEachRepetitionOnce)
+{
+    // runReplay hands out each lane of the latest pass exactly once,
+    // and the tier's statistics count one replay per lane and one
+    // pass per walk: replays / lane_passes is the mean lane width.
+    if (!replayTierActive())
+        return; // nothing is recorded, so no pass is served
+    const std::uint64_t budget = 500'000'000;
+    const auto mc = sim::MachineConfig::core2Like();
+    const auto prog = kernelProgram();
+    const Family f =
+        makeFamily(prog, 5, true, true, laneNoiseShapes().back().second);
+    sim::Machine machine(mc);
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    machine.runRecord(f.images[0], budget, sim::NoiseModel::none(), &trace);
+    ASSERT_NE(trace, nullptr);
+    const auto lanes = f.lanes();
+
+    const auto s0 = sim::ReplayCache::global().stats();
+    const auto got = machine.runReplayLanes(*trace, budget, lanes);
+    const auto s1 = sim::ReplayCache::global().stats();
+    EXPECT_EQ(s1.lanePasses - s0.lanePasses, 1u);
+    EXPECT_EQ(s1.replays - s0.replays, lanes.size());
+
+    for (std::size_t k = lanes.size(); k-- > 0;) // any order is served
+        EXPECT_EQ(machine.runReplay(*lanes[k].image, budget, lanes[k].noise,
+                                    *trace),
+                  got[k])
+            << "served lane " << k;
+    const auto s2 = sim::ReplayCache::global().stats();
+    EXPECT_EQ(s2.lanePasses, s1.lanePasses) << "serving walked the stream";
+    EXPECT_EQ(s2.replays, s1.replays);
+
+    // A lane already handed out is timed afresh, as a pass of one.
+    EXPECT_EQ(machine.runReplay(*lanes[2].image, budget, lanes[2].noise,
+                                *trace),
+              got[2]);
+    const auto s3 = sim::ReplayCache::global().stats();
+    EXPECT_EQ(s3.lanePasses - s2.lanePasses, 1u);
+    EXPECT_EQ(s3.replays - s2.replays, 1u);
 }
 
 } // namespace
