@@ -55,7 +55,7 @@ echo "campaign harness timings: results/BENCH_campaign.json"
 
 echo "== microbenchmarks =="
 # Prints progress on stderr and one JSON document on stdout: the
-# artifact-cache x interpreter throughput matrix.
+# interpreter-tier throughput matrix.
 "$BUILD"/bench/microbench_sim_throughput --jobs "$JOBS" \
     2>&1 >results/BENCH_sim.json | tee -a results/bench_output.txt
 echo "sim throughput: results/BENCH_sim.json" \
@@ -66,8 +66,6 @@ echo "sim throughput: results/BENCH_sim.json" \
     2>&1 >results/BENCH_stats.json | tee -a results/bench_output.txt
 echo "stats throughput: results/BENCH_stats.json" \
     | tee -a results/bench_output.txt
-# Fold every BENCH_*.json headline into the per-PR trajectory table.
-scripts/bench_report.sh | tee -a results/bench_output.txt
 
 echo "== examples =="
 : > results/examples_output.txt

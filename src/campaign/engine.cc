@@ -257,15 +257,11 @@ CampaignEngine::run()
     }
 
     // All workers materialize setups through the shared artifact
-    // cache (unless disabled); its hit/miss/byte counters land in
-    // this run's registry for the duration of the run.
-    toolchain::ArtifactCache &artifacts =
-        toolchain::ArtifactCache::global();
-    if (opts_.artifactCache)
-        artifacts.attachMetrics(&metrics);
-    // The simulator's plan/trace/replay caches mirror their counters
-    // the same way (sim.plan.*, sim.trace.*, sim.replay.*) regardless
-    // of the artifact cache.
+    // cache; its hit/miss/byte counters land in this run's registry
+    // for the duration of the run.  The simulator's plan/trace/replay
+    // caches mirror their counters the same way (sim.plan.*,
+    // sim.trace.*, sim.replay.*).
+    toolchain::ArtifactCache::global().attachMetrics(&metrics);
     sim::PlanCache::global().attachMetrics(&metrics);
     sim::TraceCache::global().attachMetrics(&metrics);
     sim::ReplayCache::global().attachMetrics(&metrics);
@@ -273,22 +269,19 @@ CampaignEngine::run()
     // detach on every exit path, before the registry dies.
     struct DetachMetrics
     {
-        toolchain::ArtifactCache *cache;
         ~DetachMetrics()
         {
-            if (cache)
-                cache->attachMetrics(nullptr);
+            toolchain::ArtifactCache::global().attachMetrics(nullptr);
             sim::PlanCache::global().attachMetrics(nullptr);
             sim::TraceCache::global().attachMetrics(nullptr);
             sim::ReplayCache::global().attachMetrics(nullptr);
         }
-    } detachMetrics{opts_.artifactCache ? &artifacts : nullptr};
+    } detachMetrics;
 
     parallel::ThreadPool pool(opts_.jobs, &metrics);
     std::vector<core::RunOutcome> results(tasks.size());
-    // One runner per worker: with the shared artifact cache runners
-    // are cheap handles; without it each keeps a private compile memo
-    // that must stay on its own thread.
+    // One runner per worker; runners are cheap handles onto the
+    // shared artifact cache.
     std::vector<std::unique_ptr<core::ExperimentRunner>> runners(
         pool.jobs());
     std::atomic<std::uint64_t> executed{0};
@@ -353,8 +346,6 @@ CampaignEngine::run()
             runners[w] = std::make_unique<core::ExperimentRunner>(
                 spec_.experiment);
             runners[w]->setMetrics(&metrics);
-            runners[w]->setArtifactCache(
-                opts_.artifactCache ? &artifacts : nullptr);
             if (spec_.spAlign != 0)
                 runners[w]->setSpAlignOverride(spec_.spAlign);
         }

@@ -30,7 +30,7 @@ struct CampaignOptions
      * engine runs a process-wide trace session for the duration of
      * run() and writes per-task phase spans (queue-wait,
      * setup-materialize, run, store-append, aggregate) viewable in
-     * Perfetto (ui.perfetto.dev).  No-op with MBIAS_OBS=OFF.
+     * Perfetto (ui.perfetto.dev).
      */
     std::string tracePath;
 
@@ -40,17 +40,6 @@ struct CampaignOptions
      * interactive ttys; off by default.
      */
     bool progress = false;
-
-    /**
-     * Materialize setups through the process-wide toolchain
-     * ArtifactCache, so all workers share one compile per toolchain,
-     * one link per (modules, order), and one layout per (program,
-     * environment).  Artifacts are immutable and the toolchain is
-     * deterministic, so results are bitwise-identical either way —
-     * off (`--no-artifact-cache`) re-links and re-loads per task,
-     * which is the benchmark's pre-cache baseline.
-     */
-    bool artifactCache = true;
 
     /** Confidence level of the report's speedup CI. */
     double confidence = 0.95;

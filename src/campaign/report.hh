@@ -46,7 +46,7 @@ struct CampaignReport
     core::BiasReport bias;
     CampaignStats stats;
 
-    /** This run's merged metrics (empty with MBIAS_OBS=OFF). */
+    /** This run's merged metrics. */
     obs::MetricsSnapshot metrics;
 
     /** Host setup of this run (also in the store header). */

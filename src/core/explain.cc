@@ -66,8 +66,6 @@ std::string
 setEvidence(const char *what, const sim::SetCounters &a,
             const sim::SetCounters &b)
 {
-    if (!sim::Attribution::enabled())
-        return "(attribution compiled out: -DMBIAS_OBS=OFF)";
     const auto delta = missDelta(a, b);
     if (delta.empty())
         return "(no sets)";
@@ -86,8 +84,6 @@ std::string
 entryEvidence(const char *what, const sim::TableCounters &a,
               const sim::TableCounters &b)
 {
-    if (!sim::Attribution::enabled())
-        return "(attribution compiled out: -DMBIAS_OBS=OFF)";
     const auto delta = aliasDelta(a, b);
     if (delta.empty())
         return "(no entries)";
@@ -433,10 +429,6 @@ std::string
 ExplainReport::heatmaps() const
 {
     std::string os = "attribution delta heatmaps (B - A):\n";
-    if (!sim::Attribution::enabled()) {
-        os += "  (attribution compiled out: -DMBIAS_OBS=OFF)\n";
-        return os;
-    }
     os += obs::asciiHeatmapSigned("icache miss delta per set",
                                   missDelta(attrA.icache, attrB.icache));
     os += obs::asciiHeatmapSigned("dcache miss delta per set",
@@ -502,8 +494,9 @@ ExplainReport::toJson() const
                   (unsigned long long)resultB.cycles(),
                   (long long)cycleDelta());
     os += num;
-    os += ",\"attribution_enabled\":";
-    os += sim::Attribution::enabled() ? "true" : "false";
+    // Always true; kept so readers of mbias_explain 1 documents that
+    // look for it do not break.
+    os += ",\"attribution_enabled\":true";
     os += ",\"dominant_mechanism\":\"" + jsonEscape(dominantMechanism()) +
           "\"";
 
@@ -570,7 +563,7 @@ std::size_t
 ExplainReport::emitCounterTracks() const
 {
     obs::Tracer &tracer = obs::Tracer::global();
-    if (!tracer.active() || !sim::Attribution::enabled())
+    if (!tracer.active())
         return 0;
     std::size_t emitted = 0;
     const auto track = [&](const char *name, const sim::SetCounters &a,

@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "obs/trace.hh"
 #include "sim/replay.hh"
-#include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
 #include "workloads/registry.hh"
 
@@ -38,28 +37,55 @@ ExperimentRunner::addRep(stats::Sample &out, std::uint64_t run_us,
 }
 
 void
-ExperimentRunner::replayFamily(sim::Machine &machine,
-                               const sim::FunctionalTrace &trace,
-                               std::span<const sim::ReplayLane> lanes,
-                               stats::Sample &out)
+ExperimentRunner::runFamily(sim::Machine &machine,
+                            std::span<const sim::ReplayLane> reps,
+                            stats::Sample &out)
 {
     constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    std::size_t r = 0;
+    if (reps.size() > 1 && sim::replayTierUsable(machine)) {
+        auto &cache = sim::ReplayCache::global();
+        const toolchain::ProcessImage &image0 = *reps[0].image;
+        bool unrecordable = false;
+        trace = cache.find(image0, budget, &unrecordable);
+        if (!trace && !unrecordable) {
+            // The recording runs under rep 0's model: it IS rep 0.
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto rr =
+                machine.runRecord(image0, budget, reps[0].noise, &trace);
+            addRep(out, microsSince(t0), rr);
+            r = 1;
+            cache.insert(image0, budget, trace); // null = negative entry
+        }
+        if (!trace)
+            cache.noteFallback();
+    }
+    const auto rest = reps.subspan(r);
+    if (!trace) {
+        for (const sim::ReplayLane &rep : rest) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto rr = machine.run(*rep.image, budget, rep.noise);
+            addRep(out, microsSince(t0), rr);
+        }
+        return;
+    }
     const auto t0 = std::chrono::steady_clock::now();
-    machine.runReplayLanes(trace, budget, lanes);
+    machine.runReplayLanes(*trace, budget, rest);
     // The pass's wall time, shared out evenly: run_us keeps one sample
     // per repetition, and its sum stays the time spent.
-    const std::uint64_t share = microsSince(t0) / lanes.size();
+    const std::uint64_t share = microsSince(t0) / rest.size();
     // Every repetition still returns through runReplay(), which hands
     // out the lane the pass already timed, so per-rep instrumentation
     // (perfbench's link-time shims) keeps seeing one call per
     // repetition.
-    for (const sim::ReplayLane &lane : lanes)
+    for (const sim::ReplayLane &rep : rest)
         addRep(out, share,
-               machine.runReplay(*lane.image, budget, lane.noise, trace));
+               machine.runReplay(*rep.image, budget, rep.noise, *trace));
 }
 
 ExperimentRunner::ExperimentRunner(ExperimentSpec spec)
-    : spec_(std::move(spec)), artifacts_(&toolchain::ArtifactCache::global())
+    : spec_(std::move(spec))
 {
 }
 
@@ -83,36 +109,21 @@ ExperimentRunner::compiledModules(const toolchain::ToolchainSpec &tc)
         toolchain::Compiler cc(tc.vendor, tc.level);
         return cc.compile(w.build(spec_.workloadConfig));
     };
-    if (artifacts_) {
-        // The key carries every compile input; compilation is
-        // deterministic, so the inputs identify the output.
-        const std::string key =
-            spec_.workload + '|' +
-            std::to_string(spec_.workloadConfig.scale) + '|' +
-            std::to_string(spec_.workloadConfig.seed) + '|' +
-            std::to_string(int(tc.vendor)) + '|' +
-            std::to_string(int(tc.level));
-        return artifacts_->compiled(key, produce);
-    }
-    const auto key = std::make_pair(int(tc.vendor), int(tc.level));
-    auto it = localModules_.find(key);
-    if (it != localModules_.end())
-        return it->second;
-    auto mods = std::make_shared<toolchain::CompiledModules>();
-    mods->modules = produce();
-    return localModules_.emplace(key, std::move(mods)).first->second;
+    // The key carries every compile input; compilation is
+    // deterministic, so the inputs identify the output.
+    const std::string key =
+        spec_.workload + '|' + std::to_string(spec_.workloadConfig.scale) +
+        '|' + std::to_string(spec_.workloadConfig.seed) + '|' +
+        std::to_string(int(tc.vendor)) + '|' + std::to_string(int(tc.level));
+    return toolchain::ArtifactCache::global().compiled(key, produce);
 }
 
 toolchain::ProgramPtr
 ExperimentRunner::linkedProgram(const toolchain::ToolchainSpec &tc,
                                 const toolchain::LinkOrder &order)
 {
-    auto mods = compiledModules(tc);
-    if (artifacts_)
-        return artifacts_->linked(mods, order);
-    toolchain::Linker linker;
-    return std::make_shared<const toolchain::LinkedProgram>(
-        linker.link(mods->modules, order));
+    return toolchain::ArtifactCache::global().linked(compiledModules(tc),
+                                                     order);
 }
 
 toolchain::LoaderConfig
@@ -130,11 +141,8 @@ ExperimentRunner::materialize(const toolchain::ToolchainSpec &tc,
                               const ExperimentSetup &setup)
 {
     obs::ScopedSpan span("setup-materialize", "runner");
-    auto prog = linkedProgram(tc, setup.linkOrder);
-    const toolchain::LoaderConfig lc = loaderConfigFor(setup);
-    if (artifacts_)
-        return artifacts_->image(prog, lc);
-    return toolchain::Loader::load(std::move(prog), lc);
+    return toolchain::ArtifactCache::global().image(
+        linkedProgram(tc, setup.linkOrder), loaderConfigFor(setup));
 }
 
 sim::RunResult
@@ -167,56 +175,20 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
                                  const sim::NoiseModel &noise_template)
 {
     mbias_assert(reps >= 1, "need at least one repetition");
-    auto image = materialize(tc, setup);
+    const auto image = materialize(tc, setup);
     sim::Machine machine(spec_.machine);
-    stats::Sample out;
-    constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
     // Rep r's model: the caller's template with seed base + r (the
     // default template reproduces the historical withSeed(base + r)).
-    const auto noise_for = [&](unsigned rep) {
-        sim::NoiseModel n = noise_template;
-        n.seed = noise_seed_base + rep;
-        return n;
-    };
-
-    // Record-once / replay-many: the functional stream is identical
-    // across noise seeds (noise perturbs timing and cache state, never
-    // a value), so one recorded pass serves every repetition.  The
-    // recording itself runs under rep 0's noise model — it IS rep 0 —
-    // and the later repetitions replay only the timing models, all in
-    // one lane pass (one lane per seed), bitwise identical to per-rep
-    // execution (replay differential test).  Preconditions failing
-    // (tier disabled, oversized stream) drop back to the per-rep loop
-    // below.
-    std::shared_ptr<const sim::FunctionalTrace> trace;
-    unsigned r = 0;
-    if (reps > 1 && sim::replayTierUsable(machine)) {
-        auto &cache = sim::ReplayCache::global();
-        bool unrecordable = false;
-        trace = cache.find(image, budget, &unrecordable);
-        if (!trace && !unrecordable) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto rr =
-                machine.runRecord(image, budget, noise_for(0), &trace);
-            addRep(out, microsSince(t0), rr);
-            r = 1;
-            cache.insert(image, budget, trace); // null = negative entry
-        }
-        if (!trace)
-            cache.noteFallback();
-    }
-    if (trace) {
-        std::vector<sim::ReplayLane> lanes;
-        for (; r < reps; ++r)
-            lanes.push_back({&image, noise_for(r)});
-        replayFamily(machine, *trace, lanes, out);
-        return out;
-    }
-    for (; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto rr = machine.run(image, budget, noise_for(r));
-        addRep(out, microsSince(t0), rr);
-    }
+    // The functional stream is identical across noise seeds (noise
+    // perturbs timing and cache state, never a value), so one
+    // recording serves every repetition, each a lane of one pass,
+    // bitwise identical to per-rep execution (replay differential
+    // test).
+    std::vector<sim::ReplayLane> lanes(reps, {&image, noise_template});
+    for (unsigned r = 0; r < reps; ++r)
+        lanes[r].noise.seed = noise_seed_base + r;
+    stats::Sample out;
+    runFamily(machine, lanes, out);
     return out;
 }
 
@@ -232,10 +204,8 @@ ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
         obs::ScopedSpan span("setup-materialize", "runner");
         prog = linkedProgram(tc, setup.linkOrder);
     }
-    stats::Sample out;
     sim::Machine machine(spec_.machine);
     obs::ScopedSpan runSpan("run", "runner");
-    constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
 
     // ASLR only moves the stack region, so the recorded functional
     // stream is layout-invariant modulo the initial-sp delta: replay
@@ -252,36 +222,12 @@ ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
         lc.aslrSeed = aslr_seed_base + r;
         images.push_back(toolchain::Loader::load(prog, lc));
     }
-    std::shared_ptr<const sim::FunctionalTrace> trace;
-    unsigned r = 0;
-    if (reps > 1 && sim::replayTierUsable(machine)) {
-        auto &cache = sim::ReplayCache::global();
-        bool unrecordable = false;
-        trace = cache.find(images[0], budget, &unrecordable);
-        if (!trace && !unrecordable) {
-            // Draw 0, recorded noise-free, is the family's rep 0.
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto rr = machine.runRecord(
-                images[0], budget, sim::NoiseModel::none(), &trace);
-            addRep(out, microsSince(t0), rr);
-            r = 1;
-            cache.insert(images[0], budget, trace); // null = negative
-        }
-        if (!trace)
-            cache.noteFallback();
-    }
-    if (trace) {
-        std::vector<sim::ReplayLane> lanes;
-        for (; r < reps; ++r)
-            lanes.push_back({&images[r], sim::NoiseModel::none()});
-        replayFamily(machine, *trace, lanes, out);
-        return out;
-    }
-    for (; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto rr = machine.run(images[r], budget);
-        addRep(out, microsSince(t0), rr);
-    }
+    std::vector<sim::ReplayLane> lanes;
+    lanes.reserve(reps);
+    for (const auto &image : images)
+        lanes.push_back({&image, sim::NoiseModel::none()});
+    stats::Sample out;
+    runFamily(machine, lanes, out);
     return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef MBIAS_CORE_RUNNER_HH
 #define MBIAS_CORE_RUNNER_HH
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -51,16 +50,11 @@ double metricValue(Metric metric, const sim::RunResult &rr);
  * environment block) through the shared toolchain ArtifactCache, then
  * runs baseline and treatment on the simulator.
  *
- * By default runners pull artifacts from ArtifactCache::global(), so
- * every worker of a parallel campaign shares one compile per
- * (workload, toolchain) and one link per (modules, order) no matter
- * how tasks are scheduled — the toolchain is deterministic and cached
- * artifacts are immutable, so results are identical to recomputing.
- * setArtifactCache(nullptr) opts out: the runner then keeps only a
- * private per-toolchain compile memo and re-links/re-loads per task
- * (the pre-cache behavior, kept as the benchmark baseline).  In that
- * mode the private memo is unsynchronized, so keep the runner on one
- * thread — which the campaign engine does anyway (runner per worker).
+ * Runners pull artifacts from ArtifactCache::global(), so every worker
+ * of a parallel campaign shares one compile per (workload, toolchain)
+ * and one link per (modules, order) no matter how tasks are scheduled
+ * — the toolchain is deterministic and cached artifacts are immutable,
+ * so results are identical to recomputing.
  */
 class ExperimentRunner
 {
@@ -123,17 +117,6 @@ class ExperimentRunner
     void setSpAlignOverride(std::uint64_t align) { spAlign_ = align; }
 
     /**
-     * Selects the artifact cache the runner materializes setups
-     * through.  Defaults to ArtifactCache::global(); nullptr disables
-     * cross-stage sharing (see the class comment).  @p cache must
-     * outlive the runner.
-     */
-    void setArtifactCache(toolchain::ArtifactCache *cache)
-    {
-        artifacts_ = cache;
-    }
-
-    /**
      * Attaches a metrics registry: the runner then counts
      * `runner.compiles` and records `runner.run_us` per simulated
      * side.  @p metrics must outlive the runner; nullptr detaches.
@@ -143,11 +126,11 @@ class ExperimentRunner
     void setMetrics(obs::Registry *metrics);
 
   private:
-    /** Compiled modules of one side: shared cache or private memo. */
+    /** Compiled modules of one side, from the artifact cache. */
     toolchain::ModulesPtr
     compiledModules(const toolchain::ToolchainSpec &tc);
 
-    /** The program of (@p tc, @p order): cached link or fresh link. */
+    /** The program of (@p tc, @p order), from the artifact cache. */
     toolchain::ProgramPtr
     linkedProgram(const toolchain::ToolchainSpec &tc,
                   const toolchain::LinkOrder &order);
@@ -171,23 +154,22 @@ class ExperimentRunner
                 const sim::RunResult &rr);
 
     /**
-     * Times the repetitions @p lanes in one lane pass over @p trace
-     * and books each one.  run_us gets one sample per lane, each the
-     * pass's wall time divided by the lane count.
+     * Runs one repetition family, rep r under @p reps[r], and books
+     * each rep into @p out in rep order.  Record-once / replay-many:
+     * rep 0 is recorded (or its recording found in the ReplayCache),
+     * and the remaining reps are timed in one lane pass over it; when
+     * no recording can serve, every rep runs on its own.  run_us gets
+     * one sample per rep; a lane pass's wall time is shared out
+     * evenly over its lanes.
      */
-    void replayFamily(sim::Machine &machine,
-                      const sim::FunctionalTrace &trace,
-                      std::span<const sim::ReplayLane> lanes,
-                      stats::Sample &out);
+    void runFamily(sim::Machine &machine,
+                   std::span<const sim::ReplayLane> reps,
+                   stats::Sample &out);
 
     ExperimentSpec spec_;
     std::uint64_t spAlign_ = 0;
     obs::Counter *compileCounter_ = nullptr;
     obs::Histogram *runHistogram_ = nullptr;
-    toolchain::ArtifactCache *artifacts_;
-
-    /** Per-toolchain compile memo for the cache-off mode only. */
-    std::map<std::pair<int, int>, toolchain::ModulesPtr> localModules_;
 };
 
 } // namespace mbias::core

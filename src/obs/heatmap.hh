@@ -1,5 +1,5 @@
-#ifndef MBIAS_OBS_HEATMAP_HH
-#define MBIAS_OBS_HEATMAP_HH
+#ifndef MBIAS_HEATMAP_HH
+#define MBIAS_HEATMAP_HH
 
 #include <string>
 #include <vector>
@@ -33,4 +33,4 @@ std::string asciiHeatmapSigned(const std::string &title,
 
 } // namespace mbias::obs
 
-#endif // MBIAS_OBS_HEATMAP_HH
+#endif // MBIAS_HEATMAP_HH

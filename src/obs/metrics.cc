@@ -153,11 +153,7 @@ MetricsSnapshot::str() const
         }
     }
     if (empty())
-        os << "(no metrics recorded"
-#if !MBIAS_OBS_ENABLED
-           << "; built with MBIAS_OBS=OFF"
-#endif
-           << ")\n";
+        os << "(no metrics recorded)\n";
     return os.str();
 }
 
@@ -240,8 +236,6 @@ prettyJson(const std::string &json)
     }
     return out;
 }
-
-#if MBIAS_OBS_ENABLED
 
 // ---------------------------------------------------------------------
 // Thread shard
@@ -361,16 +355,5 @@ Registry::global()
     static Registry instance;
     return instance;
 }
-
-#else // !MBIAS_OBS_ENABLED
-
-Registry &
-Registry::global()
-{
-    static Registry instance;
-    return instance;
-}
-
-#endif // MBIAS_OBS_ENABLED
 
 } // namespace mbias::obs

@@ -1,5 +1,5 @@
-#ifndef MBIAS_OBS_METRICS_HH
-#define MBIAS_OBS_METRICS_HH
+#ifndef MBIAS_METRICS_HH
+#define MBIAS_METRICS_HH
 
 #include <array>
 #include <atomic>
@@ -8,10 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-
-#ifndef MBIAS_OBS_ENABLED
-#define MBIAS_OBS_ENABLED 1
-#endif
 
 namespace mbias::obs
 {
@@ -29,10 +25,6 @@ namespace mbias::obs
  * waits, steals, latencies) are not, by nature.  The convention is
  * that schedule-dependent metrics live under the `pool.` prefix or
  * are histograms of durations.
- *
- * Building with -DMBIAS_OBS=OFF swaps every class below for an
- * inline no-op with the same API, so instrumented call sites compile
- * away entirely.
  */
 
 /** Number of fixed log-scaled histogram buckets (see Histogram). */
@@ -115,8 +107,6 @@ struct MetricsSnapshot
  * JSON parser — which is all the store's flat records need.
  */
 std::string prettyJson(const std::string &json);
-
-#if MBIAS_OBS_ENABLED
 
 /** Shards per metric; power of two, indexed by threadShard(). */
 constexpr unsigned kShards = 16;
@@ -247,114 +237,6 @@ class Registry
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-#else // !MBIAS_OBS_ENABLED — same API, compile-time no-ops.
-
-constexpr unsigned kShards = 1;
-
-inline unsigned
-threadShard()
-{
-    return 0;
-}
-
-inline void
-setThreadShard(unsigned)
-{
-}
-
-inline unsigned
-threadId()
-{
-    return 0;
-}
-
-class Counter
-{
-  public:
-    void
-    add(std::uint64_t = 1)
-    {
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return 0;
-    }
-};
-
-class Gauge
-{
-  public:
-    void
-    set(std::int64_t)
-    {
-    }
-
-    void
-    add(std::int64_t)
-    {
-    }
-
-    std::int64_t
-    value() const
-    {
-        return 0;
-    }
-};
-
-class Histogram
-{
-  public:
-    void
-    record(std::uint64_t)
-    {
-    }
-
-    HistogramStats
-    stats() const
-    {
-        return {};
-    }
-};
-
-class Registry
-{
-  public:
-    Counter &
-    counter(const std::string &)
-    {
-        return counter_;
-    }
-
-    Gauge &
-    gauge(const std::string &)
-    {
-        return gauge_;
-    }
-
-    Histogram &
-    histogram(const std::string &)
-    {
-        return histogram_;
-    }
-
-    MetricsSnapshot
-    snapshot() const
-    {
-        return {};
-    }
-
-    static Registry &global();
-
-  private:
-    Counter counter_;
-    Gauge gauge_;
-    Histogram histogram_;
-};
-
-#endif // MBIAS_OBS_ENABLED
-
 } // namespace mbias::obs
 
-#endif // MBIAS_OBS_METRICS_HH
+#endif // MBIAS_METRICS_HH

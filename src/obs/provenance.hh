@@ -1,5 +1,5 @@
-#ifndef MBIAS_OBS_PROVENANCE_HH
-#define MBIAS_OBS_PROVENANCE_HH
+#ifndef MBIAS_PROVENANCE_HH
+#define MBIAS_PROVENANCE_HH
 
 #include <cstdint>
 #include <string>
@@ -18,9 +18,6 @@ namespace mbias::obs
  * store's header line and in the CampaignReport, so a surprising
  * number can always be traced back to the setup that produced it
  * (the paper's "document your setup" remedy, docs/observability.md).
- *
- * Always compiled, independent of MBIAS_OBS: the store format must
- * not change with an instrumentation flag.
  */
 struct Provenance
 {
@@ -59,4 +56,4 @@ struct Provenance
 
 } // namespace mbias::obs
 
-#endif // MBIAS_OBS_PROVENANCE_HH
+#endif // MBIAS_PROVENANCE_HH

@@ -91,8 +91,6 @@ summarizeTraceFile(const std::string &path)
     return s;
 }
 
-#if MBIAS_OBS_ENABLED
-
 Tracer &
 Tracer::global()
 {
@@ -198,26 +196,5 @@ ScopedSpan::~ScopedSpan()
     e.args = std::move(args_);
     tracer.record(std::move(e));
 }
-
-#else // !MBIAS_OBS_ENABLED
-
-Tracer &
-Tracer::global()
-{
-    static Tracer instance;
-    return instance;
-}
-
-bool
-Tracer::writeTo(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-    out << chromeJson() << "\n";
-    return bool(out);
-}
-
-#endif // MBIAS_OBS_ENABLED
 
 } // namespace mbias::obs

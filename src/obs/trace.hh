@@ -1,5 +1,5 @@
-#ifndef MBIAS_OBS_TRACE_HH
-#define MBIAS_OBS_TRACE_HH
+#ifndef MBIAS_TRACE_HH
+#define MBIAS_TRACE_HH
 
 #include <atomic>
 #include <chrono>
@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hh" // MBIAS_OBS_ENABLED, threadId()
+#include "obs/metrics.hh" // threadId()
 
 namespace mbias::obs
 {
@@ -24,8 +24,7 @@ namespace mbias::obs
  * render as nested slices.
  *
  * Tracing is process-wide and off by default: ScopedSpan costs one
- * relaxed load when no session is active.  With -DMBIAS_OBS=OFF the
- * whole layer compiles to nothing.
+ * relaxed load when no session is active.
  */
 
 /** One trace event; tid is the worker's threadId(). */
@@ -56,11 +55,8 @@ struct TraceFileSummary
     std::size_t tornBytes = 0;  ///< bytes in the torn tail
 };
 
-/** Scans @p path (Chrome-trace JSON); warns on a torn tail.  Pure
- *  file inspection — works identically with -DMBIAS_OBS=OFF. */
+/** Scans @p path (Chrome-trace JSON); warns on a torn tail. */
 TraceFileSummary summarizeTraceFile(const std::string &path);
-
-#if MBIAS_OBS_ENABLED
 
 /** The process-wide trace session; see the header comment. */
 class Tracer
@@ -125,69 +121,6 @@ class ScopedSpan
     bool live_ = false;
 };
 
-#else // !MBIAS_OBS_ENABLED — same API, compile-time no-ops.
-
-class Tracer
-{
-  public:
-    static Tracer &global();
-
-    void
-    start()
-    {
-    }
-
-    void
-    stop()
-    {
-    }
-
-    bool
-    active() const
-    {
-        return false;
-    }
-
-    std::uint64_t
-    nowUs() const
-    {
-        return 0;
-    }
-
-    void
-    record(TraceEvent)
-    {
-    }
-
-    std::size_t
-    eventCount() const
-    {
-        return 0;
-    }
-
-    std::string
-    chromeJson() const
-    {
-        return "{\"traceEvents\":[]}";
-    }
-
-    bool writeTo(const std::string &path) const;
-};
-
-class ScopedSpan
-{
-  public:
-    explicit ScopedSpan(const char *, const char * = "",
-                        std::string = {})
-    {
-    }
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-};
-
-#endif // MBIAS_OBS_ENABLED
-
 } // namespace mbias::obs
 
-#endif // MBIAS_OBS_TRACE_HH
+#endif // MBIAS_TRACE_HH

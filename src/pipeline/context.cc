@@ -10,7 +10,6 @@ FigureContext::run(const Sweep &sweep)
 {
     campaign::CampaignOptions copts;
     copts.jobs = opts_.jobs;
-    copts.artifactCache = opts_.artifactCache;
     copts.confidence = confidence();
     copts.resamples = resamples();
     // tracePath stays empty: the driver owns one trace session around

@@ -1,7 +1,10 @@
 #include "pipeline/options.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -18,12 +21,19 @@ isFlag(const char *tok)
     return std::strncmp(tok, "--", 2) == 0;
 }
 
+/** A decimal in [0, @p max].  strtoull skips blanks and accepts a
+ *  sign (wrapping "-1" to 2^64 - 1), so the value must start with a
+ *  digit. */
 std::uint64_t
-parseUint(const char *flag, const char *value)
+parseUint(const char *flag, const char *value,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
+    if (!std::isdigit(static_cast<unsigned char>(value[0])))
+        mbias_fatal("bad value for ", flag, ": '", value, "'");
+    errno = 0;
     char *end = nullptr;
     const std::uint64_t v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
+    if (*end != '\0' || errno == ERANGE || v > max)
         mbias_fatal("bad value for ", flag, ": '", value, "'");
     return v;
 }
@@ -52,17 +62,17 @@ parsePipelineArgs(int argc, char **argv)
             o.quiet = true;
         } else if (std::strcmp(a, "--verbose") == 0) {
             o.verbose = true;
-        } else if (std::strcmp(a, "--no-artifact-cache") == 0) {
-            o.artifactCache = false;
         } else if (std::strcmp(a, "--jobs") == 0) {
             if (hasValue)
-                o.jobs = unsigned(parseUint(a, argv[++i]));
+                o.jobs = unsigned(parseUint(
+                    a, argv[++i], std::numeric_limits<unsigned>::max()));
         } else if (std::strcmp(a, "--seed") == 0) {
             if (hasValue)
                 o.seed = parseUint(a, argv[++i]);
         } else if (std::strcmp(a, "--resamples") == 0) {
             if (hasValue)
-                o.resamples = int(parseUint(a, argv[++i]));
+                o.resamples = int(parseUint(
+                    a, argv[++i], std::numeric_limits<int>::max()));
         } else if (std::strcmp(a, "--confidence") == 0) {
             if (hasValue)
                 o.confidence = parseDouble(a, argv[++i]);
@@ -75,8 +85,9 @@ parsePipelineArgs(int argc, char **argv)
     }
     if (o.jobs < 1)
         mbias_fatal("--jobs must be >= 1");
+    // Written so that NaN, which fails every comparison, fails too.
     if (o.confidence &&
-        (*o.confidence <= 0.0 || *o.confidence >= 1.0))
+        !(*o.confidence > 0.0 && *o.confidence < 1.0))
         mbias_fatal("--confidence must be in (0, 1)");
     return parsed;
 }

@@ -13,8 +13,7 @@ namespace mbias::pipeline
  * The flag set every experiment entry point shares — the `mbias`
  * subcommands and each figure/table wrapper binary parse these with
  * the *same* code, so `--jobs/--seed/--resamples/--confidence/--trace/
- * --quiet/--verbose/--no-artifact-cache` behave identically
- * everywhere.
+ * --quiet/--verbose` behave identically everywhere.
  *
  * Value flags are optionals: a figure (or subcommand) supplies its own
  * historical default when the user did not pass the flag, so the
@@ -36,9 +35,6 @@ struct PipelineOptions
 
     bool quiet = false;
     bool verbose = false;
-
-    /** Off via --no-artifact-cache (the pre-cache benchmark mode). */
-    bool artifactCache = true;
 
     std::uint64_t seedOr(std::uint64_t dflt) const
     {
@@ -67,7 +63,9 @@ struct ParsedArgs
  * value as the next token (`--jobs 8`); a value flag at the end of the
  * line, or one followed by another `--flag`, is ignored — wrapper
  * scripts can pass harness-wide flag sets, matching the historical
- * leniency of the bench arg scanner.  Malformed values are fatal.
+ * leniency of the bench arg scanner.  Malformed or out-of-range
+ * values (a negative count, --resamples past INT_MAX, a --confidence
+ * outside (0, 1) or NaN) are fatal.
  */
 ParsedArgs parsePipelineArgs(int argc, char **argv);
 

@@ -159,8 +159,7 @@ Attribution::str() const
                       t.entries ? t.distinctPcs(hot) : 0);
         out += buf;
     };
-    out += "attribution";
-    out += enabled() ? ":\n" : " (compiled out -DMBIAS_OBS=OFF):\n";
+    out += "attribution:\n";
     setLine("icache", icache);
     setLine("dcache", dcache);
     setLine("itlb", itlb);

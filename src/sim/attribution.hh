@@ -8,10 +8,6 @@
 #include "base/types.hh"
 #include "sim/config.hh"
 
-#ifndef MBIAS_OBS_ENABLED
-#define MBIAS_OBS_ENABLED 1
-#endif
-
 namespace mbias::sim
 {
 
@@ -120,9 +116,7 @@ struct TableCounters
  * compiled in, whose hooks only append to these side structures;
  * RunResult stays bitwise identical with or without an Attribution
  * attached, and the tables themselves are pinned by digest (both
- * enforced by tests/sim/attribution_test.cc).  Under -DMBIAS_OBS=OFF
- * the recording hooks compile out and every structure stays zeroed;
- * enabled() reports whether the build records.
+ * enforced by tests/sim/attribution_test.cc).
  *
  * TLBs are fully associative in this model (no sets), so "per-TLB-set
  * pressure" is modelled as VPN buckets: bucket = vpn & (sets - 1)
@@ -146,9 +140,6 @@ struct Attribution
 
     /** Zeroes all counters, keeping the geometry. */
     void clear();
-
-    /** True when the build records attribution (MBIAS_OBS=ON). */
-    static constexpr bool enabled() { return MBIAS_OBS_ENABLED != 0; }
 
     /** Short deterministic text summary (totals + hottest set/entry
      *  per structure). */

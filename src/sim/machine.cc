@@ -613,8 +613,7 @@ struct Machine::Pipeline
  * The loop closes an op at the next dispatch, before any noise event,
  * and the last one at run_done, so interrupt and DVFS charges land in
  * no function.  Attribution: where each event landed (set/entry), from
- * component geometry only — never touching counters or model state;
- * compiled out under -DMBIAS_OBS=OFF.
+ * component geometry only — never touching counters or model state.
  */
 class Machine::RunObserver
 {
@@ -716,7 +715,7 @@ class Machine::RunObserver
             {Counter::FetchGroups, &FunctionProfile::fetchGroups},
         };
 
-    bool recording() const { return Attribution::enabled() && attribution_; }
+    bool recording() const { return attribution_ != nullptr; }
 
     /** One touch and @p misses fills of set (or VPN bucket) @p set;
      *  every structure's set count is a power of two. */

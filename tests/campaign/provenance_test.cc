@@ -3,9 +3,7 @@
  * Setup-provenance tests: capture sanity, JSON round-trip, the store
  * header surviving resume, torn-line accounting, store summaries, and
  * the determinism contract that task/cache counters are identical
- * across --jobs 1 and --jobs 8.  Provenance is always compiled
- * (independent of MBIAS_OBS); assertions on metric *values* are gated
- * on MBIAS_OBS_ENABLED where the OFF build legitimately reports zero.
+ * across --jobs 1 and --jobs 8.
  */
 #include <gtest/gtest.h>
 
@@ -165,11 +163,9 @@ TEST(ProvenanceStore, SummaryDescribesFinishedStore)
     ASSERT_FALSE(summary.provenanceJson.empty());
     obs::Provenance prov;
     EXPECT_TRUE(obs::Provenance::fromJson(summary.provenanceJson, prov));
-#if MBIAS_OBS_ENABLED
     ASSERT_FALSE(summary.metricsJson.empty());
     EXPECT_NE(summary.metricsJson.find("engine.tasks"),
               std::string::npos);
-#endif
     const auto text = summary.str();
     EXPECT_NE(text.find(path), std::string::npos);
     EXPECT_NE(text.find("hostname"), std::string::npos);
@@ -217,13 +213,11 @@ TEST(ObsDeterminism, WorkCountersMatchAcrossJobCounts)
         EXPECT_EQ(s, p) << "counter " << name
                         << " must not depend on --jobs";
     }
-#if MBIAS_OBS_ENABLED
     EXPECT_EQ(serial.metrics.counters.at("engine.tasks"), 24u);
     EXPECT_EQ(serial.metrics.counters.at("pool.tasks"), 24u);
     // With a cold artifact cache and one worker, baseline and
     // treatment compile exactly once each, campaign-wide.
     EXPECT_EQ(serial.metrics.counters.at("runner.compiles"), 2u);
-#endif
 
     // The report itself is also bitwise-identical (the engine's core
     // determinism guarantee, restated here next to the metrics one).

@@ -7,8 +7,7 @@
 # file was written, holds valid (untorn) Chrome-trace JSON, and
 # contains the expected span name — proving the subcommand runs inside
 # the process-wide trace session rather than silently ignoring the
-# flag.  Pass "-" as the span to only require a well-formed file (for
-# subcommands whose work records no spans yet).
+# flag.
 set -e
 
 bin="$1"
@@ -27,7 +26,7 @@ if ! tail -c 8 "$out" | grep -q ']}'; then
     echo "FAIL: $out is torn (no closing brackets)" >&2
     exit 1
 fi
-if [ "$span" != "-" ] && ! grep -q "\"name\":\"$span\"" "$out"; then
+if ! grep -q "\"name\":\"$span\"" "$out"; then
     echo "FAIL: $out lacks span '$span'" >&2
     exit 1
 fi

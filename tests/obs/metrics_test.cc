@@ -2,8 +2,7 @@
  * @file
  * Metrics registry unit tests: log2 histogram bucket boundaries,
  * per-shard merge correctness, quantile estimates, and snapshot
- * merging.  Compiled only when MBIAS_OBS=ON (see tests/CMakeLists.txt);
- * the no-op stubs are covered by the -DMBIAS_OBS=OFF CI build instead.
+ * merging.
  */
 #include <gtest/gtest.h>
 

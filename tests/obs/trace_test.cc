@@ -4,7 +4,7 @@
  * exported document is well-formed Chrome-trace JSON, and nested
  * ScopedSpans produce properly contained slices (child interval inside
  * the parent interval on the same tid) so Perfetto renders them
- * nested.  Compiled only when MBIAS_OBS=ON.
+ * nested.
  */
 #include <gtest/gtest.h>
 

@@ -34,7 +34,6 @@ TEST(PipelineOptions, Defaults)
     EXPECT_TRUE(p.options.tracePath.empty());
     EXPECT_FALSE(p.options.quiet);
     EXPECT_FALSE(p.options.verbose);
-    EXPECT_TRUE(p.options.artifactCache);
     EXPECT_TRUE(p.rest.empty());
 }
 
@@ -42,14 +41,13 @@ TEST(PipelineOptions, EveryFlag)
 {
     const auto p = parse({"--jobs", "8", "--seed", "7", "--resamples",
                           "250", "--confidence", "0.99", "--trace",
-                          "t.json", "--quiet", "--no-artifact-cache"});
+                          "t.json", "--quiet"});
     EXPECT_EQ(p.options.jobs, 8u);
     EXPECT_EQ(p.options.seedOr(42), 7u);
     EXPECT_EQ(p.options.resamplesOr(0), 250);
     EXPECT_DOUBLE_EQ(p.options.confidenceOr(), 0.99);
     EXPECT_EQ(p.options.tracePath, "t.json");
     EXPECT_TRUE(p.options.quiet);
-    EXPECT_FALSE(p.options.artifactCache);
     EXPECT_TRUE(p.rest.empty());
 }
 
@@ -85,6 +83,42 @@ TEST(PipelineOptions, ValueFlagWithoutValueIsIgnored)
     const auto chained = parse({"--jobs", "--quiet"});
     EXPECT_EQ(chained.options.jobs, 1u);
     EXPECT_TRUE(chained.options.quiet);
+}
+
+TEST(PipelineOptions, NegativeJobsAreFatal)
+{
+    // strtoull wraps "-1" to 2^64 - 1, which as a worker count asks
+    // the campaign engine for 4294967295 runners.
+    EXPECT_EXIT(parse({"--jobs", "-1"}), ::testing::ExitedWithCode(1),
+                "bad value for --jobs: '-1'");
+    EXPECT_EXIT(parse({"--seed", "-3"}), ::testing::ExitedWithCode(1),
+                "bad value for --seed");
+    EXPECT_EXIT(parse({"--jobs", " 2"}), ::testing::ExitedWithCode(1),
+                "bad value for --jobs");
+}
+
+TEST(PipelineOptions, OutOfRangeCountsAreFatal)
+{
+    // Past INT_MAX, --resamples would wrap negative in the int cast.
+    EXPECT_EXIT(parse({"--resamples", "3000000000"}),
+                ::testing::ExitedWithCode(1), "bad value for --resamples");
+    EXPECT_EXIT(parse({"--jobs", "4294967296"}),
+                ::testing::ExitedWithCode(1), "bad value for --jobs");
+    EXPECT_EXIT(parse({"--seed", "18446744073709551616"}),
+                ::testing::ExitedWithCode(1), "bad value for --seed");
+    EXPECT_EQ(parse({"--resamples", "2147483647"}).options.resamplesOr(0),
+              2147483647);
+}
+
+TEST(PipelineOptions, NanConfidenceIsFatal)
+{
+    // NaN fails every comparison, so a range check written as two
+    // rejections lets it through to a panic in the CI code.
+    EXPECT_EXIT(parse({"--confidence", "nan"}),
+                ::testing::ExitedWithCode(1),
+                "--confidence must be in \\(0, 1\\)");
+    EXPECT_EXIT(parse({"--confidence", "1"}), ::testing::ExitedWithCode(1),
+                "--confidence must be in");
 }
 
 } // namespace

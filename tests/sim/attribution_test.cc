@@ -5,10 +5,7 @@
  * Attribution sink attached must produce a bitwise-identical RunResult
  * (every counter, halted, result) to the same run without one — and to
  * the fast path, which never records attribution at all.  Content
- * expectations (misses land in sets, PHT entries remember their PCs)
- * are checked only when the build records (MBIAS_OBS=ON); under
- * -DMBIAS_OBS=OFF the hooks compile out and every structure stays
- * zeroed, which the last test pins.
+ * expectations: misses land in sets, PHT entries remember their PCs.
  */
 #include <gtest/gtest.h>
 
@@ -138,8 +135,7 @@ TEST(Attribution, ObservationDigestsArePinned)
     // workloads on both core models.  The values were recorded before
     // observation moved from the reference interpreter into the plan
     // loop's observer policy, so any drift in where an event is
-    // booked fails here.  The attribution digest only holds when the
-    // build records (MBIAS_OBS=ON); the profile digest holds always.
+    // booked fails here.
     struct Pin
     {
         const char *workload;
@@ -174,10 +170,8 @@ TEST(Attribution, ObservationDigestsArePinned)
         ASSERT_TRUE(rr.halted);
         EXPECT_EQ(profileDigest(profile), pin.profile)
             << pin.workload << " on " << pin.machine;
-        if (Attribution::enabled()) {
-            EXPECT_EQ(attributionDigest(attr), pin.attribution)
-                << pin.workload << " on " << pin.machine;
-        }
+        EXPECT_EQ(attributionDigest(attr), pin.attribution)
+            << pin.workload << " on " << pin.machine;
     }
 }
 
@@ -245,9 +239,6 @@ TEST(Attribution, ObservedRunEqualsPlainAndOracleEveryBackend)
 
 TEST(Attribution, TotalsReconcileWithPerfCounters)
 {
-    if (!Attribution::enabled())
-        GTEST_SKIP() << "built with MBIAS_OBS=OFF; hooks compile out";
-
     const auto image = imageOf("perl");
     Machine m(MachineConfig::core2Like());
     Attribution attr;
@@ -283,9 +274,6 @@ TEST(Attribution, TotalsReconcileWithPerfCounters)
 
 TEST(Attribution, TableCountersRememberCollidingPcs)
 {
-    if (!Attribution::enabled())
-        GTEST_SKIP() << "built with MBIAS_OBS=OFF; hooks compile out";
-
     const auto image = imageOf("perl");
     Machine m(MachineConfig::core2Like());
     Attribution attr;
@@ -334,22 +322,6 @@ TEST(Attribution, SetCountersClassifyEvictions)
     sc.clear();
     EXPECT_EQ(sc.totalMisses(), 0u);
     EXPECT_EQ(sc.sets, 4u);
-}
-
-TEST(Attribution, DisabledBuildKeepsStructuresZeroed)
-{
-    if (Attribution::enabled())
-        GTEST_SKIP() << "covers the -DMBIAS_OBS=OFF build only";
-
-    const auto image = imageOf("hmmer");
-    Machine m(MachineConfig::core2Like());
-    Attribution attr;
-    const auto rr = m.run(image, 500'000'000, sim::NoiseModel::none(),
-                          nullptr, &attr);
-    ASSERT_TRUE(rr.halted);
-    EXPECT_EQ(attr.icache.totalMisses(), 0u);
-    EXPECT_EQ(attr.dcache.totalTouches(), 0u);
-    EXPECT_EQ(attr.pht.totalAliasSwitches(), 0u);
 }
 
 } // namespace

@@ -28,9 +28,9 @@
  *   mbias survey
  *
  * The shared pipeline flags --jobs/--seed/--resamples/--confidence/
- * --trace/--quiet/--verbose/--no-artifact-cache are parsed once, by
- * the same pipeline::parsePipelineArgs the figure wrapper binaries
- * use, and mean the same thing for every subcommand that consumes
+ * --trace/--quiet/--verbose are parsed once, by the same
+ * pipeline::parsePipelineArgs the figure wrapper binaries use, and
+ * mean the same thing for every subcommand that consumes
  * them (per-command defaults match the historical ones, e.g. analyze
  * still defaults --resamples to 1000).
  */
@@ -372,7 +372,6 @@ cmdCampaign(const Args &args)
                        : args.get("out", "results/campaign.jsonl");
     opts.resume = args.options.count("resume") > 0;
     opts.tracePath = args.shared.tracePath;
-    opts.artifactCache = args.shared.artifactCache;
     opts.confidence = args.shared.confidenceOr(0.95);
     opts.resamples = args.shared.resamplesOr(0);
     // The in-place progress line is for humans watching a terminal;
@@ -852,7 +851,7 @@ usage()
         "manifests (and their .asm) before running\n"
         "shared (every command and figure binary): [--jobs N]\n"
         "        [--seed S] [--resamples R] [--confidence C]\n"
-        "        [--trace T.json] [--no-artifact-cache]\n"
+        "        [--trace T.json]\n"
         "        --quiet (silence warn/inform + progress line)\n"
         "        --verbose (force logging on; campaign prints metrics\n"
         "        and provenance)\n");
