@@ -1,11 +1,15 @@
 #include "campaign/engine.hh"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -28,8 +32,71 @@ namespace mbias::campaign
 namespace
 {
 
+using Kind = RepetitionPlan::Kind;
+
+/**
+ * The widest lane pass the engine builds.  Wider passes walk the
+ * recorded stream fewer times, but every lane carries its own caches
+ * and clock: uncapped (96 lanes on noise_reps) they ran slower and
+ * used over half again the memory (docs/performance.md).  24 is the
+ * width the NoisePaired families ran at before lanes were pooled
+ * across tasks.
+ */
+constexpr std::size_t kMaxLaneWidth = 24;
+
+/** The two sides of a task: 0 = baseline, 1 = treatment. */
+constexpr std::size_t kSides = 2;
+
+/**
+ * Lowers one task into the lanes each side runs, in rep order (a side
+ * the plan does not observe gets none).  Every kind reduces to lanes
+ * of one linked program that differ only in where the stack sits and
+ * in their noise.
+ */
+std::array<std::vector<core::Lane>, kSides>
+lowerTask(const CampaignTask &task)
+{
+    const RepetitionPlan &plan = task.plan;
+    const std::uint64_t env = task.setup.envBytes;
+    std::array<std::vector<core::Lane>, kSides> sides;
+    // The conventional repeat-k-times methodology: rep r runs under
+    // the plan's noise template with seed base + r.
+    const auto noiseSide = [&](std::size_t side, std::uint64_t base) {
+        for (unsigned r = 0; r < plan.reps; ++r) {
+            core::Lane lane{env, 0, plan.noiseTemplate};
+            lane.noise.seed = base + r;
+            sides[side].push_back(lane);
+        }
+    };
+    switch (plan.kind) {
+      case Kind::Single:
+        sides[0] = sides[1] = {core::Lane{env}};
+        return sides;
+      case Kind::AslrRandomized:
+        // Each side draws its per-run layout seeds from a stream
+        // derived from the task seed, so the task is a pure function
+        // of (campaign seed, index) like every other.
+        for (std::size_t side = 0; side < kSides; ++side)
+            for (unsigned r = 0; r < plan.reps; ++r)
+                sides[side].push_back(
+                    {env, mixSeed(task.taskSeed, side) + r});
+        return sides;
+      case Kind::BaselineOnly:
+        sides[0] = {core::Lane{env}};
+        return sides;
+      case Kind::NoiseRepeated:
+        noiseSide(0, task.taskSeed);
+        return sides;
+      case Kind::NoisePaired:
+        noiseSide(0, task.taskSeed);
+        noiseSide(1, task.taskSeed + plan.treatSeedOffset);
+        return sides;
+    }
+    mbias_panic("unknown repetition plan kind ", int(plan.kind));
+}
+
 /** A finished task: the outcome plus the per-side metric values the
- *  record persists (metric means in ASLR mode). */
+ *  record persists (metric means in the repetition kinds). */
 struct TaskResult
 {
     core::RunOutcome outcome;
@@ -37,85 +104,91 @@ struct TaskResult
     double treatMetric = 0.0;
 };
 
+/** Reassembles one task from its lanes' results (per side, in rep
+ *  order); means are summed in rep order, as a per-task run would. */
 TaskResult
-executeTask(core::ExperimentRunner &runner, const CampaignTask &task)
+assembleTask(const core::ExperimentSpec &spec, const CampaignTask &task,
+             const std::array<std::vector<sim::RunResult>, kSides> &lanes)
 {
-    const core::ExperimentSpec &spec = runner.spec();
+    const auto metric = [&](const sim::RunResult &rr) {
+        return core::metricValue(spec.metric, rr);
+    };
+    const auto sample = [&](const std::vector<sim::RunResult> &rs) {
+        stats::Sample s;
+        for (const sim::RunResult &rr : rs)
+            s.add(metric(rr));
+        return s;
+    };
     TaskResult r;
+    r.outcome.setup = task.setup;
     switch (task.plan.kind) {
-      case RepetitionPlan::Kind::Single:
-        r.outcome = runner.run(task.setup);
-        r.baseMetric = runner.metricOf(r.outcome.baseline);
-        r.treatMetric = runner.metricOf(r.outcome.treatment);
-        return r;
+      case Kind::Single:
+        r.outcome.baseline = lanes[0][0];
+        r.outcome.treatment = lanes[1][0];
+        r.baseMetric = metric(r.outcome.baseline);
+        r.treatMetric = metric(r.outcome.treatment);
+        break;
 
-      case RepetitionPlan::Kind::AslrRandomized: {
-        // Each side draws its per-run layout seeds from a stream
-        // derived from the task seed, so the task is a pure function
-        // of (campaign seed, index) like every other.
-        auto base = runner.aslrRandomizedMetric(spec.baseline, task.setup,
-                                                task.plan.reps,
-                                                mixSeed(task.taskSeed, 0));
-        auto treat = runner.aslrRandomizedMetric(
-            spec.treatment, task.setup, task.plan.reps,
-            mixSeed(task.taskSeed, 1));
-        r.outcome.setup = task.setup;
-        r.outcome.baseline.halted = r.outcome.treatment.halted = true;
-        r.baseMetric = base.mean();
-        r.treatMetric = treat.mean();
-        mbias_assert(r.treatMetric > 0.0, "degenerate metric");
-        r.outcome.speedup = r.baseMetric / r.treatMetric;
-        return r;
-      }
-
-      case RepetitionPlan::Kind::BaselineOnly:
+      case Kind::BaselineOnly:
         // One observed side, full RunResult kept (the causal sweep
         // reads every counter, not just the metric).
-        r.outcome.setup = task.setup;
-        r.outcome.baseline = runner.runSide(spec.baseline, task.setup);
+        r.outcome.baseline = lanes[0][0];
         r.outcome.treatment.halted = true;
-        r.baseMetric = r.treatMetric =
-            runner.metricOf(r.outcome.baseline);
+        r.baseMetric = r.treatMetric = metric(r.outcome.baseline);
         r.outcome.speedup = 1.0;
         return r;
 
-      case RepetitionPlan::Kind::NoiseRepeated: {
-        // The conventional repeat-k-times methodology on the baseline
-        // side: noise seeds taskSeed, taskSeed+1, ... — the same
-        // derivation the serial drivers used, now owned by the
-        // campaign lowering.
-        auto base = runner.repeatedMetric(spec.baseline, task.setup,
-                                          task.plan.reps, task.taskSeed,
-                                          task.plan.noiseTemplate);
-        r.outcome.setup = task.setup;
-        r.outcome.baseline.halted = r.outcome.treatment.halted = true;
-        r.outcome.repBaseline = base.values();
-        r.baseMetric = r.treatMetric = base.mean();
-        r.outcome.speedup = 1.0;
-        return r;
-      }
-
-      case RepetitionPlan::Kind::NoisePaired: {
-        auto base = runner.repeatedMetric(spec.baseline, task.setup,
-                                          task.plan.reps, task.taskSeed,
-                                          task.plan.noiseTemplate);
-        auto treat = runner.repeatedMetric(
-            spec.treatment, task.setup, task.plan.reps,
-            task.taskSeed + task.plan.treatSeedOffset,
-            task.plan.noiseTemplate);
-        r.outcome.setup = task.setup;
-        r.outcome.baseline.halted = r.outcome.treatment.halted = true;
-        r.outcome.repBaseline = base.values();
-        r.outcome.repTreatment = treat.values();
-        r.baseMetric = base.mean();
-        r.treatMetric = treat.mean();
-        mbias_assert(r.treatMetric > 0.0, "degenerate metric");
-        r.outcome.speedup = r.baseMetric / r.treatMetric;
-        return r;
+      case Kind::AslrRandomized:
+      case Kind::NoiseRepeated:
+      case Kind::NoisePaired: {
+          r.outcome.baseline.halted = r.outcome.treatment.halted = true;
+          const stats::Sample base = sample(lanes[0]);
+          r.baseMetric = base.mean();
+          if (task.plan.samplesReps())
+              r.outcome.repBaseline = base.values();
+          if (task.plan.kind == Kind::NoiseRepeated) {
+              r.treatMetric = r.baseMetric;
+              r.outcome.speedup = 1.0;
+              return r;
+          }
+          const stats::Sample treat = sample(lanes[1]);
+          r.treatMetric = treat.mean();
+          if (task.plan.samplesReps())
+              r.outcome.repTreatment = treat.values();
+          break;
       }
     }
-    mbias_panic("unknown repetition plan kind ", int(task.plan.kind));
+    mbias_assert(r.treatMetric > 0.0, "degenerate metric");
+    r.outcome.speedup = r.baseMetric / r.treatMetric;
+    return r;
 }
+
+/** One lane of the campaign: rep @c rep of side @c side of task
+ *  @c task. */
+struct LaneRef
+{
+    std::size_t task = 0;
+    std::size_t side = 0;
+    std::size_t rep = 0;
+};
+
+/** Lanes of every task that share one side and one link order, so
+ *  one linked program and one machine; in task, then rep order. */
+struct LaneFamily
+{
+    std::size_t side = 0;
+    toolchain::LinkOrder order;
+    std::vector<LaneRef> refs;
+    std::vector<core::Lane> lanes;
+};
+
+/** A run of lanes [begin, end) of one family. */
+struct LaneChunk
+{
+    std::size_t family = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
 
 /**
  * The live progress line: a helper thread redraws one stderr line a
@@ -285,7 +358,7 @@ CampaignEngine::run()
     std::vector<std::unique_ptr<core::ExperimentRunner>> runners(
         pool.jobs());
     std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> resumed{0};
+    std::uint64_t resumed = 0;
 
     // Hot-path metric handles, resolved once (registry lookups take a
     // lock; Counter::add / Histogram::record do not).
@@ -296,51 +369,129 @@ CampaignEngine::run()
 
     // Tasks with the same content address (repeated setups) compute
     // the same outcome, so only the lowest index of each distinct key
-    // is scheduled; the others copy its outcome once the pool drains.
-    // Deciding this before scheduling makes which tasks execute — and
-    // which store lines they append — independent of worker timing.
-    // A duplicate is accounted where its owner's outcome comes from:
-    // the store (resumed) or this run (a cache hit).
+    // runs; the others copy its outcome once the pool drains.  Tasks
+    // the store already holds are served from it.  Deciding all this
+    // before scheduling makes which tasks execute — and which store
+    // lines they append — independent of worker timing.  A duplicate
+    // is accounted where its owner's outcome comes from: the store
+    // (resumed) or this run (a cache hit).
     std::vector<std::size_t> ownerOf(tasks.size());
-    std::vector<std::size_t> scheduled;
+    std::vector<std::size_t> toRun;
     std::uint64_t cacheHits = 0;
     {
         std::unordered_map<std::string_view, std::size_t> firstByKey;
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const auto [it, fresh] = firstByKey.try_emplace(keys[i], i);
             ownerOf[i] = it->second;
-            if (fresh) {
-                scheduled.push_back(i);
-            } else if (store && store->find(keys[i])) {
-                resumed.fetch_add(1, std::memory_order_relaxed);
+            const TaskRecord *rec = store ? store->find(keys[i]) : nullptr;
+            if (rec) {
+                if (fresh)
+                    results[i] = rec->toOutcome();
+                ++resumed;
                 cResumed.add();
+            } else if (fresh) {
+                toRun.push_back(i);
             } else {
                 ++cacheHits;
             }
         }
     }
-    std::atomic<std::uint64_t> done{tasks.size() - scheduled.size()};
+    std::atomic<std::uint64_t> done{tasks.size() - toRun.size()};
+
+    // Lowering: every task to run becomes per-side lanes, and lanes of
+    // all tasks are grouped by (side, link order) into families.  A
+    // family shares one linked program and one machine, so one
+    // recording of the program times all of its lanes.
+    const Kind kind = spec_.plan.kind;
+    std::vector<std::array<std::vector<sim::RunResult>, kSides>> laneOut(
+        tasks.size());
+    std::vector<std::atomic<std::size_t>> pending(tasks.size());
+    std::vector<std::atomic<std::uint64_t>> executeUs(tasks.size());
+    std::vector<LaneFamily> families;
+    std::size_t totalLanes = 0;
+    {
+        std::map<std::pair<std::size_t, std::uint64_t>, std::size_t>
+            familyOf; // (side, link-order fingerprint) -> family
+        for (const std::size_t i : toRun) {
+            const auto sides = lowerTask(tasks[i]);
+            const auto &order = tasks[i].setup.linkOrder;
+            for (std::size_t side = 0; side < kSides; ++side) {
+                if (sides[side].empty())
+                    continue;
+                const auto [it, fresh] = familyOf.try_emplace(
+                    {side, order.fingerprint()}, families.size());
+                if (fresh)
+                    families.push_back({side, order, {}, {}});
+                LaneFamily &fam = families[it->second];
+                for (std::size_t r = 0; r < sides[side].size(); ++r) {
+                    fam.refs.push_back({i, side, r});
+                    fam.lanes.push_back(sides[side][r]);
+                }
+                laneOut[i][side].resize(sides[side].size());
+                pending[i] += sides[side].size();
+                totalLanes += sides[side].size();
+            }
+        }
+    }
+
+    // Chunking: each family splits into near-equal runs of at most
+    // `width` lanes, narrow enough to keep every worker busy.  A family
+    // of one lane has nothing to share; a task's one-lane families stay
+    // together in one unit, as the whole task ran before lanes.
+    std::vector<std::vector<LaneChunk>> units;
+    {
+        const std::size_t width = std::min(
+            kMaxLaneWidth, (totalLanes + opts_.jobs - 1) / opts_.jobs);
+        std::unordered_map<std::size_t, std::size_t> singlesOf;
+        for (std::size_t f = 0; f < families.size(); ++f) {
+            const std::size_t n = families[f].lanes.size();
+            if (n == 1) {
+                const auto [it, fresh] = singlesOf.try_emplace(
+                    families[f].refs[0].task, units.size());
+                if (fresh)
+                    units.emplace_back();
+                units[it->second].push_back({f, 0, 1});
+                continue;
+            }
+            const std::size_t chunks = (n + width - 1) / width;
+            for (std::size_t c = 0, begin = 0; c < chunks; ++c) {
+                const std::size_t len = n / chunks + (c < n % chunks);
+                units.push_back({{f, begin, begin + len}});
+                begin += len;
+            }
+        }
+    }
+    metrics.counter("engine.lanes").add(totalLanes);
+    metrics.counter("engine.lane_units").add(units.size());
 
     ProgressMeter meter(opts_.progress, tasks.size(), done, cacheHits);
 
-    pool.parallelFor(scheduled.size(), [&](std::size_t s, unsigned w) {
-        const std::size_t i = scheduled[s];
-        const auto taskStart = std::chrono::steady_clock::now();
+    // Reassembly: the worker that books a task's last lane finishes
+    // it — outcome, store record, task histograms and progress stay
+    // per task.
+    const auto finishTask = [&](std::size_t i) {
+        const auto finishStart = std::chrono::steady_clock::now();
         obs::ScopedSpan taskSpan("task", "campaign",
                                  "{\"task\":" + std::to_string(i) +
                                      "}");
-        const CampaignTask &task = tasks[i];
-        const std::string &key = keys[i];
-
+        const TaskResult r =
+            assembleTask(spec_.experiment, tasks[i], laneOut[i]);
+        laneOut[i] = {};
+        const std::uint64_t execUs = executeUs[i].load();
+        hExecute.record(execUs);
+        executed.fetch_add(1, std::memory_order_relaxed);
+        cExecuted.add();
+        results[i] = r.outcome;
         if (store) {
-            if (const TaskRecord *rec = store->find(key)) {
-                results[i] = rec->toOutcome();
-                resumed.fetch_add(1, std::memory_order_relaxed);
-                cResumed.add();
-                done.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
+            obs::ScopedSpan span("store-append", "campaign");
+            store->append(TaskRecord::make(keys[i], tasks[i], r.outcome,
+                                           r.baseMetric, r.treatMetric));
         }
+        hTask.record(execUs + microsSince(finishStart));
+        done.fetch_add(1, std::memory_order_relaxed);
+    };
+
+    pool.parallelFor(units.size(), [&](std::size_t u, unsigned w) {
         if (!runners[w]) {
             obs::ScopedSpan span("runner-init", "campaign");
             runners[w] = std::make_unique<core::ExperimentRunner>(
@@ -349,20 +500,37 @@ CampaignEngine::run()
             if (spec_.spAlign != 0)
                 runners[w]->setSpAlignOverride(spec_.spAlign);
         }
-        const auto execStart = std::chrono::steady_clock::now();
-        const TaskResult r = executeTask(*runners[w], task);
-        hExecute.record(microsSince(execStart));
-        executed.fetch_add(1, std::memory_order_relaxed);
-        cExecuted.add();
-        results[i] = r.outcome;
-        if (store) {
-            obs::ScopedSpan span("store-append", "campaign");
-            store->append(TaskRecord::make(key, task, r.outcome,
-                                           r.baseMetric,
-                                           r.treatMetric));
+        for (const LaneChunk &chunk : units[u]) {
+            const LaneFamily &fam = families[chunk.family];
+            const std::size_t n = chunk.end - chunk.begin;
+            const auto start = std::chrono::steady_clock::now();
+            std::vector<sim::RunResult> rs;
+            {
+                obs::ScopedSpan span("lanes", "campaign",
+                                     "{\"lanes\":" + std::to_string(n) +
+                                         "}");
+                // The treatment machine of a hardware study serves only
+                // paired single runs, as ExperimentRunner::run does.
+                rs = runners[w]->runFamily(
+                    fam.side ? spec_.experiment.treatment
+                             : spec_.experiment.baseline,
+                    fam.side == 1 && kind == Kind::Single, fam.order,
+                    std::span(fam.lanes).subspan(chunk.begin, n));
+            }
+            // The chunk's wall time, shared out evenly over its lanes.
+            const std::uint64_t share = microsSince(start) / n;
+            for (std::size_t k = 0; k < n; ++k) {
+                const LaneRef &ref = fam.refs[chunk.begin + k];
+                laneOut[ref.task][ref.side][ref.rep] = std::move(rs[k]);
+                executeUs[ref.task].fetch_add(share,
+                                              std::memory_order_relaxed);
+                // acq_rel: the finishing worker sees every lane booked
+                // before each decrement.
+                if (pending[ref.task].fetch_sub(
+                        1, std::memory_order_acq_rel) == 1)
+                    finishTask(ref.task);
+            }
         }
-        hTask.record(microsSince(taskStart));
-        done.fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < tasks.size(); ++i)
         if (ownerOf[i] != i)
@@ -393,7 +561,7 @@ CampaignEngine::run()
     report.stats.totalTasks = tasks.size();
     report.stats.executed = executed.load();
     report.stats.cacheHits = cacheHits;
-    report.stats.resumedFromStore = resumed.load();
+    report.stats.resumedFromStore = resumed;
     report.stats.jobs = pool.jobs();
     report.stats.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

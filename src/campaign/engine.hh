@@ -28,9 +28,10 @@ struct CampaignOptions
     /**
      * Chrome-trace JSON output path; empty disables tracing.  The
      * engine runs a process-wide trace session for the duration of
-     * run() and writes per-task phase spans (queue-wait,
-     * setup-materialize, run, store-append, aggregate) viewable in
-     * Perfetto (ui.perfetto.dev).
+     * run() and writes phase spans (queue-wait, one "lanes" span per
+     * family chunk with its setup-materialize and run, and per task a
+     * "task" span around its reassembly and store-append, aggregate)
+     * viewable in Perfetto (ui.perfetto.dev).
      */
     std::string tracePath;
 
@@ -56,12 +57,23 @@ struct CampaignOptions
 
 /**
  * Executes a CampaignSpec: expands it into the deterministic task
- * list, schedules the tasks on a work-stealing ThreadPool (one
- * ExperimentRunner per worker — see the runner's thread-safety
- * contract), runs each distinct content address once (repeated
- * setups copy the outcome of their first occurrence), serves
- * previously persisted tasks from the ResultStore, and aggregates
- * everything into a CampaignReport.
+ * list, runs each distinct content address once (repeated setups copy
+ * the outcome of their first occurrence), serves previously persisted
+ * tasks from the ResultStore, and aggregates everything into a
+ * CampaignReport.
+ *
+ * Tasks are not the unit of work.  Every task to run is lowered to
+ * per-side lanes (an env size, an ASLR seed or 0, a noise model), and
+ * the lanes of all tasks are grouped by (side, link order) into
+ * families that share one linked program and one machine.  Each
+ * family is cut into near-equal chunks of at most min(24, ceil(lanes /
+ * jobs)) lanes, which a work-stealing ThreadPool runs through
+ * ExperimentRunner::runFamily (one runner per worker — see the
+ * runner's thread-safety contract): one recording, one lane pass.  A
+ * task's one-lane families stay together in one unit.  The worker that
+ * books a task's last lane reassembles its outcome and appends its
+ * store record, so outcomes, records, task spans and task histograms
+ * stay per task.
  *
  * Determinism guarantee: for a fixed spec, the report's outcomes are
  * bitwise-identical regardless of jobs, scheduling order, or resume

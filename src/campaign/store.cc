@@ -530,6 +530,17 @@ StoreSummary::str() const
         os << "provenance      : (none recorded — store predates the "
            << "obs layer?)\n";
     if (!metricsJson.empty()) {
+        // Lanes per unit the engine scheduled: how many stack-only
+        // variants of a program shared one unit of work.
+        const std::uint64_t units =
+            snapshotCounter(metricsJson, "engine.lane_units");
+        if (units) {
+            const std::uint64_t lanes =
+                snapshotCounter(metricsJson, "engine.lanes");
+            os << "engine lanes    : " << lanes << " lanes in " << units
+               << " units, mean lane width "
+               << double(lanes) / double(units) << "\n";
+        }
         // Replayed repetitions per walk of a recorded stream: how wide
         // the replay tier's lane passes ran.
         const std::uint64_t passes =

@@ -27,61 +27,109 @@ microsSince(std::chrono::steady_clock::time_point t0)
 } // namespace
 
 void
-ExperimentRunner::addRep(stats::Sample &out, std::uint64_t run_us,
-                         const sim::RunResult &rr)
+ExperimentRunner::noteRun(std::uint64_t run_us, const sim::RunResult &rr)
 {
     if (runHistogram_)
         runHistogram_->record(run_us);
     mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-    out.add(metricOf(rr));
 }
 
-void
-ExperimentRunner::runFamily(sim::Machine &machine,
-                            std::span<const sim::ReplayLane> reps,
-                            stats::Sample &out)
+stats::Sample
+ExperimentRunner::metricSample(const std::vector<sim::RunResult> &rs) const
 {
+    stats::Sample out;
+    for (const sim::RunResult &rr : rs)
+        out.add(metricOf(rr));
+    return out;
+}
+
+std::vector<sim::RunResult>
+ExperimentRunner::runFamily(const toolchain::ToolchainSpec &tc,
+                            bool treatment_side,
+                            const toolchain::LinkOrder &order,
+                            std::span<const Lane> lanes)
+{
+    mbias_assert(!lanes.empty(), "a lane family needs at least one lane");
+    const std::size_t n = lanes.size();
+    // Neighbouring lanes in one layout share one image.  ASLR draws are
+    // one-shot layouts and bypass the artifact cache on purpose (they
+    // would only displace reusable entries).
+    std::vector<toolchain::ProcessImage> images;
+    images.reserve(n);
+    {
+        obs::ScopedSpan span("setup-materialize", "runner");
+        const auto prog = linkedProgram(tc, order);
+        for (std::size_t k = 0; k < n; ++k) {
+            const Lane &lane = lanes[k];
+            if (k > 0 && lane.envBytes == lanes[k - 1].envBytes &&
+                lane.aslrSeed == lanes[k - 1].aslrSeed) {
+                images.push_back(images.back());
+                continue;
+            }
+            toolchain::LoaderConfig lc = loaderConfigFor(lane.envBytes);
+            lc.aslrSeed = lane.aslrSeed;
+            images.push_back(
+                lane.aslrSeed
+                    ? toolchain::Loader::load(prog, lc)
+                    : toolchain::ArtifactCache::global().image(prog, lc));
+        }
+    }
+
+    sim::Machine machine(machineFor(treatment_side));
+    obs::ScopedSpan runSpan("run", "runner");
     constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
+    std::vector<sim::RunResult> out(n);
+
+    // Every lane differs from lane 0 only in its stack base and its
+    // noise, and neither changes the functional stream, so one
+    // recording can time them all.
     std::shared_ptr<const sim::FunctionalTrace> trace;
-    std::size_t r = 0;
-    if (reps.size() > 1 && sim::replayTierUsable(machine)) {
+    std::size_t first = 0; // lanes before this one are done
+    const bool replay = n > 1 && sim::replayTierUsable(machine);
+    if (replay) {
         auto &cache = sim::ReplayCache::global();
-        const toolchain::ProcessImage &image0 = *reps[0].image;
         bool unrecordable = false;
-        trace = cache.find(image0, budget, &unrecordable);
+        trace = cache.find(images[0], budget, &unrecordable);
         if (!trace && !unrecordable) {
-            // The recording runs under rep 0's model: it IS rep 0.
+            // The recording runs under lane 0's model: it IS lane 0.
             const auto t0 = std::chrono::steady_clock::now();
-            const auto rr =
-                machine.runRecord(image0, budget, reps[0].noise, &trace);
-            addRep(out, microsSince(t0), rr);
-            r = 1;
-            cache.insert(image0, budget, trace); // null = negative entry
+            out[0] =
+                machine.runRecord(images[0], budget, lanes[0].noise, &trace);
+            noteRun(microsSince(t0), out[0]);
+            first = 1;
+            cache.insert(images[0], budget, trace); // null = negative entry
         }
-        if (!trace)
-            cache.noteFallback();
     }
-    const auto rest = reps.subspan(r);
-    if (!trace) {
-        for (const sim::ReplayLane &rep : rest) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto rr = machine.run(*rep.image, budget, rep.noise);
-            addRep(out, microsSince(t0), rr);
+    std::vector<std::size_t> served;
+    std::vector<sim::ReplayLane> pass;
+    for (std::size_t k = first; k < n; ++k) {
+        if (trace && trace->matches(images[k], budget)) {
+            served.push_back(k);
+            pass.push_back({&images[k], lanes[k].noise});
+            continue;
         }
-        return;
+        const auto t0 = std::chrono::steady_clock::now();
+        out[k] = machine.run(images[k], budget, lanes[k].noise);
+        noteRun(microsSince(t0), out[k]);
     }
+    if (replay && first + served.size() < n)
+        sim::ReplayCache::global().noteFallback();
+    if (pass.empty())
+        return out;
+
     const auto t0 = std::chrono::steady_clock::now();
-    machine.runReplayLanes(*trace, budget, rest);
+    machine.runReplayLanes(*trace, budget, pass);
     // The pass's wall time, shared out evenly: run_us keeps one sample
-    // per repetition, and its sum stays the time spent.
-    const std::uint64_t share = microsSince(t0) / rest.size();
-    // Every repetition still returns through runReplay(), which hands
-    // out the lane the pass already timed, so per-rep instrumentation
-    // (perfbench's link-time shims) keeps seeing one call per
-    // repetition.
-    for (const sim::ReplayLane &rep : rest)
-        addRep(out, share,
-               machine.runReplay(*rep.image, budget, rep.noise, *trace));
+    // per lane, and its sum stays the time spent.
+    const std::uint64_t share = microsSince(t0) / pass.size();
+    // Every lane still returns through runReplay(), which hands out the
+    // lane the pass already timed, so per-run instrumentation
+    // (perfbench's link-time shims) keeps seeing one call per lane.
+    for (const std::size_t k : served) {
+        out[k] = machine.runReplay(images[k], budget, lanes[k].noise, *trace);
+        noteRun(share, out[k]);
+    }
+    return out;
 }
 
 ExperimentRunner::ExperimentRunner(ExperimentSpec spec)
@@ -127,13 +175,20 @@ ExperimentRunner::linkedProgram(const toolchain::ToolchainSpec &tc,
 }
 
 toolchain::LoaderConfig
-ExperimentRunner::loaderConfigFor(const ExperimentSetup &setup) const
+ExperimentRunner::loaderConfigFor(std::uint64_t env_bytes) const
 {
     toolchain::LoaderConfig lc;
-    lc.envBytes = setup.envBytes;
+    lc.envBytes = env_bytes;
     if (spAlign_)
         lc.spAlign = spAlign_;
     return lc;
+}
+
+const sim::MachineConfig &
+ExperimentRunner::machineFor(bool treatment_side) const
+{
+    return treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
+                                                    : spec_.machine;
 }
 
 toolchain::ProcessImage
@@ -142,7 +197,7 @@ ExperimentRunner::materialize(const toolchain::ToolchainSpec &tc,
 {
     obs::ScopedSpan span("setup-materialize", "runner");
     return toolchain::ArtifactCache::global().image(
-        linkedProgram(tc, setup.linkOrder), loaderConfigFor(setup));
+        linkedProgram(tc, setup.linkOrder), loaderConfigFor(setup.envBytes));
 }
 
 sim::RunResult
@@ -152,10 +207,7 @@ ExperimentRunner::runSide(const toolchain::ToolchainSpec &tc,
                           sim::Attribution *attribution)
 {
     auto image = materialize(tc, setup);
-    const sim::MachineConfig &mc =
-        treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
-                                                 : spec_.machine;
-    sim::Machine machine(mc);
+    sim::Machine machine(machineFor(treatment_side));
     obs::ScopedSpan runSpan(profile || attribution ? "run-profiled" : "run",
                             "runner");
     const auto t0 = std::chrono::steady_clock::now();
@@ -175,21 +227,14 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
                                  const sim::NoiseModel &noise_template)
 {
     mbias_assert(reps >= 1, "need at least one repetition");
-    const auto image = materialize(tc, setup);
-    sim::Machine machine(spec_.machine);
     // Rep r's model: the caller's template with seed base + r (the
     // default template reproduces the historical withSeed(base + r)).
-    // The functional stream is identical across noise seeds (noise
-    // perturbs timing and cache state, never a value), so one
-    // recording serves every repetition, each a lane of one pass,
-    // bitwise identical to per-rep execution (replay differential
-    // test).
-    std::vector<sim::ReplayLane> lanes(reps, {&image, noise_template});
+    // Noise perturbs timing and cache state, never a value, so every
+    // repetition is a lane of one family.
+    std::vector<Lane> lanes(reps, {setup.envBytes, 0, noise_template});
     for (unsigned r = 0; r < reps; ++r)
         lanes[r].noise.seed = noise_seed_base + r;
-    stats::Sample out;
-    runFamily(machine, lanes, out);
-    return out;
+    return metricSample(runFamily(tc, false, setup.linkOrder, lanes));
 }
 
 stats::Sample
@@ -199,36 +244,12 @@ ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
                                        std::uint64_t aslr_seed_base)
 {
     mbias_assert(reps >= 1, "need at least one repetition");
-    toolchain::ProgramPtr prog;
-    {
-        obs::ScopedSpan span("setup-materialize", "runner");
-        prog = linkedProgram(tc, setup.linkOrder);
-    }
-    sim::Machine machine(spec_.machine);
-    obs::ScopedSpan runSpan("run", "runner");
-
-    // ASLR only moves the stack region, so the recorded functional
-    // stream is layout-invariant modulo the initial-sp delta: replay
-    // rebases stack addresses per draw and re-runs just the timing
-    // models, every draw a lane of one pass.  The ReplayCache key
-    // excludes the stack base, so one recording (possibly from
-    // repeatedMetric) serves every draw.  Each rep loads under a fresh
-    // ASLR seed; these one-shot layouts bypass the artifact cache on
-    // purpose (they would only displace reusable entries).
-    std::vector<toolchain::ProcessImage> images;
-    images.reserve(reps);
-    for (unsigned r = 0; r < reps; ++r) {
-        toolchain::LoaderConfig lc = loaderConfigFor(setup);
-        lc.aslrSeed = aslr_seed_base + r;
-        images.push_back(toolchain::Loader::load(prog, lc));
-    }
-    std::vector<sim::ReplayLane> lanes;
-    lanes.reserve(reps);
-    for (const auto &image : images)
-        lanes.push_back({&image, sim::NoiseModel::none()});
-    stats::Sample out;
-    runFamily(machine, lanes, out);
-    return out;
+    // ASLR only moves the stack region, so every draw is a lane of one
+    // family: replay rebases stack addresses per draw.
+    std::vector<Lane> lanes(reps, {setup.envBytes, 0, sim::NoiseModel::none()});
+    for (unsigned r = 0; r < reps; ++r)
+        lanes[r].aslrSeed = aslr_seed_base + r;
+    return metricSample(runFamily(tc, false, setup.linkOrder, lanes));
 }
 
 double

@@ -37,6 +37,19 @@ struct RunOutcome
 };
 
 /**
+ * One repetition of a lane family (ExperimentRunner::runFamily): the
+ * setup details that move only the stack or the timing, never the
+ * linked program.
+ */
+struct Lane
+{
+    std::uint64_t envBytes = 0;
+    /** Per-run stack ASLR draw; 0 loads without ASLR. */
+    std::uint64_t aslrSeed = 0;
+    sim::NoiseModel noise = sim::NoiseModel::none();
+};
+
+/**
  * Extracts @p metric from a run result — the spec-independent core of
  * ExperimentRunner::metricOf, usable by render/aggregate code that has
  * outcomes but no runner (e.g. pipeline figures reading campaign
@@ -106,6 +119,24 @@ class ExperimentRunner
                                        unsigned reps,
                                        std::uint64_t aslr_seed_base);
 
+    /**
+     * Runs a lane family: one side (@p tc, and the treatment machine
+     * when @p treatment_side, as in runSide) linked in @p order, lane k
+     * under lanes[k].  Returns one RunResult per lane, in lane order,
+     * each bitwise identical to a plain run of that lane.
+     *
+     * Record-once / replay-many: lane 0 is recorded (or its recording
+     * found in the ReplayCache), and every other lane the recording
+     * can serve is timed in one lane pass over it.  A one-lane family
+     * never records, and lanes no recording can serve run on their
+     * own.  run_us gets one sample per lane; a lane pass's wall time is
+     * shared out evenly over its lanes.
+     */
+    std::vector<sim::RunResult> runFamily(const toolchain::ToolchainSpec &tc,
+                                          bool treatment_side,
+                                          const toolchain::LinkOrder &order,
+                                          std::span<const Lane> lanes);
+
     /** Extracts the spec's metric from a run result. */
     double metricOf(const sim::RunResult &rr) const;
 
@@ -135,9 +166,12 @@ class ExperimentRunner
     linkedProgram(const toolchain::ToolchainSpec &tc,
                   const toolchain::LinkOrder &order);
 
-    /** The setup's LoaderConfig (envBytes + sp-align override). */
-    toolchain::LoaderConfig
-    loaderConfigFor(const ExperimentSetup &setup) const;
+    /** The LoaderConfig of an @p env_bytes environment (plus the
+     *  sp-align override). */
+    toolchain::LoaderConfig loaderConfigFor(std::uint64_t env_bytes) const;
+
+    /** The machine one side runs on (runSide's @p treatment_side). */
+    const sim::MachineConfig &machineFor(bool treatment_side) const;
 
     /**
      * Materializes one setup end to end — compile on miss, link in
@@ -148,23 +182,12 @@ class ExperimentRunner
     materialize(const toolchain::ToolchainSpec &tc,
                 const ExperimentSetup &setup);
 
-    /** Books one repetition that took @p run_us: its run_us sample
-     *  and its metric (the workload must have halted). */
-    void addRep(stats::Sample &out, std::uint64_t run_us,
-                const sim::RunResult &rr);
+    /** Books one lane's run_us sample; the workload must have
+     *  halted. */
+    void noteRun(std::uint64_t run_us, const sim::RunResult &rr);
 
-    /**
-     * Runs one repetition family, rep r under @p reps[r], and books
-     * each rep into @p out in rep order.  Record-once / replay-many:
-     * rep 0 is recorded (or its recording found in the ReplayCache),
-     * and the remaining reps are timed in one lane pass over it; when
-     * no recording can serve, every rep runs on its own.  run_us gets
-     * one sample per rep; a lane pass's wall time is shared out
-     * evenly over its lanes.
-     */
-    void runFamily(sim::Machine &machine,
-                   std::span<const sim::ReplayLane> reps,
-                   stats::Sample &out);
+    /** The metric sample of a family's results, in lane order. */
+    stats::Sample metricSample(const std::vector<sim::RunResult> &rs) const;
 
     ExperimentSpec spec_;
     std::uint64_t spAlign_ = 0;

@@ -29,10 +29,11 @@ class ThreadPool
   public:
     /**
      * @p jobs is the worker count; 0 is treated as 1.  With a
-     * @p metrics registry the pool records `pool.tasks` (schedule
-     * independent), `pool.steals`, and the `pool.queue_wait_us`
-     * histogram (both schedule dependent by nature), and each
-     * dequeue emits a "queue-wait" span when tracing is active.
+     * @p metrics registry the pool records `pool.tasks` (the task
+     * indices run, however the caller split its work), `pool.steals`
+     * and the `pool.queue_wait_us` histogram (both schedule dependent
+     * by nature), and each dequeue emits a "queue-wait" span when
+     * tracing is active.
      */
     explicit ThreadPool(unsigned jobs,
                         obs::Registry *metrics = nullptr);

@@ -1345,6 +1345,13 @@ Machine::runRecord(const toolchain::ProcessImage &image,
     trace->stackBoundary = image.stackTop >> 1;
     const RunResult rr =
         runPlan<RunMode::Record>(image, max_insts, noise, trace.get());
+    trace->resultOnStack = trace->resultA0 >= trace->stackBoundary &&
+                           trace->resultA0 < image.stackTop;
+    // The streams grew by doubling; a cached trace keeps only what it
+    // holds.
+    trace->branchBits.shrink_to_fit();
+    trace->retTargets.shrink_to_fit();
+    trace->memAddrs.shrink_to_fit();
     ReplayCache::global().noteRecord();
     if (!trace->aborted)
         *out = std::move(trace);
@@ -2892,9 +2899,9 @@ Machine::runLanesImpl(const FunctionalTrace &trace, std::uint64_t max_insts,
     }
 
     // The architectural outcome comes from the recording; the loop
-    // only re-derived control flow from the streams.  a0 gets each
-    // lane's stack rebase when it is itself a stack address (e.g. a
-    // workload returning a stack pointer).
+    // only re-derived control flow from the streams.  a0 is taken as
+    // recorded: a trace whose a0 may be a stack address never serves
+    // another stack base (FunctionalTrace::resultOnStack).
     mbias_assert(icount == trace.icount && halted == trace.halted,
                  "replay diverged from its recording");
     std::vector<RunResult> out(n_lanes);
@@ -2907,9 +2914,7 @@ Machine::runLanesImpl(const FunctionalTrace &trace, std::uint64_t max_insts,
         c.set(Counter::Cycles, hot[k].now);
         c.set(Counter::Instructions, icount);
         out[k].halted = halted;
-        out[k].result = trace.resultA0 >= boundary
-                            ? trace.resultA0 + hot[k].delta
-                            : trace.resultA0;
+        out[k].result = trace.resultA0;
     }
     return out;
 }

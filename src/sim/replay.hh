@@ -60,7 +60,11 @@ bool replayTierUsable(const Machine &machine);
  * code/global/heap addresses alone.  This assumes the program derives
  * stack addresses from sp by plain offset arithmetic (true of
  * compiler-generated code; the four-tier differential test holds the
- * line per workload).
+ * line per workload).  The final a0 is never rebased: it is a value
+ * (most often a checksum), not an access, so nothing tells a stack
+ * pointer from a number that merely lies above the boundary.  A
+ * recording whose a0 lies in the recorded stack region is flagged
+ * instead, and replays only at its own initialSp.
  */
 struct FunctionalTrace
 {
@@ -98,6 +102,12 @@ struct FunctionalTrace
     bool halted = false;
     std::uint64_t resultA0 = 0;
 
+    /** Set when resultA0 lies in the recorded stack region
+     *  [stackBoundary, stackTop): it may be a stack address, whose
+     *  value would move with the stack, so the trace serves only
+     *  images at recordedSp. */
+    bool resultOnStack = false;
+
     /** Set when recording hit kMaxBytes; the streams are incomplete
      *  and the trace must not be replayed (or cached, except as a
      *  negative entry). */
@@ -105,14 +115,16 @@ struct FunctionalTrace
 
     /** True when @p image and @p max_insts satisfy the replay
      *  preconditions: same program identity, same gp/heap layout, same
-     *  entry, same instruction budget.  initialSp may differ (rebased),
-     *  noise seed and machine geometry are free. */
+     *  entry, same instruction budget.  initialSp may differ (rebased)
+     *  unless resultOnStack; noise seed and machine geometry are
+     *  free. */
     bool matches(const toolchain::ProcessImage &image,
                  std::uint64_t max_insts) const
     {
         return program.get() == image.program.get() && gp == image.gp &&
                heapBase == image.heapBase && entryIdx == image.entryIdx &&
-               budget == max_insts && !aborted;
+               budget == max_insts && !aborted &&
+               (!resultOnStack || image.initialSp == recordedSp);
     }
 
     /** Approximate heap footprint (replay-cache accounting). */

@@ -15,6 +15,9 @@
  * bits.  Lane passes (Machine::runReplayLanes) are held to the same
  * contract lane by lane: every lane equals a one-lane runReplay and
  * the oracle, on every backend, under every noise shape and ASLR.
+ * The architectural result is held too: a replay at another stack base
+ * returns the recorded a0, and a recording whose a0 may be a stack
+ * address serves no other stack base.
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/runner.hh"
 #include "isa/builder.hh"
 #include "sim/machine.hh"
 #include "sim/registry.hh"
@@ -32,6 +36,7 @@
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
 #include "workloads/registry.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -602,6 +607,154 @@ TEST(ReplayDifferential, LanePassServesEachRepetitionOnce)
     const auto s3 = sim::ReplayCache::global().stats();
     EXPECT_EQ(s3.lanePasses - s2.lanePasses, 1u);
     EXPECT_EQ(s3.replays - s2.replays, 1u);
+}
+
+/** µRISC of a kernel that works on its stack and returns its stack
+ *  pointer: its a0 moves with the stack. */
+std::vector<isa::Module>
+spReturningModules()
+{
+    using namespace isa;
+    ProgramBuilder b("sp_return");
+    b.func("main");
+    b.li(reg::t0, 200);
+    b.label("loop");
+    b.addi(reg::sp, reg::sp, -16);
+    b.st8(reg::t0, reg::sp, 0);
+    b.ld8(reg::t1, reg::sp, 0);
+    b.addi(reg::sp, reg::sp, 16);
+    b.addi(reg::t0, reg::t1, -1);
+    b.bne(reg::t0, reg::zero, "loop");
+    b.mv(reg::a0, reg::sp);
+    b.halt();
+    b.endFunc();
+    return {b.build()};
+}
+
+/** spReturningModules as a registered workload, so the runner's lane
+ *  families can run it. */
+class SpReturning : public workloads::Workload
+{
+  public:
+    std::string name() const override { return "sp_return"; }
+    std::string archetype() const override { return "none"; }
+    std::string description() const override { return "returns sp"; }
+    std::vector<isa::Module>
+    build(const workloads::WorkloadConfig &) const override
+    {
+        return spReturningModules();
+    }
+    std::uint64_t
+    referenceResult(const workloads::WorkloadConfig &) const override
+    {
+        return 0; // the result is the stack pointer: layout-dependent
+    }
+};
+
+TEST(ReplayDifferential, ResultSurvivesStackMoves)
+{
+    // a0 is a value, not an access: replay must return the recorded
+    // result at any stack base, never one shifted by the sp delta.
+    // Every suite kernel is recorded at env 100, then replayed at other
+    // env sizes and ASLR draws, one lane at a time and as one lane
+    // pass; each whole RunResult, result included, must equal the
+    // oracle's.
+    const std::uint64_t budget = 500'000'000;
+    const auto mc = sim::MachineConfig::core2Like();
+    const auto none = sim::NoiseModel::none();
+    auto noisy = laneNoiseShapes().back().second;
+    noisy.seed = 3;
+    for (const auto *w : workloads::suite()) {
+        const std::string name = w->name();
+        const auto home = imageFor(name, toolchain::LinkOrder::asGiven(), 100);
+        const auto load = [&](std::uint64_t env, std::uint64_t aslr) {
+            toolchain::LoaderConfig lc;
+            lc.envBytes = env;
+            lc.aslrSeed = aslr;
+            return toolchain::Loader::load(home.program, lc);
+        };
+        Family f;
+        f.images = {load(1000, 0), load(2900, 0), load(100, 7),
+                    load(1000, 8)};
+        f.noises = {none, noisy, none, none};
+        sim::Machine machine(mc);
+        std::shared_ptr<const sim::FunctionalTrace> trace;
+        machine.runRecord(home, budget, none, &trace);
+        if (replayTierActive())
+            ASSERT_NE(trace, nullptr) << name;
+        const sim::FunctionalTrace unused; // the fallback never reads it
+        const sim::FunctionalTrace &stream = trace ? *trace : unused;
+        const auto lanes = f.lanes();
+        const auto pass = machine.runReplayLanes(stream, budget, lanes);
+        ASSERT_EQ(pass.size(), lanes.size()) << name;
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            const auto &lane = lanes[k];
+            ASSERT_NE(lane.image->initialSp, home.initialSp) << name;
+            const auto ref = plainRun(mc, *lane.image, budget, lane.noise);
+            sim::Machine single(mc);
+            const auto one =
+                single.runReplay(*lane.image, budget, lane.noise, stream);
+            EXPECT_EQ(one, ref)
+                << name << " lane " << k << ": one-lane replay diverged"
+                << " (result " << one.result << " vs " << ref.result << ")";
+            EXPECT_EQ(pass[k], ref)
+                << name << " lane " << k << ": lane pass diverged"
+                << " (result " << pass[k].result << " vs " << ref.result
+                << ")";
+        }
+    }
+
+    // A kernel returning its stack pointer: its a0 moves with the
+    // stack, which nothing in a recording can tell from a checksum, so
+    // the recording is flagged and serves only its own stack base.
+    const auto prog = std::make_shared<const toolchain::LinkedProgram>(
+        toolchain::Linker().link(spReturningModules()));
+    const auto spHome = kernelImage(prog);
+    const auto spMoved = kernelImage(prog, 5);
+    ASSERT_NE(spHome.initialSp, spMoved.initialSp);
+    sim::Machine machine(mc);
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    const auto rec = machine.runRecord(spHome, budget, none, &trace);
+    EXPECT_EQ(rec.result, spHome.initialSp);
+    EXPECT_EQ(plainRun(mc, spMoved, budget, none).result, spMoved.initialSp);
+    if (replayTierActive()) {
+        ASSERT_NE(trace, nullptr);
+        EXPECT_TRUE(trace->resultOnStack);
+        EXPECT_TRUE(trace->matches(spHome, budget));
+        EXPECT_FALSE(trace->matches(spMoved, budget))
+            << "a stack-valued result must not replay at another sp";
+        EXPECT_EQ(machine.runReplay(spHome, budget, noisy, *trace),
+                  plainRun(mc, spHome, budget, noisy));
+    }
+
+    // Through the runner: lanes at the recorded stack base still share
+    // the recording, and the moved lane falls back to a run of its own.
+    workloads::Registry::instance().tryAdd(std::make_unique<SpReturning>(),
+                                           "test");
+    const auto spec = core::ExperimentSpec().withWorkload("sp_return");
+    core::ExperimentRunner runner(spec);
+    const std::vector<core::Lane> lanes = {
+        {100, 0, none}, {100, 0, noisy}, {1000, 0, none}};
+    const auto before = sim::ReplayCache::global().stats();
+    const auto got = runner.runFamily(spec.baseline, false,
+                                      toolchain::LinkOrder::asGiven(), lanes);
+    const auto after = sim::ReplayCache::global().stats();
+    ASSERT_EQ(got.size(), lanes.size());
+    core::ExperimentSetup at100, at1000;
+    at100.envBytes = 100;
+    at1000.envBytes = 1000;
+    EXPECT_EQ(got[0], runner.runSide(spec.baseline, at100));
+    EXPECT_EQ(got[2], runner.runSide(spec.baseline, at1000));
+    EXPECT_NE(got[0].result, got[2].result);
+    EXPECT_EQ(got[1].result, got[0].result);
+    EXPECT_EQ(runner.metricOf(got[1]),
+              runner.repeatedMetric(spec.baseline, at100, 1, noisy.seed, noisy)
+                  .mean());
+    if (replayTierActive()) {
+        EXPECT_EQ(after.records - before.records, 1u);
+        EXPECT_EQ(after.replays - before.replays, 1u);
+        EXPECT_EQ(after.fallbacks - before.fallbacks, 1u);
+    }
 }
 
 } // namespace
