@@ -272,6 +272,50 @@ microsSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
+/**
+ * The process-wide caches' counts under the names a report books them
+ * by: the one table of those names.  Every cache counts once, in its
+ * stats(); a campaign books the difference between a reading at its
+ * start and one at its end, and the end value of the byte gauge.
+ */
+obs::MetricsSnapshot
+cacheCounts()
+{
+    const auto a = toolchain::ArtifactCache::global().stats();
+    const auto p = sim::PlanCache::global().stats();
+    const auto t = sim::TraceCache::global().stats();
+    const auto r = sim::ReplayCache::global().stats();
+    obs::MetricsSnapshot s;
+    s.counters = {
+        {"artifacts.compile_hits", a.compileHits},
+        {"artifacts.compile_misses", a.compileMisses},
+        {"artifacts.link_hits", a.linkHits},
+        {"artifacts.link_misses", a.linkMisses},
+        {"artifacts.image_hits", a.imageHits},
+        {"artifacts.image_misses", a.imageMisses},
+        {"artifacts.evictions", a.evictions},
+        {"sim.plan.hits", p.hits},
+        {"sim.plan.misses", p.misses},
+        {"sim.plan.evictions", p.evictions},
+        {"sim.trace.hits", t.hits},
+        {"sim.trace.misses", t.misses},
+        {"sim.trace.evictions", t.evictions},
+        {"sim.trace.superblocks", t.superblocks},
+        {"sim.trace.ops_batched", t.opsBatched},
+        {"sim.trace.ops_interpreted", t.opsInterpreted},
+        {"sim.trace.fallbacks", t.fallbacks},
+        {"sim.replay.hits", r.hits},
+        {"sim.replay.misses", r.misses},
+        {"sim.replay.evictions", r.evictions},
+        {"sim.replay.records", r.records},
+        {"sim.replay.replays", r.replays},
+        {"sim.replay.lane_passes", r.lanePasses},
+        {"sim.replay.fallbacks", r.fallbacks},
+    };
+    s.gauges = {{"artifacts.bytes", std::int64_t(a.bytes)}};
+    return s;
+}
+
 } // namespace
 
 CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)
@@ -329,27 +373,12 @@ CampaignEngine::run()
             store->writeHeader(provenance);
     }
 
-    // All workers materialize setups through the shared artifact
-    // cache; its hit/miss/byte counters land in this run's registry
-    // for the duration of the run.  The simulator's plan/trace/replay
-    // caches mirror their counters the same way (sim.plan.*,
-    // sim.trace.*, sim.replay.*).
-    toolchain::ArtifactCache::global().attachMetrics(&metrics);
-    sim::PlanCache::global().attachMetrics(&metrics);
-    sim::TraceCache::global().attachMetrics(&metrics);
-    sim::ReplayCache::global().attachMetrics(&metrics);
-    // The caches are process-global and the registry is per-run:
-    // detach on every exit path, before the registry dies.
-    struct DetachMetrics
-    {
-        ~DetachMetrics()
-        {
-            toolchain::ArtifactCache::global().attachMetrics(nullptr);
-            sim::PlanCache::global().attachMetrics(nullptr);
-            sim::TraceCache::global().attachMetrics(nullptr);
-            sim::ReplayCache::global().attachMetrics(nullptr);
-        }
-    } detachMetrics;
+    // The process-wide caches and the global registry (asm.*, fuzz.*)
+    // count for the whole process; the report books what they gained
+    // between here and the end of the run.
+    const obs::MetricsSnapshot cachesBefore = cacheCounts();
+    const obs::MetricsSnapshot globalBefore =
+        obs::Registry::global().snapshot();
 
     parallel::ThreadPool pool(opts_.jobs, &metrics);
     std::vector<core::RunOutcome> results(tasks.size());
@@ -569,24 +598,16 @@ CampaignEngine::run()
             .count();
     report.provenance = provenance;
     report.metrics = metrics.snapshot();
-    // Fold in the process-wide lang metrics (asm.load, asm.assemble,
-    // fuzz.generate): asm-manifest workloads assemble inside the
-    // campaign's tasks but record into the global registry, and their
-    // cost belongs in the report obs-summary prints.
-    {
-        const auto global = obs::Registry::global().snapshot();
-        obs::MetricsSnapshot lang;
-        const auto langKey = [](const std::string &k) {
-            return k.rfind("asm.", 0) == 0 || k.rfind("fuzz.", 0) == 0;
-        };
-        for (const auto &[k, v] : global.counters)
-            if (langKey(k))
-                lang.counters[k] = v;
-        for (const auto &[k, v] : global.histograms)
-            if (langKey(k))
-                lang.histograms[k] = v;
-        report.metrics.merge(lang);
-    }
+    // Every cache name is booked, moved or not, so a report always
+    // carries the same cache rows; of the global registry, only what
+    // moved during the run.
+    const obs::MetricsSnapshot caches = cacheCounts();
+    for (const auto &[name, v] : caches.counters)
+        report.metrics.counters[name] = v - cachesBefore.counters.at(name);
+    report.metrics.gauges.insert(caches.gauges.begin(),
+                                 caches.gauges.end());
+    report.metrics.merge(
+        obs::Registry::global().snapshot().since(globalBefore));
     if (store)
         store->appendMetrics(report.metrics);
     if (tracing) {

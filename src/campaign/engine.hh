@@ -78,6 +78,14 @@ struct CampaignOptions
  * Determinism guarantee: for a fixed spec, the report's outcomes are
  * bitwise-identical regardless of jobs, scheduling order, or resume
  * splits.
+ *
+ * Metrics: the report holds this run's own registry plus what the
+ * process-wide counts gained during the run — the four caches'
+ * stats() under their `artifacts.*` / `sim.plan.*` / `sim.trace.*` /
+ * `sim.replay.*` names, and every entry of obs::Registry::global()
+ * that moved.  Work done before the run (an `--asm-dir` load, a
+ * fuzzed corpus) is not booked, and a repeated campaign shows only
+ * its own cache misses.
  */
 class CampaignEngine
 {

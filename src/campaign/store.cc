@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string_view>
 
@@ -320,6 +319,68 @@ provenanceOfHeader(const std::string &line)
                        line.size() - 1 - (at + needle.size()));
 }
 
+/** One torn line: where it starts and what it looked like. */
+struct TornLine
+{
+    std::uintmax_t offset = 0;
+    const char *what = "";
+};
+
+/** Everything a store file holds, read by the one rule all readers
+ *  share (see scanStore). */
+struct StoreScan
+{
+    std::vector<TaskRecord> records; ///< in file order, duplicates kept
+    std::string provenanceJson;      ///< the last header's; may be empty
+    std::string metricsJson;         ///< the last metrics trailer line
+    std::vector<TornLine> torn;
+    /** Length of the file up to its last newline: what a writer keeps
+     *  before appending, dropping an unterminated tail. */
+    std::uintmax_t completeBytes = 0;
+};
+
+/**
+ * The one line scanner behind ResultStore::load, summarizeStore and
+ * readStoreColumns.  A line counts only if it ends in a newline and
+ * parses; a meta line must also end in `}`.  Anything else is exactly
+ * one torn line — including a final line that parses but lost its
+ * newline, which a kill between the `}` and the `\n` leaves behind
+ * and the next append truncates.
+ */
+StoreScan
+scanStore(const std::string &path)
+{
+    StoreScan scan;
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    std::uintmax_t offset = 0;
+    while (std::getline(in, line)) {
+        const std::uintmax_t start = offset;
+        // getline sets eof only when the line ran out before a newline.
+        if (in.eof()) {
+            scan.torn.push_back({start, "unterminated final line"});
+            break;
+        }
+        offset += line.size() + 1;
+        scan.completeBytes = offset;
+        if (isMetaLine(line)) {
+            if (line.back() != '}')
+                scan.torn.push_back({start, "truncated meta line"});
+            else if (line.find(kHeaderTag) != std::string::npos)
+                scan.provenanceJson = provenanceOfHeader(line);
+            else if (line.find(kMetricsTag) != std::string::npos)
+                scan.metricsJson = line;
+            continue;
+        }
+        TaskRecord rec;
+        if (TaskRecord::fromJson(line, rec))
+            scan.records.push_back(std::move(rec));
+        else
+            scan.torn.push_back({start, "unparseable record"});
+    }
+    return scan;
+}
+
 } // namespace
 
 ResultStore::ResultStore(std::string path, obs::Registry *metrics)
@@ -333,46 +394,22 @@ ResultStore::ResultStore(std::string path, obs::Registry *metrics)
     }
 }
 
-void
-ResultStore::countTorn(std::uintmax_t byte_offset, const char *what)
-{
-    ++tornLines_;
-    if (tornCounter_)
-        tornCounter_->add();
-    mbias_warn("result store ", path_, ": dropping ", what,
-               " at byte offset ", byte_offset,
-               " (torn tail of a killed run, or corruption)");
-}
-
 std::size_t
 ResultStore::load()
 {
-    std::ifstream in(path_);
-    if (!in)
-        return 0;
-    std::size_t read = 0;
-    std::string line;
-    std::uintmax_t offset = 0;
-    while (std::getline(in, line)) {
-        const std::uintmax_t lineStart = offset;
-        offset += line.size() + 1; // +1: the newline getline consumed
-        if (isMetaLine(line)) {
-            if (line.back() != '}') { // killed while writing the line
-                countTorn(lineStart, "truncated meta line");
-                continue;
-            }
-            if (line.find(kHeaderTag) != std::string::npos)
-                headerJson_ = provenanceOfHeader(line);
-            continue; // metrics trailers are for obs-summary, not load
-        }
-        TaskRecord rec;
-        if (!TaskRecord::fromJson(line, rec)) {
-            countTorn(lineStart, "unparseable record");
-            continue;
-        }
+    StoreScan scan = scanStore(path_);
+    for (const TornLine &t : scan.torn)
+        mbias_warn("result store ", path_, ": dropping ", t.what,
+                   " at byte offset ", t.offset,
+                   " (torn tail of a killed run, or corruption)");
+    tornLines_ += scan.torn.size();
+    if (tornCounter_)
+        tornCounter_->add(scan.torn.size());
+    headerJson_ = std::move(scan.provenanceJson);
+    keepBytes_ = scan.completeBytes;
+    const std::size_t read = scan.records.size();
+    for (TaskRecord &rec : scan.records)
         byKey_[rec.key] = std::move(rec);
-        ++read;
-    }
     if (loadedCounter_)
         loadedCounter_->add(read);
     return read;
@@ -385,6 +422,35 @@ ResultStore::reset()
     std::filesystem::remove(path_, ec);
     byKey_.clear();
     headerJson_.clear();
+    keepBytes_ = 0;
+}
+
+std::ofstream
+ResultStore::openForAppend()
+{
+    mbias_assert(keepBytes_, "result store ", path_,
+                 ": load() or reset() it before writing");
+    const auto parent = std::filesystem::path(path_).parent_path();
+    if (!parent.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(parent, ec);
+    }
+    // A killed run can leave an unterminated line at the end of the
+    // file.  load() already counted it as torn; before the first
+    // write, truncate it away so every line starts on its own and the
+    // healed file is pure JSONL again.
+    if (!tailChecked_) {
+        tailChecked_ = true;
+        std::error_code ec;
+        const auto size = std::filesystem::file_size(path_, ec);
+        if (!ec && size > *keepBytes_) {
+            std::filesystem::resize_file(path_, *keepBytes_, ec);
+            mbias_assert(!ec, "cannot drop torn tail of ", path_);
+        }
+    }
+    std::ofstream out(path_, std::ios::app);
+    mbias_assert(out.good(), "cannot append to result store ", path_);
+    return out;
 }
 
 void
@@ -393,14 +459,8 @@ ResultStore::writeHeader(const obs::Provenance &prov)
     std::lock_guard<std::mutex> lock(mutex_);
     mbias_assert(headerJson_.empty(),
                  "store ", path_, " already has a provenance header");
+    std::ofstream out = openForAppend();
     headerJson_ = prov.toJson();
-    const auto parent = std::filesystem::path(path_).parent_path();
-    if (!parent.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(parent, ec);
-    }
-    std::ofstream out(path_, std::ios::app);
-    mbias_assert(out.good(), "cannot write store header: ", path_);
     out << "{\"mbias_store\":1,\"provenance\":" << headerJson_
         << "}\n";
     out.flush();
@@ -411,8 +471,7 @@ void
 ResultStore::appendMetrics(const obs::MetricsSnapshot &snap)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::ofstream out(path_, std::ios::app);
-    mbias_assert(out.good(), "cannot append to result store ", path_);
+    std::ofstream out = openForAppend();
     out << "{\"mbias_metrics\":1,\"snapshot\":" << snap.toJson()
         << "}\n";
     out.flush();
@@ -437,39 +496,7 @@ void
 ResultStore::append(const TaskRecord &rec)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto parent = std::filesystem::path(path_).parent_path();
-    if (!parent.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(parent, ec);
-    }
-    // A killed run can leave a torn partial line at the end of the
-    // file; before the first append, truncate back to the last
-    // complete record so the new record starts on its own line and
-    // the healed file is pure JSONL again.
-    if (!tailChecked_) {
-        tailChecked_ = true;
-        std::uintmax_t keep = 0;
-        bool torn = false;
-        {
-            std::ifstream in(path_, std::ios::binary);
-            char c;
-            std::uintmax_t pos = 0;
-            while (in && in.get(c)) {
-                ++pos;
-                if (c == '\n')
-                    keep = pos;
-            }
-            torn = in.eof() && pos > keep;
-        }
-        if (torn) {
-            countTorn(keep, "torn trailing line (healing file)");
-            std::error_code ec;
-            std::filesystem::resize_file(path_, keep, ec);
-            mbias_assert(!ec, "cannot drop torn tail of ", path_);
-        }
-    }
-    std::ofstream out(path_, std::ios::app);
-    mbias_assert(out.good(), "cannot append to result store ", path_);
+    std::ofstream out = openForAppend();
     out << rec.toJson() << "\n";
     out.flush();
     mbias_assert(out.good(), "write to result store failed: ", path_);
@@ -480,36 +507,13 @@ ResultStore::append(const TaskRecord &rec)
 StoreSummary
 summarizeStore(const std::string &path)
 {
+    StoreScan scan = scanStore(path);
     StoreSummary s;
     s.path = path;
-    std::ifstream in(path);
-    if (!in)
-        return s;
-    std::string line;
-    bool sawNewlineEnd = true;
-    while (std::getline(in, line)) {
-        sawNewlineEnd = !in.eof();
-        if (isMetaLine(line)) {
-            if (line.back() != '}') {
-                ++s.tornLines;
-                continue;
-            }
-            if (line.find(kHeaderTag) != std::string::npos)
-                s.provenanceJson = provenanceOfHeader(line);
-            else if (line.find(kMetricsTag) != std::string::npos)
-                s.metricsJson = line;
-            continue;
-        }
-        TaskRecord rec;
-        if (TaskRecord::fromJson(line, rec))
-            ++s.records;
-        else
-            ++s.tornLines;
-    }
-    // A file that does not end in a newline has a torn final line
-    // even if the prefix happened to parse.
-    if (!sawNewlineEnd && s.tornLines == 0)
-        ++s.tornLines;
+    s.provenanceJson = std::move(scan.provenanceJson);
+    s.metricsJson = std::move(scan.metricsJson);
+    s.records = scan.records.size();
+    s.tornLines = scan.torn.size();
     return s;
 }
 
@@ -564,52 +568,23 @@ StoreSummary::str() const
 StoreColumns
 readStoreColumns(const std::string &path, obs::Registry *metrics)
 {
+    StoreScan scan = scanStore(path);
     StoreColumns cols;
-    obs::Counter *torn = nullptr;
-    obs::Counter *loaded = nullptr;
-    if (metrics) {
-        torn = &metrics->counter("store.torn_lines");
-        loaded = &metrics->counter("store.loaded");
-    }
+    cols.tornLines = scan.torn.size();
+    cols.provenanceJson = std::move(scan.provenanceJson);
 
-    // Pass 1 (the only file pass): parse every line once, dedup by
-    // content address with last-record-wins, matching what a resumed
-    // ResultStore::load would serve.
-    std::vector<TaskRecord> records;
-    std::unordered_map<std::string, std::size_t> slotByKey;
-    {
-        std::ifstream in(path);
-        if (!in)
-            return cols;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (isMetaLine(line)) {
-                if (line.back() != '}') {
-                    ++cols.tornLines;
-                    continue;
-                }
-                if (line.find(kHeaderTag) != std::string::npos)
-                    cols.provenanceJson = provenanceOfHeader(line);
-                continue;
-            }
-            TaskRecord rec;
-            if (!TaskRecord::fromJson(line, rec)) {
-                ++cols.tornLines;
-                continue;
-            }
-            const auto [it, fresh] =
-                slotByKey.try_emplace(rec.key, records.size());
-            if (fresh)
-                records.push_back(std::move(rec));
-            else
-                records[it->second] = std::move(rec);
-        }
-    }
-
-    // Order rows by task index so the columns are independent of the
-    // append order (resumed and work-stolen campaigns interleave).
-    std::vector<std::size_t> order(records.size());
-    std::iota(order.begin(), order.end(), 0);
+    // Dedup by content address with last-record-wins, matching what a
+    // resumed ResultStore::load would serve, then order rows by task
+    // index so the columns are independent of the append order
+    // (resumed and work-stolen campaigns interleave).
+    const std::vector<TaskRecord> &records = scan.records;
+    std::unordered_map<std::string_view, std::size_t> lastOf;
+    for (std::size_t i = 0; i < records.size(); ++i)
+        lastOf[records[i].key] = i;
+    std::vector<std::size_t> order;
+    order.reserve(lastOf.size());
+    for (const auto &[key, i] : lastOf)
+        order.push_back(i);
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
                   if (records[a].taskIndex != records[b].taskIndex)
@@ -617,11 +592,11 @@ readStoreColumns(const std::string &path, obs::Registry *metrics)
                   return records[a].key < records[b].key;
               });
 
-    cols.taskIndex.reserve(records.size());
-    cols.envBytes.reserve(records.size());
-    cols.baseMetric.reserve(records.size());
-    cols.treatMetric.reserve(records.size());
-    cols.speedup.reserve(records.size());
+    cols.taskIndex.reserve(order.size());
+    cols.envBytes.reserve(order.size());
+    cols.baseMetric.reserve(order.size());
+    cols.treatMetric.reserve(order.size());
+    cols.speedup.reserve(order.size());
     for (std::size_t i : order) {
         const TaskRecord &r = records[i];
         cols.taskIndex.push_back(r.taskIndex);
@@ -632,10 +607,10 @@ readStoreColumns(const std::string &path, obs::Registry *metrics)
             std::bit_cast<double>(r.treatMetricBits));
         cols.speedup.push_back(std::bit_cast<double>(r.speedupBits));
     }
-    if (loaded)
-        loaded->add(cols.rows());
-    if (torn && cols.tornLines)
-        torn->add(cols.tornLines);
+    if (metrics) {
+        metrics->counter("store.loaded").add(cols.rows());
+        metrics->counter("store.torn_lines").add(cols.tornLines);
+    }
     return cols;
 }
 

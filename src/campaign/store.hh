@@ -2,7 +2,9 @@
 #define MBIAS_CAMPAIGN_STORE_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,12 +90,18 @@ struct TaskRecord
  *    when a campaign finishes (one per run; the last one wins).
  *
  * load() reads whatever a previous (possibly killed) run managed to
- * append — every dropped unparseable line is counted in tornLines()
- * (and `store.torn_lines`) and warned about with its byte offset, so
+ * append — every torn line is counted in tornLines() (and
+ * `store.torn_lines`) and warned about with its byte offset, so
  * corruption is visible instead of silent — and the engine serves
  * loaded tasks from the store instead of re-executing them.  Records
  * are keyed by content address, so duplicate appends collapse on
  * load (the last one wins).
+ *
+ * load(), summarizeStore() and readStoreColumns() read the file by one
+ * rule: a line counts only if it ends in a newline and parses (a meta
+ * line must also end in `}`), and anything else is exactly one torn
+ * line.  So a record that lost its newline is never served, and the
+ * first write truncates it and the task runs again.
  */
 class ResultStore
 {
@@ -107,7 +115,8 @@ class ResultStore
      *  were read. */
     std::size_t load();
 
-    /** Deletes any existing file (fresh, non-resumed campaigns). */
+    /** Deletes any existing file (fresh, non-resumed campaigns).
+     *  Every writer below needs load() or reset() to have run. */
     void reset();
 
     /** Writes the provenance header line (fresh stores only — call
@@ -136,18 +145,22 @@ class ResultStore
     /** Number of loaded (not appended) records. */
     std::size_t loadedCount() const { return byKey_.size(); }
 
-    /** Unparseable lines dropped by load() / torn tails healed by
-     *  append() so far. */
+    /** Torn lines load() found. */
     std::uint64_t tornLines() const { return tornLines_; }
 
     const std::string &path() const { return path_; }
 
   private:
-    void countTorn(std::uintmax_t byte_offset, const char *what);
+    /** Opens the file for appending; the first call truncates an
+     *  unterminated tail (caller holds mutex_). */
+    std::ofstream openForAppend();
 
     std::string path_;
     std::mutex mutex_;
-    bool tailChecked_ = false; ///< torn-tail repair done (see append)
+    bool tailChecked_ = false; ///< torn-tail repair done
+    /** The file's length up to its last newline, as load() found it
+     *  (0 after reset()); unset until one of them runs. */
+    std::optional<std::uintmax_t> keepBytes_;
     std::string headerJson_;
     std::uint64_t tornLines_ = 0;
     obs::Counter *tornCounter_ = nullptr;

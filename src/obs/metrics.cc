@@ -116,6 +116,37 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
         histograms[name].merge(h);
 }
 
+MetricsSnapshot
+MetricsSnapshot::since(const MetricsSnapshot &before) const
+{
+    MetricsSnapshot d;
+    for (const auto &[name, v] : counters) {
+        const auto it = before.counters.find(name);
+        const std::uint64_t was =
+            it == before.counters.end() ? 0 : it->second;
+        if (v != was)
+            d.counters[name] = v - was;
+    }
+    for (const auto &[name, v] : gauges) {
+        const auto it = before.gauges.find(name);
+        if (it == before.gauges.end() || it->second != v)
+            d.gauges[name] = v;
+    }
+    for (const auto &[name, h] : histograms) {
+        const auto it = before.histograms.find(name);
+        const HistogramStats was =
+            it == before.histograms.end() ? HistogramStats{} : it->second;
+        if (h.count == was.count)
+            continue;
+        HistogramStats &diff = d.histograms[name];
+        for (unsigned b = 0; b < kHistogramBuckets; ++b)
+            diff.buckets[b] = h.buckets[b] - was.buckets[b];
+        diff.count = h.count - was.count;
+        diff.sum = h.sum - was.sum;
+    }
+    return d;
+}
+
 std::string
 MetricsSnapshot::str() const
 {

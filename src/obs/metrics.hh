@@ -88,6 +88,15 @@ struct MetricsSnapshot
     /** Accumulates @p other (counters/histograms add, gauges last-wins). */
     void merge(const MetricsSnapshot &other);
 
+    /**
+     * What moved since @p before, an earlier snapshot of the same
+     * registry: counters and histogram buckets, counts and sums are
+     * differences (exact), gauges keep their current value, and
+     * entries that did not move are dropped.  A campaign books the
+     * process-wide registry's work during its run this way.
+     */
+    MetricsSnapshot since(const MetricsSnapshot &before) const;
+
     /** Aligned human-readable rendering (obs-summary, reports). */
     std::string str() const;
 
@@ -215,7 +224,8 @@ class Histogram
  *
  * The campaign engine gives each run its own Registry (so reports
  * carry exactly that run's metrics); global() exists for code without
- * a natural owner.
+ * a natural owner, and a campaign books only what moved in it during
+ * the run (MetricsSnapshot::since).
  */
 class Registry
 {

@@ -84,14 +84,6 @@ hasTarget(Opcode op)
     }
 }
 
-/** Relaxed add through an attachMetrics handle (nullptr = detached). */
-void
-bump(const std::atomic<obs::Counter *> &c, std::uint64_t by = 1)
-{
-    if (obs::Counter *counter = c.load(std::memory_order_relaxed))
-        counter->add(by);
-}
-
 } // namespace
 
 std::uint64_t
@@ -198,8 +190,7 @@ PlanCache::get(const std::shared_ptr<const toolchain::LinkedProgram> &program)
         if (it != map_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second);
             ++hits_;
-            bump(cHits_);
-            return it->second->second;
+                return it->second->second;
         }
     }
 
@@ -211,18 +202,15 @@ PlanCache::get(const std::shared_ptr<const toolchain::LinkedProgram> &program)
     if (it != map_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
         ++misses_; // we did build one
-        bump(cMisses_);
         return it->second->second;
     }
     lru_.emplace_front(key, std::move(plan));
     map_.emplace(key, lru_.begin());
     ++misses_;
-    bump(cMisses_);
     while (map_.size() > capacity_) {
         map_.erase(lru_.back().first);
         lru_.pop_back();
         ++evictions_;
-        bump(cEvictions_);
     }
     return lru_.front().second;
 }
@@ -232,21 +220,6 @@ PlanCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return Stats{hits_, misses_, evictions_};
-}
-
-void
-PlanCache::attachMetrics(obs::Registry *metrics)
-{
-    std::lock_guard<std::mutex> lock(metricsMutex_);
-    if (!metrics) {
-        cHits_ = nullptr;
-        cMisses_ = nullptr;
-        cEvictions_ = nullptr;
-        return;
-    }
-    cHits_ = &metrics->counter("sim.plan.hits");
-    cMisses_ = &metrics->counter("sim.plan.misses");
-    cEvictions_ = &metrics->counter("sim.plan.evictions");
 }
 
 void

@@ -1,7 +1,6 @@
 #ifndef MBIAS_SIM_PLAN_HH
 #define MBIAS_SIM_PLAN_HH
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -11,7 +10,6 @@
 
 #include "base/types.hh"
 #include "isa/opcode.hh"
-#include "obs/metrics.hh"
 #include "toolchain/linker.hh"
 
 namespace mbias::sim
@@ -115,6 +113,8 @@ struct ExecutionPlan
  *
  * Thread-safe; on racing misses the first insert wins and plans built
  * by losers are discarded (plans for one program are interchangeable).
+ * Hits, misses and evictions are counted once, in stats(); a campaign
+ * books the difference over its run as `sim.plan.*`.
  */
 class PlanCache
 {
@@ -138,11 +138,6 @@ class PlanCache
     Stats stats() const;
     void clear();
 
-    /** Attaches a metrics registry (nullptr detaches): hit/miss/
-     *  eviction counts mirror into `sim.plan.*` counters.  @p metrics
-     *  must outlive the attachment. */
-    void attachMetrics(obs::Registry *metrics);
-
   private:
     using Lru = std::list<
         std::pair<const void *, std::shared_ptr<const ExecutionPlan>>>;
@@ -154,11 +149,6 @@ class PlanCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-
-    std::mutex metricsMutex_; ///< serializes attachMetrics() calls
-    std::atomic<obs::Counter *> cHits_{nullptr};
-    std::atomic<obs::Counter *> cMisses_{nullptr};
-    std::atomic<obs::Counter *> cEvictions_{nullptr};
 };
 
 } // namespace mbias::sim

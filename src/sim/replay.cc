@@ -70,18 +70,6 @@ ReplayCache::keyOf(const toolchain::ProcessImage &image,
     return k;
 }
 
-namespace
-{
-
-void
-bump(const std::atomic<obs::Counter *> &c, std::uint64_t by = 1)
-{
-    if (obs::Counter *counter = c.load(std::memory_order_relaxed))
-        counter->add(by);
-}
-
-} // namespace
-
 std::shared_ptr<const FunctionalTrace>
 ReplayCache::find(const toolchain::ProcessImage &image,
                   std::uint64_t budget, bool *unrecordable)
@@ -93,12 +81,10 @@ ReplayCache::find(const toolchain::ProcessImage &image,
     auto it = map_.find(key);
     if (it == map_.end()) {
         ++misses_;
-        bump(cMisses_);
         return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++hits_;
-    bump(cHits_);
     if (!it->second->second.trace && unrecordable)
         *unrecordable = true;
     return it->second->second.trace;
@@ -131,7 +117,6 @@ ReplayCache::insert(const toolchain::ProcessImage &image,
         map_.erase(lru_.back().first);
         lru_.pop_back();
         ++evictions_;
-        bump(cEvictions_);
     }
 }
 
@@ -139,7 +124,6 @@ void
 ReplayCache::noteRecord()
 {
     records_.fetch_add(1, std::memory_order_relaxed);
-    bump(cRecords_);
 }
 
 void
@@ -147,38 +131,12 @@ ReplayCache::noteLanePass(std::uint64_t lanes)
 {
     replays_.fetch_add(lanes, std::memory_order_relaxed);
     lanePasses_.fetch_add(1, std::memory_order_relaxed);
-    bump(cReplays_, lanes);
-    bump(cLanePasses_);
 }
 
 void
 ReplayCache::noteFallback()
 {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    bump(cFallbacks_);
-}
-
-void
-ReplayCache::attachMetrics(obs::Registry *metrics)
-{
-    std::lock_guard<std::mutex> lock(metricsMutex_);
-    if (!metrics) {
-        cHits_ = nullptr;
-        cMisses_ = nullptr;
-        cEvictions_ = nullptr;
-        cRecords_ = nullptr;
-        cReplays_ = nullptr;
-        cLanePasses_ = nullptr;
-        cFallbacks_ = nullptr;
-        return;
-    }
-    cHits_ = &metrics->counter("sim.replay.hits");
-    cMisses_ = &metrics->counter("sim.replay.misses");
-    cEvictions_ = &metrics->counter("sim.replay.evictions");
-    cRecords_ = &metrics->counter("sim.replay.records");
-    cReplays_ = &metrics->counter("sim.replay.replays");
-    cLanePasses_ = &metrics->counter("sim.replay.lane_passes");
-    cFallbacks_ = &metrics->counter("sim.replay.fallbacks");
 }
 
 ReplayCache::Stats

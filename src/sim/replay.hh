@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "obs/metrics.hh"
 #include "toolchain/loader.hh"
 
 namespace mbias::sim
@@ -146,10 +145,10 @@ struct FunctionalTrace
  * time.
  *
  * Thread-safe; on racing misses the first insert wins.  Also the
- * collection point for the tier's runtime statistics; attachMetrics()
- * mirrors everything into `sim.replay.*` counters of a registry (the
- * campaign engine attaches its per-run registry, so `mbias
- * obs-summary` shows the tier at work).
+ * collection point for the tier's runtime statistics.  Everything is
+ * counted once, in stats(); a campaign books the difference over its
+ * run as `sim.replay.*` (so `mbias obs-summary` shows the tier at
+ * work).
  */
 class ReplayCache
 {
@@ -184,10 +183,6 @@ class ReplayCache
     /** Tallies one repetition family that fell back to per-rep
      *  execution (preconditions or footprint). */
     void noteFallback();
-
-    /** Attaches a metrics registry (nullptr detaches).  @p metrics
-     *  must outlive the attachment. */
-    void attachMetrics(obs::Registry *metrics);
 
     struct Stats
     {
@@ -242,15 +237,6 @@ class ReplayCache
     std::atomic<std::uint64_t> replays_{0};
     std::atomic<std::uint64_t> lanePasses_{0};
     std::atomic<std::uint64_t> fallbacks_{0};
-
-    std::mutex metricsMutex_; ///< serializes attachMetrics() calls
-    std::atomic<obs::Counter *> cHits_{nullptr};
-    std::atomic<obs::Counter *> cMisses_{nullptr};
-    std::atomic<obs::Counter *> cEvictions_{nullptr};
-    std::atomic<obs::Counter *> cRecords_{nullptr};
-    std::atomic<obs::Counter *> cReplays_{nullptr};
-    std::atomic<obs::Counter *> cLanePasses_{nullptr};
-    std::atomic<obs::Counter *> cFallbacks_{nullptr};
 };
 
 } // namespace mbias::sim

@@ -349,18 +349,6 @@ TraceCache::global()
     return cache;
 }
 
-namespace
-{
-
-void
-bump(const std::atomic<obs::Counter *> &c, std::uint64_t by = 1)
-{
-    if (obs::Counter *counter = c.load(std::memory_order_relaxed))
-        counter->add(by);
-}
-
-} // namespace
-
 std::shared_ptr<const TracePlan>
 TraceCache::get(const std::shared_ptr<const ExecutionPlan> &base,
                 const TraceGeometry &g)
@@ -373,7 +361,6 @@ TraceCache::get(const std::shared_ptr<const ExecutionPlan> &base,
         if (it != map_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second);
             ++hits_;
-            bump(cHits_);
             return it->second->second;
         }
     }
@@ -390,20 +377,16 @@ TraceCache::get(const std::shared_ptr<const ExecutionPlan> &base,
     if (it != map_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
         ++misses_; // we did build one
-        bump(cMisses_);
         return it->second->second;
     }
     ++misses_;
     superblocks_ += plan->blocks.size();
-    bump(cMisses_);
-    bump(cSuperblocks_, plan->blocks.size());
     lru_.emplace_front(key, std::move(plan));
     map_.emplace(key, lru_.begin());
     while (map_.size() > capacity_) {
         map_.erase(lru_.back().first);
         lru_.pop_back();
         ++evictions_;
-        bump(cEvictions_);
     }
     return lru_.front().second;
 }
@@ -417,32 +400,6 @@ TraceCache::recordRun(std::uint64_t ops_batched,
     opsInterpreted_.fetch_add(ops_interpreted,
                               std::memory_order_relaxed);
     fallbacks_.fetch_add(fallbacks, std::memory_order_relaxed);
-    bump(cOpsBatched_, ops_batched);
-    bump(cOpsInterpreted_, ops_interpreted);
-    bump(cFallbacks_, fallbacks);
-}
-
-void
-TraceCache::attachMetrics(obs::Registry *metrics)
-{
-    std::lock_guard<std::mutex> lock(metricsMutex_);
-    if (!metrics) {
-        cHits_ = nullptr;
-        cMisses_ = nullptr;
-        cEvictions_ = nullptr;
-        cSuperblocks_ = nullptr;
-        cOpsBatched_ = nullptr;
-        cOpsInterpreted_ = nullptr;
-        cFallbacks_ = nullptr;
-        return;
-    }
-    cHits_ = &metrics->counter("sim.trace.hits");
-    cMisses_ = &metrics->counter("sim.trace.misses");
-    cEvictions_ = &metrics->counter("sim.trace.evictions");
-    cSuperblocks_ = &metrics->counter("sim.trace.superblocks");
-    cOpsBatched_ = &metrics->counter("sim.trace.ops_batched");
-    cOpsInterpreted_ = &metrics->counter("sim.trace.ops_interpreted");
-    cFallbacks_ = &metrics->counter("sim.trace.fallbacks");
 }
 
 TraceCache::Stats

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "obs/metrics.hh"
 #include "sim/config.hh"
 #include "sim/plan.hh"
 
@@ -187,9 +186,9 @@ struct TracePlan
  * Thread-safe; on racing misses the first insert wins.  Also the
  * collection point for the tier's runtime statistics (ops batched vs
  * interpreted, guard fallbacks), which every traced run reports once
- * per run; attachMetrics() mirrors everything into `sim.trace.*`
- * counters of a registry (the campaign engine attaches its per-run
- * registry, so `mbias obs-summary` shows the tier at work).
+ * per run.  Everything is counted once, in stats(); a campaign books
+ * the difference over its run as `sim.trace.*` (so `mbias
+ * obs-summary` shows the tier at work).
  */
 class TraceCache
 {
@@ -204,14 +203,10 @@ class TraceCache
     get(const std::shared_ptr<const ExecutionPlan> &base,
         const TraceGeometry &g);
 
-    /** Folds one traced run's tallies into the stats/metrics. */
+    /** Folds one traced run's tallies into the stats. */
     void recordRun(std::uint64_t ops_batched,
                    std::uint64_t ops_interpreted,
                    std::uint64_t fallbacks);
-
-    /** Attaches a metrics registry (nullptr detaches).  @p metrics
-     *  must outlive the attachment. */
-    void attachMetrics(obs::Registry *metrics);
 
     struct Stats
     {
@@ -252,15 +247,6 @@ class TraceCache
     std::atomic<std::uint64_t> opsBatched_{0};
     std::atomic<std::uint64_t> opsInterpreted_{0};
     std::atomic<std::uint64_t> fallbacks_{0};
-
-    std::mutex metricsMutex_; ///< serializes attachMetrics() calls
-    std::atomic<obs::Counter *> cHits_{nullptr};
-    std::atomic<obs::Counter *> cMisses_{nullptr};
-    std::atomic<obs::Counter *> cEvictions_{nullptr};
-    std::atomic<obs::Counter *> cSuperblocks_{nullptr};
-    std::atomic<obs::Counter *> cOpsBatched_{nullptr};
-    std::atomic<obs::Counter *> cOpsInterpreted_{nullptr};
-    std::atomic<obs::Counter *> cFallbacks_{nullptr};
 };
 
 } // namespace mbias::sim

@@ -177,47 +177,9 @@ ArtifactCache::global()
 }
 
 void
-ArtifactCache::attachMetrics(obs::Registry *metrics)
-{
-    std::lock_guard<std::mutex> lock(metricsMutex_);
-    if (!metrics) {
-        cCompileHits_ = nullptr;
-        cCompileMisses_ = nullptr;
-        cLinkHits_ = nullptr;
-        cLinkMisses_ = nullptr;
-        cImageHits_ = nullptr;
-        cImageMisses_ = nullptr;
-        cEvictions_ = nullptr;
-        gBytes_ = nullptr;
-        return;
-    }
-    cCompileHits_ = &metrics->counter("artifacts.compile_hits");
-    cCompileMisses_ = &metrics->counter("artifacts.compile_misses");
-    cLinkHits_ = &metrics->counter("artifacts.link_hits");
-    cLinkMisses_ = &metrics->counter("artifacts.link_misses");
-    cImageHits_ = &metrics->counter("artifacts.image_hits");
-    cImageMisses_ = &metrics->counter("artifacts.image_misses");
-    cEvictions_ = &metrics->counter("artifacts.evictions");
-    obs::Gauge *g = &metrics->gauge("artifacts.bytes");
-    g->set(std::int64_t(bytes_.load(std::memory_order_relaxed)));
-    gBytes_ = g;
-}
-
-void
-ArtifactCache::count(std::atomic<std::uint64_t> &stat,
-                     const std::atomic<obs::Counter *> &c)
-{
-    stat.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Counter *counter = c.load(std::memory_order_relaxed))
-        counter->add();
-}
-
-void
 ArtifactCache::adjustBytes(std::int64_t delta)
 {
     bytes_.fetch_add(std::uint64_t(delta), std::memory_order_relaxed);
-    if (obs::Gauge *g = gBytes_.load(std::memory_order_relaxed))
-        g->add(delta);
 }
 
 ArtifactCache::Shard &
@@ -265,7 +227,7 @@ ArtifactCache::evictOver(Shard &s)
         s.bytes -= victim.bytes;
         adjustBytes(-std::int64_t(victim.bytes));
         s.lru.pop_back();
-        count(evictions_, cEvictions_);
+        evictions_.fetch_add(1, std::memory_order_relaxed);
     }
 }
 
@@ -280,7 +242,7 @@ ArtifactCache::compiled(const std::string &key,
         auto it = s.compiles.find(key);
         if (it != s.compiles.end()) {
             touch(s, it->second.lru);
-            count(compileHits_, cCompileHits_);
+            compileHits_.fetch_add(1, std::memory_order_relaxed);
             return it->second.value;
         }
     }
@@ -299,7 +261,8 @@ ArtifactCache::compiled(const std::string &key,
     auto it = s.compiles.find(key);
     if (it != s.compiles.end()) {
         touch(s, it->second.lru);
-        count(compileMisses_, cCompileMisses_); // we did do the work
+        // We did do the work.
+        compileMisses_.fetch_add(1, std::memory_order_relaxed);
         return it->second.value;
     }
     LruNode node;
@@ -310,7 +273,7 @@ ArtifactCache::compiled(const std::string &key,
     entry.value = value;
     insertNode(s, std::move(node), entry.lru);
     s.compiles.emplace(key, std::move(entry));
-    count(compileMisses_, cCompileMisses_);
+    compileMisses_.fetch_add(1, std::memory_order_relaxed);
     evictOver(s);
     return value;
 }
@@ -333,7 +296,7 @@ ArtifactCache::linked(const ModulesPtr &mods, const LinkOrder &order,
         auto it = s.links.find(key);
         if (it != s.links.end()) {
             touch(s, it->second.lru);
-            count(linkHits_, cLinkHits_);
+            linkHits_.fetch_add(1, std::memory_order_relaxed);
             return it->second.value;
         }
     }
@@ -347,7 +310,7 @@ ArtifactCache::linked(const ModulesPtr &mods, const LinkOrder &order,
     auto it = s.links.find(key);
     if (it != s.links.end()) {
         touch(s, it->second.lru);
-        count(linkMisses_, cLinkMisses_);
+        linkMisses_.fetch_add(1, std::memory_order_relaxed);
         return it->second.value;
     }
     LruNode node;
@@ -358,7 +321,7 @@ ArtifactCache::linked(const ModulesPtr &mods, const LinkOrder &order,
     entry.value = value;
     insertNode(s, std::move(node), entry.lru);
     s.links.emplace(key, std::move(entry));
-    count(linkMisses_, cLinkMisses_);
+    linkMisses_.fetch_add(1, std::memory_order_relaxed);
     evictOver(s);
     return value;
 }
@@ -380,7 +343,7 @@ ArtifactCache::image(const ProgramPtr &prog, const LoaderConfig &config,
         auto it = s.images.find(key);
         if (it != s.images.end()) {
             touch(s, it->second.lru);
-            count(imageHits_, cImageHits_);
+            imageHits_.fetch_add(1, std::memory_order_relaxed);
             const ImageLayout &l = it->second.value;
             ProcessImage image;
             image.program = prog;
@@ -418,7 +381,7 @@ ArtifactCache::image(const ProgramPtr &prog, const LoaderConfig &config,
         s.images.emplace(std::move(key), std::move(map_entry));
         evictOver(s);
     }
-    count(imageMisses_, cImageMisses_);
+    imageMisses_.fetch_add(1, std::memory_order_relaxed);
     return image;
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "isa/module.hh"
-#include "obs/metrics.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/linkorder.hh"
 #include "toolchain/loader.hh"
@@ -88,11 +87,12 @@ struct ArtifactCacheStats
  * the loser adopts it — both outcomes are identical by determinism of
  * the toolchain, so results never depend on the race.
  *
- * Metrics: with attachMetrics(), the cache maintains
- * `artifacts.{compile,link,image}_{hits,misses}`,
- * `artifacts.evictions` (counters) and `artifacts.bytes` (gauge).
- * Stats are also available directly via stats() for harnesses that
- * do not run a registry.
+ * Metrics: the cache counts each hit, miss and eviction once, in the
+ * fields stats() returns, and holds no metrics registry.  A campaign
+ * books what it gained during its run (stats() at its end minus
+ * stats() at its start) as `artifacts.{compile,link,image}_{hits,
+ * misses}` and `artifacts.evictions`, with the end value of `bytes`
+ * as the `artifacts.bytes` gauge.
  */
 class ArtifactCache
 {
@@ -105,13 +105,6 @@ class ArtifactCache
 
     /** The process-wide cache campaign workers share. */
     static ArtifactCache &global();
-
-    /**
-     * Attaches a metrics registry (nullptr detaches).  @p metrics must
-     * outlive the attachment; the campaign engine attaches its per-run
-     * registry for the duration of a run.
-     */
-    void attachMetrics(obs::Registry *metrics);
 
     /**
      * Returns the compiled modules for @p key, invoking @p produce on
@@ -207,8 +200,6 @@ class ArtifactCache
     void insertNode(Shard &s, LruNode node,
                     std::list<LruNode>::iterator &out);
     void evictOver(Shard &s); ///< caller holds s.mutex
-    void count(std::atomic<std::uint64_t> &stat,
-               const std::atomic<obs::Counter *> &c);
     void adjustBytes(std::int64_t delta);
 
     std::uint64_t byteBudget_;
@@ -219,23 +210,6 @@ class ArtifactCache
     std::atomic<std::uint64_t> imageHits_{0}, imageMisses_{0};
     std::atomic<std::uint64_t> evictions_{0};
     std::atomic<std::uint64_t> bytes_{0};
-
-    /**
-     * Metric handles, resolved once per attachMetrics() and read with
-     * relaxed atomics on the hot path (no lock).  attachMetrics() is
-     * expected not to race with cache use — the engine attaches before
-     * workers start and detaches after they join; a racing reader
-     * would only mis-route a handful of counts, never corrupt state.
-     */
-    std::mutex metricsMutex_; ///< serializes attachMetrics() calls
-    std::atomic<obs::Counter *> cCompileHits_{nullptr};
-    std::atomic<obs::Counter *> cCompileMisses_{nullptr};
-    std::atomic<obs::Counter *> cLinkHits_{nullptr};
-    std::atomic<obs::Counter *> cLinkMisses_{nullptr};
-    std::atomic<obs::Counter *> cImageHits_{nullptr};
-    std::atomic<obs::Counter *> cImageMisses_{nullptr};
-    std::atomic<obs::Counter *> cEvictions_{nullptr};
-    std::atomic<obs::Gauge *> gBytes_{nullptr};
 };
 
 /** Approximate heap footprint of a linked program (cache accounting). */

@@ -270,4 +270,127 @@ TEST(CampaignCache, DuplicateSetupsExecuteOnce)
     std::filesystem::remove(path);
 }
 
+/** A hostile rewrite of a finished store: its lines (header, records,
+ *  trailer, no newlines) in, the bytes of the damaged file out. */
+struct HostileStore
+{
+    const char *name;
+    std::size_t records; ///< lines every reader must count as records
+    std::size_t torn;    ///< lines every reader must count as torn
+    std::size_t kept;    ///< torn lines a resume leaves (mid-file ones)
+    std::string (*damage)(const std::vector<std::string> &lines);
+};
+
+std::string
+joined(const std::vector<std::string> &lines, std::size_t from,
+       std::size_t to)
+{
+    std::string out;
+    for (std::size_t i = from; i < to; ++i)
+        out += lines[i] + "\n";
+    return out;
+}
+
+std::string
+half(const std::string &line)
+{
+    return line.substr(0, line.size() / 2);
+}
+
+// Every reader of a store applies one rule: a line counts only if it
+// ends in a newline and parses, and anything else is exactly one torn
+// line.  A resume after any damage leaves every task in the file once.
+TEST(StoreScan, ReadersAgreeOnHostileStores)
+{
+    constexpr std::size_t tasks = 6;
+    CampaignSpec spec;
+    spec.withExperiment(core::ExperimentSpec().withWorkload("milc"))
+        .withSetups(core::SetupSpace().varyEnvSize().grid(tasks));
+    const std::string clean =
+        testing::TempDir() + "/mbias_hostile_clean.jsonl";
+    const std::string path = testing::TempDir() + "/mbias_hostile.jsonl";
+    std::filesystem::remove(clean);
+    campaign::CampaignOptions opts;
+    opts.outPath = clean;
+    campaign::CampaignEngine(spec, opts).run();
+
+    std::vector<std::string> lines; // header, records, trailer
+    {
+        std::ifstream in(clean);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), tasks + 2);
+
+    const std::vector<HostileStore> cases = {
+        {"clean", tasks, 0, 0,
+         [](const auto &l) { return joined(l, 0, l.size()); }},
+        {"unterminated final record", tasks - 1, 1, 0,
+         [](const auto &l) {
+             return joined(l, 0, l.size() - 2) + l[l.size() - 2];
+         }},
+        {"record cut mid-field", tasks - 1, 1, 0,
+         [](const auto &l) {
+             return joined(l, 0, l.size() - 2) + half(l[l.size() - 2]);
+         }},
+        {"cut header", 0, 1, 0, [](const auto &l) { return half(l[0]); }},
+        {"cut trailer", tasks, 1, 0,
+         [](const auto &l) {
+             return joined(l, 0, l.size() - 1) + half(l.back());
+         }},
+        {"garbage line", tasks, 1, 1,
+         [](const auto &l) {
+             return joined(l, 0, 3) + "garbage\n" + joined(l, 3, l.size());
+         }},
+        {"empty line", tasks, 1, 1,
+         [](const auto &l) {
+             return joined(l, 0, 3) + "\n" + joined(l, 3, l.size());
+         }},
+    };
+    for (const HostileStore &c : cases) {
+        SCOPED_TRACE(c.name);
+        {
+            std::ofstream out(path, std::ios::trunc | std::ios::binary);
+            out << c.damage(lines);
+        }
+
+        campaign::ResultStore store(path);
+        EXPECT_EQ(store.load(), c.records);
+        EXPECT_EQ(store.tornLines(), c.torn);
+        const auto summary = campaign::summarizeStore(path);
+        EXPECT_EQ(summary.records, c.records);
+        EXPECT_EQ(summary.tornLines, c.torn);
+        const auto cols = campaign::readStoreColumns(path);
+        EXPECT_EQ(cols.rows(), c.records);
+        EXPECT_EQ(cols.tornLines, c.torn);
+
+        opts.outPath = path;
+        opts.resume = true;
+        const auto resumed = campaign::CampaignEngine(spec, opts).run();
+        EXPECT_EQ(resumed.stats.resumedFromStore, c.records);
+        EXPECT_EQ(resumed.stats.executed, tasks - c.records);
+
+        // Every task is in the file exactly once, under a header.
+        std::vector<unsigned> seen(tasks, 0);
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);) {
+            TaskRecord rec;
+            if (TaskRecord::fromJson(line, rec)) {
+                ASSERT_LT(rec.taskIndex, tasks);
+                ++seen[rec.taskIndex];
+            }
+        }
+        EXPECT_EQ(seen, std::vector<unsigned>(tasks, 1u));
+        const auto after = campaign::summarizeStore(path);
+        EXPECT_EQ(after.records, tasks);
+        EXPECT_FALSE(after.provenanceJson.empty());
+        // Only a damaged line with its newline intact stays behind.
+        EXPECT_EQ(after.tornLines, c.kept);
+        EXPECT_EQ(campaign::CampaignEngine(spec, opts).run().stats.executed,
+                  0u);
+    }
+    std::filesystem::remove(clean);
+    std::filesystem::remove(path);
+}
+
 } // namespace

@@ -231,4 +231,68 @@ TEST(ObsRegistry, SameNameReturnsSameMetric)
     EXPECT_EQ(reg.snapshot().counters.at("x"), 5u);
 }
 
+TEST(MetricsSnapshot, SinceSubtractsCountersAndHistogramsExactly)
+{
+    obs::Registry reg;
+    reg.counter("work").add(10);
+    reg.histogram("us").record(3);
+    reg.histogram("us").record(100);
+    const auto before = reg.snapshot();
+
+    reg.counter("work").add(5);
+    reg.counter("fresh").add(2);
+    reg.histogram("us").record(3);
+    reg.histogram("us").record(1000);
+    const auto d = reg.snapshot().since(before);
+
+    EXPECT_EQ(d.counters.at("work"), 5u);
+    EXPECT_EQ(d.counters.at("fresh"), 2u);
+    const auto &h = d.histograms.at("us");
+    EXPECT_EQ(h.count, 2u);
+    EXPECT_EQ(h.sum, 1003u);
+    EXPECT_EQ(h.buckets[obs::Histogram::bucketOf(3)], 1u);
+    EXPECT_EQ(h.buckets[obs::Histogram::bucketOf(100)], 0u);
+    EXPECT_EQ(h.buckets[obs::Histogram::bucketOf(1000)], 1u);
+
+    // Booking the difference on top of the earlier reading gives back
+    // the later one: nothing is lost or counted twice.
+    auto rebuilt = before;
+    rebuilt.merge(d);
+    const auto after = reg.snapshot();
+    EXPECT_EQ(rebuilt.counters, after.counters);
+    EXPECT_EQ(rebuilt.histograms.at("us").buckets,
+              after.histograms.at("us").buckets);
+    EXPECT_EQ(rebuilt.histograms.at("us").sum,
+              after.histograms.at("us").sum);
+}
+
+TEST(MetricsSnapshot, SinceKeepsTheCurrentGaugeValue)
+{
+    obs::Registry reg;
+    reg.gauge("bytes").set(100);
+    reg.gauge("same").set(7);
+    const auto before = reg.snapshot();
+    reg.gauge("bytes").set(40); // gauges may fall: no subtraction
+    reg.gauge("new").set(0);
+    const auto d = reg.snapshot().since(before);
+    EXPECT_EQ(d.gauges.at("bytes"), 40);
+    EXPECT_EQ(d.gauges.at("new"), 0) << "a gauge that appeared moved";
+    EXPECT_EQ(d.gauges.count("same"), 0u);
+}
+
+TEST(MetricsSnapshot, SinceDropsEntriesThatDidNotMove)
+{
+    obs::Registry reg;
+    reg.counter("idle").add(4);
+    reg.counter("zero");
+    reg.histogram("idle_us").record(9);
+    reg.histogram("empty_us");
+    const auto before = reg.snapshot();
+    reg.counter("late_zero");
+    reg.histogram("late_empty_us");
+    const auto d = reg.snapshot().since(before);
+    EXPECT_TRUE(d.empty()) << d.toJson();
+    EXPECT_TRUE(before.since(before).empty());
+}
+
 } // namespace

@@ -853,8 +853,9 @@ usage()
         "        [--seed S] [--resamples R] [--confidence C]\n"
         "        [--trace T.json]\n"
         "        --quiet (silence warn/inform + progress line)\n"
-        "        --verbose (force logging on; campaign prints metrics\n"
-        "        and provenance)\n");
+        "        --verbose (force logging on; print the process\n"
+        "        metrics at exit; campaign also prints its run's\n"
+        "        metrics and provenance)\n");
     return 2;
 }
 
@@ -922,13 +923,13 @@ main(int argc, char **argv)
         lang::loadAsmDirectory(args.options.at("asm-dir"));
     const int rc = dispatch(args);
     // --verbose surfaces the process-wide metrics (asm.load,
-    // asm.assemble, fuzz.generate, ...) for the subcommands that do
-    // not print a registry of their own.
-    if (args.shared.verbose && args.command != "campaign" &&
-        args.command != "analyze") {
+    // asm.assemble, fuzz.generate, ...) for every subcommand.  A
+    // campaign's report books only what moved during its run, so the
+    // --asm-dir load before it shows up here, not there.
+    if (args.shared.verbose) {
         const auto metrics = obs::Registry::global().snapshot();
         if (!metrics.empty())
-            std::printf("metrics:\n%s", metrics.str().c_str());
+            std::printf("process metrics:\n%s", metrics.str().c_str());
     }
     return rc;
 }
