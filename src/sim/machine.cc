@@ -629,7 +629,7 @@ class Machine::RunObserver
         profile_->functions.clear();
         for (const auto &lf : prog.functions) {
             FunctionProfile fp;
-            fp.name = lf.name;
+            fp.name = lf.name();
             fp.base = lf.base;
             fp.bytes = lf.bytes;
             profile_->functions.push_back(std::move(fp));
@@ -914,7 +914,7 @@ Machine::runReference(const toolchain::ProcessImage &image,
     PerfCounters &ctrs = rr.counters;
 
     SparseMemory mem;
-    mem.writeBlock(prog.dataBase, prog.dataInit);
+    loadProgramData(mem, prog);
 
     std::array<std::uint64_t, isa::reg::numRegs> regs{};
     regs[isa::reg::sp] = image.initialSp;
@@ -1011,7 +1011,7 @@ Machine::runReference(const toolchain::ProcessImage &image,
             do_dvfs_step();
 
         const PlacedInst &pi = prog.code[idx];
-        const isa::Instruction &in = pi.inst;
+        const isa::Instruction &in = pi.inst();
         ++icount;
         pipe.icount = icount;
 
@@ -1117,8 +1117,9 @@ Machine::runReference(const toolchain::ProcessImage &image,
             set_reg(in.rd, std::uint64_t(in.imm), pipe.now + 1);
             break;
 
-          case Opcode::La:
-            mbias_panic("unresolved La reached the simulator");
+          case Opcode::La: // the Li of its global's linked address
+            set_reg(in.rd, pi.target, pipe.now + 1);
+            break;
 
           // ---- loads ----
           case Opcode::Ld1:
@@ -1187,7 +1188,7 @@ Machine::runReference(const toolchain::ProcessImage &image,
               }
               if (taken) {
                   ctrs.inc(Counter::TakenBranches);
-                  const Addr target = prog.code[pi.targetIdx].pc;
+                  const Addr target = prog.code[pi.target].pc;
                   if (config_.enableBtb) {
                       if (!btb_.lookupAndUpdate(pi.pc, target)) {
                           ctrs.inc(Counter::BtbMisses);
@@ -1196,13 +1197,13 @@ Machine::runReference(const toolchain::ProcessImage &image,
                   }
                   redirect_realign(target);
                   pipe.forceNewGroup = true;
-                  next = pi.targetIdx;
+                  next = pi.target;
               }
               break;
           }
 
           case Opcode::Jmp: {
-              const Addr target = prog.code[pi.targetIdx].pc;
+              const Addr target = prog.code[pi.target].pc;
               if (config_.enableBtb) {
                   if (!btb_.lookupAndUpdate(pi.pc, target)) {
                       ctrs.inc(Counter::BtbMisses);
@@ -1211,7 +1212,7 @@ Machine::runReference(const toolchain::ProcessImage &image,
               }
               redirect_realign(target);
               pipe.forceNewGroup = true;
-              next = pi.targetIdx;
+              next = pi.target;
               break;
           }
 
@@ -1224,7 +1225,7 @@ Machine::runReference(const toolchain::ProcessImage &image,
               memoryAccess(pipe, new_sp, 8, true, ctrs);
               mem.write(new_sp, 8, ret_addr);
               set_reg(isa::reg::sp, new_sp, pipe.now + 1);
-              const Addr target = prog.code[pi.targetIdx].pc;
+              const Addr target = prog.code[pi.target].pc;
               if (config_.enableBtb) {
                   if (!btb_.lookupAndUpdate(pi.pc, target)) {
                       ctrs.inc(Counter::BtbMisses);
@@ -1233,7 +1234,7 @@ Machine::runReference(const toolchain::ProcessImage &image,
               }
               redirect_realign(target);
               pipe.forceNewGroup = true;
-              next = pi.targetIdx;
+              next = pi.target;
               break;
           }
 
@@ -1247,13 +1248,13 @@ Machine::runReference(const toolchain::ProcessImage &image,
               memoryAccess(pipe, sp, 8, false, ctrs);
               const Addr ret_addr = mem.read(sp, 8);
               set_reg(isa::reg::sp, sp + 8, pipe.now + 1);
-              auto it = prog.addrToIdx.find(ret_addr);
-              mbias_assert(it != prog.addrToIdx.end(),
+              const std::uint32_t t = prog.indexAt(ret_addr);
+              mbias_assert(t != toolchain::LinkedProgram::kNoIndex,
                            "corrupted return address 0x", std::hex,
                            ret_addr);
               redirect_realign(ret_addr);
               pipe.forceNewGroup = true;
-              next = it->second;
+              next = t;
               break;
           }
 
@@ -1492,7 +1493,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     PerfCounters &ctrs = rr.counters;
 
     SparseMemory mem;
-    mem.writeBlock(prog.dataBase, prog.dataInit);
+    loadProgramData(mem, prog);
 
     std::array<std::uint64_t, isa::reg::numRegs> regs{};
     regs[isa::reg::sp] = image.initialSp;
@@ -2152,7 +2153,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
       mem_access(sp, 8, false);
       const Addr ret_addr = mem_read(sp, 8);
       // O(1) return-address table, same domain as the reference's
-      // addrToIdx hash map.
+      // indexAt() search.
       const Addr off = ret_addr - plan.codeBase;
       std::uint32_t t = ExecutionPlan::kNoIndex;
       if (off < plan.idxByOffset.size())

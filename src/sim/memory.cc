@@ -1,6 +1,10 @@
 #include "sim/memory.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "base/logging.hh"
+#include "toolchain/linker.hh"
 
 namespace mbias::sim
 {
@@ -66,8 +70,15 @@ SparseMemory::write(Addr addr, unsigned size, std::uint64_t value)
 void
 SparseMemory::writeBlock(Addr addr, const std::vector<std::uint8_t> &bytes)
 {
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        touchPage(addr + i)[(addr + i) % page_bytes] = bytes[i];
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const Addr a = addr + done;
+        const std::size_t off = a % page_bytes;
+        const std::size_t n =
+            std::min<std::size_t>(page_bytes - off, bytes.size() - done);
+        std::memcpy(touchPage(a).data() + off, bytes.data() + done, n);
+        done += n;
+    }
 }
 
 std::uint8_t *
@@ -87,6 +98,13 @@ void
 SparseMemory::clear()
 {
     pages_.clear();
+}
+
+void
+loadProgramData(SparseMemory &mem, const toolchain::LinkedProgram &prog)
+{
+    for (const auto &g : prog.globals)
+        mem.writeBlock(g.addr, g.init());
 }
 
 } // namespace mbias::sim

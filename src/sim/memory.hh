@@ -8,6 +8,11 @@
 
 #include "base/types.hh"
 
+namespace mbias::toolchain
+{
+struct LinkedProgram;
+}
+
 namespace mbias::sim
 {
 
@@ -28,7 +33,8 @@ class SparseMemory
     /** Writes the low @p size bytes of @p value, little-endian. */
     void write(Addr addr, unsigned size, std::uint64_t value);
 
-    /** Bulk-copies @p bytes into memory starting at @p addr. */
+    /** Bulk-copies @p bytes into memory starting at @p addr (one page
+     *  lookup and one copy per page). */
     void writeBlock(Addr addr, const std::vector<std::uint8_t> &bytes);
 
     /**
@@ -59,6 +65,14 @@ class SparseMemory
 
     mutable std::unordered_map<std::uint64_t, Page> pages_;
 };
+
+/**
+ * Writes @p prog's initial data into @p mem: each global's init bytes
+ * at its linked address (the rest of the segment reads as zero).  The
+ * plan loop, record mode and the reference oracle all start a run's
+ * memory from it.
+ */
+void loadProgramData(SparseMemory &mem, const toolchain::LinkedProgram &prog);
 
 } // namespace mbias::sim
 

@@ -107,22 +107,28 @@ ExecutionPlan::build(std::shared_ptr<const toolchain::LinkedProgram> program)
     plan->ops.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const toolchain::PlacedInst &pi = prog.code[i];
+        const isa::Instruction &in = pi.inst();
         // The fast interpreter jumps through a handler table indexed
         // by the opcode with no default case, so reject out-of-range
         // ops here rather than there.
-        mbias_assert(std::size_t(pi.inst.op) <
-                         std::size_t(Opcode::NumOpcodes),
+        mbias_assert(std::size_t(in.op) < std::size_t(Opcode::NumOpcodes),
                      "bad opcode in linked program");
         DecodedOp &d = plan->ops[i];
         d.pc = pi.pc;
-        d.imm = pi.inst.imm;
-        d.targetIdx = pi.targetIdx;
-        d.op = pi.inst.op;
-        d.rd = pi.inst.rd;
-        d.rs1 = pi.inst.rs1;
-        d.rs2 = pi.inst.rs2;
+        d.op = in.op;
+        d.imm = in.imm;
+        d.targetIdx = pi.target;
+        if (in.op == Opcode::La) {
+            // Decoded as the Li of the global's linked address.
+            d.op = Opcode::Li;
+            d.imm = std::int64_t(pi.target);
+            d.targetIdx = 0;
+        }
+        d.rd = in.rd;
+        d.rs1 = in.rs1;
+        d.rs2 = in.rs2;
         d.size = pi.size;
-        d.accessSize = std::uint8_t(isa::memAccessSize(pi.inst.op));
+        d.accessSize = std::uint8_t(isa::memAccessSize(d.op));
     }
 
     // Simple-run lengths, in one backward pass: a run ends at the

@@ -18,8 +18,9 @@ namespace mbias::sim
 /**
  * One pre-decoded instruction of an ExecutionPlan: the fields the
  * simulator's hot loop actually reads, packed into 40 bytes with no
- * indirection — where the linker's PlacedInst drags a std::string
- * symbol (dead weight after linking) through the interpreter's cache.
+ * indirection — where the linker's PlacedInst points at an
+ * instruction body (with its std::string symbol, dead weight after
+ * linking) in the module set.
  *
  * `op` doubles as the dispatch tag: µRISC opcodes are already a flat
  * uint8 enum, so it indexes the fast interpreter's direct-threaded
@@ -85,12 +86,13 @@ struct ExecutionPlan
      * Return-address table: idxByOffset[pc - codeBase] is the code
      * index of the instruction placed at pc (kNoIndex between
      * instructions).  Semantically identical to the program's
-     * addrToIdx hash map, minus the per-Ret hashing.
+     * indexAt() binary search, in O(1).
      */
     std::vector<std::uint32_t> idxByOffset;
     Addr codeBase = 0;
 
-    static constexpr std::uint32_t kNoIndex = ~std::uint32_t(0);
+    static constexpr std::uint32_t kNoIndex =
+        toolchain::LinkedProgram::kNoIndex;
 
     /** The decoded program; pins the pointer the plan was keyed by. */
     std::shared_ptr<const toolchain::LinkedProgram> program;

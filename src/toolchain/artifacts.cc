@@ -74,6 +74,14 @@ linkerConfigFingerprint(const LinkerConfig &c)
     return f.value();
 }
 
+/** Heap bytes @p s holds past its own object: none while it fits the
+ *  small-string buffer. */
+std::uint64_t
+heapBytes(const std::string &s)
+{
+    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+}
+
 } // namespace
 
 std::pair<std::uint64_t, std::uint64_t>
@@ -93,18 +101,21 @@ fingerprintModules(const std::vector<isa::Module> &modules)
 std::uint64_t
 approxBytes(const std::vector<isa::Module> &modules)
 {
-    std::uint64_t n = 0;
+    std::uint64_t n = modules.capacity() * sizeof(isa::Module);
     for (const auto &m : modules) {
-        n += sizeof(isa::Module) + m.name().size();
+        n += heapBytes(m.name());
+        n += m.functions().capacity() * sizeof(isa::Function);
         for (const auto &fn : m.functions()) {
-            n += sizeof(isa::Function) + fn.name().size();
+            n += heapBytes(fn.name());
             n += fn.numLabels() * (sizeof(std::uint32_t) +
                                    sizeof(std::string));
+            n += fn.insts().capacity() * sizeof(isa::Instruction);
             for (const auto &inst : fn.insts())
-                n += sizeof(isa::Instruction) + inst.sym.capacity();
+                n += heapBytes(inst.sym);
         }
+        n += m.globals().capacity() * sizeof(isa::GlobalData);
         for (const auto &g : m.globals())
-            n += sizeof(isa::GlobalData) + g.name.size() + g.init.size();
+            n += heapBytes(g.name) + g.init.capacity();
     }
     return n;
 }
@@ -112,20 +123,16 @@ approxBytes(const std::vector<isa::Module> &modules)
 std::uint64_t
 approxBytes(const LinkedProgram &prog)
 {
+    // What the link itself holds.  The pinned module set is shared
+    // with every other link of it and is counted once, under its
+    // compile entry.
     std::uint64_t n = sizeof(LinkedProgram);
-    for (const auto &pi : prog.code)
-        n += sizeof(PlacedInst) + pi.inst.sym.capacity();
-    for (const auto &fn : prog.functions)
-        n += sizeof(LinkedFunction) + fn.name.size();
-    for (const auto &g : prog.globals)
-        n += sizeof(LinkedGlobal) + g.name.size();
-    n += prog.dataInit.size();
-    // Hash maps: entry + bucket overhead per element, rounded up.
-    n += (prog.addrToIdx.size() + prog.functionByName.size() +
-          prog.globalByName.size()) *
-         48;
+    n += prog.code.capacity() * sizeof(PlacedInst);
+    n += prog.functions.capacity() * sizeof(LinkedFunction);
+    n += prog.globals.capacity() * sizeof(LinkedGlobal);
+    n += prog.moduleOrder.capacity() * sizeof(std::string);
     for (const auto &name : prog.moduleOrder)
-        n += sizeof(std::string) + name.size();
+        n += heapBytes(name);
     return n;
 }
 
@@ -302,8 +309,10 @@ ArtifactCache::linked(const ModulesPtr &mods, const LinkOrder &order,
     }
 
     Linker linker(config);
+    // The program pins the whole CompiledModules through an aliasing
+    // pointer to its module vector.
     auto value = std::make_shared<const LinkedProgram>(
-        linker.link(mods->modules, order));
+        linker.link(ModuleSetPtr(mods, &mods->modules), order));
     const std::uint64_t bytes = approxBytes(*value);
 
     std::lock_guard<std::mutex> lock(s.mutex);

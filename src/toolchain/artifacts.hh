@@ -27,7 +27,10 @@ namespace mbias::toolchain
  * with a content fingerprint computed once at insertion time.  The
  * fingerprint — not the compile key — is what downstream link
  * artifacts are addressed by, so two compile keys that happen to
- * produce identical modules share their links.
+ * produce identical modules share their links.  Every program linked
+ * from the set pins it and reads its instructions and initial data
+ * from it, so the set's bytes are counted once, under its compile
+ * entry, however many links of it the cache holds.
  */
 struct CompiledModules
 {
@@ -212,7 +215,9 @@ class ArtifactCache
     std::atomic<std::uint64_t> bytes_{0};
 };
 
-/** Approximate heap footprint of a linked program (cache accounting). */
+/** Approximate heap footprint of what a link holds on top of its
+ *  shared module set (cache accounting): vector capacities and heap
+ *  strings, not the module set. */
 std::uint64_t approxBytes(const LinkedProgram &prog);
 
 /** Approximate heap footprint of a module set (cache accounting). */

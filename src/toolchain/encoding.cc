@@ -152,8 +152,7 @@ class BitReader
 std::vector<std::uint8_t>
 encode(const PlacedInst &pi, const LinkedProgram &prog)
 {
-    const Instruction &in = pi.inst;
-    mbias_assert(in.op != Opcode::La, "cannot encode unlinked La");
+    const Instruction in = pi.resolved();
     const unsigned size = pi.size;
     BitWriter w(size);
 
@@ -190,7 +189,7 @@ encode(const PlacedInst &pi, const LinkedProgram &prog)
         w.put(std::uint64_t(in.imm), wide ? 32 : 8);
         break;
       case isa::OpClass::CondBranch: {
-          const Addr target = prog.code[pi.targetIdx].pc;
+          const Addr target = prog.code[pi.target].pc;
           const std::int64_t rel =
               std::int64_t(target) - std::int64_t(pi.pc + size);
           mbias_assert(rel >= INT16_MIN && rel <= INT16_MAX,
@@ -202,7 +201,7 @@ encode(const PlacedInst &pi, const LinkedProgram &prog)
       }
       case isa::OpClass::Jump:
       case isa::OpClass::Call: {
-          const Addr target = prog.code[pi.targetIdx].pc;
+          const Addr target = prog.code[pi.target].pc;
           mbias_assert(target <= UINT32_MAX, "target exceeds abs32");
           w.put(target, 32);
           break;

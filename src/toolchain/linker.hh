@@ -2,8 +2,8 @@
 #define MBIAS_TOOLCHAIN_LINKER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
@@ -13,62 +13,94 @@
 namespace mbias::toolchain
 {
 
-/** One instruction placed at its final address, targets resolved. */
+/**
+ * One instruction placed at its final address: what the link decided
+ * about it.  The instruction itself stays in the module set the
+ * program was linked from (LinkedProgram::modules keeps it alive).
+ */
 struct PlacedInst
 {
-    isa::Instruction inst;
+    const isa::Instruction *body = nullptr; ///< in the shared module set
     Addr pc = 0;
-    std::uint8_t size = 0;
 
     /**
-     * Resolved control-flow target as an index into LinkedProgram::code
-     * (branches, Jmp, Call); unused otherwise.
+     * Branches, Jmp and Call: the resolved target as an index into
+     * LinkedProgram::code.  La: the linked address of its global.
+     * Unused (zero) otherwise.
      */
-    std::uint32_t targetIdx = 0;
+    std::uint32_t target = 0;
+    std::uint8_t size = 0;
+
+    /** The unlinked instruction (an La still names its global). */
+    const isa::Instruction &inst() const { return *body; }
+
+    /** The instruction as linked: an La becomes the Li of its
+     *  global's address, everything else is inst(). */
+    isa::Instruction resolved() const;
 };
 
 /** Layout record for one linked function. */
 struct LinkedFunction
 {
-    std::string name;
+    const isa::Function *def = nullptr; ///< in the shared module set
     Addr base = 0;
     std::uint64_t bytes = 0;
     std::uint32_t entryIdx = 0; ///< index of the first instruction
+
+    const std::string &name() const { return def->name(); }
 };
 
 /** Layout record for one linked global. */
 struct LinkedGlobal
 {
-    std::string name;
+    const isa::GlobalData *def = nullptr; ///< in the shared module set
     Addr addr = 0;
-    std::uint64_t size = 0;
+
+    const std::string &name() const { return def->name; }
+    std::uint64_t size() const { return def->size; }
+    /** Initial bytes at addr (the rest of size() starts zeroed). */
+    const std::vector<std::uint8_t> &init() const { return def->init; }
 };
 
+/** A module set shared by every program linked from it. */
+using ModuleSetPtr = std::shared_ptr<const std::vector<isa::Module>>;
+
 /**
- * A fully linked program: placed code, placed data, and the symbol
- * tables needed by the Loader and the Simulator.
+ * A linked program is a layout over a shared module set: where each
+ * instruction, function and global landed and what each reference
+ * resolved to.  Instruction bodies and initial data bytes are read
+ * from @c modules, so two link orders of one module set share all of
+ * their code and data and differ only in these records.  A program's
+ * initial memory is each global's init() at its addr, zero elsewhere.
  */
 struct LinkedProgram
 {
+    /** The module set this program was linked from (kept alive here;
+     *  every body/def pointer below points into it). */
+    ModuleSetPtr modules;
+
+    /** Placed instructions, in ascending pc order. */
     std::vector<PlacedInst> code;
     Addr codeBase = 0;
     Addr codeEnd = 0;
 
     std::vector<LinkedFunction> functions;
-    std::unordered_map<std::string, std::uint32_t> functionByName;
 
     std::vector<LinkedGlobal> globals;
-    std::unordered_map<std::string, std::uint32_t> globalByName;
     Addr dataBase = 0;
     Addr dataEnd = 0;
-    /** Initial data image (dataEnd - dataBase bytes, zero-filled). */
-    std::vector<std::uint8_t> dataInit;
-
-    /** Maps an instruction address to its code index (for Ret). */
-    std::unordered_map<Addr, std::uint32_t> addrToIdx;
 
     /** Names of the modules in their linked order. */
     std::vector<std::string> moduleOrder;
+
+    static constexpr std::uint32_t kNoIndex = ~std::uint32_t(0);
+
+    /** Code index of the instruction placed at @p pc, or kNoIndex if
+     *  no instruction starts there (binary search over code). */
+    std::uint32_t indexAt(Addr pc) const;
+
+    /** Layout of function @p name; panics if absent. */
+    const LinkedFunction &function(const std::string &name) const;
 
     /** Entry instruction index of function @p name; panics if absent. */
     std::uint32_t entryOf(const std::string &name) const;
@@ -104,7 +136,12 @@ class Linker
      * Links @p modules in @p order.  Every Call/La symbol must resolve
      * and function/global names must be unique program-wide.
      */
-    LinkedProgram link(const std::vector<isa::Module> &modules,
+    LinkedProgram link(ModuleSetPtr modules,
+                       const LinkOrder &order = LinkOrder::asGiven()) const;
+
+    /** Same, for a module set the program alone owns (a copy of an
+     *  lvalue, or the moved rvalue). */
+    LinkedProgram link(std::vector<isa::Module> modules,
                        const LinkOrder &order = LinkOrder::asGiven()) const;
 
   private:

@@ -118,28 +118,29 @@ TEST_P(LinkerLayoutProperty, LayoutIsSane)
     // Every control-flow target index is in range, and every branch's
     // resolved target address matches the indexed instruction.
     for (const auto &pi : prog.code) {
-        switch (isa::opClass(pi.inst.op)) {
+        switch (isa::opClass(pi.inst().op)) {
           case isa::OpClass::CondBranch:
           case isa::OpClass::Jump:
           case isa::OpClass::Call:
-            ASSERT_LT(pi.targetIdx, prog.code.size());
+            ASSERT_LT(pi.target, prog.code.size());
             break;
           default:
             break;
         }
     }
 
-    // The address map inverts instruction placement.
-    EXPECT_EQ(prog.addrToIdx.size(), prog.code.size());
+    // The address lookup inverts instruction placement.
+    for (std::uint32_t i = 0; i < prog.code.size(); ++i)
+        ASSERT_EQ(prog.indexAt(prog.code[i].pc), i);
 
     // Globals are disjoint and inside the data segment.
     for (std::size_t i = 0; i < prog.globals.size(); ++i) {
         EXPECT_GE(prog.globals[i].addr, prog.dataBase);
-        EXPECT_LE(prog.globals[i].addr + prog.globals[i].size,
+        EXPECT_LE(prog.globals[i].addr + prog.globals[i].size(),
                   prog.dataEnd);
         if (i > 0) {
             EXPECT_GE(prog.globals[i].addr,
-                      prog.globals[i - 1].addr + prog.globals[i - 1].size);
+                      prog.globals[i - 1].addr + prog.globals[i - 1].size());
         }
     }
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/machine.hh"
+#include "sim/memory.hh"
 #include "toolchain/artifacts.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
@@ -32,6 +33,19 @@ buildModules(const std::string &workload = "milc")
     toolchain::Compiler cc(toolchain::CompilerVendor::GccLike,
                            toolchain::OptLevel::O2);
     return cc.compile(w.build({}));
+}
+
+/** The program's initial data segment [dataBase, dataEnd), read back
+ *  from the memory a simulated run starts with. */
+std::vector<std::uint8_t>
+initialData(const toolchain::LinkedProgram &prog)
+{
+    sim::SparseMemory mem;
+    sim::loadProgramData(mem, prog);
+    std::vector<std::uint8_t> bytes;
+    for (Addr a = prog.dataBase; a < prog.dataEnd; ++a)
+        bytes.push_back(std::uint8_t(mem.read(a, 1)));
+    return bytes;
 }
 
 TEST(ArtifactCache, CompileHitMissAccounting)
@@ -67,14 +81,15 @@ TEST(ArtifactCache, CachedLinkIdenticalToFresh)
     EXPECT_EQ(cached->codeEnd, fresh.codeEnd);
     EXPECT_EQ(cached->dataBase, fresh.dataBase);
     EXPECT_EQ(cached->dataEnd, fresh.dataEnd);
-    EXPECT_EQ(cached->dataInit, fresh.dataInit);
+    EXPECT_EQ(initialData(*cached), initialData(fresh));
     EXPECT_EQ(cached->moduleOrder, fresh.moduleOrder);
     for (std::size_t i = 0; i < fresh.code.size(); ++i) {
         EXPECT_EQ(cached->code[i].pc, fresh.code[i].pc);
         EXPECT_EQ(cached->code[i].size, fresh.code[i].size);
-        EXPECT_EQ(cached->code[i].targetIdx, fresh.code[i].targetIdx);
-        EXPECT_EQ(int(cached->code[i].inst.op), int(fresh.code[i].inst.op));
-        EXPECT_EQ(cached->code[i].inst.imm, fresh.code[i].inst.imm);
+        EXPECT_EQ(cached->code[i].target, fresh.code[i].target);
+        EXPECT_EQ(int(cached->code[i].inst().op),
+                  int(fresh.code[i].inst().op));
+        EXPECT_EQ(cached->code[i].inst().imm, fresh.code[i].inst().imm);
     }
 
     // Same (modules, order) again: pointer-identical, counted a hit.

@@ -30,7 +30,7 @@ TEST(Encoding, SizesMatchTheModel)
 {
     auto prog = linkWorkload("perl", toolchain::OptLevel::O3);
     for (const auto &pi : prog.code)
-        EXPECT_EQ(encode(pi, prog).size(), pi.size) << pi.inst.str();
+        EXPECT_EQ(encode(pi, prog).size(), pi.size) << pi.inst().str();
 }
 
 TEST(Encoding, ImageCoversTextSegment)
@@ -59,23 +59,24 @@ TEST_P(EncodingRoundTrip, DecodeInvertsEncode)
         auto prog = linkWorkload(GetParam(), level);
         auto image = encodeProgram(prog);
         for (const auto &pi : prog.code) {
+            const auto in = pi.resolved();
             const auto d =
                 decode(image, pi.pc - prog.codeBase, prog.codeBase);
-            ASSERT_EQ(d.size, pi.size) << pi.inst.str();
-            EXPECT_EQ(d.inst.op, pi.inst.op) << pi.inst.str();
-            switch (opClass(pi.inst.op)) {
+            ASSERT_EQ(d.size, pi.size) << in.str();
+            EXPECT_EQ(d.inst.op, in.op) << in.str();
+            switch (opClass(in.op)) {
               case OpClass::CondBranch:
-                EXPECT_EQ(d.inst.rs1, pi.inst.rs1);
-                EXPECT_EQ(d.inst.rs2, pi.inst.rs2);
+                EXPECT_EQ(d.inst.rs1, in.rs1);
+                EXPECT_EQ(d.inst.rs2, in.rs2);
                 EXPECT_EQ(Addr(d.inst.imm),
-                          prog.code[pi.targetIdx].pc)
-                    << pi.inst.str();
+                          prog.code[pi.target].pc)
+                    << in.str();
                 break;
               case OpClass::Jump:
               case OpClass::Call:
                 EXPECT_EQ(Addr(d.inst.imm),
-                          prog.code[pi.targetIdx].pc)
-                    << pi.inst.str();
+                          prog.code[pi.target].pc)
+                    << in.str();
                 break;
               case OpClass::Ret:
               case OpClass::Halt:
@@ -85,25 +86,25 @@ TEST_P(EncodingRoundTrip, DecodeInvertsEncode)
                 break;
               case OpClass::Load:
               case OpClass::Store:
-                EXPECT_EQ(d.inst.rd, pi.inst.rd);
-                EXPECT_EQ(d.inst.rs1, pi.inst.rs1);
-                EXPECT_EQ(d.inst.imm, pi.inst.imm);
+                EXPECT_EQ(d.inst.rd, in.rd);
+                EXPECT_EQ(d.inst.rs1, in.rs1);
+                EXPECT_EQ(d.inst.imm, in.imm);
                 break;
               default:
-                EXPECT_EQ(d.inst.rd, pi.inst.rd);
-                EXPECT_EQ(d.inst.rs1, pi.inst.rs1);
-                if (pi.inst.op != Opcode::Li &&
-                    pi.inst.op != Opcode::Addi &&
-                    pi.inst.op != Opcode::Andi &&
-                    pi.inst.op != Opcode::Ori &&
-                    pi.inst.op != Opcode::Xori &&
-                    pi.inst.op != Opcode::Slli &&
-                    pi.inst.op != Opcode::Srli &&
-                    pi.inst.op != Opcode::Srai &&
-                    pi.inst.op != Opcode::Slti) {
-                    EXPECT_EQ(d.inst.rs2, pi.inst.rs2);
+                EXPECT_EQ(d.inst.rd, in.rd);
+                EXPECT_EQ(d.inst.rs1, in.rs1);
+                if (in.op != Opcode::Li &&
+                    in.op != Opcode::Addi &&
+                    in.op != Opcode::Andi &&
+                    in.op != Opcode::Ori &&
+                    in.op != Opcode::Xori &&
+                    in.op != Opcode::Slli &&
+                    in.op != Opcode::Srli &&
+                    in.op != Opcode::Srai &&
+                    in.op != Opcode::Slti) {
+                    EXPECT_EQ(d.inst.rs2, in.rs2);
                 } else {
-                    EXPECT_EQ(d.inst.imm, pi.inst.imm);
+                    EXPECT_EQ(d.inst.imm, in.imm);
                 }
                 break;
             }
@@ -136,7 +137,7 @@ TEST(Encoding, NegativeImmediatesSurvive)
     std::size_t off = 0;
     for (const auto &pi : prog.code) {
         auto d = decode(image, off, prog.codeBase);
-        EXPECT_EQ(d.inst.imm, pi.inst.imm) << pi.inst.str();
+        EXPECT_EQ(d.inst.imm, pi.resolved().imm) << pi.inst().str();
         off += d.size;
     }
 }
@@ -151,7 +152,7 @@ TEST(Encoding, DecodeSequentiallyWalksAFunction)
     std::uint32_t idx = lf.entryIdx;
     while (off < lf.base - prog.codeBase + lf.bytes) {
         auto d = decode(image, off, prog.codeBase);
-        EXPECT_EQ(d.inst.op, prog.code[idx].inst.op);
+        EXPECT_EQ(d.inst.op, prog.code[idx].resolved().op);
         off += d.size;
         ++idx;
     }

@@ -4,9 +4,13 @@
 #include <set>
 
 #include "isa/builder.hh"
+#include "sim/memory.hh"
+#include "toolchain/artifacts.hh"
+#include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/linkorder.hh"
 #include "toolchain/loader.hh"
+#include "workloads/registry.hh"
 
 namespace
 {
@@ -33,6 +37,19 @@ simpleModule(const std::string &name, unsigned body_insts,
     b.ret();
     b.endFunc();
     return b.build();
+}
+
+/** The program's initial data segment [dataBase, dataEnd), read back
+ *  from the memory a simulated run starts with. */
+std::vector<std::uint8_t>
+initialData(const LinkedProgram &prog)
+{
+    sim::SparseMemory mem;
+    sim::loadProgramData(mem, prog);
+    std::vector<std::uint8_t> bytes;
+    for (Addr a = prog.dataBase; a < prog.dataEnd; ++a)
+        bytes.push_back(std::uint8_t(mem.read(a, 1)));
+    return bytes;
 }
 
 std::vector<Module>
@@ -150,8 +167,8 @@ TEST(Linker, PermutationMovesFunctions)
     auto a = Linker().link(mods, LinkOrder::asGiven());
     auto b = Linker().link(mods, LinkOrder::alphabetical());
     // alpha_fn is placed second in as-given order, first alphabetically.
-    const Addr base_a = a.functions[a.functionByName.at("alpha_fn")].base;
-    const Addr base_b = b.functions[b.functionByName.at("alpha_fn")].base;
+    const Addr base_a = a.function("alpha_fn").base;
+    const Addr base_b = b.function("alpha_fn").base;
     EXPECT_NE(base_a, base_b);
     EXPECT_EQ(base_b, a.codeBase); // first function starts the text
 }
@@ -173,8 +190,8 @@ TEST(Linker, CallsResolveToEntryPoints)
 
     auto prog = Linker().link(mods);
     const auto &call = prog.code[prog.entryOf("main")];
-    ASSERT_EQ(call.inst.op, Opcode::Call);
-    EXPECT_EQ(call.targetIdx, prog.entryOf("callee"));
+    ASSERT_EQ(call.inst().op, Opcode::Call);
+    EXPECT_EQ(call.target, prog.entryOf("callee"));
 }
 
 TEST(Linker, BranchTargetsResolveWithinFunction)
@@ -190,8 +207,8 @@ TEST(Linker, BranchTargetsResolveWithinFunction)
     mods.push_back(b.build());
     auto prog = Linker().link(mods);
     const auto &br = prog.code[1];
-    ASSERT_TRUE(isCondBranch(br.inst.op));
-    EXPECT_EQ(br.targetIdx, 0u);
+    ASSERT_TRUE(isCondBranch(br.inst().op));
+    EXPECT_EQ(br.target, 0u);
 }
 
 TEST(Linker, LaRewrittenToAbsoluteLi)
@@ -206,8 +223,8 @@ TEST(Linker, LaRewrittenToAbsoluteLi)
     mods.push_back(b.build());
     auto prog = Linker().link(mods);
     const auto &li = prog.code[0];
-    EXPECT_EQ(li.inst.op, Opcode::Li);
-    EXPECT_EQ(Addr(li.inst.imm), prog.globalAddr("table"));
+    EXPECT_EQ(li.resolved().op, Opcode::Li);
+    EXPECT_EQ(Addr(li.resolved().imm), prog.globalAddr("table"));
     EXPECT_EQ(li.size, 6u);
 }
 
@@ -222,10 +239,16 @@ TEST(Linker, DataSegmentLayout)
         EXPECT_EQ(prog.globals[i].addr % 8, 0u);
         if (i > 0) {
             EXPECT_GE(prog.globals[i].addr,
-                      prog.globals[i - 1].addr + prog.globals[i - 1].size);
+                      prog.globals[i - 1].addr + prog.globals[i - 1].size());
         }
     }
-    EXPECT_EQ(prog.dataInit.size(), prog.dataEnd - prog.dataBase);
+    // The segment ends with its last global, and its initial memory
+    // (all three globals are zero-initialized) reads as zero.
+    EXPECT_EQ(prog.globals.back().addr + prog.globals.back().size(),
+              prog.dataEnd);
+    const auto data = initialData(prog);
+    EXPECT_EQ(data, std::vector<std::uint8_t>(
+                        prog.dataEnd - prog.dataBase, 0));
 }
 
 TEST(Linker, DataInitPlacedAtGlobalOffset)
@@ -239,16 +262,86 @@ TEST(Linker, DataInitPlacedAtGlobalOffset)
     mods.push_back(b.build());
     auto prog = Linker().link(mods);
     const Addr off = prog.globalAddr("blob") - prog.dataBase;
-    EXPECT_EQ(prog.dataInit[off], 0xaa);
-    EXPECT_EQ(prog.dataInit[off + 1], 0xbb);
+    const auto data = initialData(prog);
+    EXPECT_EQ(data[off], 0xaa);
+    EXPECT_EQ(data[off + 1], 0xbb);
 }
 
-TEST(Linker, AddrToIdxCoversAllInstructions)
+TEST(Linker, IndexAtInvertsPlacement)
 {
     auto prog = Linker().link(threeModules());
-    EXPECT_EQ(prog.addrToIdx.size(), prog.code.size());
+    // Exactly the placed pcs map to an index, each to its own.
+    std::size_t found = 0;
+    for (Addr pc = prog.codeBase; pc < prog.codeEnd; ++pc)
+        found += prog.indexAt(pc) != LinkedProgram::kNoIndex;
+    EXPECT_EQ(found, prog.code.size());
     for (std::uint32_t i = 0; i < prog.code.size(); ++i)
-        EXPECT_EQ(prog.addrToIdx.at(prog.code[i].pc), i);
+        EXPECT_EQ(prog.indexAt(prog.code[i].pc), i);
+}
+
+TEST(Linker, IndexAtFindsEveryInstruction)
+{
+    toolchain::Compiler cc(toolchain::CompilerVendor::GccLike,
+                           toolchain::OptLevel::O2);
+    for (const auto *w : workloads::suite()) {
+        const auto mods = std::make_shared<const std::vector<Module>>(
+            cc.compile(w->build({})));
+        for (const auto &order :
+             {LinkOrder::asGiven(), LinkOrder::alphabetical(),
+              LinkOrder::shuffled(7)}) {
+            const auto prog = Linker().link(mods, order);
+            for (std::uint32_t i = 0; i < prog.code.size(); ++i)
+                ASSERT_EQ(prog.indexAt(prog.code[i].pc), i)
+                    << w->name() << " " << order.str();
+            EXPECT_EQ(prog.indexAt(prog.codeBase - 1),
+                      LinkedProgram::kNoIndex);
+            EXPECT_EQ(prog.indexAt(prog.codeEnd), LinkedProgram::kNoIndex);
+        }
+    }
+}
+
+TEST(Linker, OrdersShareModuleStorage)
+{
+    toolchain::Compiler cc(toolchain::CompilerVendor::GccLike,
+                           toolchain::OptLevel::O2);
+    const auto mods = std::make_shared<const std::vector<Module>>(
+        cc.compile(workloads::findWorkload("mcf").build({})));
+    const auto a = Linker().link(mods, LinkOrder::asGiven());
+    const auto b = Linker().link(mods, LinkOrder::shuffled(3));
+    EXPECT_EQ(a.modules.get(), mods.get());
+    EXPECT_EQ(b.modules.get(), mods.get());
+
+    // Every instruction body of both layouts lives in the module set:
+    // the same set of addresses, one per instruction.
+    std::set<const Instruction *> bodies_a, bodies_b;
+    for (const auto &pi : a.code)
+        bodies_a.insert(&pi.inst());
+    for (const auto &pi : b.code)
+        bodies_b.insert(&pi.inst());
+    std::set<const Instruction *> in_modules;
+    for (const auto &m : *mods)
+        for (const auto &f : m.functions())
+            for (const auto &inst : f.insts())
+                in_modules.insert(&inst);
+    EXPECT_EQ(bodies_a, in_modules);
+    EXPECT_EQ(bodies_b, in_modules);
+
+    // Init bytes too: each global reads its module's storage.
+    ASSERT_EQ(a.globals.size(), b.globals.size());
+    for (const auto &ga : a.globals) {
+        bool found = false;
+        for (const auto &gb : b.globals) {
+            if (gb.name() != ga.name())
+                continue;
+            found = true;
+            EXPECT_EQ(gb.init().data(), ga.init().data()) << ga.name();
+        }
+        EXPECT_TRUE(found) << ga.name();
+    }
+
+    // What a link adds on top of its module set is small.
+    EXPECT_LT(toolchain::approxBytes(a), 16u * 1024);
+    EXPECT_LT(toolchain::approxBytes(b), 16u * 1024);
 }
 
 TEST(Linker, ModuleOrderRecorded)

@@ -600,10 +600,10 @@ cmdDisasm(const Args &args)
                 (unsigned long long)prog.dataEnd);
     const std::string only = args.get("function", "");
     for (const auto &lf : prog.functions) {
-        if (!only.empty() && lf.name != only)
+        if (!only.empty() && lf.name() != only)
             continue;
         std::printf("\n%s:  ; base 0x%llx, %llu bytes\n",
-                    lf.name.c_str(), (unsigned long long)lf.base,
+                    lf.name().c_str(), (unsigned long long)lf.base,
                     (unsigned long long)lf.bytes);
         for (std::uint32_t i = lf.entryIdx; i < prog.code.size(); ++i) {
             const auto &pi = prog.code[i];
@@ -618,13 +618,13 @@ cmdDisasm(const Args &args)
             }
             std::printf("  %06llx  %-22s %s\n",
                         (unsigned long long)pi.pc, hex.c_str(),
-                        pi.inst.str().c_str());
+                        pi.resolved().str().c_str());
         }
     }
     for (const auto &g : prog.globals)
         std::printf("; global %-12s 0x%llx (%llu bytes)\n",
-                    g.name.c_str(), (unsigned long long)g.addr,
-                    (unsigned long long)g.size);
+                    g.name().c_str(), (unsigned long long)g.addr,
+                    (unsigned long long)g.size());
     return 0;
 }
 
