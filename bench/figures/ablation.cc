@@ -32,8 +32,10 @@ spreadPct(pipeline::FigureContext &ctx, const sim::MachineConfig &machine,
     core::ExperimentSpec spec;
     spec.withMachine(machine);
     const auto report = ctx.run(
-        pipeline::Sweep(spec).setups(setups).plan(
-            {campaign::RepetitionPlan::Kind::BaselineOnly, 1}));
+        campaign::CampaignSpec()
+            .withExperiment(spec)
+            .withSetups(setups)
+            .withPlan({campaign::RepetitionPlan::Kind::BaselineOnly, 1}));
     stats::Sample cycles;
     for (const auto &o : report.bias.outcomes)
         cycles.add(core::metricValue(spec.metric, o.baseline));

@@ -96,10 +96,12 @@ render(pipeline::FigureContext &ctx)
         core::ExperimentSpec spec;
         spec.workload = prog.name;
 
-        auto link_report =
-            ctx.run(pipeline::Sweep(spec).linkOrderGrid(6));
-        auto env_report =
-            ctx.run(pipeline::Sweep(spec).envGrid(4096, 512));
+        auto link_report = ctx.run(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
+                core::SetupSpace().varyLinkOrder().grid(6)));
+        auto env_report = ctx.run(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
+                pipeline::envGridSetups(4096, 512)));
         metrics.merge(link_report.metrics);
         metrics.merge(env_report.metrics);
         const Spread link = spreadOf(link_report);

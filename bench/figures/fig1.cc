@@ -26,8 +26,9 @@ oneWorkload(pipeline::FigureContext &ctx, const std::string &name)
 {
     core::ExperimentSpec spec;
     spec.withWorkload(name);
-    const auto report =
-        ctx.run(pipeline::Sweep(spec).linkOrderGrid(num_orders));
+    const auto report = ctx.run(
+        campaign::CampaignSpec().withExperiment(spec).withSetups(
+            core::SetupSpace().varyLinkOrder().grid(num_orders)));
 
     stats::Sample o2, o3;
     for (const auto &o : report.bias.outcomes) {

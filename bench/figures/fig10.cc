@@ -48,8 +48,10 @@ render(pipeline::FigureContext &ctx)
                     core::SetupSpace().varyEnvSize().varyLinkOrder(),
                     num_setups, 0xa5a5);
                 const auto report =
-                    ctx.run(pipeline::Sweep(spec).setups(
-                        std::move(setups))).bias;
+                    ctx.run(campaign::CampaignSpec()
+                                .withExperiment(spec)
+                                .withSetups(std::move(setups)))
+                        .bias;
                 const std::string q =
                     toolchain::optLevelName(levels[i + 1]) + " > " +
                     toolchain::optLevelName(levels[i]) + "?";

@@ -51,9 +51,10 @@ hostileSpeedups(pipeline::FigureContext &ctx, campaign::RepetitionPlan plan,
                 obs::MetricsSnapshot &metrics)
 {
     core::ExperimentSpec spec; // perl, core2like, O2 vs O3
-    auto report = ctx.run(pipeline::Sweep(spec)
-                              .setups(envSetups(hostile_envs))
-                              .plan(plan));
+    auto report = ctx.run(campaign::CampaignSpec()
+                              .withExperiment(spec)
+                              .withSetups(envSetups(hostile_envs))
+                              .withPlan(plan));
     metrics.merge(report.metrics);
     std::vector<double> speedups;
     for (const auto &o : report.bias.outcomes)
@@ -69,8 +70,9 @@ render(pipeline::FigureContext &ctx)
 
     // Ground truth: the layout-marginalized effect over a dense grid.
     core::ExperimentSpec spec;
-    auto truth_report =
-        ctx.run(pipeline::Sweep(spec).envGrid(4096, 36));
+    auto truth_report = ctx.run(
+        campaign::CampaignSpec().withExperiment(spec).withSetups(
+            pipeline::envGridSetups(4096, 36)));
     const double truth = truth_report.bias.speedups.mean();
     std::printf("layout-marginalized speedup (dense env grid): %.4f\n\n",
                 truth);

@@ -59,8 +59,9 @@ render(pipeline::FigureContext &ctx)
             const sim::MachineBackend &mb = *backends[b];
             core::ExperimentSpec spec;
             spec.withWorkload(wname).withMachine(mb.config);
-            const auto report =
-                ctx.run(pipeline::Sweep(spec).envGrid(4096, 103));
+            const auto report = ctx.run(
+                campaign::CampaignSpec().withExperiment(spec).withSetups(
+                    pipeline::envGridSetups(4096, 103)));
             stats::Sample sp;
             for (const auto &o : report.bias.outcomes)
                 sp.add(o.speedup);

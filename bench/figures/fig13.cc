@@ -58,9 +58,10 @@ measure(pipeline::FigureContext &ctx, unsigned slowdown_pct,
     core::ExperimentSetup s;
     s.envBytes = env;
     const auto report =
-        ctx.run(pipeline::Sweep(spec)
-                    .seededSetups({{s, noise_seed + env}})
-                    .plan(plan));
+        ctx.run(campaign::CampaignSpec()
+                    .withExperiment(spec)
+                    .withSeededSetups({{s, noise_seed + env}})
+                    .withPlan(plan));
     const auto &o = report.bias.outcomes.at(0);
     Cell cell;
     for (unsigned i = 0; i < reps; ++i) {

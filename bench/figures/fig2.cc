@@ -33,8 +33,9 @@ render(pipeline::FigureContext &ctx)
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        const auto report =
-            ctx.run(pipeline::Sweep(spec).linkOrderGrid(num_orders));
+        const auto report = ctx.run(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
+                core::SetupSpace().varyLinkOrder().grid(num_orders)));
         stats::Sample sp;
         for (const auto &o : report.bias.outcomes)
             sp.add(o.speedup);

@@ -27,8 +27,9 @@ render(pipeline::FigureContext &ctx)
                 "O3 cycles", "speedup");
 
     core::ExperimentSpec spec; // perl on core2like by default
-    const auto report =
-        ctx.run(pipeline::Sweep(spec).envGrid(4096, 20));
+    const auto report = ctx.run(
+        campaign::CampaignSpec().withExperiment(spec).withSetups(
+            pipeline::envGridSetups(4096, 20)));
 
     stats::Sample sp;
     unsigned below = 0, above = 0;

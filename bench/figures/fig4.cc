@@ -29,8 +29,9 @@ render(pipeline::FigureContext &ctx)
         for (const auto &machine : sim::MachineConfig::allPresets()) {
             core::ExperimentSpec spec;
             spec.withWorkload(wname).withMachine(machine);
-            const auto report =
-                ctx.run(pipeline::Sweep(spec).envGrid(4096, 52));
+            const auto report = ctx.run(
+                campaign::CampaignSpec().withExperiment(spec).withSetups(
+                    pipeline::envGridSetups(4096, 52)));
             stats::Sample sp, base_cycles;
             for (const auto &o : report.bias.outcomes) {
                 sp.add(o.speedup);

@@ -24,8 +24,9 @@ constexpr unsigned num_orders = 20;
 stats::Sample
 speedups(pipeline::FigureContext &ctx, const core::ExperimentSpec &spec)
 {
-    const auto report =
-        ctx.run(pipeline::Sweep(spec).linkOrderGrid(num_orders));
+    const auto report = ctx.run(
+        campaign::CampaignSpec().withExperiment(spec).withSetups(
+            core::SetupSpace().varyLinkOrder().grid(num_orders)));
     stats::Sample sp;
     for (const auto &o : report.bias.outcomes)
         sp.add(o.speedup);

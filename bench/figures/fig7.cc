@@ -46,10 +46,11 @@ render(pipeline::FigureContext &ctx)
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
         auto cr = ctx.run(
-            pipeline::Sweep(spec)
-                .randomized(core::SetupSpace().varyEnvSize().varyLinkOrder(),
-                            num_setups)
-                .seed(0xf19u));
+            campaign::CampaignSpec()
+                .withExperiment(spec)
+                .withSpace(core::SetupSpace().varyEnvSize().varyLinkOrder(),
+                           num_setups)
+                .withSeed(0xf19u));
         metrics.merge(cr.metrics);
         const auto &report = cr.bias;
         auto check = checker.check(report);

@@ -6,11 +6,10 @@
  * variance ratio >> 1 with a disjoint CI is the "tight interval around
  * the wrong value" failure mode the paper warns about.
  *
- * Lowered onto the campaign engine as NoisePaired tasks: the home
- * setup is one 15-rep task, the peer setups one single-rep task each,
- * all with the pinned noise seeds the serial analyzer used.  The
- * per-rep ratios feed VarianceAnalyzer::aggregate — the same math,
- * campaign-measured data.
+ * Measured by FigureContext::varianceDecomposition, the lowering
+ * `mbias variance` shares: two NoisePaired campaigns (the home setup
+ * as one 15-rep task, the peer setups one single-rep task each) with
+ * pinned noise seeds, aggregated by VarianceAnalyzer.
  */
 #include <cstdio>
 
@@ -29,44 +28,6 @@ namespace
 constexpr unsigned reps = 15;
 constexpr std::uint64_t noise_seed = 0xfeed;
 
-core::VarianceReport
-decompose(pipeline::FigureContext &ctx, const core::ExperimentSpec &spec,
-          const core::ExperimentSetup &home,
-          const std::vector<core::ExperimentSetup> &peers,
-          const core::VarianceAnalyzer &analyzer)
-{
-    using Kind = campaign::RepetitionPlan::Kind;
-
-    // Within: repeat base and treatment at the home setup (treatment
-    // noise seeds offset by 7919, as always).
-    const auto wr = ctx.run(
-        pipeline::Sweep(spec)
-            .seededSetups({{home, noise_seed}})
-            .plan({Kind::NoisePaired, reps, /*treatSeedOffset=*/7919}));
-    const auto &wo = wr.bias.outcomes.at(0);
-    std::vector<double> within;
-    for (unsigned i = 0; i < reps; ++i)
-        within.push_back(wo.repBaseline[i] / wo.repTreatment[i]);
-
-    // Between: one noisy repetition per peer setup, seeds walking
-    // noise_seed + 104729, +2 per setup (+1 for the treatment side).
-    std::vector<campaign::SeededSetup> seeded;
-    std::uint64_t seed = noise_seed + 104729;
-    for (const auto &s : peers) {
-        seeded.push_back({s, seed});
-        seed += 2;
-    }
-    const auto br = ctx.run(
-        pipeline::Sweep(spec)
-            .seededSetups(std::move(seeded))
-            .plan({Kind::NoisePaired, 1, /*treatSeedOffset=*/1}));
-    std::vector<double> between;
-    for (const auto &o : br.bias.outcomes)
-        between.push_back(o.repBaseline[0] / o.repTreatment[0]);
-
-    return analyzer.aggregate(spec, within, between);
-}
-
 void
 render(pipeline::FigureContext &ctx)
 {
@@ -75,7 +36,6 @@ render(pipeline::FigureContext &ctx)
     core::TextTable t({"workload", "repetition CI (one setup)",
                        "cross-setup mean", "var ratio",
                        "false confidence"});
-    core::VarianceAnalyzer analyzer(reps, noise_seed, ctx.confidence());
     core::ExperimentSetup home;
     home.envBytes = 300;
     auto peers = core::SetupSpace().varyEnvSize().grid(16);
@@ -84,7 +44,8 @@ render(pipeline::FigureContext &ctx)
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        auto r = decompose(ctx, spec, home, peers, analyzer);
+        auto r = ctx.varianceDecomposition(spec, home, peers, reps,
+                                           noise_seed);
         fooled += r.falseConfidence;
         t.addRow({w->name(),
                   "[" + core::fmt(r.withinCI.lower) + ", " +

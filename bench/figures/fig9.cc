@@ -46,9 +46,10 @@ interactionFor(pipeline::FigureContext &ctx, const std::string &workload)
         }
     }
     const auto report = ctx.run(
-        pipeline::Sweep(spec)
-            .seededSetups(std::move(cells_in))
-            .plan({campaign::RepetitionPlan::Kind::NoiseRepeated, reps}));
+        campaign::CampaignSpec()
+            .withExperiment(spec)
+            .withSeededSetups(std::move(cells_in))
+            .withPlan({campaign::RepetitionPlan::Kind::NoiseRepeated, reps}));
 
     std::vector<std::vector<stats::Sample>> cells(
         env_levels, std::vector<stats::Sample>(link_levels));

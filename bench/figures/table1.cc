@@ -29,8 +29,9 @@ render(pipeline::FigureContext &ctx)
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        const auto report = ctx.run(
-            pipeline::Sweep(spec).setups({core::ExperimentSetup{}}));
+        const auto report =
+            ctx.run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+                {core::ExperimentSetup{}}));
         const auto &o = report.bias.outcomes.at(0);
         const auto &c = o.baseline.counters;
         t.addRow({w->name(), w->archetype(),

@@ -42,7 +42,8 @@ render(pipeline::FigureContext &ctx)
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        reports.push_back(ctx.run(pipeline::Sweep(spec).setups(setups)));
+        reports.push_back(ctx.run(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(setups)));
     }
 
     // One "SPEC run" per setup: geomean across the suite.

@@ -11,9 +11,9 @@
  */
 #include <cstdio>
 
-#include "core/bias.hh"
 #include "core/experiment.hh"
 #include "core/setup.hh"
+#include "pipeline/context.hh"
 
 using namespace mbias;
 
@@ -21,24 +21,24 @@ int
 main()
 {
     core::ExperimentSpec spec; // perl, core2like, gcc O2 vs O3
-    core::ExperimentRunner runner(spec);
+    pipeline::FigureContext ctx;
 
     // Sweep the environment size the way a user's login environment
     // might vary between machines (or between home directory lengths!)
     // and find the two most contradictory setups.
+    const auto sweep =
+        ctx.run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+            pipeline::envGridSetups(4096, 20)));
     core::ExperimentSetup best, worst;
     double best_speedup = 0.0, worst_speedup = 10.0;
-    for (std::uint64_t env = 0; env <= 4096; env += 20) {
-        core::ExperimentSetup s;
-        s.envBytes = env;
-        const double sp = runner.run(s).speedup;
-        if (sp > best_speedup) {
-            best_speedup = sp;
-            best = s;
+    for (const auto &o : sweep.bias.outcomes) {
+        if (o.speedup > best_speedup) {
+            best_speedup = o.speedup;
+            best = o.setup;
         }
-        if (sp < worst_speedup) {
-            worst_speedup = sp;
-            worst = s;
+        if (o.speedup < worst_speedup) {
+            worst_speedup = o.speedup;
+            worst = o.setup;
         }
     }
 
@@ -55,9 +55,12 @@ main()
                 "The difference is a setup factor no paper reports.\n\n");
 
     // The remedy.
-    core::SetupRandomizer randomizer(core::SetupSpace().varyEnvSize(),
-                                     /* seed */ 7);
-    auto report = core::BiasAnalyzer().analyze(spec, randomizer, 31);
+    const auto report =
+        ctx.run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+                    pipeline::sequentialSetups(
+                        core::SetupSpace().varyEnvSize(), 31,
+                        /* seed */ 7)))
+            .bias;
     std::printf("With setup randomization both would have reported:\n"
                 "  speedup %s over the setup distribution\n",
                 report.speedupCI.str().c_str());

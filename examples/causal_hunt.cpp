@@ -14,6 +14,7 @@
 #include "core/experiment.hh"
 #include "core/runner.hh"
 #include "core/setup.hh"
+#include "pipeline/context.hh"
 #include "stats/sample.hh"
 
 using namespace mbias;
@@ -24,19 +25,28 @@ main()
     core::ExperimentSpec spec;
     spec.withWorkload("hmmer");
 
-    // Step 0: is there a bias at all?
+    // Step 0: is there a bias at all?  One baseline-side run per
+    // setup, measured as one campaign.
     auto setups = core::SetupSpace().varyEnvSize().grid(40);
-    core::ExperimentRunner runner(spec);
+    pipeline::FigureContext ctx;
+    const auto sweep = ctx.run(
+        campaign::CampaignSpec()
+            .withExperiment(spec)
+            .withSetups(setups)
+            .withPlan({campaign::RepetitionPlan::Kind::BaselineOnly, 1}));
     stats::Sample cycles;
-    for (const auto &s : setups)
-        cycles.add(runner.metricOf(runner.runSide(spec.baseline, s)));
+    for (const auto &o : sweep.bias.outcomes)
+        cycles.add(core::metricValue(spec.metric, o.baseline));
     std::printf("hmmer O2 cycles across %zu env sizes: min %.0f, "
                 "max %.0f (%.2f%% spread)\n\n",
                 setups.size(), cycles.min(), cycles.max(),
                 cycles.range() / cycles.median() * 100.0);
 
-    // Steps 1-2: counter correlation, then interventions.
-    auto report = core::CausalAnalyzer().analyze(spec, setups);
+    // Steps 1-2: counter correlation, then interventions; each sweep
+    // they need runs as a campaign too.
+    core::CausalAnalyzer analyzer;
+    analyzer.withSweep(ctx.causalSweep());
+    auto report = analyzer.analyze(spec, setups);
     std::printf("%s\n", report.str().c_str());
 
     std::printf("Reading the output: the top-ranked counter names the "

@@ -8,10 +8,11 @@
  */
 #include <cstdio>
 
-#include "core/bias.hh"
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "core/setup.hh"
 #include "core/table.hh"
+#include "pipeline/context.hh"
 
 using namespace mbias;
 
@@ -22,6 +23,7 @@ main()
                 "randomized setups\n\n");
     core::TextTable t({"workload", "single-setup", "randomized CI",
                        "flips", "verdict"});
+    pipeline::FigureContext ctx;
     for (const char *w : {"perl", "bzip", "milc", "hmmer", "sjeng",
                           "sphinx"}) {
         core::ExperimentSpec spec;
@@ -34,9 +36,12 @@ main()
         core::ExperimentRunner runner(spec);
         const double single = runner.run(core::ExperimentSetup{}).speedup;
 
-        core::SetupRandomizer randomizer(
-            core::SetupSpace().varyEnvSize().varyLinkOrder(), 1234);
-        auto report = core::BiasAnalyzer().analyze(spec, randomizer, 25);
+        const auto report =
+            ctx.run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+                        pipeline::sequentialSetups(
+                            core::SetupSpace().varyEnvSize().varyLinkOrder(),
+                            25, 1234)))
+                .bias;
         t.addRow({w, core::fmt(single),
                   "[" + core::fmt(report.speedupCI.lower) + ", " +
                       core::fmt(report.speedupCI.upper) + "]",

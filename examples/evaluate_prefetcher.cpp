@@ -10,10 +10,11 @@
  */
 #include <cstdio>
 
-#include "core/bias.hh"
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "core/setup.hh"
 #include "core/table.hh"
+#include "pipeline/context.hh"
 
 using namespace mbias;
 
@@ -29,6 +30,7 @@ main()
 
     core::TextTable t({"workload", "single-setup", "randomized CI",
                        "bias", "verdict"});
+    pipeline::FigureContext ctx;
     for (const char *w : {"mcf", "lbm", "libquantum", "perl", "hmmer",
                           "gcclike"}) {
         core::ExperimentSpec spec;
@@ -39,9 +41,12 @@ main()
         core::ExperimentRunner runner(spec);
         const double single = runner.run(core::ExperimentSetup{}).speedup;
 
-        core::SetupRandomizer randomizer(
-            core::SetupSpace().varyEnvSize().varyLinkOrder(), 0x9f);
-        auto report = core::BiasAnalyzer().analyze(spec, randomizer, 21);
+        const auto report =
+            ctx.run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+                        pipeline::sequentialSetups(
+                            core::SetupSpace().varyEnvSize().varyLinkOrder(),
+                            21, 0x9f)))
+                .bias;
         t.addRow({w, core::fmt(single),
                   "[" + core::fmt(report.speedupCI.lower) + ", " +
                       core::fmt(report.speedupCI.upper) + "]",

@@ -14,6 +14,7 @@
 
 #include "core/setup.hh"
 #include "core/variance.hh"
+#include "pipeline/context.hh"
 
 using namespace mbias;
 
@@ -29,8 +30,10 @@ main()
     home.envBytes = 300;
     auto peers = core::SetupSpace().varyEnvSize().grid(24);
 
-    core::VarianceAnalyzer analyzer(/* reps = */ 15);
-    auto report = analyzer.analyze(spec, home, peers);
+    // 15 noisy repetitions per side at home, one run per peer setup,
+    // under the noise seeds fig8 uses.
+    auto report = pipeline::FigureContext().varianceDecomposition(
+        spec, home, peers, /* reps = */ 15, /* noise_seed = */ 0xfeed);
     std::printf("%s\n", report.str().c_str());
 
     std::printf("Reading the output:\n"

@@ -11,10 +11,11 @@
  */
 #include <cstdio>
 
-#include "core/bias.hh"
 #include "core/conclusion.hh"
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "core/setup.hh"
+#include "pipeline/context.hh"
 
 using namespace mbias;
 
@@ -34,11 +35,17 @@ main()
                 naive.speedup > 1.0 ? "helps" : "hurts");
 
     // 3. The robust experiment: randomize the innocuous setup factors
-    //    (environment size, link order) and look at the distribution.
-    core::SetupRandomizer randomizer(
-        core::SetupSpace().varyEnvSize().varyLinkOrder(), /* seed */ 42);
-    core::BiasAnalyzer analyzer;
-    auto report = analyzer.analyze(spec, randomizer, 31);
+    //    (environment size, link order), measure every setup as one
+    //    campaign, and look at the distribution.
+    auto setups = pipeline::sequentialSetups(
+        core::SetupSpace().varyEnvSize().varyLinkOrder(), 31,
+        /* seed */ 42);
+    pipeline::FigureContext ctx; // pass PipelineOptions{.jobs = N} to
+                                 // spread the campaign over N workers
+    auto report = ctx.run(campaign::CampaignSpec()
+                              .withExperiment(spec)
+                              .withSetups(std::move(setups)))
+                      .bias;
     std::printf("%s\n", report.str().c_str());
 
     // 4. Diagnosis: could a single-setup paper have gotten this wrong?

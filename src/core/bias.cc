@@ -63,15 +63,6 @@ BiasAnalyzer::withBootstrap(int resamples, std::uint64_t seed,
 }
 
 BiasReport
-BiasAnalyzer::analyze(const ExperimentSpec &spec,
-                      const std::vector<ExperimentSetup> &setups) const
-{
-    mbias_assert(setups.size() >= 2, "bias analysis needs >= 2 setups");
-    ExperimentRunner runner(spec);
-    return aggregate(spec, runner.runAll(setups));
-}
-
-BiasReport
 BiasAnalyzer::aggregate(const ExperimentSpec &spec,
                         std::vector<RunOutcome> outcomes) const
 {
@@ -117,13 +108,6 @@ BiasAnalyzer::aggregate(const ExperimentSpec &spec,
         r.verdict = Verdict::Inconclusive;
 
     return r;
-}
-
-BiasReport
-BiasAnalyzer::analyze(const ExperimentSpec &spec,
-                      SetupRandomizer &randomizer, unsigned n) const
-{
-    return analyze(spec, randomizer.sample(n));
 }
 
 } // namespace mbias::core

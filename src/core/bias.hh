@@ -77,8 +77,11 @@ struct BiasReport
 };
 
 /**
- * The paper's measurement methodology: run the experiment over many
- * setups and characterize both the effect and the bias.
+ * The analysis half of the paper's methodology: characterize both the
+ * effect and the bias of outcomes measured across many setups.  The
+ * measuring half is a campaign (campaign::CampaignEngine, reached from
+ * figures, examples and the CLI through pipeline::FigureContext::run),
+ * which aggregates its outcomes with this analyzer.
  */
 class BiasAnalyzer
 {
@@ -101,18 +104,9 @@ class BiasAnalyzer
     BiasAnalyzer &withBootstrap(int resamples, std::uint64_t seed,
                                 unsigned jobs = 1);
 
-    /** Analyzes explicitly provided setups. */
-    BiasReport analyze(const ExperimentSpec &spec,
-                       const std::vector<ExperimentSetup> &setups) const;
-
-    /** Samples @p n setups from a randomizer, then analyzes. */
-    BiasReport analyze(const ExperimentSpec &spec,
-                       SetupRandomizer &randomizer, unsigned n) const;
-
     /**
-     * Aggregates outcomes that were already measured elsewhere (e.g.
-     * by a parallel campaign, possibly loaded from a result store)
-     * into the same report analyze() would have produced.
+     * Aggregates outcomes measured elsewhere (by a campaign, possibly
+     * loaded from a result store) into a report; needs >= 2 of them.
      */
     BiasReport aggregate(const ExperimentSpec &spec,
                          std::vector<RunOutcome> outcomes) const;

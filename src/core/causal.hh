@@ -93,10 +93,12 @@ class CausalAnalyzer
 
     /**
      * Replaces the sweep executor.  The default runs a private serial
-     * ExperimentRunner; the pipeline layer installs a campaign-backed
-     * sweep so causal figures gain --jobs and caching.  Any conforming
-     * executor yields bitwise-identical reports: the analysis consumes
-     * only the returned RunResults, in setup order.
+     * ExperimentRunner, for callers outside the pipeline layer; the
+     * figures, the examples and `mbias causal` install
+     * pipeline::FigureContext::causalSweep(), a campaign-backed sweep
+     * with --jobs and caching.  Any conforming executor yields
+     * bitwise-identical reports: the analysis consumes only the
+     * returned RunResults, in setup order.
      */
     CausalAnalyzer &withSweep(SweepFn sweep);
 

@@ -285,14 +285,4 @@ ExperimentRunner::run(const ExperimentSetup &setup)
     return o;
 }
 
-std::vector<RunOutcome>
-ExperimentRunner::runAll(const std::vector<ExperimentSetup> &setups)
-{
-    std::vector<RunOutcome> out;
-    out.reserve(setups.size());
-    for (const auto &s : setups)
-        out.push_back(run(s));
-    return out;
-}
-
 } // namespace mbias::core

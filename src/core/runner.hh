@@ -79,9 +79,6 @@ class ExperimentRunner
     /** Runs baseline and treatment in one setup. */
     RunOutcome run(const ExperimentSetup &setup);
 
-    /** Runs all setups. */
-    std::vector<RunOutcome> runAll(const std::vector<ExperimentSetup> &s);
-
     /** Runs only one side (used by causal analysis).
      *  @p treatment_side selects the treatment machine for hardware
      *  studies.  Optional sinks add per-function profiling and per-set

@@ -26,42 +26,10 @@ VarianceReport::str() const
     return os.str();
 }
 
-VarianceAnalyzer::VarianceAnalyzer(unsigned reps, std::uint64_t noise_seed,
-                                   double confidence)
-    : reps_(reps), noiseSeed_(noise_seed), confidence_(confidence)
+VarianceAnalyzer::VarianceAnalyzer(double confidence)
+    : confidence_(confidence)
 {
-    mbias_assert(reps >= 2, "variance needs >= 2 repetitions");
     mbias_assert(confidence > 0.0 && confidence < 1.0, "bad confidence");
-}
-
-VarianceReport
-VarianceAnalyzer::analyze(const ExperimentSpec &spec,
-                          const ExperimentSetup &home,
-                          const std::vector<ExperimentSetup> &setups) const
-{
-    mbias_assert(setups.size() >= 2, "need >= 2 setups");
-    ExperimentRunner runner(spec);
-
-    // Within: repeat base and treatment at the home setup.
-    std::vector<double> within;
-    auto base = runner.repeatedMetric(spec.baseline, home, reps_,
-                                      noiseSeed_);
-    auto treat = runner.repeatedMetric(spec.treatment, home, reps_,
-                                       noiseSeed_ + 7919);
-    for (unsigned i = 0; i < reps_; ++i)
-        within.push_back(base.values()[i] / treat.values()[i]);
-
-    // Between: one noisy repetition per setup.
-    std::vector<double> between;
-    std::uint64_t seed = noiseSeed_ + 104729;
-    for (const auto &s : setups) {
-        auto b = runner.repeatedMetric(spec.baseline, s, 1, seed);
-        auto t = runner.repeatedMetric(spec.treatment, s, 1, seed + 1);
-        between.push_back(b.values()[0] / t.values()[0]);
-        seed += 2;
-    }
-
-    return aggregate(spec, within, between);
 }
 
 VarianceReport

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/runner.hh"
+#include "core/experiment.hh"
 #include "stats/ci.hh"
 #include "stats/sample.hh"
 
@@ -45,37 +45,30 @@ struct VarianceReport
     std::string str() const;
 };
 
-/** Decomposes measurement variation into noise and bias components. */
+/**
+ * Decomposes measurement variation into noise and bias components.
+ * The ratio samples come from two NoisePaired campaigns, measured by
+ * pipeline::FigureContext::varianceDecomposition (fig8 and `mbias
+ * variance` share that one lowering); this class holds the math.
+ */
 class VarianceAnalyzer
 {
   public:
     /** @p confidence is the level of both reported intervals. */
-    explicit VarianceAnalyzer(unsigned reps = 15,
-                              std::uint64_t noise_seed = 0xfeed,
-                              double confidence = 0.95);
+    explicit VarianceAnalyzer(double confidence = 0.95);
 
     /**
-     * @p home is the setup the hypothetical experimenter happens to
-     * have; @p setups the space their peers might have instead.
-     */
-    VarianceReport analyze(const ExperimentSpec &spec,
-                           const ExperimentSetup &home,
-                           const std::vector<ExperimentSetup> &setups) const;
-
-    /**
-     * Builds the report from ratio samples measured elsewhere (e.g.
-     * by a NoisePaired campaign): @p within holds the per-repetition
-     * base/treat ratios at the home setup, @p between one ratio per
-     * peer setup.  analyze() is exactly "measure, then aggregate" —
-     * both entry points share this math.
+     * Builds the report from measured ratio samples: @p within holds
+     * the per-repetition base/treat ratios at the home setup (the one
+     * the hypothetical experimenter happens to have), @p between one
+     * ratio per peer setup (the ones their peers might have instead).
+     * Each needs >= 2 values.
      */
     VarianceReport aggregate(const ExperimentSpec &spec,
                              const std::vector<double> &within,
                              const std::vector<double> &between) const;
 
   private:
-    unsigned reps_;
-    std::uint64_t noiseSeed_;
     double confidence_;
 };
 

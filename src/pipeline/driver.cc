@@ -38,7 +38,7 @@ runFigure(const FigureSpec &spec, const PipelineOptions &opts)
 }
 
 int
-runAll(const PipelineOptions &opts)
+runEveryFigure(const PipelineOptions &opts)
 {
     for (const FigureSpec &spec : FigureRegistry::instance().all()) {
         std::printf("---- %s ----\n", spec.binaryName.c_str());

@@ -38,7 +38,7 @@ int runFigure(const FigureSpec &spec, const PipelineOptions &opts);
  * `---- <binary name> ----` section header reproduce_all.sh has
  * always used between drivers.  Stops at the first failure.
  */
-int runAll(const PipelineOptions &opts);
+int runEveryFigure(const PipelineOptions &opts);
 
 /**
  * Entry point of the thin per-figure wrapper binaries: parses the

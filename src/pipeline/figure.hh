@@ -13,11 +13,11 @@ class FigureContext;
 /**
  * One registered figure/table of the reproduction: an identifier, a
  * one-line description for `mbias list`, and a render stage.  The
- * render function declares its factor sweeps as pipeline::Sweep
- * objects and executes them through FigureContext::run(), which
- * lowers each onto the campaign engine — so every figure gains
- * `--jobs`, the result/artifact caches, obs metrics/traces, and
- * provenance without owning any of that machinery.
+ * render function declares each factor sweep as a
+ * campaign::CampaignSpec and runs it through FigureContext::run() on
+ * the campaign engine — so every figure gains `--jobs`, the
+ * result/artifact caches, obs metrics/traces, and provenance without
+ * owning any of that machinery.
  */
 struct FigureSpec
 {

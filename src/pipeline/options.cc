@@ -21,23 +21,6 @@ isFlag(const char *tok)
     return std::strncmp(tok, "--", 2) == 0;
 }
 
-/** A decimal in [0, @p max].  strtoull skips blanks and accepts a
- *  sign (wrapping "-1" to 2^64 - 1), so the value must start with a
- *  digit. */
-std::uint64_t
-parseUint(const char *flag, const char *value,
-          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    if (!std::isdigit(static_cast<unsigned char>(value[0])))
-        mbias_fatal("bad value for ", flag, ": '", value, "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(value, &end, 10);
-    if (*end != '\0' || errno == ERANGE || v > max)
-        mbias_fatal("bad value for ", flag, ": '", value, "'");
-    return v;
-}
-
 double
 parseDouble(const char *flag, const char *value)
 {
@@ -49,6 +32,21 @@ parseDouble(const char *flag, const char *value)
 }
 
 } // namespace
+
+std::uint64_t
+parseUint(const char *flag, const char *value, std::uint64_t max)
+{
+    // strtoull skips blanks and accepts a sign (wrapping "-1" to
+    // 2^64 - 1), so the value must start with a digit.
+    if (!std::isdigit(static_cast<unsigned char>(value[0])))
+        mbias_fatal("bad value for ", flag, ": '", value, "'");
+    errno = 0;
+    char *end = nullptr;
+    const std::uint64_t v = std::strtoull(value, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        mbias_fatal("bad value for ", flag, ": '", value, "'");
+    return v;
+}
 
 ParsedArgs
 parsePipelineArgs(int argc, char **argv)

@@ -2,6 +2,7 @@
 #define MBIAS_PIPELINE_OPTIONS_HH
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,6 +69,16 @@ struct ParsedArgs
  * outside (0, 1) or NaN) are fatal.
  */
 ParsedArgs parsePipelineArgs(int argc, char **argv);
+
+/**
+ * The one integer grammar of every flag, shared and
+ * subcommand-specific alike: a plain decimal in [0, @p max], starting
+ * with a digit (no sign, no blanks) and with no trailing text.
+ * Anything else is fatal, naming @p flag.
+ */
+std::uint64_t
+parseUint(const char *flag, const char *value,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /** Applies --quiet/--verbose to the global logging switch. */
 void applyLogging(const PipelineOptions &opts);

@@ -5,6 +5,7 @@
 #include "core/causal.hh"
 #include "core/conclusion.hh"
 #include "core/table.hh"
+#include "pipeline/context.hh"
 
 namespace
 {
@@ -18,6 +19,17 @@ fastSpec(const std::string &workload = "perl")
     ExperimentSpec spec;
     spec.withWorkload(workload);
     return spec;
+}
+
+/** Measures @p setups through the campaign engine, the one way
+ *  every entry point measures. */
+BiasReport
+measure(const ExperimentSpec &spec, std::vector<ExperimentSetup> setups)
+{
+    return pipeline::FigureContext()
+        .run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+            std::move(setups)))
+        .bias;
 }
 
 TEST(Runner, SpeedupIsMetricRatio)
@@ -81,7 +93,7 @@ TEST(Runner, SpAlignOverrideAppliesIntervention)
 TEST(BiasAnalyzer, DetectsEnvBiasOnPerl)
 {
     auto setups = SetupSpace().varyEnvSize().grid(24);
-    auto report = BiasAnalyzer().analyze(fastSpec(), setups);
+    auto report = measure(fastSpec(), setups);
     EXPECT_EQ(report.outcomes.size(), 24u);
     EXPECT_GT(report.biasMagnitude, 0.02);
     EXPECT_TRUE(report.biased());
@@ -94,7 +106,7 @@ TEST(BiasAnalyzer, NullTreatmentIsNotBiased)
     ExperimentSpec spec = fastSpec();
     spec.treatment = spec.baseline;
     auto setups = SetupSpace().varyEnvSize().grid(10);
-    auto report = BiasAnalyzer().analyze(spec, setups);
+    auto report = measure(spec, setups);
     EXPECT_DOUBLE_EQ(report.speedups.min(), 1.0);
     EXPECT_DOUBLE_EQ(report.speedups.max(), 1.0);
     EXPECT_EQ(report.conclusionFlips, 0);
@@ -105,7 +117,7 @@ TEST(BiasAnalyzer, ClearWinnerIsConclusive)
 {
     // sphinx: O3 wins by ~20% everywhere, bias is tiny.
     auto setups = SetupSpace().varyEnvSize().grid(8);
-    auto report = BiasAnalyzer().analyze(fastSpec("sphinx"), setups);
+    auto report = measure(fastSpec("sphinx"), setups);
     EXPECT_EQ(report.verdict, Verdict::TreatmentHelps);
     EXPECT_EQ(report.conclusionFlips, 0);
     EXPECT_FALSE(report.biased());
@@ -114,7 +126,7 @@ TEST(BiasAnalyzer, ClearWinnerIsConclusive)
 TEST(BiasAnalyzer, MinMaxSetupsRecorded)
 {
     auto setups = SetupSpace().varyEnvSize().grid(16);
-    auto report = BiasAnalyzer().analyze(fastSpec(), setups);
+    auto report = measure(fastSpec(), setups);
     double min_sp = 10, max_sp = 0;
     ExperimentSetup min_s, max_s;
     for (const auto &o : report.outcomes) {
@@ -142,7 +154,7 @@ TEST(ConclusionChecker, SingleSetupVerdicts)
 TEST(ConclusionChecker, WrongDataFlaggedForPerl)
 {
     auto setups = SetupSpace().varyEnvSize().grid(32);
-    auto report = BiasAnalyzer().analyze(fastSpec(), setups);
+    auto report = measure(fastSpec(), setups);
     auto check = ConclusionChecker().check(report);
     EXPECT_TRUE(check.wrongDataPossible);
     EXPECT_GT(check.wouldConcludeHelps, 0);
@@ -158,7 +170,7 @@ TEST(ConclusionChecker, NoWrongDataWithoutTreatment)
     ExperimentSpec spec = fastSpec();
     spec.treatment = spec.baseline;
     auto setups = SetupSpace().varyEnvSize().grid(8);
-    auto report = BiasAnalyzer().analyze(spec, setups);
+    auto report = measure(spec, setups);
     auto check = ConclusionChecker().check(report);
     EXPECT_FALSE(check.wrongDataPossible);
     EXPECT_EQ(check.contradictionRate, 0.0);

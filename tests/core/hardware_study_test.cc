@@ -4,6 +4,7 @@
 #include "core/bias.hh"
 #include "core/experiment.hh"
 #include "core/setup.hh"
+#include "pipeline/context.hh"
 
 namespace
 {
@@ -83,7 +84,11 @@ TEST(HardwareStudy, BiasAnalysisComposes)
     spec.withWorkload("hmmer").withTreatmentMachine(withPrefetcher());
     spec.treatment = spec.baseline;
     auto setups = SetupSpace().varyEnvSize().grid(8);
-    auto report = BiasAnalyzer().analyze(spec, setups);
+    auto report =
+        pipeline::FigureContext()
+            .run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+                setups))
+            .bias;
     EXPECT_EQ(report.outcomes.size(), 8u);
     EXPECT_GT(report.speedups.mean(), 1.0);
 }

@@ -1,14 +1,26 @@
-/** @file Tests for the variance (false-confidence) analyzer. */
+/** @file Tests for the variance (false-confidence) analysis. */
 #include <gtest/gtest.h>
 
+#include "core/runner.hh"
 #include "core/setup.hh"
 #include "core/variance.hh"
+#include "pipeline/context.hh"
 
 namespace
 {
 
 using namespace mbias;
 using namespace mbias::core;
+
+/** The decomposition fig8 and `mbias variance` run, at @p reps noisy
+ *  repetitions and the historic noise seed. */
+VarianceReport
+decompose(const ExperimentSpec &spec, const ExperimentSetup &home,
+          const std::vector<ExperimentSetup> &peers, unsigned reps)
+{
+    return pipeline::FigureContext().varianceDecomposition(
+        spec, home, peers, reps, 0xfeed);
+}
 
 TEST(VarianceAnalyzer, RepeatedMetricVariesUnderNoise)
 {
@@ -36,7 +48,7 @@ TEST(VarianceAnalyzer, PerlShowsFalseConfidenceAtBadHomeSetup)
     ExperimentSetup home;
     home.envBytes = 300; // a known O3-hurts pocket
     auto peers = SetupSpace().varyEnvSize().grid(16);
-    auto r = VarianceAnalyzer(8).analyze(spec, home, peers);
+    auto r = decompose(spec, home, peers, 8);
     EXPECT_GT(r.varianceRatio, 3.0);
     EXPECT_TRUE(r.falseConfidence);
     EXPECT_FALSE(r.str().empty());
@@ -49,7 +61,7 @@ TEST(VarianceAnalyzer, RobustWorkloadShowsNoFalseConfidence)
     ExperimentSetup home;
     home.envBytes = 300;
     auto peers = SetupSpace().varyEnvSize().grid(8);
-    auto r = VarianceAnalyzer(8).analyze(spec, home, peers);
+    auto r = decompose(spec, home, peers, 8);
     // The cross-setup mean sits close to any single setup's estimate.
     EXPECT_NEAR(r.withinSetup.mean(), r.betweenSetups.mean(), 0.02);
 }
@@ -59,8 +71,8 @@ TEST(VarianceAnalyzer, WithinCiTightensWithRepetitions)
     ExperimentSpec spec;
     ExperimentSetup home;
     auto peers = SetupSpace().varyEnvSize().grid(4);
-    auto few = VarianceAnalyzer(4).analyze(spec, home, peers);
-    auto many = VarianceAnalyzer(24).analyze(spec, home, peers);
+    auto few = decompose(spec, home, peers, 4);
+    auto many = decompose(spec, home, peers, 24);
     EXPECT_LT(many.withinCI.halfWidth(), few.withinCI.halfWidth());
 }
 

@@ -9,6 +9,7 @@
 #include "core/causal.hh"
 #include "core/experiment.hh"
 #include "core/setup.hh"
+#include "pipeline/context.hh"
 #include "stats/sample.hh"
 
 namespace
@@ -16,6 +17,17 @@ namespace
 
 using namespace mbias;
 using namespace mbias::core;
+
+/** Measures @p setups through the campaign engine, the one way
+ *  every entry point measures. */
+BiasReport
+measure(const ExperimentSpec &spec, std::vector<ExperimentSetup> setups)
+{
+    return pipeline::FigureContext()
+        .run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+            std::move(setups)))
+        .bias;
+}
 
 TEST(PaperClaims, Figure3EnvSizeFlipsPerlConclusion)
 {
@@ -89,10 +101,10 @@ TEST(PaperClaims, RandomizationCoversGridEstimate)
     // grid-sweep mean — the remedy must estimate the same effect.
     ExperimentSpec spec;
     auto grid = SetupSpace().varyEnvSize().grid(48);
-    auto grid_report = BiasAnalyzer().analyze(spec, grid);
+    auto grid_report = measure(spec, grid);
 
-    SetupRandomizer randomizer(SetupSpace().varyEnvSize(), 99);
-    auto rand_report = BiasAnalyzer().analyze(spec, randomizer, 31);
+    auto rand_report = measure(
+        spec, pipeline::sequentialSetups(SetupSpace().varyEnvSize(), 31, 99));
 
     EXPECT_TRUE(
         rand_report.speedupCI.contains(grid_report.speedups.mean()))
@@ -104,7 +116,7 @@ TEST(PaperClaims, ExtremeSingleSetupsFallOutsideCI)
 {
     ExperimentSpec spec;
     auto grid = SetupSpace().varyEnvSize().grid(48);
-    auto report = BiasAnalyzer().analyze(spec, grid);
+    auto report = measure(spec, grid);
     // The CI of the *mean* is far narrower than the setup spread:
     // cherry-picked setups lie outside it.
     EXPECT_LT(report.speedupCI.lower, report.speedups.max());

@@ -1,15 +1,15 @@
 /**
  * @file
- * The declarative sweep lowering: the pipeline's canonical setup/seed
- * derivations must be exactly the campaign engine's — a figure's tasks
- * are identical no matter which entry point lowers them.
+ * The figures' canonical setup and seed derivations: each named setup
+ * list must be exactly the one its figures have always measured, and
+ * pinned seeds must reach the campaign's tasks unchanged.
  */
 #include <gtest/gtest.h>
 
 #include "campaign/spec.hh"
 #include "core/experiment.hh"
 #include "core/setup.hh"
-#include "pipeline/sweep.hh"
+#include "pipeline/setups.hh"
 
 namespace
 {
@@ -18,19 +18,13 @@ using namespace mbias;
 
 TEST(Sweep, LinkOrderGridIsAsGivenThenShuffled)
 {
-    const auto setups = pipeline::linkOrderSetups(4);
+    const auto setups = core::SetupSpace().varyLinkOrder().grid(4);
     ASSERT_EQ(setups.size(), 4u);
     EXPECT_EQ(setups[0].linkOrder, toolchain::LinkOrder::asGiven());
     for (unsigned s = 1; s < 4; ++s)
         EXPECT_EQ(setups[s].linkOrder, toolchain::LinkOrder::shuffled(s));
-
-    const auto tasks = pipeline::Sweep(core::ExperimentSpec{})
-                           .linkOrderGrid(4)
-                           .toCampaignSpec()
-                           .expand();
-    ASSERT_EQ(tasks.size(), 4u);
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(tasks[i].setup, setups[i]);
+    for (const auto &s : setups)
+        EXPECT_EQ(s.envBytes, 0u);
 }
 
 TEST(Sweep, EnvGridStepsInclusively)
@@ -56,49 +50,16 @@ TEST(Sweep, SequentialSetupsMatchLegacyRandomizer)
     EXPECT_EQ(ours, theirs);
 }
 
-TEST(Sweep, RandomizedLowersToWithSpace)
-{
-    const auto space = core::SetupSpace().varyEnvSize().varyLinkOrder();
-    const auto ours = pipeline::Sweep(core::ExperimentSpec{})
-                          .randomized(space, 7)
-                          .seed(0xf19u)
-                          .toCampaignSpec()
-                          .expand();
-    const auto theirs = campaign::CampaignSpec()
-                            .withSpace(space, 7)
-                            .withSeed(0xf19u)
-                            .expand();
-    ASSERT_EQ(ours.size(), theirs.size());
-    for (std::size_t i = 0; i < ours.size(); ++i) {
-        EXPECT_EQ(ours[i].setup, theirs[i].setup);
-        EXPECT_EQ(ours[i].taskSeed, theirs[i].taskSeed);
-    }
-}
-
-TEST(Sweep, DefaultSeedMatchesCampaignDefault)
-{
-    const auto setups = pipeline::envGridSetups(60, 30);
-    const auto ours = pipeline::Sweep(core::ExperimentSpec{})
-                          .setups(setups)
-                          .toCampaignSpec()
-                          .expand();
-    const auto theirs =
-        campaign::CampaignSpec().withSetups(setups).expand();
-    ASSERT_EQ(ours.size(), theirs.size());
-    for (std::size_t i = 0; i < ours.size(); ++i)
-        EXPECT_EQ(ours[i].taskSeed, theirs[i].taskSeed);
-}
-
 TEST(Sweep, SeededSetupsPinTaskSeeds)
 {
     core::ExperimentSetup home;
     home.envBytes = 300;
     const auto cspec =
-        pipeline::Sweep(core::ExperimentSpec{})
-            .seededSetups({{home, 0xfeed}, {home, 0xfeed + 104729}})
-            .plan({campaign::RepetitionPlan::Kind::NoisePaired, 15,
-                   7919})
-            .toCampaignSpec();
+        campaign::CampaignSpec()
+            .withExperiment(core::ExperimentSpec{})
+            .withSeededSetups({{home, 0xfeed}, {home, 0xfeed + 104729}})
+            .withPlan({campaign::RepetitionPlan::Kind::NoisePaired, 15,
+                       7919});
     const auto tasks = cspec.expand();
     ASSERT_EQ(tasks.size(), 2u);
     EXPECT_EQ(tasks[0].taskSeed, 0xfeedu);
@@ -109,15 +70,6 @@ TEST(Sweep, SeededSetupsPinTaskSeeds)
         EXPECT_EQ(t.plan.reps, 15u);
         EXPECT_EQ(t.plan.treatSeedOffset, 7919u);
     }
-}
-
-TEST(Sweep, SpAlignPropagates)
-{
-    const auto cspec = pipeline::Sweep(core::ExperimentSpec{})
-                           .setups(pipeline::envGridSetups(30, 30))
-                           .spAlign(64)
-                           .toCampaignSpec();
-    EXPECT_EQ(cspec.spAlign, 64u);
 }
 
 } // namespace

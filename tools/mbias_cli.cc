@@ -13,18 +13,19 @@
  *                  [--machine core2like] [--env N] [--link-seed S]
  *                  [--counters]
  *   mbias bias     --workload perl [--factor env|link|both]
- *                  [--setups N] [--machine M] [--vendor V]
+ *                  [--setups N>=2] [--machine M] [--vendor V]
  *   mbias campaign --workload perl [--factor env|link|both]
- *                  [--setups N] [--resume] [--out PATH]
- *                  [--aslr-reps K] [--no-store] [--provenance]
+ *                  [--setups N>=2] [--resume] [--out PATH]
+ *                  [--aslr-reps K>=1] [--no-store] [--provenance]
  *   mbias analyze  [--store PATH]
  *   mbias obs-summary [--store PATH]
- *   mbias causal   --workload perl [--factor env|link] [--setups N]
+ *   mbias causal   --workload perl [--factor env|link] [--setups N>=3]
  *                  [--explain]
  *   mbias explain  --workload perl --setup SPEC --setup SPEC
  *                  [--figure fig3|fig7] [--json PATH] [--heatmap PATH]
  *                  [--top K]
- *   mbias variance --workload perl [--env N] [--reps K]
+ *   mbias variance --workload perl [--env N] [--reps K>=2]
+ *                  [--setups N>=2]
  *   mbias survey
  *
  * The shared pipeline flags --jobs/--seed/--resamples/--confidence/
@@ -32,12 +33,18 @@
  * pipeline::parsePipelineArgs the figure wrapper binaries use, and
  * mean the same thing for every subcommand that consumes
  * them (per-command defaults match the historical ones, e.g. analyze
- * still defaults --resamples to 1000).
+ * still defaults --resamples to 1000).  Every integer flag uses the
+ * same grammar (pipeline::parseUint), and a count below what the
+ * command's analysis needs is fatal.
+ *
+ * bias, variance and causal measure like the figures do: through a
+ * pipeline::FigureContext, as campaigns on the campaign engine.
  */
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -64,6 +71,7 @@
 #include "lang/disassembler.hh"
 #include "lang/fuzzer.hh"
 #include "obs/metrics.hh"
+#include "pipeline/context.hh"
 #include "pipeline/driver.hh"
 #include "pipeline/options.hh"
 #include "sim/machine.hh"
@@ -74,6 +82,13 @@ using namespace mbias;
 
 namespace
 {
+
+/** The largest --env: Linux's default ARG_MAX, the most environment
+ *  a real exec could pass. */
+constexpr std::uint64_t kMaxEnvBytes = 2 << 20;
+
+constexpr std::uint64_t kMaxSeed =
+    std::numeric_limits<std::uint64_t>::max();
 
 struct Args
 {
@@ -100,11 +115,27 @@ struct Args
         return it == options.end() ? dflt : it->second;
     }
 
+    /** A decimal in [0, @p max] in the shared flags' grammar
+     *  (pipeline::parseUint); anything else is fatal. */
     std::uint64_t
-    getInt(const std::string &key, std::uint64_t dflt) const
+    getInt(const std::string &key, std::uint64_t dflt,
+           std::uint64_t max = std::numeric_limits<unsigned>::max()) const
     {
         auto it = options.find(key);
-        return it == options.end() ? dflt : std::stoull(it->second);
+        return it == options.end()
+                   ? dflt
+                   : pipeline::parseUint(("--" + key).c_str(),
+                                         it->second.c_str(), max);
+    }
+
+    /** A count flag the command's analysis needs at least @p min of. */
+    unsigned
+    getCount(const std::string &key, unsigned dflt, unsigned min) const
+    {
+        const auto v = getInt(key, dflt);
+        if (v < min)
+            mbias_fatal("--", key, " must be >= ", min, " for ", command);
+        return unsigned(v);
     }
 };
 
@@ -301,7 +332,7 @@ cmdFigure(const Args &args, const std::string &prefix)
 int
 cmdAll(const Args &args)
 {
-    return pipeline::runAll(args.shared);
+    return pipeline::runEveryFigure(args.shared);
 }
 
 int
@@ -312,10 +343,10 @@ cmdRun(const Args &args)
                      optByName(args.get("opt", "O2"))};
     core::ExperimentRunner runner(spec);
     core::ExperimentSetup setup;
-    setup.envBytes = args.getInt("env", 0);
+    setup.envBytes = args.getInt("env", 0, kMaxEnvBytes);
     if (args.options.count("link-seed"))
-        setup.linkOrder =
-            toolchain::LinkOrder::shuffled(args.getInt("link-seed", 0));
+        setup.linkOrder = toolchain::LinkOrder::shuffled(
+            args.getInt("link-seed", 0, kMaxSeed));
 
     auto rr = runner.runSide(spec.baseline, setup);
     std::printf("%s %s at %s on %s\n", spec.workload.c_str(),
@@ -338,15 +369,19 @@ cmdRun(const Args &args)
 int
 cmdBias(const Args &args)
 {
-    core::ExperimentSpec spec = specFromArgs(args);
-    auto space = spaceByFactor(args.get("factor", "both"));
-    core::SetupRandomizer randomizer(space, args.shared.seedOr(42));
-    const unsigned n = unsigned(args.getInt("setups", 31));
-    core::BiasAnalyzer analyzer(0.01, args.shared.confidenceOr(0.95));
-    if (const int resamples = args.shared.resamplesOr(0))
-        analyzer.withBootstrap(resamples, args.shared.seedOr(42),
-                               args.shared.jobs);
-    auto report = analyzer.analyze(spec, randomizer, n);
+    const unsigned n = args.getCount("setups", 31, 2);
+    pipeline::FigureContext ctx(args.shared);
+    const std::uint64_t seed = ctx.seed(42);
+    // The sequential sample keeps the historical setups; the campaign
+    // seed keys the bootstrap streams under --resamples.
+    const auto report =
+        ctx.run(campaign::CampaignSpec()
+                    .withExperiment(specFromArgs(args))
+                    .withSetups(pipeline::sequentialSetups(
+                        spaceByFactor(args.get("factor", "both")), n,
+                        seed))
+                    .withSeed(seed))
+            .bias;
     std::printf("%s\n", report.str().c_str());
     auto check = core::ConclusionChecker().check(report);
     std::printf("%s", check.str().c_str());
@@ -359,11 +394,11 @@ cmdCampaign(const Args &args)
     campaign::CampaignSpec cspec;
     cspec.withExperiment(specFromArgs(args))
         .withSpace(spaceByFactor(args.get("factor", "both")),
-                   unsigned(args.getInt("setups", 31)))
+                   args.getCount("setups", 31, 2))
         .withSeed(args.shared.seedOr(42));
     if (args.options.count("aslr-reps"))
         cspec.withPlan({campaign::RepetitionPlan::Kind::AslrRandomized,
-                        unsigned(args.getInt("aslr-reps", 7))});
+                        args.getCount("aslr-reps", 7, 1)});
 
     campaign::CampaignOptions opts;
     opts.jobs = args.shared.jobs;
@@ -445,8 +480,10 @@ cmdCausal(const Args &args)
 {
     core::ExperimentSpec spec = specFromArgs(args);
     auto space = spaceByFactor(args.get("factor", "env"));
-    auto setups = space.grid(unsigned(args.getInt("setups", 32)));
+    auto setups = space.grid(args.getCount("setups", 32, 3));
+    pipeline::FigureContext ctx(args.shared);
     core::CausalAnalyzer analyzer;
+    analyzer.withSweep(ctx.causalSweep());
     if (args.options.count("explain"))
         analyzer.withMechanismEvidence();
     auto report = analyzer.analyze(spec, setups);
@@ -531,13 +568,13 @@ cmdVariance(const Args &args)
 {
     core::ExperimentSpec spec = specFromArgs(args);
     core::ExperimentSetup home;
-    home.envBytes = args.getInt("env", 300);
+    home.envBytes = args.getInt("env", 300, kMaxEnvBytes);
     auto peers = core::SetupSpace().varyEnvSize().grid(
-        unsigned(args.getInt("setups", 16)));
-    core::VarianceAnalyzer analyzer(unsigned(args.getInt("reps", 15)),
-                                    0xfeed,
-                                    args.shared.confidenceOr(0.95));
-    auto report = analyzer.analyze(spec, home, peers);
+        args.getCount("setups", 16, 2));
+    const unsigned reps = args.getCount("reps", 15, 2);
+    pipeline::FigureContext ctx(args.shared);
+    auto report =
+        ctx.varianceDecomposition(spec, home, peers, reps, 0xfeed);
     std::printf("%s", report.str().c_str());
     return 0;
 }
@@ -554,11 +591,12 @@ cmdProfile(const Args &args)
     toolchain::Linker linker;
     toolchain::LinkOrder order =
         args.options.count("link-seed")
-            ? toolchain::LinkOrder::shuffled(args.getInt("link-seed", 0))
+            ? toolchain::LinkOrder::shuffled(
+                  args.getInt("link-seed", 0, kMaxSeed))
             : toolchain::LinkOrder::asGiven();
     auto prog = linker.link(objs, order);
     toolchain::LoaderConfig lc;
-    lc.envBytes = args.getInt("env", 0);
+    lc.envBytes = args.getInt("env", 0, kMaxEnvBytes);
     auto image = toolchain::Loader::load(std::move(prog), lc);
 
     sim::Machine machine(spec.machine);
@@ -585,7 +623,8 @@ cmdDisasm(const Args &args)
     toolchain::Linker linker;
     toolchain::LinkOrder order =
         args.options.count("link-seed")
-            ? toolchain::LinkOrder::shuffled(args.getInt("link-seed", 0))
+            ? toolchain::LinkOrder::shuffled(
+                  args.getInt("link-seed", 0, kMaxSeed))
             : toolchain::LinkOrder::asGiven();
     auto prog = linker.link(objs, order);
 
@@ -835,7 +874,7 @@ usage()
         "           [--figure fig3|fig7] [--json PATH]\n"
         "           [--heatmap PATH] [--top K]\n"
         "           SPEC = env=BYTES,link=given|alpha|seed:N\n"
-        "  variance --workload W [--env N] [--reps K]\n"
+        "  variance --workload W [--env N] [--reps K] [--setups N]\n"
         "  profile  --workload W [--opt O] [--env N] [--top K]\n"
         "  disasm   --workload W [--opt O] [--link-seed S]\n"
         "           [--function F]\n"
