@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <string_view>
 
 #include "base/logging.hh"
+#include "base/parse.hh"
 #include "core/runner.hh"
 #include "obs/heatmap.hh"
 #include "obs/trace.hh"
@@ -179,25 +181,28 @@ parseSetupSpec(const std::string &text, ExperimentSetup &out,
         const std::string key = part.substr(0, eq);
         const std::string val = part.substr(eq + 1);
         if (key == "env") {
-            try {
-                out.envBytes = std::stoull(val);
-            } catch (...) {
-                error = "bad env size '" + val + "'";
+            const auto env =
+                parseDecimal(val, ExperimentSetup::kMaxEnvBytes);
+            if (!env) {
+                error = "bad env size '" + val + "' (want 0.." +
+                        std::to_string(ExperimentSetup::kMaxEnvBytes) +
+                        ")";
                 return false;
             }
+            out.envBytes = *env;
         } else if (key == "link") {
             if (val == "given") {
                 out.linkOrder = toolchain::LinkOrder::asGiven();
             } else if (val == "alpha") {
                 out.linkOrder = toolchain::LinkOrder::alphabetical();
             } else if (val.rfind("seed:", 0) == 0) {
-                try {
-                    out.linkOrder = toolchain::LinkOrder::shuffled(
-                        std::stoull(val.substr(5)));
-                } catch (...) {
+                const auto seed =
+                    parseDecimal(std::string_view(val).substr(5));
+                if (!seed) {
                     error = "bad link seed '" + val + "'";
                     return false;
                 }
+                out.linkOrder = toolchain::LinkOrder::shuffled(*seed);
             } else {
                 error = "bad link spec '" + val +
                         "' (want given|alpha|seed:N)";

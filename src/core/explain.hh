@@ -112,7 +112,9 @@ struct ExplainReport
 
 /**
  * Parses a setup spec string: comma-separated `env=BYTES` and
- * `link=given|alpha|seed:N` (e.g. "env=960,link=seed:17").  Returns
+ * `link=given|alpha|seed:N` (e.g. "env=960,link=seed:17").  BYTES and
+ * N take the flags' integer grammar (mbias::parseDecimal), and BYTES
+ * is capped at ExperimentSetup::kMaxEnvBytes like `--env`.  Returns
  * false and fills @p error on malformed input.
  */
 bool parseSetupSpec(const std::string &text, ExperimentSetup &out,

@@ -19,6 +19,10 @@ namespace mbias::core
  */
 struct ExperimentSetup
 {
+    /** The largest environment a setup may ask for: Linux's default
+     *  ARG_MAX, the most environment a real exec could pass. */
+    static constexpr std::uint64_t kMaxEnvBytes = 2 << 20;
+
     std::uint64_t envBytes = 0;
     toolchain::LinkOrder linkOrder = toolchain::LinkOrder::asGiven();
 

@@ -1,12 +1,11 @@
 #include "pipeline/options.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "base/logging.hh"
+#include "base/parse.hh"
 
 namespace mbias::pipeline
 {
@@ -36,16 +35,10 @@ parseDouble(const char *flag, const char *value)
 std::uint64_t
 parseUint(const char *flag, const char *value, std::uint64_t max)
 {
-    // strtoull skips blanks and accepts a sign (wrapping "-1" to
-    // 2^64 - 1), so the value must start with a digit.
-    if (!std::isdigit(static_cast<unsigned char>(value[0])))
+    const auto v = parseDecimal(value, max);
+    if (!v)
         mbias_fatal("bad value for ", flag, ": '", value, "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(value, &end, 10);
-    if (*end != '\0' || errno == ERANGE || v > max)
-        mbias_fatal("bad value for ", flag, ": '", value, "'");
-    return v;
+    return *v;
 }
 
 ParsedArgs

@@ -72,9 +72,9 @@ ParsedArgs parsePipelineArgs(int argc, char **argv);
 
 /**
  * The one integer grammar of every flag, shared and
- * subcommand-specific alike: a plain decimal in [0, @p max], starting
- * with a digit (no sign, no blanks) and with no trailing text.
- * Anything else is fatal, naming @p flag.
+ * subcommand-specific alike (mbias::parseDecimal): a plain decimal in
+ * [0, @p max], starting with a digit (no sign, no blanks) and with no
+ * trailing text.  Anything else is fatal, naming @p flag.
  */
 std::uint64_t
 parseUint(const char *flag, const char *value,

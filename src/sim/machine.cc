@@ -362,7 +362,7 @@ struct ShadowStoreBuffer
  * thing the counters observe) match the reference's access for access.
  * All of it can differ between two runs of one functional stream —
  * noise evicts sets, ASLR moves stack addresses — so the plan loop
- * keeps one and a lane pass one per lane.  Obs hooks report where
+ * keeps one per lane (a live walk has one).  Obs hooks report where
  * each event landed (NullObserver compiles them out).
  */
 struct ShadowMemory
@@ -587,7 +587,7 @@ activeSimTierDescription()
     return "trace" + replay;
 }
 
-/** Per-run pipeline/timing state. */
+/** The reference interpreter's per-run pipeline/timing state. */
 struct Machine::Pipeline
 {
     Cycles now = 0;
@@ -1289,12 +1289,18 @@ Machine::runPlan(const toolchain::ProcessImage &image,
                  Attribution *attribution)
 {
     const auto plan = PlanCache::global().get(image.program);
+    const ReplayLane lane{&image, noise};
+    RunResult rr;
     auto untraced = [&](auto &obs) {
         if (config_.core == CoreKind::InOrder)
-            return runPlanImpl<false, Mode, InOrderCore>(
-                image, max_insts, *plan, nullptr, noise, rec, obs);
-        return runPlanImpl<false, Mode, OooCore>(
-            image, max_insts, *plan, nullptr, noise, rec, obs);
+            runPlanImpl<Source::Live, false, Mode, InOrderCore>(
+                {&lane, 1}, max_insts, *plan, nullptr, nullptr, rec, obs,
+                &rr);
+        else
+            runPlanImpl<Source::Live, false, Mode, OooCore>(
+                {&lane, 1}, max_insts, *plan, nullptr, nullptr, rec, obs,
+                &rr);
+        return rr;
     };
     if constexpr (Mode == RunMode::Normal) {
         if (profile || attribution) {
@@ -1318,8 +1324,10 @@ Machine::runPlan(const toolchain::ProcessImage &image,
                      "trace tier requires an out-of-order core model");
         const auto tplan =
             TraceCache::global().get(plan, TraceGeometry::of(config_));
-        return runPlanImpl<true, Mode, OooCore>(
-            image, max_insts, *plan, tplan.get(), noise, rec, none);
+        runPlanImpl<Source::Live, true, Mode, OooCore>(
+            {&lane, 1}, max_insts, *plan, tplan.get(), nullptr, rec, none,
+            &rr);
+        return rr;
     }
     return untraced(none);
 }
@@ -1415,20 +1423,30 @@ Machine::runLanes(const FunctionalTrace &trace, std::uint64_t max_insts,
         mbias_assert(lane.image && trace.matches(*lane.image, max_insts),
                      "replaying a trace against a mismatched image");
     const auto plan = PlanCache::global().get(trace.program);
-    auto out = config_.core == CoreKind::InOrder
-                   ? runLanesImpl<InOrderCore>(trace, max_insts, *plan, lanes)
-                   : runLanesImpl<OooCore>(trace, max_insts, *plan, lanes);
+    std::vector<RunResult> out(lanes.size());
+    NullObserver none;
+    if (config_.core == CoreKind::InOrder)
+        runPlanImpl<Source::Recorded, false, RunMode::Normal, InOrderCore>(
+            lanes, max_insts, *plan, nullptr, &trace, nullptr, none,
+            out.data());
+    else
+        runPlanImpl<Source::Recorded, false, RunMode::Normal, OooCore>(
+            lanes, max_insts, *plan, nullptr, &trace, nullptr, none,
+            out.data());
     ReplayCache::global().noteLanePass(lanes.size());
     return out;
 }
 
-template <bool Traced, Machine::RunMode Mode, class Core, class Obs>
-RunResult
-Machine::runPlanImpl(const toolchain::ProcessImage &image,
+template <Machine::Source Src, bool Traced, Machine::RunMode Mode,
+          class Core, class Obs>
+void
+Machine::runPlanImpl(std::span<const ReplayLane> lanes,
                      std::uint64_t max_insts, const ExecutionPlan &plan,
-                     const TracePlan *tplan, const NoiseModel &noise,
-                     FunctionalTrace *rec, Obs &obs)
+                     const TracePlan *tplan, const FunctionalTrace *trace,
+                     FunctionalTrace *rec, Obs &obs, RunResult *out)
 {
+    constexpr bool kLive = Src == Source::Live;
+    constexpr bool kRecord = Mode == RunMode::Record;
     // The trace tier's op_batch guards prove "zero stall cycles" under
     // the OoO hiding model; an in-order instantiation would make that
     // proof unsound, so it is never generated (traceTierUsable()).
@@ -1436,6 +1454,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                   "the trace tier assumes the OoO core model");
     static_assert(!Obs::kObserving || (!Traced && Mode == RunMode::Normal),
                   "only the untraced Normal loop observes");
+    static_assert(kLive || (!Traced && !kRecord && !Obs::kObserving),
+                  "a recorded stream is timed untraced and unobserved");
     // The contract of this function is bitwise equality with the
     // reference oracle, runReference(), noise included: it performs the
     // same component accesses in the same order with the same
@@ -1453,24 +1473,38 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     //  - functional memory through a small direct-mapped table of page
     //    pointers instead of a hash lookup per access.
     //
-    // With Traced = true the loop walks the TracePlan's rewritten op
-    // array instead: superblock heads dispatch to op_batch, which
-    // either applies the block's precomputed effects in one step or —
-    // when its zero-stall guards cannot be proven — falls through to
-    // per-op execution of the very same ops (sim/trace.hh).
+    // What the loop does per op splits in two.  Lane-invariant work
+    // runs once per op: dispatch, stream decode, the budget check,
+    // predictor and BTB (they see only pc, outcome and target),
+    // fetch-group accounting (pc, size and redirects), the ITLB (code
+    // pages only; noise never touches TLBs, ASLR moves only the stack)
+    // and the counters those own.  Per-lane work runs once per lane, in
+    // lane order: the noise check, clock, register readiness, the
+    // icache line memo, ShadowMemory and the NoiseClock.  Each lane
+    // applies the shared outcomes in the reference's order: cycle
+    // charges are sums, and every charge lands before the next read of
+    // that lane's clock (a stall check, a ready time, or the next
+    // dispatch's noise check).
     //
-    // Mode = Record extends the same loop to the recording half of
-    // the replay tier (sim/replay.hh): it runs normally while
-    // appending branch outcomes, Ret targets and resolved memory
-    // addresses to *rec.  Mode conditionals are plain ifs on a
-    // constant, so the Normal instantiations fold them away.
+    // Src = Live executes the values of exactly one lane: the noise
+    // check and the lane's fetch run in the dispatch itself, around the
+    // observer's hooks, and its counters are the shared ones.  Mode =
+    // Record appends branch outcomes, Ret targets and resolved memory
+    // addresses to *rec as they execute.  With Traced = true the loop
+    // walks the TracePlan's rewritten op array: superblock heads
+    // dispatch to op_batch, which either applies the block's
+    // precomputed effects in one step or — when its zero-stall guards
+    // cannot be proven — falls through to per-op execution of the very
+    // same ops (sim/trace.hh).
     //
-    // This loop is the one production interpreter; runReference() is
-    // kept only as the differential oracle, and runLanesImpl() replays
-    // recorded streams.  A timing-model change lands in the oracle and
-    // in the spine both loops share (ShadowMemory, NoiseClock, the
-    // predictor and BTB); the differential tests hold them together.
-    constexpr bool kRecord = Mode == RunMode::Record;
+    // Src = Recorded decodes *trace instead: control flow and addresses
+    // come from the stream (stack ones rebased by each lane's
+    // image-vs-recording sp delta), every value computation is dead,
+    // and lanes.size() lanes are timed in one walk.
+    //
+    // runReference() is kept only as the differential oracle; a
+    // timing-model change lands in it and here, and the differential
+    // tests hold the two together.
 
     // Only the components the fast loop actually drives need a reset:
     // the predictor and BTB are shared with the reference oracle (their
@@ -1481,6 +1515,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     predictor_->reset();
     btb_.reset();
 
+    const toolchain::ProcessImage &image = *lanes.front().image;
     const toolchain::LinkedProgram &prog = image.prog();
     mbias_assert(!prog.code.empty(), "empty program");
     mbias_assert(plan.ops.size() == prog.code.size(),
@@ -1489,18 +1524,14 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         mbias_assert(tplan && tplan->ops.size() == plan.ops.size(),
                      "trace plan does not match the program");
 
-    RunResult rr;
-    PerfCounters &ctrs = rr.counters;
-
     SparseMemory mem;
-    loadProgramData(mem, prog);
+    if constexpr (kLive)
+        loadProgramData(mem, prog);
 
     std::array<std::uint64_t, isa::reg::numRegs> regs{};
     regs[isa::reg::sp] = image.initialSp;
     regs[isa::reg::gp] = image.gp;
     regs[isa::reg::hp] = image.heapBase;
-
-    Pipeline pipe;
 
     // Hot configuration, hoisted: the reference re-reads these through
     // config_ around opaque calls; here they live in registers.
@@ -1521,6 +1552,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     const bool btb_on = config_.enableBtb;
     const Cycles mispredict_pen = config_.branchMispredictPenalty;
     const Cycles btb_miss_pen = config_.btbMissPenalty;
+    const Cycles fetch_realign_pen = config_.fetchRealignPenalty;
 
     // The predictor's concrete type is fixed by the config the
     // instance was built from; resolve it once so every branch calls
@@ -1532,34 +1564,78 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     else
         bimodal = static_cast<uarch::BimodalPredictor *>(predictor_.get());
 
-    // Packed-layout twins of the caches, TLBs and store buffer (see
-    // ShadowMemory); the ITLB stays outside it because a lane pass
-    // shares it between lanes.
-    ShadowMemory smem(config_, dtlb_.pageShift(), storeBuffer_);
-    ShadowTlb s_itlb(config_.itlb);
-
-    auto set_reg = [&](isa::Reg rd, std::uint64_t v, Cycles ready)
-        __attribute__((always_inline)) {
-        if (rd != isa::reg::zero) {
-            regs[rd] = v;
-            pipe.regReady[rd] = ready;
-        }
+    // Per-lane state.  What every op touches (clock, readiness, the
+    // icache line memo, the noise deadline) is packed into one small
+    // record per lane; the hierarchy, noise clock and counters sit
+    // apart, reached only by memory ops, icache line changes and noise
+    // events.  A live walk keeps its one record on the stack.
+    struct LaneClock
+    {
+        Cycles now = 0;
+        Cycles nextEvent = ~Cycles(0); ///< copy of clock.nextEvent
+        Addr lastCodeLine = ~Addr(0);
+        std::uint64_t delta = 0; ///< stack rebase: initialSp - recordedSp
+        Cycles stalls = 0; ///< a recorded lane's StallCycles, folded in
+        std::array<Cycles, isa::reg::numRegs> regReady{};
     };
-    auto wait_for = [&](isa::Reg r) __attribute__((always_inline)) {
-        const Cycles ready = pipe.regReady[r];
-        if (ready > pipe.now) {
-            const Cycles stall = ready - pipe.now;
+    struct LaneModels
+    {
+        ShadowMemory mem;
+        NoiseClock clock;
+        PerfCounters ctrs;
+    };
+    const std::size_t n_lanes = kLive ? 1 : lanes.size();
+    LaneClock live_clock;
+    std::vector<LaneClock> lane_clocks(kLive ? 0 : n_lanes);
+    LaneClock *const hot = kLive ? &live_clock : lane_clocks.data();
+    std::vector<LaneModels> cold;
+    cold.reserve(n_lanes);
+    for (std::size_t k = 0; k < n_lanes; ++k) {
+        cold.push_back({ShadowMemory(config_, dtlb_.pageShift(),
+                                     storeBuffer_),
+                        NoiseClock(lanes[k].noise), PerfCounters()});
+        hot[k].nextEvent = cold[k].clock.nextEvent;
+        if constexpr (!kLive)
+            hot[k].delta = lanes[k].image->initialSp - trace->recordedSp;
+    }
+    LaneClock &l0 = hot[0];
+    LaneModels &m0 = cold[0];
+
+    // Lane-invariant state: front end, ITLB, and the counters only
+    // shared work increments (a live lane's own).
+    PerfCounters shared_ctrs;
+    PerfCounters &ctrs = kLive ? m0.ctrs : shared_ctrs;
+    ShadowTlb s_itlb(config_.itlb);
+    unsigned group_slots = 0;
+    Addr group_block_end = 0;
+    bool force_new_group = true;
+    Addr last_code_page = ~Addr(0);
+    Cycles fetch_charge = 0; ///< the current op's shared fetch cycles
+    Addr line_first = 0, line_last = 0; ///< its icache lines
+
+    // The per-lane helpers are called straight from the handlers (the
+    // lane loop is a macro, MBIAS_EACH_LANE): a helper that called
+    // another would keep its closure in memory and reload its captures
+    // on every lane.  A recorded lane books StallCycles in its clock
+    // record, folded in at the end.
+    auto wait_for = [&](LaneClock &l, isa::Reg r, Cycles &now)
+        __attribute__((always_inline)) {
+        const Cycles ready = l.regReady[r];
+        if (ready > now) {
+            const Cycles stall = ready - now;
             // CoreModel policy: in-order cores expose the whole stall,
-            // the OoO window hides up to ooo_window of it.  The OoO
-            // branch is token-identical to the pre-backend-layer code.
+            // the OoO window hides up to ooo_window of it.
             Cycles exposed;
             if constexpr (Core::kInOrder)
                 exposed = stall;
             else
                 exposed = stall - std::min<Cycles>(stall, ooo_window);
             if (exposed) {
-                pipe.now += exposed;
-                ctrs.inc(Counter::StallCycles, exposed);
+                now += exposed;
+                if constexpr (kLive)
+                    ctrs.inc(Counter::StallCycles, exposed);
+                else
+                    l.stalls += exposed;
             }
         }
     };
@@ -1567,87 +1643,141 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // multi-cycle ALU op (busy cycles are exposed stalls, the result
     // is ready right after issue resumes); OoO cores just tag the
     // result with its latency and let wait_for settle it.
-    auto alu_ready = [&](Cycles lat)
+    auto alu_ready = [&](LaneClock &l, Cycles &now, Cycles lat)
         __attribute__((always_inline)) -> Cycles {
         if constexpr (Core::kInOrder) {
             if (lat > 1) {
-                pipe.now += lat - 1;
-                ctrs.inc(Counter::StallCycles, lat - 1);
-                return pipe.now + 1;
+                now += lat - 1;
+                if constexpr (kLive)
+                    ctrs.inc(Counter::StallCycles, lat - 1);
+                else
+                    l.stalls += lat - 1;
+                return now + 1;
             }
         }
-        return pipe.now + lat;
+        (void)l;
+        return now + lat;
+    };
+    // Lane l's write of rd: its ready time and, on a live stream (one
+    // lane), its value.
+    auto set_reg = [&](LaneClock &l, isa::Reg rd, std::uint64_t v,
+                       Cycles ready) __attribute__((always_inline)) {
+        if (rd != isa::reg::zero) {
+            l.regReady[rd] = ready;
+            if constexpr (kLive)
+                regs[rd] = v;
+        }
     };
     // CoreModel policy: in-order front ends refetch when a taken
     // transfer lands inside a fetch block rather than at its start.
-    const Cycles fetch_realign_pen = config_.fetchRealignPenalty;
-    auto redirect_realign = [&](Addr target)
-        __attribute__((always_inline)) {
+    auto realign = [&](Addr target)
+        __attribute__((always_inline)) -> Cycles {
+        force_new_group = true;
         if constexpr (Core::kInOrder) {
             if (model_blocks && (target & (fetch_block_bytes - 1)) != 0)
-                pipe.now += fetch_realign_pen;
-        } else {
-            (void)target;
+                return fetch_realign_pen;
         }
+        (void)target;
+        return Cycles(0);
+    };
+    // A taken branch, jump or call looks its target up in the BTB.
+    auto btb_charge = [&](Addr pc, Addr target)
+        __attribute__((always_inline)) -> Cycles {
+        if (btb_on && !obs.btb(pc, btb_.lookupAndUpdateHot(pc, target))) {
+            ctrs.inc(Counter::BtbMisses);
+            return btb_miss_pen;
+        }
+        return 0;
     };
 
     // Sequential fetch mostly stays within the current page; the
     // new-page work is kept out of line (as ShadowMemory::fetchLine
     // keeps the new-line work) so only the cheap comparisons are
     // replicated per dispatch site.
-    auto itlb_touch = [&](Addr pc, unsigned size) __attribute__((noinline)) {
+    auto itlb_touch = [&](Addr pc, unsigned size)
+        __attribute__((noinline)) -> Cycles {
         const unsigned misses = s_itlb.accessVpns(
             pc >> ipage_shift, (pc + size - 1) >> ipage_shift);
         obs.itlb(pc >> ipage_shift, misses);
-        if (misses) {
-            ctrs.inc(Counter::ItlbMisses, misses);
-            pipe.now += misses * itlb_miss_pen;
-        }
+        if (!misses)
+            return 0;
+        ctrs.inc(Counter::ItlbMisses, misses);
+        return misses * itlb_miss_pen;
     };
-
-    // Transcription of fetchAccounting() over the hoisted locals; the
-    // ITLB page number reduces to a shift for power-of-two page sizes
-    // where the reference divides every instruction.
-    auto fetch = [&](Addr pc, unsigned size) __attribute__((always_inline)) {
-        const bool new_group = pipe.forceNewGroup || pipe.groupSlots == 0 ||
-                               (model_blocks && pc >= pipe.groupBlockEnd);
-        if (new_group) {
-            pipe.now += 1;
+    // Lane-invariant half of fetchAccounting(): fetch groups and the
+    // ITLB, folded into one charge every lane adds (the ITLB page
+    // number is a shift where the reference divides).
+    auto front = [&](Addr pc, unsigned size) __attribute__((always_inline)) {
+        fetch_charge = 0;
+        if (force_new_group || group_slots == 0 ||
+            (model_blocks && pc >= group_block_end)) {
+            fetch_charge = 1;
             ctrs.inc(Counter::FetchGroups);
-            pipe.groupSlots = fetch_width;
-            pipe.groupBlockEnd =
+            group_slots = fetch_width;
+            group_block_end =
                 model_blocks
                     ? alignDown(pc, fetch_block_bytes) + fetch_block_bytes
                     : ~Addr(0);
-            pipe.forceNewGroup = false;
+            force_new_group = false;
         }
-        pipe.groupSlots -= 1;
-        if (model_blocks && pc + size > pipe.groupBlockEnd)
-            pipe.groupSlots = 0;
-
-        if (caches_on) {
-            const Addr first = alignDown(pc, iline);
-            const Addr last = alignDown(pc + size - 1, iline);
-            for (Addr line = first; line <= last; line += iline) {
-                if (line == pipe.lastCodeLine)
-                    continue;
-                pipe.lastCodeLine = line;
-                pipe.now += smem.fetchLine(obs, line, ctrs);
-            }
-        }
+        group_slots -= 1;
+        if (model_blocks && pc + size > group_block_end)
+            group_slots = 0;
+        line_first = alignDown(pc, iline);
+        line_last = alignDown(pc + size - 1, iline);
         if (tlbs_on) {
             const Addr page = pc >> ipage_shift;
-            if (page != pipe.lastCodePage) {
-                pipe.lastCodePage = page;
-                itlb_touch(pc, size);
+            if (page != last_code_page) {
+                last_code_page = page;
+                fetch_charge += itlb_touch(pc, size);
             }
         }
     };
-
-    auto mem_access = [&](Addr addr, unsigned size, bool is_store)
-        __attribute__((always_inline)) -> Cycles {
-        return smem.access(obs, addr, size, is_store, pipe.icount, pipe.now,
-                           ctrs);
+    // A lane's half of fetchAccounting(): the shared charge, then its
+    // own icache line memo.
+    auto lane_fetch = [&](LaneClock &l, LaneModels &m, Cycles &now)
+        __attribute__((always_inline)) {
+        now += fetch_charge;
+        if (caches_on) {
+            for (Addr line = line_first; line <= line_last; line += iline) {
+                if (line == l.lastCodeLine)
+                    continue;
+                l.lastCodeLine = line;
+                now += m.mem.fetchLine(obs, line, m.ctrs);
+            }
+        }
+    };
+    // OS-interrupt noise and DVFS steps (see NoiseClock), checked
+    // before fetch as the reference loop does.
+    auto noise_check = [&](LaneClock &l, LaneModels &m)
+        __attribute__((always_inline)) {
+        if (__builtin_expect(l.now >= l.nextEvent, 0)) {
+            m.clock.fire(l.now, m.ctrs, m.mem, l.lastCodeLine);
+            l.nextEvent = m.clock.nextEvent;
+        }
+    };
+// Every lane's share of the current op, in lane order, on its clock
+// `now`.  A recorded lane takes its half of the dispatch first; a live
+// lane took it in the dispatch itself.
+#define MBIAS_EACH_LANE(...)                                                \
+    for (std::size_t k = 0; k < n_lanes; ++k) {                             \
+        LaneClock &l = hot[k];                                              \
+        [[maybe_unused]] LaneModels &m = cold[k];                           \
+        if constexpr (!kLive)                                               \
+            noise_check(l, m);                                              \
+        Cycles now = l.now;                                                 \
+        if constexpr (!kLive)                                               \
+            lane_fetch(l, m, now);                                          \
+        __VA_ARGS__                                                         \
+        l.now = now;                                                        \
+    }
+    // A recorded lane's address: stack ones are rebased to its sp.
+    const Addr boundary = kLive ? 0 : trace->stackBoundary;
+    auto rebase = [&](const LaneClock &l, Addr a)
+        __attribute__((always_inline)) -> Addr {
+        if constexpr (kLive)
+            return a;
+        return a >= boundary ? a + l.delta : a;
     };
 
     // Functional memory through a small direct-mapped memo of page
@@ -1735,9 +1865,6 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         mem.write(addr, size, value);
     };
 
-    // OS-interrupt noise and DVFS steps (see NoiseClock).
-    NoiseClock clock(noise);
-
     // Record-mode stream sinks.  One running byte estimate caps the
     // footprint: past FunctionalTrace::kMaxBytes the streams stop
     // growing, the run completes normally, and the trace is marked
@@ -1773,6 +1900,34 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         }
     };
 
+    // Recorded-stream cursors.  The streams are exact by construction
+    // (same program, same entry, same budget => same functional
+    // execution), so exhaustion mid-run means the replay preconditions
+    // were violated — assert, don't wander.
+    const std::uint64_t *const bits =
+        kLive ? nullptr : trace->branchBits.data();
+    const std::size_t n_bitwords = kLive ? 0 : trace->branchBits.size();
+    const Addr *const addrs = kLive ? nullptr : trace->memAddrs.data();
+    const std::size_t n_addrs = kLive ? 0 : trace->memAddrs.size();
+    const std::uint32_t *const rets =
+        kLive ? nullptr : trace->retTargets.data();
+    const std::size_t n_rets = kLive ? 0 : trace->retTargets.size();
+    std::size_t bitword = 0, addr_at = 0, ret_at = 0;
+    unsigned bit = 0;
+    // The stream's next memory address: executed (and, in Record mode,
+    // captured) live, decoded when recorded.
+    auto stream_addr = [&](Addr live)
+        __attribute__((always_inline)) -> Addr {
+        if constexpr (kLive) {
+            if (kRecord)
+                rec_mem(live);
+            return live;
+        } else {
+            mbias_assert(addr_at < n_addrs, "replay memory stream exhausted");
+            return addrs[addr_at++];
+        }
+    };
+
     // The traced tier walks the TracePlan's rewritten op array; both
     // arrays decode the same program, only the dispatch tags of
     // superblock heads differ.
@@ -1789,8 +1944,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     std::uint64_t tr_batched = 0, tr_fallbacks = 0;
     std::vector<std::pair<std::uint32_t, Cycles>> tr_pens;
     const TraceBlock *tb = nullptr;
-    Cycles tr_now0 = 0;      ///< pipe.now at batch entry
-    std::uint32_t tr_srow = 0; ///< fetch-row index (entry groupSlots)
+    Cycles tr_now0 = 0;      ///< lane clock at batch entry
+    std::uint32_t tr_srow = 0; ///< fetch-row index (entry group_slots)
     const TraceBlock::FnOp *fp = nullptr, *fe = nullptr;
 
     std::uint64_t icount = 0;
@@ -1798,14 +1953,26 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     bool halted = false;
     const DecodedOp *d = nullptr;
 
-    // Shared tail of every conditional branch (reference order:
-    // BranchesExecuted, predict+train, then the taken path).  Record
-    // appends the outcome to the stream.
-    auto do_branch = [&](const DecodedOp &b, bool taken)
-        __attribute__((always_inline)) {
-        if (kRecord)
-            rec_branch(taken);
+    // Shared half of every conditional branch (reference order:
+    // BranchesExecuted, predict+train, then the taken path): the
+    // outcome, executed live or decoded, and the charge every lane adds
+    // after its operand waits.
+    auto branch_charge = [&](const DecodedOp &b, bool taken)
+        __attribute__((always_inline)) -> Cycles {
+        if constexpr (kLive) {
+            if (kRecord)
+                rec_branch(taken);
+        } else {
+            mbias_assert(bitword < n_bitwords,
+                         "replay branch stream exhausted");
+            taken = (bits[bitword] >> bit) & 1;
+            if (++bit == 64) {
+                bit = 0;
+                ++bitword;
+            }
+        }
         ctrs.inc(Counter::BranchesExecuted);
+        Cycles charge = 0;
         if (bp_on) {
             obs.pht(b.pc);
             bool pred;
@@ -1818,24 +1985,19 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             }
             if (pred != taken) {
                 ctrs.inc(Counter::BranchMispredicts);
-                pipe.now += mispredict_pen;
-                pipe.forceNewGroup = true;
+                charge += mispredict_pen;
+                force_new_group = true;
             }
         }
         if (taken) {
             ctrs.inc(Counter::TakenBranches);
             const Addr target = ops[b.targetIdx].pc;
-            if (btb_on &&
-                !obs.btb(b.pc, btb_.lookupAndUpdateHot(b.pc, target))) {
-                ctrs.inc(Counter::BtbMisses);
-                pipe.now += btb_miss_pen;
-            }
-            redirect_realign(target);
-            pipe.forceNewGroup = true;
+            charge += btb_charge(b.pc, target) + realign(target);
             idx = b.targetIdx;
         } else {
             ++idx;
         }
+        return charge;
     };
 
     // Handler addresses indexed by Opcode value; order must match the
@@ -1856,330 +2018,202 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                       std::size_t(Opcode::NumOpcodes) + 1,
                   "dispatch table out of sync with the opcode enum");
 
-// One budget check + noise check + fetch + threaded jump between every
-// pair of instructions; each expansion gives its handler a private
-// dispatch branch.  The noise check sits where the reference loop has
-// it — after the budget check, before fetch.  The observer closes the
-// previous op before a noise event and opens the next one after it.
+// One budget check + shared fetch + threaded jump between every pair of
+// instructions; each expansion gives its handler a private dispatch
+// branch.  A live lane's noise check sits where the reference loop has
+// it — after the budget check, before fetch — and the observer closes
+// the previous op before a noise event and opens the next one after it.
 #define MBIAS_DISPATCH()                                                    \
     do {                                                                    \
         if (__builtin_expect(icount >= max_insts, 0))                       \
             goto run_done;                                                  \
-        obs.close(pipe.now, ctrs);                                          \
-        if (__builtin_expect(pipe.now >= clock.nextEvent, 0))               \
-            clock.fire(pipe.now, ctrs, smem, pipe.lastCodeLine);            \
-        obs.open(idx, pipe.now, ctrs);                                      \
+        if constexpr (kLive) {                                              \
+            obs.close(l0.now, ctrs);                                        \
+            noise_check(l0, m0);                                            \
+            obs.open(idx, l0.now, ctrs);                                    \
+        }                                                                   \
         d = ops + idx;                                                      \
         ++icount;                                                           \
-        fetch(d->pc, d->size);                                              \
+        front(d->pc, d->size);                                              \
+        if constexpr (kLive)                                                \
+            lane_fetch(l0, m0, l0.now);                                     \
         goto *kDispatch[std::size_t(d->op)];                                \
     } while (0)
 
+// A value-producing op: every lane waits for its sources, then tags rd
+// ready after the op's latency (a recorded stream's value is dead).
+#define MBIAS_ALU(label, lat, value, waits)                                 \
+  label:                                                                    \
+    MBIAS_EACH_LANE(waits;                                                  \
+                    set_reg(l, d->rd, value, alu_ready(l, now, lat));)      \
+    ++idx;                                                                  \
+    MBIAS_DISPATCH();
+#define MBIAS_RR(label, lat, value)                                         \
+    MBIAS_ALU(label, lat, value,                                            \
+              wait_for(l, d->rs1, now);                                     \
+              wait_for(l, d->rs2, now))
+#define MBIAS_RI(label, value)                                              \
+    MBIAS_ALU(label, 1, value, wait_for(l, d->rs1, now))
+
     MBIAS_DISPATCH();
 
-  op_add:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] + regs[d->rs2], pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_sub:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] - regs[d->rs2], pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_mul:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] * regs[d->rs2], alu_ready(mul_lat));
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_divu: {
-      wait_for(d->rs1);
-      wait_for(d->rs2);
-      const std::uint64_t a = regs[d->rs1];
-      const std::uint64_t b = regs[d->rs2];
-      set_reg(d->rd, b == 0 ? ~std::uint64_t(0) : a / b,
-              alu_ready(div_lat));
-      ++idx;
-      MBIAS_DISPATCH();
-  }
-
-  op_remu: {
-      wait_for(d->rs1);
-      wait_for(d->rs2);
-      const std::uint64_t a = regs[d->rs1];
-      const std::uint64_t b = regs[d->rs2];
-      set_reg(d->rd, b == 0 ? a : a % b, alu_ready(div_lat));
-      ++idx;
-      MBIAS_DISPATCH();
-  }
-
-  op_and:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] & regs[d->rs2], pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_or:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] | regs[d->rs2], pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_xor:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] ^ regs[d->rs2], pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_sll:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] << (regs[d->rs2] & 63), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_srl:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] >> (regs[d->rs2] & 63), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_sra:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd,
-            std::uint64_t(std::int64_t(regs[d->rs1]) >> (regs[d->rs2] & 63)),
-            pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_slt:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd,
-            std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]) ? 1 : 0,
-            pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_sltu:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] < regs[d->rs2] ? 1 : 0, pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_addi:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] + std::uint64_t(d->imm), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_andi:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] & std::uint64_t(d->imm), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_ori:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] | std::uint64_t(d->imm), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_xori:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] ^ std::uint64_t(d->imm), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_slli:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] << (std::uint64_t(d->imm) & 63),
-            pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_srli:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] >> (std::uint64_t(d->imm) & 63),
-            pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_srai:
-    wait_for(d->rs1);
-    set_reg(d->rd,
-            std::uint64_t(std::int64_t(regs[d->rs1]) >>
-                          (std::uint64_t(d->imm) & 63)),
-            pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_slti:
-    wait_for(d->rs1);
-    set_reg(d->rd, std::int64_t(regs[d->rs1]) < d->imm ? 1 : 0,
-            pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
-
-  op_li:
-    set_reg(d->rd, std::uint64_t(d->imm), pipe.now + 1);
-    ++idx;
-    MBIAS_DISPATCH();
+    MBIAS_RR(op_add, 1, regs[d->rs1] + regs[d->rs2])
+    MBIAS_RR(op_sub, 1, regs[d->rs1] - regs[d->rs2])
+    MBIAS_RR(op_mul, mul_lat, regs[d->rs1] * regs[d->rs2])
+    MBIAS_RR(op_divu, div_lat,
+             regs[d->rs2] == 0 ? ~std::uint64_t(0)
+                               : regs[d->rs1] / regs[d->rs2])
+    MBIAS_RR(op_remu, div_lat,
+             regs[d->rs2] == 0 ? regs[d->rs1] : regs[d->rs1] % regs[d->rs2])
+    MBIAS_RR(op_and, 1, regs[d->rs1] & regs[d->rs2])
+    MBIAS_RR(op_or, 1, regs[d->rs1] | regs[d->rs2])
+    MBIAS_RR(op_xor, 1, regs[d->rs1] ^ regs[d->rs2])
+    MBIAS_RR(op_sll, 1, regs[d->rs1] << (regs[d->rs2] & 63))
+    MBIAS_RR(op_srl, 1, regs[d->rs1] >> (regs[d->rs2] & 63))
+    MBIAS_RR(op_sra, 1,
+             std::uint64_t(std::int64_t(regs[d->rs1]) >> (regs[d->rs2] & 63)))
+    MBIAS_RR(op_slt, 1,
+             std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]) ? 1 : 0)
+    MBIAS_RR(op_sltu, 1, regs[d->rs1] < regs[d->rs2] ? 1 : 0)
+    MBIAS_RI(op_addi, regs[d->rs1] + std::uint64_t(d->imm))
+    MBIAS_RI(op_andi, regs[d->rs1] & std::uint64_t(d->imm))
+    MBIAS_RI(op_ori, regs[d->rs1] | std::uint64_t(d->imm))
+    MBIAS_RI(op_xori, regs[d->rs1] ^ std::uint64_t(d->imm))
+    MBIAS_RI(op_slli, regs[d->rs1] << (std::uint64_t(d->imm) & 63))
+    MBIAS_RI(op_srli, regs[d->rs1] >> (std::uint64_t(d->imm) & 63))
+    MBIAS_RI(op_srai, std::uint64_t(std::int64_t(regs[d->rs1]) >>
+                                    (std::uint64_t(d->imm) & 63)))
+    MBIAS_RI(op_slti, std::int64_t(regs[d->rs1]) < d->imm ? 1 : 0)
+    MBIAS_ALU(op_li, 1, std::uint64_t(d->imm), )
+#undef MBIAS_RI
+#undef MBIAS_RR
+#undef MBIAS_ALU
 
   op_ld: {
-      wait_for(d->rs1);
-      const unsigned size = d->accessSize;
-      const Addr addr = regs[d->rs1] + std::uint64_t(d->imm);
-      if (kRecord)
-          rec_mem(addr);
+      const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm));
       ctrs.inc(Counter::Loads);
-      pipe.icount = icount; // only memory ops observe it
-      const Cycles lat = mem_access(addr, size, false);
-      set_reg(d->rd, mem_read(addr, size), pipe.now + lat);
+      MBIAS_EACH_LANE(
+          wait_for(l, d->rs1, now);
+          const Cycles lat = m.mem.access(obs, rebase(l, addr),
+                                          d->accessSize, false, icount, now,
+                                          m.ctrs);
+          set_reg(l, d->rd, kLive ? mem_read(addr, d->accessSize) : 0,
+                  now + lat);)
       ++idx;
       MBIAS_DISPATCH();
   }
 
   op_st: {
-      wait_for(d->rs1);
-      wait_for(d->rd); // data register
-      const unsigned size = d->accessSize;
-      const Addr addr = regs[d->rs1] + std::uint64_t(d->imm);
-      if (kRecord)
-          rec_mem(addr);
+      const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm));
       ctrs.inc(Counter::Stores);
-      pipe.icount = icount;
-      mem_access(addr, size, true);
-      mem_write(addr, size, regs[d->rd]);
+      MBIAS_EACH_LANE(
+          wait_for(l, d->rs1, now);
+          wait_for(l, d->rd, now); // data register
+          m.mem.access(obs, rebase(l, addr), d->accessSize, true, icount,
+                       now, m.ctrs);)
+      if constexpr (kLive)
+          mem_write(addr, d->accessSize, regs[d->rd]);
       ++idx;
       MBIAS_DISPATCH();
   }
 
-  op_beq:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    do_branch(*d, regs[d->rs1] == regs[d->rs2]);
-    MBIAS_DISPATCH();
+// A conditional branch: the shared half, then every lane's operand
+// waits and the charge.
+#define MBIAS_BRANCH(label, taken)                                          \
+  label: {                                                                  \
+      const Cycles charge = branch_charge(*d, taken);                       \
+      MBIAS_EACH_LANE(wait_for(l, d->rs1, now);                             \
+                      wait_for(l, d->rs2, now);                             \
+                      now += charge;)                                       \
+      MBIAS_DISPATCH();                                                     \
+  }
 
-  op_bne:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    do_branch(*d, regs[d->rs1] != regs[d->rs2]);
-    MBIAS_DISPATCH();
-
-  op_blt:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    do_branch(*d, std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]));
-    MBIAS_DISPATCH();
-
-  op_bge:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    do_branch(*d, std::int64_t(regs[d->rs1]) >= std::int64_t(regs[d->rs2]));
-    MBIAS_DISPATCH();
-
-  op_bltu:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    do_branch(*d, regs[d->rs1] < regs[d->rs2]);
-    MBIAS_DISPATCH();
-
-  op_bgeu:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    do_branch(*d, regs[d->rs1] >= regs[d->rs2]);
-    MBIAS_DISPATCH();
+    MBIAS_BRANCH(op_beq, regs[d->rs1] == regs[d->rs2])
+    MBIAS_BRANCH(op_bne, regs[d->rs1] != regs[d->rs2])
+    MBIAS_BRANCH(op_blt,
+                 std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]))
+    MBIAS_BRANCH(op_bge,
+                 std::int64_t(regs[d->rs1]) >= std::int64_t(regs[d->rs2]))
+    MBIAS_BRANCH(op_bltu, regs[d->rs1] < regs[d->rs2])
+    MBIAS_BRANCH(op_bgeu, regs[d->rs1] >= regs[d->rs2])
+#undef MBIAS_BRANCH
 
   op_jmp: {
       const Addr target = ops[d->targetIdx].pc;
-      if (btb_on &&
-          !obs.btb(d->pc, btb_.lookupAndUpdateHot(d->pc, target))) {
-          ctrs.inc(Counter::BtbMisses);
-          pipe.now += btb_miss_pen;
-      }
-      redirect_realign(target);
-      pipe.forceNewGroup = true;
+      const Cycles charge = btb_charge(d->pc, target) + realign(target);
+      MBIAS_EACH_LANE(now += charge;)
       idx = d->targetIdx;
       MBIAS_DISPATCH();
   }
 
   op_call: {
-      wait_for(isa::reg::sp);
+      const Addr new_sp = stream_addr(regs[isa::reg::sp] - 8);
       ctrs.inc(Counter::Calls);
-      const Addr new_sp = regs[isa::reg::sp] - 8;
-      if (kRecord)
-          rec_mem(new_sp);
-      const Addr ret_addr = d->pc + d->size;
       ctrs.inc(Counter::Stores);
-      pipe.icount = icount;
-      mem_access(new_sp, 8, true);
-      mem_write(new_sp, 8, ret_addr);
-      set_reg(isa::reg::sp, new_sp, pipe.now + 1);
       const Addr target = ops[d->targetIdx].pc;
-      if (btb_on &&
-          !obs.btb(d->pc, btb_.lookupAndUpdateHot(d->pc, target))) {
-          ctrs.inc(Counter::BtbMisses);
-          pipe.now += btb_miss_pen;
+      const Cycles charge = btb_charge(d->pc, target) + realign(target);
+      MBIAS_EACH_LANE(
+          wait_for(l, isa::reg::sp, now);
+          m.mem.access(obs, rebase(l, new_sp), 8, true, icount, now,
+                       m.ctrs);
+          l.regReady[isa::reg::sp] = now + 1;
+          now += charge;)
+      if constexpr (kLive) {
+          mem_write(new_sp, 8, d->pc + d->size);
+          regs[isa::reg::sp] = new_sp;
       }
-      redirect_realign(target);
-      pipe.forceNewGroup = true;
       idx = d->targetIdx;
       MBIAS_DISPATCH();
   }
 
   op_ret: {
-      wait_for(isa::reg::sp);
-      const Addr sp = regs[isa::reg::sp];
-      if (kRecord)
-          rec_mem(sp);
+      const Addr sp = stream_addr(regs[isa::reg::sp]);
       ctrs.inc(Counter::Loads);
-      pipe.icount = icount;
       // Return-address stack: the target is predicted perfectly, so
       // the load latency is off the critical path, but the access
-      // still exercises the cache/TLB.
-      mem_access(sp, 8, false);
-      const Addr ret_addr = mem_read(sp, 8);
-      // O(1) return-address table, same domain as the reference's
-      // indexAt() search.
-      const Addr off = ret_addr - plan.codeBase;
+      // still exercises the cache/TLB.  A live stream resolves the
+      // target through the O(1) return-address table (same domain as
+      // the reference's indexAt() search); a recorded one decodes it.
       std::uint32_t t = ExecutionPlan::kNoIndex;
-      if (off < plan.idxByOffset.size())
-          t = plan.idxByOffset[std::size_t(off)];
-      mbias_assert(t != ExecutionPlan::kNoIndex,
-                   "corrupted return address 0x", std::hex, ret_addr);
-      if (kRecord)
-          rec_ret(t);
-      set_reg(isa::reg::sp, sp + 8, pipe.now + 1);
-      redirect_realign(ops[t].pc);
-      pipe.forceNewGroup = true;
+      if constexpr (kLive) {
+          const Addr off = mem_read(sp, 8) - plan.codeBase;
+          if (off < plan.idxByOffset.size())
+              t = plan.idxByOffset[std::size_t(off)];
+          mbias_assert(t != ExecutionPlan::kNoIndex,
+                       "corrupted return address 0x", std::hex,
+                       off + plan.codeBase);
+          if (kRecord)
+              rec_ret(t);
+      } else {
+          mbias_assert(ret_at < n_rets, "replay return stream exhausted");
+          t = rets[ret_at++];
+      }
+      const Cycles charge = realign(ops[t].pc);
+      MBIAS_EACH_LANE(
+          wait_for(l, isa::reg::sp, now);
+          m.mem.access(obs, rebase(l, sp), 8, false, icount, now, m.ctrs);
+          l.regReady[isa::reg::sp] = now + 1;
+          now += charge;)
+      if constexpr (kLive)
+          regs[isa::reg::sp] = sp + 8;
       idx = t;
       MBIAS_DISPATCH();
   }
 
   op_nop:
     ctrs.inc(Counter::NopsExecuted);
+    MBIAS_EACH_LANE()
     ++idx;
     MBIAS_DISPATCH();
 
   op_halt:
+    MBIAS_EACH_LANE()
     halted = true;
     goto run_done;
 
   op_la:
     mbias_panic("unresolved La reached the simulator");
+#undef MBIAS_EACH_LANE
 
   op_batch:
     if constexpr (!Traced) {
@@ -2206,18 +2240,18 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         bool batch_ok =
             icount + tb->len - 1 <= max_insts && max_lat <= ooo_window;
         if (batch_ok) {
-            const Cycles limit = pipe.now + ooo_window;
+            const Cycles limit = l0.now + ooo_window;
             std::uint32_t m = tb->liveInMask;
             while (m) {
                 const unsigned r = unsigned(std::countr_zero(m));
                 m &= m - 1;
-                if (pipe.regReady[r] > limit) {
+                if (l0.regReady[r] > limit) {
                     batch_ok = false;
                     break;
                 }
             }
         }
-        if (batch_ok && clock.nextEvent != ~Cycles(0)) {
+        if (batch_ok && l0.nextEvent != ~Cycles(0)) {
             // (4) no OS interrupt or DVFS step can fire inside the
             // block: bound the batch's cycle advance from above (entry
             // fetch row plus every line/page touch missing) — now only
@@ -2226,12 +2260,11 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             // next event, no mid-block dispatch could have fired it,
             // and the post-block dispatch re-checks with identical
             // state.
-            const Cycles exit_base =
-                pipe.now + tb->rows[pipe.groupSlots].groups;
+            const Cycles exit_base = l0.now + tb->rows[group_slots].groups;
             Cycles pen_ub =
                 Cycles(tb->lines.size()) * (i_miss_pen + l2_miss_pen) +
                 Cycles(2 * tb->pages.size()) * itlb_miss_pen;
-            if (exit_base + pen_ub >= clock.nextEvent) {
+            if (exit_base + pen_ub >= l0.nextEvent) {
                 // Near the interrupt the all-miss bound refuses almost
                 // every block; tighten it with a read-only residency
                 // probe.  If every block line (page) is resident right
@@ -2243,7 +2276,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 // evictions within the block).
                 pen_ub = 0;
                 for (const auto &lt : tb->lines) {
-                    if (!smem.icache.contains(lt.line)) {
+                    if (!m0.mem.icache.contains(lt.line)) {
                         pen_ub += Cycles(tb->lines.size()) *
                                   (i_miss_pen + l2_miss_pen);
                         break;
@@ -2256,7 +2289,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                         break;
                     }
                 }
-                if (exit_base + pen_ub >= clock.nextEvent)
+                if (exit_base + pen_ub >= l0.nextEvent)
                     batch_ok = false;
             }
         }
@@ -2269,8 +2302,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             goto *kDispatch[std::size_t(d->op)];
         }
 
-        tr_now0 = pipe.now;
-        tr_srow = pipe.groupSlots;
+        tr_now0 = l0.now;
+        tr_srow = group_slots;
 
         // Replay the block's icache-line and ITLB-page crossings
         // against the shadow structures (same accesses in the same
@@ -2280,10 +2313,10 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         tr_pens.clear();
         Cycles pen = 0;
         for (const auto &lt : tb->lines) {
-            if (!smem.icache.access(lt.line)) {
+            if (!m0.mem.icache.access(lt.line)) {
                 ctrs.inc(Counter::IcacheMisses);
                 Cycles p = i_miss_pen;
-                if (!smem.l2.access(lt.line)) {
+                if (!m0.mem.l2.access(lt.line)) {
                     ctrs.inc(Counter::L2Misses);
                     p += l2_miss_pen;
                 }
@@ -2292,7 +2325,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             }
         }
         if (!tb->lines.empty())
-            pipe.lastCodeLine = tb->lines.back().line;
+            l0.lastCodeLine = tb->lines.back().line;
         for (const auto &pt : tb->pages) {
             const unsigned misses =
                 s_itlb.accessVpns(pt.firstVpn, pt.lastVpn);
@@ -2304,14 +2337,14 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             }
         }
         if (!tb->pages.empty())
-            pipe.lastCodePage = tb->pages.back().firstVpn;
+            last_code_page = tb->pages.back().firstVpn;
 
         // One fused cycle/counter delta for ops 1..len-1.
         const TraceBlock::FetchRow &row = tb->rows[tr_srow];
-        pipe.now = tr_now0 + row.groups + pen;
+        l0.now = tr_now0 + row.groups + pen;
         ctrs.inc(Counter::FetchGroups, row.groups);
-        pipe.groupSlots = row.exitSlots;
-        pipe.groupBlockEnd = row.exitBlockEnd;
+        group_slots = row.exitSlots;
+        group_block_end = row.exitBlockEnd;
         if (tb->nopCount)
             ctrs.inc(Counter::NopsExecuted, tb->nopCount);
         icount += tb->len - 1;
@@ -2414,8 +2447,9 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             const Cycles lat = rw.latClass == 0 ? 1
                                : rw.latClass == 1 ? mul_lat
                                                   : div_lat;
-            pipe.regReady[rw.reg] = at + lat;
+            l0.regReady[rw.reg] = at + lat;
         }
+
 
         idx += tb->len;
         MBIAS_DISPATCH();
@@ -2424,11 +2458,11 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
 #undef MBIAS_DISPATCH
 
   run_done:
-    obs.close(pipe.now, ctrs);
+    obs.close(l0.now, ctrs);
     if constexpr (Traced)
         TraceCache::global().recordRun(tr_batched, icount - tr_batched,
                                        tr_fallbacks);
-    if (kRecord) {
+    if constexpr (kRecord) {
         if (rec_nbits && rec_ok)
             ft_rec->branchBits.push_back(rec_bits); // flush partial word
         ft_rec->aborted = !rec_ok;
@@ -2436,488 +2470,31 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         ft_rec->halted = halted;
         ft_rec->resultA0 = regs[isa::reg::a0];
     }
-    ctrs.set(Counter::Cycles, pipe.now);
-    ctrs.set(Counter::Instructions, icount);
-    rr.halted = halted;
-    rr.result = regs[isa::reg::a0];
-    return rr;
-}
-
-template <class Core>
-std::vector<RunResult>
-Machine::runLanesImpl(const FunctionalTrace &trace, std::uint64_t max_insts,
-                      const ExecutionPlan &plan,
-                      std::span<const ReplayLane> lanes)
-{
-    // One walk of the recorded stream drives every lane.  Control flow
-    // and addresses come from the stream (stack ones rebased by each
-    // lane's image-vs-recording sp delta) and every value computation
-    // is dead: only the timing models run, as in a per-rep replay.
-    //
-    // What the plan loop does per op splits in two.  Lane-invariant
-    // work runs once per op: dispatch, stream decode, the budget
-    // check, predictor and BTB (they see only pc, outcome and target),
-    // fetch-group accounting (pc, size and mispredict redirects), the
-    // ITLB (code pages only; noise never touches TLBs, ASLR moves only
-    // the stack) and the counters those own.  Per-lane work runs once
-    // per lane: the noise check, clock, register readiness, the icache
-    // line memo, ShadowMemory (icache/dcache/L2, DTLB, store buffer)
-    // and the noise clock.  Each lane applies the shared outcomes in
-    // the plan loop's order: cycle charges are sums, and every charge
-    // lands before the next read of that lane's clock (a stall check,
-    // a ready time, or the next dispatch's noise check).
-    const std::size_t n_lanes = lanes.size();
-    predictor_->reset();
-    btb_.reset();
-
-    mbias_assert(plan.ops.size() == trace.program->code.size(),
-                 "execution plan does not match the program");
-    const DecodedOp *const ops = plan.ops.data();
-
-    const bool model_blocks = config_.enableFetchBlockModel;
-    const bool caches_on = config_.enableCaches;
-    const bool tlbs_on = config_.enableTlbs;
-    const unsigned fetch_width = config_.fetchWidth;
-    const Addr fetch_block_bytes = config_.fetchBlockBytes;
-    const Addr iline = config_.icache.lineBytes;
-    const unsigned ipage_shift = itlb_.pageShift();
-    const Cycles itlb_miss_pen = config_.itlb.missPenalty;
-    const Cycles ooo_window = config_.oooWindowCycles;
-    const Cycles mul_lat = config_.intMulLatency;
-    const Cycles div_lat = config_.intDivLatency;
-    const bool bp_on = config_.enableBranchPrediction;
-    const bool btb_on = config_.enableBtb;
-    const Cycles mispredict_pen = config_.branchMispredictPenalty;
-    const Cycles btb_miss_pen = config_.btbMissPenalty;
-    const Cycles fetch_realign_pen = config_.fetchRealignPenalty;
-
-    uarch::GsharePredictor *gshare = nullptr;
-    uarch::BimodalPredictor *bimodal = nullptr;
-    if (config_.predictor == PredictorKind::Gshare)
-        gshare = static_cast<uarch::GsharePredictor *>(predictor_.get());
-    else
-        bimodal = static_cast<uarch::BimodalPredictor *>(predictor_.get());
-
-    // Per-lane state.  What every op touches (clock, readiness, the
-    // icache line memo, the noise deadline) is packed into one small
-    // record per lane; the hierarchy, noise clock and counters sit
-    // apart, reached only by memory ops, icache line changes and noise
-    // events.
-    struct LaneClock
-    {
-        Cycles now = 0;
-        Cycles nextEvent = ~Cycles(0); ///< copy of clock.nextEvent
-        Addr lastCodeLine = ~Addr(0);
-        std::uint64_t delta = 0; ///< stack rebase: initialSp - recordedSp
-        Cycles stalls = 0;       ///< StallCycles, folded in at the end
-        std::array<Cycles, isa::reg::numRegs> regReady{};
-    };
-    struct LaneModels
-    {
-        ShadowMemory mem;
-        NoiseClock clock;
-        PerfCounters ctrs;
-    };
-    std::vector<LaneClock> hot(n_lanes);
-    std::vector<LaneModels> cold;
-    cold.reserve(n_lanes);
-    for (std::size_t k = 0; k < n_lanes; ++k) {
-        cold.push_back({ShadowMemory(config_, dtlb_.pageShift(),
-                                     storeBuffer_),
-                        NoiseClock(lanes[k].noise), PerfCounters()});
-        hot[k].nextEvent = cold[k].clock.nextEvent;
-        hot[k].delta = lanes[k].image->initialSp - trace.recordedSp;
+    if constexpr (kLive) {
+        out->counters = ctrs;
+        out->counters.set(Counter::Cycles, l0.now);
+        out->counters.set(Counter::Instructions, icount);
+        out->halted = halted;
+        out->result = regs[isa::reg::a0];
+        return;
     }
-    NullObserver none;
-
-    // Lane-invariant state: front end, ITLB, stream cursors, and the
-    // counters only shared work increments.
-    PerfCounters shared;
-    ShadowTlb s_itlb(config_.itlb);
-    unsigned group_slots = 0;
-    Addr group_block_end = 0;
-    bool force_new_group = true;
-    Addr last_code_page = ~Addr(0);
-
-    // The streams are exact by construction (same program, same
-    // entry, same budget => same functional execution), so exhaustion
-    // mid-run means the replay preconditions were violated — assert,
-    // don't wander.
-    const std::uint64_t *const bits = trace.branchBits.data();
-    const std::size_t n_bitwords = trace.branchBits.size();
-    const Addr *const addrs = trace.memAddrs.data();
-    const std::size_t n_addrs = trace.memAddrs.size();
-    const std::uint32_t *const rets = trace.retTargets.data();
-    const std::size_t n_rets = trace.retTargets.size();
-    const Addr boundary = trace.stackBoundary;
-    std::size_t bitword = 0, addr_at = 0, ret_at = 0;
-    unsigned bit = 0;
-    auto next_taken = [&]() -> bool {
-        mbias_assert(bitword < n_bitwords, "replay branch stream exhausted");
-        const bool t = (bits[bitword] >> bit) & 1;
-        if (++bit == 64) {
-            bit = 0;
-            ++bitword;
-        }
-        return t;
-    };
-    auto next_addr = [&]() -> Addr {
-        mbias_assert(addr_at < n_addrs, "replay memory stream exhausted");
-        return addrs[addr_at++];
-    };
-    auto next_ret = [&]() -> std::uint32_t {
-        mbias_assert(ret_at < n_rets, "replay return stream exhausted");
-        return rets[ret_at++];
-    };
-
-    // Per-lane spine.  enter() is the lane's half of a dispatch: the
-    // noise check (before fetch, as in the plan loop), the shared
-    // fetch charge, then its own icache line memo.
-    Cycles fetch_charge = 0;
-    Addr line_first = 0, line_last = 0;
-    auto enter = [&](std::size_t k) __attribute__((always_inline)) -> Cycles {
-        LaneClock &l = hot[k];
-        if (__builtin_expect(l.now >= l.nextEvent, 0)) {
-            LaneModels &m = cold[k];
-            m.clock.fire(l.now, m.ctrs, m.mem, l.lastCodeLine);
-            l.nextEvent = m.clock.nextEvent;
-        }
-        Cycles now = l.now + fetch_charge;
-        if (caches_on) {
-            for (Addr line = line_first; line <= line_last; line += iline) {
-                if (line == l.lastCodeLine)
-                    continue;
-                l.lastCodeLine = line;
-                now += cold[k].mem.fetchLine(none, line, cold[k].ctrs);
-            }
-        }
-        return now;
-    };
-    auto wait_for = [&](LaneClock &l, isa::Reg r, Cycles now)
-        __attribute__((always_inline)) -> Cycles {
-        const Cycles ready = l.regReady[r];
-        if (ready > now) {
-            const Cycles stall = ready - now;
-            Cycles exposed;
-            if constexpr (Core::kInOrder)
-                exposed = stall;
-            else
-                exposed = stall - std::min<Cycles>(stall, ooo_window);
-            now += exposed;
-            l.stalls += exposed;
-        }
-        return now;
-    };
-    auto set_ready = [&](LaneClock &l, isa::Reg rd, Cycles ready)
-        __attribute__((always_inline)) {
-        if (rd != isa::reg::zero)
-            l.regReady[rd] = ready;
-    };
-    // Lane-invariant redirect charge of a taken transfer to @p target
-    // (in-order front ends refetch into the middle of a fetch block).
-    auto realign = [&](Addr target) -> Cycles {
-        if constexpr (Core::kInOrder) {
-            if (model_blocks && (target & (fetch_block_bytes - 1)) != 0)
-                return fetch_realign_pen;
-        }
-        (void)target;
-        return 0;
-    };
-    auto btb_charge = [&](const DecodedOp &b, Addr target) -> Cycles {
-        if (btb_on && !btb_.lookupAndUpdateHot(b.pc, target)) {
-            shared.inc(Counter::BtbMisses);
-            return btb_miss_pen;
-        }
-        return 0;
-    };
-
-    std::uint64_t icount = 0;
-    std::uint32_t idx = trace.entryIdx;
-    bool halted = false;
-
-    while (icount < max_insts) {
-        const DecodedOp &d = ops[idx];
-        ++icount;
-
-        // Lane-invariant half of fetchAccounting(): fetch groups and
-        // the ITLB, folded into one charge every lane adds.
-        fetch_charge = 0;
-        if (force_new_group || group_slots == 0 ||
-            (model_blocks && d.pc >= group_block_end)) {
-            fetch_charge = 1;
-            shared.inc(Counter::FetchGroups);
-            group_slots = fetch_width;
-            group_block_end =
-                model_blocks ? alignDown(d.pc, fetch_block_bytes) +
-                                   fetch_block_bytes
-                             : ~Addr(0);
-            force_new_group = false;
-        }
-        group_slots -= 1;
-        if (model_blocks && d.pc + d.size > group_block_end)
-            group_slots = 0;
-        line_first = alignDown(d.pc, iline);
-        line_last = alignDown(d.pc + d.size - 1, iline);
-        if (tlbs_on) {
-            const Addr page = d.pc >> ipage_shift;
-            if (page != last_code_page) {
-                last_code_page = page;
-                const unsigned misses = s_itlb.accessVpns(
-                    page, (d.pc + d.size - 1) >> ipage_shift);
-                if (misses) {
-                    shared.inc(Counter::ItlbMisses, misses);
-                    fetch_charge += misses * itlb_miss_pen;
-                }
-            }
-        }
-
-        switch (d.op) {
-          case Opcode::Add:
-          case Opcode::Sub:
-          case Opcode::Mul:
-          case Opcode::Divu:
-          case Opcode::Remu:
-          case Opcode::And:
-          case Opcode::Or:
-          case Opcode::Xor:
-          case Opcode::Sll:
-          case Opcode::Srl:
-          case Opcode::Sra:
-          case Opcode::Slt:
-          case Opcode::Sltu: {
-              const Cycles lat = d.op == Opcode::Mul ? mul_lat
-                                 : d.op == Opcode::Divu ||
-                                         d.op == Opcode::Remu
-                                     ? div_lat
-                                     : 1;
-              for (std::size_t k = 0; k < n_lanes; ++k) {
-                  LaneClock &l = hot[k];
-                  Cycles now = enter(k);
-                  now = wait_for(l, d.rs1, now);
-                  now = wait_for(l, d.rs2, now);
-                  Cycles ready = now + lat;
-                  if constexpr (Core::kInOrder) {
-                      // In-order pipes block issue behind a multi-cycle
-                      // ALU op; the result is ready right after.
-                      if (lat > 1) {
-                          now += lat - 1;
-                          l.stalls += lat - 1;
-                          ready = now + 1;
-                      }
-                  }
-                  set_ready(l, d.rd, ready);
-                  l.now = now;
-              }
-              ++idx;
-              break;
-          }
-
-          case Opcode::Addi:
-          case Opcode::Andi:
-          case Opcode::Ori:
-          case Opcode::Xori:
-          case Opcode::Slli:
-          case Opcode::Srli:
-          case Opcode::Srai:
-          case Opcode::Slti:
-            for (std::size_t k = 0; k < n_lanes; ++k) {
-                LaneClock &l = hot[k];
-                const Cycles now = wait_for(l, d.rs1, enter(k));
-                set_ready(l, d.rd, now + 1);
-                l.now = now;
-            }
-            ++idx;
-            break;
-
-          case Opcode::Li:
-            for (std::size_t k = 0; k < n_lanes; ++k) {
-                LaneClock &l = hot[k];
-                const Cycles now = enter(k);
-                set_ready(l, d.rd, now + 1);
-                l.now = now;
-            }
-            ++idx;
-            break;
-
-          case Opcode::Ld1:
-          case Opcode::Ld2:
-          case Opcode::Ld4:
-          case Opcode::Ld8: {
-              const Addr a = next_addr();
-              const bool stack = a >= boundary;
-              shared.inc(Counter::Loads);
-              for (std::size_t k = 0; k < n_lanes; ++k) {
-                  LaneClock &l = hot[k];
-                  LaneModels &m = cold[k];
-                  Cycles now = wait_for(l, d.rs1, enter(k));
-                  const Cycles lat =
-                      m.mem.access(none, stack ? a + l.delta : a,
-                                   d.accessSize, false, icount, now, m.ctrs);
-                  set_ready(l, d.rd, now + lat);
-                  l.now = now;
-              }
-              ++idx;
-              break;
-          }
-
-          case Opcode::St1:
-          case Opcode::St2:
-          case Opcode::St4:
-          case Opcode::St8: {
-              const Addr a = next_addr();
-              const bool stack = a >= boundary;
-              shared.inc(Counter::Stores);
-              for (std::size_t k = 0; k < n_lanes; ++k) {
-                  LaneClock &l = hot[k];
-                  LaneModels &m = cold[k];
-                  Cycles now = wait_for(l, d.rs1, enter(k));
-                  now = wait_for(l, d.rd, now); // data register
-                  m.mem.access(none, stack ? a + l.delta : a, d.accessSize,
-                               true, icount, now, m.ctrs);
-                  l.now = now;
-              }
-              ++idx;
-              break;
-          }
-
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Bge:
-          case Opcode::Bltu:
-          case Opcode::Bgeu: {
-              // Reference order: BranchesExecuted, predict+train, then
-              // the taken path; the lanes add the summed charge after
-              // their operand waits.
-              const bool taken = next_taken();
-              shared.inc(Counter::BranchesExecuted);
-              Cycles charge = 0;
-              if (bp_on) {
-                  bool pred;
-                  if (gshare) {
-                      pred = gshare->predictHot(d.pc);
-                      gshare->updateHot(d.pc, taken);
-                  } else {
-                      pred = bimodal->predictHot(d.pc);
-                      bimodal->updateHot(d.pc, taken);
-                  }
-                  if (pred != taken) {
-                      shared.inc(Counter::BranchMispredicts);
-                      charge += mispredict_pen;
-                      force_new_group = true;
-                  }
-              }
-              if (taken) {
-                  shared.inc(Counter::TakenBranches);
-                  const Addr target = ops[d.targetIdx].pc;
-                  charge += btb_charge(d, target) + realign(target);
-                  force_new_group = true;
-                  idx = d.targetIdx;
-              } else {
-                  ++idx;
-              }
-              for (std::size_t k = 0; k < n_lanes; ++k) {
-                  LaneClock &l = hot[k];
-                  Cycles now = wait_for(l, d.rs1, enter(k));
-                  now = wait_for(l, d.rs2, now);
-                  l.now = now + charge;
-              }
-              break;
-          }
-
-          case Opcode::Jmp: {
-              const Addr target = ops[d.targetIdx].pc;
-              const Cycles charge = btb_charge(d, target) + realign(target);
-              for (std::size_t k = 0; k < n_lanes; ++k)
-                  hot[k].now = enter(k) + charge;
-              force_new_group = true;
-              idx = d.targetIdx;
-              break;
-          }
-
-          case Opcode::Call: {
-              shared.inc(Counter::Calls);
-              shared.inc(Counter::Stores);
-              const Addr a = next_addr();
-              const bool stack = a >= boundary;
-              const Addr target = ops[d.targetIdx].pc;
-              const Cycles charge = btb_charge(d, target) + realign(target);
-              for (std::size_t k = 0; k < n_lanes; ++k) {
-                  LaneClock &l = hot[k];
-                  LaneModels &m = cold[k];
-                  Cycles now = wait_for(l, isa::reg::sp, enter(k));
-                  m.mem.access(none, stack ? a + l.delta : a, 8, true,
-                               icount, now, m.ctrs);
-                  l.regReady[isa::reg::sp] = now + 1;
-                  l.now = now + charge;
-              }
-              force_new_group = true;
-              idx = d.targetIdx;
-              break;
-          }
-
-          case Opcode::Ret: {
-              shared.inc(Counter::Loads);
-              const Addr a = next_addr();
-              const bool stack = a >= boundary;
-              // The resolved code index was recorded; the functional
-              // load it came from never happens here, but the access
-              // still exercises each lane's cache/TLB.
-              const std::uint32_t t = next_ret();
-              const Cycles charge = realign(ops[t].pc);
-              for (std::size_t k = 0; k < n_lanes; ++k) {
-                  LaneClock &l = hot[k];
-                  LaneModels &m = cold[k];
-                  Cycles now = wait_for(l, isa::reg::sp, enter(k));
-                  m.mem.access(none, stack ? a + l.delta : a, 8, false,
-                               icount, now, m.ctrs);
-                  l.regReady[isa::reg::sp] = now + 1;
-                  l.now = now + charge;
-              }
-              force_new_group = true;
-              idx = t;
-              break;
-          }
-
-          case Opcode::Nop:
-            shared.inc(Counter::NopsExecuted);
-            for (std::size_t k = 0; k < n_lanes; ++k)
-                hot[k].now = enter(k);
-            ++idx;
-            break;
-
-          case Opcode::Halt:
-            for (std::size_t k = 0; k < n_lanes; ++k)
-                hot[k].now = enter(k);
-            halted = true;
-            break;
-
-          default:
-            mbias_panic("unresolved La reached the simulator");
-        }
-        if (halted)
-            break;
-    }
-
-    // The architectural outcome comes from the recording; the loop
+    // The architectural outcome comes from the recording; the walk
     // only re-derived control flow from the streams.  a0 is taken as
     // recorded: a trace whose a0 may be a stack address never serves
     // another stack base (FunctionalTrace::resultOnStack).
-    mbias_assert(icount == trace.icount && halted == trace.halted,
+    mbias_assert(icount == trace->icount && halted == trace->halted,
                  "replay diverged from its recording");
-    std::vector<RunResult> out(n_lanes);
     for (std::size_t k = 0; k < n_lanes; ++k) {
         PerfCounters &c = out[k].counters;
         c = cold[k].ctrs;
         for (const Counter id : allCounters())
-            c.inc(id, shared.get(id));
+            c.inc(id, ctrs.get(id));
         c.inc(Counter::StallCycles, hot[k].stalls);
         c.set(Counter::Cycles, hot[k].now);
         c.set(Counter::Instructions, icount);
         out[k].halted = halted;
-        out[k].result = trace.resultA0;
+        out[k].result = trace->resultA0;
     }
-    return out;
 }
 
 } // namespace mbias::sim

@@ -102,33 +102,35 @@ struct RunResult
  * Determinism: given the same ProcessImage and config, run() returns
  * bit-identical results.  All components start cold on each run().
  *
- * One interpreter loop, runPlanImpl, serves every run: the *fast path*
- * walks a cached ExecutionPlan (sim/plan.hh), the *trace tier*
- * (sim/trace.hh) a TracePlan whose hot superblocks apply pre-batched
- * effects in one guarded step.  Noisy runs take these tiers too, and
- * observed runs (Profile/Attribution sinks) the untraced loop with an
- * observer policy compiled in.  The *reference* interpreter walks the
- * linker's PlacedInst records and is kept only as the differential
- * oracle — the plan loop performs the identical component accesses in
- * the identical order, so its RunResult is bitwise equal.  The escape
+ * One interpreter loop, runPlanImpl, serves every production run,
+ * templated on where its functional stream comes from.  A *live* walk
+ * executes values from a cached ExecutionPlan (sim/plan.hh) for one
+ * run: the *fast path*, or the *trace tier* (sim/trace.hh), a
+ * TracePlan whose hot superblocks apply pre-batched effects in one
+ * guarded step.  Noisy runs take these tiers too, and observed runs
+ * (Profile/Attribution sinks) the untraced walk with an observer
+ * policy compiled in.  The *reference* interpreter walks the linker's
+ * PlacedInst records and is kept only as the differential oracle — the
+ * plan loop performs the identical component accesses in the
+ * identical order, so its RunResult is bitwise equal.  The escape
  * hatches select the oracle per machine (setUseFastPath(false)) or per
  * process (MBIAS_SIM_REFERENCE=1); setUseTracePath(false) /
  * MBIAS_SIM_TRACE=0 drop only the trace tier.
  *
  * A fourth tier, *record/replay* (sim/replay.hh), serves repetition
- * families: runRecord() executes one instrumented fast/trace-tier run
- * (noise allowed — the functional stream is noise-independent) that
- * captures branch outcomes, return targets, resolved memory addresses,
- * and the final architectural state into a FunctionalTrace;
- * runReplay() then re-runs *only the timing models* over that stream
- * under a fresh noise seed, machine geometry, or ASLR stack base,
- * skipping functional execution.  runReplayLanes() times a whole
- * repetition family in one walk of the stream: work every repetition
- * shares (dispatch, stream decode, predictor/BTB, fetch groups, ITLB)
- * runs once per op, and one timing lane per repetition keeps what can
- * differ (clock, register readiness, icache/dcache/L2, DTLB, store
- * buffer, noise).  runReplay() is a pass of one lane.  Its hatches
- * mirror the others: setUseReplayPath(false) and MBIAS_SIM_REPLAY=0.
+ * families: runRecord() is a live walk (noise allowed — the functional
+ * stream is noise-independent) that also captures branch outcomes,
+ * return targets, resolved memory addresses, and the final
+ * architectural state into a FunctionalTrace.  runReplayLanes() then
+ * walks the same loop over that *recorded* stream: no value is
+ * computed, and one walk times a whole repetition family under fresh
+ * noise seeds, machine geometry or ASLR stack bases.  Work every
+ * repetition shares (dispatch, stream decode, predictor/BTB, fetch
+ * groups, ITLB) runs once per op, and one timing lane per repetition
+ * keeps what can differ (clock, register readiness, icache/dcache/L2,
+ * DTLB, store buffer, noise).  runReplay() is a pass of one lane.  Its
+ * hatches mirror the others: setUseReplayPath(false) and
+ * MBIAS_SIM_REPLAY=0.
  */
 class Machine
 {
@@ -219,15 +221,20 @@ class Machine
     bool useReplayPath() const { return useReplayPath_; }
 
   private:
-    struct Pipeline;   // per-run timing state
+    struct Pipeline;   // the reference interpreter's timing state
     class RunObserver; // runPlanImpl's observing policy
 
-    /** How runPlanImpl treats the functional stream: execute it
-     *  (Normal), or execute and capture it (Record). */
+    /** How a Live runPlanImpl treats the functional stream: execute
+     *  it (Normal), or execute and capture it (Record). */
     enum class RunMode { Normal, Record };
 
-    /** The one place the plan-based tiers are chosen: looks up the
-     *  image's ExecutionPlan and runs runPlanImpl over it — observed
+    /** Where runPlanImpl's functional stream comes from: executed from
+     *  the ExecutionPlan (Live), or decoded from a FunctionalTrace
+     *  (Recorded). */
+    enum class Source { Live, Recorded };
+
+    /** The one place the Live tiers are chosen: looks up the image's
+     *  ExecutionPlan and runs runPlanImpl over it — observed
      *  (untraced) when a Normal run has a sink, else traced when
      *  traceTierUsable(), else with the backend's core model.  run()
      *  and runRecord() come here. */
@@ -237,43 +244,45 @@ class Machine
                       FunctionalTrace *rec, Profile *profile = nullptr,
                       Attribution *attribution = nullptr);
 
-    /** Shared direct-threaded interpreter body behind runPlan: the
-     *  fast path (Traced = false), the trace tier (Traced = true,
-     *  walking a TracePlan's rewritten ops with superblocks batched —
-     *  sim/trace.hh), and the recording half of the replay tier (Mode
-     *  = Record; @p rec receives the stream; @p noise drives the
-     *  oracle-equivalent interrupt and DVFS models in every mode).
-     *  Core is the CoreModel policy (machine.cc: OooCore /
-     *  InOrderCore) selected per backend at compile time: it decides
-     *  stall exposure, multi-cycle issue blocking, and taken-redirect
-     *  realignment at `if constexpr` points, so the execution spine
-     *  (decode, dataflow, memory, shadow structures) is shared and
-     *  each instantiation keeps its direct-threaded throughput.  Obs
-     *  is the observation policy (NullObserver / RunObserver),
-     *  compiled out when null. */
-    template <bool Traced, RunMode Mode, class Core, class Obs>
-    RunResult runPlanImpl(const toolchain::ProcessImage &image,
-                          std::uint64_t max_insts,
-                          const ExecutionPlan &plan,
-                          const TracePlan *tplan,
-                          const NoiseModel &noise, FunctionalTrace *rec,
-                          Obs &obs);
+    /**
+     * The one production interpreter: a direct-threaded walk of the
+     * ExecutionPlan that times lanes[k] (image and noise) into out[k],
+     * templated on where its functional stream comes from.
+     *
+     * Src = Live executes values for exactly one lane, lanes[0]: the
+     * fast path (Traced = false), the trace tier (Traced = true,
+     * walking @p tplan's rewritten ops with superblocks batched —
+     * sim/trace.hh), and the recording half of the replay tier (Mode
+     * = Record; @p rec receives the stream).  Obs is the observation
+     * policy (NullObserver / RunObserver), compiled out when null.
+     *
+     * Src = Recorded decodes @p trace and times lanes.size() lanes in
+     * one walk: dispatch, stream decode, predictor/BTB, fetch groups
+     * and the ITLB run once per op; the noise check, clock, register
+     * readiness, icache line memo, ShadowMemory and NoiseClock once per
+     * lane, in lane order.  Stack addresses are rebased by each lane's
+     * image-vs-recording sp delta.
+     *
+     * Core is the CoreModel policy (machine.cc: OooCore / InOrderCore)
+     * selected per backend at compile time: it decides stall exposure,
+     * multi-cycle issue blocking, and taken-redirect realignment at
+     * `if constexpr` points, so the execution spine (decode, dataflow,
+     * memory, shadow structures) is shared and each instantiation
+     * keeps its direct-threaded throughput.
+     */
+    template <Source Src, bool Traced, RunMode Mode, class Core, class Obs>
+    void runPlanImpl(std::span<const ReplayLane> lanes,
+                     std::uint64_t max_insts, const ExecutionPlan &plan,
+                     const TracePlan *tplan, const FunctionalTrace *trace,
+                     FunctionalTrace *rec, Obs &obs, RunResult *out);
 
     /** The lane pass behind runReplay() and runReplayLanes(): checks
      *  every lane against @p trace, picks the backend's core model and
-     *  tallies the pass (the tier must be usable). */
+     *  runs the Recorded walk of runPlanImpl, then tallies the pass
+     *  (the tier must be usable). */
     std::vector<RunResult> runLanes(const FunctionalTrace &trace,
                                     std::uint64_t max_insts,
                                     std::span<const ReplayLane> lanes);
-
-    /** The replay interpreter: walks the untraced ExecutionPlan along
-     *  @p trace once, applying each op's lane-invariant work once and
-     *  its per-lane timing to every lane in lane order. */
-    template <class Core>
-    std::vector<RunResult> runLanesImpl(const FunctionalTrace &trace,
-                                        std::uint64_t max_insts,
-                                        const ExecutionPlan &plan,
-                                        std::span<const ReplayLane> lanes);
 
     /** The reference interpreter, kept only as the differential
      *  oracle; run() reaches it only under the escape hatches. */

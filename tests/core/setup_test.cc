@@ -1,9 +1,11 @@
-/** @file Tests for ExperimentSpec, SetupSpace, SetupRandomizer. */
+/** @file Tests for ExperimentSpec, SetupSpace, SetupRandomizer and
+ *  setup specs. */
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/experiment.hh"
+#include "core/explain.hh"
 #include "core/setup.hh"
 
 namespace
@@ -108,6 +110,33 @@ TEST(SetupRandomizer, SuccessiveDrawsDiffer)
     for (std::size_t i = 0; i < 5; ++i)
         any_diff |= !(first[i] == second[i]);
     EXPECT_TRUE(any_diff);
+}
+
+TEST(SetupSpec, ParsesEnvAndLinkParts)
+{
+    ExperimentSetup s;
+    std::string error;
+    ASSERT_TRUE(parseSetupSpec("env=960,link=seed:17", s, error)) << error;
+    EXPECT_EQ(s.envBytes, 960u);
+    EXPECT_EQ(s.linkOrder, toolchain::LinkOrder::shuffled(17));
+    ASSERT_TRUE(parseSetupSpec("env=2097152,link=alpha", s, error));
+    EXPECT_EQ(s.envBytes, ExperimentSetup::kMaxEnvBytes);
+    EXPECT_EQ(s.linkOrder, toolchain::LinkOrder::alphabetical());
+}
+
+TEST(SetupSpec, RejectsHostileNumbers)
+{
+    // The flags' grammar: digit first, no trailing text, no wrap; env
+    // capped like --env.  Each used to parse as a different setup.
+    for (const std::string bad :
+         {"env=5x", "env=-1", "env=+1", "env= 1", "env=", "env=0x10",
+          "env=2097153", "env=18446744073709551616", "link=seed:-3",
+          "link=seed:", "link=seed:4z", "link=seed:18446744073709551616"}) {
+        ExperimentSetup s;
+        std::string error;
+        EXPECT_FALSE(parseSetupSpec(bad, s, error)) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
 }
 
 } // namespace

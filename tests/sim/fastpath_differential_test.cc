@@ -7,16 +7,20 @@
  * counter — bitwise identical to the reference interpreter's.  Any
  * divergence is a bug in the fast path, never acceptable noise: the
  * whole point of the toolkit is that measurement infrastructure must
- * not perturb measured numbers.
+ * not perturb measured numbers.  Under every ablation switch the lane
+ * pass (Machine::runReplayLanes) is held to the oracle too, on both
+ * core models.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/setup.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
+#include "sim/replay.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
@@ -44,11 +48,12 @@ imageFor(const std::string &workload, const toolchain::LinkOrder &order,
 
 sim::RunResult
 runWith(const sim::MachineConfig &mc, const toolchain::ProcessImage &image,
-        bool fast, std::uint64_t max_insts = 500'000'000)
+        bool fast, std::uint64_t max_insts = 500'000'000,
+        const sim::NoiseModel &noise = sim::NoiseModel::none())
 {
     sim::Machine machine(mc);
     machine.setUseFastPath(fast);
-    return machine.run(image, max_insts);
+    return machine.run(image, max_insts, noise);
 }
 
 void
@@ -62,6 +67,43 @@ expectIdentical(const sim::MachineConfig &mc,
     EXPECT_EQ(fast, ref) << what << ": fast path diverged (cycles "
                          << fast.cycles() << " vs " << ref.cycles()
                          << ")";
+}
+
+/**
+ * Records @p image once under interrupt noise, then times three lanes
+ * in one pass: two more interrupt-noise seeds on @p image and a
+ * noise-free lane on @p aslr, another ASLR draw of the same program.
+ * Every lane must equal the oracle's run of its image and noise.  A
+ * hatched-off replay tier records nothing, and then there is no pass.
+ */
+void
+expectLanesMatchOracle(const sim::MachineConfig &mc,
+                       const toolchain::ProcessImage &image,
+                       const toolchain::ProcessImage &aslr,
+                       const std::string &what)
+{
+    const std::uint64_t budget = 500'000'000;
+    sim::Machine machine(mc);
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    machine.runRecord(image, budget, sim::NoiseModel::withSeed(0xab1a),
+                      &trace);
+    if (!trace)
+        return;
+    ASSERT_TRUE(trace->matches(aslr, budget)) << what;
+    const sim::ReplayLane lanes[] = {
+        {&image, sim::NoiseModel::withSeed(0xab1b)},
+        {&image, sim::NoiseModel::withSeed(0xab1c)},
+        {&aslr, sim::NoiseModel::none()},
+    };
+    const auto got = machine.runReplayLanes(*trace, budget, lanes);
+    ASSERT_EQ(got.size(), 3u) << what;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        const auto ref =
+            runWith(mc, *lanes[k].image, false, budget, lanes[k].noise);
+        EXPECT_EQ(got[k], ref)
+            << what << ": lane " << k << " diverged (cycles "
+            << got[k].cycles() << " vs " << ref.cycles() << ")";
+    }
 }
 
 TEST(FastPathDifferential, WholeSuiteAcrossSetups)
@@ -94,9 +136,16 @@ TEST(FastPathDifferential, AllMachinePresets)
 TEST(FastPathDifferential, EveryAblationSwitch)
 {
     // Flip each ablation flag off (and the prefetcher on) one at a
-    // time: each switch steers a different branch of the fast loop.
+    // time: each switch steers a different branch of the fast loop,
+    // live and in a lane pass, on the out-of-order and in-order core
+    // models (in-order realignment reads enableFetchBlockModel).
     const auto image =
         imageFor("sjeng", toolchain::LinkOrder::shuffled(3), 2048);
+    toolchain::LoaderConfig lc;
+    lc.envBytes = 2048;
+    lc.aslrSeed = 5;
+    const auto aslr = toolchain::Loader::load(image.program, lc);
+    ASSERT_NE(aslr.initialSp, image.initialSp);
     using Mutator = void (*)(sim::MachineConfig &);
     const std::pair<const char *, Mutator> variants[] = {
         {"noFetchBlocks",
@@ -124,10 +173,16 @@ TEST(FastPathDifferential, EveryAblationSwitch)
              m.predictor = sim::PredictorKind::Bimodal;
          }},
     };
-    for (const auto &[label, mutate] : variants) {
-        auto mc = sim::MachineConfig::core2Like();
-        mutate(mc);
-        expectIdentical(mc, image, std::string("sjeng ") + label);
+    for (const auto &base : {sim::MachineConfig::core2Like(),
+                             sim::MachineConfig::inorderLike()}) {
+        for (const auto &[label, mutate] : variants) {
+            auto mc = base;
+            mutate(mc);
+            const std::string what =
+                std::string("sjeng ") + label + " on " + base.name;
+            expectIdentical(mc, image, what);
+            expectLanesMatchOracle(mc, image, aslr, what);
+        }
     }
 }
 

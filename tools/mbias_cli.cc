@@ -83,10 +83,6 @@ using namespace mbias;
 namespace
 {
 
-/** The largest --env: Linux's default ARG_MAX, the most environment
- *  a real exec could pass. */
-constexpr std::uint64_t kMaxEnvBytes = 2 << 20;
-
 constexpr std::uint64_t kMaxSeed =
     std::numeric_limits<std::uint64_t>::max();
 
@@ -343,7 +339,8 @@ cmdRun(const Args &args)
                      optByName(args.get("opt", "O2"))};
     core::ExperimentRunner runner(spec);
     core::ExperimentSetup setup;
-    setup.envBytes = args.getInt("env", 0, kMaxEnvBytes);
+    setup.envBytes =
+        args.getInt("env", 0, core::ExperimentSetup::kMaxEnvBytes);
     if (args.options.count("link-seed"))
         setup.linkOrder = toolchain::LinkOrder::shuffled(
             args.getInt("link-seed", 0, kMaxSeed));
@@ -568,7 +565,8 @@ cmdVariance(const Args &args)
 {
     core::ExperimentSpec spec = specFromArgs(args);
     core::ExperimentSetup home;
-    home.envBytes = args.getInt("env", 300, kMaxEnvBytes);
+    home.envBytes =
+        args.getInt("env", 300, core::ExperimentSetup::kMaxEnvBytes);
     auto peers = core::SetupSpace().varyEnvSize().grid(
         args.getCount("setups", 16, 2));
     const unsigned reps = args.getCount("reps", 15, 2);
@@ -596,7 +594,8 @@ cmdProfile(const Args &args)
             : toolchain::LinkOrder::asGiven();
     auto prog = linker.link(objs, order);
     toolchain::LoaderConfig lc;
-    lc.envBytes = args.getInt("env", 0, kMaxEnvBytes);
+    lc.envBytes =
+        args.getInt("env", 0, core::ExperimentSetup::kMaxEnvBytes);
     auto image = toolchain::Loader::load(std::move(prog), lc);
 
     sim::Machine machine(spec.machine);
