@@ -237,21 +237,6 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
     return metricSample(runFamily(tc, false, setup.linkOrder, lanes));
 }
 
-stats::Sample
-ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
-                                       const ExperimentSetup &setup,
-                                       unsigned reps,
-                                       std::uint64_t aslr_seed_base)
-{
-    mbias_assert(reps >= 1, "need at least one repetition");
-    // ASLR only moves the stack region, so every draw is a lane of one
-    // family: replay rebases stack addresses per draw.
-    std::vector<Lane> lanes(reps, {setup.envBytes, 0, sim::NoiseModel::none()});
-    for (unsigned r = 0; r < reps; ++r)
-        lanes[r].aslrSeed = aslr_seed_base + r;
-    return metricSample(runFamily(tc, false, setup.linkOrder, lanes));
-}
-
 double
 metricValue(Metric metric, const sim::RunResult &rr)
 {

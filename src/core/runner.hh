@@ -106,17 +106,6 @@ class ExperimentRunner
         const sim::NoiseModel &noise_template = sim::NoiseModel::withSeed(0));
 
     /**
-     * The Stabilizer-style remedy: runs one side @p reps times in one
-     * setup with a *different stack ASLR layout per run* (seeds base,
-     * base+1, ...).  Layout bias becomes visible variance; the mean of
-     * the sample estimates the layout-marginalized metric.
-     */
-    stats::Sample aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
-                                       const ExperimentSetup &setup,
-                                       unsigned reps,
-                                       std::uint64_t aslr_seed_base);
-
-    /**
      * Runs a lane family: one side (@p tc, and the treatment machine
      * when @p treatment_side, as in runSide) linked in @p order, lane k
      * under lanes[k].  Returns one RunResult per lane, in lane order,

@@ -86,14 +86,6 @@ hasTarget(Opcode op)
 
 } // namespace
 
-std::uint64_t
-ExecutionPlan::approxBytes() const
-{
-    return sizeof(ExecutionPlan) + ops.size() * sizeof(DecodedOp) +
-           blockStarts.size() * sizeof(std::uint32_t) +
-           idxByOffset.size() * sizeof(std::uint32_t);
-}
-
 std::shared_ptr<const ExecutionPlan>
 ExecutionPlan::build(std::shared_ptr<const toolchain::LinkedProgram> program)
 {
@@ -173,10 +165,7 @@ ExecutionPlan::build(std::shared_ptr<const toolchain::LinkedProgram> program)
     return plan;
 }
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity)
-{
-    mbias_assert(capacity > 0, "plan cache capacity must be nonzero");
-}
+PlanCache::PlanCache(std::size_t capacity) : cache_(capacity) {}
 
 PlanCache &
 PlanCache::global()
@@ -189,51 +178,22 @@ std::shared_ptr<const ExecutionPlan>
 PlanCache::get(const std::shared_ptr<const toolchain::LinkedProgram> &program)
 {
     mbias_assert(program, "plan lookup for a null program");
-    const void *key = program.get();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            ++hits_;
-                return it->second->second;
-        }
-    }
-
-    // Build outside the lock; first insert wins on a racing miss.
-    auto plan = ExecutionPlan::build(program);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++misses_; // we did build one
-        return it->second->second;
-    }
-    lru_.emplace_front(key, std::move(plan));
-    map_.emplace(key, lru_.begin());
-    ++misses_;
-    while (map_.size() > capacity_) {
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-    }
-    return lru_.front().second;
+    return cache_.getOrBuild(program.get(), [&] {
+        return std::pair(ExecutionPlan::build(program), std::uint64_t(1));
+    });
 }
 
 PlanCache::Stats
 PlanCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return Stats{hits_, misses_, evictions_};
+    const auto s = cache_.stats();
+    return Stats{s.hits, s.misses, s.evictions};
 }
 
 void
 PlanCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
+    cache_.clear();
 }
 
 } // namespace mbias::sim

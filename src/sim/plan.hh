@@ -2,12 +2,10 @@
 #define MBIAS_SIM_PLAN_HH
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "base/lru_cache.hh"
 #include "base/types.hh"
 #include "isa/opcode.hh"
 #include "toolchain/linker.hh"
@@ -97,9 +95,6 @@ struct ExecutionPlan
     /** The decoded program; pins the pointer the plan was keyed by. */
     std::shared_ptr<const toolchain::LinkedProgram> program;
 
-    /** Approximate heap footprint (plan-cache accounting). */
-    std::uint64_t approxBytes() const;
-
     /** Decodes @p program (shared so the plan can pin it). */
     static std::shared_ptr<const ExecutionPlan>
     build(std::shared_ptr<const toolchain::LinkedProgram> program);
@@ -107,16 +102,17 @@ struct ExecutionPlan
 
 /**
  * A small LRU cache of ExecutionPlans keyed by program identity (the
- * LinkedProgram's address).  Pointer keying is sound because every
- * entry pins its program's shared_ptr: a cached key can never be freed
- * and reallocated while the entry lives.  The artifact cache hands all
- * tasks of a campaign the *same* shared program, so a whole env sweep
- * decodes each side exactly once.
+ * LinkedProgram's address), bounded by entry count.  Pointer keying is
+ * sound because every entry pins its program's shared_ptr: a cached
+ * key can never be freed and reallocated while the entry lives.  The
+ * artifact cache hands all tasks of a campaign the *same* shared
+ * program, so a whole env sweep decodes each side exactly once.
  *
- * Thread-safe; on racing misses the first insert wins and plans built
- * by losers are discarded (plans for one program are interchangeable).
- * Hits, misses and evictions are counted once, in stats(); a campaign
- * books the difference over its run as `sim.plan.*`.
+ * The policy is LruCache's: thread-safe, plans build outside the lock,
+ * and on racing misses the first insert wins (plans for one program
+ * are interchangeable).  Hits, misses and evictions are counted once,
+ * in stats(); a campaign books the difference over its run as
+ * `sim.plan.*`.
  */
 class PlanCache
 {
@@ -141,16 +137,7 @@ class PlanCache
     void clear();
 
   private:
-    using Lru = std::list<
-        std::pair<const void *, std::shared_ptr<const ExecutionPlan>>>;
-
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
-    Lru lru_; ///< most-recently used at front
-    std::unordered_map<const void *, Lru::iterator> map_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
+    LruCache<const void *, std::shared_ptr<const ExecutionPlan>> cache_;
 };
 
 } // namespace mbias::sim

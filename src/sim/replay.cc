@@ -45,10 +45,7 @@ ReplayCache::KeyHash::operator()(const Key &k) const
     return std::size_t(h.value());
 }
 
-ReplayCache::ReplayCache(std::size_t capacity) : capacity_(capacity)
-{
-    mbias_assert(capacity > 0, "replay cache capacity must be nonzero");
-}
+ReplayCache::ReplayCache(std::size_t capacity) : cache_(capacity) {}
 
 ReplayCache &
 ReplayCache::global()
@@ -74,20 +71,10 @@ std::shared_ptr<const FunctionalTrace>
 ReplayCache::find(const toolchain::ProcessImage &image,
                   std::uint64_t budget, bool *unrecordable)
 {
+    const auto entry = cache_.find(keyOf(image, budget));
     if (unrecordable)
-        *unrecordable = false;
-    const Key key = keyOf(image, budget);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    if (!it->second->second.trace && unrecordable)
-        *unrecordable = true;
-    return it->second->second.trace;
+        *unrecordable = entry && !entry->trace;
+    return entry ? entry->trace : nullptr;
 }
 
 void
@@ -97,27 +84,10 @@ ReplayCache::insert(const toolchain::ProcessImage &image,
 {
     mbias_assert(!trace || trace->matches(image, budget),
                  "inserting a replay trace that mismatches its own key");
-    const Key key = keyOf(image, budget);
-    Entry entry;
-    entry.pin = image.program;
-    entry.trace = std::move(trace);
-    const std::uint64_t entry_bytes =
-        entry.trace ? entry.trace->approxBytes() : sizeof(Entry);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (map_.find(key) != map_.end())
-        return; // first insert wins; racing recorders produce equal traces
-    bytes_ += entry_bytes;
-    lru_.emplace_front(key, std::move(entry));
-    map_.emplace(key, lru_.begin());
-    while (map_.size() > capacity_) {
-        const Entry &victim = lru_.back().second;
-        bytes_ -= victim.trace ? victim.trace->approxBytes()
-                               : std::uint64_t(sizeof(Entry));
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-    }
+    const std::uint64_t bytes =
+        trace ? trace->approxBytes() : sizeof(Entry);
+    cache_.insert(keyOf(image, budget), Entry{image.program, std::move(trace)},
+                  bytes);
 }
 
 void
@@ -142,26 +112,23 @@ ReplayCache::noteFallback()
 ReplayCache::Stats
 ReplayCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto c = cache_.stats();
     Stats s;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.evictions = evictions_;
+    s.hits = c.hits;
+    s.misses = c.misses;
+    s.evictions = c.evictions;
     s.records = records_.load(std::memory_order_relaxed);
     s.replays = replays_.load(std::memory_order_relaxed);
     s.lanePasses = lanePasses_.load(std::memory_order_relaxed);
     s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
-    s.bytes = bytes_;
+    s.bytes = c.bytes;
     return s;
 }
 
 void
 ReplayCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
-    bytes_ = 0;
+    cache_.clear();
 }
 
 } // namespace mbias::sim

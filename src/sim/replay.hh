@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "base/lru_cache.hh"
 #include "base/types.hh"
 #include "toolchain/loader.hh"
 
@@ -219,19 +217,11 @@ class ReplayCache
         std::shared_ptr<const toolchain::LinkedProgram> pin;
         std::shared_ptr<const FunctionalTrace> trace; ///< null = negative
     };
-    using Lru = std::list<std::pair<Key, Entry>>;
 
     static Key keyOf(const toolchain::ProcessImage &image,
                      std::uint64_t budget);
 
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
-    Lru lru_; ///< most-recently used at front
-    std::unordered_map<Key, Lru::iterator, KeyHash> map_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t bytes_ = 0;
+    LruCache<Key, Entry, KeyHash> cache_;
 
     std::atomic<std::uint64_t> records_{0};
     std::atomic<std::uint64_t> replays_{0};

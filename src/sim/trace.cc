@@ -117,23 +117,6 @@ TraceGeometry::of(const MachineConfig &c)
     return g;
 }
 
-std::uint64_t
-TracePlan::approxBytes() const
-{
-    std::uint64_t bytes =
-        sizeof(TracePlan) + ops.size() * sizeof(DecodedOp);
-    for (const auto &b : blocks) {
-        bytes += sizeof(TraceBlock);
-        bytes += b.fnOps.size() * sizeof(TraceBlock::FnOp);
-        bytes += b.rows.size() * sizeof(TraceBlock::FetchRow);
-        bytes += b.lines.size() * sizeof(TraceBlock::LineTouch);
-        bytes += b.pages.size() * sizeof(TraceBlock::PageTouch);
-        bytes += b.writes.size() * sizeof(TraceBlock::RegWrite);
-        bytes += b.writeGroups.size() * sizeof(Cycles);
-    }
-    return bytes;
-}
-
 std::shared_ptr<const TracePlan>
 TracePlan::build(std::shared_ptr<const ExecutionPlan> base,
                  const TraceGeometry &g)
@@ -337,10 +320,7 @@ TraceCache::KeyHash::operator()(const Key &k) const
     return std::size_t(h.value());
 }
 
-TraceCache::TraceCache(std::size_t capacity) : capacity_(capacity)
-{
-    mbias_assert(capacity > 0, "trace cache capacity must be nonzero");
-}
+TraceCache::TraceCache(std::size_t capacity) : cache_(capacity) {}
 
 TraceCache &
 TraceCache::global()
@@ -354,41 +334,13 @@ TraceCache::get(const std::shared_ptr<const ExecutionPlan> &base,
                 const TraceGeometry &g)
 {
     mbias_assert(base, "trace lookup for a null plan");
-    const Key key{base.get(), g};
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            ++hits_;
-            return it->second->second;
-        }
-    }
-
-    // Translate outside the lock; first insert wins on a racing miss.
-    std::shared_ptr<const TracePlan> plan;
-    {
+    return cache_.getOrBuild(Key{base.get(), g}, [&] {
         obs::ScopedSpan span("trace-translate", "sim");
-        plan = TracePlan::build(base, g);
-    }
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++misses_; // we did build one
-        return it->second->second;
-    }
-    ++misses_;
-    superblocks_ += plan->blocks.size();
-    lru_.emplace_front(key, std::move(plan));
-    map_.emplace(key, lru_.begin());
-    while (map_.size() > capacity_) {
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-    }
-    return lru_.front().second;
+        auto plan = TracePlan::build(base, g);
+        superblocks_.fetch_add(plan->blocks.size(),
+                               std::memory_order_relaxed);
+        return std::pair(std::move(plan), std::uint64_t(1));
+    });
 }
 
 void
@@ -405,12 +357,12 @@ TraceCache::recordRun(std::uint64_t ops_batched,
 TraceCache::Stats
 TraceCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto c = cache_.stats();
     Stats s;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.evictions = evictions_;
-    s.superblocks = superblocks_;
+    s.hits = c.hits;
+    s.misses = c.misses;
+    s.evictions = c.evictions;
+    s.superblocks = superblocks_.load(std::memory_order_relaxed);
     s.opsBatched = opsBatched_.load(std::memory_order_relaxed);
     s.opsInterpreted = opsInterpreted_.load(std::memory_order_relaxed);
     s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
@@ -420,9 +372,7 @@ TraceCache::stats() const
 void
 TraceCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
+    cache_.clear();
 }
 
 } // namespace mbias::sim

@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "base/lru_cache.hh"
 #include "base/types.hh"
 #include "sim/config.hh"
 #include "sim/plan.hh"
@@ -167,9 +165,6 @@ struct TracePlan
     /** The base plan (pins the program the ops refer to). */
     std::shared_ptr<const ExecutionPlan> base;
 
-    /** Approximate heap footprint (trace-cache accounting). */
-    std::uint64_t approxBytes() const;
-
     /** Translates @p base for machines with geometry @p g. */
     static std::shared_ptr<const TracePlan>
     build(std::shared_ptr<const ExecutionPlan> base,
@@ -233,17 +228,10 @@ class TraceCache
     {
         std::size_t operator()(const Key &k) const;
     };
-    using Lru = std::list<std::pair<Key, std::shared_ptr<const TracePlan>>>;
 
-    mutable std::mutex mutex_;
-    std::size_t capacity_;
-    Lru lru_; ///< most-recently used at front
-    std::unordered_map<Key, Lru::iterator, KeyHash> map_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t superblocks_ = 0;
+    LruCache<Key, std::shared_ptr<const TracePlan>, KeyHash> cache_;
 
+    std::atomic<std::uint64_t> superblocks_{0};
     std::atomic<std::uint64_t> opsBatched_{0};
     std::atomic<std::uint64_t> opsInterpreted_{0};
     std::atomic<std::uint64_t> fallbacks_{0};

@@ -40,37 +40,6 @@ tIntervalMoments(double mean, double stderror, std::size_t n,
     return ci;
 }
 
-ConfidenceInterval
-bootstrapInterval(const Sample &s, Rng &rng, int resamples, double level)
-{
-    mbias_assert(!s.empty(), "bootstrap of empty sample");
-    mbias_assert(resamples >= 10, "too few bootstrap resamples");
-    const auto &v = s.values();
-    std::vector<double> means;
-    means.reserve(resamples);
-    for (int r = 0; r < resamples; ++r) {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < v.size(); ++i)
-            acc += v[rng.nextBounded(v.size())];
-        means.push_back(acc / double(v.size()));
-    }
-    std::sort(means.begin(), means.end());
-    const double alpha = 1.0 - level;
-    auto at = [&](double q) {
-        double pos = q * double(means.size() - 1);
-        std::size_t lo = std::size_t(pos);
-        std::size_t hi = std::min(lo + 1, means.size() - 1);
-        double frac = pos - double(lo);
-        return means[lo] * (1.0 - frac) + means[hi] * frac;
-    };
-    ConfidenceInterval ci;
-    ci.estimate = s.mean();
-    ci.lower = at(alpha / 2.0);
-    ci.upper = at(1.0 - alpha / 2.0);
-    ci.level = level;
-    return ci;
-}
-
 double
 welchTTestPValue(const Sample &a, const Sample &b)
 {

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "base/random.hh"
 #include "stats/sample.hh"
 
 namespace mbias::stats
@@ -47,14 +46,6 @@ ConfidenceInterval tInterval(const Sample &s, double level = 0.95);
  */
 ConfidenceInterval tIntervalMoments(double mean, double stderror,
                                     std::size_t n, double level = 0.95);
-
-/**
- * Percentile-bootstrap confidence interval for the mean of @p s.
- * Deterministic given @p rng; @p resamples draws with replacement.
- */
-ConfidenceInterval bootstrapInterval(const Sample &s, Rng &rng,
-                                     int resamples = 1000,
-                                     double level = 0.95);
 
 /**
  * Welch's two-sample t-test: returns the two-sided p-value for the

@@ -1,6 +1,7 @@
 #include "toolchain/artifacts.hh"
 
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "base/hash.hh"
@@ -51,17 +52,6 @@ hashModule(Fnv &f, const isa::Module &m)
         f.u64(g.init.size());
         f.bytes(g.init.data(), g.init.size());
     }
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
 }
 
 std::uint64_t
@@ -147,33 +137,35 @@ ArtifactCacheStats::str() const
     return os.str();
 }
 
-bool
-ArtifactCache::ImageKey::operator==(const ImageKey &o) const
+std::size_t
+ArtifactCache::KeyHash::operator()(const Key &k) const
 {
-    return prog == o.prog && entry == o.entry &&
-           config.envBytes == o.config.envBytes &&
-           config.spAlign == o.config.spAlign &&
-           config.stackTop == o.config.stackTop &&
-           config.argvReserve == o.config.argvReserve &&
-           config.heapGap == o.config.heapGap &&
-           config.aslrSeed == o.config.aslrSeed;
-}
-
-bool
-ArtifactCache::ImageKey::operator<(const ImageKey &o) const
-{
-    auto tie = [](const ImageKey &k) {
-        return std::tie(k.prog, k.config.envBytes, k.config.spAlign,
-                        k.config.stackTop, k.config.argvReserve,
-                        k.config.heapGap, k.config.aslrSeed, k.entry);
-    };
-    return tie(*this) < tie(o);
+    Fnv1a h;
+    h.u64(k.index());
+    if (const auto *compile = std::get_if<std::string>(&k)) {
+        h.str(*compile);
+    } else if (const auto *link = std::get_if<LinkKey>(&k)) {
+        h.u64(link->modHi);
+        h.u64(link->modLo);
+        h.u64(link->orderFp);
+        h.u64(link->configFp);
+    } else {
+        const auto &image = std::get<ImageKey>(k);
+        h.u64(std::uint64_t(reinterpret_cast<std::uintptr_t>(image.prog)));
+        h.u64(image.config.envBytes);
+        h.u64(image.config.spAlign);
+        h.u64(image.config.stackTop);
+        h.u64(image.config.argvReserve);
+        h.u64(image.config.heapGap);
+        h.u64(image.config.aslrSeed);
+        h.str(image.entry);
+    }
+    return std::size_t(h.value());
 }
 
 ArtifactCache::ArtifactCache(std::uint64_t byte_budget)
-    : byteBudget_(byte_budget)
+    : cache_(byte_budget, decltype(cache_)::Bound::Bytes)
 {
-    mbias_assert(byte_budget > 0, "artifact cache budget must be nonzero");
 }
 
 ArtifactCache &
@@ -183,59 +175,19 @@ ArtifactCache::global()
     return cache;
 }
 
-void
-ArtifactCache::adjustBytes(std::int64_t delta)
+template <typename V, typename Build>
+V
+ArtifactCache::get(const Key &key, Tally &tally, Build &&build)
 {
-    bytes_.fetch_add(std::uint64_t(delta), std::memory_order_relaxed);
-}
-
-ArtifactCache::Shard &
-ArtifactCache::shardFor(std::uint64_t hash)
-{
-    return shards_[mix64(hash) & (kShards - 1)];
-}
-
-void
-ArtifactCache::touch(Shard &s, std::list<LruNode>::iterator it)
-{
-    s.lru.splice(s.lru.begin(), s.lru, it);
-}
-
-void
-ArtifactCache::insertNode(Shard &s, LruNode node,
-                          std::list<LruNode>::iterator &out)
-{
-    s.bytes += node.bytes;
-    adjustBytes(std::int64_t(node.bytes));
-    s.lru.push_front(std::move(node));
-    out = s.lru.begin();
-}
-
-void
-ArtifactCache::evictOver(Shard &s)
-{
-    const std::uint64_t shard_budget = byteBudget_ / kShards;
-    // Never evict the MRU entry: an artifact larger than the shard
-    // budget still gets cached (and replaced by the next insert)
-    // rather than thrashing on every lookup.
-    while (s.bytes > shard_budget && s.lru.size() > 1) {
-        const LruNode &victim = s.lru.back();
-        switch (victim.kind) {
-          case Kind::Compile:
-            s.compiles.erase(victim.compileKey);
-            break;
-          case Kind::Link:
-            s.links.erase(victim.linkKey);
-            break;
-          case Kind::Image:
-            s.images.erase(victim.imageKey);
-            break;
-        }
-        s.bytes -= victim.bytes;
-        adjustBytes(-std::int64_t(victim.bytes));
-        s.lru.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    bool built = false;
+    Artifact a = cache_.getOrBuild(key, [&] {
+        built = true;
+        auto [value, bytes] = build();
+        return std::pair<Artifact, std::uint64_t>(std::move(value), bytes);
+    });
+    (built ? tally.misses : tally.hits)
+        .fetch_add(1, std::memory_order_relaxed);
+    return std::get<V>(std::move(a));
 }
 
 ModulesPtr
@@ -243,46 +195,15 @@ ArtifactCache::compiled(const std::string &key,
                         const std::function<std::vector<isa::Module>()>
                             &produce)
 {
-    Shard &s = shardFor(std::hash<std::string>{}(key));
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.compiles.find(key);
-        if (it != s.compiles.end()) {
-            touch(s, it->second.lru);
-            compileHits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second.value;
-        }
-    }
-
-    // Miss: compile outside the lock — compilation is deterministic,
-    // so a racing thread producing the same key yields an identical
-    // artifact and first-insert-wins below is sound.
-    auto built = std::make_shared<CompiledModules>();
-    built->modules = produce();
-    std::tie(built->fingerprintHi, built->fingerprintLo) =
-        fingerprintModules(built->modules);
-    built->bytes = approxBytes(built->modules) + sizeof(CompiledModules);
-    ModulesPtr value = std::move(built);
-
-    std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.compiles.find(key);
-    if (it != s.compiles.end()) {
-        touch(s, it->second.lru);
-        // We did do the work.
-        compileMisses_.fetch_add(1, std::memory_order_relaxed);
-        return it->second.value;
-    }
-    LruNode node;
-    node.kind = Kind::Compile;
-    node.compileKey = key;
-    node.bytes = value->bytes;
-    Entry<ModulesPtr> entry;
-    entry.value = value;
-    insertNode(s, std::move(node), entry.lru);
-    s.compiles.emplace(key, std::move(entry));
-    compileMisses_.fetch_add(1, std::memory_order_relaxed);
-    evictOver(s);
-    return value;
+    return get<ModulesPtr>(key, compiles_, [&] {
+        auto built = std::make_shared<CompiledModules>();
+        built->modules = produce();
+        std::tie(built->fingerprintHi, built->fingerprintLo) =
+            fingerprintModules(built->modules);
+        built->bytes = approxBytes(built->modules) + sizeof(CompiledModules);
+        const std::uint64_t bytes = built->bytes;
+        return std::pair(ModulesPtr(std::move(built)), bytes);
+    });
 }
 
 ProgramPtr
@@ -290,49 +211,16 @@ ArtifactCache::linked(const ModulesPtr &mods, const LinkOrder &order,
                       const LinkerConfig &config)
 {
     mbias_assert(mods, "linked(): null module set");
-    LinkKey key;
-    key.modHi = mods->fingerprintHi;
-    key.modLo = mods->fingerprintLo;
-    key.orderFp = order.fingerprint();
-    key.configFp = linkerConfigFingerprint(config);
-
-    Shard &s = shardFor(key.modHi ^ mix64(key.modLo) ^
-                        mix64(key.orderFp) ^ key.configFp);
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.links.find(key);
-        if (it != s.links.end()) {
-            touch(s, it->second.lru);
-            linkHits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second.value;
-        }
-    }
-
-    Linker linker(config);
-    // The program pins the whole CompiledModules through an aliasing
-    // pointer to its module vector.
-    auto value = std::make_shared<const LinkedProgram>(
-        linker.link(ModuleSetPtr(mods, &mods->modules), order));
-    const std::uint64_t bytes = approxBytes(*value);
-
-    std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.links.find(key);
-    if (it != s.links.end()) {
-        touch(s, it->second.lru);
-        linkMisses_.fetch_add(1, std::memory_order_relaxed);
-        return it->second.value;
-    }
-    LruNode node;
-    node.kind = Kind::Link;
-    node.linkKey = key;
-    node.bytes = bytes;
-    Entry<ProgramPtr> entry;
-    entry.value = value;
-    insertNode(s, std::move(node), entry.lru);
-    s.links.emplace(key, std::move(entry));
-    linkMisses_.fetch_add(1, std::memory_order_relaxed);
-    evictOver(s);
-    return value;
+    const LinkKey key{mods->fingerprintHi, mods->fingerprintLo,
+                      order.fingerprint(), linkerConfigFingerprint(config)};
+    return get<ProgramPtr>(key, links_, [&] {
+        // The program pins the whole CompiledModules through an
+        // aliasing pointer to its module vector.
+        auto prog = std::make_shared<const LinkedProgram>(
+            Linker(config).link(ModuleSetPtr(mods, &mods->modules), order));
+        const std::uint64_t bytes = approxBytes(*prog);
+        return std::pair(std::move(prog), bytes);
+    });
 }
 
 ProcessImage
@@ -340,87 +228,50 @@ ArtifactCache::image(const ProgramPtr &prog, const LoaderConfig &config,
                      const std::string &entry)
 {
     mbias_assert(prog, "image(): null program");
-    ImageKey key;
-    key.prog = prog.get();
-    key.config = config;
-    key.entry = entry;
-
-    Shard &s = shardFor(
-        std::uint64_t(reinterpret_cast<std::uintptr_t>(prog.get())));
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end()) {
-            touch(s, it->second.lru);
-            imageHits_.fetch_add(1, std::memory_order_relaxed);
-            const ImageLayout &l = it->second.value;
-            ProcessImage image;
-            image.program = prog;
-            image.loaderConfig = config;
-            image.initialSp = l.initialSp;
-            image.stackTop = l.stackTop;
-            image.heapBase = l.heapBase;
-            image.gp = l.gp;
-            image.entryIdx = l.entryIdx;
-            return image;
-        }
-    }
-
-    ProcessImage image = Loader::load(prog, config, entry);
-
-    ImageLayout layout;
-    layout.initialSp = image.initialSp;
-    layout.stackTop = image.stackTop;
-    layout.heapBase = image.heapBase;
-    layout.gp = image.gp;
-    layout.entryIdx = image.entryIdx;
-    layout.pin = prog;
-    const std::uint64_t bytes =
-        sizeof(ImageLayout) + sizeof(LruNode) + 2 * entry.size() + 64;
-
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.images.find(key) == s.images.end()) {
-        LruNode node;
-        node.kind = Kind::Image;
-        node.imageKey = key;
-        node.bytes = bytes;
-        Entry<ImageLayout> map_entry;
-        map_entry.value = std::move(layout);
-        insertNode(s, std::move(node), map_entry.lru);
-        s.images.emplace(std::move(key), std::move(map_entry));
-        evictOver(s);
-    }
-    imageMisses_.fetch_add(1, std::memory_order_relaxed);
+    const auto l = get<ImageLayout>(
+        ImageKey{prog.get(), config, entry}, images_, [&] {
+            const ProcessImage loaded = Loader::load(prog, config, entry);
+            // What one layout entry is booked at: the layout, its key
+            // and list node, map overhead and two copies of the entry
+            // name (a fixed estimate, so artifacts.bytes stays
+            // comparable across versions).
+            const std::uint64_t bytes = 288 + 2 * entry.size();
+            return std::pair(ImageLayout{loaded.initialSp, loaded.stackTop,
+                                         loaded.heapBase, loaded.gp,
+                                         loaded.entryIdx, prog},
+                             bytes);
+        });
+    ProcessImage image;
+    image.program = prog;
+    image.loaderConfig = config;
+    image.initialSp = l.initialSp;
+    image.stackTop = l.stackTop;
+    image.heapBase = l.heapBase;
+    image.gp = l.gp;
+    image.entryIdx = l.entryIdx;
     return image;
 }
 
 ArtifactCacheStats
 ArtifactCache::stats() const
 {
+    const auto c = cache_.stats();
     ArtifactCacheStats st;
-    st.compileHits = compileHits_.load(std::memory_order_relaxed);
-    st.compileMisses = compileMisses_.load(std::memory_order_relaxed);
-    st.linkHits = linkHits_.load(std::memory_order_relaxed);
-    st.linkMisses = linkMisses_.load(std::memory_order_relaxed);
-    st.imageHits = imageHits_.load(std::memory_order_relaxed);
-    st.imageMisses = imageMisses_.load(std::memory_order_relaxed);
-    st.evictions = evictions_.load(std::memory_order_relaxed);
-    st.bytes = bytes_.load(std::memory_order_relaxed);
+    st.compileHits = compiles_.hits.load(std::memory_order_relaxed);
+    st.compileMisses = compiles_.misses.load(std::memory_order_relaxed);
+    st.linkHits = links_.hits.load(std::memory_order_relaxed);
+    st.linkMisses = links_.misses.load(std::memory_order_relaxed);
+    st.imageHits = images_.hits.load(std::memory_order_relaxed);
+    st.imageMisses = images_.misses.load(std::memory_order_relaxed);
+    st.evictions = c.evictions;
+    st.bytes = c.bytes;
     return st;
 }
 
 void
 ArtifactCache::clear()
 {
-    for (Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        adjustBytes(-std::int64_t(s.bytes));
-        s.bytes = 0;
-        s.compiles.clear();
-        s.links.clear();
-        s.images.clear();
-        s.lru.clear();
-    }
+    cache_.clear();
 }
 
 } // namespace mbias::toolchain

@@ -1,18 +1,15 @@
 #ifndef MBIAS_TOOLCHAIN_ARTIFACTS_HH
 #define MBIAS_TOOLCHAIN_ARTIFACTS_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
+#include "base/lru_cache.hh"
 #include "isa/module.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/linkorder.hh"
@@ -64,8 +61,8 @@ struct ArtifactCacheStats
 };
 
 /**
- * A sharded, thread-safe, content-addressed cache for toolchain
- * artifacts, shared by all workers of a campaign:
+ * A thread-safe, content-addressed cache for toolchain artifacts,
+ * shared by all workers of a campaign:
  *
  *  - **compiled module sets**, keyed by the caller's compile key
  *    (workload + config + vendor + opt level — compilation is
@@ -83,12 +80,11 @@ struct ArtifactCacheStats
  * (pointer-identical, hence trivially byte-identical) and doubles as
  * a stable identity for the simulator's execution-plan cache.
  *
- * Eviction is LRU under a byte budget (per shard: budget / kShards).
- * Each shard has its own mutex; the hot path is one lock, one map
- * lookup, one list splice.  On a miss the producer runs *outside* the
- * lock; if two threads race the same miss, the first insert wins and
- * the loser adopts it — both outcomes are identical by determinism of
- * the toolchain, so results never depend on the race.
+ * All three kinds live in one LruCache under one byte budget, with
+ * its policy: one lock per lookup, producers run outside it, the
+ * first insert of a racing miss wins and the loser adopts it (both
+ * outcomes are identical by determinism of the toolchain), and the
+ * most recently used artifact is never evicted.
  *
  * Metrics: the cache counts each hit, miss and eviction once, in the
  * fields stats() returns, and holds no metrics registry.  A campaign
@@ -129,31 +125,19 @@ class ArtifactCache
     ProcessImage image(const ProgramPtr &prog, const LoaderConfig &config,
                        const std::string &entry = "main");
 
-    /** Current accounting (sums over shards; O(shards)). */
+    /** Current accounting. */
     ArtifactCacheStats stats() const;
 
     /** Drops every artifact (tests; not used on the hot path). */
     void clear();
 
-    std::uint64_t byteBudget() const { return byteBudget_; }
-
   private:
-    static constexpr unsigned kShards = 8;
-
-    /** Which artifact kind an LRU node refers to. */
-    enum class Kind
-    {
-        Compile,
-        Link,
-        Image,
-    };
-
     struct LinkKey
     {
         std::uint64_t modHi = 0, modLo = 0;
         std::uint64_t orderFp = 0;
         std::uint64_t configFp = 0;
-        auto operator<=>(const LinkKey &) const = default;
+        bool operator==(const LinkKey &) const = default;
     };
 
     struct ImageKey
@@ -161,8 +145,7 @@ class ArtifactCache
         const LinkedProgram *prog = nullptr;
         LoaderConfig config;
         std::string entry;
-        bool operator==(const ImageKey &o) const;
-        bool operator<(const ImageKey &o) const;
+        bool operator==(const ImageKey &) const = default;
     };
 
     /** The cached layout parameters of one load. */
@@ -173,46 +156,28 @@ class ArtifactCache
         ProgramPtr pin; ///< keeps the keyed program pointer valid
     };
 
-    struct LruNode
+    /** A compile key, a link key or an image key. */
+    using Key = std::variant<std::string, LinkKey, ImageKey>;
+    using Artifact = std::variant<ModulesPtr, ProgramPtr, ImageLayout>;
+
+    struct KeyHash
     {
-        Kind kind;
-        std::string compileKey; ///< Kind::Compile
-        LinkKey linkKey;        ///< Kind::Link
-        ImageKey imageKey;      ///< Kind::Image
-        std::uint64_t bytes = 0;
+        std::size_t operator()(const Key &k) const;
     };
 
-    template <typename V> struct Entry
+    /** One kind's hits and misses. */
+    struct Tally
     {
-        V value;
-        std::list<LruNode>::iterator lru;
+        std::atomic<std::uint64_t> hits{0}, misses{0};
     };
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::list<LruNode> lru; ///< most-recently used at front
-        std::unordered_map<std::string, Entry<ModulesPtr>> compiles;
-        std::map<LinkKey, Entry<ProgramPtr>> links;
-        std::map<ImageKey, Entry<ImageLayout>> images;
-        std::uint64_t bytes = 0;
-    };
+    /** The artifact of kind @p V under @p key, counted in @p tally;
+     *  @p build returns it with its bytes on a miss. */
+    template <typename V, typename Build>
+    V get(const Key &key, Tally &tally, Build &&build);
 
-    Shard &shardFor(std::uint64_t hash);
-    void touch(Shard &s, std::list<LruNode>::iterator it);
-    void insertNode(Shard &s, LruNode node,
-                    std::list<LruNode>::iterator &out);
-    void evictOver(Shard &s); ///< caller holds s.mutex
-    void adjustBytes(std::int64_t delta);
-
-    std::uint64_t byteBudget_;
-    std::array<Shard, kShards> shards_;
-
-    std::atomic<std::uint64_t> compileHits_{0}, compileMisses_{0};
-    std::atomic<std::uint64_t> linkHits_{0}, linkMisses_{0};
-    std::atomic<std::uint64_t> imageHits_{0}, imageMisses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> bytes_{0};
+    LruCache<Key, Artifact, KeyHash> cache_;
+    Tally compiles_, links_, images_;
 };
 
 /** Approximate heap footprint of what a link holds on top of its

@@ -50,6 +50,8 @@ struct LoaderConfig
      * can remove.
      */
     std::uint64_t aslrSeed = 0;
+
+    bool operator==(const LoaderConfig &) const = default;
 };
 
 /**

@@ -12,6 +12,25 @@ namespace
 
 using namespace mbias;
 
+/** One side's metric over @p reps stack-ASLR draws (seeds base,
+ *  base+1, ...): one lane family whose lanes differ only in the draw,
+ *  the Stabilizer-style remedy of re-randomizing the layout per run. */
+stats::Sample
+aslrSample(core::ExperimentRunner &runner,
+           const toolchain::ToolchainSpec &tc,
+           const core::ExperimentSetup &setup, unsigned reps,
+           std::uint64_t aslr_seed_base)
+{
+    std::vector<core::Lane> lanes(
+        reps, {setup.envBytes, 0, sim::NoiseModel::none()});
+    for (unsigned r = 0; r < reps; ++r)
+        lanes[r].aslrSeed = aslr_seed_base + r;
+    stats::Sample out;
+    for (const auto &rr : runner.runFamily(tc, false, setup.linkOrder, lanes))
+        out.add(runner.metricOf(rr));
+    return out;
+}
+
 TEST(Aslr, SeedMovesTheStack)
 {
     const auto &w = workloads::findWorkload("perl");
@@ -61,7 +80,7 @@ TEST(Aslr, RandomizedRunsVaryButComputeTheSameResult)
     core::ExperimentSpec spec;
     core::ExperimentRunner runner(spec);
     core::ExperimentSetup setup;
-    auto sample = runner.aslrRandomizedMetric(spec.baseline, setup, 8, 7);
+    auto sample = aslrSample(runner, spec.baseline, setup, 8, 7);
     EXPECT_EQ(sample.count(), 8u);
     EXPECT_GT(sample.range(), 0.0) << "layouts must differ";
 }
@@ -77,10 +96,8 @@ TEST(Aslr, RemedyRecoversTruthFromHostileSetup)
     const double single = runner.run(hostile).speedup;
     ASSERT_LT(single, 0.96);
 
-    auto base = runner.aslrRandomizedMetric(spec.baseline, hostile, 21,
-                                            1000);
-    auto treat = runner.aslrRandomizedMetric(spec.treatment, hostile, 21,
-                                             5000);
+    auto base = aslrSample(runner, spec.baseline, hostile, 21, 1000);
+    auto treat = aslrSample(runner, spec.treatment, hostile, 21, 5000);
     const double randomized = base.mean() / treat.mean();
     EXPECT_NEAR(randomized, 1.0, 0.02)
         << "per-run randomization should de-bias the estimate";

@@ -144,7 +144,7 @@ expectRecordReplayIdentical(const sim::MachineConfig &mc,
  *  memory addresses, return targets) is exercised under truncation.
  *  Built once: replay preconditions key on program identity, so the
  *  ASLR test must re-load the SAME program, exactly as
- *  ExperimentRunner::aslrRandomizedMetric does. */
+ *  ExperimentRunner::runFamily does for a family of ASLR draws. */
 std::shared_ptr<const toolchain::LinkedProgram>
 kernelProgram(std::int64_t trips = 300)
 {

@@ -56,27 +56,6 @@ TEST(TInterval, CoverageProperty)
     EXPECT_LE(covered, trials * 99 / 100);
 }
 
-TEST(Bootstrap, ContainsMeanAndIsDeterministic)
-{
-    Sample s({1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
-    Rng r1(3), r2(3);
-    auto a = bootstrapInterval(s, r1, 500);
-    auto b = bootstrapInterval(s, r2, 500);
-    EXPECT_DOUBLE_EQ(a.lower, b.lower);
-    EXPECT_DOUBLE_EQ(a.upper, b.upper);
-    EXPECT_TRUE(a.contains(s.mean()));
-    EXPECT_GT(a.upper, a.lower);
-}
-
-TEST(Bootstrap, DegenerateSampleCollapses)
-{
-    Sample s({5.0, 5.0, 5.0, 5.0});
-    Rng rng(1);
-    auto ci = bootstrapInterval(s, rng, 200);
-    EXPECT_DOUBLE_EQ(ci.lower, 5.0);
-    EXPECT_DOUBLE_EQ(ci.upper, 5.0);
-}
-
 TEST(WelchTTest, IdenticalSamplesP1)
 {
     Sample a({1.0, 2.0, 3.0});

@@ -141,6 +141,13 @@ TEST(Engine, IntervalShapeAndEstimate)
     EXPECT_EQ(ci.estimate, compensatedMean(data.data(), data.size()));
     EXPECT_GT(ci.lower, 0.5);
     EXPECT_LT(ci.upper, 1.5);
+
+    // A degenerate sample collapses the interval onto its value.
+    const std::vector<double> flat(4, 5.0);
+    const auto point = makeEngine(2).bootstrapInterval(flat, 1, 200);
+    EXPECT_DOUBLE_EQ(point.lower, 5.0);
+    EXPECT_DOUBLE_EQ(point.upper, 5.0);
+    EXPECT_DOUBLE_EQ(point.estimate, 5.0);
 }
 
 std::vector<std::vector<Sample>>

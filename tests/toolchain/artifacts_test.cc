@@ -168,10 +168,10 @@ TEST(ArtifactCache, ImageLayoutCaching)
 
 TEST(ArtifactCache, LruEvictionUnderByteBudget)
 {
-    // A 1-byte budget forces every shard down to its single MRU entry,
-    // so inserting many distinct keys must evict all but at most one
-    // entry per shard — and the cache keeps working (lookups of
-    // evicted keys simply recompute).
+    // A 1-byte budget forces the cache down to its single MRU entry,
+    // so inserting many distinct keys must evict all but that one —
+    // and the cache keeps working (lookups of evicted keys simply
+    // recompute).
     ArtifactCache cache(1);
     const auto mods = buildModules();
     const unsigned kKeys = 20;
@@ -181,7 +181,7 @@ TEST(ArtifactCache, LruEvictionUnderByteBudget)
     auto s = cache.stats();
     EXPECT_EQ(s.compileMisses, kKeys);
     EXPECT_GT(s.evictions, 0u);
-    // 8 shards, each holding at most its MRU entry.
+    // At most the MRU entry survives.
     EXPECT_GE(s.evictions, std::uint64_t(kKeys) - 8);
 
     // Evicted keys recompute and are still served correctly.

@@ -35,11 +35,13 @@
  * them (per-command defaults match the historical ones, e.g. analyze
  * still defaults --resamples to 1000).  Every integer flag uses the
  * same grammar (pipeline::parseUint), and a count below what the
- * command's analysis needs is fatal.
+ * command's analysis needs is fatal.  So is a flag the command does
+ * not read (see commands()): a typo never runs the defaults silently.
  *
  * bias, variance and causal measure like the figures do: through a
  * pipeline::FigureContext, as campaigns on the campaign engine.
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -886,7 +888,8 @@ usage()
         "           corpus; without --out prints the knob table\n"
         "  survey\n"
         "every command accepts --asm-dir DIR to load *.toml workload\n"
-        "manifests (and their .asm) before running\n"
+        "manifests (and their .asm) before running; any flag a command\n"
+        "does not list is an error\n"
         "shared (every command and figure binary): [--jobs N]\n"
         "        [--seed S] [--resamples R] [--confidence C]\n"
         "        [--trace T.json]\n"
@@ -897,46 +900,95 @@ usage()
     return 2;
 }
 
-int
-dispatch(const Args &args)
+/** One subcommand: its name, the flags it reads, and its body. */
+struct Command
 {
-    if (args.command == "list")
-        return cmdList();
-    if (args.command == "workloads")
-        return cmdWorkloads();
-    if (args.command == "asm")
-        return cmdAsm(args);
-    if (args.command == "fuzz")
-        return cmdFuzz(args);
-    if (args.command == "fig")
-        return cmdFigure(args, "fig");
-    if (args.command == "table")
-        return cmdFigure(args, "table");
-    if (args.command == "all")
-        return cmdAll(args);
-    if (args.command == "run")
-        return cmdRun(args);
-    if (args.command == "bias")
-        return cmdBias(args);
-    if (args.command == "campaign")
-        return cmdCampaign(args);
-    if (args.command == "analyze")
-        return cmdAnalyze(args);
-    if (args.command == "obs-summary")
-        return cmdObsSummary(args);
-    if (args.command == "causal")
-        return cmdCausal(args);
-    if (args.command == "explain")
-        return cmdExplain(args);
-    if (args.command == "variance")
-        return cmdVariance(args);
-    if (args.command == "profile")
-        return cmdProfile(args);
-    if (args.command == "disasm")
-        return cmdDisasm(args);
-    if (args.command == "survey")
-        return cmdSurvey();
-    return usage();
+    const char *name;
+    /** The command's own flags; --asm-dir and the shared pipeline
+     *  flags are accepted by every command. */
+    std::vector<std::string> flags;
+    int (*run)(const Args &);
+};
+
+/** The flags specFromArgs reads for every command that builds a spec,
+ *  plus @p more (--baseline and --treatment only for the commands
+ *  that measure that side). */
+std::vector<std::string>
+specFlags(std::initializer_list<const char *> more)
+{
+    std::vector<std::string> flags = {"workload", "machine", "vendor",
+                                      "scale"};
+    flags.insert(flags.end(), more.begin(), more.end());
+    return flags;
+}
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"list", {}, [](const Args &) { return cmdList(); }},
+        {"workloads", {}, [](const Args &) { return cmdWorkloads(); }},
+        {"asm", {"workload", "out"}, cmdAsm},
+        {"fuzz", {"count", "out"}, cmdFuzz},
+        {"fig", {}, [](const Args &a) { return cmdFigure(a, "fig"); }},
+        {"table", {}, [](const Args &a) { return cmdFigure(a, "table"); }},
+        {"all", {}, cmdAll},
+        {"run",
+         specFlags({"opt", "env", "link-seed", "counters", "manifest"}),
+         cmdRun},
+        {"bias", specFlags({"baseline", "treatment", "factor", "setups"}),
+         cmdBias},
+        {"campaign",
+         specFlags({"baseline", "treatment", "factor", "setups",
+                    "aslr-reps", "no-store", "out", "resume",
+                    "provenance"}),
+         cmdCampaign},
+        {"analyze", {"store", "out"}, cmdAnalyze},
+        {"obs-summary", {"store", "out"}, cmdObsSummary},
+        {"causal", specFlags({"baseline", "factor", "setups", "explain"}),
+         cmdCausal},
+        {"explain",
+         specFlags({"opt", "setup", "figure", "json", "heatmap", "top"}),
+         cmdExplain},
+        {"variance",
+         specFlags({"baseline", "treatment", "env", "setups", "reps"}),
+         cmdVariance},
+        {"profile", specFlags({"opt", "env", "link-seed", "top"}),
+         cmdProfile},
+        {"disasm",
+         {"workload", "vendor", "scale", "opt", "link-seed", "function"},
+         cmdDisasm},
+        {"survey", {}, [](const Args &) { return cmdSurvey(); }},
+    };
+    return table;
+}
+
+const Command *
+findCommand(const std::string &name)
+{
+    for (const Command &c : commands())
+        if (name == c.name)
+            return &c;
+    return nullptr;
+}
+
+/** A flag @p cmd does not read is fatal: a typo must not run the
+ *  defaults it would have overridden. */
+void
+checkFlags(const Command &cmd, const Args &args)
+{
+    for (const auto &[key, value] : args.options) {
+        if (key == "asm-dir" || std::find(cmd.flags.begin(), cmd.flags.end(),
+                                          key) != cmd.flags.end())
+            continue;
+        std::string accepted;
+        for (const std::string &f : cmd.flags)
+            accepted += "--" + f + " ";
+        mbias_fatal("unknown flag --", key, " for mbias ", cmd.name,
+                    " (it takes ", accepted,
+                    "--asm-dir and the shared --jobs --seed --resamples "
+                    "--confidence --trace --quiet --verbose)");
+    }
 }
 
 } // namespace
@@ -945,6 +997,9 @@ int
 main(int argc, char **argv)
 {
     const Args args = parseArgs(argc, argv);
+    const Command *cmd = findCommand(args.command);
+    if (cmd)
+        checkFlags(*cmd, args);
     pipeline::applyLogging(args.shared);
     mbias::figures::registerAll();
     // One process-wide trace session for every subcommand, opened
@@ -959,7 +1014,7 @@ main(int argc, char **argv)
     // (list, run, bias, campaign, ...) sees them by name.
     if (args.options.count("asm-dir"))
         lang::loadAsmDirectory(args.options.at("asm-dir"));
-    const int rc = dispatch(args);
+    const int rc = cmd ? cmd->run(args) : usage();
     // --verbose surfaces the process-wide metrics (asm.load,
     // asm.assemble, fuzz.generate, ...) for every subcommand.  A
     // campaign's report books only what moved during its run, so the
