@@ -48,28 +48,29 @@ parsePipelineArgs(int argc, char **argv)
     PipelineOptions &o = parsed.options;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        const bool hasValue = i + 1 < argc && !isFlag(argv[i + 1]);
+        // A value flag's value is the next token, unless that is
+        // another flag or missing: then the flag was given bare.
+        auto value = [&]() -> const char * {
+            if (i + 1 >= argc || isFlag(argv[i + 1]))
+                mbias_fatal("missing value for ", a);
+            return argv[++i];
+        };
         if (std::strcmp(a, "--quiet") == 0) {
             o.quiet = true;
         } else if (std::strcmp(a, "--verbose") == 0) {
             o.verbose = true;
         } else if (std::strcmp(a, "--jobs") == 0) {
-            if (hasValue)
-                o.jobs = unsigned(parseUint(
-                    a, argv[++i], std::numeric_limits<unsigned>::max()));
+            o.jobs = unsigned(parseUint(a, value(),
+                                        std::numeric_limits<unsigned>::max()));
         } else if (std::strcmp(a, "--seed") == 0) {
-            if (hasValue)
-                o.seed = parseUint(a, argv[++i]);
+            o.seed = parseUint(a, value());
         } else if (std::strcmp(a, "--resamples") == 0) {
-            if (hasValue)
-                o.resamples = int(parseUint(
-                    a, argv[++i], std::numeric_limits<int>::max()));
+            o.resamples = int(
+                parseUint(a, value(), std::numeric_limits<int>::max()));
         } else if (std::strcmp(a, "--confidence") == 0) {
-            if (hasValue)
-                o.confidence = parseDouble(a, argv[++i]);
+            o.confidence = parseDouble(a, value());
         } else if (std::strcmp(a, "--trace") == 0) {
-            if (hasValue)
-                o.tracePath = argv[++i];
+            o.tracePath = value();
         } else {
             parsed.rest.push_back(a);
         }

@@ -62,11 +62,10 @@ struct ParsedArgs
  * Extracts the shared pipeline flags from @p argv (excluding argv[0])
  * and returns them with the remaining arguments.  Flags take their
  * value as the next token (`--jobs 8`); a value flag at the end of the
- * line, or one followed by another `--flag`, is ignored — wrapper
- * scripts can pass harness-wide flag sets, matching the historical
- * leniency of the bench arg scanner.  Malformed or out-of-range
- * values (a negative count, --resamples past INT_MAX, a --confidence
- * outside (0, 1) or NaN) are fatal.
+ * line, or one followed by another `--flag`, is fatal ("missing value
+ * for --jobs"), as are malformed or out-of-range values (a negative
+ * count, --resamples past INT_MAX, a --confidence outside (0, 1) or
+ * NaN).
  */
 ParsedArgs parsePipelineArgs(int argc, char **argv);
 

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <type_traits>
 #include "base/logging.hh"
 
 namespace mbias::sim
@@ -534,20 +536,20 @@ struct NoiseClock
     }
 
     /** Fires what is due at @p now: the interrupt first, then DVFS
-     *  against the advanced clock, as the reference loop orders
-     *  them. */
-    __attribute__((noinline)) void fire(Cycles &now, PerfCounters &ctrs,
-                                        ShadowMemory &mem,
-                                        Addr &last_code_line)
+     *  against the advanced clock, as the reference loop orders them.
+     *  True when an interrupt fired: the caller's icache line memo must
+     *  then re-access, as the reference resets lastCodeLine. */
+    __attribute__((noinline)) bool fire(Cycles &now, PerfCounters &ctrs,
+                                        ShadowMemory &mem)
     {
-        if (now >= nextInterrupt) {
+        const bool interrupt = now >= nextInterrupt;
+        if (interrupt) {
             ctrs.inc(Counter::OsInterrupts);
             now += model->costCycles;
             for (unsigned e = 0; e < model->linesEvictedPerInterrupt; ++e) {
                 mem.dcache.invalidateSet(irqRng.next());
                 mem.icache.invalidateSet(irqRng.next());
             }
-            last_code_line = ~Addr(0); // force an icache re-access
             scheduleInterrupt(now);
         }
         if (now >= nextDvfs) {
@@ -559,7 +561,464 @@ struct NoiseClock
             scheduleDvfs(now + residency);
         }
         nextEvent = std::min(nextInterrupt, nextDvfs);
+        return interrupt;
     }
+};
+
+/*
+ * The per-lane half of every runPlanImpl handler is written once, as
+ * calls on a lane-state object that applies one step of the reference
+ * loop to every lane it holds, in the reference's order per lane:
+ *
+ *   noise()   the OS-interrupt/DVFS check, before fetch;
+ *   front()   the op's shared fetch charge, then the icache line memo;
+ *   wait()    one or two operand waits (CoreModel stall exposure);
+ *   set()     a result's ready time (CoreModel issue blocking);
+ *   charge()  a branch/jump/call/return charge;
+ *   load(), store()  the data-side access through ShadowMemory.
+ *
+ * Lanes never share timing state, so a step may run lane after lane.
+ * LiveLane is a live walk's one lane in 64-bit cycles; LaneGroups
+ * holds a lane pass, four lanes per vector.
+ */
+
+/**
+ * The lane state of a live walk (Src = Live): one lane, in 64-bit
+ * cycles, with the reference loop's own arithmetic.  Its counters are
+ * the run's counters, and the trace tier's batch handler reads and
+ * writes its fields directly.
+ */
+template <class Core, class Obs>
+struct LiveLane
+{
+    Obs &obs;
+    ShadowMemory mem;
+    NoiseClock clock;
+    PerfCounters ctrs;
+    const Cycles window;
+    const Addr iline;
+    const bool cachesOn;
+    Cycles now = 0;
+    Cycles nextEvent; ///< copy of clock.nextEvent
+    Addr lastCodeLine = ~Addr(0);
+    std::array<Cycles, isa::reg::numRegs> regReady{};
+
+    LiveLane(Obs &o, const MachineConfig &c, unsigned dpage_shift,
+             const uarch::StoreBuffer &sb, std::span<const ReplayLane> lanes,
+             const FunctionalTrace *)
+        : obs(o), mem(c, dpage_shift, sb), clock(lanes.front().noise),
+          window(c.oooWindowCycles), iline(c.icache.lineBytes),
+          cachesOn(c.enableCaches), nextEvent(clock.nextEvent)
+    {
+    }
+
+    __attribute__((always_inline)) void noise()
+    {
+        if (__builtin_expect(now >= nextEvent, 0)) {
+            if (clock.fire(now, ctrs, mem))
+                lastCodeLine = ~Addr(0); // force an icache re-access
+            nextEvent = clock.nextEvent;
+        }
+    }
+
+    __attribute__((always_inline)) void front(Cycles charge, Addr first,
+                                              Addr last)
+    {
+        now += charge;
+        if (cachesOn) {
+            for (Addr line = first; line <= last; line += iline) {
+                if (line == lastCodeLine)
+                    continue;
+                lastCodeLine = line;
+                now += mem.fetchLine(obs, line, ctrs);
+            }
+        }
+    }
+
+    __attribute__((always_inline)) void wait(isa::Reg r)
+    {
+        const Cycles ready = regReady[r];
+        if (ready > now) {
+            const Cycles stall = ready - now;
+            // In-order cores expose the whole stall, the OoO window
+            // hides up to window of it.
+            Cycles exposed;
+            if constexpr (Core::kInOrder)
+                exposed = stall;
+            else
+                exposed = stall - std::min<Cycles>(stall, window);
+            if (exposed) {
+                now += exposed;
+                ctrs.inc(Counter::StallCycles, exposed);
+            }
+        }
+    }
+
+    __attribute__((always_inline)) void wait(isa::Reg r1, isa::Reg r2)
+    {
+        wait(r1);
+        wait(r2);
+    }
+
+    /** In-order pipes block issue behind a multi-cycle ALU op (busy
+     *  cycles are exposed stalls, the result is ready right after issue
+     *  resumes); OoO cores tag the result with its latency and let
+     *  wait() settle it. */
+    __attribute__((always_inline)) void set(isa::Reg rd, Cycles lat)
+    {
+        if constexpr (Core::kInOrder) {
+            if (lat > 1) {
+                now += lat - 1;
+                ctrs.inc(Counter::StallCycles, lat - 1);
+                lat = 1;
+            }
+        }
+        if (rd != isa::reg::zero)
+            regReady[rd] = now + lat;
+    }
+
+    __attribute__((always_inline)) void charge(Cycles c) { now += c; }
+
+    /** rd = zero discards the latency (a return's stack read). */
+    __attribute__((always_inline)) void load(Addr a, unsigned size,
+                                             std::uint64_t icount,
+                                             isa::Reg rd)
+    {
+        const Cycles lat = mem.access(obs, a, size, false, icount, now, ctrs);
+        if (rd != isa::reg::zero)
+            regReady[rd] = now + lat;
+    }
+
+    __attribute__((always_inline)) void store(Addr a, unsigned size,
+                                              std::uint64_t icount)
+    {
+        mem.access(obs, a, size, true, icount, now, ctrs);
+    }
+};
+
+/** Four lanes' int32 cycle offsets: an SSE2 register on x86-64, a NEON
+ *  one on aarch64. */
+typedef std::int32_t Lane4 __attribute__((vector_size(16)));
+
+/** True when any element of the compare mask @p m is set. */
+inline bool
+anyLane(Lane4 m)
+{
+    std::uint64_t w[2];
+    std::memcpy(w, &m, sizeof w);
+    return (w[0] | w[1]) != 0;
+}
+
+/**
+ * The lane state of a lane pass (Src = Recorded).  Lane k's clock,
+ * noise deadline and register-ready times are int32 offsets from its
+ * own 64-bit epoch, held in element k % 4 of group k / 4, so the noise
+ * check, fetch charge, operand waits, ready writes and charges are
+ * branch-free vector code over the groups.  What is per lane by nature
+ * stays a scalar loop over lanes: NoiseClock::fire, ShadowMemory, the
+ * stack rebase and the epoch fold.  The lanes of a pass fetch the same
+ * code, so they share one icache line memo; a lane whose memo a noise
+ * event reset is flagged stale and re-accesses on its own.  Padding
+ * elements of the last group take the vector arithmetic and fold like
+ * lanes, but have no models.
+ *
+ * Exact by construction.  A lane's deadline offset is
+ * min(nextEvent - epoch, kSpan); crossing it takes fold(), which fires
+ * the noise event if it is due, moves the epoch up to the lane's clock
+ * and clamps every ready offset below the new epoch to 0 (a ready time
+ * at or before now never stalls, and now never decreases).  Between
+ * two checks one op adds a few config latencies and penalties, each at
+ * most Machine::kMaxLatency, so no offset reaches 2^31.
+ *
+ * Stall cycles are not counted per wait: every cycle a lane's clock
+ * gains is a charge all lanes share (fetch groups, ITLB, branches,
+ * jumps, calls, returns), a charge of its own (icache misses, the
+ * store port, noise events) or a stall, so its StallCycles is its
+ * clock minus the other two sums.
+ */
+template <class Core>
+class LaneGroups
+{
+  public:
+    LaneGroups(NullObserver &, const MachineConfig &c, unsigned dpage_shift,
+               const uarch::StoreBuffer &sb,
+               std::span<const ReplayLane> lanes,
+               const FunctionalTrace *trace)
+        : groups_((lanes.size() + 3) / 4), boundary_(trace->stackBoundary),
+          iline_(c.icache.lineBytes), cachesOn_(c.enableCaches),
+          window_(Lane4{} +
+                  std::int32_t(std::min<Cycles>(c.oooWindowCycles, kSpan)))
+    {
+        mbias_assert(!lanes.empty(), "a lane pass needs a lane");
+        lanes_.reserve(lanes.size());
+        for (const ReplayLane &lane : lanes)
+            lanes_.push_back({ShadowMemory(c, dpage_shift, sb),
+                              NoiseClock(lane.noise), PerfCounters(),
+                              lane.image->initialSp - trace->recordedSp});
+        for (std::size_t k = 0; k < groups_.size() * 4; ++k)
+            groups_[k / 4].deadline[k % 4] =
+                k < lanes_.size() ? offsetTo(lanes_[k].clock.nextEvent, 0)
+                                  : kSpan;
+    }
+
+    /** The deadlines are checked in front(), fused with its charge. */
+    void noise() {}
+
+    __attribute__((always_inline)) void front(Cycles charge, Addr first,
+                                              Addr last)
+    {
+        const std::int32_t c = std::int32_t(charge);
+        Lane4 due = {};
+        each([&](Group &g) {
+            due |= g.now >= g.deadline;
+            g.now += c;
+        });
+        shared_ += charge;
+        if (__builtin_expect(anyLane(due), 0))
+            cross(c);
+        if (cachesOn_ && (first != memo_ || last != first || anyStale_))
+            fetchLines(first, last);
+    }
+
+    /** The exposed stall is max(ready - window - now, 0): the OoO
+     *  window hides up to window cycles, an in-order core none. */
+    __attribute__((always_inline)) void wait(isa::Reg r)
+    {
+        each([&](Group &g) { g.now = max(g.now, issueAt(g, r)); });
+    }
+
+    __attribute__((always_inline)) void wait(isa::Reg r1, isa::Reg r2)
+    {
+        each([&](Group &g) {
+            g.now = max(g.now, max(issueAt(g, r1), issueAt(g, r2)));
+        });
+    }
+
+    /** LiveLane::set, on every lane. */
+    __attribute__((always_inline)) void set(isa::Reg rd, Cycles lat)
+    {
+        if constexpr (Core::kInOrder) {
+            if (lat > 1) {
+                const std::int32_t busy = std::int32_t(lat - 1);
+                each([&](Group &g) { g.now += busy; });
+                lat = 1;
+            }
+        }
+        if (rd == isa::reg::zero)
+            return;
+        const std::int32_t l = std::int32_t(lat);
+        each([&](Group &g) { g.ready[rd] = g.now + l; });
+    }
+
+    __attribute__((always_inline)) void charge(Cycles c)
+    {
+        const std::int32_t v = std::int32_t(c);
+        each([&](Group &g) { g.now += v; });
+        shared_ += c;
+    }
+
+    /** LiveLane::load, each lane at its rebased address. */
+    __attribute__((always_inline)) void load(Addr a, unsigned size,
+                                             std::uint64_t icount,
+                                             isa::Reg rd)
+    {
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+            const Lane4 lat = gather(g, [&](Lane &l) {
+                return access<false>(l, a, size, icount);
+            });
+            if (rd != isa::reg::zero)
+                groups_[g].ready[rd] = groups_[g].now + lat;
+        }
+    }
+
+    __attribute__((always_inline)) void store(Addr a, unsigned size,
+                                              std::uint64_t icount)
+    {
+        for (std::size_t g = 0; g < groups_.size(); ++g)
+            groups_[g].now += gather(g, [&](Lane &l) {
+                return access<true>(l, a, size, icount);
+            });
+    }
+
+    /** Lane k's RunResult: its counters plus the @p shared ones. */
+    void finish(RunResult *out, const PerfCounters &shared,
+                std::uint64_t icount, bool halted, std::uint64_t a0) const
+    {
+        for (std::size_t k = 0; k < lanes_.size(); ++k) {
+            const Lane &l = lanes_[k];
+            const Cycles now = l.epoch + Cycles(groups_[k / 4].now[k % 4]);
+            PerfCounters &c = out[k].counters;
+            c = l.ctrs;
+            for (const Counter id : allCounters())
+                c.inc(id, shared.get(id));
+            c.inc(Counter::StallCycles, now - shared_ - l.own);
+            c.set(Counter::Cycles, now);
+            c.set(Counter::Instructions, icount);
+            out[k].halted = halted;
+            out[k].result = a0;
+        }
+    }
+
+  private:
+    /** The farthest deadline offset: a clock offset stays below it
+     *  until the op that crosses it, and one op adds at most 64 config
+     *  latencies (two ITLB and two DTLB pages, up to 8 icache and 8
+     *  dcache lines with their L2 misses, a stall on such a load,
+     *  split, alias, issue blocking, mispredict, BTB and realign).
+     *  Ready offsets exceed the clock by one load's latency at most, so
+     *  a window clamped to kSpan hides every stall the real one does. */
+    static constexpr std::int32_t kSpan = std::int32_t(1) << 30;
+    static_assert(Cycles(kSpan) + 64 * Machine::kMaxLatency <
+                      (Cycles(1) << 31),
+                  "one op's charges must fit above the deadline span");
+
+    struct Group
+    {
+        Lane4 now{};
+        Lane4 deadline{};
+        Lane4 ready[isa::reg::numRegs]{};
+    };
+    struct Lane
+    {
+        ShadowMemory mem;
+        NoiseClock clock;
+        PerfCounters ctrs;
+        std::uint64_t delta; ///< stack rebase: initialSp - recordedSp
+        Cycles epoch = 0;
+        Cycles own = 0;     ///< charges of its own (see the class note)
+        bool stale = false; ///< an interrupt reset its icache line memo
+    };
+
+    static std::int32_t offsetTo(Cycles event, Cycles epoch)
+    {
+        return event <= epoch
+                   ? 0
+                   : std::int32_t(std::min<Cycles>(event - epoch, kSpan));
+    }
+
+    /** f(group) for every group (there is at least one). */
+    template <class F> __attribute__((always_inline)) void each(F f)
+    {
+        Group *g = groups_.data();
+        Group *const end = g + groups_.size();
+        do
+            f(*g);
+        while (++g != end);
+    }
+
+    static Lane4 max(Lane4 a, Lane4 b) { return a > b ? a : b; }
+
+    /** The earliest cycle register @p r lets an op issue without an
+     *  exposed stall: its ready time less what the OoO window hides. */
+    __attribute__((always_inline)) Lane4 issueAt(const Group &g,
+                                                 isa::Reg r) const
+    {
+        if constexpr (Core::kInOrder)
+            return g.ready[r];
+        else
+            return g.ready[r] - window_;
+    }
+
+    /** f(lane) for each lane of group @p g, 0 for padding, built in
+     *  registers. */
+    template <class F>
+    __attribute__((always_inline)) Lane4 gather(std::size_t g, F f)
+    {
+        const std::size_t k = g * 4, n = lanes_.size();
+        const auto at = [&](std::size_t i) {
+            return k + i < n ? std::int32_t(f(lanes_[k + i]))
+                             : std::int32_t(0);
+        };
+        return Lane4{at(0), at(1), at(2), at(3)};
+    }
+
+    /** Lane @p l's data access at its rebased address (stack ones
+     *  move with its sp): a load's latency, or a store's port cycles,
+     *  which are the lane's own charge. */
+    template <bool kStore>
+    __attribute__((noinline)) Cycles access(Lane &l, Addr a, unsigned size,
+                                            std::uint64_t icount)
+    {
+        if (a >= boundary_)
+            a += l.delta;
+        Cycles port = 0;
+        const Cycles lat =
+            l.mem.access(obs_, a, size, kStore, icount, port, l.ctrs);
+        l.own += port;
+        return kStore ? port : lat;
+    }
+
+    /** Folds every element that was at or past its deadline before
+     *  front() added @p c to it: the check comes first, as in the
+     *  reference loop. */
+    __attribute__((noinline)) void cross(std::int32_t c)
+    {
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+            Group &grp = groups_[g];
+            for (unsigned i = 0; i < 4; ++i) {
+                if (grp.now[i] - c >= grp.deadline[i]) {
+                    grp.now[i] -= c;
+                    fold(grp, i, g * 4 + i);
+                    grp.now[i] += c;
+                }
+            }
+        }
+    }
+
+    void fold(Group &g, unsigned i, std::size_t k)
+    {
+        Cycles shift = Cycles(g.now[i]);
+        std::int32_t deadline = kSpan;
+        if (k < lanes_.size()) {
+            Lane &l = lanes_[k];
+            const Cycles due = l.epoch + shift;
+            Cycles now = due;
+            if (now >= l.clock.nextEvent && l.clock.fire(now, l.ctrs, l.mem))
+                l.stale = anyStale_ = true;
+            l.own += now - due;
+            shift = now - l.epoch;
+            l.epoch = now;
+            deadline = offsetTo(l.clock.nextEvent, now);
+        }
+        g.now[i] = 0;
+        g.deadline[i] = deadline;
+        for (Lane4 &r : g.ready)
+            r[i] = Cycles(r[i]) > shift ? std::int32_t(Cycles(r[i]) - shift)
+                                        : 0;
+    }
+
+    /** The icache line memo's slow case, per lane: the op leaves the
+     *  shared memo's line, or a stale lane re-accesses. */
+    __attribute__((noinline)) void fetchLines(Addr first, Addr last)
+    {
+        for (std::size_t g = 0; g < groups_.size(); ++g)
+            groups_[g].now += gather(g, [&](Lane &l) {
+                Addr memo = l.stale ? ~Addr(0) : memo_;
+                Cycles pen = 0;
+                for (Addr line = first; line <= last; line += iline_) {
+                    if (line == memo)
+                        continue;
+                    memo = line;
+                    pen += l.mem.fetchLine(obs_, line, l.ctrs);
+                }
+                l.own += pen;
+                l.stale = false;
+                return pen;
+            });
+        anyStale_ = false;
+        memo_ = last;
+    }
+
+    std::vector<Group> groups_;
+    std::vector<Lane> lanes_;
+    NullObserver obs_;
+    const Addr boundary_;
+    const Addr iline_;
+    const bool cachesOn_;
+    const Lane4 window_;
+    Cycles shared_ = 0;    ///< charges every lane took
+    Addr memo_ = ~Addr(0); ///< every non-stale lane's lastCodeLine
+    bool anyStale_ = false;
 };
 
 } // namespace
@@ -754,6 +1213,27 @@ Machine::Machine(const MachineConfig &config)
       btb_(config.btbSets, config.btbWays),
       storeBuffer_(config.storeBufferEntries, config.aliasWindowBits)
 {
+    const std::pair<const char *, Cycles> latencies[] = {
+        {"icache.hitLatency", config.icache.hitLatency},
+        {"icache.missPenalty", config.icache.missPenalty},
+        {"dcache.hitLatency", config.dcache.hitLatency},
+        {"dcache.missPenalty", config.dcache.missPenalty},
+        {"l2.hitLatency", config.l2.hitLatency},
+        {"l2.missPenalty", config.l2.missPenalty},
+        {"itlb.missPenalty", config.itlb.missPenalty},
+        {"dtlb.missPenalty", config.dtlb.missPenalty},
+        {"branchMispredictPenalty", config.branchMispredictPenalty},
+        {"btbMissPenalty", config.btbMissPenalty},
+        {"aliasPenalty", config.aliasPenalty},
+        {"lineSplitPenalty", config.lineSplitPenalty},
+        {"fetchRealignPenalty", config.fetchRealignPenalty},
+        {"intMulLatency", config.intMulLatency},
+        {"intDivLatency", config.intDivLatency},
+    };
+    for (const auto &[field, cycles] : latencies)
+        if (cycles > kMaxLatency)
+            mbias_fatal("machine config '", config.name, "': ", field, " = ",
+                        cycles, " cycles exceeds the bound of ", kMaxLatency);
 }
 
 void
@@ -1478,17 +1958,18 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     // predictor and BTB (they see only pc, outcome and target),
     // fetch-group accounting (pc, size and redirects), the ITLB (code
     // pages only; noise never touches TLBs, ASLR moves only the stack)
-    // and the counters those own.  Per-lane work runs once per lane, in
-    // lane order: the noise check, clock, register readiness, the
-    // icache line memo, ShadowMemory and the NoiseClock.  Each lane
-    // applies the shared outcomes in the reference's order: cycle
-    // charges are sums, and every charge lands before the next read of
-    // that lane's clock (a stall check, a ready time, or the next
-    // dispatch's noise check).
+    // and the counters those own.  Per-lane work — the noise check,
+    // clock, register readiness, the icache line memo, ShadowMemory and
+    // the NoiseClock — is one call per step on the lane-state object
+    // (LiveLane or LaneGroups, above), written once for both sources.
+    // Each lane applies the shared outcomes in the reference's order:
+    // cycle charges are sums, and every charge lands before the next
+    // read of that lane's clock (a stall check, a ready time, or the
+    // next dispatch's noise check).
     //
-    // Src = Live executes the values of exactly one lane: the noise
-    // check and the lane's fetch run in the dispatch itself, around the
-    // observer's hooks, and its counters are the shared ones.  Mode =
+    // Src = Live executes the values of exactly one lane (LiveLane):
+    // the observer's hooks sit around its noise check, and its counters
+    // are the shared ones.  Mode =
     // Record appends branch outcomes, Ret targets and resolved memory
     // addresses to *rec as they execute.  With Traced = true the loop
     // walks the TracePlan's rewritten op array: superblock heads
@@ -1500,7 +1981,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     // Src = Recorded decodes *trace instead: control flow and addresses
     // come from the stream (stack ones rebased by each lane's
     // image-vs-recording sp delta), every value computation is dead,
-    // and lanes.size() lanes are timed in one walk.
+    // and lanes.size() lanes are timed in one walk (LaneGroups).
     //
     // runReference() is kept only as the differential oracle; a
     // timing-model change lands in it and here, and the differential
@@ -1536,7 +2017,6 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     // Hot configuration, hoisted: the reference re-reads these through
     // config_ around opaque calls; here they live in registers.
     const bool model_blocks = config_.enableFetchBlockModel;
-    const bool caches_on = config_.enableCaches;
     const bool tlbs_on = config_.enableTlbs;
     const unsigned fetch_width = config_.fetchWidth;
     const Addr fetch_block_bytes = config_.fetchBlockBytes;
@@ -1564,47 +2044,23 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     else
         bimodal = static_cast<uarch::BimodalPredictor *>(predictor_.get());
 
-    // Per-lane state.  What every op touches (clock, readiness, the
-    // icache line memo, the noise deadline) is packed into one small
-    // record per lane; the hierarchy, noise clock and counters sit
-    // apart, reached only by memory ops, icache line changes and noise
-    // events.  A live walk keeps its one record on the stack.
-    struct LaneClock
-    {
-        Cycles now = 0;
-        Cycles nextEvent = ~Cycles(0); ///< copy of clock.nextEvent
-        Addr lastCodeLine = ~Addr(0);
-        std::uint64_t delta = 0; ///< stack rebase: initialSp - recordedSp
-        Cycles stalls = 0; ///< a recorded lane's StallCycles, folded in
-        std::array<Cycles, isa::reg::numRegs> regReady{};
-    };
-    struct LaneModels
-    {
-        ShadowMemory mem;
-        NoiseClock clock;
-        PerfCounters ctrs;
-    };
-    const std::size_t n_lanes = kLive ? 1 : lanes.size();
-    LaneClock live_clock;
-    std::vector<LaneClock> lane_clocks(kLive ? 0 : n_lanes);
-    LaneClock *const hot = kLive ? &live_clock : lane_clocks.data();
-    std::vector<LaneModels> cold;
-    cold.reserve(n_lanes);
-    for (std::size_t k = 0; k < n_lanes; ++k) {
-        cold.push_back({ShadowMemory(config_, dtlb_.pageShift(),
-                                     storeBuffer_),
-                        NoiseClock(lanes[k].noise), PerfCounters()});
-        hot[k].nextEvent = cold[k].clock.nextEvent;
-        if constexpr (!kLive)
-            hot[k].delta = lanes[k].image->initialSp - trace->recordedSp;
-    }
-    LaneClock &l0 = hot[0];
-    LaneModels &m0 = cold[0];
+    // Per-lane state: every lane's clock, register readiness, icache
+    // line memo, noise clock, shadow hierarchy and own counters, behind
+    // the per-lane steps the handlers call (LiveLane, LaneGroups).
+    using LaneState =
+        std::conditional_t<kLive, LiveLane<Core, Obs>, LaneGroups<Core>>;
+    LaneState lane(obs, config_, dtlb_.pageShift(), storeBuffer_, lanes,
+                   trace);
 
     // Lane-invariant state: front end, ITLB, and the counters only
     // shared work increments (a live lane's own).
     PerfCounters shared_ctrs;
-    PerfCounters &ctrs = kLive ? m0.ctrs : shared_ctrs;
+    PerfCounters &ctrs = [&]() -> PerfCounters & {
+        if constexpr (kLive)
+            return lane.ctrs;
+        else
+            return shared_ctrs;
+    }();
     ShadowTlb s_itlb(config_.itlb);
     unsigned group_slots = 0;
     Addr group_block_end = 0;
@@ -1613,61 +2069,6 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     Cycles fetch_charge = 0; ///< the current op's shared fetch cycles
     Addr line_first = 0, line_last = 0; ///< its icache lines
 
-    // The per-lane helpers are called straight from the handlers (the
-    // lane loop is a macro, MBIAS_EACH_LANE): a helper that called
-    // another would keep its closure in memory and reload its captures
-    // on every lane.  A recorded lane books StallCycles in its clock
-    // record, folded in at the end.
-    auto wait_for = [&](LaneClock &l, isa::Reg r, Cycles &now)
-        __attribute__((always_inline)) {
-        const Cycles ready = l.regReady[r];
-        if (ready > now) {
-            const Cycles stall = ready - now;
-            // CoreModel policy: in-order cores expose the whole stall,
-            // the OoO window hides up to ooo_window of it.
-            Cycles exposed;
-            if constexpr (Core::kInOrder)
-                exposed = stall;
-            else
-                exposed = stall - std::min<Cycles>(stall, ooo_window);
-            if (exposed) {
-                now += exposed;
-                if constexpr (kLive)
-                    ctrs.inc(Counter::StallCycles, exposed);
-                else
-                    l.stalls += exposed;
-            }
-        }
-    };
-    // CoreModel policy: in-order pipes block issue behind a
-    // multi-cycle ALU op (busy cycles are exposed stalls, the result
-    // is ready right after issue resumes); OoO cores just tag the
-    // result with its latency and let wait_for settle it.
-    auto alu_ready = [&](LaneClock &l, Cycles &now, Cycles lat)
-        __attribute__((always_inline)) -> Cycles {
-        if constexpr (Core::kInOrder) {
-            if (lat > 1) {
-                now += lat - 1;
-                if constexpr (kLive)
-                    ctrs.inc(Counter::StallCycles, lat - 1);
-                else
-                    l.stalls += lat - 1;
-                return now + 1;
-            }
-        }
-        (void)l;
-        return now + lat;
-    };
-    // Lane l's write of rd: its ready time and, on a live stream (one
-    // lane), its value.
-    auto set_reg = [&](LaneClock &l, isa::Reg rd, std::uint64_t v,
-                       Cycles ready) __attribute__((always_inline)) {
-        if (rd != isa::reg::zero) {
-            l.regReady[rd] = ready;
-            if constexpr (kLive)
-                regs[rd] = v;
-        }
-    };
     // CoreModel policy: in-order front ends refetch when a taken
     // transfer lands inside a fetch block rather than at its start.
     auto realign = [&](Addr target)
@@ -1733,51 +2134,12 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
             }
         }
     };
-    // A lane's half of fetchAccounting(): the shared charge, then its
-    // own icache line memo.
-    auto lane_fetch = [&](LaneClock &l, LaneModels &m, Cycles &now)
+    // The functional half of a register write (a live stream's value;
+    // a recorded stream's values are dead).
+    auto write_reg = [&](isa::Reg rd, std::uint64_t v)
         __attribute__((always_inline)) {
-        now += fetch_charge;
-        if (caches_on) {
-            for (Addr line = line_first; line <= line_last; line += iline) {
-                if (line == l.lastCodeLine)
-                    continue;
-                l.lastCodeLine = line;
-                now += m.mem.fetchLine(obs, line, m.ctrs);
-            }
-        }
-    };
-    // OS-interrupt noise and DVFS steps (see NoiseClock), checked
-    // before fetch as the reference loop does.
-    auto noise_check = [&](LaneClock &l, LaneModels &m)
-        __attribute__((always_inline)) {
-        if (__builtin_expect(l.now >= l.nextEvent, 0)) {
-            m.clock.fire(l.now, m.ctrs, m.mem, l.lastCodeLine);
-            l.nextEvent = m.clock.nextEvent;
-        }
-    };
-// Every lane's share of the current op, in lane order, on its clock
-// `now`.  A recorded lane takes its half of the dispatch first; a live
-// lane took it in the dispatch itself.
-#define MBIAS_EACH_LANE(...)                                                \
-    for (std::size_t k = 0; k < n_lanes; ++k) {                             \
-        LaneClock &l = hot[k];                                              \
-        [[maybe_unused]] LaneModels &m = cold[k];                           \
-        if constexpr (!kLive)                                               \
-            noise_check(l, m);                                              \
-        Cycles now = l.now;                                                 \
-        if constexpr (!kLive)                                               \
-            lane_fetch(l, m, now);                                          \
-        __VA_ARGS__                                                         \
-        l.now = now;                                                        \
-    }
-    // A recorded lane's address: stack ones are rebased to its sp.
-    const Addr boundary = kLive ? 0 : trace->stackBoundary;
-    auto rebase = [&](const LaneClock &l, Addr a)
-        __attribute__((always_inline)) -> Addr {
-        if constexpr (kLive)
-            return a;
-        return a >= boundary ? a + l.delta : a;
+        if (rd != isa::reg::zero)
+            regs[rd] = v;
     };
 
     // Functional memory through a small direct-mapped memo of page
@@ -2018,42 +2380,40 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
                       std::size_t(Opcode::NumOpcodes) + 1,
                   "dispatch table out of sync with the opcode enum");
 
-// One budget check + shared fetch + threaded jump between every pair of
+// One budget check + fetch + threaded jump between every pair of
 // instructions; each expansion gives its handler a private dispatch
-// branch.  A live lane's noise check sits where the reference loop has
-// it — after the budget check, before fetch — and the observer closes
-// the previous op before a noise event and opens the next one after it.
+// branch.  The noise check sits where the reference loop has it — after
+// the budget check, before fetch — and the observer closes the previous
+// op before a noise event and opens the next one after it.
 #define MBIAS_DISPATCH()                                                    \
     do {                                                                    \
         if (__builtin_expect(icount >= max_insts, 0))                       \
             goto run_done;                                                  \
-        if constexpr (kLive) {                                              \
-            obs.close(l0.now, ctrs);                                        \
-            noise_check(l0, m0);                                            \
-            obs.open(idx, l0.now, ctrs);                                    \
-        }                                                                   \
+        if constexpr (Obs::kObserving)                                      \
+            obs.close(lane.now, ctrs);                                      \
+        lane.noise();                                                       \
+        if constexpr (Obs::kObserving)                                      \
+            obs.open(idx, lane.now, ctrs);                                  \
         d = ops + idx;                                                      \
         ++icount;                                                           \
         front(d->pc, d->size);                                              \
-        if constexpr (kLive)                                                \
-            lane_fetch(l0, m0, l0.now);                                     \
+        lane.front(fetch_charge, line_first, line_last);                    \
         goto *kDispatch[std::size_t(d->op)];                                \
     } while (0)
 
 // A value-producing op: every lane waits for its sources, then tags rd
-// ready after the op's latency (a recorded stream's value is dead).
+// ready after the op's latency.
 #define MBIAS_ALU(label, lat, value, waits)                                 \
   label:                                                                    \
-    MBIAS_EACH_LANE(waits;                                                  \
-                    set_reg(l, d->rd, value, alu_ready(l, now, lat));)      \
+    waits;                                                                  \
+    lane.set(d->rd, lat);                                                   \
+    if constexpr (kLive)                                                    \
+        write_reg(d->rd, value);                                            \
     ++idx;                                                                  \
     MBIAS_DISPATCH();
 #define MBIAS_RR(label, lat, value)                                         \
-    MBIAS_ALU(label, lat, value,                                            \
-              wait_for(l, d->rs1, now);                                     \
-              wait_for(l, d->rs2, now))
-#define MBIAS_RI(label, value)                                              \
-    MBIAS_ALU(label, 1, value, wait_for(l, d->rs1, now))
+    MBIAS_ALU(label, lat, value, lane.wait(d->rs1, d->rs2))
+#define MBIAS_RI(label, value) MBIAS_ALU(label, 1, value, lane.wait(d->rs1))
 
     MBIAS_DISPATCH();
 
@@ -2092,13 +2452,10 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
   op_ld: {
       const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm));
       ctrs.inc(Counter::Loads);
-      MBIAS_EACH_LANE(
-          wait_for(l, d->rs1, now);
-          const Cycles lat = m.mem.access(obs, rebase(l, addr),
-                                          d->accessSize, false, icount, now,
-                                          m.ctrs);
-          set_reg(l, d->rd, kLive ? mem_read(addr, d->accessSize) : 0,
-                  now + lat);)
+      lane.wait(d->rs1);
+      lane.load(addr, d->accessSize, icount, d->rd);
+      if constexpr (kLive)
+          write_reg(d->rd, mem_read(addr, d->accessSize));
       ++idx;
       MBIAS_DISPATCH();
   }
@@ -2106,11 +2463,8 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
   op_st: {
       const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm));
       ctrs.inc(Counter::Stores);
-      MBIAS_EACH_LANE(
-          wait_for(l, d->rs1, now);
-          wait_for(l, d->rd, now); // data register
-          m.mem.access(obs, rebase(l, addr), d->accessSize, true, icount,
-                       now, m.ctrs);)
+      lane.wait(d->rs1, d->rd); // address and data registers
+      lane.store(addr, d->accessSize, icount);
       if constexpr (kLive)
           mem_write(addr, d->accessSize, regs[d->rd]);
       ++idx;
@@ -2122,9 +2476,8 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
 #define MBIAS_BRANCH(label, taken)                                          \
   label: {                                                                  \
       const Cycles charge = branch_charge(*d, taken);                       \
-      MBIAS_EACH_LANE(wait_for(l, d->rs1, now);                             \
-                      wait_for(l, d->rs2, now);                             \
-                      now += charge;)                                       \
+      lane.wait(d->rs1, d->rs2);                                            \
+      lane.charge(charge);                                                  \
       MBIAS_DISPATCH();                                                     \
   }
 
@@ -2140,8 +2493,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
 
   op_jmp: {
       const Addr target = ops[d->targetIdx].pc;
-      const Cycles charge = btb_charge(d->pc, target) + realign(target);
-      MBIAS_EACH_LANE(now += charge;)
+      lane.charge(btb_charge(d->pc, target) + realign(target));
       idx = d->targetIdx;
       MBIAS_DISPATCH();
   }
@@ -2152,12 +2504,10 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
       ctrs.inc(Counter::Stores);
       const Addr target = ops[d->targetIdx].pc;
       const Cycles charge = btb_charge(d->pc, target) + realign(target);
-      MBIAS_EACH_LANE(
-          wait_for(l, isa::reg::sp, now);
-          m.mem.access(obs, rebase(l, new_sp), 8, true, icount, now,
-                       m.ctrs);
-          l.regReady[isa::reg::sp] = now + 1;
-          now += charge;)
+      lane.wait(isa::reg::sp);
+      lane.store(new_sp, 8, icount);
+      lane.set(isa::reg::sp, 1);
+      lane.charge(charge);
       if constexpr (kLive) {
           mem_write(new_sp, 8, d->pc + d->size);
           regs[isa::reg::sp] = new_sp;
@@ -2170,10 +2520,11 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
       const Addr sp = stream_addr(regs[isa::reg::sp]);
       ctrs.inc(Counter::Loads);
       // Return-address stack: the target is predicted perfectly, so
-      // the load latency is off the critical path, but the access
-      // still exercises the cache/TLB.  A live stream resolves the
-      // target through the O(1) return-address table (same domain as
-      // the reference's indexAt() search); a recorded one decodes it.
+      // the load latency is off the critical path (no destination), but
+      // the access still exercises the cache/TLB.  A live stream
+      // resolves the target through the O(1) return-address table
+      // (same domain as the reference's indexAt() search); a recorded
+      // one decodes it.
       std::uint32_t t = ExecutionPlan::kNoIndex;
       if constexpr (kLive) {
           const Addr off = mem_read(sp, 8) - plan.codeBase;
@@ -2189,11 +2540,10 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
           t = rets[ret_at++];
       }
       const Cycles charge = realign(ops[t].pc);
-      MBIAS_EACH_LANE(
-          wait_for(l, isa::reg::sp, now);
-          m.mem.access(obs, rebase(l, sp), 8, false, icount, now, m.ctrs);
-          l.regReady[isa::reg::sp] = now + 1;
-          now += charge;)
+      lane.wait(isa::reg::sp);
+      lane.load(sp, 8, icount, isa::reg::zero);
+      lane.set(isa::reg::sp, 1);
+      lane.charge(charge);
       if constexpr (kLive)
           regs[isa::reg::sp] = sp + 8;
       idx = t;
@@ -2202,18 +2552,15 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
 
   op_nop:
     ctrs.inc(Counter::NopsExecuted);
-    MBIAS_EACH_LANE()
     ++idx;
     MBIAS_DISPATCH();
 
   op_halt:
-    MBIAS_EACH_LANE()
     halted = true;
     goto run_done;
 
   op_la:
     mbias_panic("unresolved La reached the simulator");
-#undef MBIAS_EACH_LANE
 
   op_batch:
     if constexpr (!Traced) {
@@ -2240,18 +2587,18 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
         bool batch_ok =
             icount + tb->len - 1 <= max_insts && max_lat <= ooo_window;
         if (batch_ok) {
-            const Cycles limit = l0.now + ooo_window;
+            const Cycles limit = lane.now + ooo_window;
             std::uint32_t m = tb->liveInMask;
             while (m) {
                 const unsigned r = unsigned(std::countr_zero(m));
                 m &= m - 1;
-                if (l0.regReady[r] > limit) {
+                if (lane.regReady[r] > limit) {
                     batch_ok = false;
                     break;
                 }
             }
         }
-        if (batch_ok && l0.nextEvent != ~Cycles(0)) {
+        if (batch_ok && lane.nextEvent != ~Cycles(0)) {
             // (4) no OS interrupt or DVFS step can fire inside the
             // block: bound the batch's cycle advance from above (entry
             // fetch row plus every line/page touch missing) — now only
@@ -2260,11 +2607,11 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
             // next event, no mid-block dispatch could have fired it,
             // and the post-block dispatch re-checks with identical
             // state.
-            const Cycles exit_base = l0.now + tb->rows[group_slots].groups;
+            const Cycles exit_base = lane.now + tb->rows[group_slots].groups;
             Cycles pen_ub =
                 Cycles(tb->lines.size()) * (i_miss_pen + l2_miss_pen) +
                 Cycles(2 * tb->pages.size()) * itlb_miss_pen;
-            if (exit_base + pen_ub >= l0.nextEvent) {
+            if (exit_base + pen_ub >= lane.nextEvent) {
                 // Near the interrupt the all-miss bound refuses almost
                 // every block; tighten it with a read-only residency
                 // probe.  If every block line (page) is resident right
@@ -2276,7 +2623,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
                 // evictions within the block).
                 pen_ub = 0;
                 for (const auto &lt : tb->lines) {
-                    if (!m0.mem.icache.contains(lt.line)) {
+                    if (!lane.mem.icache.contains(lt.line)) {
                         pen_ub += Cycles(tb->lines.size()) *
                                   (i_miss_pen + l2_miss_pen);
                         break;
@@ -2289,7 +2636,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
                         break;
                     }
                 }
-                if (exit_base + pen_ub >= l0.nextEvent)
+                if (exit_base + pen_ub >= lane.nextEvent)
                     batch_ok = false;
             }
         }
@@ -2302,7 +2649,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
             goto *kDispatch[std::size_t(d->op)];
         }
 
-        tr_now0 = l0.now;
+        tr_now0 = lane.now;
         tr_srow = group_slots;
 
         // Replay the block's icache-line and ITLB-page crossings
@@ -2313,10 +2660,10 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
         tr_pens.clear();
         Cycles pen = 0;
         for (const auto &lt : tb->lines) {
-            if (!m0.mem.icache.access(lt.line)) {
+            if (!lane.mem.icache.access(lt.line)) {
                 ctrs.inc(Counter::IcacheMisses);
                 Cycles p = i_miss_pen;
-                if (!m0.mem.l2.access(lt.line)) {
+                if (!lane.mem.l2.access(lt.line)) {
                     ctrs.inc(Counter::L2Misses);
                     p += l2_miss_pen;
                 }
@@ -2325,7 +2672,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
             }
         }
         if (!tb->lines.empty())
-            l0.lastCodeLine = tb->lines.back().line;
+            lane.lastCodeLine = tb->lines.back().line;
         for (const auto &pt : tb->pages) {
             const unsigned misses =
                 s_itlb.accessVpns(pt.firstVpn, pt.lastVpn);
@@ -2341,7 +2688,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
 
         // One fused cycle/counter delta for ops 1..len-1.
         const TraceBlock::FetchRow &row = tb->rows[tr_srow];
-        l0.now = tr_now0 + row.groups + pen;
+        lane.now = tr_now0 + row.groups + pen;
         ctrs.inc(Counter::FetchGroups, row.groups);
         group_slots = row.exitSlots;
         group_block_end = row.exitBlockEnd;
@@ -2447,7 +2794,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
             const Cycles lat = rw.latClass == 0 ? 1
                                : rw.latClass == 1 ? mul_lat
                                                   : div_lat;
-            l0.regReady[rw.reg] = at + lat;
+            lane.regReady[rw.reg] = at + lat;
         }
 
 
@@ -2458,7 +2805,8 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
 #undef MBIAS_DISPATCH
 
   run_done:
-    obs.close(l0.now, ctrs);
+    if constexpr (Obs::kObserving)
+        obs.close(lane.now, ctrs);
     if constexpr (Traced)
         TraceCache::global().recordRun(tr_batched, icount - tr_batched,
                                        tr_fallbacks);
@@ -2472,28 +2820,18 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     }
     if constexpr (kLive) {
         out->counters = ctrs;
-        out->counters.set(Counter::Cycles, l0.now);
+        out->counters.set(Counter::Cycles, lane.now);
         out->counters.set(Counter::Instructions, icount);
         out->halted = halted;
         out->result = regs[isa::reg::a0];
-        return;
-    }
-    // The architectural outcome comes from the recording; the walk
-    // only re-derived control flow from the streams.  a0 is taken as
-    // recorded: a trace whose a0 may be a stack address never serves
-    // another stack base (FunctionalTrace::resultOnStack).
-    mbias_assert(icount == trace->icount && halted == trace->halted,
-                 "replay diverged from its recording");
-    for (std::size_t k = 0; k < n_lanes; ++k) {
-        PerfCounters &c = out[k].counters;
-        c = cold[k].ctrs;
-        for (const Counter id : allCounters())
-            c.inc(id, ctrs.get(id));
-        c.inc(Counter::StallCycles, hot[k].stalls);
-        c.set(Counter::Cycles, hot[k].now);
-        c.set(Counter::Instructions, icount);
-        out[k].halted = halted;
-        out[k].result = trace->resultA0;
+    } else {
+        // The architectural outcome comes from the recording; the walk
+        // only re-derived control flow from the streams.  a0 is taken
+        // as recorded: a trace whose a0 may be a stack address never
+        // serves another stack base (FunctionalTrace::resultOnStack).
+        mbias_assert(icount == trace->icount && halted == trace->halted,
+                     "replay diverged from its recording");
+        lane.finish(out, ctrs, icount, halted, trace->resultA0);
     }
 }
 

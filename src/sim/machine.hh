@@ -135,7 +135,15 @@ struct RunResult
 class Machine
 {
   public:
+    /** Rejects (fatal, naming the field) a config with any latency or
+     *  penalty above kMaxLatency. */
     explicit Machine(const MachineConfig &config);
+
+    /** The largest latency or penalty a MachineConfig may hold.  A lane
+     *  pass keeps its clocks as int32 offsets and checks them once per
+     *  op, so one op's charges must stay far below 2^31; every preset
+     *  is orders of magnitude below this bound. */
+    static constexpr Cycles kMaxLatency = Cycles(1) << 20;
 
     /** Default instruction budget for run() — shared with every
      *  ExperimentRunner call site so budget changes can't skew one

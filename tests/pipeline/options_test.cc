@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "pipeline/options.hh"
@@ -73,16 +74,18 @@ TEST(PipelineOptions, NonPipelineArgsPassThroughInOrder)
     EXPECT_EQ(p.rest, want);
 }
 
-TEST(PipelineOptions, ValueFlagWithoutValueIsIgnored)
+TEST(PipelineOptions, ValueFlagWithoutValueIsFatal)
 {
-    // The historical bench scanners tolerated a dangling value flag;
-    // the shared parser keeps that leniency.
-    const auto trailing = parse({"--jobs"});
-    EXPECT_EQ(trailing.options.jobs, 1u);
-
-    const auto chained = parse({"--jobs", "--quiet"});
-    EXPECT_EQ(chained.options.jobs, 1u);
-    EXPECT_TRUE(chained.options.quiet);
+    // A bare value flag must not run the default it was meant to
+    // override: at the end of the line, or followed by another flag.
+    EXPECT_EXIT(parse({"--jobs"}), ::testing::ExitedWithCode(1),
+                "missing value for --jobs");
+    EXPECT_EXIT(parse({"--jobs", "--quiet"}), ::testing::ExitedWithCode(1),
+                "missing value for --jobs");
+    for (const char *flag :
+         {"--seed", "--resamples", "--confidence", "--trace"})
+        EXPECT_EXIT(parse({flag, "--verbose"}), ::testing::ExitedWithCode(1),
+                    std::string("missing value for ") + flag);
 }
 
 TEST(PipelineOptions, NegativeJobsAreFatal)

@@ -5,6 +5,7 @@
 
 #include "isa/builder.hh"
 #include "sim/machine.hh"
+#include "sim/registry.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
 
@@ -423,6 +424,35 @@ TEST(MachineTiming, PresetMachinesRankSensibly)
     // the wide o3 machine does best.
     EXPECT_GT(p4.cycles(), core2.cycles());
     EXPECT_GT(core2.cycles(), o3.cycles());
+}
+
+TEST(MachineConfigBound, EveryPresetIsAccepted)
+{
+    // Every registered backend (the paper presets and the non-paper
+    // cores) and the all-defaults config construct, so the bound never
+    // reaches a preset.
+    for (const auto &backend : sim::MachineRegistry::global().backends())
+        Machine m(backend.config);
+    Machine m(MachineConfig{});
+    SUCCEED();
+}
+
+TEST(MachineConfigBound, HostileLatencyIsRefused)
+{
+    // A lane pass keeps its clocks as int32 offsets; a latency past
+    // Machine::kMaxLatency could carry one op past 2^31, so the
+    // machine refuses the config and names the field.
+    MachineConfig mc = MachineConfig::core2Like();
+    mc.l2.missPenalty = Machine::kMaxLatency + 1;
+    EXPECT_EXIT(Machine m(mc), ::testing::ExitedWithCode(1),
+                "l2.missPenalty = 1048577 cycles exceeds the bound");
+    mc = MachineConfig::inorderLike();
+    mc.intDivLatency = Cycles(1) << 40;
+    EXPECT_EXIT(Machine m(mc), ::testing::ExitedWithCode(1),
+                "intDivLatency");
+    mc = MachineConfig::core2Like();
+    mc.branchMispredictPenalty = Machine::kMaxLatency;
+    Machine at_bound(mc); // the bound itself is allowed
 }
 
 } // namespace

@@ -567,6 +567,87 @@ TEST(ReplayDifferential, MixedNoiseLanes)
     }
 }
 
+/** @p mc with every latency and penalty at Machine::kMaxLatency: the
+ *  largest charges a config may carry into one op. */
+sim::MachineConfig
+atLatencyBound(sim::MachineConfig mc)
+{
+    const Cycles b = sim::Machine::kMaxLatency;
+    for (auto *cache : {&mc.icache, &mc.dcache, &mc.l2}) {
+        cache->hitLatency = b;
+        cache->missPenalty = b;
+    }
+    mc.itlb.missPenalty = mc.dtlb.missPenalty = b;
+    mc.branchMispredictPenalty = mc.btbMissPenalty = b;
+    mc.aliasPenalty = mc.lineSplitPenalty = mc.fetchRealignPenalty = b;
+    mc.intMulLatency = mc.intDivLatency = b;
+    return mc;
+}
+
+TEST(ReplayDifferential, LaneClocksCrossTheEpochFold)
+{
+    // A lane pass keeps each lane's clock as an int32 offset from a
+    // 64-bit epoch and folds it there at every noise event and at
+    // least every 2^30 cycles.  Here every lane's clock passes 2^31
+    // several times: interrupts or DVFS steps that each cost 2^28
+    // cycles, and a noise-free machine whose every latency sits at the
+    // config bound (no noise event, so only the 2^30 deadline folds).
+    // 3- and 5-lane passes leave one vector group part padding; every
+    // lane must still equal the oracle bitwise, on both core models.
+    const auto perl = imageFor("perl", toolchain::LinkOrder::asGiven(), 96);
+    auto interrupts = sim::NoiseModel::withSeed(0);
+    interrupts.costCycles = Cycles(1) << 28;
+    interrupts.meanIntervalCycles = 5000;
+    auto dvfs = sim::NoiseModel::none();
+    dvfs.dvfsEnabled = true;
+    dvfs.dvfsTransitionCycles = Cycles(1) << 28;
+    dvfs.dvfsMeanIntervalCycles = 3000;
+    dvfs.dvfsMeanResidencyCycles = 2000;
+    const std::vector<std::pair<std::string, sim::NoiseModel>> shapes = {
+        {"interrupts", interrupts}, {"dvfs", dvfs}};
+    const Cycles past = Cycles(1) << 32;
+    for (const auto &base :
+         {sim::MachineConfig::core2Like(), sim::MachineConfig::inorderLike()}) {
+        for (const auto &[label, noise] : shapes) {
+            for (unsigned n : {3u, 5u}) {
+                Family f;
+                for (unsigned k = 0; k < n; ++k) {
+                    f.images.push_back(perl);
+                    sim::NoiseModel m = noise;
+                    m.seed = 0xf01d + 7 * n + k;
+                    f.noises.push_back(m);
+                }
+                EXPECT_GT(plainRun(base, perl, 500'000'000, f.noises[0])
+                              .cycles(),
+                          past)
+                    << label << " on " << base.name;
+                expectLanesIdentical(base, f,
+                                     label + " x" + std::to_string(n) +
+                                         " on " + base.name);
+            }
+        }
+        const auto bound = atLatencyBound(base);
+        EXPECT_GT(plainRun(bound, perl, 500'000'000, sim::NoiseModel::none())
+                      .cycles(),
+                  past)
+            << base.name << " at the latency bound";
+        for (unsigned n : {3u, 5u}) {
+            Family f;
+            for (unsigned k = 0; k < n; ++k) {
+                f.images.push_back(perl);
+                // Quiet lanes fold on the 2^30 deadline alone.
+                sim::NoiseModel m = k % 2 ? sim::NoiseModel::withSeed(0)
+                                          : sim::NoiseModel::none();
+                m.seed = 0xb0d + k;
+                f.noises.push_back(m);
+            }
+            expectLanesIdentical(bound, f,
+                                 "latency bound x" + std::to_string(n) +
+                                     " on " + base.name);
+        }
+    }
+}
+
 TEST(ReplayDifferential, LanePassServesEachRepetitionOnce)
 {
     // runReplay hands out each lane of the latest pass exactly once,

@@ -36,7 +36,8 @@
  * still defaults --resamples to 1000).  Every integer flag uses the
  * same grammar (pipeline::parseUint), and a count below what the
  * command's analysis needs is fatal.  So is a flag the command does
- * not read (see commands()): a typo never runs the defaults silently.
+ * not read (see commands()), and a value flag given without its
+ * value: a typo never runs the defaults silently.
  *
  * bias, variance and causal measure like the figures do: through a
  * pipeline::FigureContext, as campaigns on the campaign engine.
@@ -137,6 +138,44 @@ struct Args
     }
 };
 
+/** One subcommand: its name, the flags it reads, and its body. */
+struct Command
+{
+    const char *name;
+    /** The command's own value flags (`--env 64`); --asm-dir and the
+     *  shared pipeline flags are accepted by every command. */
+    std::vector<std::string> flags;
+    /** Its switches (`--counters`), which take no value. */
+    std::vector<std::string> switches;
+    int (*run)(const Args &);
+};
+
+const Command *findCommand(const std::string &name);
+
+bool
+listed(const std::vector<std::string> &list, const std::string &key)
+{
+    return std::find(list.begin(), list.end(), key) != list.end();
+}
+
+/** A flag @p cmd does not read is fatal: a typo must not run the
+ *  defaults it would have overridden. */
+void
+checkFlag(const Command &cmd, const std::string &key)
+{
+    if (key == "asm-dir" || listed(cmd.flags, key) ||
+        listed(cmd.switches, key))
+        return;
+    std::string accepted;
+    for (const auto *list : {&cmd.flags, &cmd.switches})
+        for (const std::string &f : *list)
+            accepted += "--" + f + " ";
+    mbias_fatal("unknown flag --", key, " for mbias ", cmd.name,
+                " (it takes ", accepted,
+                "--asm-dir and the shared --jobs --seed --resamples "
+                "--confidence --trace --quiet --verbose)");
+}
+
 Args
 parseArgs(int argc, char **argv)
 {
@@ -150,14 +189,20 @@ parseArgs(int argc, char **argv)
     std::size_t i = 0;
     if (i < rest.size() && rest[i].rfind("--", 0) != 0)
         args.command = rest[i++];
+    const Command *cmd = findCommand(args.command);
+    if (!cmd)
+        return args; // main prints the usage
     for (; i < rest.size(); ++i) {
         const std::string &a = rest[i];
         if (a.rfind("--", 0) == 0) {
             const std::string key = a.substr(2);
-            if (i + 1 < rest.size() && rest[i + 1].rfind("--", 0) != 0)
+            checkFlag(*cmd, key);
+            if (listed(cmd->switches, key))
+                args.options[key] = "1";
+            else if (i + 1 < rest.size() && rest[i + 1].rfind("--", 0) != 0)
                 args.options[key] = rest[++i];
             else
-                args.options[key] = "1"; // boolean flag
+                mbias_fatal("missing value for --", key);
             if (key == "setup")
                 args.setupSpecs.push_back(args.options[key]);
         } else if (args.options.empty()) {
@@ -889,7 +934,7 @@ usage()
         "  survey\n"
         "every command accepts --asm-dir DIR to load *.toml workload\n"
         "manifests (and their .asm) before running; any flag a command\n"
-        "does not list is an error\n"
+        "does not list is an error, as is a value flag without its value\n"
         "shared (every command and figure binary): [--jobs N]\n"
         "        [--seed S] [--resamples R] [--confidence C]\n"
         "        [--trace T.json]\n"
@@ -899,16 +944,6 @@ usage()
         "        metrics and provenance)\n");
     return 2;
 }
-
-/** One subcommand: its name, the flags it reads, and its body. */
-struct Command
-{
-    const char *name;
-    /** The command's own flags; --asm-dir and the shared pipeline
-     *  flags are accepted by every command. */
-    std::vector<std::string> flags;
-    int (*run)(const Args &);
-};
 
 /** The flags specFromArgs reads for every command that builds a spec,
  *  plus @p more (--baseline and --treatment only for the commands
@@ -926,39 +961,38 @@ const std::vector<Command> &
 commands()
 {
     static const std::vector<Command> table = {
-        {"list", {}, [](const Args &) { return cmdList(); }},
-        {"workloads", {}, [](const Args &) { return cmdWorkloads(); }},
-        {"asm", {"workload", "out"}, cmdAsm},
-        {"fuzz", {"count", "out"}, cmdFuzz},
-        {"fig", {}, [](const Args &a) { return cmdFigure(a, "fig"); }},
-        {"table", {}, [](const Args &a) { return cmdFigure(a, "table"); }},
-        {"all", {}, cmdAll},
-        {"run",
-         specFlags({"opt", "env", "link-seed", "counters", "manifest"}),
-         cmdRun},
+        {"list", {}, {}, [](const Args &) { return cmdList(); }},
+        {"workloads", {}, {}, [](const Args &) { return cmdWorkloads(); }},
+        {"asm", {"workload", "out"}, {}, cmdAsm},
+        {"fuzz", {"count", "out"}, {}, cmdFuzz},
+        {"fig", {}, {}, [](const Args &a) { return cmdFigure(a, "fig"); }},
+        {"table", {}, {},
+         [](const Args &a) { return cmdFigure(a, "table"); }},
+        {"all", {}, {}, cmdAll},
+        {"run", specFlags({"opt", "env", "link-seed"}),
+         {"counters", "manifest"}, cmdRun},
         {"bias", specFlags({"baseline", "treatment", "factor", "setups"}),
-         cmdBias},
+         {}, cmdBias},
         {"campaign",
          specFlags({"baseline", "treatment", "factor", "setups",
-                    "aslr-reps", "no-store", "out", "resume",
-                    "provenance"}),
-         cmdCampaign},
-        {"analyze", {"store", "out"}, cmdAnalyze},
-        {"obs-summary", {"store", "out"}, cmdObsSummary},
-        {"causal", specFlags({"baseline", "factor", "setups", "explain"}),
+                    "aslr-reps", "out"}),
+         {"no-store", "resume", "provenance"}, cmdCampaign},
+        {"analyze", {"store", "out"}, {}, cmdAnalyze},
+        {"obs-summary", {"store", "out"}, {}, cmdObsSummary},
+        {"causal", specFlags({"baseline", "factor", "setups"}), {"explain"},
          cmdCausal},
         {"explain",
          specFlags({"opt", "setup", "figure", "json", "heatmap", "top"}),
-         cmdExplain},
+         {}, cmdExplain},
         {"variance",
-         specFlags({"baseline", "treatment", "env", "setups", "reps"}),
+         specFlags({"baseline", "treatment", "env", "setups", "reps"}), {},
          cmdVariance},
-        {"profile", specFlags({"opt", "env", "link-seed", "top"}),
+        {"profile", specFlags({"opt", "env", "link-seed", "top"}), {},
          cmdProfile},
         {"disasm",
          {"workload", "vendor", "scale", "opt", "link-seed", "function"},
-         cmdDisasm},
-        {"survey", {}, [](const Args &) { return cmdSurvey(); }},
+         {}, cmdDisasm},
+        {"survey", {}, {}, [](const Args &) { return cmdSurvey(); }},
     };
     return table;
 }
@@ -972,25 +1006,6 @@ findCommand(const std::string &name)
     return nullptr;
 }
 
-/** A flag @p cmd does not read is fatal: a typo must not run the
- *  defaults it would have overridden. */
-void
-checkFlags(const Command &cmd, const Args &args)
-{
-    for (const auto &[key, value] : args.options) {
-        if (key == "asm-dir" || std::find(cmd.flags.begin(), cmd.flags.end(),
-                                          key) != cmd.flags.end())
-            continue;
-        std::string accepted;
-        for (const std::string &f : cmd.flags)
-            accepted += "--" + f + " ";
-        mbias_fatal("unknown flag --", key, " for mbias ", cmd.name,
-                    " (it takes ", accepted,
-                    "--asm-dir and the shared --jobs --seed --resamples "
-                    "--confidence --trace --quiet --verbose)");
-    }
-}
-
 } // namespace
 
 int
@@ -998,8 +1013,6 @@ main(int argc, char **argv)
 {
     const Args args = parseArgs(argc, argv);
     const Command *cmd = findCommand(args.command);
-    if (cmd)
-        checkFlags(*cmd, args);
     pipeline::applyLogging(args.shared);
     mbias::figures::registerAll();
     // One process-wide trace session for every subcommand, opened
