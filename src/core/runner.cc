@@ -124,7 +124,8 @@ ExperimentRunner::runFamily(const toolchain::ToolchainSpec &tc,
     const std::uint64_t share = microsSince(t0) / pass.size();
     // Every lane still returns through runReplay(), which hands out the
     // lane the pass already timed, so per-run instrumentation
-    // (perfbench's link-time shims) keeps seeing one call per lane.
+    // (perfbench's link-time shims, which also count the simulated
+    // instructions) keeps seeing one call per lane.
     for (const std::size_t k : served) {
         out[k] = machine.runReplay(images[k], budget, lanes[k].noise, *trace);
         noteRun(share, out[k]);

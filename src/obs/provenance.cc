@@ -3,12 +3,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #ifdef _WIN32
 #else
 #include <unistd.h>
 #endif
+
+#include "base/parse.hh"
 
 extern char **environ;
 
@@ -79,16 +82,22 @@ scanValue(const std::string &json, const std::string &name,
     return false;
 }
 
+/** Reads field @p name through the flags' integer grammar
+ *  (mbias::parseDecimal): a sign, a blank or a value above @p max
+ *  fails the header instead of wrapping. */
 bool
-scanU64(const std::string &json, const std::string &name,
-        std::uint64_t &out)
+scanUint(const std::string &json, const std::string &name,
+         std::uint64_t &out,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     std::string tok;
     if (!scanValue(json, name, tok))
         return false;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return end && *end == '\0';
+    const auto v = parseDecimal(tok, max);
+    if (!v)
+        return false;
+    out = *v;
+    return true;
 }
 
 std::string
@@ -183,13 +192,13 @@ Provenance::fromJson(const std::string &json, Provenance &out)
     scanValue(json, "flags", p.compilerFlags);
     scanValue(json, "build_type", p.buildType);
     scanValue(json, "workdir", p.workdir);
-    if (!scanU64(json, "workdir_len", p.workdirLen))
+    if (!scanUint(json, "workdir_len", p.workdirLen))
         return false;
-    if (!scanU64(json, "env_bytes", p.envBlockBytes))
+    if (!scanUint(json, "env_bytes", p.envBlockBytes))
         return false;
-    if (!scanU64(json, "page_size", p.pageSize))
+    if (!scanUint(json, "page_size", p.pageSize))
         return false;
-    if (!scanU64(json, "jobs", v))
+    if (!scanUint(json, "jobs", v, std::numeric_limits<unsigned>::max()))
         return false;
     p.jobs = unsigned(v);
     out = std::move(p);

@@ -2084,7 +2084,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     // A taken branch, jump or call looks its target up in the BTB.
     auto btb_charge = [&](Addr pc, Addr target)
         __attribute__((always_inline)) -> Cycles {
-        if (btb_on && !obs.btb(pc, btb_.lookupAndUpdateHot(pc, target))) {
+        if (btb_on && !obs.btb(pc, btb_.lookupAndUpdate(pc, target))) {
             ctrs.inc(Counter::BtbMisses);
             return btb_miss_pen;
         }
@@ -2339,11 +2339,11 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
             obs.pht(b.pc);
             bool pred;
             if (gshare) {
-                pred = gshare->predictHot(b.pc);
-                gshare->updateHot(b.pc, taken);
+                pred = gshare->predict(b.pc);
+                gshare->update(b.pc, taken);
             } else {
-                pred = bimodal->predictHot(b.pc);
-                bimodal->updateHot(b.pc, taken);
+                pred = bimodal->predict(b.pc);
+                bimodal->update(b.pc, taken);
             }
             if (pred != taken) {
                 ctrs.inc(Counter::BranchMispredicts);

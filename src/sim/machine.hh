@@ -128,9 +128,9 @@ struct RunResult
  * repetition shares (dispatch, stream decode, predictor/BTB, fetch
  * groups, ITLB) runs once per op, and one timing lane per repetition
  * keeps what can differ (clock, register readiness, icache/dcache/L2,
- * DTLB, store buffer, noise).  runReplay() is a pass of one lane.  Its
- * hatches mirror the others: setUseReplayPath(false) and
- * MBIAS_SIM_REPLAY=0.
+ * DTLB, store buffer, noise).  runReplay() is a pass of one lane.  The
+ * tier's one hatch is MBIAS_SIM_REPLAY=0; it also stands down with the
+ * fast path (setUseFastPath(false), MBIAS_SIM_REFERENCE=1).
  */
 class Machine
 {
@@ -221,12 +221,6 @@ class Machine
      *  Ignored while the fast path is off. */
     void setUseTracePath(bool on) { useTracePath_ = on; }
     bool useTracePath() const { return useTracePath_; }
-
-    /** Selects the record/replay tier for runRecord()/runReplay()
-     *  (default on; off forces their plain-run() fallback).  Ignored
-     *  while the fast path is off. */
-    void setUseReplayPath(bool on) { useReplayPath_ = on; }
-    bool useReplayPath() const { return useReplayPath_; }
 
   private:
     struct Pipeline;   // the reference interpreter's timing state
@@ -322,7 +316,6 @@ class Machine
 
     bool useFastPath_ = true;
     bool useTracePath_ = true;
-    bool useReplayPath_ = true;
 
     /** A lane of the latest runReplayLanes() that runReplay() has not
      *  handed out yet, with the inputs its result depends on (the

@@ -10,8 +10,9 @@ namespace
  * Capabilities implied by the core model alone.  The trace tier's
  * op_batch guards assume the OoO window hides intra-block latency
  * (sim/trace.cc builds rows under that model), so in-order cores fall
- * back to the plain fast path; the fast and replay tiers transcribe
- * the core policy exactly and work for every kind.
+ * back to the plain fast path; the fast tier (and the replay tier on
+ * top of it) transcribes the core policy exactly and works for every
+ * kind.
  */
 TierSupport
 tiersForKind(CoreKind kind)

@@ -19,9 +19,8 @@ namespace mbias::sim
  */
 struct TierSupport
 {
-    bool fast = true;   ///< ExecutionPlan direct-threaded path
-    bool trace = true;  ///< superblock op_batch tier on top of fast
-    bool replay = true; ///< record-once/replay-many functional stream
+    bool fast = true;  ///< ExecutionPlan direct-threaded path
+    bool trace = true; ///< superblock op_batch tier on top of fast
 };
 
 /**

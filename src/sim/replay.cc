@@ -20,8 +20,7 @@ replayDisabledByEnv()
 bool
 replayTierUsable(const Machine &machine)
 {
-    return machine.useFastPath() && machine.useReplayPath() &&
-           machine.tierSupport().replay && !replayDisabledByEnv() &&
+    return machine.useFastPath() && !replayDisabledByEnv() &&
            !referenceForcedByEnv();
 }
 

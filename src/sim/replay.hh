@@ -22,7 +22,7 @@ bool replayDisabledByEnv();
 /**
  * True when every switch between here and the hardware allows the
  * replay tier for @p machine: not vetoed by MBIAS_SIM_REPLAY=0 or
- * MBIAS_SIM_REFERENCE, and the machine's own fast/replay toggles on.
+ * MBIAS_SIM_REFERENCE, and the machine's own fast-path toggle on.
  * Callers (ExperimentRunner) consult this before paying for a
  * recording pass.
  */

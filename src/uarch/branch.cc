@@ -18,24 +18,6 @@ BimodalPredictor::BimodalPredictor(unsigned table_bits)
     counters_.assign(std::size_t(1) << table_bits, 2); // weakly taken
 }
 
-std::size_t
-BimodalPredictor::index(Addr pc) const
-{
-    return indexHot(pc);
-}
-
-bool
-BimodalPredictor::predict(Addr pc) const
-{
-    return predictHot(pc);
-}
-
-void
-BimodalPredictor::update(Addr pc, bool taken)
-{
-    updateHot(pc, taken);
-}
-
 void
 BimodalPredictor::reset()
 {
@@ -54,24 +36,6 @@ GsharePredictor::GsharePredictor(unsigned table_bits, unsigned history_bits)
     mbias_assert(history_bits <= table_bits,
                  "history longer than index");
     counters_.assign(std::size_t(1) << table_bits, 2);
-}
-
-std::size_t
-GsharePredictor::index(Addr pc) const
-{
-    return indexHot(pc);
-}
-
-bool
-GsharePredictor::predict(Addr pc) const
-{
-    return predictHot(pc);
-}
-
-void
-GsharePredictor::update(Addr pc, bool taken)
-{
-    updateHot(pc, taken);
 }
 
 void
@@ -97,12 +61,6 @@ Btb::reset()
 {
     std::fill(entries_.begin(), entries_.end(), Entry{});
     hits_ = misses_ = 0;
-}
-
-bool
-Btb::lookupAndUpdate(Addr pc, Addr target)
-{
-    return lookupAndUpdateHot(pc, target);
 }
 
 } // namespace mbias::uarch

@@ -44,39 +44,33 @@ class BranchPredictor
     virtual std::size_t tableSize() const = 0;
 };
 
-/** Classic 2-bit-counter bimodal predictor. */
-class BimodalPredictor : public BranchPredictor
+/**
+ * Classic 2-bit-counter bimodal predictor.  Final, with predict() and
+ * update() defined here: the simulator's plan loop resolves the
+ * concrete predictor once per run and calls them directly, without
+ * the per-branch virtual dispatch.
+ */
+class BimodalPredictor final : public BranchPredictor
 {
   public:
     /** @p table_bits log2 of the number of counters. */
     explicit BimodalPredictor(unsigned table_bits);
 
-    bool predict(Addr pc) const override;
-    void update(Addr pc, bool taken) override;
-    void reset() override;
-    std::size_t tableIndex(Addr pc) const override { return indexHot(pc); }
-    std::size_t tableSize() const override { return counters_.size(); }
-
-    /**
-     * Header-inline, non-virtual twins of predict()/update() for the
-     * simulator fast path (the virtual methods delegate here).  The
-     * fast path resolves the concrete predictor once per run and calls
-     * these directly, skipping the per-branch virtual dispatch.
-     */
-    bool predictHot(Addr pc) const { return counters_[indexHot(pc)] >= 2; }
-    void updateHot(Addr pc, bool taken)
+    bool predict(Addr pc) const override { return counters_[index(pc)] >= 2; }
+    void update(Addr pc, bool taken) override
     {
-        std::uint8_t &c = counters_[indexHot(pc)];
+        std::uint8_t &c = counters_[index(pc)];
         if (taken && c < 3)
             ++c;
         else if (!taken && c > 0)
             --c;
     }
+    void reset() override;
+    std::size_t tableIndex(Addr pc) const override { return index(pc); }
+    std::size_t tableSize() const override { return counters_.size(); }
 
   private:
-    std::size_t index(Addr pc) const;
-
-    std::size_t indexHot(Addr pc) const
+    std::size_t index(Addr pc) const
     {
         // Variable-length ISA: no bits are guaranteed zero, use the
         // low bits directly (as real fetch-address-indexed tables do).
@@ -87,34 +81,29 @@ class BimodalPredictor : public BranchPredictor
     std::vector<std::uint8_t> counters_;
 };
 
-/** Gshare: global history XOR-folded into the table index. */
-class GsharePredictor : public BranchPredictor
+/** Gshare: global history XOR-folded into the table index.  Final
+ *  for the same reason as BimodalPredictor. */
+class GsharePredictor final : public BranchPredictor
 {
   public:
     GsharePredictor(unsigned table_bits, unsigned history_bits);
 
-    bool predict(Addr pc) const override;
-    void update(Addr pc, bool taken) override;
-    void reset() override;
-    std::size_t tableIndex(Addr pc) const override { return indexHot(pc); }
-    std::size_t tableSize() const override { return counters_.size(); }
-
-    /** Non-virtual fast-path twins; see BimodalPredictor. */
-    bool predictHot(Addr pc) const { return counters_[indexHot(pc)] >= 2; }
-    void updateHot(Addr pc, bool taken)
+    bool predict(Addr pc) const override { return counters_[index(pc)] >= 2; }
+    void update(Addr pc, bool taken) override
     {
-        std::uint8_t &c = counters_[indexHot(pc)];
+        std::uint8_t &c = counters_[index(pc)];
         if (taken && c < 3)
             ++c;
         else if (!taken && c > 0)
             --c;
         history_ = (history_ << 1) | (taken ? 1 : 0);
     }
+    void reset() override;
+    std::size_t tableIndex(Addr pc) const override { return index(pc); }
+    std::size_t tableSize() const override { return counters_.size(); }
 
   private:
-    std::size_t index(Addr pc) const;
-
-    std::size_t indexHot(Addr pc) const
+    std::size_t index(Addr pc) const
     {
         const std::uint64_t h = history_ & mask(historyBits_);
         return std::size_t((pc ^ (pc >> tableBits_) ^ h)) & mask(tableBits_);
@@ -137,11 +126,7 @@ class Btb
     Btb(unsigned sets, unsigned ways);
 
     /** True iff pc hits with the correct target; updates the entry. */
-    bool lookupAndUpdate(Addr pc, Addr target);
-
-    /** Header-inline twin of lookupAndUpdate() for the simulator fast
-     *  path; the out-of-line method delegates here. */
-    bool lookupAndUpdateHot(Addr pc, Addr target)
+    bool lookupAndUpdate(Addr pc, Addr target)
     {
         const std::size_t set = std::size_t(pc ^ (pc >> 16)) & (sets_ - 1);
         const std::size_t base = set * ways_;

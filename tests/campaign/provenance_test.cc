@@ -66,6 +66,24 @@ TEST(Provenance, FromJsonRejectsGarbage)
     EXPECT_FALSE(obs::Provenance::fromJson("", out));
     EXPECT_FALSE(obs::Provenance::fromJson("{}", out));
     EXPECT_FALSE(obs::Provenance::fromJson("not json at all", out));
+
+    // The header's integers take the flags' grammar (parseDecimal), as
+    // the task records of the same store do: no sign, no blank, no
+    // wrap past the field's width.
+    const std::string good = obs::Provenance::capture(2).toJson();
+    ASSERT_TRUE(obs::Provenance::fromJson(good, out));
+    const auto with = [&](const std::string &field, const std::string &v) {
+        const std::string key = "\"" + field + "\":";
+        const auto at = good.find(key) + key.size();
+        const auto end = good.find_first_of(",}", at);
+        return good.substr(0, at) + v + good.substr(end);
+    };
+    EXPECT_FALSE(obs::Provenance::fromJson(with("jobs", "-1"), out));
+    EXPECT_FALSE(obs::Provenance::fromJson(with("jobs", "4294967297"), out));
+    EXPECT_FALSE(obs::Provenance::fromJson(with("env_bytes", "-2"), out));
+    EXPECT_FALSE(obs::Provenance::fromJson(with("workdir_len", " 1"), out));
+    EXPECT_TRUE(obs::Provenance::fromJson(with("jobs", "4294967295"), out));
+    EXPECT_EQ(out.jobs, 4294967295u);
 }
 
 TEST(ProvenanceStore, HeaderSurvivesResume)

@@ -302,30 +302,25 @@ TEST(ReplayDifferential, InstructionBudgetTruncation)
 
 TEST(ReplayDifferential, PreconditionViolationFallsBack)
 {
-    // A machine whose replay (or fast-path) toggle is off must not
-    // record: runRecord degrades to a plain run with identical bits, a
-    // null trace, and untouched tier statistics.
+    // A machine whose fast-path toggle is off must not record:
+    // runRecord degrades to a plain run with identical bits, a null
+    // trace, and untouched tier statistics.
     const auto image =
         imageFor("gcclike", toolchain::LinkOrder::asGiven(), 768);
     const std::uint64_t budget = 500'000'000;
     const auto mc = sim::MachineConfig::core2Like();
-    for (const bool fast_off : {false, true}) {
-        sim::Machine machine(mc);
-        if (fast_off)
-            machine.setUseFastPath(false);
-        else
-            machine.setUseReplayPath(false);
-        EXPECT_FALSE(sim::replayTierUsable(machine));
-        const auto before = sim::ReplayCache::global().stats();
-        std::shared_ptr<const sim::FunctionalTrace> trace;
-        const auto noise = sim::NoiseModel::withSeed(5);
-        const auto rec = machine.runRecord(image, budget, noise, &trace);
-        EXPECT_EQ(trace, nullptr);
-        EXPECT_EQ(rec, plainRun(mc, image, budget, noise));
-        const auto after = sim::ReplayCache::global().stats();
-        EXPECT_EQ(after.records, before.records);
-        EXPECT_EQ(after.replays, before.replays);
-    }
+    sim::Machine machine(mc);
+    machine.setUseFastPath(false);
+    EXPECT_FALSE(sim::replayTierUsable(machine));
+    const auto before = sim::ReplayCache::global().stats();
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    const auto noise = sim::NoiseModel::withSeed(5);
+    const auto rec = machine.runRecord(image, budget, noise, &trace);
+    EXPECT_EQ(trace, nullptr);
+    EXPECT_EQ(rec, plainRun(mc, image, budget, noise));
+    const auto after = sim::ReplayCache::global().stats();
+    EXPECT_EQ(after.records, before.records);
+    EXPECT_EQ(after.replays, before.replays);
 }
 
 TEST(ReplayDifferential, CacheAccounting)
@@ -383,8 +378,8 @@ TEST(ReplayDifferential, CacheAccounting)
 
 TEST(ReplayDifferential, EnvHatchAndTierReporting)
 {
-    // replayTierUsable composes the env hatch and the per-machine
-    // toggles; the active-tier description advertises the same verdict
+    // replayTierUsable follows the env hatches; the active-tier
+    // description advertises the same verdict
     // (the CLI prints it as provenance).  MBIAS_SIM_REFERENCE takes
     // precedence over the replay hatch, so it is unset for the
     // duration of the test.
@@ -393,10 +388,6 @@ TEST(ReplayDifferential, EnvHatchAndTierReporting)
     ::unsetenv("MBIAS_SIM_REFERENCE");
 
     sim::Machine machine(sim::MachineConfig::core2Like());
-    EXPECT_EQ(sim::replayTierUsable(machine), replayTierActive());
-    machine.setUseReplayPath(false);
-    EXPECT_FALSE(sim::replayTierUsable(machine));
-    machine.setUseReplayPath(true);
     EXPECT_EQ(sim::replayTierUsable(machine), replayTierActive());
 
     const std::string desc = sim::activeSimTierDescription();
