@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "base/hash.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace mbias::campaign
@@ -43,129 +44,79 @@ orderFromKind(int kind, std::uint64_t seed)
     mbias_panic("unstorable link order kind ", kind);
 }
 
-/** Parses an unsigned integer token in @p base; the whole token must
- *  be consumed. */
-bool
-parseU64(std::string_view tok, std::uint64_t &out, int base)
-{
-    if (tok.empty())
-        return false;
-    const char *first = tok.data();
-    const char *last = tok.data() + tok.size();
-    const auto res = std::from_chars(first, last, out, base);
-    return res.ec == std::errc() && res.ptr == last;
-}
-
 /**
- * Single-pass record parser.  Records keep the invariants that always
- * made plain scanning exact — each line is one *flat* JSON object (no
- * nesting), field names never occur as substrings of values, and
- * values contain no escapes — but where the old reader rescanned the
- * whole line once per field (sixteen passes of string::find), this
- * walks the line left to right exactly once and dispatches each
- * `"name":value` pair as it is encountered.  Field order is not
- * assumed, unknown names are skipped (forward compatibility), and a
- * record is valid only when every known field was seen.
+ * The record in the fields of one line.  Field order is free, unknown
+ * names are skipped (forward compatibility), and a record is valid
+ * only when every known field was seen and fits.  The reader refuses a
+ * duplicate name, so no field is read twice.
  */
 bool
-parseRecord(const std::string &line, TaskRecord &out)
+recordFromFields(const JsonObject &fields, TaskRecord &out)
 {
-    // A record is only valid if the line is complete — a run killed
-    // mid-append leaves a truncated last line with no closing brace.
-    if (line.size() < 2 || line.front() != '{' || line.back() != '}')
-        return false;
     TaskRecord r;
     unsigned seen = 0;
-    const char *p = line.data() + 1;
-    const char *end = line.data() + line.size() - 1; // the final '}'
-    while (p < end) {
-        if (*p == ',') {
-            ++p;
-            continue;
-        }
-        if (*p != '"')
-            return false;
-        const char *nameBeg = ++p;
-        while (p < end && *p != '"')
-            ++p;
-        if (p >= end)
-            return false;
-        const std::string_view name(nameBeg, std::size_t(p - nameBeg));
-        if (++p >= end || *p != ':')
-            return false;
-        ++p;
-        std::string_view value;
-        bool quoted = false;
-        if (p < end && *p == '"') {
-            quoted = true;
-            const char *valBeg = ++p;
-            while (p < end && *p != '"')
-                ++p;
-            if (p >= end)
-                return false;
-            value = std::string_view(valBeg, std::size_t(p - valBeg));
-            ++p;
+    for (const JsonField &f : fields) {
+        // Each reader marks field @p bit seen when its value fits; an
+        // integer field goes through its own maximum, so a value that
+        // does not fit refuses the record instead of wrapping.
+        const auto mark = [&seen](unsigned bit, bool ok) {
+            seen |= unsigned(ok) << bit;
+            return ok;
+        };
+        const auto decimal = [&](unsigned bit, auto &member,
+                                 std::uint64_t max) {
+            const auto v = f.value.decimal(max);
+            if (v)
+                member = std::remove_reference_t<decltype(member)>(*v);
+            return mark(bit, v.has_value());
+        };
+        const auto hex = [&](unsigned bit, std::uint64_t &member) {
+            const auto v = f.value.hex();
+            member = v.value_or(0);
+            return mark(bit, v.has_value());
+        };
+        constexpr std::uint64_t u64 = ~std::uint64_t(0);
+        bool ok = false;
+        if (f.name == "key") {
+            auto key = f.value.string();
+            ok = mark(0, key && key->size() == 16);
+            if (ok)
+                r.key = std::move(*key);
+        } else if (f.name == "task") {
+            ok = decimal(1, r.taskIndex, u64);
+        } else if (f.name == "env") {
+            ok = decimal(2, r.envBytes, u64);
+        } else if (f.name == "link_kind") {
+            // Only the storable kinds, the ones below Explicit: it has
+            // no stable content address.
+            ok = decimal(3, r.linkKind,
+                         int(toolchain::LinkOrder::Kind::Explicit) - 1);
+        } else if (f.name == "link_seed") {
+            ok = decimal(4, r.linkSeed, u64);
+        } else if (f.name == "plan") {
+            ok = decimal(5, r.planKind, std::numeric_limits<int>::max());
+        } else if (f.name == "reps") {
+            ok = decimal(6, r.reps, std::numeric_limits<unsigned>::max());
+        } else if (f.name == "base_cycles") {
+            ok = decimal(7, r.baseCycles, u64);
+        } else if (f.name == "base_insts") {
+            ok = decimal(8, r.baseInsts, u64);
+        } else if (f.name == "base_result") {
+            ok = decimal(9, r.baseResult, u64);
+        } else if (f.name == "treat_cycles") {
+            ok = decimal(10, r.treatCycles, u64);
+        } else if (f.name == "treat_insts") {
+            ok = decimal(11, r.treatInsts, u64);
+        } else if (f.name == "treat_result") {
+            ok = decimal(12, r.treatResult, u64);
+        } else if (f.name == "base_metric") {
+            ok = hex(13, r.baseMetricBits);
+        } else if (f.name == "treat_metric") {
+            ok = hex(14, r.treatMetricBits);
+        } else if (f.name == "speedup") {
+            ok = hex(15, r.speedupBits);
         } else {
-            const char *valBeg = p;
-            while (p < end && *p != ',')
-                ++p;
-            value = std::string_view(valBeg, std::size_t(p - valBeg));
-        }
-
-        bool ok = true;
-        std::uint64_t v = 0;
-        if (name == "key") {
-            ok = quoted && value.size() == 16;
-            r.key.assign(value);
-            seen |= 1u << 0;
-        } else if (name == "task") {
-            ok = parseU64(value, r.taskIndex, 10);
-            seen |= 1u << 1;
-        } else if (name == "env") {
-            ok = parseU64(value, r.envBytes, 10);
-            seen |= 1u << 2;
-        } else if (name == "link_kind") {
-            ok = parseU64(value, v, 10);
-            r.linkKind = int(v);
-            seen |= 1u << 3;
-        } else if (name == "link_seed") {
-            ok = parseU64(value, r.linkSeed, 10);
-            seen |= 1u << 4;
-        } else if (name == "plan") {
-            ok = parseU64(value, v, 10);
-            r.planKind = int(v);
-            seen |= 1u << 5;
-        } else if (name == "reps") {
-            ok = parseU64(value, v, 10);
-            r.reps = unsigned(v);
-            seen |= 1u << 6;
-        } else if (name == "base_cycles") {
-            ok = parseU64(value, r.baseCycles, 10);
-            seen |= 1u << 7;
-        } else if (name == "base_insts") {
-            ok = parseU64(value, r.baseInsts, 10);
-            seen |= 1u << 8;
-        } else if (name == "base_result") {
-            ok = parseU64(value, r.baseResult, 10);
-            seen |= 1u << 9;
-        } else if (name == "treat_cycles") {
-            ok = parseU64(value, r.treatCycles, 10);
-            seen |= 1u << 10;
-        } else if (name == "treat_insts") {
-            ok = parseU64(value, r.treatInsts, 10);
-            seen |= 1u << 11;
-        } else if (name == "treat_result") {
-            ok = parseU64(value, r.treatResult, 10);
-            seen |= 1u << 12;
-        } else if (name == "base_metric") {
-            ok = parseU64(value, r.baseMetricBits, 16);
-            seen |= 1u << 13;
-        } else if (name == "treat_metric") {
-            ok = parseU64(value, r.treatMetricBits, 16);
-            seen |= 1u << 14;
-        } else if (name == "speedup") {
-            ok = parseU64(value, r.speedupBits, 16);
-            seen |= 1u << 15;
+            continue;
         }
         if (!ok)
             return false;
@@ -270,7 +221,8 @@ TaskRecord::toJson() const
 bool
 TaskRecord::fromJson(const std::string &line, TaskRecord &out)
 {
-    return parseRecord(line, out);
+    const auto fields = JsonObject::parse(line);
+    return fields && recordFromFields(*fields, out);
 }
 
 namespace
@@ -279,8 +231,6 @@ namespace
 /** Store meta lines (header / metrics trailer) all share this prefix;
  *  they are intentionally unparseable as TaskRecords. */
 constexpr const char *kMetaPrefix = "{\"mbias_";
-constexpr const char *kHeaderTag = "\"mbias_store\"";
-constexpr const char *kMetricsTag = "\"mbias_metrics\"";
 
 bool
 isMetaLine(const std::string &line)
@@ -288,35 +238,18 @@ isMetaLine(const std::string &line)
     return line.rfind(kMetaPrefix, 0) == 0;
 }
 
-/** The value of counter @p name in a metrics snapshot line, or 0 when
- *  absent (counter names are unique and never occur inside values). */
+/** Counter @p name of a metrics trailer: the trailer's `snapshot` →
+ *  `counters` → @p name, or 0 when any step is absent. */
 std::uint64_t
-snapshotCounter(const std::string &json, const std::string &name)
+trailerCounter(const std::string &trailer, std::string_view name)
 {
-    const std::string needle = '"' + name + "\":";
-    const auto at = json.find(needle);
-    if (at == std::string::npos)
-        return 0;
-    const auto from = at + needle.size();
-    const auto to = json.find_first_not_of("0123456789", from);
-    std::uint64_t v = 0;
-    return parseU64(std::string_view(json).substr(from, to - from), v, 10)
-               ? v
-               : 0;
-}
-
-/** Extracts the raw `{...}` after `"provenance":` in a header line;
- *  empty when absent. */
-std::string
-provenanceOfHeader(const std::string &line)
-{
-    const std::string needle = "\"provenance\":";
-    const auto at = line.find(needle);
-    if (at == std::string::npos || line.back() != '}')
-        return "";
-    // The provenance object runs to the header's final closing brace.
-    return line.substr(at + needle.size(),
-                       line.size() - 1 - (at + needle.size()));
+    std::optional<JsonObject> obj = JsonObject::parse(trailer);
+    for (const std::string_view step : {"snapshot", "counters"}) {
+        const JsonValue *v = obj ? obj->find(step) : nullptr;
+        obj = v ? v->object() : std::nullopt;
+    }
+    const JsonValue *v = obj ? obj->find(name) : nullptr;
+    return v ? v->decimal().value_or(0) : 0;
 }
 
 /** One torn line: where it starts and what it looked like. */
@@ -342,15 +275,17 @@ struct StoreScan
 /**
  * The one line scanner behind ResultStore::load, summarizeStore and
  * readStoreColumns.  A line counts only if it ends in a newline and
- * parses; a meta line must also end in `}`.  Anything else is exactly
- * one torn line — including a final line that parses but lost its
- * newline, which a kill between the `}` and the `\n` leaves behind
- * and the next append truncates.
+ * parses through the one JSON reader (mbias::JsonObject), as a
+ * TaskRecord or as a meta line.  Anything else is exactly one torn
+ * line — including a final line that parses but lost its newline,
+ * which a kill between the `}` and the `\n` leaves behind and the
+ * next append truncates.
  */
 StoreScan
 scanStore(const std::string &path)
 {
     StoreScan scan;
+    JsonObject fields; // one buffer for every line
     std::ifstream in(path, std::ios::binary);
     std::string line;
     std::uintmax_t offset = 0;
@@ -363,17 +298,20 @@ scanStore(const std::string &path)
         }
         offset += line.size() + 1;
         scan.completeBytes = offset;
+        const bool parsed = fields.read(line);
         if (isMetaLine(line)) {
-            if (line.back() != '}')
-                scan.torn.push_back({start, "truncated meta line"});
-            else if (line.find(kHeaderTag) != std::string::npos)
-                scan.provenanceJson = provenanceOfHeader(line);
-            else if (line.find(kMetricsTag) != std::string::npos)
+            if (!parsed) {
+                scan.torn.push_back({start, "unparseable meta line"});
+            } else if (fields.find("mbias_store")) {
+                const JsonValue *prov = fields.find("provenance");
+                scan.provenanceJson = prov ? prov->raw() : "";
+            } else if (fields.find("mbias_metrics")) {
                 scan.metricsJson = line;
+            }
             continue;
         }
         TaskRecord rec;
-        if (TaskRecord::fromJson(line, rec))
+        if (parsed && recordFromFields(fields, rec))
             scan.records.push_back(std::move(rec));
         else
             scan.torn.push_back({start, "unparseable record"});
@@ -537,10 +475,10 @@ StoreSummary::str() const
         // Lanes per unit the engine scheduled: how many stack-only
         // variants of a program shared one unit of work.
         const std::uint64_t units =
-            snapshotCounter(metricsJson, "engine.lane_units");
+            trailerCounter(metricsJson, "engine.lane_units");
         if (units) {
             const std::uint64_t lanes =
-                snapshotCounter(metricsJson, "engine.lanes");
+                trailerCounter(metricsJson, "engine.lanes");
             os << "engine lanes    : " << lanes << " lanes in " << units
                << " units, mean lane width "
                << double(lanes) / double(units) << "\n";
@@ -548,10 +486,10 @@ StoreSummary::str() const
         // Replayed repetitions per walk of a recorded stream: how wide
         // the replay tier's lane passes ran.
         const std::uint64_t passes =
-            snapshotCounter(metricsJson, "sim.replay.lane_passes");
+            trailerCounter(metricsJson, "sim.replay.lane_passes");
         if (passes) {
             const std::uint64_t replays =
-                snapshotCounter(metricsJson, "sim.replay.replays");
+                trailerCounter(metricsJson, "sim.replay.replays");
             os << "replay lanes    : " << replays << " replays in " << passes
                << " passes, mean lane width "
                << double(replays) / double(passes) << "\n";

@@ -73,7 +73,9 @@ struct TaskRecord
     /** One JSON object, no newline. */
     std::string toJson() const;
 
-    /** Parses one line; returns false on malformed input. */
+    /** Parses one line; returns false on malformed input, a missing
+     *  or duplicate field, or a value that does not fit its field (a
+     *  link kind that is not storable included). */
     static bool fromJson(const std::string &line, TaskRecord &out);
 };
 
@@ -98,9 +100,9 @@ struct TaskRecord
  * load (the last one wins).
  *
  * load(), summarizeStore() and readStoreColumns() read the file by one
- * rule: a line counts only if it ends in a newline and parses (a meta
- * line must also end in `}`), and anything else is exactly one torn
- * line.  So a record that lost its newline is never served, and the
+ * rule: a line counts only if it ends in a newline and parses through
+ * the one JSON reader (base/json.hh), and anything else is exactly one
+ * torn line.  So a record that lost its newline is never served, and the
  * first write truncates it and the task runs again.
  */
 class ResultStore

@@ -6,6 +6,7 @@
 #include <map>
 #include <string_view>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "core/runner.hh"
@@ -127,18 +128,6 @@ functionEvidence(const std::vector<FunctionDelta> &functions,
     std::snprintf(buf, sizeof buf, "%s: %+lld %s", best->name.c_str(),
                   (long long)(best->*field), what);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 void

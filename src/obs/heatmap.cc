@@ -52,23 +52,6 @@ renderRows(const std::vector<double> &values, unsigned columns,
 } // namespace
 
 std::string
-asciiHeatmap(const std::string &title, const std::vector<double> &values,
-             unsigned columns)
-{
-    static const char kRamp[] = " .:-=+*#%@"; // 10 levels
-    const double scale = maxAbs(values);
-    std::string out = header(title, values.size(), scale);
-    out += renderRows(values, columns, [scale](double v) {
-        if (v <= 0.0 || scale <= 0.0)
-            return kRamp[0];
-        const int level = std::min(
-            9, 1 + int(std::floor(v / scale * 9.0 - 1e-9)));
-        return kRamp[level];
-    });
-    return out;
-}
-
-std::string
 asciiHeatmapSigned(const std::string &title,
                    const std::vector<double> &values, unsigned columns)
 {

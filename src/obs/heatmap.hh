@@ -8,22 +8,11 @@ namespace mbias::obs
 {
 
 /**
- * Deterministic ASCII heatmaps for per-set / per-entry attribution
- * vectors.  One character per cell, @p columns cells per row, scaled
- * to the vector's own maximum — purely a function of the input
- * values, so renders are byte-stable and golden-pinnable.
- */
-
-/**
- * Unsigned magnitudes (touch/miss counts).  Glyph ramp, low to high:
- * ` .:-=+*#%@` — ' ' is exactly zero, '@' is the maximum cell.
- */
-std::string asciiHeatmap(const std::string &title,
-                         const std::vector<double> &values,
-                         unsigned columns = 32);
-
-/**
- * Signed deltas (B − A per set).  '.' is exactly zero; increases ramp
+ * Deterministic ASCII heatmap of a per-set / per-entry attribution
+ * delta vector (B − A per set).  One character per cell, @p columns
+ * cells per row, scaled to the vector's own largest |cell| — purely a
+ * function of the input values, so renders are byte-stable and
+ * golden-pinnable.  '.' is exactly zero; increases ramp
  * `+` `*` `#` and decreases ramp `-` `=` `%`, each in thirds of the
  * largest |cell|.  A legend line is included in the render.
  */

@@ -1,17 +1,18 @@
 #include "obs/provenance.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #ifdef _WIN32
 #else
 #include <unistd.h>
 #endif
 
-#include "base/parse.hh"
+#include "base/json.hh"
 
 extern char **environ;
 
@@ -20,85 +21,6 @@ namespace mbias::obs
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
-/**
- * Finds `"name":` in a flat JSON object and returns the raw token
- * after it: digits, or an unescaped quoted string.  The walk honours
- * backslash escapes, which is all toJson() ever emits.
- */
-bool
-scanValue(const std::string &json, const std::string &name,
-          std::string &out)
-{
-    const std::string needle = "\"" + name + "\":";
-    const auto at = json.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + needle.size();
-    if (i >= json.size())
-        return false;
-    out.clear();
-    if (json[i] != '"') {
-        while (i < json.size() && json[i] != ',' && json[i] != '}')
-            out += json[i++];
-        return !out.empty();
-    }
-    for (++i; i < json.size(); ++i) {
-        if (json[i] == '\\' && i + 1 < json.size()) {
-            const char esc = json[++i];
-            if (esc == 'u' && i + 4 < json.size()) {
-                // jsonEscape() emits control bytes as \u00XX.
-                out += char(std::strtoul(json.substr(i + 1, 4).c_str(),
-                                         nullptr, 16));
-                i += 4;
-            } else {
-                out += esc; // \" and \\ — the only other escapes emitted
-            }
-            continue;
-        }
-        if (json[i] == '"')
-            return true;
-        out += json[i];
-    }
-    return false;
-}
-
-/** Reads field @p name through the flags' integer grammar
- *  (mbias::parseDecimal): a sign, a blank or a value above @p max
- *  fails the header instead of wrapping. */
-bool
-scanUint(const std::string &json, const std::string &name,
-         std::uint64_t &out,
-         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    std::string tok;
-    if (!scanValue(json, name, tok))
-        return false;
-    const auto v = parseDecimal(tok, max);
-    if (!v)
-        return false;
-    out = *v;
-    return true;
-}
 
 std::string
 cpuModelName()
@@ -179,28 +101,43 @@ Provenance::toJson() const
 bool
 Provenance::fromJson(const std::string &json, Provenance &out)
 {
+    const auto obj = JsonObject::parse(json);
+    if (!obj)
+        return false;
+    // A string field; flags, build_type and workdir may be absent.
+    const auto text = [&obj](const char *name, std::string &field,
+                             bool required) {
+        const JsonValue *v = obj->find(name);
+        if (!v)
+            return !required;
+        auto s = v->string();
+        if (s)
+            field = std::move(*s);
+        return s.has_value();
+    };
+    // The integers take the flags' grammar (mbias::parseDecimal): a
+    // sign, a blank or a value above the field's width fails the
+    // header instead of wrapping.
+    const auto number = [&obj](const char *name, auto &field) {
+        using Field = std::remove_reference_t<decltype(field)>;
+        const JsonValue *v = obj->find(name);
+        const auto n =
+            v ? v->decimal(std::numeric_limits<Field>::max()) : std::nullopt;
+        if (n)
+            field = Field(*n);
+        return n.has_value();
+    };
     Provenance p;
-    std::uint64_t v = 0;
-    if (!scanValue(json, "hostname", p.hostname))
+    if (!text("hostname", p.hostname, true) ||
+        !text("cpu", p.cpuModel, true) ||
+        !text("compiler", p.compiler, true) ||
+        !text("flags", p.compilerFlags, false) ||
+        !text("build_type", p.buildType, false) ||
+        !text("workdir", p.workdir, false) ||
+        !number("workdir_len", p.workdirLen) ||
+        !number("env_bytes", p.envBlockBytes) ||
+        !number("page_size", p.pageSize) || !number("jobs", p.jobs))
         return false;
-    if (!scanValue(json, "cpu", p.cpuModel))
-        return false;
-    if (!scanValue(json, "compiler", p.compiler))
-        return false;
-    // flags/build_type/workdir may legitimately be empty strings;
-    // scanValue fails only on absent fields for quoted values.
-    scanValue(json, "flags", p.compilerFlags);
-    scanValue(json, "build_type", p.buildType);
-    scanValue(json, "workdir", p.workdir);
-    if (!scanUint(json, "workdir_len", p.workdirLen))
-        return false;
-    if (!scanUint(json, "env_bytes", p.envBlockBytes))
-        return false;
-    if (!scanUint(json, "page_size", p.pageSize))
-        return false;
-    if (!scanUint(json, "jobs", v, std::numeric_limits<unsigned>::max()))
-        return false;
-    p.jobs = unsigned(v);
     out = std::move(p);
     return true;
 }

@@ -47,7 +47,8 @@ struct Provenance
     /** Flat one-line JSON object (strings escaped). */
     std::string toJson() const;
 
-    /** Parses toJson() output; false when any field is missing. */
+    /** Parses toJson() output (base/json.hh); false when a required
+     *  field is missing, or any field is duplicated or does not fit. */
     static bool fromJson(const std::string &json, Provenance &out);
 
     /** Aligned human-readable rendering. */

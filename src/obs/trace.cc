@@ -1,95 +1,10 @@
 #include "obs/trace.hh"
 
-#include <cctype>
 #include <fstream>
-#include <iterator>
 #include <sstream>
-
-#include "base/logging.hh"
 
 namespace mbias::obs
 {
-
-TraceFileSummary
-summarizeTraceFile(const std::string &path)
-{
-    TraceFileSummary s;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return s;
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    s.bytes = text.size();
-
-    const std::size_t key = text.find("\"traceEvents\"");
-    std::size_t pos =
-        key == std::string::npos ? std::string::npos : text.find('[', key);
-    if (pos == std::string::npos) {
-        s.truncated = true;
-        s.tornBytes = text.size();
-        mbias_warn("trace file ", path,
-                   ": no event array (torn header, ", text.size(),
-                   " bytes)");
-        return s;
-    }
-    s.ok = true;
-    ++pos;
-
-    // Walk complete {...} objects (string- and escape-aware), noting
-    // where the last complete one ended; anything after that which is
-    // not the closing "]" is a torn tail.
-    std::size_t last_complete = pos;
-    bool closed = false;
-    while (pos < text.size()) {
-        while (pos < text.size() &&
-               (std::isspace(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == ','))
-            ++pos;
-        if (pos >= text.size())
-            break;
-        if (text[pos] == ']') {
-            closed = true;
-            break;
-        }
-        if (text[pos] != '{')
-            break;
-        unsigned depth = 0;
-        bool in_string = false, escaped = false;
-        std::size_t q = pos;
-        for (; q < text.size(); ++q) {
-            const char c = text[q];
-            if (in_string) {
-                if (escaped)
-                    escaped = false;
-                else if (c == '\\')
-                    escaped = true;
-                else if (c == '"')
-                    in_string = false;
-            } else if (c == '"') {
-                in_string = true;
-            } else if (c == '{') {
-                ++depth;
-            } else if (c == '}' && --depth == 0) {
-                ++q;
-                break;
-            }
-        }
-        if (depth != 0)
-            break; // torn object
-        ++s.events;
-        pos = q;
-        last_complete = pos;
-    }
-    s.truncated = !closed;
-    if (s.truncated) {
-        s.tornOffset = last_complete;
-        s.tornBytes = text.size() - last_complete;
-        mbias_warn("trace file ", path, ": torn tail after ", s.events,
-                   " complete events (", s.tornBytes,
-                   " bytes at byte offset ", s.tornOffset, ")");
-    }
-    return s;
-}
 
 Tracer &
 Tracer::global()

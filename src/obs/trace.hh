@@ -39,25 +39,6 @@ struct TraceEvent
     std::string args; ///< pre-rendered JSON object ("{...}") or empty
 };
 
-/**
- * What a lexical scan of a written trace file found.  Mirrors the
- * result store's torn-line handling: a process killed mid-write
- * leaves a torn tail, which readers count and warn about (with the
- * byte offset) instead of failing.
- */
-struct TraceFileSummary
-{
-    bool ok = false;            ///< file opened and had an event array
-    std::size_t events = 0;     ///< complete event objects
-    std::size_t bytes = 0;      ///< file size
-    bool truncated = false;     ///< missing the closing "]}"
-    std::size_t tornOffset = 0; ///< byte offset where the torn tail starts
-    std::size_t tornBytes = 0;  ///< bytes in the torn tail
-};
-
-/** Scans @p path (Chrome-trace JSON); warns on a torn tail. */
-TraceFileSummary summarizeTraceFile(const std::string &path);
-
 /** The process-wide trace session; see the header comment. */
 class Tracer
 {

@@ -47,20 +47,6 @@ ConfidenceInterval tInterval(const Sample &s, double level = 0.95);
 ConfidenceInterval tIntervalMoments(double mean, double stderror,
                                     std::size_t n, double level = 0.95);
 
-/**
- * Welch's two-sample t-test: returns the two-sided p-value for the
- * hypothesis that samples @p a and @p b share a mean.
- */
-double welchTTestPValue(const Sample &a, const Sample &b);
-
-/**
- * Confidence interval for a ratio of means a/b via the delta method
- * (first-order Taylor expansion), as commonly used for speedups.
- */
-ConfidenceInterval ratioInterval(const Sample &numerator,
-                                 const Sample &denominator,
-                                 double level = 0.95);
-
 } // namespace mbias::stats
 
 #endif // MBIAS_STATS_CI_HH

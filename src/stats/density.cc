@@ -37,22 +37,6 @@ KernelDensity::at(double x) const
     return acc * inv / (std::sqrt(2.0 * M_PI) * double(data_.size()));
 }
 
-std::vector<std::pair<double, double>>
-KernelDensity::grid(int points) const
-{
-    mbias_assert(points >= 2, "grid needs >= 2 points");
-    const auto [mn, mx] = std::minmax_element(data_.begin(), data_.end());
-    const double lo = *mn - 2.0 * bandwidth_;
-    const double hi = *mx + 2.0 * bandwidth_;
-    std::vector<std::pair<double, double>> out;
-    out.reserve(points);
-    for (int i = 0; i < points; ++i) {
-        const double x = lo + (hi - lo) * double(i) / double(points - 1);
-        out.emplace_back(x, at(x));
-    }
-    return out;
-}
-
 ViolinSummary
 ViolinSummary::of(const Sample &s)
 {

@@ -29,12 +29,6 @@ class KernelDensity
     /** The bandwidth in use. */
     double bandwidth() const { return bandwidth_; }
 
-    /**
-     * Evaluates the density at @p points evenly spaced values spanning
-     * [min - 2h, max + 2h]; returns (x, density) pairs.
-     */
-    std::vector<std::pair<double, double>> grid(int points = 40) const;
-
   private:
     std::vector<double> data_;
     double bandwidth_;

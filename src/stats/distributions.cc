@@ -166,20 +166,4 @@ fCdf(double f, double d1, double d2)
     return regularizedIncompleteBeta(d1 / 2.0, d2 / 2.0, x);
 }
 
-double
-binomialTailAtLeast(int k, int n, double p)
-{
-    mbias_assert(n >= 0 && k >= 0, "binomial parameters must be nonnegative");
-    if (k > n)
-        return 0.0;
-    double tail = 0.0;
-    for (int i = k; i <= n; ++i) {
-        double ln = std::lgamma(n + 1.0) - std::lgamma(i + 1.0) -
-                    std::lgamma(n - i + 1.0) + i * std::log(p) +
-                    (n - i) * std::log1p(-p);
-        tail += std::exp(ln);
-    }
-    return std::min(1.0, tail);
-}
-
 } // namespace mbias::stats

@@ -29,9 +29,6 @@ double studentTCritical(double confidence, double df);
 /** CDF of the F distribution with (d1, d2) degrees of freedom. */
 double fCdf(double f, double d1, double d2);
 
-/** P(X >= k) for X ~ Binomial(n, p); exact summation. */
-double binomialTailAtLeast(int k, int n, double p);
-
 } // namespace mbias::stats
 
 #endif // MBIAS_STATS_DISTRIBUTIONS_HH

@@ -37,36 +37,6 @@ ranks(const std::vector<double> &v)
 
 } // namespace
 
-LinearFit
-linearRegression(const std::vector<double> &x, const std::vector<double> &y)
-{
-    mbias_assert(x.size() == y.size(), "regression needs paired data");
-    const std::size_t n = x.size();
-    mbias_assert(n >= 3, "regression needs n >= 3");
-
-    const double mx = std::accumulate(x.begin(), x.end(), 0.0) / double(n);
-    const double my = std::accumulate(y.begin(), y.end(), 0.0) / double(n);
-    double sxx = 0.0, sxy = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        sxx += (x[i] - mx) * (x[i] - mx);
-        sxy += (x[i] - mx) * (y[i] - my);
-        syy += (y[i] - my) * (y[i] - my);
-    }
-    mbias_assert(sxx > 0.0, "regression requires x variation");
-
-    LinearFit fit;
-    fit.slope = sxy / sxx;
-    fit.intercept = my - fit.slope * mx;
-    double ss_res = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double e = y[i] - fit.predict(x[i]);
-        ss_res += e * e;
-    }
-    fit.r2 = syy > 0.0 ? 1.0 - ss_res / syy : 1.0;
-    fit.slopeStderr = std::sqrt(ss_res / double(n - 2) / sxx);
-    return fit;
-}
-
 double
 pearson(const std::vector<double> &x, const std::vector<double> &y)
 {

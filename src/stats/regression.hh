@@ -6,22 +6,6 @@
 namespace mbias::stats
 {
 
-/** Result of an ordinary-least-squares fit y = slope * x + intercept. */
-struct LinearFit
-{
-    double slope = 0.0;
-    double intercept = 0.0;
-    double r2 = 0.0;          ///< coefficient of determination
-    double slopeStderr = 0.0; ///< standard error of the slope
-
-    /** Predicted value at @p x. */
-    double predict(double x) const { return slope * x + intercept; }
-};
-
-/** Ordinary least squares over paired observations; needs n >= 3. */
-LinearFit linearRegression(const std::vector<double> &x,
-                           const std::vector<double> &y);
-
 /** Pearson product-moment correlation coefficient; needs n >= 2. */
 double pearson(const std::vector<double> &x, const std::vector<double> &y);
 

@@ -122,18 +122,6 @@ Sample::geomean() const
 }
 
 double
-Sample::harmonicMean() const
-{
-    mbias_assert(!values_.empty(), "harmonic mean of empty sample");
-    double acc = 0.0;
-    for (double v : values_) {
-        mbias_assert(v > 0.0, "harmonic mean requires positive values");
-        acc += 1.0 / v;
-    }
-    return double(values_.size()) / acc;
-}
-
-double
 Sample::cv() const
 {
     return stddev() / mean();

@@ -72,9 +72,6 @@ class Sample
     /** Geometric mean; all observations must be positive. */
     double geomean() const;
 
-    /** Harmonic mean; all observations must be positive. */
-    double harmonicMean() const;
-
     /** Coefficient of variation (stddev / mean). */
     double cv() const;
 

@@ -108,13 +108,6 @@ Registry::entries() const
     return entries_;
 }
 
-std::size_t
-Registry::runtimeCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size() - suite().size();
-}
-
 const Workload &
 findWorkload(const std::string &name)
 {

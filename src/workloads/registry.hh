@@ -60,9 +60,6 @@ class Registry
      *  then runtime registrations in registration order. */
     std::vector<Entry> entries() const;
 
-    /** Number of runtime-registered (non-builtin) workloads. */
-    std::size_t runtimeCount() const;
-
   private:
     Registry();
 

@@ -170,11 +170,55 @@ TEST(TaskRecord, RejectsMissingAndDuplicateDamage)
     const std::string missing =
         "{" + line.substr(comma + 1); // drops the first field
     EXPECT_FALSE(TaskRecord::fromJson(missing, back));
+    // A second copy of a field fails the record: no reader can tell
+    // which copy was meant.
+    std::string duplicated = line;
+    duplicated.insert(duplicated.size() - 1, ",\"env\":52");
+    EXPECT_FALSE(TaskRecord::fromJson(duplicated, back));
     // Unknown fields are skipped, not fatal (forward compatibility).
     std::string extended = line;
     extended.insert(extended.size() - 1, ",\"future_field\":123");
     EXPECT_TRUE(TaskRecord::fromJson(extended, back));
     EXPECT_EQ(back.key, rec.key);
+    extended.insert(extended.size() - 1, ",\"future_field\":124");
+    EXPECT_FALSE(TaskRecord::fromJson(extended, back));
+}
+
+// Every integer field has its own maximum, and a value past it fails
+// the record instead of wrapping; a link kind must be one a store can
+// rebuild (Explicit, 3, has no stable address).
+TEST(TaskRecord, RejectsValuesThatDoNotFitTheirField)
+{
+    core::RunOutcome o;
+    o.speedup = 2.0;
+    const std::string line =
+        TaskRecord::make("0123456789abcdef", task(52), o, 2.0, 1.0)
+            .toJson();
+    const auto with = [&](const std::string &field, const std::string &v) {
+        const std::string key = "\"" + field + "\":";
+        const auto at = line.find(key) + key.size();
+        const auto end = line.find_first_of(",}", at);
+        return line.substr(0, at) + v + line.substr(end);
+    };
+    TaskRecord back;
+    EXPECT_TRUE(TaskRecord::fromJson(with("link_kind", "2"), back));
+    EXPECT_EQ(back.linkKind, 2);
+    EXPECT_TRUE(TaskRecord::fromJson(with("reps", "4294967295"), back));
+    EXPECT_EQ(back.reps, 4294967295u);
+    for (const auto &[field, v] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"link_kind", "3"},
+             {"link_kind", "7"},
+             {"reps", "4294967297"},
+             {"plan", "2147483648"},
+             {"env", "18446744073709551616"},
+             {"task", "-1"},
+             {"task", "\"5\""},
+             {"speedup", "\"123456789abcdef01\""},
+             {"speedup", "4611686018427387904"},
+             {"key", "\"0123456789abcde\""}})
+        EXPECT_FALSE(TaskRecord::fromJson(with(field, v), back))
+            << field << " = " << v;
 }
 
 TEST(StoreColumns, DedupsOrdersAndCountsTorn)
@@ -297,6 +341,20 @@ half(const std::string &line)
     return line.substr(0, line.size() / 2);
 }
 
+/** The store with its third record's @p from rewritten to @p to. */
+std::string
+rewritten(const std::vector<std::string> &lines, const std::string &from,
+          const std::string &to)
+{
+    std::string line = lines[3];
+    const auto at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        line.replace(at, from.size(), to);
+    return joined(lines, 0, 3) + line + "\n" +
+           joined(lines, 4, lines.size());
+}
+
 // Every reader of a store applies one rule: a line counts only if it
 // ends in a newline and parses, and anything else is exactly one torn
 // line.  A resume after any damage leaves every task in the file once.
@@ -345,6 +403,24 @@ TEST(StoreScan, ReadersAgreeOnHostileStores)
         {"empty line", tasks, 1, 1,
          [](const auto &l) {
              return joined(l, 0, 3) + "\n" + joined(l, 3, l.size());
+         }},
+        // Records that parse as JSON but cannot be served: each is one
+        // torn line, and the resume reruns its task.
+        {"unknown link kind", tasks - 1, 1, 1,
+         [](const auto &l) {
+             return rewritten(l, "\"link_kind\":0", "\"link_kind\":7");
+         }},
+        {"explicit link kind", tasks - 1, 1, 1,
+         [](const auto &l) {
+             return rewritten(l, "\"link_kind\":0", "\"link_kind\":3");
+         }},
+        {"reps past 2^32", tasks - 1, 1, 1,
+         [](const auto &l) {
+             return rewritten(l, "\"reps\":1,", "\"reps\":4294967297,");
+         }},
+        {"duplicate field", tasks - 1, 1, 1,
+         [](const auto &l) {
+             return rewritten(l, "\"env\":", "\"env\":0,\"env\":");
          }},
     };
     for (const HostileStore &c : cases) {

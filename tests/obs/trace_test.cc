@@ -153,83 +153,6 @@ TEST(ObsTrace, ConcurrentSpansAllRecorded)
     EXPECT_EQ(countOf(json, "["), countOf(json, "]"));
 }
 
-TEST(ObsTrace, SummarizeCleanFile)
-{
-    auto &tracer = obs::Tracer::global();
-    tracer.start();
-    for (int i = 0; i < 3; ++i) {
-        obs::ScopedSpan span("clean", "test");
-    }
-    tracer.stop();
-    const std::string path =
-        testing::TempDir() + "/mbias_trace_clean.json";
-    ASSERT_TRUE(tracer.writeTo(path));
-
-    const auto s = obs::summarizeTraceFile(path);
-    EXPECT_TRUE(s.ok);
-    EXPECT_EQ(s.events, 3u);
-    EXPECT_EQ(s.bytes, std::filesystem::file_size(path));
-    EXPECT_FALSE(s.truncated);
-    EXPECT_EQ(s.tornBytes, 0u);
-    std::filesystem::remove(path);
-}
-
-TEST(ObsTrace, SummarizeTornTailCountsAndReportsOffset)
-{
-    auto &tracer = obs::Tracer::global();
-    tracer.start();
-    for (int i = 0; i < 3; ++i) {
-        obs::ScopedSpan span("torn", "test");
-    }
-    tracer.stop();
-    const std::string path =
-        testing::TempDir() + "/mbias_trace_torn.json";
-    ASSERT_TRUE(tracer.writeTo(path));
-
-    // Simulate a process killed mid-write: the document ends
-    // "}\n]}\n", so dropping the last 5 bytes tears the final event
-    // object open and loses the closing bracket.
-    const auto full = std::filesystem::file_size(path);
-    ASSERT_GT(full, 5u);
-    std::filesystem::resize_file(path, full - 5);
-
-    const auto s = obs::summarizeTraceFile(path);
-    EXPECT_TRUE(s.ok) << "header and array are intact";
-    EXPECT_TRUE(s.truncated);
-    EXPECT_EQ(s.events, 2u) << "the torn third event must not count";
-    EXPECT_EQ(s.bytes, full - 5);
-    EXPECT_GT(s.tornOffset, 0u);
-    EXPECT_EQ(s.tornOffset + s.tornBytes, s.bytes)
-        << "offset + torn tail must cover the file exactly";
-    std::filesystem::remove(path);
-}
-
-TEST(ObsTrace, SummarizeTornHeader)
-{
-    const std::string path =
-        testing::TempDir() + "/mbias_trace_header.json";
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << "{\"displayTimeUnit\":\"ms\",\"traceEv";
-    }
-    const auto s = obs::summarizeTraceFile(path);
-    EXPECT_FALSE(s.ok);
-    EXPECT_TRUE(s.truncated);
-    EXPECT_EQ(s.events, 0u);
-    EXPECT_EQ(s.tornBytes, s.bytes) << "the whole file is the torn tail";
-    std::filesystem::remove(path);
-}
-
-TEST(ObsTrace, SummarizeMissingFile)
-{
-    const auto s =
-        obs::summarizeTraceFile("/nonexistent-dir/x/y/trace.json");
-    EXPECT_FALSE(s.ok);
-    EXPECT_EQ(s.events, 0u);
-    EXPECT_EQ(s.bytes, 0u);
-    EXPECT_FALSE(s.truncated);
-}
-
 TEST(ObsTrace, WriteToRoundTrips)
 {
     auto &tracer = obs::Tracer::global();

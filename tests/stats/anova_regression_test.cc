@@ -1,4 +1,4 @@
-/** @file Tests for ANOVA, regression, correlation, sign test, KDE. */
+/** @file Tests for ANOVA, correlation and KDE. */
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "stats/anova.hh"
 #include "stats/density.hh"
 #include "stats/regression.hh"
-#include "stats/signtest.hh"
 
 namespace
 {
@@ -57,30 +56,7 @@ TEST(Anova, ZeroWithinVarianceExactDifference)
     EXPECT_DOUBLE_EQ(r.pValue, 0.0);
 }
 
-// ----------------------------------------------------------- regression
-
-TEST(Regression, ExactLine)
-{
-    auto fit = linearRegression({1, 2, 3, 4}, {3, 5, 7, 9}); // y = 2x+1
-    EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-    EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-    EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-    EXPECT_NEAR(fit.predict(10.0), 21.0, 1e-10);
-    EXPECT_NEAR(fit.slopeStderr, 0.0, 1e-9);
-}
-
-TEST(Regression, NoisyLineRecoversSlope)
-{
-    Rng rng(9);
-    std::vector<double> x, y;
-    for (int i = 0; i < 200; ++i) {
-        x.push_back(i);
-        y.push_back(3.0 * i + 5.0 + rng.nextGaussian());
-    }
-    auto fit = linearRegression(x, y);
-    EXPECT_NEAR(fit.slope, 3.0, 0.01);
-    EXPECT_GT(fit.r2, 0.999);
-}
+// ---------------------------------------------------------- correlation
 
 TEST(Correlation, PerfectAndInverse)
 {
@@ -109,47 +85,6 @@ TEST(Correlation, SpearmanHandlesTies)
     EXPECT_NEAR(r, 1.0, 1e-12);
 }
 
-// ------------------------------------------------------------ sign test
-
-TEST(SignTest, AllPositiveSignificant)
-{
-    std::vector<double> a{2, 3, 4, 5, 6, 7, 8, 9};
-    std::vector<double> b{1, 2, 3, 4, 5, 6, 7, 8};
-    auto r = signTest(a, b);
-    EXPECT_EQ(r.positive, 8);
-    EXPECT_EQ(r.negative, 0);
-    EXPECT_NEAR(r.pValue, 2.0 / 256.0, 1e-12);
-    EXPECT_TRUE(r.significant());
-}
-
-TEST(SignTest, BalancedNotSignificant)
-{
-    std::vector<double> a{1, 3, 1, 3, 1, 3};
-    std::vector<double> b{2, 2, 2, 2, 2, 2};
-    auto r = signTest(a, b);
-    EXPECT_EQ(r.positive, 3);
-    EXPECT_EQ(r.negative, 3);
-    EXPECT_FALSE(r.significant());
-}
-
-TEST(SignTest, TiesExcluded)
-{
-    std::vector<double> a{1, 2, 3};
-    std::vector<double> b{1, 2, 2};
-    auto r = signTest(a, b);
-    EXPECT_EQ(r.ties, 2);
-    EXPECT_EQ(r.positive, 1);
-    EXPECT_NEAR(r.pValue, 1.0, 1e-12);
-}
-
-TEST(SignTest, AllTies)
-{
-    std::vector<double> a{1, 1};
-    auto r = signTest(a, a);
-    EXPECT_EQ(r.ties, 2);
-    EXPECT_DOUBLE_EQ(r.pValue, 1.0);
-}
-
 // ------------------------------------------------------------------ KDE
 
 TEST(Kde, IntegratesToRoughlyOne)
@@ -176,16 +111,6 @@ TEST(Kde, PeaksNearMode)
     KernelDensity kde(s, 0.5); // narrow bandwidth resolves both modes
     EXPECT_GT(kde.at(0.0), kde.at(5.0));
     EXPECT_GT(kde.at(10.0), kde.at(5.0));
-}
-
-TEST(Kde, GridSpansData)
-{
-    Sample s({1.0, 2.0, 3.0});
-    KernelDensity kde(s);
-    auto grid = kde.grid(10);
-    EXPECT_EQ(grid.size(), 10u);
-    EXPECT_LT(grid.front().first, 1.0);
-    EXPECT_GT(grid.back().first, 3.0);
 }
 
 TEST(Violin, QuartilesAndStrip)

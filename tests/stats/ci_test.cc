@@ -56,53 +56,6 @@ TEST(TInterval, CoverageProperty)
     EXPECT_LE(covered, trials * 99 / 100);
 }
 
-TEST(WelchTTest, IdenticalSamplesP1)
-{
-    Sample a({1.0, 2.0, 3.0});
-    EXPECT_NEAR(welchTTestPValue(a, a), 1.0, 1e-12);
-}
-
-TEST(WelchTTest, SeparatedSamplesSmallP)
-{
-    Sample a({1.0, 1.1, 0.9, 1.05, 0.95});
-    Sample b({9.0, 9.1, 8.9, 9.05, 8.95});
-    EXPECT_LT(welchTTestPValue(a, b), 1e-6);
-}
-
-TEST(WelchTTest, OverlappingSamplesLargeP)
-{
-    Sample a({1.0, 2.0, 3.0, 4.0});
-    Sample b({1.5, 2.5, 3.5, 2.0});
-    EXPECT_GT(welchTTestPValue(a, b), 0.3);
-}
-
-TEST(WelchTTest, FalsePositiveRate)
-{
-    Rng rng(77);
-    int rejections = 0;
-    const int trials = 300;
-    for (int t = 0; t < trials; ++t) {
-        Sample a, b;
-        for (int i = 0; i < 10; ++i) {
-            a.add(rng.nextGaussian());
-            b.add(rng.nextGaussian());
-        }
-        rejections += welchTTestPValue(a, b) < 0.05;
-    }
-    // Should be near 5%.
-    EXPECT_LE(rejections, trials * 10 / 100);
-}
-
-TEST(RatioInterval, CenteredOnRatio)
-{
-    Sample num({10.0, 10.2, 9.8, 10.1});
-    Sample den({5.0, 5.1, 4.9, 5.05});
-    auto ci = ratioInterval(num, den);
-    EXPECT_NEAR(ci.estimate, num.mean() / den.mean(), 1e-12);
-    EXPECT_TRUE(ci.contains(2.0));
-    EXPECT_LT(ci.upper - ci.lower, 0.5);
-}
-
 TEST(ConfidenceInterval, Predicates)
 {
     ConfidenceInterval ci;

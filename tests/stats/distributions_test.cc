@@ -74,15 +74,4 @@ TEST(Distributions, FCdfKnownValues)
     EXPECT_DOUBLE_EQ(fCdf(0.0, 3.0, 3.0), 0.0);
 }
 
-TEST(Distributions, BinomialTail)
-{
-    // P(X >= 0) = 1; P(X >= n+1) = 0.
-    EXPECT_DOUBLE_EQ(binomialTailAtLeast(0, 10, 0.5), 1.0);
-    EXPECT_DOUBLE_EQ(binomialTailAtLeast(11, 10, 0.5), 0.0);
-    // P(X >= 10 | n=10, p=.5) = 2^-10.
-    EXPECT_NEAR(binomialTailAtLeast(10, 10, 0.5), 1.0 / 1024.0, 1e-12);
-    // P(X >= 8 | n=10, p=.5) = (45+10+1)/1024.
-    EXPECT_NEAR(binomialTailAtLeast(8, 10, 0.5), 56.0 / 1024.0, 1e-12);
-}
-
 } // namespace

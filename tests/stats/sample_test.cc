@@ -64,12 +64,6 @@ TEST(Sample, Geomean)
     EXPECT_NEAR(s.geomean(), 4.0, 1e-12);
 }
 
-TEST(Sample, HarmonicMean)
-{
-    Sample s({1.0, 2.0, 4.0});
-    EXPECT_NEAR(s.harmonicMean(), 3.0 / (1.0 + 0.5 + 0.25), 1e-12);
-}
-
 TEST(Sample, CvOfConstantIsZero)
 {
     Sample s({5.0, 5.0, 5.0});
