@@ -96,7 +96,6 @@ pipeline::FigureSpec
 ablation()
 {
     return {"ablation", pipeline::FigureSpec::Kind::Ablation,
-            "ablation_mechanisms",
             "per-mechanism contributions to measurement bias",
             render};
 }

@@ -153,7 +153,6 @@ pipeline::FigureSpec
 corpus()
 {
     return {"corpus", pipeline::FigureSpec::Kind::Figure,
-            "corpus_fuzz_bias",
             "measurement bias on a fuzzed workload corpus", render};
 }
 

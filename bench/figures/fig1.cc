@@ -68,7 +68,6 @@ pipeline::FigureSpec
 fig1()
 {
     return {"fig1", pipeline::FigureSpec::Kind::Figure,
-            "fig1_link_order_dist",
             "cycle distributions across link orders (O2 vs O3 overlap)",
             render};
 }

@@ -79,7 +79,6 @@ pipeline::FigureSpec
 fig10()
 {
     return {"fig10", pipeline::FigureSpec::Kind::Figure,
-            "fig10_opt_level_matrix",
             "randomized-setup verdicts for every optimization step",
             render};
 }

@@ -114,7 +114,6 @@ pipeline::FigureSpec
 fig11()
 {
     return {"fig11", pipeline::FigureSpec::Kind::Figure,
-            "fig11_layout_randomization",
             "per-run stack-ASLR randomization as a bias remedy",
             render};
 }

@@ -93,7 +93,6 @@ pipeline::FigureSpec
 fig12()
 {
     return {"fig12", pipeline::FigureSpec::Kind::Figure,
-            "fig12_inorder_drift",
             "conclusion drift on an in-order core backend",
             render};
 }

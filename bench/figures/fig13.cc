@@ -115,7 +115,6 @@ pipeline::FigureSpec
 fig13()
 {
     return {"fig13", pipeline::FigureSpec::Kind::Figure,
-            "fig13_dvfs_noise",
             "DVFS frequency steps swept as a noise factor",
             render};
 }

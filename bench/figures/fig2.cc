@@ -60,7 +60,6 @@ pipeline::FigureSpec
 fig2()
 {
     return {"fig2", pipeline::FigureSpec::Kind::Figure,
-            "fig2_link_order_speedup",
             "per-workload O3 speedup range across link orders",
             render};
 }

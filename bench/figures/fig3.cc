@@ -62,7 +62,6 @@ pipeline::FigureSpec
 fig3()
 {
     return {"fig3", pipeline::FigureSpec::Kind::Figure,
-            "fig3_env_size_core2",
             "O3 speedup vs UNIX environment size (perl, core2like)",
             render};
 }

@@ -58,7 +58,6 @@ pipeline::FigureSpec
 fig4()
 {
     return {"fig4", pipeline::FigureSpec::Kind::Figure,
-            "fig4_env_size_arch",
             "env-size bias on every machine model",
             render};
 }

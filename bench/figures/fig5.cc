@@ -80,7 +80,6 @@ pipeline::FigureSpec
 fig5()
 {
     return {"fig5", pipeline::FigureSpec::Kind::Figure,
-            "fig5_sim_and_compilers",
             "link-order bias on the o3like simulator and the icc-like vendor",
             render};
 }

@@ -51,7 +51,6 @@ pipeline::FigureSpec
 fig6()
 {
     return {"fig6", pipeline::FigureSpec::Kind::Figure,
-            "fig6_causal_analysis",
             "causal analysis of env-size and link-order bias",
             render};
 }

@@ -86,7 +86,6 @@ pipeline::FigureSpec
 fig7()
 {
     return {"fig7", pipeline::FigureSpec::Kind::Figure,
-            "fig7_setup_randomization",
             "randomized-setup estimation of the O3 effect (whole suite)",
             render};
 }

@@ -70,7 +70,6 @@ pipeline::FigureSpec
 fig8()
 {
     return {"fig8", pipeline::FigureSpec::Kind::Figure,
-            "fig8_false_confidence",
             "within-setup noise vs between-setup bias (false confidence)",
             render};
 }

@@ -89,7 +89,6 @@ pipeline::FigureSpec
 fig9()
 {
     return {"fig9", pipeline::FigureSpec::Kind::Figure,
-            "fig9_factor_interaction",
             "env x link-order factorial ANOVA (factor interaction)",
             render};
 }

@@ -10,7 +10,7 @@ namespace mbias::figures
  * Registers every figure/table of the reproduction with the pipeline
  * registry, in presentation order (fig1..fig11, table1..table3, then
  * the mechanism ablation).  Idempotent per process — callers at every
- * entry point (wrapper binaries, the mbias CLI) just call it once
+ * entry point (the mbias CLI, perfbench's mbench) just call it once
  * before touching the registry.
  *
  * Registration is an explicit call rather than static initializers so

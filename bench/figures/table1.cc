@@ -55,7 +55,6 @@ pipeline::FigureSpec
 table1()
 {
     return {"table1", pipeline::FigureSpec::Kind::Table,
-            "table1_benchmarks",
             "the workload suite at the default setup",
             render};
 }

@@ -58,7 +58,6 @@ pipeline::FigureSpec
 table2()
 {
     return {"table2", pipeline::FigureSpec::Kind::Table,
-            "table2_survey",
             "literature survey: who reports setup factors?",
             render};
 }

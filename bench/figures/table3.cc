@@ -77,7 +77,6 @@ pipeline::FigureSpec
 table3()
 {
     return {"table3", pipeline::FigureSpec::Kind::Table,
-            "table3_suite_summary",
             "suite-wide geomean speedup with setup-induced CI",
             render};
 }

@@ -425,7 +425,7 @@ printTiers(const char *name, const TierResult &r, bool comma)
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = pipeline::parsePipelineArgs(argc, argv).options.jobs;
+    const unsigned jobs = pipeline::parseOnlyPipelineArgs(argc, argv).jobs;
 
     std::fprintf(stderr, "sim throughput microbench (jobs=%u)\n", jobs);
 

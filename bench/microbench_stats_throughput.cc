@@ -18,13 +18,17 @@
  * stderr; stdout is exactly one JSON document, which
  * scripts/reproduce_all.sh captures as results/BENCH_stats.json.
  *
- * Timing methodology: each arm runs once to warm (and to verify the
- * bitwise contract), then best-of-kRounds timed runs are reported,
- * matching microbench_sim_throughput.
+ * Timing methodology: a store read is the median of 15 rounds of 100
+ * back-to-back reads on the thread CPU clock (medianReadSeconds).
+ * Each bootstrap arm runs once to warm (and to verify the bitwise
+ * contract), then best-of-kRounds timed runs are reported, matching
+ * microbench_sim_throughput.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -42,6 +46,40 @@ namespace
 {
 
 constexpr const char *kStorePath = "results/microbench_stats_store.jsonl";
+
+constexpr int kReadRounds = 15, kReadsPerRound = 100;
+
+double
+threadCpuSeconds()
+{
+    timespec ts;
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+/**
+ * Seconds of one @p read: the median over kReadRounds rounds of
+ * kReadsPerRound back-to-back reads, each round timed by this
+ * thread's CPU clock.  A read takes about half a millisecond, so a
+ * single wall-clock read mostly measures the shared host's scheduler;
+ * the thread clock leaves out the time the kernel runs other threads,
+ * and the median drops the rounds a slow phase of the host still hits.
+ */
+template <typename Read>
+double
+medianReadSeconds(Read read)
+{
+    std::vector<double> perRead;
+    for (int round = 0; round < kReadRounds; ++round) {
+        const double t0 = threadCpuSeconds();
+        for (int r = 0; r < kReadsPerRound; ++r)
+            read();
+        perRead.push_back((threadCpuSeconds() - t0) / kReadsPerRound);
+    }
+    std::nth_element(perRead.begin(), perRead.begin() + kReadRounds / 2,
+                     perRead.end());
+    return perRead[kReadRounds / 2];
+}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -118,7 +156,7 @@ bootstrapArm(const std::vector<double> &data, bool reference,
 int
 main(int argc, char **argv)
 {
-    const auto options = pipeline::parsePipelineArgs(argc, argv).options;
+    const auto options = pipeline::parseOnlyPipelineArgs(argc, argv);
     const unsigned jobs = options.jobs;
     const int asked = options.resamplesOr(0);
     const int resamples = asked > 0 ? asked : 10000;
@@ -135,28 +173,20 @@ main(int argc, char **argv)
     // record-map load a resumed campaign performs).
     campaign::StoreColumns cols = campaign::readStoreColumns(kStorePath);
     mbias_assert(cols.rows() == 527, "unexpected store shape");
-    constexpr int kReadRounds = 7;
-    double readWall = 0.0, loadWall = 0.0;
-    for (int round = 0; round < kReadRounds; ++round) {
-        auto t0 = std::chrono::steady_clock::now();
+    const double readSeconds = medianReadSeconds([&] {
         const auto c = campaign::readStoreColumns(kStorePath);
-        const double w = secondsSince(t0);
         mbias_assert(c.rows() == cols.rows(), "unstable store read");
-        if (readWall == 0.0 || w < readWall)
-            readWall = w;
-
+    });
+    const double loadSeconds = medianReadSeconds([&] {
         campaign::ResultStore store(kStorePath);
-        t0 = std::chrono::steady_clock::now();
-        const std::size_t n = store.load();
-        const double lw = secondsSince(t0);
-        mbias_assert(n == cols.rows(), "unstable store load");
-        if (loadWall == 0.0 || lw < loadWall)
-            loadWall = lw;
-    }
+        mbias_assert(store.load() == cols.rows(), "unstable store load");
+    });
     std::fprintf(stderr,
-                 "  store read: columnar %.0f rec/s, load %.0f rec/s\n",
-                 double(cols.rows()) / readWall,
-                 double(cols.rows()) / loadWall);
+                 "  store read: columnar %.0f rec/s, load %.0f rec/s "
+                 "(median of %d rounds of %d reads, thread CPU time)\n",
+                 double(cols.rows()) / readSeconds,
+                 double(cols.rows()) / loadSeconds, kReadRounds,
+                 kReadsPerRound);
 
     // Part 2: the bootstrap arms.  All three must agree bitwise.
     const ArmResult ref = bootstrapArm(cols.speedup, true, jobs, resamples);
@@ -185,11 +215,11 @@ main(int argc, char **argv)
     std::printf("    \"records\": %zu,\n", cols.rows());
     std::printf("    \"bytes\": %.0f,\n", storeBytes);
     std::printf("    \"columnar_records_per_sec\": %.0f,\n",
-                double(cols.rows()) / readWall);
+                double(cols.rows()) / readSeconds);
     std::printf("    \"columnar_mb_per_sec\": %.2f,\n",
-                storeBytes / readWall / 1e6);
+                storeBytes / readSeconds / 1e6);
     std::printf("    \"load_records_per_sec\": %.0f\n",
-                double(cols.rows()) / loadWall);
+                double(cols.rows()) / loadSeconds);
     std::printf("  },\n");
     std::printf("  \"bootstrap\": {\n");
     std::printf("    \"n\": %zu,\n", cols.speedup.size());

@@ -23,9 +23,7 @@ JOBS="$(nproc 2>/dev/null || echo 1)"
 echo "== tables & figures =="
 # Every figure/table renders through the one registry-driven pipeline
 # entry point; results are bitwise independent of the job count, so
-# parallelism is free here.  The per-figure wrapper binaries in
-# $BUILD/bench/ still exist (same bytes, one figure each) for anyone
-# chasing a single figure.
+# parallelism is free here.  `mbias fig <id>` renders a single figure.
 start="$(date +%s.%N)"
 "$BUILD"/tools/mbias all --jobs "$JOBS" 2>&1 \
     | tee results/bench_output.txt

@@ -344,11 +344,6 @@ CampaignEngine::run()
     // Each run gets its own metrics registry so the report's snapshot
     // is exactly this campaign — nothing leaks across runs.
     obs::Registry metrics;
-    obs::Tracer &tracer = obs::Tracer::global();
-    const bool tracing = !opts_.tracePath.empty();
-    if (tracing)
-        tracer.start();
-
     const obs::Provenance provenance =
         obs::Provenance::capture(opts_.jobs);
 
@@ -610,14 +605,6 @@ CampaignEngine::run()
         obs::Registry::global().snapshot().since(globalBefore));
     if (store)
         store->appendMetrics(report.metrics);
-    if (tracing) {
-        tracer.stop();
-        if (!tracer.writeTo(opts_.tracePath))
-            mbias_warn("cannot write trace to ", opts_.tracePath);
-        else
-            inform("trace written to " + opts_.tracePath +
-                   " (open in Perfetto: https://ui.perfetto.dev)");
-    }
     return report;
 }
 

@@ -26,16 +26,6 @@ struct CampaignOptions
     bool resume = false;
 
     /**
-     * Chrome-trace JSON output path; empty disables tracing.  The
-     * engine runs a process-wide trace session for the duration of
-     * run() and writes phase spans (queue-wait, one "lanes" span per
-     * family chunk with its setup-materialize and run, and per task a
-     * "task" span around its reassembly and store-append, aggregate)
-     * viewable in Perfetto (ui.perfetto.dev).
-     */
-    std::string tracePath;
-
-    /**
      * Live progress line on stderr (tasks done/total, cache-hit
      * rate, ETA), redrawn in place a few times a second.  Meant for
      * interactive ttys; off by default.
@@ -86,6 +76,13 @@ struct CampaignOptions
  * that moved.  Work done before the run (an `--asm-dir` load, a
  * fuzzed corpus) is not booked, and a repeated campaign shows only
  * its own cache misses.
+ *
+ * Tracing: the engine owns no trace session.  Its phase spans
+ * (queue-wait, one "lanes" span per family chunk with its
+ * setup-materialize and run, per task a "task" span around its
+ * reassembly and store-append, aggregate) land in whatever
+ * process-wide session is active — `--trace` opens one around every
+ * `mbias` subcommand (pipeline::ScopedTraceSession).
  */
 class CampaignEngine
 {

@@ -12,10 +12,7 @@ FigureContext::run(const campaign::CampaignSpec &spec)
     copts.jobs = opts_.jobs;
     copts.confidence = confidence();
     copts.resamples = resamples();
-    // tracePath stays empty: the caller owns one trace session around
-    // the whole figure or subcommand, and engine spans land in
-    // whatever session is active.  progress stays off: the output is
-    // piped/diffed.
+    // progress stays off: the output is piped/diffed.
     campaign::CampaignEngine engine(spec, copts);
     campaign::CampaignReport report = engine.run();
     wallSeconds_ += report.stats.wallSeconds;

@@ -41,26 +41,12 @@ int
 runEveryFigure(const PipelineOptions &opts)
 {
     for (const FigureSpec &spec : FigureRegistry::instance().all()) {
-        std::printf("---- %s ----\n", spec.binaryName.c_str());
+        std::printf("---- %s ----\n", spec.id.c_str());
         std::fflush(stdout);
         if (const int rc = runFigure(spec, opts))
             return rc;
     }
     return 0;
-}
-
-int
-figureMain(const std::string &id, int argc, char **argv)
-{
-    const ParsedArgs parsed = parsePipelineArgs(argc, argv);
-    applyLogging(parsed.options);
-    const FigureSpec *spec = FigureRegistry::instance().find(id);
-    if (!spec) {
-        std::fprintf(stderr, "unknown figure id '%s'\n", id.c_str());
-        return 2;
-    }
-    ScopedTraceSession trace(parsed.options.tracePath);
-    return runFigure(*spec, parsed.options);
 }
 
 } // namespace mbias::pipeline

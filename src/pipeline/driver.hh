@@ -34,19 +34,11 @@ class ScopedTraceSession
 int runFigure(const FigureSpec &spec, const PipelineOptions &opts);
 
 /**
- * Renders every registered figure in registry order, printing the
- * `---- <binary name> ----` section header reproduce_all.sh has
- * always used between drivers.  Stops at the first failure.
+ * Renders every registered figure in registry order, printing a
+ * `---- <id> ----` section header before each (reproduce_all.sh splits
+ * the transcript on it).  Stops at the first failure.
  */
 int runEveryFigure(const PipelineOptions &opts);
-
-/**
- * Entry point of the thin per-figure wrapper binaries: parses the
- * shared flags (ignoring anything else, like the historical bench
- * scanners), applies logging, opens a trace session when requested,
- * and renders the figure registered under @p id.
- */
-int figureMain(const std::string &id, int argc, char **argv);
 
 } // namespace mbias::pipeline
 

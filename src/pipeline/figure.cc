@@ -25,7 +25,7 @@ const FigureSpec *
 FigureRegistry::find(const std::string &id) const
 {
     for (const auto &s : specs_)
-        if (s.id == id || s.binaryName == id)
+        if (s.id == id)
             return &s;
     return nullptr;
 }

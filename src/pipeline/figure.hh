@@ -33,25 +33,20 @@ struct FigureSpec
 
     Kind kind = Kind::Figure;
 
-    /** The pre-pipeline driver binary this spec replaced (the wrapper
-     *  binary keeps the name, and `mbias all` prints it as the section
-     *  header for reproduce_all.sh compatibility). */
-    std::string binaryName;
-
     /** One line for `mbias list`. */
     std::string title;
 
-    /** Renders the figure to stdout, byte-identical to the historical
-     *  driver at default options. */
+    /** Renders the figure to stdout, byte-identical to
+     *  tests/golden/<id>.txt at default options. */
     std::function<void(FigureContext &)> render;
 };
 
 /**
  * The process-wide table of registered figures.  Figure definitions
  * live in bench/figures/ and are registered by an explicit
- * registerAll() call from each entry point (explicit registration —
- * not static initializers — so registration survives static-library
- * dead-stripping).
+ * registerAll() call from each entry point, `mbias` and perfbench's
+ * mbench (explicit registration — not static initializers — so
+ * registration survives static-library dead-stripping).
  */
 class FigureRegistry
 {
@@ -61,8 +56,8 @@ class FigureRegistry
     /** Registers @p spec; duplicate ids are a bug. */
     void add(FigureSpec spec);
 
-    /** Looks up by exact id ("fig5", "table2", "ablation") or by the
-     *  legacy binary name; nullptr when unknown. */
+    /** Looks up by exact id ("fig5", "table2", "ablation"); nullptr
+     *  when unknown. */
     const FigureSpec *find(const std::string &id) const;
 
     /** All specs in registration (= presentation) order. */

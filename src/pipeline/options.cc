@@ -84,6 +84,20 @@ parsePipelineArgs(int argc, char **argv)
     return parsed;
 }
 
+PipelineOptions
+parseOnlyPipelineArgs(int argc, char **argv)
+{
+    ParsedArgs parsed = parsePipelineArgs(argc, argv);
+    if (!parsed.rest.empty()) {
+        const char *slash = std::strrchr(argv[0], '/');
+        mbias_fatal("unknown argument ", parsed.rest.front(), " for ",
+                    slash ? slash + 1 : argv[0],
+                    " (it takes only the shared --jobs --seed "
+                    "--resamples --confidence --trace --quiet --verbose)");
+    }
+    return parsed.options;
+}
+
 void
 applyLogging(const PipelineOptions &opts)
 {

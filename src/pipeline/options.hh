@@ -12,8 +12,8 @@ namespace mbias::pipeline
 
 /**
  * The flag set every experiment entry point shares — the `mbias`
- * subcommands and each figure/table wrapper binary parse these with
- * the *same* code, so `--jobs/--seed/--resamples/--confidence/--trace/
+ * subcommands and the throughput microbenches parse these with the
+ * *same* code, so `--jobs/--seed/--resamples/--confidence/--trace/
  * --quiet/--verbose` behave identically everywhere.
  *
  * Value flags are optionals: a figure (or subcommand) supplies its own
@@ -68,6 +68,13 @@ struct ParsedArgs
  * NaN).
  */
 ParsedArgs parsePipelineArgs(int argc, char **argv);
+
+/**
+ * parsePipelineArgs for a program that takes nothing but the shared
+ * flags (the throughput microbenches): any other argument is fatal,
+ * naming it and the program (argv[0]'s basename).
+ */
+PipelineOptions parseOnlyPipelineArgs(int argc, char **argv);
 
 /**
  * The one integer grammar of every flag, shared and

@@ -41,7 +41,7 @@ enum class CoreKind
  * *simulators* exhibit measurement bias too.
  *
  * The enable* flags exist for the mechanism-ablation study
- * (bench/ablation_mechanisms): each flag removes one address-dependent
+ * (`mbias fig ablation`): each flag removes one address-dependent
  * mechanism so its contribution to the total bias can be quantified.
  */
 struct MachineConfig

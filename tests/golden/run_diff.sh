@@ -1,32 +1,18 @@
 #!/bin/sh
-# Golden-output differential check for one figure/table binary.
+# Golden-output differential check for one `mbias` command line.
 #
-# Usage: run_diff.sh <binary> <golden-dir> [--golden-id ID]
-#        [extra args...]
+# Usage: run_diff.sh <mbias> <golden-dir> <golden-id> [args...]
 #
-# Runs the binary (forwarding any extra args, e.g. --jobs 8), strips
-# the volatile accounting lines ([campaign: ...] wall-clock and
-# [metrics] latency histograms — everything else is deterministic),
-# and byte-compares against the pinned seed transcript.  The golden id
-# is the binary name's first underscore-delimited token (fig2, table1,
-# ablation), after dropping the legacy_ prefix the reference builds of
-# the pre-pipeline drivers carry; --golden-id overrides it for
-# multi-figure entry points (`run_diff.sh mbias ... --golden-id fig2
-# fig 2`).
+# Runs `mbias [args...]` (e.g. `fig fig2 --jobs 8`), strips the
+# volatile accounting lines ([campaign: ...] wall-clock and [metrics]
+# latency histograms — everything else is deterministic), and
+# byte-compares against the pinned transcript <golden-dir>/<golden-id>.txt.
 set -e
 
 bin="$1"
-dir="$2"
-shift 2
-
-base="$(basename "$bin")"
-base="${base#legacy_}"
-id="${base%%_*}"
-if [ "${1:-}" = "--golden-id" ]; then
-    id="$2"
-    shift 2
-fi
-golden="$dir/$id.txt"
+id="$3"
+golden="$2/$id.txt"
+shift 3
 if [ ! -f "$golden" ]; then
     echo "missing golden transcript: $golden" >&2
     exit 1
@@ -40,7 +26,7 @@ trap 'rm -f "$tmp_out" "$tmp_ref"' EXIT
 sed -e '/^\[campaign:/d' -e '/^\[metrics\]/d' "$golden" > "$tmp_ref"
 
 if ! diff -u "$tmp_ref" "$tmp_out"; then
-    echo "FAIL: $base $* diverges from $golden" >&2
+    echo "FAIL: mbias $* diverges from $golden" >&2
     exit 1
 fi
-echo "OK: $base $* matches $golden"
+echo "OK: mbias $* matches $golden"

@@ -1,7 +1,7 @@
 /**
  * @file
- * The shared pipeline flag parser: one grammar for the mbias CLI, the
- * figure wrapper binaries, and the microbenchmark shims.
+ * The shared pipeline flag parser: one grammar for the mbias CLI and
+ * the throughput microbenches.
  */
 #include <gtest/gtest.h>
 

@@ -5,8 +5,7 @@
  *
  * Usage:
  *   mbias list
- *   mbias fig <id>      render one registered figure (fig3, or 3, or
- *                       the legacy binary name)
+ *   mbias fig <id>      render one registered figure (fig3, or 3)
  *   mbias table <id>    render one registered table (table2, or 2)
  *   mbias all           render every registered figure/table in order
  *   mbias run      --workload perl [--vendor gcc] [--opt O2]
@@ -30,14 +29,15 @@
  *
  * The shared pipeline flags --jobs/--seed/--resamples/--confidence/
  * --trace/--quiet/--verbose are parsed once, by the same
- * pipeline::parsePipelineArgs the figure wrapper binaries use, and
+ * pipeline::parsePipelineArgs the throughput microbenches use, and
  * mean the same thing for every subcommand that consumes
  * them (per-command defaults match the historical ones, e.g. analyze
  * still defaults --resamples to 1000).  Every integer flag uses the
  * same grammar (pipeline::parseUint), and a count below what the
  * command's analysis needs is fatal.  So is a flag the command does
- * not read (see commands()), and a value flag given without its
- * value: a typo never runs the defaults silently.
+ * not read (see commands()), a value flag given without its value,
+ * and a positional argument past the command's arity (`mbias table 2
+ * 3`): a typo never runs the defaults silently.
  *
  * bias, variance and causal measure like the figures do: through a
  * pipeline::FigureContext, as campaigns on the campaign engine.
@@ -103,8 +103,7 @@ struct Args
      *  last occurrence of a repeated key; explain needs both). */
     std::vector<std::string> setupSpecs;
 
-    /** The shared pipeline flags, parsed by the same code as the
-     *  figure wrapper binaries. */
+    /** The shared pipeline flags (pipeline::parsePipelineArgs). */
     pipeline::PipelineOptions shared;
 
     std::string
@@ -138,15 +137,23 @@ struct Args
     }
 };
 
-/** One subcommand: its name, the flags it reads, and its body. */
+/** One subcommand: its name, the flags it reads, how many positional
+ *  arguments it takes, and its body. */
 struct Command
 {
+    /** Positional arity of a command that checks its own (asm). */
+    static constexpr std::size_t kAnyPositionals =
+        std::numeric_limits<std::size_t>::max();
+
     const char *name;
     /** The command's own value flags (`--env 64`); --asm-dir and the
      *  shared pipeline flags are accepted by every command. */
     std::vector<std::string> flags;
     /** Its switches (`--counters`), which take no value. */
     std::vector<std::string> switches;
+    /** The most positional arguments it takes (fig/table: the id);
+     *  one more is fatal. */
+    std::size_t positionals;
     int (*run)(const Args &);
 };
 
@@ -205,10 +212,12 @@ parseArgs(int argc, char **argv)
                 mbias_fatal("missing value for --", key);
             if (key == "setup")
                 args.setupSpecs.push_back(args.options[key]);
-        } else if (args.options.empty()) {
+        } else if (args.options.empty() &&
+                   args.positionals.size() < cmd->positionals) {
             args.positionals.push_back(a);
         } else {
-            mbias_fatal("unexpected argument: ", a);
+            mbias_fatal("unexpected argument '", a, "' for mbias ",
+                        cmd->name);
         }
     }
     return args;
@@ -328,10 +337,9 @@ cmdList()
 {
     printWorkloads();
 
-    core::TextTable figs({"id", "kind", "binary", "description"});
+    core::TextTable figs({"id", "kind", "description"});
     for (const auto &spec : pipeline::FigureRegistry::instance().all())
-        figs.addRow({spec.id, kindName(spec.kind), spec.binaryName,
-                     spec.title});
+        figs.addRow({spec.id, kindName(spec.kind), spec.title});
     std::printf("%s\n", figs.str().c_str());
     std::printf("render with `mbias fig <id>`, `mbias table <id>`, or "
                 "`mbias all [--jobs N]`\n\n");
@@ -342,10 +350,9 @@ cmdList()
 }
 
 /**
- * `mbias fig 3` / `mbias fig fig3` / `mbias table 1` /
- * `mbias fig fig3_env_size_core2` all name the same spec: bare
- * numbers get the command's prefix, everything else is looked up
- * as an id or legacy binary name.
+ * `mbias fig 3` and `mbias fig fig3` name the same spec, as do
+ * `mbias table 1` and `mbias table table1`: bare numbers get the
+ * command's prefix, everything else is looked up as an id.
  */
 std::string
 normalizeFigureId(const std::string &prefix, const std::string &id)
@@ -450,7 +457,6 @@ cmdCampaign(const Args &args)
                        ? std::string()
                        : args.get("out", "results/campaign.jsonl");
     opts.resume = args.options.count("resume") > 0;
-    opts.tracePath = args.shared.tracePath;
     opts.confidence = args.shared.confidenceOr(0.95);
     opts.resamples = args.shared.resamplesOr(0);
     // The in-place progress line is for humans watching a terminal;
@@ -466,10 +472,10 @@ cmdCampaign(const Args &args)
         std::printf("result store    : %s (rerun with --resume to "
                     "extend or recover; inspect with obs-summary)\n",
                     opts.outPath.c_str());
-    if (!opts.tracePath.empty())
+    if (!args.shared.tracePath.empty())
         std::printf("trace           : %s (open in Perfetto: "
                     "https://ui.perfetto.dev)\n",
-                    opts.tracePath.c_str());
+                    args.shared.tracePath.c_str());
     if (args.shared.verbose) {
         std::printf("metrics:\n%s", report.metrics.str().c_str());
         std::printf("provenance:\n%s", report.provenance.str().c_str());
@@ -901,8 +907,7 @@ usage()
         stderr,
         "usage: mbias <command> [options]\n"
         "  list                           workloads, figures, tables\n"
-        "  fig      <id>                  render one figure (fig3, 3,\n"
-        "           or a legacy binary name)\n"
+        "  fig      <id>                  render one figure (fig3 or 3)\n"
         "  table    <id>                  render one table\n"
         "  all                            render every figure/table\n"
         "  run      --workload W [--opt O2] [--env N] [--link-seed S]\n"
@@ -935,7 +940,8 @@ usage()
         "every command accepts --asm-dir DIR to load *.toml workload\n"
         "manifests (and their .asm) before running; any flag a command\n"
         "does not list is an error, as is a value flag without its value\n"
-        "shared (every command and figure binary): [--jobs N]\n"
+        "or an argument past the command's <id>/<file> list\n"
+        "shared (every command): [--jobs N]\n"
         "        [--seed S] [--resamples R] [--confidence C]\n"
         "        [--trace T.json]\n"
         "        --quiet (silence warn/inform + progress line)\n"
@@ -961,38 +967,40 @@ const std::vector<Command> &
 commands()
 {
     static const std::vector<Command> table = {
-        {"list", {}, {}, [](const Args &) { return cmdList(); }},
-        {"workloads", {}, {}, [](const Args &) { return cmdWorkloads(); }},
-        {"asm", {"workload", "out"}, {}, cmdAsm},
-        {"fuzz", {"count", "out"}, {}, cmdFuzz},
-        {"fig", {}, {}, [](const Args &a) { return cmdFigure(a, "fig"); }},
-        {"table", {}, {},
+        {"list", {}, {}, 0, [](const Args &) { return cmdList(); }},
+        {"workloads", {}, {}, 0,
+         [](const Args &) { return cmdWorkloads(); }},
+        {"asm", {"workload", "out"}, {}, Command::kAnyPositionals, cmdAsm},
+        {"fuzz", {"count", "out"}, {}, 0, cmdFuzz},
+        {"fig", {}, {}, 1,
+         [](const Args &a) { return cmdFigure(a, "fig"); }},
+        {"table", {}, {}, 1,
          [](const Args &a) { return cmdFigure(a, "table"); }},
-        {"all", {}, {}, cmdAll},
+        {"all", {}, {}, 0, cmdAll},
         {"run", specFlags({"opt", "env", "link-seed"}),
-         {"counters", "manifest"}, cmdRun},
+         {"counters", "manifest"}, 0, cmdRun},
         {"bias", specFlags({"baseline", "treatment", "factor", "setups"}),
-         {}, cmdBias},
+         {}, 0, cmdBias},
         {"campaign",
          specFlags({"baseline", "treatment", "factor", "setups",
                     "aslr-reps", "out"}),
-         {"no-store", "resume", "provenance"}, cmdCampaign},
-        {"analyze", {"store", "out"}, {}, cmdAnalyze},
-        {"obs-summary", {"store", "out"}, {}, cmdObsSummary},
+         {"no-store", "resume", "provenance"}, 0, cmdCampaign},
+        {"analyze", {"store", "out"}, {}, 0, cmdAnalyze},
+        {"obs-summary", {"store", "out"}, {}, 0, cmdObsSummary},
         {"causal", specFlags({"baseline", "factor", "setups"}), {"explain"},
-         cmdCausal},
+         0, cmdCausal},
         {"explain",
          specFlags({"opt", "setup", "figure", "json", "heatmap", "top"}),
-         {}, cmdExplain},
+         {}, 0, cmdExplain},
         {"variance",
          specFlags({"baseline", "treatment", "env", "setups", "reps"}), {},
-         cmdVariance},
-        {"profile", specFlags({"opt", "env", "link-seed", "top"}), {},
+         0, cmdVariance},
+        {"profile", specFlags({"opt", "env", "link-seed", "top"}), {}, 0,
          cmdProfile},
         {"disasm",
          {"workload", "vendor", "scale", "opt", "link-seed", "function"},
-         {}, cmdDisasm},
-        {"survey", {}, {}, [](const Args &) { return cmdSurvey(); }},
+         {}, 0, cmdDisasm},
+        {"survey", {}, {}, 0, [](const Args &) { return cmdSurvey(); }},
     };
     return table;
 }
@@ -1017,12 +1025,8 @@ main(int argc, char **argv)
     mbias::figures::registerAll();
     // One process-wide trace session for every subcommand, opened
     // before the --asm-dir load so asm.load spans land in the file
-    // too.  The campaign engine owns its own session (it stops the
-    // tracer at a deterministic point before writing the store), so
-    // `campaign` keeps its historical behavior.
-    pipeline::ScopedTraceSession trace(args.command == "campaign"
-                                           ? std::string()
-                                           : args.shared.tracePath);
+    // too.
+    pipeline::ScopedTraceSession trace(args.shared.tracePath);
     // Runtime workloads load before dispatch, so every subcommand
     // (list, run, bias, campaign, ...) sees them by name.
     if (args.options.count("asm-dir"))
