@@ -36,6 +36,7 @@
 #include "core/experiment.hh"
 #include "core/setup.hh"
 #include "isa/builder.hh"
+#include "pipeline/driver.hh"
 #include "pipeline/options.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
@@ -425,7 +426,11 @@ printTiers(const char *name, const TierResult &r, bool comma)
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = pipeline::parseOnlyPipelineArgs(argc, argv).jobs;
+    const auto options = pipeline::parseOnlyPipelineArgs(
+        argc, argv, {"jobs", "trace", "quiet", "verbose"});
+    pipeline::applyLogging(options);
+    pipeline::ScopedTraceSession trace(options.tracePath);
+    const unsigned jobs = options.jobs;
 
     std::fprintf(stderr, "sim throughput microbench (jobs=%u)\n", jobs);
 

@@ -37,6 +37,7 @@
 #include "campaign/engine.hh"
 #include "campaign/store.hh"
 #include "core/setup.hh"
+#include "pipeline/driver.hh"
 #include "pipeline/options.hh"
 #include "stats/engine.hh"
 
@@ -156,7 +157,10 @@ bootstrapArm(const std::vector<double> &data, bool reference,
 int
 main(int argc, char **argv)
 {
-    const auto options = pipeline::parseOnlyPipelineArgs(argc, argv);
+    const auto options = pipeline::parseOnlyPipelineArgs(
+        argc, argv, {"jobs", "resamples", "trace", "quiet", "verbose"});
+    pipeline::applyLogging(options);
+    pipeline::ScopedTraceSession trace(options.tracePath);
     const unsigned jobs = options.jobs;
     const int asked = options.resamplesOr(0);
     const int resamples = asked > 0 ? asked : 10000;

@@ -36,11 +36,12 @@ using Kind = RepetitionPlan::Kind;
 
 /**
  * The widest lane pass the engine builds.  Wider passes walk the
- * recorded stream fewer times, but every lane carries its own caches
- * and clock: uncapped (96 lanes on noise_reps) they ran slower and
- * used over half again the memory (docs/performance.md).  24 is the
- * width the NoisePaired families ran at before lanes were pooled
- * across tasks.
+ * recorded stream fewer times, but every lane carries its own clock
+ * and noise, and, when the cap was set, its own caches: uncapped (96
+ * lanes on noise_reps) passes ran slower and used over half again the
+ * memory (docs/performance.md).  24 is the width the NoisePaired
+ * families ran at before lanes were pooled across tasks, and it fits
+ * the lane pass's 32-lane set masks.
  */
 constexpr std::size_t kMaxLaneWidth = 24;
 
@@ -310,6 +311,8 @@ cacheCounts()
         {"sim.replay.records", r.records},
         {"sim.replay.replays", r.replays},
         {"sim.replay.lane_passes", r.lanePasses},
+        {"sim.replay.lane_accesses", r.laneAccesses},
+        {"sim.replay.diverged_accesses", r.divergedAccesses},
         {"sim.replay.fallbacks", r.fallbacks},
     };
     s.gauges = {{"artifacts.bytes", std::int64_t(a.bytes)}};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -493,6 +494,20 @@ StoreSummary::str() const
             os << "replay lanes    : " << replays << " replays in " << passes
                << " passes, mean lane width "
                << double(replays) / double(passes) << "\n";
+        }
+        // How much of the lane passes' memory-model work the lanes
+        // shared: the rest ran on a lane's own copy.
+        const std::uint64_t accesses =
+            trailerCounter(metricsJson, "sim.replay.lane_accesses");
+        if (accesses) {
+            const std::uint64_t diverged =
+                trailerCounter(metricsJson, "sim.replay.diverged_accesses");
+            char share[32];
+            std::snprintf(share, sizeof share, "%.2f",
+                          100.0 * double(diverged) / double(accesses));
+            os << "replay sharing  : " << diverged << " of " << accesses
+               << " lane memory accesses ran on a lane's own copy ("
+               << share << "%)\n";
         }
         os << "metrics (final snapshot of the writing run):\n"
            << obs::prettyJson(metricsJson) << "\n";

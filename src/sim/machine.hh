@@ -127,8 +127,11 @@ struct RunResult
  * noise seeds, machine geometry or ASLR stack bases.  Work every
  * repetition shares (dispatch, stream decode, predictor/BTB, fetch
  * groups, ITLB) runs once per op, and one timing lane per repetition
- * keeps what can differ (clock, register readiness, icache/dcache/L2,
- * DTLB, store buffer, noise).  runReplay() is a pass of one lane.  The
+ * keeps what can differ (clock, register readiness, noise).  The lanes
+ * share one memory hierarchy, and a lane holds its own copy of only
+ * the cache sets where it differs (and its own DTLB and store buffer
+ * when the lanes' stack deltas differ).  runReplay() is a pass of one
+ * lane.  The
  * tier's one hatch is MBIAS_SIM_REPLAY=0; it also stands down with the
  * fast path (setUseFastPath(false), MBIAS_SIM_REFERENCE=1).
  */
@@ -261,9 +264,10 @@ class Machine
      * Src = Recorded decodes @p trace and times lanes.size() lanes in
      * one walk: dispatch, stream decode, predictor/BTB, fetch groups
      * and the ITLB run once per op; the noise check, clock, register
-     * readiness, icache line memo, ShadowMemory and NoiseClock once per
-     * lane, in lane order.  Stack addresses are rebased by each lane's
-     * image-vs-recording sp delta.
+     * readiness and NoiseClock once per lane, in lane order; the memory
+     * hierarchy once per op for the lanes whose state it holds, and on
+     * a lane's own copies for the rest.  Stack addresses are rebased by
+     * each lane's image-vs-recording sp delta.
      *
      * Core is the CoreModel policy (machine.cc: OooCore / InOrderCore)
      * selected per backend at compile time: it decides stall exposure,
@@ -280,8 +284,9 @@ class Machine
 
     /** The lane pass behind runReplay() and runReplayLanes(): checks
      *  every lane against @p trace, picks the backend's core model and
-     *  runs the Recorded walk of runPlanImpl, then tallies the pass
-     *  (the tier must be usable). */
+     *  runs the Recorded walk of runPlanImpl, which tallies the pass
+     *  (the tier must be usable).  A pass wider than one lane mask
+     *  (32 lanes) walks the stream once per chunk. */
     std::vector<RunResult> runLanes(const FunctionalTrace &trace,
                                     std::uint64_t max_insts,
                                     std::span<const ReplayLane> lanes);

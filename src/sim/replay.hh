@@ -176,8 +176,12 @@ class ReplayCache
     /** Tallies one lane pass (Machine::runReplayLanes, or runReplay as
      *  a pass of one lane) that timed @p lanes repetitions: each lane
      *  counts as one replay, so replays / lanePasses is the mean lane
-     *  width. */
-    void noteLanePass(std::uint64_t lanes);
+     *  width.  Of its @p lane_accesses lane memory accesses (data
+     *  accesses and icache line fetches, times the lanes that made
+     *  them), @p diverged_accesses ran on a lane's own copy of the
+     *  memory hierarchy instead of the pass's shared one. */
+    void noteLanePass(std::uint64_t lanes, std::uint64_t lane_accesses,
+                      std::uint64_t diverged_accesses);
     /** Tallies one repetition family that fell back to per-rep
      *  execution (preconditions or footprint). */
     void noteFallback();
@@ -190,6 +194,8 @@ class ReplayCache
         std::uint64_t records = 0;  ///< instrumented recording runs
         std::uint64_t replays = 0;  ///< runs served from a stream
         std::uint64_t lanePasses = 0; ///< walks of a stream (>= 1 lane)
+        std::uint64_t laneAccesses = 0; ///< lanes x memory accesses
+        std::uint64_t divergedAccesses = 0; ///< of them, on own copies
         std::uint64_t fallbacks = 0;
         std::uint64_t bytes = 0; ///< approx footprint of live entries
     };
@@ -226,6 +232,8 @@ class ReplayCache
     std::atomic<std::uint64_t> records_{0};
     std::atomic<std::uint64_t> replays_{0};
     std::atomic<std::uint64_t> lanePasses_{0};
+    std::atomic<std::uint64_t> laneAccesses_{0};
+    std::atomic<std::uint64_t> divergedAccesses_{0};
     std::atomic<std::uint64_t> fallbacks_{0};
 };
 

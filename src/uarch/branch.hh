@@ -46,9 +46,10 @@ class BranchPredictor
 
 /**
  * Classic 2-bit-counter bimodal predictor.  Final, with predict() and
- * update() defined here: the simulator's plan loop resolves the
- * concrete predictor once per run and calls them directly, without
- * the per-branch virtual dispatch.
+ * update() defined here and always inlined: the simulator's plan loop
+ * resolves the concrete predictor once per run and runs them in its
+ * branch handlers, without a call, let alone the per-branch virtual
+ * dispatch.
  */
 class BimodalPredictor final : public BranchPredictor
 {
@@ -56,8 +57,11 @@ class BimodalPredictor final : public BranchPredictor
     /** @p table_bits log2 of the number of counters. */
     explicit BimodalPredictor(unsigned table_bits);
 
-    bool predict(Addr pc) const override { return counters_[index(pc)] >= 2; }
-    void update(Addr pc, bool taken) override
+    __attribute__((always_inline)) bool predict(Addr pc) const override
+    {
+        return counters_[index(pc)] >= 2;
+    }
+    __attribute__((always_inline)) void update(Addr pc, bool taken) override
     {
         std::uint8_t &c = counters_[index(pc)];
         if (taken && c < 3)
@@ -88,8 +92,11 @@ class GsharePredictor final : public BranchPredictor
   public:
     GsharePredictor(unsigned table_bits, unsigned history_bits);
 
-    bool predict(Addr pc) const override { return counters_[index(pc)] >= 2; }
-    void update(Addr pc, bool taken) override
+    __attribute__((always_inline)) bool predict(Addr pc) const override
+    {
+        return counters_[index(pc)] >= 2;
+    }
+    __attribute__((always_inline)) void update(Addr pc, bool taken) override
     {
         std::uint8_t &c = counters_[index(pc)];
         if (taken && c < 3)
@@ -118,7 +125,8 @@ class GsharePredictor final : public BranchPredictor
 /**
  * Branch target buffer: a set-associative cache of branch target
  * addresses.  A taken control transfer whose target is absent costs a
- * fetch bubble.
+ * fetch bubble.  lookupAndUpdate() is always inlined, like the
+ * predictors' hot pair.
  */
 class Btb
 {
@@ -126,7 +134,7 @@ class Btb
     Btb(unsigned sets, unsigned ways);
 
     /** True iff pc hits with the correct target; updates the entry. */
-    bool lookupAndUpdate(Addr pc, Addr target)
+    __attribute__((always_inline)) bool lookupAndUpdate(Addr pc, Addr target)
     {
         const std::size_t set = std::size_t(pc ^ (pc >> 16)) & (sets_ - 1);
         const std::size_t base = set * ways_;
