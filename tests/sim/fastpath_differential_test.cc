@@ -73,7 +73,9 @@ expectIdentical(const sim::MachineConfig &mc,
  * Records @p image once under interrupt noise, then times three lanes
  * in one pass: two more interrupt-noise seeds on @p image and a
  * noise-free lane on @p aslr, another ASLR draw of the same program.
- * Every lane must equal the oracle's run of its image and noise.  A
+ * The two lanes on @p image also run as a pass of their own, whose
+ * one stack delta lets them share the DTLB and store buffer.  Every
+ * lane must equal the oracle's run of its image and noise.  A
  * hatched-off replay tier records nothing, and then there is no pass.
  */
 void
@@ -96,13 +98,19 @@ expectLanesMatchOracle(const sim::MachineConfig &mc,
         {&aslr, sim::NoiseModel::none()},
     };
     const auto got = machine.runReplayLanes(*trace, budget, lanes);
+    const auto oneDelta =
+        machine.runReplayLanes(*trace, budget, {lanes, 2});
     ASSERT_EQ(got.size(), 3u) << what;
+    ASSERT_EQ(oneDelta.size(), 2u) << what;
     for (std::size_t k = 0; k < got.size(); ++k) {
         const auto ref =
             runWith(mc, *lanes[k].image, false, budget, lanes[k].noise);
         EXPECT_EQ(got[k], ref)
             << what << ": lane " << k << " diverged (cycles "
             << got[k].cycles() << " vs " << ref.cycles() << ")";
+        if (k < oneDelta.size())
+            EXPECT_EQ(oneDelta[k], ref)
+                << what << ": lane " << k << " of the one-delta pass";
     }
 }
 
