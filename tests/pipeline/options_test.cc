@@ -36,6 +36,7 @@ TEST(PipelineOptions, Defaults)
     EXPECT_FALSE(p.options.quiet);
     EXPECT_FALSE(p.options.verbose);
     EXPECT_TRUE(p.rest.empty());
+    EXPECT_TRUE(p.seen.empty());
 }
 
 TEST(PipelineOptions, EveryFlag)
@@ -50,6 +51,9 @@ TEST(PipelineOptions, EveryFlag)
     EXPECT_EQ(p.options.tracePath, "t.json");
     EXPECT_TRUE(p.options.quiet);
     EXPECT_TRUE(p.rest.empty());
+    const std::vector<std::string> seen = {"jobs", "seed", "resamples",
+                                           "confidence", "trace", "quiet"};
+    EXPECT_EQ(p.seen, seen);
 }
 
 TEST(PipelineOptions, EntryPointDefaultsFillUnsetFlags)
