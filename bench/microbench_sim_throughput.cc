@@ -182,10 +182,12 @@ struct NoisyRepResult
     double planWall = 0.0;    ///< reps noisy runs on the plan loop
     double replayWall = 0.0;  ///< one recording + reps-1 replays
     double lanesWall = 0.0;   ///< one recording + one reps-1 lane pass
+    double aslrLanesWall = 0.0; ///< one recording + a reps-lane ASLR pass
     double perRepInstsPerSec = 0.0;
     double planInstsPerSec = 0.0;
     double replayInstsPerSec = 0.0;
     double lanesInstsPerSec = 0.0;
+    double aslrLanesInstsPerSec = 0.0;
     double speedup = 0.0;
     bool replayed = false; ///< false when the tier is hatched off
 };
@@ -201,7 +203,10 @@ struct NoisyRepResult
  * functional stream once — that IS rep 0 — and re-runs only the timing
  * models for the rest, one rep per runReplay (replay arm) or all of
  * them in one runReplayLanes pass (lanes arm, what the runner does).
- * All arms are verified bitwise identical per seed before any timing.
+ * The ASLR lanes arm is the AslrRandomized shape: one recording, then
+ * one pass of `reps` ASLR draws, each at its own stack base and noise
+ * seed.  All arms are verified bitwise identical per seed before any
+ * timing.
  */
 NoisyRepResult
 measureNoisyRepetition(const char *name,
@@ -244,6 +249,24 @@ measureNoisyRepetition(const char *name,
         for (std::size_t k = 0; k < lanes.size(); ++k)
             mbias_assert(got[k] == oracle.run(image, budget, lanes[k].noise),
                          "lane of a lane pass diverged from per-rep run");
+    }
+    std::vector<toolchain::ProcessImage> draws;
+    for (unsigned r = 0; r < kReps; ++r) {
+        toolchain::LoaderConfig lc = image.loaderConfig;
+        lc.aslrSeed = kSeedBase + r;
+        draws.push_back(toolchain::Loader::load(image.program, lc));
+    }
+    std::vector<sim::ReplayLane> aslrLanes;
+    for (unsigned r = 0; r < kReps; ++r)
+        aslrLanes.push_back(
+            {&draws[r], sim::NoiseModel::withSeed(kSeedBase + r)});
+    if (trace) {
+        const auto got = machine.runReplayLanes(*trace, budget, aslrLanes);
+        for (std::size_t k = 0; k < aslrLanes.size(); ++k)
+            mbias_assert(got[k] == oracle.run(draws[k], budget,
+                                              aslrLanes[k].noise),
+                         "ASLR lane of a lane pass diverged from per-rep "
+                         "run");
     }
 
     NoisyRepResult out;
@@ -303,19 +326,36 @@ measureNoisyRepetition(const char *name,
             if (out.lanesWall == 0.0 || wall < out.lanesWall)
                 out.lanesWall = wall;
         }
+        {
+            const auto t0 = std::chrono::steady_clock::now();
+            std::shared_ptr<const sim::FunctionalTrace> t;
+            machine.runRecord(image, budget,
+                              sim::NoiseModel::withSeed(kSeedBase), &t);
+            if (t) {
+                machine.runReplayLanes(*t, budget, aslrLanes);
+            } else {
+                for (const auto &lane : aslrLanes)
+                    machine.run(*lane.image, budget, lane.noise);
+            }
+            const double wall = secondsSince(t0);
+            if (out.aslrLanesWall == 0.0 || wall < out.aslrLanesWall)
+                out.aslrLanesWall = wall;
+        }
     }
     out.perRepInstsPerSec = insts * kReps / out.perRepWall;
     out.planInstsPerSec = insts * kReps / out.planWall;
     out.replayInstsPerSec = insts * kReps / out.replayWall;
     out.lanesInstsPerSec = insts * kReps / out.lanesWall;
+    out.aslrLanesInstsPerSec = insts * kReps / out.aslrLanesWall;
     out.speedup = out.perRepWall / out.replayWall;
     std::fprintf(stderr,
                  "  %s noisy reps (%u): per-rep %.1f, plan %.1f, "
-                 "replay %.1f, lanes %.1f Mi/s -> %.2fx, lanes/plan "
-                 "%.2fx%s\n",
+                 "replay %.1f, lanes %.1f, ASLR lanes %.1f Mi/s -> %.2fx, "
+                 "lanes/plan %.2fx%s\n",
                  name, kReps, out.perRepInstsPerSec / 1e6,
                  out.planInstsPerSec / 1e6, out.replayInstsPerSec / 1e6,
-                 out.lanesInstsPerSec / 1e6, out.speedup,
+                 out.lanesInstsPerSec / 1e6,
+                 out.aslrLanesInstsPerSec / 1e6, out.speedup,
                  out.lanesInstsPerSec / out.planInstsPerSec,
                  out.replayed ? "" : " (replay tier off)");
     return out;
@@ -546,6 +586,8 @@ main(int argc, char **argv)
                     n.replayInstsPerSec);
         std::printf("      \"lanes_insts_per_sec\": %.0f,\n",
                     n.lanesInstsPerSec);
+        std::printf("      \"aslr_lanes_insts_per_sec\": %.0f,\n",
+                    n.aslrLanesInstsPerSec);
         std::printf("      \"lanes_vs_plan\": %.4f,\n",
                     n.lanesInstsPerSec / n.planInstsPerSec);
         std::printf("      \"speedup\": %.4f\n", n.speedup);

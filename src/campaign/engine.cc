@@ -273,6 +273,26 @@ microsSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
+/** @p kind as the enumerator reads. */
+const char *
+kindName(RepetitionPlan::Kind kind)
+{
+    using Kind = RepetitionPlan::Kind;
+    switch (kind) {
+      case Kind::Single:
+        return "Single";
+      case Kind::AslrRandomized:
+        return "AslrRandomized";
+      case Kind::BaselineOnly:
+        return "BaselineOnly";
+      case Kind::NoiseRepeated:
+        return "NoiseRepeated";
+      case Kind::NoisePaired:
+        return "NoisePaired";
+    }
+    return "?";
+}
+
 /**
  * The process-wide caches' counts under the names a report books them
  * by: the one table of those names.  Every cache counts once, in its
@@ -313,6 +333,7 @@ cacheCounts()
         {"sim.replay.lane_passes", r.lanePasses},
         {"sim.replay.lane_accesses", r.laneAccesses},
         {"sim.replay.diverged_accesses", r.divergedAccesses},
+        {"sim.replay.class_decisions", r.classDecisions},
         {"sim.replay.fallbacks", r.fallbacks},
     };
     s.gauges = {{"artifacts.bytes", std::int64_t(a.bytes)}};
@@ -327,16 +348,27 @@ CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)
     mbias_assert(opts_.jobs >= 1, "campaign needs at least one job");
     mbias_assert(!opts_.resume || !opts_.outPath.empty(),
                  "--resume needs a result store path");
-    // The JSONL record is a fixed flat schema with no per-rep arrays,
-    // and the content address does not cover the loader's sp-align
-    // override; campaigns using either must run storeless until the
-    // store format grows those fields.
-    mbias_assert(opts_.outPath.empty() ||
-                     (!spec_.plan.samplesReps() &&
-                      spec_.plan.kind != RepetitionPlan::Kind::BaselineOnly &&
-                      spec_.spAlign == 0),
-                 "rep-sampling / baseline-only / sp-aligned campaigns "
-                 "do not persist result stores");
+    // The JSONL record is a fixed flat schema with no per-rep arrays or
+    // full RunResult, and the content address does not cover the
+    // loader's sp-align override; campaigns needing either must run
+    // storeless until the store format grows those fields.
+    if (opts_.outPath.empty())
+        return;
+    const char *why = nullptr;
+    if (spec_.plan.samplesReps())
+        why = "the store's flat record has no field for per-rep samples";
+    else if (spec_.plan.kind == RepetitionPlan::Kind::BaselineOnly)
+        why = "the store's flat record has no field for the full "
+              "baseline RunResult";
+    else if (spec_.spAlign != 0)
+        why = "the store's content address does not cover the loader's "
+              "sp alignment";
+    if (why)
+        mbias_fatal("a ", kindName(spec_.plan.kind), " campaign",
+                    spec_.spAlign ? " with sp alignment " : "",
+                    spec_.spAlign ? std::to_string(spec_.spAlign) : "",
+                    " cannot persist a result store to ", opts_.outPath,
+                    ": ", why);
 }
 
 CampaignReport

@@ -505,9 +505,14 @@ StoreSummary::str() const
             char share[32];
             std::snprintf(share, sizeof share, "%.2f",
                           100.0 * double(diverged) / double(accesses));
+            // DTLB and store-buffer outcomes a stack delta changed:
+            // decided once per delta class instead of once per pass.
+            const std::uint64_t decisions =
+                trailerCounter(metricsJson, "sim.replay.class_decisions");
             os << "replay sharing  : " << diverged << " of " << accesses
                << " lane memory accesses ran on a lane's own copy ("
-               << share << "%)\n";
+               << share << "%); " << decisions
+               << " DTLB/store-buffer outcomes decided per delta class\n";
         }
         os << "metrics (final snapshot of the writing run):\n"
            << obs::prettyJson(metricsJson) << "\n";

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <type_traits>
 #include "base/logging.hh"
 
@@ -808,6 +809,17 @@ anyLane(Lane4 m)
     return (w[0] | w[1]) != 0;
 }
 
+/** f(i) for every bit i set in @p mask, lowest first. */
+template <class F>
+__attribute__((always_inline)) inline void
+eachIn(std::uint32_t mask, F f)
+{
+    while (mask) {
+        f(std::size_t(std::countr_zero(mask)));
+        mask &= mask - 1;
+    }
+}
+
 /**
  * One cache level of a lane pass: the canonical ShadowCache every lane
  * shares, and per lane a copy of only the sets where that lane's state
@@ -917,6 +929,437 @@ struct LaneCache
 };
 
 /**
+ * The DTLB of a lane pass, for every delta class at once (a class is
+ * the lanes with one stack delta).  A fully associative LRU of n
+ * entries hits a page iff fewer than n other distinct pages were
+ * touched since the page's last touch.  Non-stack pages are the same in
+ * every class: they sit in one MRU list with the stamp of their last
+ * touch.  Each class keeps its own MRU list of the stack pages it
+ * touched.  A non-stack page at position pos is then a hit in a class
+ * iff pos plus the class's stack pages newer than it is below n: once
+ * for every class unless some class holds enough stack pages to reach
+ * n.  A stack page is a lookup in its class's short list: a hit when at
+ * most n stamps passed since its last touch, else its rank counts the
+ * newer non-stack pages too.
+ *
+ * The two lists hold a class's whole LRU only while its stack pages and
+ * the non-stack pages are disjoint, which the stack boundary keeps so on
+ * every preset layout.  So that it holds by construction, a class whose
+ * lowest stack page could meet the highest non-stack page is first
+ * given its own ShadowTlb, merged from the two lists (the n newest
+ * pages of both), and walks every page on it from then on.
+ */
+struct LaneTlb
+{
+    struct Page
+    {
+        std::uint64_t vpn;
+        std::uint64_t stamp; ///< of its last touch
+    };
+    struct Class
+    {
+        std::vector<Page> stack; ///< MRU-first, at most n
+        std::uint64_t lo = ~std::uint64_t(0); ///< lowest stack page
+        std::optional<ShadowTlb> own; ///< once its pages may meet data's
+    };
+
+    const uarch::TlbConfig config;
+    const std::size_t n;
+    const unsigned shift; ///< page size, log2
+    const std::vector<std::uint64_t> deltas; ///< per class
+    std::vector<Page> data; ///< non-stack pages, MRU-first, at most n
+    std::vector<Class> classes;
+    const std::uint32_t all; ///< every class
+    std::uint32_t shared;    ///< classes on the two lists
+    std::uint64_t dataHi = 0; ///< highest non-stack page touched
+    std::uint64_t stackLo = ~std::uint64_t(0); ///< of the shared classes
+    std::size_t deepest = 0; ///< bounds every shared class's stack pages
+    std::uint64_t decisions = 0; ///< page outcomes decided per class
+
+    LaneTlb(const uarch::TlbConfig &c, unsigned page_shift,
+            std::vector<std::uint64_t> class_deltas)
+        : config(c), n(c.entries), shift(page_shift),
+          deltas(std::move(class_deltas)), classes(deltas.size()),
+          all(std::uint32_t((std::uint64_t(1) << deltas.size()) - 1)),
+          shared(all)
+    {
+    }
+
+    /** Moves @p vpn to the front of @p list at @p stamp (inserting it
+     *  at @p at == list.size() when absent), keeping n pages. */
+    void toFront(std::vector<Page> &list, std::size_t at, std::uint64_t vpn,
+                 std::uint64_t stamp)
+    {
+        if (at == list.size()) {
+            if (list.size() < n)
+                list.push_back({});
+            at = list.size() - 1;
+        }
+        for (std::size_t i = at; i > 0; --i)
+            list[i] = list[i - 1];
+        list[0] = {vpn, stamp};
+    }
+
+    static std::size_t find(const std::vector<Page> &list, std::uint64_t vpn)
+    {
+        std::size_t i = 0;
+        while (i < list.size() && list[i].vpn != vpn)
+            ++i;
+        return i;
+    }
+
+    /** Pages of @p list touched after @p stamp (it is MRU-first). */
+    static std::size_t newer(const std::vector<Page> &list,
+                             std::uint64_t stamp)
+    {
+        std::size_t i = 0;
+        while (i < list.size() && list[i].stamp > stamp)
+            ++i;
+        return i;
+    }
+
+    /** A non-stack touch of @p vpn at @p stamp.  Returns whether it
+     *  misses in the classes decided once; @p flips gets every class
+     *  whose outcome is the other one. */
+    __attribute__((always_inline)) bool
+    touchData(std::uint64_t vpn, std::uint64_t stamp, std::uint32_t &flips)
+    {
+        flips = 0;
+        // The newest non-stack page again, where no class holds enough
+        // stack pages to push it out: a hit everywhere.
+        if (!data.empty() && data[0].vpn == vpn && deepest < n &&
+            shared == all) {
+            data[0].stamp = stamp;
+            return false;
+        }
+        return touchDataAnywhere(vpn, stamp, flips);
+    }
+
+    __attribute__((noinline)) bool
+    touchDataAnywhere(std::uint64_t vpn, std::uint64_t stamp,
+                      std::uint32_t &flips)
+    {
+        if (vpn > dataHi) {
+            dataHi = vpn;
+            if (dataHi >= stackLo)
+                privatizeUpTo(dataHi);
+        }
+        const std::size_t pos = find(data, vpn);
+        const bool miss = pos == data.size();
+        if (!miss && pos + deepest >= n) {
+            // Some class may hold enough newer stack pages to push the
+            // page out: count each one's.
+            const std::uint64_t last = data[pos].stamp;
+            deepest = 0;
+            eachIn(shared, [&](std::size_t c) {
+                const std::vector<Page> &s = classes[c].stack;
+                deepest = std::max(deepest, s.size());
+                if (pos + newer(s, last) >= n)
+                    flips |= std::uint32_t(1) << c;
+            });
+            decisions += std::uint64_t(std::popcount(shared));
+        }
+        toFront(data, pos, vpn, stamp);
+        eachIn(~shared & all, [&](std::size_t c) {
+            if (classes[c].own->touch(vpn) == miss)
+                flips |= std::uint32_t(1) << c;
+            ++decisions;
+        });
+        return miss;
+    }
+
+    /** A stack access of @p size bytes at recorded address @p a, its
+     *  pages at @p stamp and @p stamp + 1: out(c, misses) for each
+     *  class that misses. */
+    template <class Out>
+    __attribute__((always_inline)) void
+    touchStacks(Addr a, unsigned size, std::uint64_t stamp, Out out)
+    {
+        decisions += classes.size();
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            const Addr la = a + deltas[c];
+            const std::uint64_t first = la >> shift;
+            const std::uint64_t last = (la + size - 1) >> shift;
+            // Its newest stack page again, within n stamps: a hit (only
+            // a shared class lists any, and it lies above every
+            // non-stack page, or the class would have been made
+            // private).
+            std::vector<Page> &s = classes[c].stack;
+            if (first == last && !s.empty() && s[0].vpn == first &&
+                stamp - s[0].stamp <= n) {
+                s[0].stamp = stamp;
+                continue;
+            }
+            if (const int misses =
+                    int(touchStack(c, first, stamp)) +
+                    int(last != first && touchStack(c, last, stamp + 1)))
+                out(c, misses);
+        }
+    }
+
+  private:
+    /** Class @p c's touch of stack page @p vpn at @p stamp: true on a
+     *  miss. */
+    __attribute__((noinline)) bool
+    touchStack(std::size_t c, std::uint64_t vpn, std::uint64_t stamp)
+    {
+        Class &k = classes[c];
+        if (!k.own && vpn <= dataHi)
+            privatize(c);
+        if (k.own)
+            return !k.own->touch(vpn);
+        const std::size_t at = find(k.stack, vpn);
+        bool miss = at == k.stack.size();
+        if (!miss && stamp - k.stack[at].stamp > n)
+            miss = at + newer(data, k.stack[at].stamp) >= n;
+        toFront(k.stack, at, vpn, stamp);
+        // n newer non-stack pages put a stack page out for good.
+        if (data.size() == n)
+            while (k.stack.back().stamp < data.back().stamp)
+                k.stack.pop_back();
+        deepest = std::max(deepest, k.stack.size());
+        if (vpn < k.lo) {
+            k.lo = vpn;
+            stackLo = std::min(stackLo, vpn);
+        }
+        return miss;
+    }
+
+    void privatizeUpTo(std::uint64_t hi)
+    {
+        eachIn(shared, [&](std::size_t c) {
+            if (classes[c].lo <= hi)
+                privatize(c);
+        });
+    }
+
+    /** Gives class @p c its own ShadowTlb: the n newest pages of the two
+     *  lists, MRU-first. */
+    void privatize(std::size_t c)
+    {
+        Class &k = classes[c];
+        ShadowTlb &t = k.own.emplace(config);
+        std::size_t i = 0, j = 0;
+        for (std::size_t e = 0; e < n; ++e) {
+            const bool fromData =
+                i < data.size() &&
+                (j == k.stack.size() || data[i].stamp > k.stack[j].stamp);
+            if (fromData)
+                t.slots[e] = (data[i++].vpn << 1) | 1;
+            else if (j < k.stack.size())
+                t.slots[e] = (k.stack[j++].vpn << 1) | 1;
+        }
+        k.stack.clear();
+        shared &= ~(std::uint32_t(1) << c);
+        stackLo = ~std::uint64_t(0);
+        eachIn(shared, [&](std::size_t s) {
+            stackLo = std::min(stackLo, classes[s].lo);
+        });
+    }
+};
+
+/**
+ * The store buffer of a lane pass, for every delta class at once: one
+ * ring in the recording's coordinates, each store recorded once with a
+ * bit for whether it is a stack store.  In a class of stack delta d, a
+ * stack entry sits at its recorded address plus d.  A common shift
+ * cancels in (x ^ y) & aliasMask (a low-bit mask) and in address
+ * equality, so among the entries of the load's own region the first
+ * live match, and its verdict, is the same in every class.  Only an
+ * entry of the other region can match in some classes and not others:
+ * a stack entry at s matches a non-stack load at a where d == a - s,
+ * and a non-stack entry at s a stack load at a where d == s - a, both
+ * modulo the alias window.  byDelta maps that residue to the classes
+ * whose delta has it, so a load walks the live other-region entries
+ * ahead of its shared decider and reads which classes each one decides:
+ * the paper's 4K-aliasing mechanism, computed per class only where it
+ * fires.
+ *
+ * The index and the slot bitmaps need the ring to fit a word and the
+ * window a table; past that, scan() decides each class on its own.
+ * Stores enter in program order, so the live entries are always the
+ * newest `live` ones, from slot `tail` on: a load first retires the
+ * oldest that expired.
+ */
+struct LaneStoreBuffer
+{
+    const unsigned entries;
+    const std::uint64_t aliasMask;
+    const std::uint64_t maxAge;
+    const bool indexed;
+    std::vector<Addr> addr;
+    std::vector<std::uint32_t> size;
+    std::vector<std::uint64_t> icount;
+    std::vector<std::uint8_t> stack; ///< 1 for a stack store
+    std::uint32_t stackSlots = 0;    ///< bitmap of stack entries
+    std::uint32_t alive = 0;         ///< bitmap of the live entries
+    unsigned head = 0;
+    unsigned tail = 0; ///< the oldest live entry, when live > 0
+    unsigned live = 0; ///< the newest `live` entries are unexpired
+    /** index[masked address]: bitmap of the slots holding it, in the
+     *  first class's lane addresses (a stack entry at recorded s sits
+     *  at s + deltas[0]), so that class reads its matches at once. */
+    std::vector<std::uint32_t> index;
+    /** byDelta[d & aliasMask]: the classes of stack delta d. */
+    std::vector<std::uint32_t> byDelta;
+    const std::vector<std::uint64_t> deltas; ///< per class
+    std::uint64_t decisions = 0; ///< verdicts decided per class
+
+    LaneStoreBuffer(const uarch::StoreBuffer &proto,
+                    std::vector<std::uint64_t> class_deltas)
+        : entries(proto.entries()), aliasMask(proto.aliasMask()),
+          maxAge(proto.maxAge()),
+          indexed(entries <= 32 && aliasMask < (std::uint64_t(1) << 16)),
+          addr(entries, 0), size(entries, 0), icount(entries, 0),
+          stack(entries, 0), deltas(std::move(class_deltas))
+    {
+        if (!indexed)
+            return;
+        index.assign(std::size_t(aliasMask) + 1, 0);
+        if (deltas.size() == 1)
+            return; // one class: load() reads only the index
+        byDelta.assign(std::size_t(aliasMask) + 1, 0);
+        for (std::size_t c = 0; c < deltas.size(); ++c)
+            byDelta[deltas[c] & aliasMask] |= std::uint32_t(1) << c;
+    }
+
+    void record(Addr a, unsigned sz, std::uint64_t ic, bool on_stack)
+    {
+        if (indexed) {
+            // An unrecorded slot's bit is in no index entry.
+            const std::uint32_t bit = std::uint32_t(1) << head;
+            index[keyOf(addr[head], stack[head])] &= ~bit;
+            index[keyOf(a, on_stack)] |= bit;
+            alive |= bit;
+            stackSlots = on_stack ? stackSlots | bit : stackSlots & ~bit;
+        }
+        addr[head] = a;
+        size[head] = sz;
+        icount[head] = ic;
+        stack[head] = on_stack;
+        if (live < entries)
+            ++live;
+        else if (++tail == entries) // the oldest was overwritten
+            tail = 0;
+        if (++head == entries)
+            head = 0;
+    }
+
+    /** A load at recorded address @p a: whether it stalls in the
+     *  classes decided once, and in @p flips every class where it does
+     *  the other thing. */
+    __attribute__((always_inline)) bool load(Addr a, unsigned sz,
+                                             std::uint64_t ic, bool on_stack,
+                                             std::uint32_t &flips)
+    {
+        flips = 0;
+        if (indexed && deltas.size() == 1) {
+            // One class: the index holds its lane addresses, so its
+            // first live match decides, as in ShadowStoreBuffer.
+            for (std::uint32_t m = index[keyOf(a, on_stack)]; m;
+                 m &= m - 1) {
+                const unsigned j = unsigned(std::countr_zero(m));
+                if (icount[j] + maxAge >= ic)
+                    return !(keyed(j) == keyed(a, on_stack) &&
+                             size[j] >= sz);
+            }
+            return false;
+        }
+        return loadClasses(a, sz, ic, on_stack, flips);
+    }
+
+  private:
+    /** load() for several classes, or past the index's limits. */
+    __attribute__((noinline)) bool loadClasses(Addr a, unsigned sz,
+                                               std::uint64_t ic,
+                                               bool on_stack,
+                                               std::uint32_t &flips)
+    {
+        expire(ic);
+        if (!indexed) {
+            const bool stall = scan(0, a, sz, on_stack);
+            for (std::size_t c = 1; c < deltas.size(); ++c)
+                if (scan(c, a, sz, on_stack) != stall)
+                    flips |= std::uint32_t(1) << c;
+            decisions += deltas.size();
+            return stall;
+        }
+        // The first class's matches in both regions; among those of the
+        // load's own region, the first decides every class it precedes.
+        const std::uint32_t hits = index[keyOf(a, on_stack)] & alive;
+        const std::uint32_t mine = on_stack ? stackSlots : ~stackSlots;
+        const std::uint32_t same = hits & mine;
+        const unsigned first = same ? unsigned(std::countr_zero(same))
+                                    : entries;
+        const bool stall =
+            same && !(addr[first] == a && size[first] >= sz);
+        // Other-region entries ahead of it decide the classes they match.
+        std::uint32_t cross = alive & ~mine &
+                              std::uint32_t((std::uint64_t(1) << first) - 1);
+        if (!cross)
+            return stall;
+        std::uint32_t decided = 0;
+        const auto decide = [&](std::size_t c, unsigned j) {
+            // Lane addresses: only the stack side moves.
+            const Addr entry = on_stack ? addr[j] : addr[j] + deltas[c];
+            const Addr load = on_stack ? a + deltas[c] : a;
+            if (!(entry == load && size[j] >= sz) != stall)
+                flips |= std::uint32_t(1) << c;
+            decided |= std::uint32_t(1) << c;
+        };
+        // One byDelta read per candidate, in slot order: the first
+        // that matches a class decides it.
+        while (cross) {
+            const unsigned j = unsigned(std::countr_zero(cross));
+            cross &= cross - 1;
+            const Addr key = on_stack ? addr[j] - a : a - addr[j];
+            eachIn(byDelta[key & aliasMask] & ~decided,
+                   [&](std::size_t c) { decide(c, j); });
+        }
+        decisions += std::uint64_t(std::popcount(decided));
+        return stall;
+    }
+
+    /** Retires the entries a load at instruction @p ic no longer sees
+     *  (a one-class buffer never needs `live`). */
+    void expire(std::uint64_t ic)
+    {
+        while (live && icount[tail] + maxAge < ic) {
+            alive &= ~(std::uint32_t(1) << (tail & 31));
+            --live;
+            if (++tail == entries)
+                tail = 0;
+        }
+    }
+
+    /** @p a in the first class's lane addresses, and its index key. */
+    Addr keyed(Addr a, bool on_stack) const
+    {
+        return on_stack ? a + deltas[0] : a;
+    }
+    Addr keyed(unsigned slot) const { return keyed(addr[slot], stack[slot]); }
+    std::size_t keyOf(Addr a, bool on_stack) const
+    {
+        return std::size_t(keyed(a, on_stack) & aliasMask);
+    }
+
+    /** StoreBuffer::loadAliases in class @p c's lane addresses. */
+    bool scan(std::size_t c, Addr a, unsigned sz, bool on_stack) const
+    {
+        const Addr load = on_stack ? a + deltas[c] : a;
+        for (unsigned i = 0; i < entries; ++i) {
+            if ((i + entries - tail) % entries >= live)
+                continue;
+            const Addr entry = stack[i] ? addr[i] + deltas[c] : addr[i];
+            if ((entry ^ load) & aliasMask)
+                continue;
+            return !(entry == load && size[i] >= sz);
+        }
+        return false;
+    }
+};
+
+/**
  * The lane state of a lane pass (Src = Recorded).  Lane k's clock,
  * noise deadline and register-ready times are int32 offsets from its
  * own 64-bit epoch, held in element k % 4 of group k / 4, so the noise
@@ -932,10 +1375,13 @@ struct LaneCache
  * update in access order and age by instruction count, never by a
  * lane's clock, so lanes that see the same addresses hold the same
  * state until a noise event splits them.
- *  - The DTLB and the store buffer: noise never touches them, so when
- *    every lane has the same stack delta (initialSp - recordedSp) they
- *    see the same accesses in every lane and one of each serves the
- *    pass, its events booked once.  Otherwise each lane keeps its own.
+ *  - The DTLB and the store buffer: noise never touches them, so lanes
+ *    with the same stack delta (initialSp - recordedSp), a delta class,
+ *    hold the same state.  One LaneTlb and one LaneStoreBuffer serve
+ *    every class, in the recording's coordinates.  An outcome the same
+ *    in every class is decided and booked once; a class where its delta
+ *    changes the outcome books the difference on its own, and its lanes
+ *    take its latency difference (Class::extra).
  *  - The icache, dcache and L2 are each a LaneCache: a canonical cache
  *    and per-lane copies of the sets where a lane differs.  An access
  *    at the same address in every lane is walked once on the canonical
@@ -972,10 +1418,13 @@ class LaneGroups
                const uarch::StoreBuffer &sb,
                std::span<const ReplayLane> lanes,
                const FunctionalTrace *trace)
-        : groups_((lanes.size() + 3) / 4), timing_(c, dpage_shift),
-          icache_(c.icache, lanes.size()), dcache_(c.dcache, lanes.size()),
-          l2_(c.l2, lanes.size()), boundary_(trace->stackBoundary),
-          iline_(c.icache.lineBytes),
+        : groups_((lanes.size() + 3) / 4),
+          deltas_(deltasOf(lanes, trace->recordedSp)),
+          classes_(deltas_.size()),
+          timing_(c, dpage_shift), icache_(c.icache, lanes.size()),
+          dcache_(c.dcache, lanes.size()), l2_(c.l2, lanes.size()),
+          tlb_(c.dtlb, dpage_shift, deltas_), sb_(sb, deltas_),
+          boundary_(trace->stackBoundary), iline_(c.icache.lineBytes),
           window_(Lane4{} +
                   std::int32_t(std::min<Cycles>(c.oooWindowCycles, kSpan)))
     {
@@ -983,21 +1432,19 @@ class LaneGroups
                      "a lane pass holds 1 to ", LaneCache::kMaxLanes,
                      " lanes, not ", lanes.size());
         lanes_.reserve(lanes.size());
-        for (const ReplayLane &lane : lanes)
-            lanes_.push_back({NoiseClock(lane.noise), PerfCounters(),
-                              lane.image->initialSp - trace->recordedSp});
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            const std::uint64_t delta =
+                lanes[k].image->initialSp - trace->recordedSp;
+            const std::size_t cls = std::size_t(
+                std::find(deltas_.begin(), deltas_.end(), delta) -
+                deltas_.begin());
+            lanes_.push_back({NoiseClock(lanes[k].noise), PerfCounters(),
+                              cls});
+        }
         for (std::size_t k = 0; k < groups_.size() * 4; ++k)
             groups_[k / 4].deadline[k % 4] =
                 k < lanes_.size() ? offsetTo(lanes_[k].clock.nextEvent, 0)
                                   : kSpan;
-        sharedDelta_ = std::all_of(
-            lanes_.begin(), lanes_.end(),
-            [&](const Lane &l) { return l.delta == lanes_[0].delta; });
-        for (std::size_t k = 0; k < (sharedDelta_ ? 1 : lanes_.size());
-             ++k) {
-            dtlbs_.emplace_back(c.dtlb);
-            sbs_.emplace_back(sb);
-        }
     }
 
     /** The deadlines are checked in front(), fused with its charge. */
@@ -1071,8 +1518,9 @@ class LaneGroups
         data<true>(a, size, icount, isa::reg::zero);
     }
 
-    /** Lane k's RunResult: its counters plus the @p shared ones and the
-     *  canonical hierarchy's.  Notes the pass in the replay stats. */
+    /** Lane k's RunResult: its counters plus the @p shared ones, the
+     *  canonical hierarchy's and its class's.  Notes the pass in the
+     *  replay stats. */
     void finish(RunResult *out, const PerfCounters &shared,
                 std::uint64_t icount, bool halted, std::uint64_t a0) const
     {
@@ -1081,16 +1529,19 @@ class LaneGroups
             const Cycles now = l.epoch + Cycles(groups_[k / 4].now[k % 4]);
             PerfCounters &c = out[k].counters;
             c = l.ctrs;
+            const PerfCounters &cls = classes_[l.cls].ctrs;
             for (const Counter id : allCounters())
-                c.inc(id, shared.get(id) + canon_.get(id));
+                c.inc(id, shared.get(id) + canon_.get(id) + cls.get(id));
             c.inc(Counter::StallCycles, now - shared_ - l.own);
             c.set(Counter::Cycles, now);
             c.set(Counter::Instructions, icount);
             out[k].halted = halted;
             out[k].result = a0;
         }
-        ReplayCache::global().noteLanePass(lanes_.size(), laneAccesses_,
-                                           divergedAccesses_);
+        // With one class, every outcome was decided once for the pass.
+        ReplayCache::global().noteLanePass(
+            lanes_.size(), laneAccesses_, divergedAccesses_,
+            classes_.size() > 1 ? tlb_.decisions + sb_.decisions : 0);
     }
 
   private:
@@ -1121,12 +1572,35 @@ class LaneGroups
     {
         NoiseClock clock;
         PerfCounters ctrs;
-        std::uint64_t delta; ///< stack rebase: initialSp - recordedSp
+        std::size_t cls; ///< its delta class
         Cycles epoch = 0;
         Cycles own = 0;     ///< charges of its own (see the class note)
         Cycles walked = 0;  ///< this access's cost on its own copies
         bool stale = false; ///< an interrupt reset its icache line memo
     };
+    /** The lanes of one stack delta (deltas_[c]). */
+    struct Class
+    {
+        PerfCounters ctrs; ///< its DTLB and store-buffer differences
+        /** This access's DTLB misses and alias stalls past the ones
+         *  booked once, and their latency. */
+        std::int32_t misses = 0, stalls = 0;
+        Cycles extra = 0;
+    };
+
+    /** The stack deltas (initialSp - recordedSp) of @p lanes, each
+     *  once, in order of first lane. */
+    static std::vector<std::uint64_t>
+    deltasOf(std::span<const ReplayLane> lanes, Addr recorded_sp)
+    {
+        std::vector<std::uint64_t> out;
+        for (const ReplayLane &lane : lanes) {
+            const std::uint64_t delta = lane.image->initialSp - recorded_sp;
+            if (std::find(out.begin(), out.end(), delta) == out.end())
+                out.push_back(delta);
+        }
+        return out;
+    }
 
     /** The canonical caches, as MemoryTiming's walk policy. */
     struct Canon
@@ -1161,17 +1635,6 @@ class LaneGroups
         do
             f(*g);
         while (++g != end);
-    }
-
-    /** f(k) for every lane k in @p mask. */
-    template <class F>
-    __attribute__((always_inline)) static void eachIn(std::uint32_t mask,
-                                                      F f)
-    {
-        while (mask) {
-            f(std::size_t(std::countr_zero(mask)));
-            mask &= mask - 1;
-        }
     }
 
     static Lane4 max(Lane4 a, Lane4 b) { return a > b ? a : b; }
@@ -1256,27 +1719,101 @@ class LaneGroups
         return cost;
     }
 
+    /**
+     * The DTLB's and the store buffer's half of one data access at
+     * recorded address @p a: what every class shares goes to @p base and
+     * canon_, each other class's difference to its misses/stalls, its
+     * counters and its extra latency.  Returns the classes that differ.
+     */
+    template <bool kStore>
+    __attribute__((always_inline)) std::uint32_t
+    tlbAndStoreBuffer(Addr a, unsigned size, std::uint64_t icount, bool stack,
+                      Cycles &base)
+    {
+        std::uint32_t differ = 0;
+        if (timing_.tlbsOn) {
+            const std::uint64_t t = stamp_;
+            stamp_ += 2;
+            const unsigned shift = timing_.dpageShift;
+            if (!stack) {
+                const std::uint64_t first = a >> shift;
+                const std::uint64_t last = (a + size - 1) >> shift;
+                unsigned misses = dtlbData(first, t, differ);
+                if (last != first)
+                    misses += dtlbData(last, t + 1, differ);
+                if (misses) {
+                    canon_.inc(Counter::DtlbMisses, misses);
+                    base += misses * timing_.dtlbMissPen;
+                }
+            } else {
+                tlb_.touchStacks(a, size, t, [&](std::size_t c, int misses) {
+                    classes_[c].misses = misses;
+                    differ |= std::uint32_t(1) << c;
+                });
+            }
+        }
+        if (kStore) {
+            sb_.record(a, size, icount, stack);
+        } else if (timing_.sbAliasOn) {
+            std::uint32_t flips;
+            const bool stall = sb_.load(a, size, icount, stack, flips);
+            if (stall) {
+                canon_.inc(Counter::AliasStalls);
+                base += timing_.aliasPen;
+            }
+            eachIn(flips, [&](std::size_t c) {
+                classes_[c].stalls = stall ? -1 : 1;
+            });
+            differ |= flips;
+        }
+        eachIn(differ, [&](std::size_t c) {
+            Class &k = classes_[c];
+            k.ctrs.inc(Counter::DtlbMisses, std::uint64_t(k.misses));
+            k.ctrs.inc(Counter::AliasStalls, std::uint64_t(k.stalls));
+            k.extra = Cycles(k.misses) * timing_.dtlbMissPen +
+                      Cycles(k.stalls) * timing_.aliasPen;
+            k.misses = k.stalls = 0;
+        });
+        return differ;
+    }
+
+    /** A non-stack DTLB touch: 1 on a miss in the classes decided once,
+     *  each other class's difference in its misses. */
+    unsigned dtlbData(std::uint64_t vpn, std::uint64_t stamp,
+                      std::uint32_t &differ)
+    {
+        std::uint32_t flips;
+        const bool miss = tlb_.touchData(vpn, stamp, flips);
+        eachIn(flips, [&](std::size_t c) {
+            classes_[c].misses += miss ? -1 : 1;
+        });
+        differ |= flips;
+        return miss;
+    }
+
+    /** Class @p c's latency difference when it is in @p differ. */
+    Cycles extra(std::uint32_t differ, std::size_t c) const
+    {
+        return (differ >> c) & 1 ? classes_[c].extra : 0;
+    }
+
     /** The data side of one load or store. */
     template <bool kStore>
     __attribute__((noinline)) void data(Addr a, unsigned size,
                                         std::uint64_t icount, isa::Reg rd)
     {
-        if (a >= boundary_) {
-            if (!sharedDelta_)
-                return stackData<kStore>(a, size, icount, rd);
-            a += lanes_[0].delta;
+        const bool stack = a >= boundary_;
+        Cycles base = kStore ? 0 : timing_.dHitLat;
+        const std::uint32_t differ =
+            tlbAndStoreBuffer<kStore>(a, size, icount, stack, base);
+        if (stack) {
+            if (classes_.size() > 1)
+                return stackData<kStore>(a, size, rd, base, differ);
+            a += deltas_[0];
         }
         const Addr first = alignDown(a, timing_.dline);
         const Addr last = alignDown(a + size - 1, timing_.dline);
-        // The same in every lane: the hit latency and the split, and
-        // with one stack delta the DTLB and the store buffer.
-        Cycles base =
-            (kStore ? 0 : timing_.dHitLat) + timing_.split(first, last, canon_);
-        if (sharedDelta_) {
-            base += timing_.dtlbAccess(obs_, dtlbs_[0], a, size, canon_);
-            base += timing_.storeBuffer<kStore>(sbs_[0], a, size, icount,
-                                                canon_);
-        }
+        base += timing_.split(first, last, canon_);
         std::uint32_t diverged = 0;
         Cycles cost = 0;
         if (timing_.cachesOn) {
@@ -1296,34 +1833,22 @@ class LaneGroups
         }
 
         if (kStore) {
-            if (!sharedDelta_) {
-                for (std::size_t k = 0; k < lanes_.size(); ++k) {
-                    timing_.dtlbAccess(obs_, dtlbs_[k], a, size,
-                                       lanes_[k].ctrs);
-                    timing_.storeBuffer<true>(sbs_[k], a, size, icount,
-                                              lanes_[k].ctrs);
-                }
-            }
             if (const Cycles port = timing_.storePort(first, last))
                 charge(port);
             return;
         }
-        if (!sharedDelta_) {
+        if (rd == isa::reg::zero)
+            return;
+        if (differ) {
             for (std::size_t g = 0; g < groups_.size(); ++g) {
                 const Lane4 lat = gather(g, [&](Lane &l, std::size_t k) {
                     return base + ((diverged >> k) & 1 ? l.walked : cost) +
-                           timing_.dtlbAccess(obs_, dtlbs_[k], a, size,
-                                              l.ctrs) +
-                           timing_.storeBuffer<false>(sbs_[k], a, size,
-                                                      icount, l.ctrs);
+                           extra(differ, l.cls);
                 });
-                if (rd != isa::reg::zero)
-                    groups_[g].ready[rd] = groups_[g].now + lat;
+                groups_[g].ready[rd] = groups_[g].now + lat;
             }
             return;
         }
-        if (rd == isa::reg::zero)
-            return;
         const std::int32_t lat = std::int32_t(base + cost);
         each([&](Group &g) { g.ready[rd] = g.now + lat; });
         eachIn(diverged, [&](std::size_t k) {
@@ -1332,22 +1857,21 @@ class LaneGroups
         });
     }
 
-    /** A stack access when the lanes' stack deltas differ: each lane
-     *  walks its whole access at its own address, on its own DTLB,
-     *  store buffer and cache copies. */
+    /** A stack access when the classes differ: each lane walks the
+     *  caches at its own address, on its own copies; @p base and its
+     *  class's extra latency carry the DTLB and the store buffer. */
     template <bool kStore>
-    void stackData(Addr a, unsigned size, std::uint64_t icount, isa::Reg rd)
+    void stackData(Addr a, unsigned size, isa::Reg rd, Cycles base,
+                   std::uint32_t differ)
     {
         laneAccesses_ += lanes_.size();
         divergedAccesses_ += lanes_.size();
         for (std::size_t g = 0; g < groups_.size(); ++g) {
             const Lane4 v = gather(g, [&](Lane &l, std::size_t k) {
-                const Addr la = a + l.delta;
+                const Addr la = a + deltas_[l.cls];
                 const Addr first = alignDown(la, timing_.dline);
                 const Addr last = alignDown(la + size - 1, timing_.dline);
-                Cycles lat = (kStore ? 0 : timing_.dHitLat) +
-                             timing_.dtlbAccess(obs_, dtlbs_[k], la, size,
-                                                l.ctrs);
+                Cycles lat = base + extra(differ, l.cls);
                 // Not settled: every copy this walk touched now holds
                 // a stack line at its MRU way, which the canonical
                 // caches (code and non-stack data only, in this pass)
@@ -1358,14 +1882,11 @@ class LaneGroups
                                              last, l.ctrs);
                 lat += timing_.split(first, last, l.ctrs);
                 if (kStore) {
-                    timing_.storeBuffer<true>(sbs_[k], la, size, icount,
-                                              l.ctrs);
                     const Cycles port = timing_.storePort(first, last);
                     l.own += port;
                     return port;
                 }
-                return lat + timing_.storeBuffer<false>(sbs_[k], la, size,
-                                                        icount, l.ctrs);
+                return lat;
             });
             if (kStore)
                 groups_[g].now += v;
@@ -1466,19 +1987,19 @@ class LaneGroups
 
     std::vector<Group> groups_;
     std::vector<Lane> lanes_;
+    const std::vector<std::uint64_t> deltas_; ///< per class
+    std::vector<Class> classes_;
     NullObserver obs_;
     const MemoryTiming timing_;
     LaneCache icache_, dcache_, l2_;
-    /** One DTLB and store buffer per lane, or one for the pass when
-     *  sharedDelta_. */
-    std::vector<ShadowTlb> dtlbs_;
-    std::vector<ShadowStoreBuffer> sbs_;
+    LaneTlb tlb_;
+    LaneStoreBuffer sb_;
     PerfCounters canon_; ///< events booked once for every lane
     const Addr boundary_;
     const Addr iline_;
     const Lane4 window_;
-    bool sharedDelta_ = true; ///< every lane has lane 0's stack delta
     Cycles shared_ = 0;    ///< charges every lane took
+    std::uint64_t stamp_ = 0; ///< 2 x the data accesses the DTLB saw
     Addr memo_ = ~Addr(0); ///< every non-stale lane's lastCodeLine
     bool anyStale_ = false;
     std::uint64_t laneAccesses_ = 0;     ///< lanes x memory accesses

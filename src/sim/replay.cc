@@ -97,12 +97,14 @@ ReplayCache::noteRecord()
 
 void
 ReplayCache::noteLanePass(std::uint64_t lanes, std::uint64_t lane_accesses,
-                          std::uint64_t diverged_accesses)
+                          std::uint64_t diverged_accesses,
+                          std::uint64_t class_decisions)
 {
     replays_.fetch_add(lanes, std::memory_order_relaxed);
     lanePasses_.fetch_add(1, std::memory_order_relaxed);
     laneAccesses_.fetch_add(lane_accesses, std::memory_order_relaxed);
     divergedAccesses_.fetch_add(diverged_accesses, std::memory_order_relaxed);
+    classDecisions_.fetch_add(class_decisions, std::memory_order_relaxed);
 }
 
 void
@@ -124,6 +126,7 @@ ReplayCache::stats() const
     s.lanePasses = lanePasses_.load(std::memory_order_relaxed);
     s.laneAccesses = laneAccesses_.load(std::memory_order_relaxed);
     s.divergedAccesses = divergedAccesses_.load(std::memory_order_relaxed);
+    s.classDecisions = classDecisions_.load(std::memory_order_relaxed);
     s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
     s.bytes = c.bytes;
     return s;

@@ -179,9 +179,12 @@ class ReplayCache
      *  width.  Of its @p lane_accesses lane memory accesses (data
      *  accesses and icache line fetches, times the lanes that made
      *  them), @p diverged_accesses ran on a lane's own copy of the
-     *  memory hierarchy instead of the pass's shared one. */
+     *  memory hierarchy instead of the pass's shared one.  Of its DTLB
+     *  and store-buffer outcomes, @p class_decisions were decided per
+     *  delta class (the lanes of one stack delta) rather than once. */
     void noteLanePass(std::uint64_t lanes, std::uint64_t lane_accesses,
-                      std::uint64_t diverged_accesses);
+                      std::uint64_t diverged_accesses,
+                      std::uint64_t class_decisions);
     /** Tallies one repetition family that fell back to per-rep
      *  execution (preconditions or footprint). */
     void noteFallback();
@@ -196,6 +199,7 @@ class ReplayCache
         std::uint64_t lanePasses = 0; ///< walks of a stream (>= 1 lane)
         std::uint64_t laneAccesses = 0; ///< lanes x memory accesses
         std::uint64_t divergedAccesses = 0; ///< of them, on own copies
+        std::uint64_t classDecisions = 0; ///< DTLB/store-buffer, per class
         std::uint64_t fallbacks = 0;
         std::uint64_t bytes = 0; ///< approx footprint of live entries
     };
@@ -234,6 +238,7 @@ class ReplayCache
     std::atomic<std::uint64_t> lanePasses_{0};
     std::atomic<std::uint64_t> laneAccesses_{0};
     std::atomic<std::uint64_t> divergedAccesses_{0};
+    std::atomic<std::uint64_t> classDecisions_{0};
     std::atomic<std::uint64_t> fallbacks_{0};
 };
 

@@ -3,7 +3,8 @@
  * The repetition-plan kinds added for the pipeline lowering
  * (BaselineOnly, NoiseRepeated, NoisePaired): each must reproduce the
  * corresponding serial ExperimentRunner derivation bit for bit, at
- * any job count.
+ * any job count.  A result store cannot hold their outcomes, so an
+ * engine given one fails by name instead of running.
  */
 #include <gtest/gtest.h>
 
@@ -133,6 +134,36 @@ TEST(RepetitionPlans, SpAlignOverrideMatchesRunnerOverride)
         EXPECT_EQ(report.bias.outcomes[i].baseline.cycles(),
                   ref.cycles());
     }
+}
+
+TEST(RepetitionPlans, UnstorablePlansRefuseAStorePath)
+{
+    // Per-rep samples, a baseline-only RunResult and an sp-alignment
+    // override have no place in the store's flat, content-addressed
+    // record: handing the engine a store path for one of them is a
+    // fatal error that names the plan kind and the reason.
+    const auto setups = core::SetupSpace().varyEnvSize().grid(2);
+    const auto engine = [&](Kind kind, std::uint64_t sp_align) {
+        campaign::CampaignSpec cspec;
+        cspec.withExperiment(core::ExperimentSpec())
+            .withSetups(setups)
+            .withPlan({kind, 3})
+            .withSpAlign(sp_align);
+        campaign::CampaignOptions opts;
+        opts.outPath = "unwritten.jsonl";
+        campaign::CampaignEngine e(cspec, opts);
+    };
+    EXPECT_EXIT(engine(Kind::NoisePaired, 0), ::testing::ExitedWithCode(1),
+                "fatal: a NoisePaired campaign cannot persist a result "
+                "store to unwritten.jsonl: .*per-rep samples");
+    EXPECT_EXIT(engine(Kind::NoiseRepeated, 0),
+                ::testing::ExitedWithCode(1),
+                "a NoiseRepeated campaign cannot persist");
+    EXPECT_EXIT(engine(Kind::BaselineOnly, 0), ::testing::ExitedWithCode(1),
+                "a BaselineOnly campaign cannot persist.*baseline RunResult");
+    EXPECT_EXIT(engine(Kind::Single, 64), ::testing::ExitedWithCode(1),
+                "a Single campaign with sp alignment 64 cannot persist.*sp "
+                "alignment");
 }
 
 } // namespace

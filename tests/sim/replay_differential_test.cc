@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -838,6 +839,184 @@ TEST(ReplayDifferential, LanesDivergeAndConverge)
                     }
                 }
             }
+        }
+    }
+}
+
+/** Where the delta-class kernel puts its accesses: page-loop stack
+ *  stores at sp + kStackOff + p * 4096, a stack load at sp + kLoadSlot
+ *  after a global store at pages + kStoreOff, a stack store at sp +
+ *  kStoreSlot before a global load at pages + kLoadOff. */
+constexpr std::int64_t kStackPages = 12;
+constexpr std::int64_t kFrame = (kStackPages + 1) * 4096;
+constexpr std::int64_t kStackOff = 0x104; // 4 mod 8: may cross a page
+constexpr std::int64_t kLoadSlot = kStackOff + 12;
+constexpr std::int64_t kStoreSlot = kStackOff + 28;
+constexpr std::int64_t kStoreOff = 0x300;
+constexpr std::int64_t kLoadOff = 0x500;
+
+/**
+ * A kernel whose DTLB and store-buffer outcomes hang on where its stack
+ * sits.  It first reads the low half of @p data_pages global pages;
+ * then each trip touches kStackPages stack pages and the @p data_pages
+ * global pages, interleaved, then a global store before a stack load
+ * and a stack store before a global load (4K-aliasing pairs).  With
+ * kStackPages + data_pages equal to the DTLB's entries, a layout whose
+ * page-loop stores cross a page touches one page too many and misses on
+ * every access.
+ */
+std::shared_ptr<const toolchain::LinkedProgram>
+deltaClassProgram(std::int64_t data_pages, std::int64_t trips = 40)
+{
+    using namespace isa;
+    ProgramBuilder b("delta_classes");
+    b.global("pages", std::uint64_t(data_pages + 1) * 4096);
+    b.func("main");
+    b.la(reg::s3, "pages");
+    for (std::int64_t i = 0; i <= data_pages / 2; ++i)
+        b.ld8(reg::t3, reg::s3, i * 4096);
+    b.li(reg::t0, trips);
+    b.li(reg::s0, 0);
+    b.label("loop");
+    b.addi(reg::sp, reg::sp, -kFrame);
+    for (std::int64_t i = 0; i < std::max(kStackPages, data_pages); ++i) {
+        if (i < kStackPages)
+            b.st8(reg::t0, reg::sp, kStackOff + i * 4096);
+        if (i < data_pages) {
+            b.ld8(reg::t1, reg::s3, i * 4096);
+            b.add(reg::s0, reg::s0, reg::t1);
+        }
+    }
+    b.st8(reg::t0, reg::s3, kStoreOff);
+    b.addi(reg::t2, reg::t0, 1);
+    b.ld8(reg::t1, reg::sp, kLoadSlot);
+    b.add(reg::s0, reg::s0, reg::t1);
+    b.st8(reg::t2, reg::sp, kStoreSlot);
+    b.ld8(reg::t1, reg::s3, kLoadOff);
+    b.add(reg::s0, reg::s0, reg::t1);
+    b.addi(reg::sp, reg::sp, kFrame);
+    b.addi(reg::t0, reg::t0, -1);
+    b.bne(reg::t0, reg::zero, "loop");
+    b.mv(reg::a0, reg::s0);
+    b.halt();
+    b.endFunc();
+    return std::make_shared<const toolchain::LinkedProgram>(
+        toolchain::Linker().link({b.build()}));
+}
+
+TEST(ReplayDifferential, DeltaClassesShareTlbAndStoreBuffer)
+{
+    // A lane pass keeps one DTLB and one store buffer for all its
+    // lanes, in the recording's coordinates, and decides per delta
+    // class (the lanes of one stack delta) only what a delta changes.
+    // The lanes here are chosen so that a delta changes each outcome:
+    // the page-loop stores cross a page in one class only, which
+    // overflows the DTLB there; a stack load 4K-aliases the global
+    // store before it in one class (two lanes), and the global load
+    // after a stack store in another.  Three more lanes put the stack
+    // below the globals, and inside their pages: among the pages read
+    // before the loop, and above them, where the loop's global pages
+    // reach it later.  There a class's stack pages meet its non-stack
+    // pages, and it must walk a DTLB of its own.  On every backend,
+    // quiet and under noise, each lane must equal the oracle and its
+    // own one-lane pass, and DtlbMisses and AliasStalls must differ
+    // across lanes.
+    const std::uint64_t budget = 500'000'000;
+    const bool tier = replayTierActive();
+    auto noisy = laneNoiseShapes().back().second;
+    for (const auto &backend : sim::MachineRegistry::global().backends()) {
+        const auto &mc = backend.config;
+        const std::int64_t dataPages =
+            std::int64_t(mc.dtlb.entries) - kStackPages;
+        const auto prog = deltaClassProgram(dataPages);
+        const Addr pages = prog->globalAddr("pages");
+        const auto load = [&](std::uint64_t env, Addr stack_top = 0) {
+            toolchain::LoaderConfig lc;
+            lc.envBytes = env;
+            if (stack_top)
+                lc.stackTop = stack_top;
+            return toolchain::Loader::load(prog, lc);
+        };
+        // The in-page residues each condition needs, at sp = initialSp
+        // - kFrame inside the loop.
+        const auto residue = [](Addr a) { return a & 4095; };
+        const auto crosses = [&](Addr sp) {
+            return residue(sp + kStackOff) == 4092;
+        };
+        const auto loadAliases = [&](Addr sp) {
+            return residue(sp + kLoadSlot) == residue(pages + kStoreOff);
+        };
+        const auto storeAliases = [&](Addr sp) {
+            return residue(sp + kStoreSlot) == residue(pages + kLoadOff);
+        };
+        // The page-loop stores against the global loads: kept out.
+        const auto stray = [&](Addr sp) {
+            return residue(sp + kStackOff) == residue(pages + kLoadOff) ||
+                   residue(sp + kStackOff) == residue(pages);
+        };
+        const auto envWhere = [&](auto want) {
+            for (std::uint64_t env = 0; env < 8192; env += 4) {
+                const Addr sp = load(env).initialSp - kFrame;
+                const int hits = int(crosses(sp)) + int(loadAliases(sp)) +
+                                 int(storeAliases(sp));
+                if (want(sp) && hits <= 1 && !stray(sp))
+                    return env;
+            }
+            ADD_FAILURE() << "no env size has the wanted layout";
+            return std::uint64_t(0);
+        };
+        const std::uint64_t home = envWhere([&](Addr sp) {
+            return !crosses(sp) && !loadAliases(sp) && !storeAliases(sp);
+        });
+        const std::uint64_t cross = envWhere(crosses);
+        const std::uint64_t aliasLoad = envWhere(loadAliases);
+        const std::uint64_t aliasStore = envWhere(storeAliases);
+        // Below the code, and in the global pages from page 3 and from
+        // just above the ones read first (sp at 0x800 into a page: the
+        // stack bytes miss every global byte the kernel touches).
+        const Addr below = 0x300000;
+        const auto inside = [&](std::int64_t page) {
+            return alignDown(pages, 4096) +
+                   Addr(page + kStackPages + 1) * 4096 + 0x840;
+        };
+
+        Family f;
+        f.images = {load(home),      load(cross),     load(aliasLoad),
+                    load(aliasStore), load(aliasLoad), load(0, below),
+                    load(0, inside(3)), load(0, inside(dataPages / 2 + 1))};
+        for (const auto &variant : {sim::NoiseModel::none(), noisy}) {
+            f.noises.clear();
+            for (std::size_t k = 0; k < f.images.size(); ++k) {
+                sim::NoiseModel m = variant;
+                m.seed = 0xc1a55 + k;
+                f.noises.push_back(m);
+            }
+            const std::string what =
+                mc.name + (variant.enabled ? " under noise" : " quiet");
+            const auto before = sim::ReplayCache::global().stats();
+            expectLanesIdentical(mc, f, what);
+            const auto after = sim::ReplayCache::global().stats();
+            if (tier) {
+                EXPECT_GT(after.classDecisions, before.classDecisions)
+                    << what;
+            }
+        }
+
+        // The layouts move only timing, and move it where intended.
+        std::set<std::uint64_t> dtlb, alias;
+        const auto ref = plainRun(mc, f.images[0], budget,
+                                  sim::NoiseModel::none());
+        for (const auto &image : f.images) {
+            const auto r = plainRun(mc, image, budget, sim::NoiseModel::none());
+            EXPECT_EQ(r.result, ref.result) << mc.name;
+            EXPECT_EQ(r.instructions(), ref.instructions()) << mc.name;
+            dtlb.insert(r.counters.get(sim::Counter::DtlbMisses));
+            alias.insert(r.counters.get(sim::Counter::AliasStalls));
+        }
+        EXPECT_GT(dtlb.size(), 1u) << mc.name << ": DtlbMisses all equal";
+        if (mc.enableStoreBufferAliasing) {
+            EXPECT_GT(alias.size(), 1u)
+                << mc.name << ": AliasStalls all equal";
         }
     }
 }
