@@ -22,12 +22,18 @@
  * Timing methodology: each arm runs once to warm (and to verify the
  * report is bitwise identical across arms), then best-of-kRounds
  * timed runs are reported, which suppresses one-off scheduling noise
- * the same way the repo's interleaved probes do.
+ * the same way the repo's interleaved probes do.  The two lane-pass
+ * arms are the median of kLaneRounds rounds on the thread CPU clock
+ * instead (medianCpuSeconds): their best-of-5 wall clock spread 2x
+ * across runs of one build on a shared host.
  */
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +66,38 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+constexpr int kLaneRounds = 15;
+
+double
+threadCpuSeconds()
+{
+    timespec ts;
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+/**
+ * Seconds of one @p arm: the median over kLaneRounds rounds, each
+ * timed by this thread's CPU clock (the simulator runs on the calling
+ * thread).  The thread clock leaves out the time the kernel runs
+ * other threads, and the median drops the rounds a slow phase of the
+ * host still hits, as microbench_stats_throughput's store reads do.
+ */
+template <typename Arm>
+double
+medianCpuSeconds(Arm arm)
+{
+    std::vector<double> perRound;
+    for (int round = 0; round < kLaneRounds; ++round) {
+        const double t0 = threadCpuSeconds();
+        arm();
+        perRound.push_back(threadCpuSeconds() - t0);
+    }
+    std::nth_element(perRound.begin(), perRound.begin() + kLaneRounds / 2,
+                     perRound.end());
+    return perRound[kLaneRounds / 2];
 }
 
 /** The three implementations of Machine::run (sim/machine.hh). */
@@ -181,8 +219,8 @@ struct NoisyRepResult
     double perRepWall = 0.0;  ///< reps noisy runs on the reference oracle
     double planWall = 0.0;    ///< reps noisy runs on the plan loop
     double replayWall = 0.0;  ///< one recording + reps-1 replays
-    double lanesWall = 0.0;   ///< one recording + one reps-1 lane pass
-    double aslrLanesWall = 0.0; ///< one recording + a reps-lane ASLR pass
+    double lanesCpu = 0.0;   ///< one recording + one reps-1 lane pass
+    double aslrLanesCpu = 0.0; ///< one recording + a reps-lane ASLR pass
     double perRepInstsPerSec = 0.0;
     double planInstsPerSec = 0.0;
     double replayInstsPerSec = 0.0;
@@ -311,42 +349,28 @@ measureNoisyRepetition(const char *name,
             if (out.replayWall == 0.0 || wall < out.replayWall)
                 out.replayWall = wall;
         }
-        {
-            const auto t0 = std::chrono::steady_clock::now();
+    }
+    // A lane arm: one recording, then one pass over @p pass.
+    const auto lanePassCpu = [&](std::span<const sim::ReplayLane> pass) {
+        return medianCpuSeconds([&] {
             std::shared_ptr<const sim::FunctionalTrace> t;
             machine.runRecord(image, budget,
                               sim::NoiseModel::withSeed(kSeedBase), &t);
             if (t) {
-                machine.runReplayLanes(*t, budget, lanes);
+                machine.runReplayLanes(*t, budget, pass);
             } else {
-                for (const auto &lane : lanes)
-                    machine.run(image, budget, lane.noise);
-            }
-            const double wall = secondsSince(t0);
-            if (out.lanesWall == 0.0 || wall < out.lanesWall)
-                out.lanesWall = wall;
-        }
-        {
-            const auto t0 = std::chrono::steady_clock::now();
-            std::shared_ptr<const sim::FunctionalTrace> t;
-            machine.runRecord(image, budget,
-                              sim::NoiseModel::withSeed(kSeedBase), &t);
-            if (t) {
-                machine.runReplayLanes(*t, budget, aslrLanes);
-            } else {
-                for (const auto &lane : aslrLanes)
+                for (const auto &lane : pass)
                     machine.run(*lane.image, budget, lane.noise);
             }
-            const double wall = secondsSince(t0);
-            if (out.aslrLanesWall == 0.0 || wall < out.aslrLanesWall)
-                out.aslrLanesWall = wall;
-        }
-    }
+        });
+    };
+    out.lanesCpu = lanePassCpu(lanes);
+    out.aslrLanesCpu = lanePassCpu(aslrLanes);
     out.perRepInstsPerSec = insts * kReps / out.perRepWall;
     out.planInstsPerSec = insts * kReps / out.planWall;
     out.replayInstsPerSec = insts * kReps / out.replayWall;
-    out.lanesInstsPerSec = insts * kReps / out.lanesWall;
-    out.aslrLanesInstsPerSec = insts * kReps / out.aslrLanesWall;
+    out.lanesInstsPerSec = insts * kReps / out.lanesCpu;
+    out.aslrLanesInstsPerSec = insts * kReps / out.aslrLanesCpu;
     out.speedup = out.perRepWall / out.replayWall;
     std::fprintf(stderr,
                  "  %s noisy reps (%u): per-rep %.1f, plan %.1f, "

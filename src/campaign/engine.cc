@@ -264,15 +264,6 @@ class ProgressMeter
     bool stop_ = false;
 };
 
-std::uint64_t
-microsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
 /** @p kind as the enumerator reads. */
 const char *
 kindName(RepetitionPlan::Kind kind)
@@ -293,12 +284,8 @@ kindName(RepetitionPlan::Kind kind)
     return "?";
 }
 
-/**
- * The process-wide caches' counts under the names a report books them
- * by: the one table of those names.  Every cache counts once, in its
- * stats(); a campaign books the difference between a reading at its
- * start and one at its end, and the end value of the byte gauge.
- */
+} // namespace
+
 obs::MetricsSnapshot
 cacheCounts()
 {
@@ -340,8 +327,6 @@ cacheCounts()
     return s;
 }
 
-} // namespace
-
 CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)
     : spec_(std::move(spec)), opts_(std::move(opts))
 {
@@ -374,7 +359,7 @@ CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)
 CampaignReport
 CampaignEngine::run()
 {
-    const auto start = std::chrono::steady_clock::now();
+    obs::ScopedSpan campaignSpan("campaign", "campaign", nullptr, true);
 
     // Each run gets its own metrics registry so the report's snapshot
     // is exactly this campaign — nothing leaks across runs.
@@ -529,10 +514,8 @@ CampaignEngine::run()
     // it — outcome, store record, task histograms and progress stay
     // per task.
     const auto finishTask = [&](std::size_t i) {
-        const auto finishStart = std::chrono::steady_clock::now();
-        obs::ScopedSpan taskSpan("task", "campaign",
-                                 "{\"task\":" + std::to_string(i) +
-                                     "}");
+        obs::ScopedSpan taskSpan("task", "campaign", nullptr, true);
+        taskSpan.arg("task", i);
         const TaskResult r =
             assembleTask(spec_.experiment, tasks[i], laneOut[i]);
         laneOut[i] = {};
@@ -541,12 +524,10 @@ CampaignEngine::run()
         executed.fetch_add(1, std::memory_order_relaxed);
         cExecuted.add();
         results[i] = r.outcome;
-        if (store) {
-            obs::ScopedSpan span("store-append", "campaign");
+        if (store)
             store->append(TaskRecord::make(keys[i], tasks[i], r.outcome,
                                            r.baseMetric, r.treatMetric));
-        }
-        hTask.record(execUs + microsSince(finishStart));
+        hTask.record(execUs + taskSpan.stop());
         done.fetch_add(1, std::memory_order_relaxed);
     };
 
@@ -562,22 +543,17 @@ CampaignEngine::run()
         for (const LaneChunk &chunk : units[u]) {
             const LaneFamily &fam = families[chunk.family];
             const std::size_t n = chunk.end - chunk.begin;
-            const auto start = std::chrono::steady_clock::now();
-            std::vector<sim::RunResult> rs;
-            {
-                obs::ScopedSpan span("lanes", "campaign",
-                                     "{\"lanes\":" + std::to_string(n) +
-                                         "}");
-                // The treatment machine of a hardware study serves only
-                // paired single runs, as ExperimentRunner::run does.
-                rs = runners[w]->runFamily(
-                    fam.side ? spec_.experiment.treatment
-                             : spec_.experiment.baseline,
-                    fam.side == 1 && kind == Kind::Single, fam.order,
-                    std::span(fam.lanes).subspan(chunk.begin, n));
-            }
+            obs::ScopedSpan runSpan("run", "campaign", nullptr, true);
+            runSpan.arg("lanes", n);
+            // The treatment machine of a hardware study serves only
+            // paired single runs, as ExperimentRunner::run does.
+            std::vector<sim::RunResult> rs = runners[w]->runFamily(
+                fam.side ? spec_.experiment.treatment
+                         : spec_.experiment.baseline,
+                fam.side == 1 && kind == Kind::Single, fam.order,
+                std::span(fam.lanes).subspan(chunk.begin, n));
             // The chunk's wall time, shared out evenly over its lanes.
-            const std::uint64_t share = microsSince(start) / n;
+            const std::uint64_t share = runSpan.stop() / n;
             for (std::size_t k = 0; k < n; ++k) {
                 const LaneRef &ref = fam.refs[chunk.begin + k];
                 laneOut[ref.task][ref.side][ref.rep] = std::move(rs[k]);
@@ -598,34 +574,26 @@ CampaignEngine::run()
     metrics.counter("cache.misses").add(executed.load());
 
     CampaignReport report;
-    {
-        obs::ScopedSpan span("aggregate", "campaign");
-        if (results.size() >= 2) {
-            core::BiasAnalyzer analyzer(0.01, opts_.confidence);
-            if (opts_.resamples > 0)
-                analyzer.withBootstrap(opts_.resamples, spec_.seed,
-                                       opts_.jobs);
-            report.bias =
-                analyzer.aggregate(spec_.experiment, std::move(results));
-        } else {
-            // A bias report needs >= 2 setups for a spread/CI; a
-            // one-task campaign (e.g. a single-cell sweep lowered by
-            // the pipeline) just carries its outcome through.
-            report.bias.specDescription = spec_.experiment.str();
-            for (const auto &o : results)
-                report.bias.speedups.add(o.speedup);
-            report.bias.outcomes = std::move(results);
-        }
+    if (results.size() >= 2) {
+        core::BiasAnalyzer analyzer(0.01, opts_.confidence);
+        if (opts_.resamples > 0)
+            analyzer.withBootstrap(opts_.resamples, spec_.seed, opts_.jobs);
+        report.bias = analyzer.aggregate(spec_.experiment, std::move(results));
+    } else {
+        // A bias report needs >= 2 setups for a spread/CI; a one-task
+        // campaign (e.g. a single-cell sweep lowered by the pipeline)
+        // just carries its outcome through.
+        report.bias.specDescription = spec_.experiment.str();
+        for (const auto &o : results)
+            report.bias.speedups.add(o.speedup);
+        report.bias.outcomes = std::move(results);
     }
     report.stats.totalTasks = tasks.size();
     report.stats.executed = executed.load();
     report.stats.cacheHits = cacheHits;
     report.stats.resumedFromStore = resumed;
     report.stats.jobs = pool.jobs();
-    report.stats.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    report.stats.wallSeconds = double(campaignSpan.stop()) * 1e-6;
     report.provenance = provenance;
     report.metrics = metrics.snapshot();
     // Every cache name is booked, moved or not, so a report always

@@ -9,6 +9,14 @@
 namespace mbias::campaign
 {
 
+/**
+ * The process-wide caches' counts under the names a report books them
+ * by: the one table of those names.  Every cache counts once, in its
+ * stats(); a campaign books the difference between a reading at its
+ * start and one at its end, and the end value of the byte gauge.
+ */
+obs::MetricsSnapshot cacheCounts();
+
 /** How a campaign is executed and where results persist. */
 struct CampaignOptions
 {

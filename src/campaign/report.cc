@@ -5,7 +5,6 @@
 
 #include "base/logging.hh"
 #include "campaign/store.hh"
-#include "obs/trace.hh"
 #include "stats/engine.hh"
 
 namespace mbias::campaign
@@ -71,7 +70,6 @@ StoreAnalysis::str() const
 StoreAnalysis
 analyzeStore(const std::string &path, const AnalyzeOptions &opts)
 {
-    obs::ScopedSpan span("analyze-store", "stats");
     StoreAnalysis a;
     a.path = path;
 

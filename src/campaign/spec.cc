@@ -4,6 +4,7 @@
 
 #include "base/logging.hh"
 #include "base/seeding.hh"
+#include "obs/trace.hh"
 
 namespace mbias::campaign
 {
@@ -95,6 +96,7 @@ CampaignSpec::expand() const
 {
     mbias_assert(taskCount() > 0,
                  "campaign has no setups: call withSetups or withSpace");
+    obs::ScopedSpan span("campaign.expand", "campaign");
     std::vector<CampaignTask> tasks;
     tasks.reserve(taskCount());
     for (std::size_t i = 0; i < taskCount(); ++i) {

@@ -13,6 +13,7 @@
 #include "base/hash.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
+#include "obs/trace.hh"
 
 namespace mbias::campaign
 {
@@ -434,6 +435,7 @@ ResultStore::find(const std::string &key) const
 void
 ResultStore::append(const TaskRecord &rec)
 {
+    obs::ScopedSpan span("campaign.store_append", "campaign");
     std::lock_guard<std::mutex> lock(mutex_);
     std::ofstream out = openForAppend();
     out << rec.toJson() << "\n";
@@ -526,6 +528,7 @@ StoreSummary::str() const
 StoreColumns
 readStoreColumns(const std::string &path, obs::Registry *metrics)
 {
+    obs::ScopedSpan span("campaign.store_read", "campaign");
     StoreScan scan = scanStore(path);
     StoreColumns cols;
     cols.tornLines = scan.torn.size();

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/logging.hh"
+#include "obs/trace.hh"
 #include "stats/engine.hh"
 
 namespace mbias::core
@@ -67,6 +68,7 @@ BiasAnalyzer::aggregate(const ExperimentSpec &spec,
                         std::vector<RunOutcome> outcomes) const
 {
     mbias_assert(outcomes.size() >= 2, "bias analysis needs >= 2 outcomes");
+    obs::ScopedSpan span("core.aggregate", "core");
 
     BiasReport r;
     r.specDescription = spec.str();

@@ -6,6 +6,7 @@
 
 #include "base/logging.hh"
 #include "core/explain.hh"
+#include "obs/trace.hh"
 #include "stats/regression.hh"
 
 namespace mbias::core
@@ -92,6 +93,7 @@ CausalAnalyzer::analyze(const ExperimentSpec &spec,
                         const std::vector<ExperimentSetup> &setups) const
 {
     mbias_assert(setups.size() >= 3, "causal analysis needs >= 3 setups");
+    obs::ScopedSpan span("core.causal", "core");
 
     CausalReport report;
     report.specDescription = spec.str();

@@ -209,7 +209,7 @@ ExplainReport
 explainSetupPair(const ExperimentSpec &spec, const ExperimentSetup &a,
                  const ExperimentSetup &b)
 {
-    obs::ScopedSpan span("explain", "core");
+    obs::ScopedSpan span("core.explain", "core");
 
     ExplainReport r;
     r.workload = spec.workload;

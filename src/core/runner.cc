@@ -1,6 +1,5 @@
 #include "core/runner.hh"
 
-#include <chrono>
 #include <utility>
 
 #include "base/logging.hh"
@@ -11,28 +10,6 @@
 
 namespace mbias::core
 {
-
-namespace
-{
-
-std::uint64_t
-microsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
-} // namespace
-
-void
-ExperimentRunner::noteRun(std::uint64_t run_us, const sim::RunResult &rr)
-{
-    if (runHistogram_)
-        runHistogram_->record(run_us);
-    mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-}
 
 stats::Sample
 ExperimentRunner::metricSample(const std::vector<sim::RunResult> &rs) const
@@ -76,7 +53,7 @@ ExperimentRunner::runFamily(const toolchain::ToolchainSpec &tc,
     }
 
     sim::Machine machine(machineFor(treatment_side));
-    obs::ScopedSpan runSpan("run", "runner");
+    machine.setRunHistogram(runHistogram_);
     constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
     std::vector<sim::RunResult> out(n);
 
@@ -92,10 +69,8 @@ ExperimentRunner::runFamily(const toolchain::ToolchainSpec &tc,
         trace = cache.find(images[0], budget, &unrecordable);
         if (!trace && !unrecordable) {
             // The recording runs under lane 0's model: it IS lane 0.
-            const auto t0 = std::chrono::steady_clock::now();
             out[0] =
                 machine.runRecord(images[0], budget, lanes[0].noise, &trace);
-            noteRun(microsSince(t0), out[0]);
             first = 1;
             cache.insert(images[0], budget, trace); // null = negative entry
         }
@@ -108,28 +83,22 @@ ExperimentRunner::runFamily(const toolchain::ToolchainSpec &tc,
             pass.push_back({&images[k], lanes[k].noise});
             continue;
         }
-        const auto t0 = std::chrono::steady_clock::now();
         out[k] = machine.run(images[k], budget, lanes[k].noise);
-        noteRun(microsSince(t0), out[k]);
     }
     if (replay && first + served.size() < n)
         sim::ReplayCache::global().noteFallback();
-    if (pass.empty())
-        return out;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    machine.runReplayLanes(*trace, budget, pass);
-    // The pass's wall time, shared out evenly: run_us keeps one sample
-    // per lane, and its sum stays the time spent.
-    const std::uint64_t share = microsSince(t0) / pass.size();
-    // Every lane still returns through runReplay(), which hands out the
-    // lane the pass already timed, so per-run instrumentation
-    // (perfbench's link-time shims, which also count the simulated
-    // instructions) keeps seeing one call per lane.
-    for (const std::size_t k : served) {
-        out[k] = machine.runReplay(images[k], budget, lanes[k].noise, *trace);
-        noteRun(share, out[k]);
+    if (!pass.empty()) {
+        machine.runReplayLanes(*trace, budget, pass);
+        // Every lane still returns through runReplay(), which hands out
+        // the lane the pass already timed, so per-run instrumentation
+        // (perfbench's link-time shims, which also count the simulated
+        // instructions) keeps seeing one call per lane.
+        for (const std::size_t k : served)
+            out[k] =
+                machine.runReplay(images[k], budget, lanes[k].noise, *trace);
     }
+    for (const sim::RunResult &rr : out)
+        mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
     return out;
 }
 
@@ -209,13 +178,11 @@ ExperimentRunner::runSide(const toolchain::ToolchainSpec &tc,
 {
     auto image = materialize(tc, setup);
     sim::Machine machine(machineFor(treatment_side));
+    machine.setRunHistogram(runHistogram_);
     obs::ScopedSpan runSpan(profile || attribution ? "run-profiled" : "run",
                             "runner");
-    const auto t0 = std::chrono::steady_clock::now();
     auto rr = machine.run(image, sim::Machine::kDefaultRunBudget,
                           sim::NoiseModel::none(), profile, attribution);
-    if (runHistogram_)
-        runHistogram_->record(microsSince(t0));
     mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
     return rr;
 }

@@ -115,7 +115,8 @@ class ExperimentRunner
      * found in the ReplayCache), and every other lane the recording
      * can serve is timed in one lane pass over it.  A one-lane family
      * never records, and lanes no recording can serve run on their
-     * own.  run_us gets one sample per lane; a lane pass's wall time is
+     * own.  run_us gets one sample per lane from the machine's sim.*
+     * spans (Machine::setRunHistogram); a lane pass's wall time is
      * shared out evenly over its lanes.
      */
     std::vector<sim::RunResult> runFamily(const toolchain::ToolchainSpec &tc,
@@ -167,10 +168,6 @@ class ExperimentRunner
     toolchain::ProcessImage
     materialize(const toolchain::ToolchainSpec &tc,
                 const ExperimentSetup &setup);
-
-    /** Books one lane's run_us sample; the workload must have
-     *  halted. */
-    void noteRun(std::uint64_t run_us, const sim::RunResult &rr);
 
     /** The metric sample of a family's results, in lane order. */
     stats::Sample metricSample(const std::vector<sim::RunResult> &rs) const;

@@ -1,7 +1,6 @@
 #include "lang/asm_workload.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 
 #include "base/logging.hh"
@@ -131,17 +130,10 @@ loadAsmWorkloadImpl(const std::string &manifest_path)
 LoadedWorkload
 loadAsmWorkload(const std::string &manifest_path)
 {
-    obs::ScopedSpan span("asm.load", "lang");
-    const auto t0 = std::chrono::steady_clock::now();
-    LoadedWorkload r = loadAsmWorkloadImpl(manifest_path);
     auto &reg = obs::Registry::global();
     reg.counter("asm.load").add();
-    reg.histogram("asm.load_us")
-        .record(std::uint64_t(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-    return r;
+    obs::ScopedSpan span("asm.load", "lang", &reg.histogram("asm.load_us"));
+    return loadAsmWorkloadImpl(manifest_path);
 }
 
 std::size_t

@@ -1,7 +1,6 @@
 #include "lang/assembler.hh"
 
 #include <array>
-#include <chrono>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -744,17 +743,11 @@ AsmResult::errorText(std::string_view filename) const
 AsmResult
 assemble(std::string_view text)
 {
-    obs::ScopedSpan span("asm.assemble", "lang");
-    const auto t0 = std::chrono::steady_clock::now();
-    AsmResult r = Parser(text).run();
     auto &reg = obs::Registry::global();
     reg.counter("asm.assemble").add();
-    reg.histogram("asm.assemble_us")
-        .record(std::uint64_t(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-    return r;
+    obs::ScopedSpan span("asm.assemble", "lang",
+                         &reg.histogram("asm.assemble_us"));
+    return Parser(text).run();
 }
 
 AsmResult

@@ -1,7 +1,6 @@
 #include "lang/fuzzer.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -61,8 +60,10 @@ fuzzProgram(const FuzzConfig &cfg, unsigned index)
 {
     mbias_assert(index < cfg.count, "fuzz index ", index,
                  " out of range for a corpus of ", cfg.count);
-    obs::ScopedSpan span("fuzz.generate", "lang");
-    const auto gen_start = std::chrono::steady_clock::now();
+    auto &reg = obs::Registry::global();
+    reg.counter("fuzz.generate").add();
+    obs::ScopedSpan span("fuzz.generate", "lang",
+                         &reg.histogram("fuzz.generate_us"));
     Rng r = Rng(cfg.seed).splitAt(index);
 
     FuzzedProgram prog;
@@ -199,13 +200,6 @@ fuzzProgram(const FuzzConfig &cfg, unsigned index)
         prog.modules.push_back(b.build());
     }
 
-    auto &reg = obs::Registry::global();
-    reg.counter("fuzz.generate").add();
-    reg.histogram("fuzz.generate_us")
-        .record(std::uint64_t(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - gen_start)
-                .count()));
     return prog;
 }
 

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/json.hh" // jsonEscape
+
 namespace mbias::obs
 {
 
@@ -26,15 +28,6 @@ void
 Tracer::stop()
 {
     active_.store(false, std::memory_order_release);
-}
-
-std::uint64_t
-Tracer::nowUs() const
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
 }
 
 void
@@ -85,31 +78,60 @@ Tracer::writeTo(const std::string &path) const
     return bool(out);
 }
 
-ScopedSpan::ScopedSpan(const char *name, const char *cat,
-                       std::string args)
-    : name_(name), cat_(cat), args_(std::move(args))
+ScopedSpan::ScopedSpan(const char *name, const char *cat, Histogram *hist,
+                       bool timed)
+    : name_(name), cat_(cat), hist_(hist)
 {
-    Tracer &tracer = Tracer::global();
-    if (!tracer.active())
-        return;
-    live_ = true;
-    startUs_ = tracer.nowUs();
+    live_ = Tracer::global().active();
+    clocked_ = live_ || hist_ || timed;
+    if (clocked_)
+        start_ = std::chrono::steady_clock::now();
 }
 
-ScopedSpan::~ScopedSpan()
+void
+ScopedSpan::arg(const char *key, std::uint64_t value)
 {
+    if (live_)
+        addArg(key, std::to_string(value));
+}
+
+void
+ScopedSpan::arg(const char *key, std::string_view value)
+{
+    if (live_)
+        addArg(key, '"' + jsonEscape(value) + '"');
+}
+
+void
+ScopedSpan::addArg(const char *key, const std::string &json)
+{
+    args_ += (args_.empty() ? "{\"" : ",\"") + std::string(key) + "\":" + json;
+}
+
+std::uint64_t
+ScopedSpan::stop()
+{
+    if (!clocked_)
+        return 0;
+    clocked_ = false;
+    const auto us = [](auto d) {
+        return std::uint64_t(
+            std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+    };
+    const std::uint64_t durUs = us(std::chrono::steady_clock::now() - start_);
+    if (hist_)
+        hist_->record(durUs);
     if (!live_)
-        return;
+        return durUs;
+    live_ = false;
     Tracer &tracer = Tracer::global();
-    TraceEvent e;
-    e.name = name_;
-    e.cat = cat_;
-    e.tsUs = startUs_;
-    const std::uint64_t end = tracer.nowUs();
-    e.durUs = end > startUs_ ? end - startUs_ : 0;
-    e.tid = threadId();
-    e.args = std::move(args_);
+    const std::uint64_t tsUs =
+        start_ > tracer.t0_ ? us(start_ - tracer.t0_) : 0;
+    TraceEvent e{name_, cat_, tsUs, durUs, threadId(), 'X', std::move(args_)};
+    if (!e.args.empty())
+        e.args += '}';
     tracer.record(std::move(e));
+    return durUs;
 }
 
 } // namespace mbias::obs

@@ -6,9 +6,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/metrics.hh" // threadId()
+#include "obs/metrics.hh" // threadId(), Histogram
 
 namespace mbias::obs
 {
@@ -16,15 +17,15 @@ namespace mbias::obs
 /**
  * Span tracing in Chrome trace format.
  *
- * A span is one timed phase of work (queue-wait, setup-materialize,
- * run, aggregate, store-append).  Spans are recorded as "complete"
- * events ("ph":"X") with microsecond timestamps relative to the
- * session start, and the exported JSON loads directly in Perfetto
- * (ui.perfetto.dev) or chrome://tracing; nested spans on one thread
- * render as nested slices.
+ * A span is one timed region of work: a layer boundary (sim.run,
+ * toolchain.link, ...) or an engine phase (task, queue-wait).  Spans
+ * are recorded as "complete" events ("ph":"X") with microsecond
+ * timestamps relative to the session start, and the exported JSON
+ * loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing;
+ * nested spans on one thread render as nested slices.
  *
- * Tracing is process-wide and off by default: ScopedSpan costs one
- * relaxed load when no session is active.
+ * Tracing is process-wide and off by default: a ScopedSpan with no
+ * histogram costs one relaxed load when no session is active.
  */
 
 /** One trace event; tid is the worker's threadId(). */
@@ -57,9 +58,6 @@ class Tracer
         return active_.load(std::memory_order_relaxed);
     }
 
-    /** Microseconds since the session started. */
-    std::uint64_t nowUs() const;
-
     /** Buffers one event (thread-safe; dropped when not active). */
     void record(TraceEvent event);
 
@@ -72,6 +70,8 @@ class Tracer
     bool writeTo(const std::string &path) const;
 
   private:
+    friend class ScopedSpan; // reads t0_ to place its event
+
     std::atomic<bool> active_{false};
     std::chrono::steady_clock::time_point t0_{};
     mutable std::mutex mutex_;
@@ -79,27 +79,47 @@ class Tracer
 };
 
 /**
- * RAII span: records [construction, destruction) on the calling
- * thread under @p name.  @p name and @p cat must be string literals
- * (they are kept by pointer); @p args, if given, is a pre-rendered
- * JSON object attached to the event.
+ * RAII span: times [construction, stop() or destruction) on the
+ * calling thread under @p name, reading the clock once at each end.
+ * The duration, in microseconds, goes to @p hist as one sample (when
+ * given) and to the trace session as one event (when a session was
+ * active at construction).  @p name and @p cat must be string
+ * literals (they are kept by pointer).  @p timed reads the clock even
+ * with neither, for a caller that shares stop()'s duration out itself.
  */
 class ScopedSpan
 {
   public:
     explicit ScopedSpan(const char *name, const char *cat = "task",
-                        std::string args = {});
-    ~ScopedSpan();
+                        Histogram *hist = nullptr, bool timed = false);
+    ~ScopedSpan() { stop(); }
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
+    /** Attaches `"key":value` to the event; a no-op unless the span
+     *  lands in a trace session, so an untraced span renders nothing.
+     *  @p key must need no JSON escaping. */
+    void arg(const char *key, std::uint64_t value);
+    void arg(const char *key, std::string_view value);
+
+    /** Ends the span now and returns its duration in microseconds (0
+     *  for a span that read no clock); later calls return 0. */
+    std::uint64_t stop();
+
+    /** Ends the span without recording it anywhere. */
+    void cancel() { clocked_ = live_ = false; }
+
   private:
+    void addArg(const char *key, const std::string &json);
+
     const char *name_;
     const char *cat_;
+    Histogram *hist_;
     std::string args_;
-    std::uint64_t startUs_ = 0;
+    std::chrono::steady_clock::time_point start_{};
     bool live_ = false;
+    bool clocked_ = false;
 };
 
 } // namespace mbias::obs

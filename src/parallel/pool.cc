@@ -1,7 +1,6 @@
 #include "parallel/pool.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -79,14 +78,11 @@ ThreadPool::parallelFor(
     for (std::size_t i = 0; i < count; ++i)
         queues[i % workers].tasks.push_back(i);
 
-    obs::Tracer &tracer = obs::Tracer::global();
     auto work = [&](unsigned w) {
         obs::setThreadShard(w);
         std::size_t task;
         for (;;) {
-            const auto waitStart = std::chrono::steady_clock::now();
-            const std::uint64_t waitStartUs =
-                tracer.active() ? tracer.nowUs() : 0;
+            obs::ScopedSpan wait("queue-wait", "pool", queueWait_);
             bool got = queues[w].popFront(task);
             bool stolen = false;
             // No new tasks are ever enqueued after the deal above, so
@@ -95,27 +91,15 @@ ThreadPool::parallelFor(
                 got = queues[(w + k) % workers].stealBack(task);
                 stolen = got;
             }
-            if (!got)
+            if (!got) {
+                wait.cancel(); // no task ends this wait
                 return;
-            if (queueWait_)
-                queueWait_->record(std::uint64_t(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - waitStart)
-                        .count()));
+            }
+            wait.stop();
             if (stolen && steals_)
                 steals_->add();
             if (tasks_)
                 tasks_->add();
-            if (tracer.active()) {
-                obs::TraceEvent e;
-                e.name = "queue-wait";
-                e.cat = "pool";
-                e.tsUs = waitStartUs;
-                const std::uint64_t end = tracer.nowUs();
-                e.durUs = end > waitStartUs ? end - waitStartUs : 0;
-                e.tid = w;
-                tracer.record(std::move(e));
-            }
             fn(task, w);
         }
     };

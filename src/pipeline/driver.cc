@@ -32,6 +32,8 @@ ScopedTraceSession::~ScopedTraceSession()
 int
 runFigure(const FigureSpec &spec, const PipelineOptions &opts)
 {
+    obs::ScopedSpan span("pipeline.figure", "pipeline");
+    span.arg("figure", spec.id);
     FigureContext ctx(opts);
     spec.render(ctx);
     return 0;

@@ -2351,11 +2351,16 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
     // included.  Only the escape hatches (MBIAS_SIM_REFERENCE=1,
     // setUseFastPath(false)) select the reference oracle, and never for
     // an observed run: the oracle carries no observation hooks.
-    if (profile || attribution ||
-        (useFastPath_ && tiers_.fast && !referenceForcedByEnv()))
-        return runPlan<RunMode::Normal>(image, max_insts, noise, nullptr,
-                                        profile, attribution);
-    return runReference(image, max_insts, noise);
+    const bool plan = profile || attribution ||
+                      (useFastPath_ && tiers_.fast && !referenceForcedByEnv());
+    obs::ScopedSpan span(plan ? "sim.run" : "sim.reference", "sim",
+                         runHistogram_);
+    RunResult rr =
+        plan ? runPlan<RunMode::Normal>(image, max_insts, noise, nullptr,
+                                        profile, attribution)
+             : runReference(image, max_insts, noise);
+    span.arg("insts", rr.instructions());
+    return rr;
 }
 
 RunResult
@@ -2806,7 +2811,7 @@ Machine::runRecord(const toolchain::ProcessImage &image,
     *out = nullptr;
     if (!replayTierUsable(*this))
         return run(image, max_insts, noise);
-    obs::ScopedSpan span("replay-record", "sim");
+    obs::ScopedSpan span("sim.record", "sim", runHistogram_);
     static std::atomic<std::uint64_t> next_serial{1};
     auto trace = std::make_shared<FunctionalTrace>();
     trace->serial = next_serial.fetch_add(1, std::memory_order_relaxed);
@@ -2827,6 +2832,7 @@ Machine::runRecord(const toolchain::ProcessImage &image,
     trace->retTargets.shrink_to_fit();
     trace->memAddrs.shrink_to_fit();
     ReplayCache::global().noteRecord();
+    span.arg("insts", rr.instructions());
     if (!trace->aborted)
         *out = std::move(trace);
     return rr;
@@ -2887,6 +2893,10 @@ Machine::runLanes(const FunctionalTrace &trace, std::uint64_t max_insts,
     for (const ReplayLane &lane : lanes)
         mbias_assert(lane.image && trace.matches(*lane.image, max_insts),
                      "replaying a trace against a mismatched image");
+    // The lane pass's span books every lane's instructions: a
+    // runReplay() the pass serves later books none.
+    obs::ScopedSpan span("sim.replay", "sim", nullptr,
+                         runHistogram_ != nullptr);
     const auto plan = PlanCache::global().get(trace.program);
     std::vector<RunResult> out(lanes.size());
     NullObserver none;
@@ -2904,6 +2914,16 @@ Machine::runLanes(const FunctionalTrace &trace, std::uint64_t max_insts,
                 chunk, max_insts, *plan, nullptr, &trace, nullptr, none,
                 out.data() + at);
     }
+    std::uint64_t insts = 0;
+    for (const RunResult &rr : out)
+        insts += rr.instructions();
+    span.arg("insts", insts);
+    // The pass's wall time, shared out evenly: the run histogram keeps
+    // one sample per lane, and its sum stays the time spent.
+    const std::uint64_t share = span.stop() / lanes.size();
+    if (runHistogram_)
+        for (std::size_t k = 0; k < lanes.size(); ++k)
+            runHistogram_->record(share);
     return out;
 }
 

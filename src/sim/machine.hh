@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sim/config.hh"
 #include "sim/counters.hh"
 #include "sim/noise.hh"
@@ -225,6 +226,11 @@ class Machine
     void setUseTracePath(bool on) { useTracePath_ = on; }
     bool useTracePath() const { return useTracePath_; }
 
+    /** Books each simulated lane's time into @p hist (null detaches)
+     *  from the sim.* span that timed it: a lane pass's time is shared
+     *  out evenly, and a runReplay() a pass served books nothing. */
+    void setRunHistogram(obs::Histogram *hist) { runHistogram_ = hist; }
+
   private:
     struct Pipeline;   // the reference interpreter's timing state
     class RunObserver; // runPlanImpl's observing policy
@@ -321,6 +327,7 @@ class Machine
 
     bool useFastPath_ = true;
     bool useTracePath_ = true;
+    obs::Histogram *runHistogram_ = nullptr;
 
     /** A lane of the latest runReplayLanes() that runReplay() has not
      *  handed out yet, with the inputs its result depends on (the

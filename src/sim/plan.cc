@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "obs/trace.hh"
 
 namespace mbias::sim
 {
@@ -179,6 +180,8 @@ PlanCache::get(const std::shared_ptr<const toolchain::LinkedProgram> &program)
 {
     mbias_assert(program, "plan lookup for a null program");
     return cache_.getOrBuild(program.get(), [&] {
+        obs::ScopedSpan span("sim.plan_build", "sim");
+        span.arg("insts", 0); // building retires nothing
         return std::pair(ExecutionPlan::build(program), std::uint64_t(1));
     });
 }

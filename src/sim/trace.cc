@@ -335,7 +335,8 @@ TraceCache::get(const std::shared_ptr<const ExecutionPlan> &base,
 {
     mbias_assert(base, "trace lookup for a null plan");
     return cache_.getOrBuild(Key{base.get(), g}, [&] {
-        obs::ScopedSpan span("trace-translate", "sim");
+        obs::ScopedSpan span("sim.trace_translate", "sim");
+        span.arg("insts", 0); // translation retires nothing
         auto plan = TracePlan::build(base, g);
         superblocks_.fetch_add(plan->blocks.size(),
                                std::memory_order_relaxed);

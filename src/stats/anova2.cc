@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "base/logging.hh"
+#include "obs/trace.hh"
 #include "stats/distributions.hh"
 
 namespace mbias::stats
@@ -22,6 +23,7 @@ twoWayAnova(const std::vector<std::vector<Sample>> &cells)
         for (const auto &c : row)
             mbias_assert(c.count() == reps, "unbalanced cell design");
     }
+    obs::ScopedSpan span("stats.anova", "stats");
 
     const double n_total = double(na * nb * reps);
     double grand_sum = 0.0;

@@ -1,7 +1,6 @@
 #include "stats/engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -195,8 +194,7 @@ Engine::bootstrapInterval(const std::vector<double> &data,
     mbias_assert(resamples >= 10, "too few bootstrap resamples");
     mbias_assert(level > 0.0 && level < 1.0,
                  "confidence level must be in (0, 1)");
-    obs::ScopedSpan span("bootstrap", "stats");
-    const auto start = std::chrono::steady_clock::now();
+    obs::ScopedSpan span("bootstrap", "stats", bootstrapUs_);
 
     std::vector<double> means = bootstrapMeans(data, seed, resamples);
     const double alpha = (1.0 - level) / 2.0;
@@ -215,10 +213,6 @@ Engine::bootstrapInterval(const std::vector<double> &data,
     if (bootstrapCalls_) {
         bootstrapCalls_->add();
         bootstrapResamples_->add(std::uint64_t(resamples));
-        bootstrapUs_->record(std::uint64_t(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
     }
     return ci;
 }
@@ -237,7 +231,7 @@ Engine::twoWayAnova(const std::vector<std::vector<Sample>> &cells) const
         for (const auto &c : row)
             mbias_assert(c.count() == reps, "unbalanced cell design");
     }
-    obs::ScopedSpan span("anova", "stats");
+    obs::ScopedSpan span("stats.anova", "stats");
 
     // Stage 1: per-cell partials — compensated sum and, once the cell
     // mean is known, the within-cell sum of squares.  Each partial is

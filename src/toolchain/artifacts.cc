@@ -6,6 +6,7 @@
 
 #include "base/hash.hh"
 #include "base/logging.hh"
+#include "obs/trace.hh"
 
 namespace mbias::toolchain
 {
@@ -195,6 +196,7 @@ ArtifactCache::compiled(const std::string &key,
                         const std::function<std::vector<isa::Module>()>
                             &produce)
 {
+    obs::ScopedSpan span("toolchain.compile", "toolchain");
     return get<ModulesPtr>(key, compiles_, [&] {
         auto built = std::make_shared<CompiledModules>();
         built->modules = produce();
@@ -211,6 +213,7 @@ ArtifactCache::linked(const ModulesPtr &mods, const LinkOrder &order,
                       const LinkerConfig &config)
 {
     mbias_assert(mods, "linked(): null module set");
+    obs::ScopedSpan span("toolchain.link", "toolchain");
     const LinkKey key{mods->fingerprintHi, mods->fingerprintLo,
                       order.fingerprint(), linkerConfigFingerprint(config)};
     return get<ProgramPtr>(key, links_, [&] {
@@ -228,6 +231,7 @@ ArtifactCache::image(const ProgramPtr &prog, const LoaderConfig &config,
                      const std::string &entry)
 {
     mbias_assert(prog, "image(): null program");
+    obs::ScopedSpan span("toolchain.load", "toolchain");
     const auto l = get<ImageLayout>(
         ImageKey{prog.get(), config, entry}, images_, [&] {
             const ProcessImage loaded = Loader::load(prog, config, entry);

@@ -3,6 +3,7 @@
 #include "base/bitutils.hh"
 #include "base/random.hh"
 #include "base/logging.hh"
+#include "obs/trace.hh"
 
 namespace mbias::toolchain
 {
@@ -20,6 +21,7 @@ Loader::load(std::shared_ptr<const LinkedProgram> program,
              const LoaderConfig &config, const std::string &entry)
 {
     mbias_assert(program, "cannot load a null program");
+    obs::ScopedSpan span("toolchain.load", "toolchain");
     mbias_assert(isPowerOf2(config.spAlign), "spAlign must be power of 2");
     mbias_assert(config.stackTop > config.envBytes + config.argvReserve,
                  "environment does not fit below stackTop");

@@ -61,7 +61,7 @@ TEST(ThreadPool, StealingDrainsImbalancedLoad)
         if (i == 0) {
             volatile std::uint64_t sink = 0;
             for (int k = 0; k < 2'000'000; ++k)
-                sink += k;
+                sink = sink + k;
         }
         done.fetch_add(1);
     });

@@ -69,8 +69,9 @@ TEST(CampaignMetrics, ASecondRunBooksOnlyItsOwnWork)
     EXPECT_EQ(counter(first.metrics, "sim.replay.replays"),
               replay.replays - replayBefore.replays);
     // The runtime hatches that turn the replay tier off leave it idle.
-    if (sim::replayTierUsable(sim::Machine(core::ExperimentSpec().machine)))
+    if (sim::replayTierUsable(sim::Machine(core::ExperimentSpec().machine))) {
         EXPECT_GT(counter(first.metrics, "sim.replay.replays"), 0u);
+    }
     EXPECT_EQ(first.metrics.gauges.at("artifacts.bytes"),
               std::int64_t(artifacts.bytes));
 

@@ -62,7 +62,9 @@ TEST(ObsTrace, ChromeJsonShape)
     auto &tracer = obs::Tracer::global();
     tracer.start();
     {
-        obs::ScopedSpan span("phase", "cat", "{\"task\":3}");
+        obs::ScopedSpan span("phase", "cat");
+        span.arg("task", 3);
+        span.arg("figure", "fig\"3");
     }
     tracer.stop();
     const auto json = tracer.chromeJson();
@@ -74,7 +76,7 @@ TEST(ObsTrace, ChromeJsonShape)
     for (const char *key :
          {"\"name\":\"phase\"", "\"cat\":\"cat\"", "\"ph\":\"X\"",
           "\"pid\":1", "\"tid\":", "\"ts\":", "\"dur\":",
-          "\"args\":{\"task\":3}"})
+          "\"args\":{\"task\":3,\"figure\":\"fig\\\"3\"}"})
         EXPECT_NE(json.find(key), std::string::npos)
             << "missing " << key << " in " << json;
     // Balanced braces/brackets — cheap well-formedness check without a
@@ -119,6 +121,64 @@ TEST(ObsTrace, NestedSpansAreContained)
         << "inner slice must end within the outer slice";
     EXPECT_GE(innerDur, 1000u) << "2ms sleep inside the inner span";
     EXPECT_GE(outerDur, innerDur + 2000u);
+}
+
+TEST(ObsTrace, HistogramSampleIsTheEventDuration)
+{
+    auto &tracer = obs::Tracer::global();
+    tracer.start();
+    obs::Histogram hist;
+    {
+        obs::ScopedSpan span("timed", "test", &hist);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    tracer.stop();
+    const obs::HistogramStats st = hist.stats();
+    ASSERT_EQ(st.count, 1u);
+    const auto json = tracer.chromeJson();
+    const auto at = json.find("\"timed\"");
+    ASSERT_NE(at, std::string::npos) << json;
+    const auto dur = json.find("\"dur\":", at);
+    ASSERT_NE(dur, std::string::npos) << json;
+    EXPECT_EQ(st.sum, std::stoull(json.substr(dur + 6)))
+        << "one clock: the sample and the event share one duration";
+    EXPECT_GE(st.sum, 1000u) << "2ms sleep inside the span";
+
+    // Untraced, the histogram still gets its sample from the same
+    // span, and stop() hands the caller that duration once.
+    obs::Histogram untraced;
+    {
+        obs::ScopedSpan span("untraced", "test", &untraced);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const std::uint64_t us = span.stop();
+        EXPECT_EQ(untraced.stats().sum, us);
+        EXPECT_EQ(span.stop(), 0u) << "a span ends once";
+    }
+    EXPECT_EQ(untraced.stats().count, 1u);
+}
+
+TEST(ObsTrace, InactiveSpanBuildsNoArgs)
+{
+    auto &tracer = obs::Tracer::global();
+    tracer.stop();
+    obs::Histogram hist;
+    {
+        obs::ScopedSpan span("quiet", "test", &hist);
+        span.arg("insts", 7);
+        span.arg("figure", "fig3");
+        // A session that opens mid-span does not adopt it.
+        tracer.start();
+    }
+    {
+        obs::ScopedSpan cancelled("cancelled", "test", &hist);
+        cancelled.cancel();
+    }
+    tracer.stop();
+    EXPECT_EQ(tracer.eventCount(), 0u) << tracer.chromeJson();
+    EXPECT_EQ(hist.stats().count, 1u) << "a cancelled span books nothing";
+    // Nothing to time and nothing to trace: no clock was read.
+    obs::ScopedSpan bare("bare", "test");
+    EXPECT_EQ(bare.stop(), 0u);
 }
 
 TEST(ObsTrace, ConcurrentSpansAllRecorded)

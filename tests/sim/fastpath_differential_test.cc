@@ -108,9 +108,10 @@ expectLanesMatchOracle(const sim::MachineConfig &mc,
         EXPECT_EQ(got[k], ref)
             << what << ": lane " << k << " diverged (cycles "
             << got[k].cycles() << " vs " << ref.cycles() << ")";
-        if (k < oneDelta.size())
+        if (k < oneDelta.size()) {
             EXPECT_EQ(oneDelta[k], ref)
                 << what << ": lane " << k << " of the one-delta pass";
+        }
     }
 }
 
@@ -230,10 +231,11 @@ TEST(FastPathDifferential, PlanStructureInvariants)
         const auto &d = ops[i];
         EXPECT_EQ(plan->idxByOffset.at(std::size_t(d.pc - plan->codeBase)),
                   std::uint32_t(i));
-        if (d.runLen > 0 && i + 1 < ops.size())
+        if (d.runLen > 0 && i + 1 < ops.size()) {
             EXPECT_EQ(std::uint32_t(d.runLen) - 1,
                       std::uint32_t(ops[i + 1].runLen))
                 << "runLen must decrease by 1 inside a simple run";
+        }
     }
 }
 

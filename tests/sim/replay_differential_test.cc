@@ -26,11 +26,13 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/runner.hh"
 #include "isa/builder.hh"
+#include "obs/trace.hh"
 #include "sim/machine.hh"
 #include "sim/registry.hh"
 #include "sim/replay.hh"
@@ -1092,8 +1094,9 @@ TEST(ReplayDifferential, ResultSurvivesStackMoves)
         sim::Machine machine(mc);
         std::shared_ptr<const sim::FunctionalTrace> trace;
         machine.runRecord(home, budget, none, &trace);
-        if (replayTierActive())
+        if (replayTierActive()) {
             ASSERT_NE(trace, nullptr) << name;
+        }
         const sim::FunctionalTrace unused; // the fallback never reads it
         const sim::FunctionalTrace &stream = trace ? *trace : unused;
         const auto lanes = f.lanes();
@@ -1166,6 +1169,63 @@ TEST(ReplayDifferential, ResultSurvivesStackMoves)
         EXPECT_EQ(after.records - before.records, 1u);
         EXPECT_EQ(after.replays - before.replays, 1u);
         EXPECT_EQ(after.fallbacks - before.fallbacks, 1u);
+    }
+}
+
+TEST(ReplayDifferential, SimSpansBookEveryInstructionOnce)
+{
+    // A traced lane family that records lane 0, times two lanes in one
+    // pass (each then handed out by a served runReplay call) and runs
+    // the lane at a moved stack base on its own, since sp_return's a0
+    // is its stack pointer: every simulated instruction is booked on
+    // exactly one sim.* span, so their insts add up to the results'.
+    // Under the hatches every lane is a plain run and the sum holds
+    // the same way.
+    workloads::Registry::instance().tryAdd(std::make_unique<SpReturning>(),
+                                           "test");
+    const auto none = sim::NoiseModel::none();
+    auto noisy = laneNoiseShapes().back().second;
+    noisy.seed = 3;
+    for (const auto &mc : {sim::MachineConfig::core2Like(),
+                           sim::MachineConfig::inorderLike()}) {
+        const auto spec =
+            core::ExperimentSpec().withWorkload("sp_return").withMachine(mc);
+        core::ExperimentRunner runner(spec);
+        std::vector<core::Lane> lanes = {
+            {100, 0, none}, {100, 0, noisy}, {1000, 0, none}, {100, 0, noisy}};
+        lanes[3].noise.seed = 4;
+        sim::ReplayCache::global().clear(); // so lane 0 is recorded
+        const auto before = sim::ReplayCache::global().stats();
+        auto &tracer = obs::Tracer::global();
+        tracer.start();
+        const auto got = runner.runFamily(
+            spec.baseline, false, toolchain::LinkOrder::asGiven(), lanes);
+        tracer.stop();
+        const auto after = sim::ReplayCache::global().stats();
+        ASSERT_EQ(got.size(), lanes.size());
+        std::uint64_t retired = 0;
+        for (const sim::RunResult &rr : got)
+            retired += rr.instructions();
+
+        std::istringstream events(tracer.chromeJson());
+        std::uint64_t booked = 0;
+        std::size_t simSpans = 0;
+        for (std::string line; std::getline(events, line);) {
+            if (line.find("\"name\":\"sim.") == std::string::npos)
+                continue;
+            ++simSpans;
+            const auto at = line.find("\"insts\":");
+            ASSERT_NE(at, std::string::npos) << "no insts: " << line;
+            booked += std::stoull(line.substr(at + 8));
+        }
+        EXPECT_EQ(booked, retired) << mc.name;
+        EXPECT_GE(simSpans, 3u) << mc.name << ": record, pass, fallback";
+        if (replayTierActive()) {
+            EXPECT_EQ(after.records - before.records, 1u) << mc.name;
+            EXPECT_EQ(after.lanePasses - before.lanePasses, 1u) << mc.name;
+            EXPECT_EQ(after.replays - before.replays, 2u) << mc.name;
+            EXPECT_EQ(after.fallbacks - before.fallbacks, 1u) << mc.name;
+        }
     }
 }
 
