@@ -56,9 +56,8 @@ render(pipeline::FigureContext &ctx)
                     toolchain::optLevelName(levels[i + 1]) + " > " +
                     toolchain::optLevelName(levels[i]) + "?";
                 t.addRow({w, toolchain::vendorName(vendor), q,
-                          "[" + core::fmt(report.speedupCI.lower) +
-                              ", " + core::fmt(report.speedupCI.upper) +
-                              "]",
+                          core::fmtInterval(report.speedupCI.lower,
+                                            report.speedupCI.upper),
                           std::to_string(report.conclusionFlips) + "/" +
                               std::to_string(num_setups),
                           core::verdictName(report.verdict)});

@@ -56,8 +56,8 @@ render(pipeline::FigureContext &ctx)
         auto check = checker.check(report);
         wrongable += check.wrongDataPossible;
         t.addRow({w->name(), core::fmt(report.speedupCI.estimate),
-                  "[" + core::fmt(report.speedupCI.lower) + ", " +
-                      core::fmt(report.speedupCI.upper) + "]",
+                  core::fmtInterval(report.speedupCI.lower,
+                                    report.speedupCI.upper),
                   core::fmt(report.biasMagnitude),
                   std::to_string(report.conclusionFlips) + "/" +
                       std::to_string(num_setups),

@@ -48,8 +48,7 @@ render(pipeline::FigureContext &ctx)
                                            noise_seed);
         fooled += r.falseConfidence;
         t.addRow({w->name(),
-                  "[" + core::fmt(r.withinCI.lower) + ", " +
-                      core::fmt(r.withinCI.upper) + "]",
+                  core::fmtInterval(r.withinCI.lower, r.withinCI.upper),
                   core::fmt(r.betweenSetups.mean()),
                   core::fmt(r.varianceRatio, 1),
                   r.falseConfidence ? "YES" : "no"});

@@ -43,8 +43,8 @@ main()
                             25, 1234)))
                 .bias;
         t.addRow({w, core::fmt(single),
-                  "[" + core::fmt(report.speedupCI.lower) + ", " +
-                      core::fmt(report.speedupCI.upper) + "]",
+                  core::fmtInterval(report.speedupCI.lower,
+                                    report.speedupCI.upper),
                   std::to_string(report.conclusionFlips),
                   core::verdictName(report.verdict)});
     }

@@ -48,8 +48,8 @@ main()
                             21, 0x9f)))
                 .bias;
         t.addRow({w, core::fmt(single),
-                  "[" + core::fmt(report.speedupCI.lower) + ", " +
-                      core::fmt(report.speedupCI.upper) + "]",
+                  core::fmtInterval(report.speedupCI.lower,
+                                    report.speedupCI.upper),
                   core::fmt(report.biasMagnitude),
                   core::verdictName(report.verdict)});
     }

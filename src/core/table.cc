@@ -16,6 +16,17 @@ fmt(double v, int precision)
     return os.str();
 }
 
+std::string
+fmtInterval(double lower, double upper)
+{
+    std::string s = "[";
+    s += fmt(lower);
+    s += ", ";
+    s += fmt(upper);
+    s += ']';
+    return s;
+}
+
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {

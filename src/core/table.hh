@@ -40,6 +40,9 @@ class TextTable
 /** Formats a double with fixed precision. */
 std::string fmt(double v, int precision = 4);
 
+/** Formats an interval as "[lower, upper]", each bound as fmt() does. */
+std::string fmtInterval(double lower, double upper);
+
 } // namespace mbias::core
 
 #endif // MBIAS_CORE_TABLE_HH

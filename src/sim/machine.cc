@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <optional>
 #include <type_traits>
 #include "base/logging.hh"
 
@@ -270,99 +269,193 @@ struct ShadowTlb
     }
 };
 
-/**
- * Store-buffer twin in SoA layout: same ring order, same head
- * rotation, same expiry and forwarding rules as uarch::StoreBuffer,
- * but the masked addresses sit in their own dense array, so the common
- * no-possible-alias case is one branchless scan of it; only a masked
- * match runs the exact per-entry check.  ~0 marks an empty slot
- * (masked addresses are <= aliasMask, so it never matches).
- */
-struct ShadowStoreBuffer
+/** f(i) for every bit i set in @p mask, lowest first. */
+template <class F>
+__attribute__((always_inline)) inline void
+eachIn(std::uint32_t mask, F f)
 {
-    unsigned entries;
-    std::uint64_t aliasMask;
-    std::uint64_t maxAge;
-    std::vector<std::uint64_t> masked;
+    while (mask) {
+        f(std::size_t(std::countr_zero(mask)));
+        mask &= mask - 1;
+    }
+}
+
+/**
+ * Store-buffer twin, for every delta class of a walk at once (a class
+ * is the lanes of a lane pass with one stack delta; a live walk is one
+ * class of delta 0 and records no stack stores): same ring order, same
+ * head rotation, same expiry and forwarding rules as
+ * uarch::StoreBuffer, in the recording's coordinates, each store
+ * recorded once with a bit for whether it is a stack store.  In a class
+ * of stack delta d, a stack entry sits at its recorded address plus d.
+ *
+ * index[masked address] is the bitmap of the ring slots holding it, in
+ * the first class's lane addresses, kept by record(): a load reads its
+ * candidates in one table read, in slot order, the order of the
+ * reference scan.  Machine refuses more than
+ * Machine::kMaxStoreBufferEntries entries (a word of slot bits) and a
+ * window wider than Machine::kMaxAliasWindowBits, so the bitmaps and
+ * the table always fit.
+ *
+ * A common shift cancels in (x ^ y) & aliasMask (a low-bit mask) and in
+ * address equality, so among the entries of the load's own region the
+ * first live match, and its verdict, is the same in every class.  Only
+ * an entry of the other region can match in some classes and not
+ * others: a stack entry at s matches a non-stack load at a where d == a
+ * - s, and a non-stack entry at s a stack load at a where d == s - a,
+ * both modulo the alias window.  byDelta maps that residue to the
+ * classes whose delta has it, so a load walks the live other-region
+ * entries ahead of its shared decider and reads which classes each one
+ * decides: the paper's 4K-aliasing mechanism, computed per class only
+ * where it fires.  Stores enter in program order, so the live entries
+ * are always the newest `live` ones, from slot `tail` on: a load of
+ * several classes first retires the oldest that expired.
+ */
+struct LaneStoreBuffer
+{
+    const unsigned entries;
+    const std::uint64_t aliasMask;
+    const std::uint64_t maxAge;
     std::vector<Addr> addr;
     std::vector<std::uint32_t> size;
     std::vector<std::uint64_t> icount;
+    std::vector<std::uint8_t> stack; ///< 1 for a stack store
+    std::uint32_t stackSlots = 0;    ///< bitmap of stack entries
+    std::uint32_t alive = 0;         ///< bitmap of the live entries
     unsigned head = 0;
-    bool bitmapOk; ///< the ring's match bitmap fits a word
-    /** Inverted index over the masked addresses: index[m] is the
-     *  bitmap of ring slots currently holding masked address m, kept
-     *  incrementally by record().  It turns the per-load scan of all
-     *  slots into one table read; the bit order is ring-slot order,
-     *  so the first-match walk is unchanged.  Only worth the table for
-     *  the realistic alias-window sizes (<= 16 bits). */
-    bool indexOk;
+    unsigned tail = 0; ///< the oldest live entry, when live > 0
+    unsigned live = 0; ///< the newest `live` entries are unexpired
     std::vector<std::uint32_t> index;
+    /** byDelta[d & aliasMask]: the classes of stack delta d. */
+    std::vector<std::uint32_t> byDelta;
+    const std::vector<std::uint64_t> deltas; ///< per class
+    std::uint64_t decisions = 0; ///< verdicts decided per class
 
-    explicit ShadowStoreBuffer(const uarch::StoreBuffer &proto)
+    LaneStoreBuffer(const uarch::StoreBuffer &proto,
+                    std::vector<std::uint64_t> class_deltas)
         : entries(proto.entries()), aliasMask(proto.aliasMask()),
-          maxAge(proto.maxAge()), masked(entries, ~std::uint64_t(0)),
-          addr(entries, 0), size(entries, 0), icount(entries, 0),
-          bitmapOk(entries <= 32),
-          indexOk(bitmapOk && aliasMask < (std::uint64_t(1) << 16)),
-          index(indexOk ? std::size_t(aliasMask) + 1 : 0, 0)
+          maxAge(proto.maxAge()), addr(entries, 0), size(entries, 0),
+          icount(entries, 0), stack(entries, 0),
+          index(std::size_t(aliasMask) + 1, 0),
+          deltas(std::move(class_deltas))
     {
+        if (deltas.size() == 1)
+            return; // one class: load() reads only the index
+        byDelta.assign(std::size_t(aliasMask) + 1, 0);
+        for (std::size_t c = 0; c < deltas.size(); ++c)
+            byDelta[deltas[c] & aliasMask] |= std::uint32_t(1) << c;
     }
 
-    void record(Addr a, unsigned sz, std::uint64_t ic)
+    void record(Addr a, unsigned sz, std::uint64_t ic, bool on_stack)
     {
-        if (indexOk) {
-            const std::uint64_t old = masked[head];
-            if (old != ~std::uint64_t(0))
-                index[old] &= ~(std::uint32_t(1) << head);
-            index[a & aliasMask] |= std::uint32_t(1) << head;
-        }
-        masked[head] = a & aliasMask;
+        // An unrecorded slot's bit is in no index entry.
+        const std::uint32_t bit = std::uint32_t(1) << head;
+        index[keyOf(addr[head], stack[head])] &= ~bit;
+        index[keyOf(a, on_stack)] |= bit;
+        alive |= bit;
+        stackSlots = on_stack ? stackSlots | bit : stackSlots & ~bit;
         addr[head] = a;
         size[head] = sz;
         icount[head] = ic;
+        stack[head] = on_stack;
+        if (live < entries)
+            ++live;
+        else if (++tail == entries) // the oldest was overwritten
+            tail = 0;
         if (++head == entries)
             head = 0;
     }
 
-    /** StoreBuffer::loadAliases: the first live, unexpired,
-     *  masked-matching entry in ring order decides (clean covering
-     *  forwarding is free, anything else stalls), exactly as the
-     *  reference scan does. */
-    bool aliases(Addr a, unsigned sz, std::uint64_t ic) const
+    /** StoreBuffer::loadAliases for a load at recorded address @p a:
+     *  whether it stalls in the classes decided once, and in @p flips
+     *  every class where it does the other thing.  The first live,
+     *  unexpired, masked-matching entry in slot order decides (clean
+     *  covering forwarding is free, anything else stalls). */
+    __attribute__((always_inline)) bool load(Addr a, unsigned sz,
+                                             std::uint64_t ic, bool on_stack,
+                                             std::uint32_t &flips)
     {
-        const std::uint64_t want = a & aliasMask;
-        if (!bitmapOk)
-            return scan(a, sz, ic);
-        // The masked-match bitmap comes straight from the inverted
-        // index (or one scan pass when the window is too wide for a
-        // table); expired matches are skipped, the walk continues.
-        std::uint32_t match;
-        if (indexOk) {
-            match = index[want];
-        } else {
-            match = 0;
-            for (unsigned i = 0; i < entries; ++i)
-                match |= std::uint32_t(masked[i] == want) << i;
+        flips = 0;
+        if (deltas.size() == 1) {
+            // One class: the index holds its lane addresses, so its
+            // first live match decides.
+            for (std::uint32_t m = index[keyOf(a, on_stack)]; m;
+                 m &= m - 1) {
+                const unsigned j = unsigned(std::countr_zero(m));
+                if (icount[j] + maxAge >= ic)
+                    return !(keyed(j) == keyed(a, on_stack) &&
+                             size[j] >= sz);
+            }
+            return false;
         }
-        while (match) {
-            const unsigned i = unsigned(std::countr_zero(match));
-            match &= match - 1;
-            if (icount[i] + maxAge >= ic)
-                return !(addr[i] == a && size[i] >= sz);
-        }
-        return false;
+        return loadClasses(a, sz, ic, on_stack, flips);
     }
 
-    __attribute__((noinline)) bool scan(Addr a, unsigned sz,
-                                        std::uint64_t ic) const
+  private:
+    /** load() for several classes. */
+    __attribute__((noinline)) bool loadClasses(Addr a, unsigned sz,
+                                               std::uint64_t ic,
+                                               bool on_stack,
+                                               std::uint32_t &flips)
     {
-        const std::uint64_t want = a & aliasMask;
-        for (unsigned i = 0; i < entries; ++i) {
-            if (masked[i] != want || icount[i] + maxAge < ic)
-                continue;
-            return !(addr[i] == a && size[i] >= sz);
+        expire(ic);
+        // The first class's matches in both regions; among those of the
+        // load's own region, the first decides every class it precedes.
+        const std::uint32_t hits = index[keyOf(a, on_stack)] & alive;
+        const std::uint32_t mine = on_stack ? stackSlots : ~stackSlots;
+        const std::uint32_t same = hits & mine;
+        const unsigned first = same ? unsigned(std::countr_zero(same))
+                                    : entries;
+        const bool stall =
+            same && !(addr[first] == a && size[first] >= sz);
+        // Other-region entries ahead of it decide the classes they match.
+        std::uint32_t cross = alive & ~mine &
+                              std::uint32_t((std::uint64_t(1) << first) - 1);
+        if (!cross)
+            return stall;
+        std::uint32_t decided = 0;
+        const auto decide = [&](std::size_t c, unsigned j) {
+            // Lane addresses: only the stack side moves.
+            const Addr entry = on_stack ? addr[j] : addr[j] + deltas[c];
+            const Addr load = on_stack ? a + deltas[c] : a;
+            if (!(entry == load && size[j] >= sz) != stall)
+                flips |= std::uint32_t(1) << c;
+            decided |= std::uint32_t(1) << c;
+        };
+        // One byDelta read per candidate, in slot order: the first
+        // that matches a class decides it.
+        while (cross) {
+            const unsigned j = unsigned(std::countr_zero(cross));
+            cross &= cross - 1;
+            const Addr key = on_stack ? addr[j] - a : a - addr[j];
+            eachIn(byDelta[key & aliasMask] & ~decided,
+                   [&](std::size_t c) { decide(c, j); });
         }
-        return false;
+        decisions += std::uint64_t(std::popcount(decided));
+        return stall;
+    }
+
+    /** Retires the entries a load at instruction @p ic no longer sees
+     *  (a one-class buffer never needs `live`). */
+    void expire(std::uint64_t ic)
+    {
+        while (live && icount[tail] + maxAge < ic) {
+            alive &= ~(std::uint32_t(1) << tail);
+            --live;
+            if (++tail == entries)
+                tail = 0;
+        }
+    }
+
+    /** @p a in the first class's lane addresses, and its index key. */
+    Addr keyed(Addr a, bool on_stack) const
+    {
+        return on_stack ? a + deltas[0] : a;
+    }
+    Addr keyed(unsigned slot) const { return keyed(addr[slot], stack[slot]); }
+    std::size_t keyOf(Addr a, bool on_stack) const
+    {
+        return std::size_t(keyed(a, on_stack) & aliasMask);
     }
 };
 
@@ -501,19 +594,21 @@ struct MemoryTiming
         return last != first && splitPenOn ? 1 : 0;
     }
 
-    /** The store buffer's half: a store is recorded (its latency is
-     *  hidden), a load pays a false alias.  @p icount is the retiring
-     *  instruction's (store-buffer ageing). */
+    /** A live walk's store-buffer half: a store is recorded (its
+     *  latency is hidden), a load pays a false alias.  @p icount is the
+     *  retiring instruction's (store-buffer ageing).  The walk is the
+     *  buffer's one class and has no stack stores. */
     template <bool kStore>
     __attribute__((always_inline)) Cycles
-    storeBuffer(ShadowStoreBuffer &sb, Addr addr, unsigned size,
+    storeBuffer(LaneStoreBuffer &sb, Addr addr, unsigned size,
                 std::uint64_t icount, PerfCounters &ctrs) const
     {
         if (kStore) {
-            sb.record(addr, size, icount);
+            sb.record(addr, size, icount, false);
             return 0;
         }
-        if (sbAliasOn && sb.aliases(addr, size, icount)) {
+        std::uint32_t flips;
+        if (sbAliasOn && sb.load(addr, size, icount, false, flips)) {
             ctrs.inc(Counter::AliasStalls);
             return aliasPen;
         }
@@ -533,12 +628,12 @@ struct ShadowMemory : MemoryTiming
     ShadowCache dcache;
     ShadowCache l2;
     ShadowTlb dtlb;
-    ShadowStoreBuffer sb;
+    LaneStoreBuffer sb; ///< one class, of delta 0
 
     ShadowMemory(const MachineConfig &c, unsigned dpage_shift,
                  const uarch::StoreBuffer &sb_proto)
         : MemoryTiming(c, dpage_shift), icache(c.icache), dcache(c.dcache),
-          l2(c.l2), dtlb(c.dtlb), sb(sb_proto)
+          l2(c.l2), dtlb(c.dtlb), sb(sb_proto, {0})
     {
     }
 
@@ -809,17 +904,6 @@ anyLane(Lane4 m)
     return (w[0] | w[1]) != 0;
 }
 
-/** f(i) for every bit i set in @p mask, lowest first. */
-template <class F>
-__attribute__((always_inline)) inline void
-eachIn(std::uint32_t mask, F f)
-{
-    while (mask) {
-        f(std::size_t(std::countr_zero(mask)));
-        mask &= mask - 1;
-    }
-}
-
 /**
  * One cache level of a lane pass: the canonical ShadowCache every lane
  * shares, and per lane a copy of only the sets where that lane's state
@@ -943,11 +1027,9 @@ struct LaneCache
  * newer non-stack pages too.
  *
  * The two lists hold a class's whole LRU only while its stack pages and
- * the non-stack pages are disjoint, which the stack boundary keeps so on
- * every preset layout.  So that it holds by construction, a class whose
- * lowest stack page could meet the highest non-stack page is first
- * given its own ShadowTlb, merged from the two lists (the n newest
- * pages of both), and walks every page on it from then on.
+ * the non-stack pages are disjoint.  Machine::runLanes holds that by
+ * construction: a lane whose lowest stack page would not lie above the
+ * recording's highest non-stack page runs alone on the live walk.
  */
 struct LaneTlb
 {
@@ -956,32 +1038,20 @@ struct LaneTlb
         std::uint64_t vpn;
         std::uint64_t stamp; ///< of its last touch
     };
-    struct Class
-    {
-        std::vector<Page> stack; ///< MRU-first, at most n
-        std::uint64_t lo = ~std::uint64_t(0); ///< lowest stack page
-        std::optional<ShadowTlb> own; ///< once its pages may meet data's
-    };
 
-    const uarch::TlbConfig config;
     const std::size_t n;
     const unsigned shift; ///< page size, log2
     const std::vector<std::uint64_t> deltas; ///< per class
     std::vector<Page> data; ///< non-stack pages, MRU-first, at most n
-    std::vector<Class> classes;
-    const std::uint32_t all; ///< every class
-    std::uint32_t shared;    ///< classes on the two lists
-    std::uint64_t dataHi = 0; ///< highest non-stack page touched
-    std::uint64_t stackLo = ~std::uint64_t(0); ///< of the shared classes
-    std::size_t deepest = 0; ///< bounds every shared class's stack pages
+    /** Per class, its stack pages, MRU-first, at most n. */
+    std::vector<std::vector<Page>> stacks;
+    std::size_t deepest = 0; ///< bounds every class's stack pages
     std::uint64_t decisions = 0; ///< page outcomes decided per class
 
     LaneTlb(const uarch::TlbConfig &c, unsigned page_shift,
             std::vector<std::uint64_t> class_deltas)
-        : config(c), n(c.entries), shift(page_shift),
-          deltas(std::move(class_deltas)), classes(deltas.size()),
-          all(std::uint32_t((std::uint64_t(1) << deltas.size()) - 1)),
-          shared(all)
+        : n(c.entries), shift(page_shift), deltas(std::move(class_deltas)),
+          stacks(deltas.size())
     {
     }
 
@@ -1027,8 +1097,7 @@ struct LaneTlb
         flips = 0;
         // The newest non-stack page again, where no class holds enough
         // stack pages to push it out: a hit everywhere.
-        if (!data.empty() && data[0].vpn == vpn && deepest < n &&
-            shared == all) {
+        if (!data.empty() && data[0].vpn == vpn && deepest < n) {
             data[0].stamp = stamp;
             return false;
         }
@@ -1039,11 +1108,6 @@ struct LaneTlb
     touchDataAnywhere(std::uint64_t vpn, std::uint64_t stamp,
                       std::uint32_t &flips)
     {
-        if (vpn > dataHi) {
-            dataHi = vpn;
-            if (dataHi >= stackLo)
-                privatizeUpTo(dataHi);
-        }
         const std::size_t pos = find(data, vpn);
         const bool miss = pos == data.size();
         if (!miss && pos + deepest >= n) {
@@ -1051,20 +1115,14 @@ struct LaneTlb
             // page out: count each one's.
             const std::uint64_t last = data[pos].stamp;
             deepest = 0;
-            eachIn(shared, [&](std::size_t c) {
-                const std::vector<Page> &s = classes[c].stack;
-                deepest = std::max(deepest, s.size());
-                if (pos + newer(s, last) >= n)
+            for (std::size_t c = 0; c < stacks.size(); ++c) {
+                deepest = std::max(deepest, stacks[c].size());
+                if (pos + newer(stacks[c], last) >= n)
                     flips |= std::uint32_t(1) << c;
-            });
-            decisions += std::uint64_t(std::popcount(shared));
+            }
+            decisions += stacks.size();
         }
         toFront(data, pos, vpn, stamp);
-        eachIn(~shared & all, [&](std::size_t c) {
-            if (classes[c].own->touch(vpn) == miss)
-                flips |= std::uint32_t(1) << c;
-            ++decisions;
-        });
         return miss;
     }
 
@@ -1075,16 +1133,14 @@ struct LaneTlb
     __attribute__((always_inline)) void
     touchStacks(Addr a, unsigned size, std::uint64_t stamp, Out out)
     {
-        decisions += classes.size();
-        for (std::size_t c = 0; c < classes.size(); ++c) {
+        decisions += stacks.size();
+        for (std::size_t c = 0; c < stacks.size(); ++c) {
             const Addr la = a + deltas[c];
             const std::uint64_t first = la >> shift;
             const std::uint64_t last = (la + size - 1) >> shift;
-            // Its newest stack page again, within n stamps: a hit (only
-            // a shared class lists any, and it lies above every
-            // non-stack page, or the class would have been made
-            // private).
-            std::vector<Page> &s = classes[c].stack;
+            // Its newest stack page again, within n stamps: a hit (it
+            // lies above every non-stack page).
+            std::vector<Page> &s = stacks[c];
             if (first == last && !s.empty() && s[0].vpn == first &&
                 stamp - s[0].stamp <= n) {
                 s[0].stamp = stamp;
@@ -1103,259 +1159,18 @@ struct LaneTlb
     __attribute__((noinline)) bool
     touchStack(std::size_t c, std::uint64_t vpn, std::uint64_t stamp)
     {
-        Class &k = classes[c];
-        if (!k.own && vpn <= dataHi)
-            privatize(c);
-        if (k.own)
-            return !k.own->touch(vpn);
-        const std::size_t at = find(k.stack, vpn);
-        bool miss = at == k.stack.size();
-        if (!miss && stamp - k.stack[at].stamp > n)
-            miss = at + newer(data, k.stack[at].stamp) >= n;
-        toFront(k.stack, at, vpn, stamp);
+        std::vector<Page> &s = stacks[c];
+        const std::size_t at = find(s, vpn);
+        bool miss = at == s.size();
+        if (!miss && stamp - s[at].stamp > n)
+            miss = at + newer(data, s[at].stamp) >= n;
+        toFront(s, at, vpn, stamp);
         // n newer non-stack pages put a stack page out for good.
         if (data.size() == n)
-            while (k.stack.back().stamp < data.back().stamp)
-                k.stack.pop_back();
-        deepest = std::max(deepest, k.stack.size());
-        if (vpn < k.lo) {
-            k.lo = vpn;
-            stackLo = std::min(stackLo, vpn);
-        }
+            while (s.back().stamp < data.back().stamp)
+                s.pop_back();
+        deepest = std::max(deepest, s.size());
         return miss;
-    }
-
-    void privatizeUpTo(std::uint64_t hi)
-    {
-        eachIn(shared, [&](std::size_t c) {
-            if (classes[c].lo <= hi)
-                privatize(c);
-        });
-    }
-
-    /** Gives class @p c its own ShadowTlb: the n newest pages of the two
-     *  lists, MRU-first. */
-    void privatize(std::size_t c)
-    {
-        Class &k = classes[c];
-        ShadowTlb &t = k.own.emplace(config);
-        std::size_t i = 0, j = 0;
-        for (std::size_t e = 0; e < n; ++e) {
-            const bool fromData =
-                i < data.size() &&
-                (j == k.stack.size() || data[i].stamp > k.stack[j].stamp);
-            if (fromData)
-                t.slots[e] = (data[i++].vpn << 1) | 1;
-            else if (j < k.stack.size())
-                t.slots[e] = (k.stack[j++].vpn << 1) | 1;
-        }
-        k.stack.clear();
-        shared &= ~(std::uint32_t(1) << c);
-        stackLo = ~std::uint64_t(0);
-        eachIn(shared, [&](std::size_t s) {
-            stackLo = std::min(stackLo, classes[s].lo);
-        });
-    }
-};
-
-/**
- * The store buffer of a lane pass, for every delta class at once: one
- * ring in the recording's coordinates, each store recorded once with a
- * bit for whether it is a stack store.  In a class of stack delta d, a
- * stack entry sits at its recorded address plus d.  A common shift
- * cancels in (x ^ y) & aliasMask (a low-bit mask) and in address
- * equality, so among the entries of the load's own region the first
- * live match, and its verdict, is the same in every class.  Only an
- * entry of the other region can match in some classes and not others:
- * a stack entry at s matches a non-stack load at a where d == a - s,
- * and a non-stack entry at s a stack load at a where d == s - a, both
- * modulo the alias window.  byDelta maps that residue to the classes
- * whose delta has it, so a load walks the live other-region entries
- * ahead of its shared decider and reads which classes each one decides:
- * the paper's 4K-aliasing mechanism, computed per class only where it
- * fires.
- *
- * The index and the slot bitmaps need the ring to fit a word and the
- * window a table; past that, scan() decides each class on its own.
- * Stores enter in program order, so the live entries are always the
- * newest `live` ones, from slot `tail` on: a load first retires the
- * oldest that expired.
- */
-struct LaneStoreBuffer
-{
-    const unsigned entries;
-    const std::uint64_t aliasMask;
-    const std::uint64_t maxAge;
-    const bool indexed;
-    std::vector<Addr> addr;
-    std::vector<std::uint32_t> size;
-    std::vector<std::uint64_t> icount;
-    std::vector<std::uint8_t> stack; ///< 1 for a stack store
-    std::uint32_t stackSlots = 0;    ///< bitmap of stack entries
-    std::uint32_t alive = 0;         ///< bitmap of the live entries
-    unsigned head = 0;
-    unsigned tail = 0; ///< the oldest live entry, when live > 0
-    unsigned live = 0; ///< the newest `live` entries are unexpired
-    /** index[masked address]: bitmap of the slots holding it, in the
-     *  first class's lane addresses (a stack entry at recorded s sits
-     *  at s + deltas[0]), so that class reads its matches at once. */
-    std::vector<std::uint32_t> index;
-    /** byDelta[d & aliasMask]: the classes of stack delta d. */
-    std::vector<std::uint32_t> byDelta;
-    const std::vector<std::uint64_t> deltas; ///< per class
-    std::uint64_t decisions = 0; ///< verdicts decided per class
-
-    LaneStoreBuffer(const uarch::StoreBuffer &proto,
-                    std::vector<std::uint64_t> class_deltas)
-        : entries(proto.entries()), aliasMask(proto.aliasMask()),
-          maxAge(proto.maxAge()),
-          indexed(entries <= 32 && aliasMask < (std::uint64_t(1) << 16)),
-          addr(entries, 0), size(entries, 0), icount(entries, 0),
-          stack(entries, 0), deltas(std::move(class_deltas))
-    {
-        if (!indexed)
-            return;
-        index.assign(std::size_t(aliasMask) + 1, 0);
-        if (deltas.size() == 1)
-            return; // one class: load() reads only the index
-        byDelta.assign(std::size_t(aliasMask) + 1, 0);
-        for (std::size_t c = 0; c < deltas.size(); ++c)
-            byDelta[deltas[c] & aliasMask] |= std::uint32_t(1) << c;
-    }
-
-    void record(Addr a, unsigned sz, std::uint64_t ic, bool on_stack)
-    {
-        if (indexed) {
-            // An unrecorded slot's bit is in no index entry.
-            const std::uint32_t bit = std::uint32_t(1) << head;
-            index[keyOf(addr[head], stack[head])] &= ~bit;
-            index[keyOf(a, on_stack)] |= bit;
-            alive |= bit;
-            stackSlots = on_stack ? stackSlots | bit : stackSlots & ~bit;
-        }
-        addr[head] = a;
-        size[head] = sz;
-        icount[head] = ic;
-        stack[head] = on_stack;
-        if (live < entries)
-            ++live;
-        else if (++tail == entries) // the oldest was overwritten
-            tail = 0;
-        if (++head == entries)
-            head = 0;
-    }
-
-    /** A load at recorded address @p a: whether it stalls in the
-     *  classes decided once, and in @p flips every class where it does
-     *  the other thing. */
-    __attribute__((always_inline)) bool load(Addr a, unsigned sz,
-                                             std::uint64_t ic, bool on_stack,
-                                             std::uint32_t &flips)
-    {
-        flips = 0;
-        if (indexed && deltas.size() == 1) {
-            // One class: the index holds its lane addresses, so its
-            // first live match decides, as in ShadowStoreBuffer.
-            for (std::uint32_t m = index[keyOf(a, on_stack)]; m;
-                 m &= m - 1) {
-                const unsigned j = unsigned(std::countr_zero(m));
-                if (icount[j] + maxAge >= ic)
-                    return !(keyed(j) == keyed(a, on_stack) &&
-                             size[j] >= sz);
-            }
-            return false;
-        }
-        return loadClasses(a, sz, ic, on_stack, flips);
-    }
-
-  private:
-    /** load() for several classes, or past the index's limits. */
-    __attribute__((noinline)) bool loadClasses(Addr a, unsigned sz,
-                                               std::uint64_t ic,
-                                               bool on_stack,
-                                               std::uint32_t &flips)
-    {
-        expire(ic);
-        if (!indexed) {
-            const bool stall = scan(0, a, sz, on_stack);
-            for (std::size_t c = 1; c < deltas.size(); ++c)
-                if (scan(c, a, sz, on_stack) != stall)
-                    flips |= std::uint32_t(1) << c;
-            decisions += deltas.size();
-            return stall;
-        }
-        // The first class's matches in both regions; among those of the
-        // load's own region, the first decides every class it precedes.
-        const std::uint32_t hits = index[keyOf(a, on_stack)] & alive;
-        const std::uint32_t mine = on_stack ? stackSlots : ~stackSlots;
-        const std::uint32_t same = hits & mine;
-        const unsigned first = same ? unsigned(std::countr_zero(same))
-                                    : entries;
-        const bool stall =
-            same && !(addr[first] == a && size[first] >= sz);
-        // Other-region entries ahead of it decide the classes they match.
-        std::uint32_t cross = alive & ~mine &
-                              std::uint32_t((std::uint64_t(1) << first) - 1);
-        if (!cross)
-            return stall;
-        std::uint32_t decided = 0;
-        const auto decide = [&](std::size_t c, unsigned j) {
-            // Lane addresses: only the stack side moves.
-            const Addr entry = on_stack ? addr[j] : addr[j] + deltas[c];
-            const Addr load = on_stack ? a + deltas[c] : a;
-            if (!(entry == load && size[j] >= sz) != stall)
-                flips |= std::uint32_t(1) << c;
-            decided |= std::uint32_t(1) << c;
-        };
-        // One byDelta read per candidate, in slot order: the first
-        // that matches a class decides it.
-        while (cross) {
-            const unsigned j = unsigned(std::countr_zero(cross));
-            cross &= cross - 1;
-            const Addr key = on_stack ? addr[j] - a : a - addr[j];
-            eachIn(byDelta[key & aliasMask] & ~decided,
-                   [&](std::size_t c) { decide(c, j); });
-        }
-        decisions += std::uint64_t(std::popcount(decided));
-        return stall;
-    }
-
-    /** Retires the entries a load at instruction @p ic no longer sees
-     *  (a one-class buffer never needs `live`). */
-    void expire(std::uint64_t ic)
-    {
-        while (live && icount[tail] + maxAge < ic) {
-            alive &= ~(std::uint32_t(1) << (tail & 31));
-            --live;
-            if (++tail == entries)
-                tail = 0;
-        }
-    }
-
-    /** @p a in the first class's lane addresses, and its index key. */
-    Addr keyed(Addr a, bool on_stack) const
-    {
-        return on_stack ? a + deltas[0] : a;
-    }
-    Addr keyed(unsigned slot) const { return keyed(addr[slot], stack[slot]); }
-    std::size_t keyOf(Addr a, bool on_stack) const
-    {
-        return std::size_t(keyed(a, on_stack) & aliasMask);
-    }
-
-    /** StoreBuffer::loadAliases in class @p c's lane addresses. */
-    bool scan(std::size_t c, Addr a, unsigned sz, bool on_stack) const
-    {
-        const Addr load = on_stack ? a + deltas[c] : a;
-        for (unsigned i = 0; i < entries; ++i) {
-            if ((i + entries - tail) % entries >= live)
-                continue;
-            const Addr entry = stack[i] ? addr[i] + deltas[c] : addr[i];
-            if ((entry ^ load) & aliasMask)
-                continue;
-            return !(entry == load && size[i] >= sz);
-        }
-        return false;
     }
 };
 
@@ -2219,6 +2034,14 @@ Machine::Machine(const MachineConfig &config)
         if (cycles > kMaxLatency)
             mbias_fatal("machine config '", config.name, "': ", field, " = ",
                         cycles, " cycles exceeds the bound of ", kMaxLatency);
+    if (config.storeBufferEntries > kMaxStoreBufferEntries)
+        mbias_fatal("machine config '", config.name,
+                    "': storeBufferEntries = ", config.storeBufferEntries,
+                    " exceeds the bound of ", kMaxStoreBufferEntries);
+    if (config.aliasWindowBits > kMaxAliasWindowBits)
+        mbias_fatal("machine config '", config.name,
+                    "': aliasWindowBits = ", config.aliasWindowBits,
+                    " exceeds the bound of ", kMaxAliasWindowBits);
 }
 
 void
@@ -2888,41 +2711,62 @@ std::vector<RunResult>
 Machine::runLanes(const FunctionalTrace &trace, std::uint64_t max_insts,
                   std::span<const ReplayLane> lanes)
 {
-    if (lanes.empty())
-        return {};
-    for (const ReplayLane &lane : lanes)
+    std::vector<RunResult> out(lanes.size());
+    // The pass's one DTLB needs each lane's stack pages above every
+    // non-stack page of the stream (LaneTlb): a lane whose stack would
+    // not lie there runs alone, on the live walk.
+    const unsigned shift = dtlb_.pageShift();
+    std::vector<ReplayLane> pass;
+    std::vector<std::size_t> slots; ///< each pass lane's index in lanes
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        const ReplayLane &lane = lanes[k];
         mbias_assert(lane.image && trace.matches(*lane.image, max_insts),
                      "replaying a trace against a mismatched image");
+        const Addr lowest =
+            trace.lowestStackAddr + (lane.image->initialSp - trace.recordedSp);
+        if (trace.lowestStackAddr == ~Addr(0) ||
+            lowest >> shift > trace.highestDataByte >> shift) {
+            pass.push_back(lane);
+            slots.push_back(k);
+        } else {
+            ReplayCache::global().noteFallback();
+            out[k] = run(*lane.image, max_insts, lane.noise);
+        }
+    }
+    if (pass.empty())
+        return out;
     // The lane pass's span books every lane's instructions: a
     // runReplay() the pass serves later books none.
     obs::ScopedSpan span("sim.replay", "sim", nullptr,
                          runHistogram_ != nullptr);
     const auto plan = PlanCache::global().get(trace.program);
-    std::vector<RunResult> out(lanes.size());
+    std::vector<RunResult> timed(pass.size());
     NullObserver none;
     // A lane mask names LaneCache::kMaxLanes lanes: a wider pass walks
     // the stream once per chunk of that many.
-    for (std::size_t at = 0; at < lanes.size(); at += LaneCache::kMaxLanes) {
-        const auto chunk = lanes.subspan(
-            at, std::min(LaneCache::kMaxLanes, lanes.size() - at));
+    for (std::size_t at = 0; at < pass.size(); at += LaneCache::kMaxLanes) {
+        const auto chunk = std::span<const ReplayLane>(pass).subspan(
+            at, std::min(LaneCache::kMaxLanes, pass.size() - at));
         if (config_.core == CoreKind::InOrder)
             runPlanImpl<Source::Recorded, false, RunMode::Normal,
                         InOrderCore>(chunk, max_insts, *plan, nullptr, &trace,
-                                     nullptr, none, out.data() + at);
+                                     nullptr, none, timed.data() + at);
         else
             runPlanImpl<Source::Recorded, false, RunMode::Normal, OooCore>(
                 chunk, max_insts, *plan, nullptr, &trace, nullptr, none,
-                out.data() + at);
+                timed.data() + at);
     }
     std::uint64_t insts = 0;
-    for (const RunResult &rr : out)
-        insts += rr.instructions();
+    for (std::size_t i = 0; i < pass.size(); ++i) {
+        out[slots[i]] = timed[i];
+        insts += timed[i].instructions();
+    }
     span.arg("insts", insts);
     // The pass's wall time, shared out evenly: the run histogram keeps
     // one sample per lane, and its sum stays the time spent.
-    const std::uint64_t share = span.stop() / lanes.size();
+    const std::uint64_t share = span.stop() / pass.size();
     if (runHistogram_)
-        for (std::size_t k = 0; k < lanes.size(); ++k)
+        for (std::size_t k = 0; k < pass.size(); ++k)
             runHistogram_->record(share);
     return out;
 }
@@ -3258,12 +3102,19 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
         }
         ++ft_rec->branchCount;
     };
-    auto rec_mem = [&](Addr addr) __attribute__((always_inline)) {
+    auto rec_mem = [&](Addr addr, unsigned size)
+        __attribute__((always_inline)) {
         if (__builtin_expect(rec_ok, 1)) {
             ft_rec->memAddrs.push_back(addr);
             rec_ok = (rec_bytes += sizeof(Addr)) <
                      FunctionalTrace::kMaxBytes;
         }
+        if (addr >= ft_rec->stackBoundary)
+            ft_rec->lowestStackAddr =
+                std::min(ft_rec->lowestStackAddr, addr);
+        else
+            ft_rec->highestDataByte =
+                std::max(ft_rec->highestDataByte, addr + size - 1);
     };
     auto rec_ret = [&](std::uint32_t target) __attribute__((always_inline)) {
         if (__builtin_expect(rec_ok, 1)) {
@@ -3286,13 +3137,14 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
     const std::size_t n_rets = kLive ? 0 : trace->retTargets.size();
     std::size_t bitword = 0, addr_at = 0, ret_at = 0;
     unsigned bit = 0;
-    // The stream's next memory address: executed (and, in Record mode,
-    // captured) live, decoded when recorded.
-    auto stream_addr = [&](Addr live)
+    // The stream's next memory address, of an access of @p size
+    // bytes: executed (and, in Record mode, captured) live, decoded
+    // when recorded.
+    auto stream_addr = [&](Addr live, unsigned size)
         __attribute__((always_inline)) -> Addr {
         if constexpr (kLive) {
             if (kRecord)
-                rec_mem(live);
+                rec_mem(live, size);
             return live;
         } else {
             mbias_assert(addr_at < n_addrs, "replay memory stream exhausted");
@@ -3460,7 +3312,8 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
 #undef MBIAS_ALU
 
   op_ld: {
-      const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm));
+      const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm),
+                                    d->accessSize);
       ctrs.inc(Counter::Loads);
       lane.wait(d->rs1);
       lane.load(addr, d->accessSize, icount, d->rd);
@@ -3471,7 +3324,8 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
   }
 
   op_st: {
-      const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm));
+      const Addr addr = stream_addr(regs[d->rs1] + std::uint64_t(d->imm),
+                                    d->accessSize);
       ctrs.inc(Counter::Stores);
       lane.wait(d->rs1, d->rd); // address and data registers
       lane.store(addr, d->accessSize, icount);
@@ -3509,7 +3363,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
   }
 
   op_call: {
-      const Addr new_sp = stream_addr(regs[isa::reg::sp] - 8);
+      const Addr new_sp = stream_addr(regs[isa::reg::sp] - 8, 8);
       ctrs.inc(Counter::Calls);
       ctrs.inc(Counter::Stores);
       const Addr target = ops[d->targetIdx].pc;
@@ -3527,7 +3381,7 @@ Machine::runPlanImpl(std::span<const ReplayLane> lanes,
   }
 
   op_ret: {
-      const Addr sp = stream_addr(regs[isa::reg::sp]);
+      const Addr sp = stream_addr(regs[isa::reg::sp], 8);
       ctrs.inc(Counter::Loads);
       // Return-address stack: the target is predicted perfectly, so
       // the load latency is off the critical path (no destination), but

@@ -129,10 +129,11 @@ struct RunResult
  * repetition shares (dispatch, stream decode, predictor/BTB, fetch
  * groups, ITLB) runs once per op, and one timing lane per repetition
  * keeps what can differ (clock, register readiness, noise).  The lanes
- * share one memory hierarchy, and a lane holds its own copy of only
- * the cache sets where it differs (and its own DTLB and store buffer
- * when the lanes' stack deltas differ).  runReplay() is a pass of one
- * lane.  The
+ * share one memory hierarchy: a lane holds its own copy of only the
+ * cache sets where it differs, and one DTLB and one store buffer
+ * decide per stack delta only the outcomes a delta changes.  A lane
+ * whose stack would meet the recording's non-stack pages runs alone
+ * on the live walk instead.  runReplay() is a pass of one lane.  The
  * tier's one hatch is MBIAS_SIM_REPLAY=0; it also stands down with the
  * fast path (setUseFastPath(false), MBIAS_SIM_REFERENCE=1).
  */
@@ -140,7 +141,8 @@ class Machine
 {
   public:
     /** Rejects (fatal, naming the field) a config with any latency or
-     *  penalty above kMaxLatency. */
+     *  penalty above kMaxLatency, or a store buffer past
+     *  kMaxStoreBufferEntries or kMaxAliasWindowBits. */
     explicit Machine(const MachineConfig &config);
 
     /** The largest latency or penalty a MachineConfig may hold.  A lane
@@ -148,6 +150,13 @@ class Machine
      *  op, so one op's charges must stay far below 2^31; every preset
      *  is orders of magnitude below this bound. */
     static constexpr Cycles kMaxLatency = Cycles(1) << 20;
+
+    /** The largest store buffer a MachineConfig may hold: its slots fit
+     *  one 32-bit bitmap and its alias window one table of 2^16 slot
+     *  bitmaps, which every walk's store buffer reads per load.  Every
+     *  preset has 8 to 32 entries and a 12-bit window. */
+    static constexpr unsigned kMaxStoreBufferEntries = 32;
+    static constexpr unsigned kMaxAliasWindowBits = 16;
 
     /** Default instruction budget for run() — shared with every
      *  ExperimentRunner call site so budget changes can't skew one
@@ -292,7 +301,11 @@ class Machine
      *  every lane against @p trace, picks the backend's core model and
      *  runs the Recorded walk of runPlanImpl, which tallies the pass
      *  (the tier must be usable).  A pass wider than one lane mask
-     *  (32 lanes) walks the stream once per chunk. */
+     *  (32 lanes) walks the stream once per chunk.  A lane whose
+     *  rebased lowest stack page would not lie above the recording's
+     *  highest non-stack page (FunctionalTrace::lowestStackAddr) runs
+     *  alone through run() instead, outside the pass's span, and counts
+     *  as a replay fallback. */
     std::vector<RunResult> runLanes(const FunctionalTrace &trace,
                                     std::uint64_t max_insts,
                                     std::span<const ReplayLane> lanes);

@@ -37,7 +37,8 @@ bool replayTierUsable(const Machine &machine);
  *    targets themselves are static plan fields);
  *  - one code index per executed Ret (the dynamic return target);
  *  - one resolved address per memory access (loads, stores, the
- *    Call-link store and the Ret load), in execution order;
+ *    Call-link store and the Ret load), in execution order, and the
+ *    extents of those accesses on both sides of the stack boundary;
  *  - the exact final architectural state a RunResult reports (icount,
  *    halted, a0).
  *
@@ -87,6 +88,13 @@ struct FunctionalTrace
      *  (half the recorded stack top: far above any data/heap address,
      *  far below any stack address, for every preset layout). */
     Addr stackBoundary = 0;
+    /** The lowest stack-region address the stream accesses (~0: none)
+     *  and its highest non-stack byte (0: none).  A lane pass keeps
+     *  one DTLB for every stack delta, exact only while a lane's stack
+     *  pages lie above every non-stack page; Machine::runLanes runs a
+     *  lane whose rebased lowest stack page would not on its own. */
+    Addr lowestStackAddr = ~Addr(0);
+    Addr highestDataByte = 0;
 
     // --- streams --------------------------------------------------
     std::vector<std::uint64_t> branchBits; ///< LSB-first per word
@@ -186,7 +194,8 @@ class ReplayCache
                       std::uint64_t diverged_accesses,
                       std::uint64_t class_decisions);
     /** Tallies one repetition family that fell back to per-rep
-     *  execution (preconditions or footprint). */
+     *  execution (preconditions or footprint), or one lane a lane pass
+     *  ran alone (Machine::runLanes). */
     void noteFallback();
 
     struct Stats

@@ -124,8 +124,12 @@ rotateFields(const std::string &line)
 {
     const std::string body = line.substr(1, line.size() - 2);
     const auto comma = body.find(',');
-    return "{" + body.substr(comma + 1) + "," + body.substr(0, comma) +
-           "}";
+    std::string out = "{";
+    out.append(body, comma + 1);
+    out += ',';
+    out.append(body, 0, comma);
+    out += '}';
+    return out;
 }
 
 // The single-pass parser dispatches on field names as it walks the
@@ -167,8 +171,8 @@ TEST(TaskRecord, RejectsMissingAndDuplicateDamage)
     TaskRecord back;
     // Deleting any one field leaves an incomplete record.
     const auto comma = line.find(',');
-    const std::string missing =
-        "{" + line.substr(comma + 1); // drops the first field
+    std::string missing = "{";
+    missing.append(line, comma + 1); // drops the first field
     EXPECT_FALSE(TaskRecord::fromJson(missing, back));
     // A second copy of a field fails the record: no reader can tell
     // which copy was meant.

@@ -6,6 +6,7 @@
 #include "isa/builder.hh"
 #include "sim/machine.hh"
 #include "sim/registry.hh"
+#include "sim/replay.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
 
@@ -453,6 +454,89 @@ TEST(MachineConfigBound, HostileLatencyIsRefused)
     mc = MachineConfig::core2Like();
     mc.branchMispredictPenalty = Machine::kMaxLatency;
     Machine at_bound(mc); // the bound itself is allowed
+}
+
+TEST(MachineConfigBound, HostileStoreBufferIsRefused)
+{
+    // Every walk's store buffer keeps its slots in one 32-bit bitmap
+    // and indexes them by masked address in a table of 2^16 entries, so
+    // the machine refuses a larger buffer and names the field.
+    MachineConfig mc = MachineConfig::core2Like();
+    mc.storeBufferEntries = Machine::kMaxStoreBufferEntries + 1;
+    EXPECT_EXIT(Machine m(mc), ::testing::ExitedWithCode(1),
+                "storeBufferEntries = 33 exceeds the bound");
+    mc = MachineConfig::core2Like();
+    mc.aliasWindowBits = Machine::kMaxAliasWindowBits + 1;
+    EXPECT_EXIT(Machine m(mc), ::testing::ExitedWithCode(1),
+                "aliasWindowBits = 17 exceeds the bound");
+
+    // The bounds themselves construct, and time exactly: each global
+    // store 64K-aliases the global load after it, and in lane 1's
+    // layout the stack load after that too.
+    mc = MachineConfig::core2Like();
+    mc.storeBufferEntries = Machine::kMaxStoreBufferEntries;
+    mc.aliasWindowBits = Machine::kMaxAliasWindowBits;
+    ProgramBuilder b("window");
+    b.global("buf", 2 * 65536 + 4096);
+    b.func("main");
+    b.la(s3, "buf");
+    b.li(t0, 60);
+    b.label("loop");
+    b.addi(sp, sp, -512);
+    for (std::int64_t i = 0; i < 40; ++i) {
+        b.st8(t0, s3, i * 8);
+        b.st8(t0, sp, i * 8);
+        b.ld8(t1, s3, 65536 + i * 8);
+        b.add(a0, a0, t1);
+        b.ld8(t1, sp, i * 8);
+        b.add(a0, a0, t1);
+    }
+    b.addi(sp, sp, 512);
+    b.addi(t0, t0, -1);
+    b.bne(t0, zero, "loop");
+    b.halt();
+    b.endFunc();
+    std::vector<Module> mods;
+    mods.push_back(b.build());
+    auto prog = std::make_shared<const toolchain::LinkedProgram>(
+        Linker().link(mods));
+    const Addr buf = prog->globalAddr("buf");
+    std::vector<toolchain::ProcessImage> images;
+    for (std::uint64_t env = 0; images.size() < 2 && env < 65536; env += 8) {
+        LoaderConfig lc;
+        lc.envBytes = env;
+        auto image = Loader::load(prog, lc);
+        // Lane 1's stack slots 64K-alias the global stores.
+        const Addr sp = image.initialSp - 512;
+        if (images.empty() || ((sp ^ (buf + 65536)) & 0xffff) == 0)
+            images.push_back(std::move(image));
+    }
+    ASSERT_EQ(images.size(), 2u);
+
+    const std::uint64_t budget = Machine::kDefaultRunBudget;
+    Machine oracle(mc);
+    oracle.setUseFastPath(false);
+    std::vector<sim::RunResult> want;
+    for (const auto &image : images)
+        want.push_back(oracle.run(image, budget));
+    EXPECT_GT(want[0].counters.get(Counter::AliasStalls), 0u);
+    EXPECT_NE(want[0].counters.get(Counter::AliasStalls),
+              want[1].counters.get(Counter::AliasStalls));
+
+    Machine live(mc);
+    EXPECT_EQ(live.run(images[0], budget), want[0]);
+
+    Machine m(mc);
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    m.runRecord(images[0], budget, sim::NoiseModel::none(), &trace);
+    const sim::FunctionalTrace unused; // the hatched-off fallback's
+    const std::vector<sim::ReplayLane> lanes = {
+        {&images[0], sim::NoiseModel::none()},
+        {&images[1], sim::NoiseModel::none()}};
+    const auto got = m.runReplayLanes(trace ? *trace : unused, budget, lanes);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], want[0]);
+    EXPECT_EQ(got[1], want[1]);
 }
 
 } // namespace

@@ -906,6 +906,44 @@ deltaClassProgram(std::int64_t data_pages, std::int64_t trips = 40)
         toolchain::Linker().link({b.build()}));
 }
 
+/**
+ * A kernel whose stack page stays live in the DTLB while half its
+ * @p entries of global pages pass it.  It first reads entries + 4
+ * global pages, so the non-stack pages fill the DTLB; then each trip
+ * stores to stack page A, reads entries / 2 + 2 global pages, and
+ * stores to stack page B and to A again, which hits.
+ */
+std::shared_ptr<const toolchain::LinkedProgram>
+liveStackPageProgram(std::int64_t entries, std::int64_t trips = 20)
+{
+    using namespace isa;
+    ProgramBuilder b("live_stack_page");
+    b.global("pages", std::uint64_t(entries + 5) * 4096);
+    b.func("main");
+    b.la(reg::s3, "pages");
+    for (std::int64_t i = 0; i < entries + 4; ++i)
+        b.ld8(reg::t3, reg::s3, i * 4096);
+    b.li(reg::t0, trips);
+    b.li(reg::s0, 0);
+    b.label("loop");
+    b.addi(reg::sp, reg::sp, -3 * 4096);
+    b.st8(reg::t0, reg::sp, 0x100);
+    for (std::int64_t i = 0; i < entries / 2 + 2; ++i) {
+        b.ld8(reg::t1, reg::s3, i * 4096);
+        b.add(reg::s0, reg::s0, reg::t1);
+    }
+    b.st8(reg::t0, reg::sp, 4096 + 0x100);
+    b.st8(reg::t0, reg::sp, 0x100);
+    b.addi(reg::sp, reg::sp, 3 * 4096);
+    b.addi(reg::t0, reg::t0, -1);
+    b.bne(reg::t0, reg::zero, "loop");
+    b.mv(reg::a0, reg::s0);
+    b.halt();
+    b.endFunc();
+    return std::make_shared<const toolchain::LinkedProgram>(
+        toolchain::Linker().link({b.build()}));
+}
+
 TEST(ReplayDifferential, DeltaClassesShareTlbAndStoreBuffer)
 {
     // A lane pass keeps one DTLB and one store buffer for all its
@@ -918,11 +956,13 @@ TEST(ReplayDifferential, DeltaClassesShareTlbAndStoreBuffer)
     // after a stack store in another.  Three more lanes put the stack
     // below the globals, and inside their pages: among the pages read
     // before the loop, and above them, where the loop's global pages
-    // reach it later.  There a class's stack pages meet its non-stack
-    // pages, and it must walk a DTLB of its own.  On every backend,
-    // quiet and under noise, each lane must equal the oracle and its
-    // own one-lane pass, and DtlbMisses and AliasStalls must differ
-    // across lanes.
+    // reach it later.  There a lane's stack pages meet the non-stack
+    // pages, which the pass's one DTLB cannot time, so the pass runs
+    // each of them alone, as a replay fallback: three in the pass and
+    // three in their one-lane passes.  On every backend, quiet and
+    // under noise, each lane must equal the oracle and its own
+    // one-lane pass, and DtlbMisses and AliasStalls must differ across
+    // lanes.
     const std::uint64_t budget = 500'000'000;
     const bool tier = replayTierActive();
     auto noisy = laneNoiseShapes().back().second;
@@ -1001,6 +1041,7 @@ TEST(ReplayDifferential, DeltaClassesShareTlbAndStoreBuffer)
             if (tier) {
                 EXPECT_GT(after.classDecisions, before.classDecisions)
                     << what;
+                EXPECT_EQ(after.fallbacks - before.fallbacks, 6u) << what;
             }
         }
 
@@ -1020,6 +1061,20 @@ TEST(ReplayDifferential, DeltaClassesShareTlbAndStoreBuffer)
             EXPECT_GT(alias.size(), 1u)
                 << mc.name << ": AliasStalls all equal";
         }
+
+        // A class's stack page stays in the DTLB until n newer pages
+        // pass it, whatever their kind: one that only half the
+        // entries' worth of non-stack pages passed must still hit.
+        const auto live =
+            liveStackPageProgram(std::int64_t(mc.dtlb.entries));
+        Family g;
+        for (const std::uint64_t env : {0u, 1000u, 5000u}) {
+            toolchain::LoaderConfig lc;
+            lc.envBytes = env;
+            g.images.push_back(toolchain::Loader::load(live, lc));
+            g.noises.push_back(sim::NoiseModel::none());
+        }
+        expectLanesIdentical(mc, g, mc.name + ": a live stack page");
     }
 }
 
