@@ -20,12 +20,12 @@
  * scripts/reproduce_all.sh captures as results/BENCH_sim.json.
  *
  * Timing methodology: each arm runs once to warm (and to verify the
- * report is bitwise identical across arms), then best-of-kRounds
- * timed runs are reported, which suppresses one-off scheduling noise
- * the same way the repo's interleaved probes do.  The two lane-pass
- * arms are the median of kLaneRounds rounds on the thread CPU clock
- * instead (medianCpuSeconds): their best-of-5 wall clock spread 2x
- * across runs of one build on a shared host.
+ * report is bitwise identical across arms).  The interpreter tiers and
+ * the lane-pass arms then report the median of their rounds on the
+ * thread CPU clock (medianCpuSeconds; the tiers interleaved round by
+ * round): by wall clock, best-of-rounds, one build's tier and lane
+ * numbers spread up to 2x across runs on a shared host.  The replay
+ * and campaign arms keep best-of-rounds wall clock.
  */
 #include <algorithm>
 #include <array>
@@ -85,6 +85,13 @@ threadCpuSeconds()
  * other threads, and the median drops the rounds a slow phase of the
  * host still hits, as microbench_stats_throughput's store reads do.
  */
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
 template <typename Arm>
 double
 medianCpuSeconds(Arm arm)
@@ -95,9 +102,7 @@ medianCpuSeconds(Arm arm)
         arm();
         perRound.push_back(threadCpuSeconds() - t0);
     }
-    std::nth_element(perRound.begin(), perRound.begin() + kLaneRounds / 2,
-                     perRound.end());
-    return perRound[kLaneRounds / 2];
+    return median(std::move(perRound));
 }
 
 /** The three implementations of Machine::run (sim/machine.hh). */
@@ -117,13 +122,14 @@ struct TierResult
 };
 
 /**
- * Simulated instructions/second of all three tiers on one image.  The
- * tiers are timed *interleaved* within each round — reference, fast,
- * trace, repeat — so slow host-frequency drift hits every tier alike
- * and the reported ratios stay stable even when the absolute numbers
- * wander.  On a backend without trace support the third machine's
- * runs silently take the plain fast path (the declared fallback), so
- * its "trace" number measures exactly what a user would get.
+ * Simulated instructions/second of all three tiers on one image, from
+ * the median round on the thread CPU clock.  The tiers are timed
+ * *interleaved* within each round — reference, fast, trace, repeat —
+ * so slow host-frequency drift hits every tier alike and the reported
+ * ratios stay stable even when the absolute numbers wander.  On a
+ * backend without trace support the third machine's runs silently take
+ * the plain fast path (the declared fallback), so its "trace" number
+ * measures exactly what a user would get.
  */
 TierResult
 measureTiers(const char *name, const sim::MachineConfig &mc,
@@ -143,21 +149,20 @@ measureTiers(const char *name, const sim::MachineConfig &mc,
         insts = double(warm.instructions());
     }
     constexpr int kRounds = 7, kReps = 6;
-    std::array<double, 3> best{};
+    std::array<std::vector<double>, 3> cpu;
     for (int round = 0; round < kRounds; ++round) {
         for (std::size_t tier = 0; tier < machines.size(); ++tier) {
-            const auto t0 = std::chrono::steady_clock::now();
+            const double t0 = threadCpuSeconds();
             for (int r = 0; r < kReps; ++r)
                 machines[tier].run(image);
-            best[tier] = std::max(
-                best[tier], insts * kReps / secondsSince(t0));
+            cpu[tier].push_back(threadCpuSeconds() - t0);
         }
     }
 
     TierResult r;
-    r.reference = best[0];
-    r.fast = best[1];
-    r.trace = best[2];
+    r.reference = insts * kReps / median(cpu[0]);
+    r.fast = insts * kReps / median(cpu[1]);
+    r.trace = insts * kReps / median(cpu[2]);
     std::fprintf(stderr,
                  "  %s: reference %.1f, fast %.1f, trace %.1f Mi/s "
                  "(trace/fast %.2fx, trace/ref %.2fx)\n",
@@ -385,6 +390,96 @@ measureNoisyRepetition(const char *name,
     return out;
 }
 
+/** The link-order family measurement. */
+struct LinkLanesResult
+{
+    unsigned orders = 0;
+    double liveCpu = 0.0;  ///< one plan-loop run per order
+    double lanesCpu = 0.0; ///< one recording + one pass of the rest
+    double liveInstsPerSec = 0.0;
+    double lanesInstsPerSec = 0.0;
+    bool replayed = false; ///< false when the tier is hatched off
+};
+
+/**
+ * The link-order family shape (Figures 1-2, a lane family whose lanes
+ * differ in link order, ExperimentRunner::runFamily): perl O2 linked
+ * in kOrders seeded orders of one module set.  The lanes arm records
+ * order 0 and times the other orders in one lane pass over that
+ * recording, each at its own code layout; the live arm runs every
+ * order on the plan loop.  Every lane is checked bitwise against the
+ * oracle's run of its order before any timing.
+ */
+LinkLanesResult
+measureLinkLanes()
+{
+    constexpr unsigned kOrders = 8;
+    const std::uint64_t budget = sim::Machine::kDefaultRunBudget;
+    const auto &w = workloads::findWorkload("perl");
+    toolchain::Compiler cc(toolchain::CompilerVendor::GccLike,
+                           toolchain::OptLevel::O2);
+    const toolchain::ModuleSetPtr mods =
+        std::make_shared<const std::vector<isa::Module>>(
+            cc.compile(w.build({})));
+    toolchain::LoaderConfig lc;
+    lc.envBytes = 1024;
+    std::vector<toolchain::ProcessImage> images;
+    for (unsigned o = 0; o < kOrders; ++o)
+        images.push_back(toolchain::Loader::load(
+            std::make_shared<const toolchain::LinkedProgram>(
+                toolchain::Linker().link(
+                    mods, toolchain::LinkOrder::shuffled(0x11c + o))),
+            lc));
+    sim::Machine machine(sim::MachineConfig::core2Like());
+    sim::Machine oracle(sim::MachineConfig::core2Like());
+    oracle.setUseFastPath(false);
+    const auto none = sim::NoiseModel::none();
+
+    std::vector<sim::ReplayLane> lanes;
+    for (unsigned o = 1; o < kOrders; ++o)
+        lanes.push_back({&images[o], none});
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    const auto rec = machine.runRecord(images[0], budget, none, &trace);
+    mbias_assert(rec == oracle.run(images[0], budget, none),
+                 "recording of a link-order family diverged");
+    const double insts = double(rec.instructions());
+    if (trace) {
+        const auto got = machine.runReplayLanes(*trace, budget, lanes);
+        for (std::size_t k = 0; k < lanes.size(); ++k)
+            mbias_assert(got[k] == oracle.run(*lanes[k].image, budget, none),
+                         "link lane of a lane pass diverged from its "
+                         "order's run");
+    }
+
+    LinkLanesResult out;
+    out.orders = kOrders;
+    out.replayed = trace != nullptr;
+    out.liveCpu = medianCpuSeconds([&] {
+        for (const auto &image : images)
+            machine.run(image, budget, none);
+    });
+    out.lanesCpu = medianCpuSeconds([&] {
+        std::shared_ptr<const sim::FunctionalTrace> t;
+        machine.runRecord(images[0], budget, none, &t);
+        if (t) {
+            machine.runReplayLanes(*t, budget, lanes);
+        } else {
+            for (const auto &lane : lanes)
+                machine.run(*lane.image, budget, none);
+        }
+    });
+    out.liveInstsPerSec = insts * kOrders / out.liveCpu;
+    out.lanesInstsPerSec = insts * kOrders / out.lanesCpu;
+    std::fprintf(stderr,
+                 "  perl link orders (%u): live %.1f, link lanes %.1f Mi/s "
+                 "-> %.2fx%s\n",
+                 kOrders, out.liveInstsPerSec / 1e6,
+                 out.lanesInstsPerSec / 1e6,
+                 out.lanesInstsPerSec / out.liveInstsPerSec,
+                 out.replayed ? "" : " (replay tier off)");
+    return out;
+}
+
 struct ArmResult
 {
     double tasksPerSec = 0.0;
@@ -542,6 +637,7 @@ main(int argc, char **argv)
         measureNoisyRepetition("perl", image);
     const NoisyRepResult noisyStraight =
         measureNoisyRepetition("straightline", straightLineImage());
+    const LinkLanesResult linkLanes = measureLinkLanes();
 
     // Part 2: the campaign matrix.  Arms differ only in engine
     // plumbing, so their campaign results must agree exactly.
@@ -619,6 +715,17 @@ main(int argc, char **argv)
     };
     noisyJson("perl", noisyPerl, true);
     noisyJson("straightline", noisyStraight, false);
+    std::printf("  },\n");
+    std::printf("  \"link_orders\": {\n");
+    std::printf("    \"orders\": %u,\n", linkLanes.orders);
+    std::printf("    \"replayed\": %s,\n",
+                linkLanes.replayed ? "true" : "false");
+    std::printf("    \"live_insts_per_sec\": %.0f,\n",
+                linkLanes.liveInstsPerSec);
+    std::printf("    \"link_lanes_insts_per_sec\": %.0f,\n",
+                linkLanes.lanesInstsPerSec);
+    std::printf("    \"link_lanes_vs_live\": %.4f\n",
+                linkLanes.lanesInstsPerSec / linkLanes.liveInstsPerSec);
     std::printf("  },\n");
     std::printf("  \"campaign_env_sweep\": {\n");
     std::printf("    \"tasks\": %llu,\n",

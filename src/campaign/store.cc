@@ -511,10 +511,18 @@ StoreSummary::str() const
             // decided once per delta class instead of once per pass.
             const std::uint64_t decisions =
                 trailerCounter(metricsJson, "sim.replay.class_decisions");
+            // Link orders timed by a recording of their module set, and
+            // lanes at other link orders that a recording refused.
+            const std::uint64_t codes =
+                trailerCounter(metricsJson, "sim.replay.code_classes");
+            const std::uint64_t refused =
+                trailerCounter(metricsJson, "sim.replay.layout_fallbacks");
             os << "replay sharing  : " << diverged << " of " << accesses
                << " lane memory accesses ran on a lane's own copy ("
                << share << "%); " << decisions
-               << " DTLB/store-buffer outcomes decided per delta class\n";
+               << " DTLB/store-buffer outcomes decided per delta class; "
+               << codes << " code classes timed, " << refused
+               << " lanes refused for their layout\n";
         }
         os << "metrics (final snapshot of the writing run):\n"
            << obs::prettyJson(metricsJson) << "\n";

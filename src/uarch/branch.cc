@@ -49,18 +49,23 @@ GsharePredictor::reset()
 // Btb
 // ---------------------------------------------------------------------
 
-Btb::Btb(unsigned sets, unsigned ways) : sets_(sets), ways_(ways)
+template <class A>
+BasicBtb<A>::BasicBtb(unsigned sets, unsigned ways) : sets_(sets), ways_(ways)
 {
     mbias_assert(isPowerOf2(sets), "BTB sets must be a power of two");
     mbias_assert(ways >= 1, "BTB needs at least one way");
     entries_.assign(std::size_t(sets) * ways, Entry{});
 }
 
+template <class A>
 void
-Btb::reset()
+BasicBtb<A>::reset()
 {
     std::fill(entries_.begin(), entries_.end(), Entry{});
     hits_ = misses_ = 0;
 }
+
+template class BasicBtb<Addr>;
+template class BasicBtb<std::uint32_t>;
 
 } // namespace mbias::uarch

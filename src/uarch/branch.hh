@@ -127,20 +127,27 @@ class GsharePredictor final : public BranchPredictor
  * addresses.  A taken control transfer whose target is absent costs a
  * fetch bubble.  lookupAndUpdate() is always inlined, like the
  * predictors' hot pair.
+ *
+ * @p A is the type the entries hold addresses in: Addr for the
+ * machine's own BTB (Btb), and 32 bits where every code address of a
+ * run fits them, so that many BTBs side by side (a lane pass's code
+ * classes) take a third of the memory.  An entry whose pc is ~A(0) is
+ * empty: no instruction is ever placed at the last address.
  */
-class Btb
+template <class A>
+class BasicBtb
 {
   public:
-    Btb(unsigned sets, unsigned ways);
+    BasicBtb(unsigned sets, unsigned ways);
 
     /** True iff pc hits with the correct target; updates the entry. */
-    __attribute__((always_inline)) bool lookupAndUpdate(Addr pc, Addr target)
+    __attribute__((always_inline)) bool lookupAndUpdate(A pc, A target)
     {
         const std::size_t set = std::size_t(pc ^ (pc >> 16)) & (sets_ - 1);
         const std::size_t base = set * ways_;
         for (unsigned w = 0; w < ways_; ++w) {
             Entry &e = entries_[base + w];
-            if (e.valid && e.pc == pc) {
+            if (e.pc == pc) {
                 const bool correct = e.target == target;
                 // Move to MRU and refresh the target.
                 Entry updated = e;
@@ -159,7 +166,7 @@ class Btb
         // Install at MRU.
         for (unsigned k = ways_ - 1; k > 0; --k)
             entries_[base + k] = entries_[base + k - 1];
-        entries_[base] = Entry{pc, target, true};
+        entries_[base] = Entry{pc, target};
         ++misses_;
         return false;
     }
@@ -170,7 +177,7 @@ class Btb
     std::uint64_t misses() const { return misses_; }
 
     /** Set the control transfer at @p pc maps to (for attribution). */
-    std::size_t setIndex(Addr pc) const
+    std::size_t setIndex(A pc) const
     {
         return std::size_t(pc ^ (pc >> 16)) & (sets_ - 1);
     }
@@ -180,9 +187,8 @@ class Btb
   private:
     struct Entry
     {
-        Addr pc = 0;
-        Addr target = 0;
-        bool valid = false;
+        A pc = ~A(0); ///< ~0: empty
+        A target = 0;
     };
 
     unsigned sets_;
@@ -192,6 +198,9 @@ class Btb
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
+
+/** The machine's BTB, over full addresses. */
+using Btb = BasicBtb<Addr>;
 
 } // namespace mbias::uarch
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Lane families across tasks: the engine lowers every task to per-side
- * lanes, groups the lanes of all tasks by (side, link order), and
- * times each family in chunks of at most 24 lanes.  Whatever the
+ * lanes, groups the lanes of all tasks by side, and times each family
+ * in chunks of at most 24 lanes.  Whatever the
  * grouping, chunking, job count or resume split, every outcome must
  * equal the per-task derivation bit for bit, with the replay tier on
  * or hatched off.
@@ -126,11 +126,11 @@ aslrSample(core::ExperimentRunner &runner,
            std::uint64_t aslr_seed_base)
 {
     std::vector<core::Lane> lanes(
-        reps, {setup.envBytes, 0, sim::NoiseModel::none()});
+        reps, {setup.envBytes, 0, sim::NoiseModel::none(), setup.linkOrder});
     for (unsigned r = 0; r < reps; ++r)
         lanes[r].aslrSeed = aslr_seed_base + r;
     stats::Sample out;
-    for (const auto &rr : runner.runFamily(tc, false, setup.linkOrder, lanes))
+    for (const auto &rr : runner.runFamily(tc, false, lanes))
         out.add(runner.metricOf(rr));
     return out;
 }
@@ -287,6 +287,38 @@ TEST(LaneFamilies, ChunksStayWithinTheCap)
         EXPECT_EQ(c.at("sim.replay.lane_passes"), units);
         EXPECT_EQ(c.at("sim.replay.replays") + c.at("sim.replay.records"),
                   60u);
+    }
+}
+
+TEST(LaneFamilies, LinkOrdersShareOneRecording)
+{
+    // Figure 2's shape: one workload at 33 link orders, one run per
+    // side.  Each side is one family; its chunks find one recording of
+    // the module set, and every other link order rides a lane pass as
+    // a code class of its own.  A lane that silently fell back to a
+    // run of its own would leave code_classes at the pass count, and a
+    // refusal would show in layout_fallbacks.
+    CampaignSpec spec;
+    spec.withExperiment(core::ExperimentSpec().withWorkload("perl"))
+        .withSetups(core::SetupSpace().varyLinkOrder().grid(33))
+        .withSeed(11);
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::string what = "--jobs " + std::to_string(jobs);
+        const auto r = runCampaign(spec, jobs);
+        expectMatchesPerTask(spec, r, what);
+        const auto &c = r.metrics.counters;
+        EXPECT_EQ(c.at("engine.lanes"), 66u) << what;
+        if (!sim::replayTierUsable(
+                sim::Machine(core::ExperimentSpec().machine)))
+            continue;
+        EXPECT_GT(c.at("sim.replay.code_classes"), 1u) << what;
+        EXPECT_GT(c.at("sim.replay.code_classes"),
+                  c.at("sim.replay.lane_passes"))
+            << what;
+        EXPECT_EQ(c.at("sim.replay.layout_fallbacks"), 0u) << what;
+        EXPECT_EQ(c.at("sim.replay.replays") + c.at("sim.replay.records"),
+                  66u)
+            << what;
     }
 }
 

@@ -216,10 +216,12 @@ TEST(ObsDeterminism, WorkCountersMatchAcrossJobCounts)
 
     // (runner.compiles is exempt, like pool.steals: workers racing
     // the same artifact-cache miss may both compile — the first
-    // insert wins — so the count can exceed 2 under --jobs 8.)
+    // insert wins — so the count can exceed 2 under --jobs 8.  So is
+    // pool.tasks: the pool runs chunks of the two side families, and
+    // the chunk width follows --jobs.)
     const std::vector<std::string> deterministic = {
         "engine.tasks", "engine.executed", "engine.store_hits",
-        "cache.hits",   "cache.misses",    "pool.tasks",
+        "cache.hits",   "cache.misses",    "engine.lanes",
     };
     for (const auto &name : deterministic) {
         const auto s = serial.metrics.counters.count(name)
@@ -232,7 +234,10 @@ TEST(ObsDeterminism, WorkCountersMatchAcrossJobCounts)
                         << " must not depend on --jobs";
     }
     EXPECT_EQ(serial.metrics.counters.at("engine.tasks"), 24u);
-    EXPECT_EQ(serial.metrics.counters.at("pool.tasks"), 24u);
+    EXPECT_EQ(serial.metrics.counters.at("engine.lanes"), 48u);
+    for (const auto *r : {&serial, &parallel})
+        EXPECT_EQ(r->metrics.counters.at("pool.tasks"),
+                  r->metrics.counters.at("engine.lane_units"));
     // With a cold artifact cache and one worker, baseline and
     // treatment compile exactly once each, campaign-wide.
     EXPECT_EQ(serial.metrics.counters.at("runner.compiles"), 2u);

@@ -22,11 +22,11 @@ aslrSample(core::ExperimentRunner &runner,
            std::uint64_t aslr_seed_base)
 {
     std::vector<core::Lane> lanes(
-        reps, {setup.envBytes, 0, sim::NoiseModel::none()});
+        reps, {setup.envBytes, 0, sim::NoiseModel::none(), setup.linkOrder});
     for (unsigned r = 0; r < reps; ++r)
         lanes[r].aslrSeed = aslr_seed_base + r;
     stats::Sample out;
-    for (const auto &rr : runner.runFamily(tc, false, setup.linkOrder, lanes))
+    for (const auto &rr : runner.runFamily(tc, false, lanes))
         out.add(runner.metricOf(rr));
     return out;
 }

@@ -1206,8 +1206,7 @@ TEST(ReplayDifferential, ResultSurvivesStackMoves)
     const std::vector<core::Lane> lanes = {
         {100, 0, none}, {100, 0, noisy}, {1000, 0, none}};
     const auto before = sim::ReplayCache::global().stats();
-    const auto got = runner.runFamily(spec.baseline, false,
-                                      toolchain::LinkOrder::asGiven(), lanes);
+    const auto got = runner.runFamily(spec.baseline, false, lanes);
     const auto after = sim::ReplayCache::global().stats();
     ASSERT_EQ(got.size(), lanes.size());
     core::ExperimentSetup at100, at1000;
@@ -1253,8 +1252,7 @@ TEST(ReplayDifferential, SimSpansBookEveryInstructionOnce)
         const auto before = sim::ReplayCache::global().stats();
         auto &tracer = obs::Tracer::global();
         tracer.start();
-        const auto got = runner.runFamily(
-            spec.baseline, false, toolchain::LinkOrder::asGiven(), lanes);
+        const auto got = runner.runFamily(spec.baseline, false, lanes);
         tracer.stop();
         const auto after = sim::ReplayCache::global().stats();
         ASSERT_EQ(got.size(), lanes.size());
