@@ -11,6 +11,8 @@
  */
 #include <cstdio>
 #include <functional>
+#include <iterator>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/runner.hh"
@@ -25,20 +27,25 @@ using namespace mbias;
 namespace
 {
 
-double
-spreadPct(pipeline::FigureContext &ctx, const sim::MachineConfig &machine,
-          const std::vector<core::ExperimentSetup> &setups)
+campaign::CampaignSpec
+spreadCampaign(const sim::MachineConfig &machine,
+               const std::vector<core::ExperimentSetup> &setups)
 {
     core::ExperimentSpec spec;
     spec.withMachine(machine);
-    const auto report = ctx.run(
-        campaign::CampaignSpec()
-            .withExperiment(spec)
-            .withSetups(setups)
-            .withPlan({campaign::RepetitionPlan::Kind::BaselineOnly, 1}));
+    return campaign::CampaignSpec()
+        .withExperiment(spec)
+        .withSetups(setups)
+        .withPlan({campaign::RepetitionPlan::Kind::BaselineOnly, 1});
+}
+
+double
+spreadPct(const campaign::CampaignReport &report,
+          const campaign::CampaignSpec &spec)
+{
     stats::Sample cycles;
     for (const auto &o : report.bias.outcomes)
-        cycles.add(core::metricValue(spec.metric, o.baseline));
+        cycles.add(core::metricValue(spec.experiment.metric, o.baseline));
     return cycles.range() / cycles.median() * 100.0;
 }
 
@@ -75,12 +82,22 @@ render(pipeline::FigureContext &ctx)
          [](sim::MachineConfig &m) { m.enableTlbs = false; }},
     };
 
-    core::TextTable t({"model variant", "env spread %", "link spread %"});
+    // Per row, an env and a link campaign; all of them in one batch.
+    std::vector<campaign::CampaignSpec> specs;
     for (const auto &row : rows) {
         sim::MachineConfig m = sim::MachineConfig::core2Like();
         row.tweak(m);
-        t.addRow({row.name, core::fmt(spreadPct(ctx, m, env_setups), 3),
-                  core::fmt(spreadPct(ctx, m, link_setups), 3)});
+        specs.push_back(spreadCampaign(m, env_setups));
+        specs.push_back(spreadCampaign(m, link_setups));
+    }
+    const auto reports = ctx.runAll(specs);
+
+    core::TextTable t({"model variant", "env spread %", "link spread %"});
+    for (std::size_t r = 0; r < std::size(rows); ++r) {
+        const std::size_t env = 2 * r, link = 2 * r + 1;
+        t.addRow({rows[r].name,
+                  core::fmt(spreadPct(reports[env], specs[env]), 3),
+                  core::fmt(spreadPct(reports[link], specs[link]), 3)});
     }
     std::printf("%s\n", t.str().c_str());
     std::printf("a mechanism 'owns' the bias along a factor when "

@@ -19,6 +19,7 @@
  */
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "core/causal.hh"
 #include "core/experiment.hh"
@@ -86,6 +87,21 @@ render(pipeline::FigureContext &ctx)
 
     const auto corpus = corpusPrograms();
 
+    // Per program, a link-order and an env campaign; all of them in
+    // one batch.
+    std::vector<campaign::CampaignSpec> specs;
+    for (const auto &prog : corpus) {
+        core::ExperimentSpec spec;
+        spec.workload = prog.name;
+        specs.push_back(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
+                core::SetupSpace().varyLinkOrder().grid(6)));
+        specs.push_back(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
+                pipeline::envGridSetups(4096, 512)));
+    }
+    const auto reports = ctx.runAll(specs);
+
     obs::MetricsSnapshot metrics;
     core::TextTable t({"program", "ws bytes", "entropy", "stack",
                        "link spread", "env spread", "mean speedup"});
@@ -93,15 +109,8 @@ render(pipeline::FigureContext &ctx)
     double widest_width = -1.0;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         const auto &prog = corpus[i];
-        core::ExperimentSpec spec;
-        spec.workload = prog.name;
-
-        auto link_report = ctx.run(
-            campaign::CampaignSpec().withExperiment(spec).withSetups(
-                core::SetupSpace().varyLinkOrder().grid(6)));
-        auto env_report = ctx.run(
-            campaign::CampaignSpec().withExperiment(spec).withSetups(
-                pipeline::envGridSetups(4096, 512)));
+        const auto &link_report = reports[2 * i];
+        const auto &env_report = reports[2 * i + 1];
         metrics.merge(link_report.metrics);
         metrics.merge(env_report.metrics);
         const Spread link = spreadOf(link_report);

@@ -7,6 +7,7 @@
  * perfectly repeatable.
  */
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "figures.hh"
@@ -21,15 +22,12 @@ namespace
 
 constexpr unsigned num_orders = 33;
 
-void
-oneWorkload(pipeline::FigureContext &ctx, const std::string &name)
-{
-    core::ExperimentSpec spec;
-    spec.withWorkload(name);
-    const auto report = ctx.run(
-        campaign::CampaignSpec().withExperiment(spec).withSetups(
-            core::SetupSpace().varyLinkOrder().grid(num_orders)));
+const char *const workload_names[] = {"perl", "sjeng", "gobmk", "hmmer"};
 
+void
+oneWorkload(const std::string &name,
+            const campaign::CampaignReport &report)
+{
     stats::Sample o2, o3;
     for (const auto &o : report.bias.outcomes) {
         o2.add(double(o.baseline.cycles()));
@@ -55,8 +53,17 @@ render(pipeline::FigureContext &ctx)
     std::printf("Figure 1: cycle distributions across %u link orders "
                 "(core2like, gcc O2 vs O3)\n\n",
                 num_orders);
-    for (const char *w : {"perl", "sjeng", "gobmk", "hmmer"})
-        oneWorkload(ctx, w);
+    std::vector<campaign::CampaignSpec> specs;
+    for (const char *w : workload_names) {
+        core::ExperimentSpec spec;
+        spec.withWorkload(w);
+        specs.push_back(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
+                core::SetupSpace().varyLinkOrder().grid(num_orders)));
+    }
+    const auto reports = ctx.runAll(specs);
+    for (std::size_t i = 0; i < reports.size(); ++i)
+        oneWorkload(workload_names[i], reports[i]);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
  * not the particular O2-vs-O3 question.
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/setup.hh"
@@ -34,6 +36,7 @@ render(pipeline::FigureContext &ctx)
 
     core::TextTable t({"workload", "vendor", "question", "speedup CI",
                        "flips", "verdict"});
+    std::vector<campaign::CampaignSpec> specs;
     for (const char *w : {"perl", "gobmk"}) {
         for (auto vendor : {toolchain::CompilerVendor::GccLike,
                             toolchain::CompilerVendor::IccLike}) {
@@ -44,25 +47,27 @@ render(pipeline::FigureContext &ctx)
                     .withTreatment({vendor, levels[i + 1]});
                 // The historical sequential sample: one RNG, seed
                 // 0xa5a5, redrawn afresh for every level pair.
-                auto setups = pipeline::sequentialSetups(
-                    core::SetupSpace().varyEnvSize().varyLinkOrder(),
-                    num_setups, 0xa5a5);
-                const auto report =
-                    ctx.run(campaign::CampaignSpec()
-                                .withExperiment(spec)
-                                .withSetups(std::move(setups)))
-                        .bias;
-                const std::string q =
-                    toolchain::optLevelName(levels[i + 1]) + " > " +
-                    toolchain::optLevelName(levels[i]) + "?";
-                t.addRow({w, toolchain::vendorName(vendor), q,
-                          core::fmtInterval(report.speedupCI.lower,
-                                            report.speedupCI.upper),
-                          std::to_string(report.conclusionFlips) + "/" +
-                              std::to_string(num_setups),
-                          core::verdictName(report.verdict)});
+                specs.push_back(
+                    campaign::CampaignSpec().withExperiment(spec).withSetups(
+                        pipeline::sequentialSetups(
+                            core::SetupSpace().varyEnvSize().varyLinkOrder(),
+                            num_setups, 0xa5a5)));
             }
         }
+    }
+    const auto reports = ctx.runAll(specs);
+    for (std::size_t k = 0; k < reports.size(); ++k) {
+        const core::ExperimentSpec &spec = specs[k].experiment;
+        const auto &report = reports[k].bias;
+        const std::string q =
+            toolchain::optLevelName(spec.treatment.level) + " > " +
+            toolchain::optLevelName(spec.baseline.level) + "?";
+        t.addRow({spec.workload, toolchain::vendorName(spec.baseline.vendor), q,
+                  core::fmtInterval(report.speedupCI.lower,
+                                    report.speedupCI.upper),
+                  std::to_string(report.conclusionFlips) + "/" +
+                      std::to_string(num_setups),
+                  core::verdictName(report.verdict)});
     }
     std::printf("%s\n", t.str().c_str());
     std::printf("only conclusions whose effect exceeds the bias "

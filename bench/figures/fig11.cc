@@ -16,6 +16,7 @@
  */
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/setup.hh"
@@ -44,18 +45,20 @@ envSetups(const std::vector<std::uint64_t> &envs)
     return out;
 }
 
-/** Runs the hostile setups under @p plan; returns the four speedups
- *  and accumulates the campaign's execution metrics into @p metrics. */
-std::vector<double>
-hostileSpeedups(pipeline::FigureContext &ctx, campaign::RepetitionPlan plan,
-                obs::MetricsSnapshot &metrics)
+/** A campaign over the hostile setups under @p plan. */
+campaign::CampaignSpec
+hostileCampaign(campaign::RepetitionPlan plan)
 {
     core::ExperimentSpec spec; // perl, core2like, O2 vs O3
-    auto report = ctx.run(campaign::CampaignSpec()
-                              .withExperiment(spec)
-                              .withSetups(envSetups(hostile_envs))
-                              .withPlan(plan));
-    metrics.merge(report.metrics);
+    return campaign::CampaignSpec()
+        .withExperiment(spec)
+        .withSetups(envSetups(hostile_envs))
+        .withPlan(plan);
+}
+
+std::vector<double>
+speedupsOf(const campaign::CampaignReport &report)
+{
     std::vector<double> speedups;
     for (const auto &o : report.bias.outcomes)
         speedups.push_back(o.speedup);
@@ -68,20 +71,28 @@ render(pipeline::FigureContext &ctx)
     std::printf("A6: per-run stack-ASLR randomization as a bias remedy "
                 "(perl, core2like, gcc O2 vs O3)\n\n");
 
-    // Ground truth: the layout-marginalized effect over a dense grid.
+    // Ground truth: the layout-marginalized effect over a dense grid;
+    // then the hostile setups under one run, 7 and 21 ASLR draws.
+    using Kind = campaign::RepetitionPlan::Kind;
     core::ExperimentSpec spec;
-    auto truth_report = ctx.run(
+    const campaign::CampaignSpec specs[] = {
         campaign::CampaignSpec().withExperiment(spec).withSetups(
-            pipeline::envGridSetups(4096, 36)));
-    const double truth = truth_report.bias.speedups.mean();
+            pipeline::envGridSetups(4096, 36)),
+        hostileCampaign({Kind::Single, 1}),
+        hostileCampaign({Kind::AslrRandomized, 7}),
+        hostileCampaign({Kind::AslrRandomized, 21}),
+    };
+    const auto reports = ctx.runAll(specs);
+    const double truth = reports[0].bias.speedups.mean();
     std::printf("layout-marginalized speedup (dense env grid): %.4f\n\n",
                 truth);
 
-    obs::MetricsSnapshot metrics = truth_report.metrics;
-    using Kind = campaign::RepetitionPlan::Kind;
-    auto single = hostileSpeedups(ctx, {Kind::Single, 1}, metrics);
-    auto a7 = hostileSpeedups(ctx, {Kind::AslrRandomized, 7}, metrics);
-    auto a21 = hostileSpeedups(ctx, {Kind::AslrRandomized, 21}, metrics);
+    obs::MetricsSnapshot metrics; // summed over the four campaigns
+    for (const auto &report : reports)
+        metrics.merge(report.metrics);
+    const auto single = speedupsOf(reports[1]);
+    const auto a7 = speedupsOf(reports[2]);
+    const auto a21 = speedupsOf(reports[3]);
 
     core::TextTable t({"setup", "single run", "ASLR x7", "ASLR x21",
                        "|err| single", "|err| x21"});
@@ -97,9 +108,8 @@ render(pipeline::FigureContext &ctx)
     std::printf("per-run layout randomization turns invisible bias into "
                 "visible variance;\naveraging a few randomized runs "
                 "recovers the truth from any single setup.\n");
-    std::printf("[campaign: %u job(s), %.3f s for the ground-truth "
-                "grid]\n",
-                ctx.jobs(), truth_report.stats.wallSeconds);
+    std::printf("[campaign: %u job(s), %.3f s total]\n", ctx.jobs(),
+                ctx.campaignWallSeconds());
     // Machine-readable execution metrics; reproduce_all.sh lifts this
     // line into results/BENCH_campaign.json.
     std::printf("[metrics] %s\n", metrics.toJson().c_str());

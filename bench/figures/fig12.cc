@@ -12,6 +12,8 @@
  * model does not transfer to the other.
  */
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -52,18 +54,25 @@ render(pipeline::FigureContext &ctx)
                        "speedup min", "median", "max", "conclusion"});
     // Median reported speedup per (workload, backend) — the drift
     // summary below compares them across backends.
+    const char *const names[] = {"perl", "hmmer", "sjeng"};
+    std::vector<campaign::CampaignSpec> specs;
+    for (const char *wname : names)
+        for (const sim::MachineBackend *mb : backends) {
+            core::ExperimentSpec spec;
+            spec.withWorkload(wname).withMachine(mb->config);
+            specs.push_back(
+                campaign::CampaignSpec().withExperiment(spec).withSetups(
+                    pipeline::envGridSetups(4096, 103)));
+        }
+    const auto reports = ctx.runAll(specs);
     stats::Sample drift;
-    for (const char *wname : {"perl", "hmmer", "sjeng"}) {
+    for (std::size_t w = 0; w < std::size(names); ++w) {
+        const char *wname = names[w];
         double medians[2] = {0.0, 0.0};
         for (int b = 0; b < 2; ++b) {
             const sim::MachineBackend &mb = *backends[b];
-            core::ExperimentSpec spec;
-            spec.withWorkload(wname).withMachine(mb.config);
-            const auto report = ctx.run(
-                campaign::CampaignSpec().withExperiment(spec).withSetups(
-                    pipeline::envGridSetups(4096, 103)));
             stats::Sample sp;
-            for (const auto &o : report.bias.outcomes)
+            for (const auto &o : reports[2 * w + b].bias.outcomes)
                 sp.add(o.speedup);
             medians[b] = sp.median();
             t.addRow({wname, mb.config.name, mb.coreModel,

@@ -14,6 +14,8 @@
  */
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/setup.hh"
@@ -39,9 +41,8 @@ struct Cell
     stats::Sample baseCycles;
 };
 
-Cell
-measure(pipeline::FigureContext &ctx, unsigned slowdown_pct,
-        std::uint64_t env)
+campaign::CampaignSpec
+dvfsCampaign(unsigned slowdown_pct, std::uint64_t env)
 {
     using Kind = campaign::RepetitionPlan::Kind;
     core::ExperimentSpec spec; // perl, core2like, O2 vs O3
@@ -57,11 +58,15 @@ measure(pipeline::FigureContext &ctx, unsigned slowdown_pct,
 
     core::ExperimentSetup s;
     s.envBytes = env;
-    const auto report =
-        ctx.run(campaign::CampaignSpec()
-                    .withExperiment(spec)
-                    .withSeededSetups({{s, noise_seed + env}})
-                    .withPlan(plan));
+    return campaign::CampaignSpec()
+        .withExperiment(spec)
+        .withSeededSetups({{s, noise_seed + env}})
+        .withPlan(plan);
+}
+
+Cell
+cellOf(const campaign::CampaignReport &report)
+{
     const auto &o = report.bias.outcomes.at(0);
     Cell cell;
     for (unsigned i = 0; i < reps; ++i) {
@@ -79,11 +84,18 @@ render(pipeline::FigureContext &ctx)
 
     core::TextTable t({"dvfs slowdown", "setup", "O2 cycles mean",
                        "cycles CV", "speedup mean", "spread"});
+    const unsigned slowdowns[] = {0u, 10u, 25u, 40u};
+    std::vector<campaign::CampaignSpec> specs;
+    for (unsigned pct : slowdowns)
+        for (std::uint64_t env : setup_envs)
+            specs.push_back(dvfsCampaign(pct, env));
+    const auto reports = ctx.runAll(specs);
     stats::Sample gaps; // per-arm between-setup speedup gap
-    for (unsigned pct : {0u, 10u, 25u, 40u}) {
+    for (std::size_t arm = 0; arm < std::size(slowdowns); ++arm) {
+        const unsigned pct = slowdowns[arm];
         double means[2] = {0.0, 0.0};
         for (int i = 0; i < 2; ++i) {
-            const auto cell = measure(ctx, pct, setup_envs[i]);
+            const auto cell = cellOf(reports[2 * arm + i]);
             means[i] = cell.speedups.mean();
             core::ExperimentSetup s;
             s.envBytes = setup_envs[i];

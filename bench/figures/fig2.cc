@@ -6,6 +6,7 @@
  * whether "O3 is beneficial".
  */
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -29,15 +30,20 @@ render(pipeline::FigureContext &ctx)
                 num_orders);
     core::TextTable t({"workload", "min", "median", "max", "range",
                        "crosses 1.0"});
-    unsigned crossing = 0;
+    std::vector<campaign::CampaignSpec> specs;
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        const auto report = ctx.run(
+        specs.push_back(
             campaign::CampaignSpec().withExperiment(spec).withSetups(
                 core::SetupSpace().varyLinkOrder().grid(num_orders)));
+    }
+    const auto reports = ctx.runAll(specs);
+    unsigned crossing = 0;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto *w = workloads::suite()[i];
         stats::Sample sp;
-        for (const auto &o : report.bias.outcomes)
+        for (const auto &o : reports[i].bias.outcomes)
             sp.add(o.speedup);
         const bool crosses = sp.min() < 1.0 && sp.max() > 1.0;
         crossing += crosses;

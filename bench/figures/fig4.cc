@@ -6,6 +6,7 @@
  * models).
  */
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -25,24 +26,28 @@ render(pipeline::FigureContext &ctx)
                 "(gcc O2 vs O3)\n\n");
     core::TextTable t({"workload", "machine", "speedup min", "median",
                        "max", "cycle spread (O2)"});
+    std::vector<campaign::CampaignSpec> specs;
     for (const char *wname : {"perl", "hmmer", "sjeng"}) {
         for (const auto &machine : sim::MachineConfig::allPresets()) {
             core::ExperimentSpec spec;
             spec.withWorkload(wname).withMachine(machine);
-            const auto report = ctx.run(
+            specs.push_back(
                 campaign::CampaignSpec().withExperiment(spec).withSetups(
                     pipeline::envGridSetups(4096, 52)));
-            stats::Sample sp, base_cycles;
-            for (const auto &o : report.bias.outcomes) {
-                sp.add(o.speedup);
-                base_cycles.add(double(o.baseline.cycles()));
-            }
-            const double spread =
-                base_cycles.range() / base_cycles.median();
-            t.addRow({wname, machine.name, core::fmt(sp.min()),
-                      core::fmt(sp.median()), core::fmt(sp.max()),
-                      core::fmt(spread * 100.0, 2) + "%"});
         }
+    }
+    const auto reports = ctx.runAll(specs);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const core::ExperimentSpec &spec = specs[i].experiment;
+        stats::Sample sp, base_cycles;
+        for (const auto &o : reports[i].bias.outcomes) {
+            sp.add(o.speedup);
+            base_cycles.add(double(o.baseline.cycles()));
+        }
+        const double spread = base_cycles.range() / base_cycles.median();
+        t.addRow({spec.workload, spec.machine.name, core::fmt(sp.min()),
+                  core::fmt(sp.median()), core::fmt(sp.max()),
+                  core::fmt(spread * 100.0, 2) + "%"});
     }
     std::printf("%s\n", t.str().c_str());
     std::printf("bias (a nonzero cycle spread from env size alone) "

@@ -7,6 +7,9 @@
  *      vendor profile.
  */
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -21,52 +24,61 @@ namespace
 
 constexpr unsigned num_orders = 20;
 
-stats::Sample
-speedups(pipeline::FigureContext &ctx, const core::ExperimentSpec &spec)
+const char *const workload_names[] = {"perl", "bzip", "milc", "sjeng",
+                                      "gobmk", "hmmer"};
+
+campaign::CampaignSpec
+linkOrderSweep(const core::ExperimentSpec &spec)
 {
-    const auto report = ctx.run(
-        campaign::CampaignSpec().withExperiment(spec).withSetups(
-            core::SetupSpace().varyLinkOrder().grid(num_orders)));
-    stats::Sample sp;
-    for (const auto &o : report.bias.outcomes)
-        sp.add(o.speedup);
-    return sp;
+    return campaign::CampaignSpec().withExperiment(spec).withSetups(
+        core::SetupSpace().varyLinkOrder().grid(num_orders));
+}
+
+/** The rows of one table: a workload's speedups per row, from the
+ *  reports [first, first + 6). */
+std::string
+table(const std::vector<campaign::CampaignReport> &reports,
+      std::size_t first)
+{
+    core::TextTable t({"workload", "min", "median", "max", "crosses 1.0"});
+    for (std::size_t i = 0; i < std::size(workload_names); ++i) {
+        stats::Sample sp;
+        for (const auto &o : reports[first + i].bias.outcomes)
+            sp.add(o.speedup);
+        t.addRow({workload_names[i], core::fmt(sp.min()),
+                  core::fmt(sp.median()), core::fmt(sp.max()),
+                  sp.min() < 1.0 && sp.max() > 1.0 ? "YES" : "no"});
+    }
+    return t.str();
 }
 
 void
 render(pipeline::FigureContext &ctx)
 {
-    std::printf("Figure 5a: link-order bias on the simulated O3CPU "
-                "(o3like, gcc O2 vs O3, %u orders)\n\n", num_orders);
-    core::TextTable ta({"workload", "min", "median", "max", "crosses 1.0"});
-    for (const char *w : {"perl", "bzip", "milc", "sjeng", "gobmk",
-                          "hmmer"}) {
+    // Both studies' campaigns run as one batch: 5a's six, then 5b's.
+    std::vector<campaign::CampaignSpec> specs;
+    for (const char *w : workload_names) {
         core::ExperimentSpec spec;
         spec.withWorkload(w).withMachine(sim::MachineConfig::o3Like());
-        auto sp = speedups(ctx, spec);
-        ta.addRow({w, core::fmt(sp.min()), core::fmt(sp.median()),
-                   core::fmt(sp.max()),
-                   sp.min() < 1.0 && sp.max() > 1.0 ? "YES" : "no"});
+        specs.push_back(linkOrderSweep(spec));
     }
-    std::printf("%s\n", ta.str().c_str());
-
-    std::printf("Figure 5b: the same study with the icc-like vendor "
-                "(core2like, icc O2 vs O3)\n\n");
-    core::TextTable tb({"workload", "min", "median", "max", "crosses 1.0"});
-    for (const char *w : {"perl", "bzip", "milc", "sjeng", "gobmk",
-                          "hmmer"}) {
+    for (const char *w : workload_names) {
         core::ExperimentSpec spec;
         spec.withWorkload(w)
             .withBaseline({toolchain::CompilerVendor::IccLike,
                            toolchain::OptLevel::O2})
             .withTreatment({toolchain::CompilerVendor::IccLike,
                             toolchain::OptLevel::O3});
-        auto sp = speedups(ctx, spec);
-        tb.addRow({w, core::fmt(sp.min()), core::fmt(sp.median()),
-                   core::fmt(sp.max()),
-                   sp.min() < 1.0 && sp.max() > 1.0 ? "YES" : "no"});
+        specs.push_back(linkOrderSweep(spec));
     }
-    std::printf("%s\n", tb.str().c_str());
+    const auto reports = ctx.runAll(specs);
+
+    std::printf("Figure 5a: link-order bias on the simulated O3CPU "
+                "(o3like, gcc O2 vs O3, %u orders)\n\n", num_orders);
+    std::printf("%s\n", table(reports, 0).c_str());
+    std::printf("Figure 5b: the same study with the icc-like vendor "
+                "(core2like, icc O2 vs O3)\n\n");
+    std::printf("%s\n", table(reports, std::size(workload_names)).c_str());
     std::printf("bias is not an artifact of one architecture, one "
                 "simulator, or one compiler\n");
 }

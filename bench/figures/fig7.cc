@@ -10,6 +10,7 @@
  * sweep scales with cores while staying bit-reproducible.
  */
 #include <cstdio>
+#include <vector>
 
 #include "core/conclusion.hh"
 #include "core/experiment.hh"
@@ -41,18 +42,23 @@ render(pipeline::FigureContext &ctx)
 
     core::ConclusionChecker checker;
     unsigned wrongable = 0;
-    obs::MetricsSnapshot metrics; // summed over per-workload campaigns
+    std::vector<campaign::CampaignSpec> specs;
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        auto cr = ctx.run(
+        specs.push_back(
             campaign::CampaignSpec()
                 .withExperiment(spec)
                 .withSpace(core::SetupSpace().varyEnvSize().varyLinkOrder(),
                            num_setups)
                 .withSeed(0xf19u));
-        metrics.merge(cr.metrics);
-        const auto &report = cr.bias;
+    }
+    const auto reports = ctx.runAll(specs);
+    obs::MetricsSnapshot metrics; // summed over per-workload campaigns
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto *w = workloads::suite()[i];
+        metrics.merge(reports[i].metrics);
+        const auto &report = reports[i].bias;
         auto check = checker.check(report);
         wrongable += check.wrongDataPossible;
         t.addRow({w->name(), core::fmt(report.speedupCI.estimate),

@@ -9,10 +9,13 @@
  * Measured by FigureContext::varianceDecomposition, the lowering
  * `mbias variance` shares: two NoisePaired campaigns (the home setup
  * as one 15-rep task, the peer setups one single-rep task each) with
- * pinned noise seeds, aggregated by VarianceAnalyzer.
+ * pinned noise seeds, aggregated by VarianceAnalyzer.  The campaigns
+ * of every workload run as one batch.
  */
 #include <cstdio>
+#include <vector>
 
+#include "core/experiment.hh"
 #include "core/setup.hh"
 #include "core/table.hh"
 #include "core/variance.hh"
@@ -40,12 +43,16 @@ render(pipeline::FigureContext &ctx)
     home.envBytes = 300;
     auto peers = core::SetupSpace().varyEnvSize().grid(16);
 
+    std::vector<core::ExperimentSpec> specs;
+    for (const auto *w : workloads::suite())
+        specs.push_back(core::ExperimentSpec().withWorkload(w->name()));
+    const auto reports =
+        ctx.varianceDecomposition(specs, home, peers, reps, noise_seed);
+
     unsigned fooled = 0;
-    for (const auto *w : workloads::suite()) {
-        core::ExperimentSpec spec;
-        spec.withWorkload(w->name());
-        auto r = ctx.varianceDecomposition(spec, home, peers, reps,
-                                           noise_seed);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto *w = workloads::suite()[i];
+        const auto &r = reports[i];
         fooled += r.falseConfidence;
         t.addRow({w->name(),
                   core::fmtInterval(r.withinCI.lower, r.withinCI.upper),

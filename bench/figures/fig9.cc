@@ -13,6 +13,8 @@
  * 1000*a + 10*b noise-seed formula.
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -29,8 +31,8 @@ constexpr unsigned env_levels = 4;
 constexpr unsigned link_levels = 4;
 constexpr unsigned reps = 3;
 
-stats::TwoWayAnovaResult
-interactionFor(pipeline::FigureContext &ctx, const std::string &workload)
+campaign::CampaignSpec
+factorialCampaign(const std::string &workload)
 {
     core::ExperimentSpec spec;
     spec.withWorkload(workload);
@@ -45,12 +47,15 @@ interactionFor(pipeline::FigureContext &ctx, const std::string &workload)
             cells_in.push_back({s, /* noise seeds */ 1000 * a + 10 * b});
         }
     }
-    const auto report = ctx.run(
-        campaign::CampaignSpec()
-            .withExperiment(spec)
-            .withSeededSetups(std::move(cells_in))
-            .withPlan({campaign::RepetitionPlan::Kind::NoiseRepeated, reps}));
+    return campaign::CampaignSpec()
+        .withExperiment(spec)
+        .withSeededSetups(std::move(cells_in))
+        .withPlan({campaign::RepetitionPlan::Kind::NoiseRepeated, reps});
+}
 
+stats::TwoWayAnovaResult
+interactionOf(const campaign::CampaignReport &report)
+{
     std::vector<std::vector<stats::Sample>> cells(
         env_levels, std::vector<stats::Sample>(link_levels));
     for (unsigned a = 0; a < env_levels; ++a)
@@ -69,8 +74,14 @@ render(pipeline::FigureContext &ctx)
                 env_levels, link_levels, reps);
     core::TextTable t({"workload", "F(env)", "p(env)", "F(link)",
                        "p(link)", "F(interact)", "p(interact)"});
-    for (const char *w : {"perl", "gobmk", "hmmer", "sjeng"}) {
-        auto r = interactionFor(ctx, w);
+    const char *const names[] = {"perl", "gobmk", "hmmer", "sjeng"};
+    std::vector<campaign::CampaignSpec> specs;
+    for (const char *w : names)
+        specs.push_back(factorialCampaign(w));
+    const auto reports = ctx.runAll(specs);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const char *w = names[i];
+        auto r = interactionOf(reports[i]);
         t.addRow({w, core::fmt(r.fA, 1), core::fmt(r.pA, 4),
                   core::fmt(r.fB, 1), core::fmt(r.pB, 4),
                   core::fmt(r.fAB, 1), core::fmt(r.pAB, 4)});

@@ -7,6 +7,7 @@
  * single number a conventional single-setup evaluation would report.
  */
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -26,13 +27,18 @@ render(pipeline::FigureContext &ctx)
                 "(core2like, gcc)\n\n");
     core::TextTable t({"workload", "archetype", "insts", "br/ki",
                        "ld/ki", "st/ki", "O2 cycles", "O3 speedup"});
+    std::vector<campaign::CampaignSpec> specs;
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        const auto report =
-            ctx.run(campaign::CampaignSpec().withExperiment(spec).withSetups(
+        specs.push_back(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(
                 {core::ExperimentSetup{}}));
-        const auto &o = report.bias.outcomes.at(0);
+    }
+    const auto reports = ctx.runAll(specs);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto *w = workloads::suite()[i];
+        const auto &o = reports[i].bias.outcomes.at(0);
         const auto &c = o.baseline.counters;
         t.addRow({w->name(), w->archetype(),
                   std::to_string(o.baseline.instructions()),

@@ -10,6 +10,7 @@
  * geomean is then recombined per setup across the suite.
  */
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/setup.hh"
@@ -38,13 +39,14 @@ render(pipeline::FigureContext &ctx)
         0xa44);
 
     // One campaign per workload, all over the same setup sample.
-    std::vector<campaign::CampaignReport> reports;
+    std::vector<campaign::CampaignSpec> specs;
     for (const auto *w : workloads::suite()) {
         core::ExperimentSpec spec;
         spec.withWorkload(w->name());
-        reports.push_back(ctx.run(
-            campaign::CampaignSpec().withExperiment(spec).withSetups(setups)));
+        specs.push_back(
+            campaign::CampaignSpec().withExperiment(spec).withSetups(setups));
     }
+    const auto reports = ctx.runAll(specs);
 
     // One "SPEC run" per setup: geomean across the suite.
     stats::Sample geomeans;

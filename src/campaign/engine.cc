@@ -187,9 +187,11 @@ struct LaneFamily
     std::vector<core::Lane> lanes;
 };
 
-/** A run of lanes [begin, end) of one family. */
+/** A run of lanes [begin, end) of one family of one campaign of a
+ *  batch. */
 struct LaneChunk
 {
+    std::size_t campaign = 0;
     std::size_t family = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -362,28 +364,75 @@ CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)
                     ": ", why);
 }
 
-CampaignReport
-CampaignEngine::run()
+namespace
 {
-    obs::ScopedSpan campaignSpan("campaign", "campaign", nullptr, true);
 
-    // Each run gets its own metrics registry so the report's snapshot
-    // is exactly this campaign — nothing leaks across runs.
+/**
+ * One campaign of a batch, from its plan to its report.  Construction
+ * is the plan phase (expand, dedup, store lookup, lowering); cut()
+ * adds its chunks to the batch's units, runChunk() is what a worker
+ * does with one of them, and finish() aggregates once the pool pass
+ * is over.
+ */
+struct Campaign
+{
+    Campaign(const CampaignSpec &spec, const CampaignOptions &opts,
+             const obs::Provenance &provenance);
+
+    void cut(std::size_t self, std::vector<LaneChunk> &units);
+    void runChunk(const LaneChunk &chunk, unsigned w,
+                  std::atomic<std::uint64_t> &done);
+    void finishTask(std::size_t i, std::atomic<std::uint64_t> &done);
+    CampaignReport finish();
+
+    const CampaignSpec &spec;
+    const CampaignOptions &opts;
+    const obs::Provenance &provenance;
+
+    // Each campaign gets its own metrics registry so the report's
+    // snapshot is exactly this campaign — nothing leaks across runs
+    // (the batch's pool books into the first campaign's).
     obs::Registry metrics;
-    const obs::Provenance provenance =
-        obs::Provenance::capture(opts_.jobs);
+    // Hot-path metric handles, resolved once (registry lookups take a
+    // lock; Counter::add / Histogram::record do not).
+    obs::Counter &cExecuted = metrics.counter("engine.executed");
+    obs::Histogram &hExecute = metrics.histogram("task.execute_us");
+    obs::Histogram &hTask = metrics.histogram("task.total_us");
 
-    const std::vector<CampaignTask> tasks = spec_.expand();
+    std::vector<CampaignTask> tasks;
     std::vector<std::string> keys;
+    std::unique_ptr<ResultStore> store;
+    std::vector<core::RunOutcome> results;
+    std::vector<std::size_t> ownerOf;
+    std::vector<std::size_t> toRun;
+    std::uint64_t cacheHits = 0;
+    std::uint64_t resumed = 0;
+    std::atomic<std::uint64_t> executed{0};
+
+    std::vector<std::array<std::vector<sim::RunResult>, kSides>> laneOut;
+    std::vector<std::atomic<std::size_t>> pending;
+    std::vector<std::atomic<std::uint64_t>> executeUs;
+    std::vector<LaneFamily> families;
+    std::size_t totalLanes = 0;
+
+    // One runner per worker; runners are cheap handles onto the
+    // shared artifact cache.
+    std::vector<std::unique_ptr<core::ExperimentRunner>> runners;
+};
+
+Campaign::Campaign(const CampaignSpec &s, const CampaignOptions &o,
+                   const obs::Provenance &p)
+    : spec(s), opts(o), provenance(p), tasks(spec.expand()),
+      runners(opts.jobs)
+{
     keys.reserve(tasks.size());
     for (const auto &t : tasks)
-        keys.push_back(taskKey(spec_.experiment, t));
+        keys.push_back(taskKey(spec.experiment, t));
     metrics.counter("engine.tasks").add(tasks.size());
 
-    std::unique_ptr<ResultStore> store;
-    if (!opts_.outPath.empty()) {
-        store = std::make_unique<ResultStore>(opts_.outPath, &metrics);
-        if (opts_.resume)
+    if (!opts.outPath.empty()) {
+        store = std::make_unique<ResultStore>(opts.outPath, &metrics);
+        if (opts.resume)
             store->load();
         else
             store->reset();
@@ -394,29 +443,6 @@ CampaignEngine::run()
             store->writeHeader(provenance);
     }
 
-    // The process-wide caches and the global registry (asm.*, fuzz.*)
-    // count for the whole process; the report books what they gained
-    // between here and the end of the run.
-    const obs::MetricsSnapshot cachesBefore = cacheCounts();
-    const obs::MetricsSnapshot globalBefore =
-        obs::Registry::global().snapshot();
-
-    parallel::ThreadPool pool(opts_.jobs, &metrics);
-    std::vector<core::RunOutcome> results(tasks.size());
-    // One runner per worker; runners are cheap handles onto the
-    // shared artifact cache.
-    std::vector<std::unique_ptr<core::ExperimentRunner>> runners(
-        pool.jobs());
-    std::atomic<std::uint64_t> executed{0};
-    std::uint64_t resumed = 0;
-
-    // Hot-path metric handles, resolved once (registry lookups take a
-    // lock; Counter::add / Histogram::record do not).
-    obs::Counter &cExecuted = metrics.counter("engine.executed");
-    obs::Counter &cResumed = metrics.counter("engine.store_hits");
-    obs::Histogram &hExecute = metrics.histogram("task.execute_us");
-    obs::Histogram &hTask = metrics.histogram("task.total_us");
-
     // Tasks with the same content address (repeated setups) compute
     // the same outcome, so only the lowest index of each distinct key
     // runs; the others copy its outcome once the pool drains.  Tasks
@@ -425,10 +451,10 @@ CampaignEngine::run()
     // lines they append — independent of worker timing.  A duplicate
     // is accounted where its owner's outcome comes from: the store
     // (resumed) or this run (a cache hit).
-    std::vector<std::size_t> ownerOf(tasks.size());
-    std::vector<std::size_t> toRun;
-    std::uint64_t cacheHits = 0;
+    results.resize(tasks.size());
+    ownerOf.resize(tasks.size());
     {
+        obs::Counter &cResumed = metrics.counter("engine.store_hits");
         std::unordered_map<std::string_view, std::size_t> firstByKey;
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const auto [it, fresh] = firstByKey.try_emplace(keys[i], i);
@@ -446,165 +472,165 @@ CampaignEngine::run()
             }
         }
     }
-    std::atomic<std::uint64_t> done{tasks.size() - toRun.size()};
 
     // Lowering: every task to run becomes per-side lanes, and lanes of
     // all tasks are grouped by side into families.  A family shares one
     // module set and one machine, so one recording times every lane of
     // it whose link keeps the recording's data layout.
-    const Kind kind = spec_.plan.kind;
-    std::vector<std::array<std::vector<sim::RunResult>, kSides>> laneOut(
-        tasks.size());
-    std::vector<std::atomic<std::size_t>> pending(tasks.size());
-    std::vector<std::atomic<std::uint64_t>> executeUs(tasks.size());
-    std::vector<LaneFamily> families;
-    std::size_t totalLanes = 0;
-    {
-        std::array<std::size_t, kSides> familyOf; // side -> family
-        familyOf.fill(SIZE_MAX);
-        for (const std::size_t i : toRun) {
-            const auto sides = lowerTask(tasks[i]);
-            for (std::size_t side = 0; side < kSides; ++side) {
-                if (sides[side].empty())
-                    continue;
-                if (familyOf[side] == SIZE_MAX) {
-                    familyOf[side] = families.size();
-                    families.push_back({side, {}, {}});
-                }
-                LaneFamily &fam = families[familyOf[side]];
-                for (std::size_t r = 0; r < sides[side].size(); ++r) {
-                    fam.refs.push_back({i, side, r});
-                    fam.lanes.push_back(sides[side][r]);
-                }
-                laneOut[i][side].resize(sides[side].size());
-                pending[i] += sides[side].size();
-                totalLanes += sides[side].size();
+    laneOut.resize(tasks.size());
+    pending = std::vector<std::atomic<std::size_t>>(tasks.size());
+    executeUs = std::vector<std::atomic<std::uint64_t>>(tasks.size());
+    std::array<std::size_t, kSides> familyOf; // side -> family
+    familyOf.fill(SIZE_MAX);
+    for (const std::size_t i : toRun) {
+        const auto sides = lowerTask(tasks[i]);
+        for (std::size_t side = 0; side < kSides; ++side) {
+            if (sides[side].empty())
+                continue;
+            if (familyOf[side] == SIZE_MAX) {
+                familyOf[side] = families.size();
+                families.push_back({side, {}, {}});
             }
-        }
-        // The lanes of one link order sit together, the most shared
-        // order first, so a chunk holds as few code classes as it can:
-        // the lanes of a class share its front end, and a chunk of one
-        // link order is a one-layout pass.
-        for (LaneFamily &fam : families) {
-            std::vector<std::uint64_t> order;
-            std::unordered_map<std::uint64_t, std::size_t> count;
-            for (const core::Lane &lane : fam.lanes)
-                ++count[order.emplace_back(lane.linkOrder.fingerprint())];
-            std::vector<std::size_t> by(fam.lanes.size());
-            std::iota(by.begin(), by.end(), std::size_t(0));
-            std::stable_sort(by.begin(), by.end(),
-                             [&](std::size_t a, std::size_t b) {
-                                 return std::pair(count[order[b]], order[a]) <
-                                        std::pair(count[order[a]], order[b]);
-                             });
-            LaneFamily sorted{fam.side, {}, {}};
-            for (const std::size_t k : by) {
-                sorted.refs.push_back(fam.refs[k]);
-                sorted.lanes.push_back(fam.lanes[k]);
+            LaneFamily &fam = families[familyOf[side]];
+            for (std::size_t r = 0; r < sides[side].size(); ++r) {
+                fam.refs.push_back({i, side, r});
+                fam.lanes.push_back(sides[side][r]);
             }
-            fam = std::move(sorted);
+            laneOut[i][side].resize(sides[side].size());
+            pending[i] += sides[side].size();
+            totalLanes += sides[side].size();
         }
     }
-
-    // Chunking: each family splits into near-equal runs of at most
-    // `width` lanes, narrow enough to keep every worker busy.  A chunk
-    // too narrow for its lanes at other link orders to ride its pass
-    // (ExperimentRunner::timesOtherLinks) would queue their live runs
-    // on one worker, so a family whose chunks come out that narrow is
-    // cut one link order at a time, and those lanes spread over the
-    // workers instead.
-    std::vector<LaneChunk> units;
-    {
-        const std::size_t width = std::min(
-            kMaxLaneWidth, (totalLanes + opts_.jobs - 1) / opts_.jobs);
-        const auto cut = [&](std::size_t f, std::size_t from,
-                             std::size_t to) {
-            const std::size_t n = to - from;
-            const std::size_t chunks = (n + width - 1) / width;
-            for (std::size_t c = 0, begin = from; c < chunks; ++c) {
-                const std::size_t len = n / chunks + (c < n % chunks);
-                units.push_back({f, begin, begin + len});
-                begin += len;
-            }
-        };
-        for (std::size_t f = 0; f < families.size(); ++f) {
-            const auto &lanes = families[f].lanes;
-            const std::size_t n = lanes.size();
-            if (core::ExperimentRunner::timesOtherLinks(
-                    n / ((n + width - 1) / width))) {
-                cut(f, 0, n);
-                continue;
-            }
-            for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
-                end = begin + 1;
-                while (end < n &&
-                       lanes[end].linkOrder == lanes[begin].linkOrder)
-                    ++end;
-                cut(f, begin, end);
-            }
+    // The lanes of one link order sit together, the most shared
+    // order first, so a chunk holds as few code classes as it can:
+    // the lanes of a class share its front end, and a chunk of one
+    // link order is a one-layout pass.
+    for (LaneFamily &fam : families) {
+        std::vector<std::uint64_t> order;
+        std::unordered_map<std::uint64_t, std::size_t> count;
+        for (const core::Lane &lane : fam.lanes)
+            ++count[order.emplace_back(lane.linkOrder.fingerprint())];
+        std::vector<std::size_t> by(fam.lanes.size());
+        std::iota(by.begin(), by.end(), std::size_t(0));
+        std::stable_sort(by.begin(), by.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return std::pair(count[order[b]], order[a]) <
+                                    std::pair(count[order[a]], order[b]);
+                         });
+        LaneFamily sorted{fam.side, {}, {}};
+        for (const std::size_t k : by) {
+            sorted.refs.push_back(fam.refs[k]);
+            sorted.lanes.push_back(fam.lanes[k]);
         }
+        fam = std::move(sorted);
     }
     metrics.counter("engine.lanes").add(totalLanes);
-    metrics.counter("engine.lane_units").add(units.size());
+}
 
-    ProgressMeter meter(opts_.progress, tasks.size(), done, cacheHits);
-
-    // Reassembly: the worker that books a task's last lane finishes
-    // it — outcome, store record, task histograms and progress stay
-    // per task.
-    const auto finishTask = [&](std::size_t i) {
-        obs::ScopedSpan taskSpan("task", "campaign", nullptr, true);
-        taskSpan.arg("task", i);
-        const TaskResult r =
-            assembleTask(spec_.experiment, tasks[i], laneOut[i]);
-        laneOut[i] = {};
-        const std::uint64_t execUs = executeUs[i].load();
-        hExecute.record(execUs);
-        executed.fetch_add(1, std::memory_order_relaxed);
-        cExecuted.add();
-        results[i] = r.outcome;
-        if (store)
-            store->append(TaskRecord::make(keys[i], tasks[i], r.outcome,
-                                           r.baseMetric, r.treatMetric));
-        hTask.record(execUs + taskSpan.stop());
-        done.fetch_add(1, std::memory_order_relaxed);
+/**
+ * Chunking: each family splits into near-equal runs of at most
+ * `width` lanes, narrow enough to keep every worker busy on this
+ * campaign alone.  A chunk too narrow for its lanes at other link
+ * orders to ride its pass (ExperimentRunner::timesOtherLinks) would
+ * queue their live runs on one worker, so a family whose chunks come
+ * out that narrow is cut one link order at a time, and those lanes
+ * spread over the workers instead.
+ */
+void
+Campaign::cut(std::size_t self, std::vector<LaneChunk> &units)
+{
+    const std::size_t first = units.size();
+    const std::size_t width = std::min(
+        kMaxLaneWidth, (totalLanes + opts.jobs - 1) / opts.jobs);
+    const auto cutRun = [&](std::size_t f, std::size_t from,
+                            std::size_t to) {
+        const std::size_t n = to - from;
+        const std::size_t chunks = (n + width - 1) / width;
+        for (std::size_t c = 0, begin = from; c < chunks; ++c) {
+            const std::size_t len = n / chunks + (c < n % chunks);
+            units.push_back({self, f, begin, begin + len});
+            begin += len;
+        }
     };
+    for (std::size_t f = 0; f < families.size(); ++f) {
+        const auto &lanes = families[f].lanes;
+        const std::size_t n = lanes.size();
+        if (core::ExperimentRunner::timesOtherLinks(
+                n / ((n + width - 1) / width))) {
+            cutRun(f, 0, n);
+            continue;
+        }
+        for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+            end = begin + 1;
+            while (end < n && lanes[end].linkOrder == lanes[begin].linkOrder)
+                ++end;
+            cutRun(f, begin, end);
+        }
+    }
+    metrics.counter("engine.lane_units").add(units.size() - first);
+}
 
-    pool.parallelFor(units.size(), [&](std::size_t u, unsigned w) {
-        if (!runners[w]) {
-            obs::ScopedSpan span("runner-init", "campaign");
-            runners[w] = std::make_unique<core::ExperimentRunner>(
-                spec_.experiment);
-            runners[w]->setMetrics(&metrics);
-            if (spec_.spAlign != 0)
-                runners[w]->setSpAlignOverride(spec_.spAlign);
-        }
-        const LaneChunk &chunk = units[u];
-        const LaneFamily &fam = families[chunk.family];
-        const std::size_t n = chunk.end - chunk.begin;
-        obs::ScopedSpan runSpan("run", "campaign", nullptr, true);
-        runSpan.arg("lanes", n);
-        // The treatment machine of a hardware study serves only
-        // paired single runs, as ExperimentRunner::run does.
-        std::vector<sim::RunResult> rs = runners[w]->runFamily(
-            fam.side ? spec_.experiment.treatment
-                     : spec_.experiment.baseline,
-            fam.side == 1 && kind == Kind::Single,
-            std::span(fam.lanes).subspan(chunk.begin, n));
-        // The chunk's wall time, shared out evenly over its lanes.
-        const std::uint64_t share = runSpan.stop() / n;
-        for (std::size_t k = 0; k < n; ++k) {
-            const LaneRef &ref = fam.refs[chunk.begin + k];
-            laneOut[ref.task][ref.side][ref.rep] = std::move(rs[k]);
-            executeUs[ref.task].fetch_add(share,
-                                          std::memory_order_relaxed);
-            // acq_rel: the finishing worker sees every lane booked
-            // before each decrement.
-            if (pending[ref.task].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1)
-                finishTask(ref.task);
-        }
-    });
+void
+Campaign::runChunk(const LaneChunk &chunk, unsigned w,
+                   std::atomic<std::uint64_t> &done)
+{
+    if (!runners[w]) {
+        obs::ScopedSpan span("runner-init", "campaign");
+        runners[w] = std::make_unique<core::ExperimentRunner>(spec.experiment);
+        runners[w]->setMetrics(&metrics);
+        if (spec.spAlign != 0)
+            runners[w]->setSpAlignOverride(spec.spAlign);
+    }
+    const LaneFamily &fam = families[chunk.family];
+    const std::size_t n = chunk.end - chunk.begin;
+    obs::ScopedSpan runSpan("run", "campaign", nullptr, true);
+    runSpan.arg("lanes", n);
+    // The treatment machine of a hardware study serves only paired
+    // single runs, as ExperimentRunner::run does.
+    std::vector<sim::RunResult> rs = runners[w]->runFamily(
+        fam.side ? spec.experiment.treatment : spec.experiment.baseline,
+        fam.side == 1 && spec.plan.kind == Kind::Single,
+        std::span(fam.lanes).subspan(chunk.begin, n));
+    // The chunk's wall time, shared out evenly over its lanes.
+    const std::uint64_t share = runSpan.stop() / n;
+    for (std::size_t k = 0; k < n; ++k) {
+        const LaneRef &ref = fam.refs[chunk.begin + k];
+        laneOut[ref.task][ref.side][ref.rep] = std::move(rs[k]);
+        executeUs[ref.task].fetch_add(share, std::memory_order_relaxed);
+        // acq_rel: the finishing worker sees every lane booked before
+        // each decrement.
+        if (pending[ref.task].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            finishTask(ref.task, done);
+    }
+}
+
+/** Reassembly: the worker that books a task's last lane finishes it —
+ *  outcome, store record, task histograms and progress stay per
+ *  task. */
+void
+Campaign::finishTask(std::size_t i, std::atomic<std::uint64_t> &done)
+{
+    obs::ScopedSpan taskSpan("task", "campaign", nullptr, true);
+    taskSpan.arg("task", i);
+    const TaskResult r = assembleTask(spec.experiment, tasks[i], laneOut[i]);
+    laneOut[i] = {};
+    const std::uint64_t execUs = executeUs[i].load();
+    hExecute.record(execUs);
+    executed.fetch_add(1, std::memory_order_relaxed);
+    cExecuted.add();
+    results[i] = r.outcome;
+    if (store)
+        store->append(TaskRecord::make(keys[i], tasks[i], r.outcome,
+                                       r.baseMetric, r.treatMetric));
+    hTask.record(execUs + taskSpan.stop());
+    done.fetch_add(1, std::memory_order_relaxed);
+}
+
+/** The finish phase: duplicates copy their owner's outcome, and the
+ *  outcomes aggregate into the report. */
+CampaignReport
+Campaign::finish()
+{
     for (std::size_t i = 0; i < tasks.size(); ++i)
         if (ownerOf[i] != i)
             results[i] = results[ownerOf[i]];
@@ -613,15 +639,15 @@ CampaignEngine::run()
 
     CampaignReport report;
     if (results.size() >= 2) {
-        core::BiasAnalyzer analyzer(0.01, opts_.confidence);
-        if (opts_.resamples > 0)
-            analyzer.withBootstrap(opts_.resamples, spec_.seed, opts_.jobs);
-        report.bias = analyzer.aggregate(spec_.experiment, std::move(results));
+        core::BiasAnalyzer analyzer(0.01, opts.confidence);
+        if (opts.resamples > 0)
+            analyzer.withBootstrap(opts.resamples, spec.seed, opts.jobs);
+        report.bias = analyzer.aggregate(spec.experiment, std::move(results));
     } else {
         // A bias report needs >= 2 setups for a spread/CI; a one-task
         // campaign (e.g. a single-cell sweep lowered by the pipeline)
         // just carries its outcome through.
-        report.bias.specDescription = spec_.experiment.str();
+        report.bias.specDescription = spec.experiment.str();
         for (const auto &o : results)
             report.bias.speedups.add(o.speedup);
         report.bias.outcomes = std::move(results);
@@ -630,23 +656,95 @@ CampaignEngine::run()
     report.stats.executed = executed.load();
     report.stats.cacheHits = cacheHits;
     report.stats.resumedFromStore = resumed;
-    report.stats.jobs = pool.jobs();
-    report.stats.wallSeconds = double(campaignSpan.stop()) * 1e-6;
+    report.stats.jobs = opts.jobs;
     report.provenance = provenance;
     report.metrics = metrics.snapshot();
-    // Every cache name is booked, moved or not, so a report always
-    // carries the same cache rows; of the global registry, only what
-    // moved during the run.
-    const obs::MetricsSnapshot caches = cacheCounts();
-    for (const auto &[name, v] : caches.counters)
-        report.metrics.counters[name] = v - cachesBefore.counters.at(name);
-    report.metrics.gauges.insert(caches.gauges.begin(),
-                                 caches.gauges.end());
-    report.metrics.merge(
-        obs::Registry::global().snapshot().since(globalBefore));
-    if (store)
-        store->appendMetrics(report.metrics);
     return report;
+}
+
+} // namespace
+
+CampaignReport
+CampaignEngine::run()
+{
+    return std::move(runBatch({this, 1}).front());
+}
+
+std::vector<CampaignReport>
+CampaignEngine::runBatch(std::span<const CampaignEngine> engines)
+{
+    if (engines.empty())
+        return {};
+    const unsigned jobs = engines.front().opts_.jobs;
+    obs::ScopedSpan batchSpan("campaign", "campaign", nullptr, true);
+    batchSpan.arg("campaigns", engines.size());
+
+    // The process-wide caches and the global registry (asm.*, fuzz.*)
+    // count for the whole process; the batch books what they gained
+    // between here and the end of its run.
+    const obs::MetricsSnapshot cachesBefore = cacheCounts();
+    const obs::MetricsSnapshot globalBefore =
+        obs::Registry::global().snapshot();
+    const obs::Provenance provenance = obs::Provenance::capture(jobs);
+
+    // Plan: each campaign on its own, in spec order.
+    std::vector<std::unique_ptr<Campaign>> campaigns;
+    std::vector<LaneChunk> units;
+    std::uint64_t totalTasks = 0, settled = 0, cacheHits = 0;
+    bool progress = false;
+    for (const CampaignEngine &e : engines) {
+        mbias_assert(e.opts_.jobs == jobs,
+                     "the campaigns of one batch share one worker budget");
+        campaigns.push_back(
+            std::make_unique<Campaign>(e.spec_, e.opts_, provenance));
+        Campaign &c = *campaigns.back();
+        c.cut(campaigns.size() - 1, units);
+        totalTasks += c.tasks.size();
+        settled += c.tasks.size() - c.toRun.size();
+        cacheHits += c.cacheHits;
+        progress |= e.opts_.progress;
+    }
+
+    // Run: one pool pass over the units of every campaign, so a
+    // worker done with one campaign's chunks goes on to the next
+    // campaign's instead of waiting for the slowest chunk.  The pool's
+    // metrics are the batch's, booked on its first report.
+    std::atomic<std::uint64_t> done{settled};
+    {
+        ProgressMeter meter(progress, totalTasks, done, cacheHits);
+        parallel::ThreadPool pool(jobs, &campaigns.front()->metrics);
+        pool.parallelFor(units.size(), [&](std::size_t u, unsigned w) {
+            campaigns[units[u].campaign]->runChunk(units[u], w, done);
+        });
+    }
+
+    // Finish: each campaign on its own, in spec order.
+    std::vector<CampaignReport> reports;
+    reports.reserve(campaigns.size());
+    for (auto &c : campaigns)
+        reports.push_back(c->finish());
+
+    // The process-wide deltas are the batch's: they land once, on the
+    // first report.  Every report carries the same cache rows (zero
+    // on the others), so summing a batch's reports counts each cache
+    // event once.
+    const obs::MetricsSnapshot caches = cacheCounts();
+    const double wall = double(batchSpan.stop()) * 1e-6;
+    for (std::size_t k = 0; k < reports.size(); ++k) {
+        CampaignReport &report = reports[k];
+        report.stats.wallSeconds = wall;
+        for (const auto &[name, v] : caches.counters)
+            report.metrics.counters[name] =
+                k == 0 ? v - cachesBefore.counters.at(name) : 0;
+        report.metrics.gauges.insert(caches.gauges.begin(),
+                                     caches.gauges.end());
+        if (k == 0)
+            report.metrics.merge(
+                obs::Registry::global().snapshot().since(globalBefore));
+        if (campaigns[k]->store)
+            campaigns[k]->store->appendMetrics(report.metrics);
+    }
+    return reports;
 }
 
 } // namespace mbias::campaign

@@ -1,7 +1,9 @@
 #ifndef MBIAS_CAMPAIGN_ENGINE_HH
 #define MBIAS_CAMPAIGN_ENGINE_HH
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "campaign/report.hh"
 #include "campaign/spec.hh"
@@ -70,32 +72,48 @@ struct CampaignOptions
  * chunks come out too narrow for other link orders to ride their
  * pass, ExperimentRunner::timesOtherLinks), which a work-stealing
  * ThreadPool runs through ExperimentRunner::runFamily (one runner per
- * worker — see the runner's thread-safety contract): one recording of
- * the module set, found by every later chunk in the ReplayCache, and
- * one lane pass per chunk, whose lanes at other link orders time only
- * their own front end (Machine::runReplayLanes).  The worker that
- * books a task's last lane reassembles its outcome and appends its
- * store record, so outcomes, records, task spans and task histograms
- * stay per task.
+ * campaign and worker — see the runner's thread-safety contract): one
+ * recording of the module set, found by every later chunk in the
+ * ReplayCache, and one lane pass per chunk, whose lanes at other link
+ * orders time only their own front end (Machine::runReplayLanes).
+ * The worker that books a task's last lane reassembles its outcome
+ * and appends its store record, so outcomes, records, task spans and
+ * task histograms stay per task.
+ *
+ * A campaign may share its pool pass.  runBatch() plans each campaign
+ * of a batch on its own (expand, dedup, store lookup, lowering and
+ * chunking, exactly as a campaign run alone), runs the chunks of every
+ * campaign in one ThreadPool::parallelFor, so no campaign waits at a
+ * barrier for its slowest chunk while others have work, and then
+ * finishes each campaign (duplicates, aggregation, store trailer) in
+ * spec order.  run() is the batch of one.  Only the schedule depends
+ * on the batch: every pass, and so every outcome, is the one the
+ * campaign makes alone.
  *
  * Determinism guarantee: for a fixed spec, the report's outcomes are
- * bitwise-identical regardless of jobs, scheduling order, or resume
- * splits.
+ * bitwise-identical regardless of jobs, scheduling order, batch, or
+ * resume splits.
  *
- * Metrics: the report holds this run's own registry plus what the
- * process-wide counts gained during the run — the four caches'
- * stats() under their `artifacts.*` / `sim.plan.*` / `sim.trace.*` /
- * `sim.replay.*` names, and every entry of obs::Registry::global()
- * that moved.  Work done before the run (an `--asm-dir` load, a
- * fuzzed corpus) is not booked, and a repeated campaign shows only
- * its own cache misses.
+ * Metrics: each report holds its campaign's own registry (`engine.*`,
+ * `cache.*`, `task.*`, `runner.*`, `store.*`).  What is the batch's
+ * rather than one campaign's lands once, on the batch's first report:
+ * the pool's `pool.*` metrics, and what the process-wide counts gained
+ * during the batch — the four caches' stats() under their
+ * `artifacts.*` / `sim.plan.*` / `sim.trace.*` / `sim.replay.*` names,
+ * and every entry of obs::Registry::global() that moved.  Every report
+ * carries the same cache rows (zero past the first), so the sum of a
+ * batch's reports counts each cache event once.  Work done before the
+ * batch (an `--asm-dir` load, a fuzzed corpus) is not booked, and a
+ * repeated campaign shows only its own cache misses.  Each report's
+ * stats.wallSeconds is its batch's wall time.
  *
- * Tracing: the engine owns no trace session.  Its phase spans
- * (queue-wait, one "lanes" span per family chunk with its
- * setup-materialize and run, per task a "task" span around its
- * reassembly and store-append, aggregate) land in whatever
- * process-wide session is active — `--trace` opens one around every
- * `mbias` subcommand (pipeline::ScopedTraceSession).
+ * Tracing: the engine owns no trace session.  Its phase spans (one
+ * "campaign" span per batch, queue-wait and barrier-wait, one "run"
+ * span per family chunk with its setup-materialize and lane pass, per
+ * task a "task" span around its reassembly and store-append,
+ * aggregate) land in whatever process-wide session is active —
+ * `--trace` opens one around every `mbias` subcommand
+ * (pipeline::ScopedTraceSession).
  */
 class CampaignEngine
 {
@@ -105,8 +123,18 @@ class CampaignEngine
 
     const CampaignSpec &spec() const { return spec_; }
 
-    /** Runs (or resumes) the campaign to completion. */
+    /** Runs (or resumes) the campaign to completion: a batch of
+     *  one. */
     CampaignReport run();
+
+    /**
+     * Runs (or resumes) every campaign of @p engines to completion as
+     * one batch on one pool pass, and returns their reports in the
+     * same order.  The engines must agree on `jobs`; each keeps its
+     * own store, confidence and resamples.
+     */
+    static std::vector<CampaignReport>
+    runBatch(std::span<const CampaignEngine> engines);
 
   private:
     CampaignSpec spec_;

@@ -36,13 +36,15 @@ CampaignReport::str() const
     };
     const auto run = hist("task.execute_us");
     const auto wait = hist("pool.queue_wait_us");
+    const auto barrier = hist("pool.barrier_wait_us");
     if (run.count || wait.count) {
+        char means[64];
+        std::snprintf(means, sizeof(means),
+                      "queue wait mean %.1f us, barrier wait mean %.1f us",
+                      wait.mean(), barrier.mean());
         os << "  latency         : task p50 " << run.quantile(0.5)
-           << " us, p99 " << run.quantile(0.99)
-           << " us; queue wait mean ";
-        char mean[32];
-        std::snprintf(mean, sizeof(mean), "%.1f", wait.mean());
-        os << mean << " us\n";
+           << " us, p99 " << run.quantile(0.99) << " us; " << means
+           << "\n";
     }
     return os.str();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@ ThreadPool::ThreadPool(unsigned jobs, obs::Registry *metrics)
         tasks_ = &metrics->counter("pool.tasks");
         steals_ = &metrics->counter("pool.steals");
         queueWait_ = &metrics->histogram("pool.queue_wait_us");
+        barrierWait_ = &metrics->histogram("pool.barrier_wait_us");
     }
 }
 
@@ -62,8 +64,8 @@ ThreadPool::parallelFor(
     const std::function<void(std::size_t, unsigned)> &fn)
 {
     if (jobs_ == 1 || count <= 1) {
-        // Serial reference schedule: no queues, so no queue wait —
-        // only the schedule-independent task count is recorded.
+        // Serial reference schedule: no queues, so no queue or barrier
+        // wait — only the schedule-independent task count is recorded.
         for (std::size_t i = 0; i < count; ++i) {
             if (tasks_)
                 tasks_->add();
@@ -77,6 +79,9 @@ ThreadPool::parallelFor(
     std::vector<WorkQueue> queues(workers);
     for (std::size_t i = 0; i < count; ++i)
         queues[i % workers].tasks.push_back(i);
+    // The call returns when the last worker runs out of tasks; a
+    // worker that ran out earlier waits for it at this barrier.
+    std::latch finished(workers);
 
     auto work = [&](unsigned w) {
         obs::setThreadShard(w);
@@ -93,6 +98,9 @@ ThreadPool::parallelFor(
             }
             if (!got) {
                 wait.cancel(); // no task ends this wait
+                obs::ScopedSpan barrier("barrier-wait", "pool",
+                                        barrierWait_);
+                finished.arrive_and_wait();
                 return;
             }
             wait.stop();

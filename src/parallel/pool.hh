@@ -30,10 +30,13 @@ class ThreadPool
     /**
      * @p jobs is the worker count; 0 is treated as 1.  With a
      * @p metrics registry the pool records `pool.tasks` (the task
-     * indices run, however the caller split its work), `pool.steals`
-     * and the `pool.queue_wait_us` histogram (both schedule dependent
-     * by nature), and each dequeue emits a "queue-wait" span when
-     * tracing is active.
+     * indices run, however the caller split its work), `pool.steals`,
+     * the `pool.queue_wait_us` histogram and the
+     * `pool.barrier_wait_us` histogram (all three schedule dependent
+     * by nature).  Each dequeue emits a "queue-wait" span when tracing
+     * is active, and each worker a "barrier-wait" span: the time from
+     * finding no task left to the moment the last worker finds none,
+     * when parallelFor returns.
      */
     explicit ThreadPool(unsigned jobs,
                         obs::Registry *metrics = nullptr);
@@ -59,6 +62,7 @@ class ThreadPool
     obs::Counter *tasks_ = nullptr;  ///< resolved once; see ctor
     obs::Counter *steals_ = nullptr;
     obs::Histogram *queueWait_ = nullptr;
+    obs::Histogram *barrierWait_ = nullptr;
 };
 
 } // namespace mbias::parallel

@@ -2,6 +2,7 @@
 #define MBIAS_PIPELINE_CONTEXT_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "campaign/report.hh"
@@ -49,14 +50,23 @@ class FigureContext
     }
 
     /**
-     * Runs @p spec on the campaign engine at the context's worker
-     * budget, aggregating at confidence() and resamples().  Outcomes
-     * come back in setup order; the report is bitwise-identical at
-     * any --jobs.  Campaigns run storeless here (they are cheap to
-     * recompute and their callers' output is the durable artifact);
-     * metrics/spans land in the per-campaign report and any active
-     * trace session.
+     * Runs @p specs on the campaign engine as one batch (one pool pass
+     * for all of them, CampaignEngine::runBatch) at the context's
+     * worker budget, aggregating each at confidence() and
+     * resamples(), and returns the reports in spec order.  Outcomes
+     * come back in setup order; each report is bitwise-identical at
+     * any --jobs and to the campaign run alone.  A figure batches the
+     * campaigns that do not depend on one another.  Campaigns run
+     * storeless here (they are cheap to recompute and their callers'
+     * output is the durable artifact); metrics/spans land in the
+     * reports and any active trace session.  What the process-wide
+     * caches gained is booked once per batch, on its first report,
+     * and every report's stats.wallSeconds is the batch's wall time.
      */
+    std::vector<campaign::CampaignReport>
+    runAll(std::span<const campaign::CampaignSpec> specs);
+
+    /** runAll() of the one campaign @p spec. */
     campaign::CampaignReport run(const campaign::CampaignSpec &spec);
 
     /**
@@ -69,12 +79,12 @@ class FigureContext
 
     /**
      * The false-confidence decomposition (fig8, `mbias variance`):
-     * two NoisePaired campaigns, aggregated by a VarianceAnalyzer at
-     * confidence().  Within: @p reps noisy runs per side at @p home,
-     * baseline seeds noise_seed + r and treatment seeds noise_seed +
-     * 7919 + r.  Between: one noisy run per side at each of @p peers,
-     * peer i at noise_seed + 104729 + 2i (baseline) and one more
-     * (treatment).
+     * two NoisePaired campaigns, run as one batch and aggregated by a
+     * VarianceAnalyzer at confidence().  Within: @p reps noisy runs
+     * per side at @p home, baseline seeds noise_seed + r and treatment
+     * seeds noise_seed + 7919 + r.  Between: one noisy run per side at
+     * each of @p peers, peer i at noise_seed + 104729 + 2i (baseline)
+     * and one more (treatment).
      */
     core::VarianceReport
     varianceDecomposition(const core::ExperimentSpec &spec,
@@ -82,7 +92,16 @@ class FigureContext
                           const std::vector<core::ExperimentSetup> &peers,
                           unsigned reps, std::uint64_t noise_seed);
 
-    /** Campaign wall seconds accumulated across every run() so far. */
+    /** The decomposition of each of @p specs, all of their campaigns
+     *  in one batch; the reports come back in spec order. */
+    std::vector<core::VarianceReport>
+    varianceDecomposition(std::span<const core::ExperimentSpec> specs,
+                          const core::ExperimentSetup &home,
+                          const std::vector<core::ExperimentSetup> &peers,
+                          unsigned reps, std::uint64_t noise_seed);
+
+    /** Campaign wall seconds accumulated across every batch so far
+     *  (a batch counts once, however many campaigns it ran). */
     double campaignWallSeconds() const { return wallSeconds_; }
 
   private:
