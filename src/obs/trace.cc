@@ -1,5 +1,6 @@
 #include "obs/trace.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -118,15 +119,20 @@ ScopedSpan::stop()
         return std::uint64_t(
             std::chrono::duration_cast<std::chrono::microseconds>(d).count());
     };
-    const std::uint64_t durUs = us(std::chrono::steady_clock::now() - start_);
+    const auto end = std::chrono::steady_clock::now();
+    // A traced span's two ends are each rounded from the session's
+    // start (or from the span's own, if it began before the session),
+    // and dur is their difference: a child then never ends after its
+    // parent, as separately rounded ts and dur would let it.
+    Tracer &tracer = Tracer::global();
+    const auto origin = live_ ? std::min(start_, tracer.t0_) : start_;
+    const std::uint64_t tsUs = us(start_ - origin);
+    const std::uint64_t durUs = us(end - origin) - tsUs;
     if (hist_)
         hist_->record(durUs);
     if (!live_)
         return durUs;
     live_ = false;
-    Tracer &tracer = Tracer::global();
-    const std::uint64_t tsUs =
-        start_ > tracer.t0_ ? us(start_ - tracer.t0_) : 0;
     TraceEvent e{name_, cat_, tsUs, durUs, threadId(), 'X', std::move(args_)};
     if (!e.args.empty())
         e.args += '}';

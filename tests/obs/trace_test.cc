@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -121,6 +122,42 @@ TEST(ObsTrace, NestedSpansAreContained)
         << "inner slice must end within the outer slice";
     EXPECT_GE(innerDur, 1000u) << "2ms sleep inside the inner span";
     EXPECT_GE(outerDur, innerDur + 2000u);
+}
+
+TEST(ObsTrace, SubMicrosecondNestingStaysContained)
+{
+    // Many parent/child pairs far shorter than the microsecond the
+    // trace rounds to: some straddle a microsecond edge, where rounding
+    // ts and dur apart would end the child 1 us after its parent.
+    auto &tracer = obs::Tracer::global();
+    tracer.start();
+    constexpr std::size_t kPairs = 20000;
+    for (std::size_t i = 0; i < kPairs; ++i) {
+        obs::ScopedSpan parent("p", "test");
+        obs::ScopedSpan child("c", "test");
+    }
+    tracer.stop();
+    ASSERT_EQ(tracer.eventCount(), 2 * kPairs);
+    const auto json = tracer.chromeJson();
+
+    // Destruction order emits each child just before its parent.
+    std::size_t pos = 0;
+    const auto next = [&](const char *key) {
+        pos = json.find(key, pos);
+        EXPECT_NE(pos, std::string::npos) << key;
+        pos += std::strlen(key);
+        return std::strtoull(json.c_str() + pos, nullptr, 10);
+    };
+    std::size_t escaped = 0;
+    for (std::size_t i = 0; i < kPairs; ++i) {
+        const auto childTs = next("\"ts\":");
+        const auto childDur = next("\"dur\":");
+        const auto parentTs = next("\"ts\":");
+        const auto parentDur = next("\"dur\":");
+        escaped += childTs < parentTs ||
+                   childTs + childDur > parentTs + parentDur;
+    }
+    EXPECT_EQ(escaped, 0u) << "children that leave their parent's slice";
 }
 
 TEST(ObsTrace, HistogramSampleIsTheEventDuration)

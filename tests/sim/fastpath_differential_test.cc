@@ -9,7 +9,8 @@
  * whole point of the toolkit is that measurement infrastructure must
  * not perturb measured numbers.  Under every ablation switch the lane
  * pass (Machine::runReplayLanes) is held to the oracle too, on both
- * core models.
+ * core models, and tiny cache and DTLB geometries drive every walk
+ * through its eviction paths on every backend.
  */
 #include <gtest/gtest.h>
 
@@ -18,8 +19,10 @@
 #include <string>
 
 #include "core/setup.hh"
+#include "isa/builder.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
+#include "sim/registry.hh"
 #include "sim/replay.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
@@ -191,6 +194,141 @@ TEST(FastPathDifferential, EveryAblationSwitch)
                 std::string("sjeng ") + label + " on " + base.name;
             expectIdentical(mc, image, what);
             expectLanesMatchOracle(mc, image, aslr, what);
+        }
+    }
+}
+
+/**
+ * A kernel of line- and page-crossing accesses: each trip walks a
+ * window of three global pages and of its stack frame in 7-byte steps
+ * with 8-byte loads and stores, so most of them cross a 64-byte line
+ * and some a page, on the stack and off it.
+ */
+std::shared_ptr<const toolchain::LinkedProgram>
+crossingProgram()
+{
+    using namespace isa;
+    ProgramBuilder b("crossing");
+    b.global("buf", 3 * 4096);
+    b.func("main");
+    b.la(reg::s3, "buf");
+    b.li(reg::t0, 3);
+    b.li(reg::s0, 0);
+    b.label("trip");
+    b.addi(reg::sp, reg::sp, -8192);
+    b.li(reg::t4, 0);
+    b.label("step");
+    b.add(reg::t5, reg::s3, reg::t4);
+    b.ld8(reg::t1, reg::t5, 0);
+    b.add(reg::s0, reg::s0, reg::t1);
+    b.st8(reg::s0, reg::t5, 4099);
+    b.add(reg::t6, reg::sp, reg::t4);
+    b.st8(reg::t1, reg::t6, 3);
+    b.ld8(reg::t2, reg::t6, 1);
+    b.add(reg::s0, reg::s0, reg::t2);
+    b.addi(reg::t4, reg::t4, 7);
+    b.slti(reg::t3, reg::t4, 4200);
+    b.bne(reg::t3, reg::zero, "step");
+    b.addi(reg::sp, reg::sp, 8192);
+    b.addi(reg::t0, reg::t0, -1);
+    b.bne(reg::t0, reg::zero, "trip");
+    b.mv(reg::a0, reg::s0);
+    b.halt();
+    b.endFunc();
+    return std::make_shared<const toolchain::LinkedProgram>(
+        toolchain::Linker().link({b.build()}));
+}
+
+/**
+ * Times @p image on @p mc every way a run can be timed — the live walk,
+ * the trace tier, a recording, a one-lane pass and a pass of three
+ * lanes (two on @p image, one on @p aslr, another stack draw of it) —
+ * with tight interrupts or none, and holds each to the oracle.  A
+ * hatched-off replay tier records nothing, and then there is no pass.
+ */
+void
+expectEveryWalkMatchesOracle(const sim::MachineConfig &mc,
+                             const toolchain::ProcessImage &image,
+                             const toolchain::ProcessImage &aslr,
+                             bool interrupts, const std::string &what)
+{
+    const std::uint64_t budget = 150'000;
+    const auto noise = [&](std::uint64_t seed) {
+        if (!interrupts)
+            return sim::NoiseModel::none();
+        auto m = sim::NoiseModel::withSeed(seed);
+        m.meanIntervalCycles = 3000;
+        return m;
+    };
+    const auto oracle = [&](const toolchain::ProcessImage &img,
+                            const sim::NoiseModel &n) {
+        return runWith(mc, img, false, budget, n);
+    };
+    const auto ref = oracle(image, noise(1));
+    sim::Machine live(mc);
+    live.setUseTracePath(false);
+    EXPECT_EQ(live.run(image, budget, noise(1)), ref) << what << ": live walk";
+    sim::Machine traced(mc);
+    EXPECT_EQ(traced.run(image, budget, noise(1)), ref)
+        << what << ": trace tier";
+    sim::Machine machine(mc);
+    std::shared_ptr<const sim::FunctionalTrace> trace;
+    EXPECT_EQ(machine.runRecord(image, budget, noise(1), &trace), ref)
+        << what << ": recording";
+    if (!trace)
+        return;
+    const sim::ReplayLane lanes[] = {
+        {&image, noise(2)}, {&image, noise(3)}, {&aslr, noise(4)}};
+    EXPECT_EQ(machine.runReplayLanes(*trace, budget, {lanes, 1}).front(),
+              oracle(image, lanes[0].noise))
+        << what << ": one-lane pass";
+    const auto got = machine.runReplayLanes(*trace, budget, lanes);
+    ASSERT_EQ(got.size(), 3u) << what;
+    for (std::size_t k = 0; k < got.size(); ++k)
+        EXPECT_EQ(got[k], oracle(*lanes[k].image, lanes[k].noise))
+            << what << ": lane " << k << " of a three-lane pass";
+}
+
+TEST(FastPathDifferential, TinyGeometriesOnEveryBackend)
+{
+    // A DTLB of one or two entries thrashes on every page change (the
+    // live walk's LaneTlb::touchDataAnywhere), 1-way caches and a
+    // 4-set L2 conflict on most lines, and the prefetcher adds a fill
+    // after every dcache miss; the crossing kernel splits lines and
+    // pages, and mcf chases pointers.
+    using Mutator = void (*)(sim::MachineConfig &);
+    const std::pair<const char *, Mutator> geometries[] = {
+        {"dtlb1", [](sim::MachineConfig &m) { m.dtlb.entries = 1; }},
+        {"dtlb2", [](sim::MachineConfig &m) { m.dtlb.entries = 2; }},
+        {"direct-mapped",
+         [](sim::MachineConfig &m) {
+             m.icache.ways = m.dcache.ways = m.l2.ways = 1;
+             m.l2.sets = 4;
+         }},
+        {"prefetch",
+         [](sim::MachineConfig &m) { m.enableNextLinePrefetch = true; }},
+    };
+    toolchain::LoaderConfig lc;
+    lc.envBytes = 4;
+    const auto crossing = toolchain::Loader::load(crossingProgram(), lc);
+    const auto mcf =
+        imageFor("mcf", toolchain::LinkOrder::shuffled(5), lc.envBytes);
+    lc.aslrSeed = 9;
+    const std::pair<std::string, const toolchain::ProcessImage *> programs[] = {
+        {"crossing", &crossing}, {"mcf", &mcf}};
+    for (const auto &[name, image] : programs) {
+        const auto aslr = toolchain::Loader::load(image->program, lc);
+        ASSERT_NE(aslr.initialSp, image->initialSp) << name;
+        for (const auto &backend : sim::MachineRegistry::global().backends()) {
+            for (const auto &[label, mutate] : geometries) {
+                auto mc = backend.config;
+                mutate(mc);
+                for (const bool interrupts : {false, true})
+                    expectEveryWalkMatchesOracle(
+                        mc, *image, aslr, interrupts,
+                        name + " " + label + " on " + mc.name +
+                            (interrupts ? " with interrupts" : ""));
+            }
         }
     }
 }
